@@ -1,8 +1,8 @@
 """Command-line interface: every computation as a subcommand with JSON/CSV IO.
 
-Exit codes: 0 success, 2 check failure, 3 resource limit, 4 bad spec/input.
-Reports are canonical JSON (sorted keys, 12 significant digits) so a fixed
-configuration and seed reproduce byte-identical files.
+Exit codes: 0 success, 2 check failure or usage error, 3 resource limit,
+4 bad spec/input.  Reports are canonical JSON (sorted keys, 12 significant
+digits) so a fixed configuration and seed reproduce byte-identical files.
 """
 
 from __future__ import annotations
@@ -54,17 +54,35 @@ def _pair_system_arg(args) -> weighted.PairShiftSystem:
     if getattr(args, "tuples", None):
         rel = _parse_tuples(args.tuples)
         return weighted.pair_system_from_tuples(args.a, args.b, rel)
-    if getattr(args, "spec", None):
-        doc = _load_json(args.spec)
-        if "omega" in doc:
-            omega = symbolic.spec_from_json(doc["omega"])
-            return weighted.pair_system(int(doc["a"]), int(doc["b"]), omega)
-        spec = symbolic.spec_from_json(doc)
-        if spec.tuple_sizes is None:
-            raise ValueError("pair systems need tuple sizes (a, b)")
-        a, b = spec.tuple_sizes
-        return weighted.pair_system(a, b, spec)
-    raise ValueError("provide --tuples or --spec")
+    doc = _load_json(args.spec)
+    if "omega" in doc:
+        omega = symbolic.spec_from_json(doc["omega"])
+        return weighted.pair_system(int(doc["a"]), int(doc["b"]), omega)
+    spec = symbolic.spec_from_json(doc)
+    if spec.tuple_sizes is None:
+        raise ValueError("pair systems need tuple sizes (a, b)")
+    a, b = spec.tuple_sizes
+    return weighted.pair_system(a, b, spec)
+
+
+def _check_relation_flags(parser: argparse.ArgumentParser, args) -> None:
+    """carpet and weighted-entropy take --tuples with --a and --b, or --spec.
+
+    Other combinations are usage errors (exit 2, like a flag argparse
+    rejects), named before any computation starts.
+    """
+    name = args.command
+    if name not in ("carpet", "weighted-entropy"):
+        return
+    if args.tuples is None:
+        if not args.spec:
+            parser.error(f"{name}: provide --tuples or --spec")
+    elif not args.tuples.strip():
+        parser.error(f"{name}: --tuples is empty")
+    else:
+        missing = [flag for flag in ("--a", "--b") if getattr(args, flag[2:]) is None]
+        if missing:
+            parser.error(f"{name}: --tuples needs {' and '.join(missing)}")
 
 
 def _emit(report: dict, args) -> None:
@@ -498,6 +516,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _check_relation_flags(parser, args)
     try:
         return args.fn(args)
     except ResourceLimit as exc:

@@ -60,37 +60,181 @@ class CoverBounds:
 
 
 def covering_bounds(cloud: PointCloud, eps: float) -> CoverBounds:
+    """Greedy brackets, visiting the points in index order.
+
+    A point joins the separated set when it lies at distance >= eps from
+    every point already kept, and becomes a center when it lies farther than
+    eps/2 - slack from every center.  linf clouds find the pairs closer than
+    eps by grid bucketing (near-linear in the cloud size); other metrics,
+    and linf clouds too small or too dense for the grid to pay, scan each
+    point against the points kept so far (linear in the kept set per point).
+    Both ways give the same brackets.
+    """
     check_scale(cloud, eps)
-    n = len(cloud)
     radius = eps / 2.0 - SLACK
-    separated: list[int] = []
-    centers: list[int] = []
-    sep_pts: list = []
-    cen_pts: list = []
-    for i in range(n):
-        p = cloud.points[i]
-        if not sep_pts:
-            separated.append(i)
-            sep_pts.append(p)
-        else:
-            dists = pairwise_to_point(np.array(sep_pts), p, cloud.metric)
-            if float(dists.min()) >= eps:
-                separated.append(i)
-                sep_pts.append(p)
-        if not cen_pts:
-            centers.append(i)
-            cen_pts.append(p)
-        else:
-            dists = pairwise_to_point(np.array(cen_pts), p, cloud.metric)
-            if float(dists.min()) > radius:
-                centers.append(i)
-                cen_pts.append(p)
+    conflicts = _linf_conflicts(cloud, eps, radius)
+    if conflicts is None:
+        separated, centers = _scan_greedy(cloud, eps, radius)
+    else:
+        sep_pairs, cen_pairs = conflicts
+        separated = _greedy_by_conflicts(len(cloud), *sep_pairs)
+        centers = _greedy_by_conflicts(len(cloud), *cen_pairs)
     return CoverBounds(
         lower=len(separated),
         upper=len(centers),
         separated=tuple(separated),
         centers=tuple(centers),
     )
+
+
+def _scan_greedy(cloud: PointCloud, eps: float, radius: float):
+    """Both greedies by scanning each point against the kept points, which
+    sit in buffers that double when full."""
+    pts, metric = cloud.points, cloud.metric
+    size = min(len(pts), 64)
+    sep_buf = np.empty((size,) + pts.shape[1:])
+    cen_buf = np.empty_like(sep_buf)
+    separated: list[int] = []
+    centers: list[int] = []
+    for i, p in enumerate(pts):
+        k = len(separated)
+        if not k or float(pairwise_to_point(sep_buf[:k], p, metric).min()) >= eps:
+            sep_buf = _push(sep_buf, k, p)
+            separated.append(i)
+        k = len(centers)
+        if not k or float(pairwise_to_point(cen_buf[:k], p, metric).min()) > radius:
+            cen_buf = _push(cen_buf, k, p)
+            centers.append(i)
+    return separated, centers
+
+
+def _push(buf: np.ndarray, k: int, p) -> np.ndarray:
+    if k == len(buf):
+        buf = np.concatenate([buf, np.empty_like(buf)])
+    buf[k] = p
+    return buf
+
+
+_GRID_DIMS = 4  # coordinates bucketed at most (3^4 neighbouring cells)
+_GRID_CELLS = 1 << 15  # cells per coordinate at most; wider cells beyond
+_PAIRS_PER_POINT = 64  # candidate pairs per point before the scan is cheaper
+_PAIR_CHUNK = 1 << 12  # candidate pairs measured per batch
+
+
+def _linf_conflicts(cloud: PointCloud, eps: float, radius: float):
+    """Index pairs (later, earlier) closer than eps, and those within radius.
+
+    Returns None when the grid does not apply (a metric other than linf,
+    non-finite values, fewer than two points), for clouds smaller than twice
+    the number of neighbouring cells, and when the candidate pairs exceed
+    _PAIRS_PER_POINT per point: then most pairs conflict, the kept sets are
+    small and the scan is cheaper.
+
+    Cells have side eps (1 + 1e-9) on up to _GRID_DIMS window coordinates,
+    those that split into the most cells.  A pair at computed distance
+    <= eps differs by less than one cell side in every coordinate, with a
+    margin of 1e-9 sides that dwarfs the rounding of the cell coordinates
+    (about 2^-36 sides with at most 2^15 cells per coordinate), so it lies in
+    equal or adjacent cells.  Distances of candidate pairs are computed as
+    pairwise_to_point computes them, so the brackets are the scan's.
+    """
+    metric, pts = cloud.metric, cloud.points
+    if metric.kind != LINF_FINITE or pts.ndim != 2 or len(pts) < 2:
+        return None
+    window = pts if metric.iterates is None else pts[:, : metric.iterates]
+    n, dim = window.shape
+    if not (dim and math.isfinite(eps) and eps > 0.0 and np.isfinite(window).all()):
+        return None
+    lo = window.min(axis=0)
+    span = window.max(axis=0) - lo
+    side = np.maximum(eps * (1.0 + 1e-9), span / _GRID_CELLS)
+    n_cells = np.floor(span / side)
+    # a coordinate split into fewer than three cells separates no pair
+    widest = np.argsort(-n_cells, kind="stable")[:_GRID_DIMS]
+    dims = [k for k in widest if n_cells[k] >= 2]
+    if n < 2 * 3 ** len(dims):
+        return None  # joining 3^k neighbouring cells costs more than the scan
+    codes = np.zeros(n, dtype=np.int64)
+    steps = [0]
+    stride = 1
+    for k in dims:
+        cell = np.floor((window[:, k] - lo[k]) / side[k]).astype(np.int64)
+        codes += cell * stride
+        # radix n_cells + 2 leaves the digit n_cells + 1 unoccupied, so a step
+        # off the grid (digit -1 borrows, n_cells + 1 overflows) matches nothing
+        steps = [s + o * stride for s in steps for o in (-1, 0, 1)]
+        stride *= int(n_cells[k]) + 2
+    order = np.argsort(codes, kind="stable")
+    sorted_codes = codes[order]
+    index = np.int32 if n < 2**31 else np.int64
+    order = order.astype(index)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    budget = _PAIRS_PER_POINT * n
+    cols = np.ascontiguousarray(window.T)
+    empty = np.zeros(0, dtype=index)
+    sep, cen = ([empty], [empty]), ([empty], [empty])
+    for step in steps:
+        if step < 0:
+            continue  # each unordered pair of cells is joined once, from the lower
+        if step == 0:
+            # same cell: the later entries of the run, whose indices are
+            # larger because the sort is stable
+            start = rank + 1
+            stop = np.searchsorted(sorted_codes, codes, "right")
+        else:
+            target = codes + step
+            start = np.searchsorted(sorted_codes, target, "left")
+            stop = np.searchsorted(sorted_codes, target, "right")
+        counts = stop - start
+        budget -= int(counts.sum())
+        if budget < 0:
+            return None
+        for i, j in _candidate_pairs(start, counts, order, index):
+            d = np.zeros(len(i))
+            for col in cols:
+                np.maximum(d, np.abs(col[i] - col[j]), out=d)
+            later, earlier = np.maximum(i, j), np.minimum(i, j)
+            for out, close in ((sep, d < eps), (cen, d <= radius)):
+                out[0].append(later[close])
+                out[1].append(earlier[close])
+    return tuple((np.concatenate(a), np.concatenate(b)) for a, b in (sep, cen))
+
+
+def _candidate_pairs(start, counts, order, index):
+    """Blocks of about _PAIR_CHUNK pairs (i, order[start[i] + r]), r < counts[i]."""
+    ends = np.cumsum(counts)
+    if not len(ends) or not ends[-1]:
+        return
+    cuts = np.searchsorted(ends, np.arange(_PAIR_CHUNK, ends[-1], _PAIR_CHUNK), "right")
+    edges = sorted({0, len(counts), *cuts.tolist()})
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        c = counts[lo:hi]
+        offsets = start[lo:hi] - (ends[lo:hi] - c)
+        first = np.repeat(np.arange(lo, hi, dtype=index), c)
+        pos = np.arange(ends[lo] - c[0], ends[hi - 1], dtype=np.int64)
+        second = order[pos + np.repeat(offsets, c)]
+        yield first, second
+
+
+def _greedy_by_conflicts(n: int, later: np.ndarray, earlier: np.ndarray) -> list[int]:
+    """Indices kept by the greedy in index order: a point is kept unless an
+    earlier kept point conflicts with it."""
+    order = np.argsort(later, kind="stable")
+    earlier = earlier[order].tolist()
+    ends = np.cumsum(np.bincount(later, minlength=n)).tolist()
+    kept = bytearray(n)
+    out = []
+    start = 0
+    for i, end in enumerate(ends):
+        for j in earlier[start:end]:
+            if kept[j]:
+                break
+        else:
+            kept[i] = 1
+            out.append(i)
+        start = end
+    return out
 
 
 def exact_min_cover(cloud: PointCloud, eps: float) -> int:
@@ -194,7 +338,7 @@ class QBoxFamily:
     n: int
     m: int
     floor_wm: int
-    count: int  # enumerated
+    count: int  # boxes in the family, the product count_formula
     count_formula: int  # |Omega|_N|^t * |Omega'|_N|^(M-t)
     diam_bound: float  # a^-t, certified < a b^-M
     diam_certified: bool  # exact integer check b^M < a^(t+1)
@@ -239,41 +383,64 @@ class QBoxFamily:
             raise ResourceLimit(
                 f"witness family has {self.count} points, budget {cap}"
             )
-        a, b = self.spec.a, self.spec.b
-        n, m, t = self.n, self.m, self.floor_wm
+        t, m = self.floor_wm, self.m
         depth = m + depth_extra
-        xi_u, xi_v = self.anchor_pair
-        pts = []
-        digits = []
-        for pair_layers in itertools.product(self.omega_words, repeat=t):
-            for v_layers in itertools.product(self.image_words, repeat=m - t):
-                u_rows = [p[0] for p in pair_layers] + [
-                    self.section[v] for v in v_layers
-                ]
-                v_rows = [p[1] for p in pair_layers] + list(v_layers)
-                u_rows += [xi_u] * (depth - m)
-                v_rows += [xi_v] * (depth - m)
-                x = [
-                    math.fsum(u_rows[i][j] * a ** -(i + 1) for i in range(depth))
-                    for j in range(n)
-                ]
-                y = [
-                    math.fsum(v_rows[i][j] * b ** -(i + 1) for i in range(depth))
-                    for j in range(n)
-                ]
-                pts.append(x + y)  # linf over the 2N flattened coordinates
-                digits.append((tuple(u_rows[:m]), tuple(v_rows[:m])))
-        cloud = PointCloud(
-            points=np.array(pts),
-            metric=MetricDescriptor(kind=LINF_FINITE),
-            truncation_error=float(b) ** (-depth),
-            payload={"digits": digits, "depth": depth},
+        sizes = (len(self.omega_words),) * t + (len(self.image_words),) * (m - t)
+        # every digit choice, first layer slowest (the order of itertools.product)
+        choices = np.indices(sizes).reshape(m, self.count).T
+        return PointCloud(
+            points=_witness_points(self, choices, depth),
+            metric=MetricDescriptor(kind=LINF_FINITE),  # over the 2N coordinates
+            truncation_error=float(self.spec.b) ** (-depth),
+            payload={"choices": choices, "depth": depth},
         )
-        return cloud
 
 
-def _lex_least_pair(words):
-    return min(words)
+def _witness_points(family: QBoxFamily, choices: np.ndarray, depth: int) -> np.ndarray:
+    """Coordinates (x then y, flattened) of anchored family points.
+
+    Row k of `choices`, an integer array of shape (points, m), names one
+    point by its m leading digit layers: an index into omega_words for each
+    of the first floor_wm layers, into image_words (with the section's
+    u-word) for the others.  Layers m to depth - 1 repeat the anchor pair.
+    Coordinate j of x is the sum over layers i of the float term
+    u_i[j] * a^-(i+1), rounded once, as math.fsum adds them; each term is a
+    binary fraction, so the terms are summed as integers over one power of
+    two and divided once (int / int rounds correctly).  y likewise with v
+    and b.
+    """
+    a, b = family.spec.a, family.spec.b
+    n, m, t = family.n, family.m, family.floor_wm
+    xi_u, xi_v = family.anchor_pair
+    terms = [
+        [(float(u) * float(base) ** -(i + 1)).as_integer_ratio() for u in range(base)]
+        for base in (a, b)
+        for i in range(depth)
+    ]
+    shift = max(den.bit_length() - 1 for layer in terms for _, den in layer)
+    scaled = [
+        [num << (shift + 1 - den.bit_length()) for num, den in layer] for layer in terms
+    ]
+
+    def numerators(i: int, u_word, v_word) -> list:
+        return [scaled[i][u] for u in u_word] + [scaled[depth + i][v] for v in v_word]
+
+    layer_words = [family.omega_words] * t + [
+        [(family.section[v], v) for v in family.image_words]
+    ] * (m - t)
+    tail_layers = [numerators(i, xi_u, xi_v) for i in range(m, depth)]
+    tail = [sum(layer[j] for layer in tail_layers) for j in range(2 * n)]
+    tables = [
+        np.array([numerators(i, u, v) for u, v in words], dtype=object)
+        for i, words in enumerate(layer_words)
+    ]
+    points = np.empty((len(choices), 2 * n))
+    for j in range(2 * n):  # one coordinate at a time keeps few big integers alive
+        total = np.full(len(choices), tail[j], dtype=object)
+        for i, table in enumerate(tables):
+            total += table[choices[:, i], j]
+        points[:, j] = total / (1 << shift)
+    return points
 
 
 def qbox_family(
@@ -281,11 +448,13 @@ def qbox_family(
 ) -> QBoxFamily:
     """Enumerate the level-(n, m) box family and certify its geometry.
 
-    The enumerated box count must equal |Omega|_N|^t * |Omega'|_N|^(M-t) with
-    t = floor(M log_a b); every box has linf diameter <= a^-t < a b^-M, and
-    the anchored point family is pairwise b^-M separated.  The diameter and
-    separation facts are certified by exact integer arithmetic on the digit
-    structure; distances on materialized points are double precision.
+    The boxes are indexed by t = floor(M log_a b) layers of Omega|_N words
+    and M - t layers of Omega'|_N words, so there are exactly
+    |Omega|_N|^t * |Omega'|_N|^(M-t) of them; every box has linf diameter
+    <= a^-t < a b^-M, and the anchored point family is pairwise b^-M
+    separated.  The diameter and separation facts are certified by exact
+    integer arithmetic on the digit structure; distances on materialized
+    points are double precision.
     """
     a, b = spec.a, spec.b
     t = floor_w_m(a, b, m)
@@ -312,11 +481,6 @@ def qbox_family(
     if count_formula > cap:
         raise ResourceLimit(f"box family of size {count_formula} exceeds budget {cap}")
 
-    count = 0
-    for _ in itertools.product(range(len(pairs)), repeat=t):
-        for _ in itertools.product(range(len(image_words)), repeat=m - t):
-            count += 1
-
     # diameter: a^-t < a * b^-m  <=>  b^m < a^(t+1), exact integers
     diam_certified = b**m < a ** (t + 1) and a**t <= b**m
     # separation: differing v digits give a nonzero integer multiple of b^-m;
@@ -329,7 +493,7 @@ def qbox_family(
         n=n,
         m=m,
         floor_wm=t,
-        count=count,
+        count=count_formula,
         count_formula=count_formula,
         diam_bound=float(a) ** (-t),
         diam_certified=diam_certified,
@@ -337,32 +501,8 @@ def qbox_family(
         omega_words=tuple(pairs),
         image_words=tuple(image_words),
         section=section,
-        anchor_pair=_lex_least_pair(pairs),
+        anchor_pair=min(pairs),
     )
-
-
-def _witness_point(family: QBoxFamily, pair_choice, v_choice, depth: int):
-    """Coordinates (x then y, flattened) of one anchored family point."""
-    a, b = family.spec.a, family.spec.b
-    n, m, t = family.n, family.m, family.floor_wm
-    xi_u, xi_v = family.anchor_pair
-    u_rows = [family.omega_words[i][0] for i in pair_choice]
-    v_rows = [family.omega_words[i][1] for i in pair_choice]
-    for i in v_choice:
-        v = family.image_words[i]
-        u_rows.append(family.section[v])
-        v_rows.append(v)
-    u_rows += [xi_u] * (depth - m)
-    v_rows += [xi_v] * (depth - m)
-    x = [
-        math.fsum(u_rows[i][j] * a ** -(i + 1) for i in range(depth))
-        for j in range(n)
-    ]
-    y = [
-        math.fsum(v_rows[i][j] * b ** -(i + 1) for i in range(depth))
-        for j in range(n)
-    ]
-    return x + y
 
 
 def verify_family_separation(
@@ -378,8 +518,6 @@ def verify_family_separation(
     perturbations (the pairs that attain the minimum).  The exact-integer
     certificate in the family record covers every pair regardless.
     """
-    from .metrics import distance as metric_distance
-
     target = family.min_separation()
     if family.count <= full_pair_cap:
         cloud = family.witness_cloud()
@@ -390,9 +528,7 @@ def verify_family_separation(
         n_pairs = len(family.omega_words)
         n_image = len(family.image_words)
         t, m = family.floor_wm, family.m
-        depth = m + 45
-        metric = MetricDescriptor(kind=LINF_FINITE)
-        observed = math.inf
+        pairs = []
         for _ in range(samples):
             pc1 = tuple(rng.randrange(n_pairs) for _ in range(t))
             vc1 = tuple(rng.randrange(n_image) for _ in range(m - t))
@@ -409,11 +545,13 @@ def verify_family_separation(
                     pos = rng.randrange(m - t)
                     vc2[pos] = (vc2[pos] + 1 + rng.randrange(n_image - 1)) % n_image
                 pc2, vc2 = tuple(pc2), tuple(vc2)
-            if (pc1, vc1) == (pc2, vc2):
-                continue
-            p = _witness_point(family, pc1, vc1, depth)
-            q = _witness_point(family, pc2, vc2, depth)
-            observed = min(observed, metric_distance(p, q, metric))
+            if (pc1, vc1) != (pc2, vc2):
+                pairs.append(pc1 + vc1 + pc2 + vc2)
+        choices = np.array(pairs, dtype=np.intp).reshape(2 * len(pairs), m)
+        pts = _witness_points(family, choices, m + 45).reshape(len(pairs), 2, -1)
+        metric = MetricDescriptor(kind=LINF_FINITE)
+        dists = pairwise_to_point(pts[:, 0], pts[:, 1], metric)
+        observed = float(dists.min()) if len(pairs) else math.inf
         mode = "sampled_pairs"
     return {
         "observed_min": observed,

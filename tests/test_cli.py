@@ -1,9 +1,14 @@
 """Command-line interface: subcommands, exit codes, report determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import meandim
 from meandim.cli import main
 from meandim.reportio import dumps_canonical
 
@@ -134,6 +139,34 @@ class TestExitCodes:
             "--N", "3", "--M", "5", "--budget", "1000",
         )
         assert code == 3
+
+
+class TestUsageErrors:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (
+                ["weighted-entropy", "--tuples", "00,11", "--w", "0.5"],
+                "--tuples needs --a and --b",
+            ),
+            (["carpet", "--tuples", ""], "--tuples is empty"),
+            (["carpet", "--a", "3", "--tuples", "00,11"], "--tuples needs --b"),
+            (["carpet"], "provide --tuples or --spec"),
+        ],
+    )
+    def test_missing_or_empty_flag_exits_2_without_traceback(self, argv, message):
+        src = str(Path(meandim.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "meandim.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": path},
+            timeout=60,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert message in proc.stderr
 
 
 class TestDeterminism:

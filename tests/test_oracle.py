@@ -6,6 +6,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meandim import carpet as cp
 from meandim import oracle as orc
@@ -16,7 +18,13 @@ from meandim.errors import (
     HypothesisViolated,
     ParameterOverflow,
 )
-from meandim.metrics import LINF_FINITE, MetricDescriptor, PointCloud
+from meandim.metrics import (
+    LINF_FINITE,
+    SUM_WEIGHTED_TORUS,
+    MetricDescriptor,
+    PointCloud,
+    pairwise_to_point,
+)
 
 R_EXAMPLE = [(0, 0), (1, 1), (2, 0)]
 
@@ -67,6 +75,105 @@ class TestCoveringBounds:
         )
         with pytest.raises(DegenerateScale):
             orc.covering_bounds(cloud, 0.3)
+
+
+def reference_covering_bounds(cloud, eps):
+    """The plain greedy: each point against every point kept so far."""
+    radius = eps / 2.0 - orc.SLACK
+    separated, centers = [], []
+    for i, p in enumerate(cloud.points):
+        for kept, limit, close in (
+            (separated, eps, np.less),
+            (centers, radius, np.less_equal),
+        ):
+            if not kept or not close(
+                pairwise_to_point(cloud.points[kept], p, cloud.metric).min(), limit
+            ):
+                kept.append(i)
+    return orc.CoverBounds(
+        lower=len(separated),
+        upper=len(centers),
+        separated=tuple(separated),
+        centers=tuple(centers),
+    )
+
+
+@st.composite
+def dyadic_linf_clouds(draw):
+    """Clouds on the grid (1/8) Z^dim, so distances equal eps exactly."""
+    dim = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 80))
+    coords = st.integers(-24, 24).map(lambda k: k / 8.0)
+    row = st.lists(coords, min_size=dim, max_size=dim)
+    rows = draw(st.lists(row, min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):  # duplicates
+        rows += draw(st.lists(st.sampled_from(rows), max_size=n))
+    iterates = draw(st.none() | st.integers(1, dim + 1))
+    metric = MetricDescriptor(kind=LINF_FINITE, iterates=iterates)
+    return PointCloud(points=np.array(rows), metric=metric)
+
+
+class TestCoveringMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(dyadic_linf_clouds(), st.sampled_from([0.125, 0.25, 0.375, 0.5, 1, 2.5, 9]))
+    def test_dyadic_linf_clouds(self, cloud, eps):
+        assert orc.covering_bounds(cloud, eps) == reference_covering_bounds(cloud, eps)
+
+    @pytest.mark.parametrize("n_coords, n_layers", [(2, 1), (2, 3), (3, 2), (3, 3)])
+    @pytest.mark.parametrize("golden", [False, True])
+    def test_beta_families_with_window(self, n_coords, n_layers, golden):
+        from meandim import selfsim as ss
+        from meandim import symbolic as sy
+
+        omega = sy.forbidden_words(2, ["11"]) if golden else None
+        fam = ss.covering_lower_bound(ss.beta_system(2, 2.5, omega), n_coords, n_layers)
+        assert fam.points.metric.iterates == n_coords
+        for eps in (fam.eps, fam.dyn_eps, 2.5 * fam.eps):
+            got = orc.covering_bounds(fam.points, eps)
+            assert got == reference_covering_bounds(fam.points, eps)
+
+    @pytest.mark.parametrize("scale", [1, 3])
+    def test_qbox_witness_cloud(self, scale):
+        fam = orc.qbox_family(cp.carpet_from_tuples(3, 2, R_EXAMPLE), 2, 4)
+        cloud, eps = fam.witness_cloud(), scale * fam.min_separation()
+        assert orc.covering_bounds(cloud, eps) == reference_covering_bounds(cloud, eps)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([0.05, 0.1, 0.2, 0.4]))
+    def test_weighted_torus_cloud(self, seed, eps):
+        rng = np.random.default_rng(seed)
+        cloud = PointCloud(
+            points=rng.integers(0, 16, size=(int(rng.integers(1, 60)), 5)) / 16.0,
+            metric=MetricDescriptor(kind=SUM_WEIGHTED_TORUS, iterates=2),
+        )
+        assert orc.covering_bounds(cloud, eps) == reference_covering_bounds(cloud, eps)
+
+    def test_single_point_and_negative_coordinates(self):
+        for rows in ([[-0.5, 3.0]], [[-1.0, -2.0], [-1.0, -2.0], [-1.25, -2.0]]):
+            metric = MetricDescriptor(kind=LINF_FINITE)
+            cloud = PointCloud(points=np.array(rows), metric=metric)
+            want = reference_covering_bounds(cloud, 0.25)
+            assert orc.covering_bounds(cloud, 0.25) == want
+
+    def test_pair_just_under_eps_two_cells_apart_at_side_eps(self):
+        # 1 - 7e-10 apart, so they conflict at eps = 1; with cells of side
+        # exactly 1 - 1e-9 they would land two cells apart
+        pts = np.array([[1 - 1.2e-9], [2 - 1.9e-9], [0.0], [10.0], [20.0], [30.0]])
+        cloud = PointCloud(points=pts, metric=MetricDescriptor(kind=LINF_FINITE))
+        want = reference_covering_bounds(cloud, 1.0)
+        assert want.separated == (0, 3, 4, 5)
+        assert orc.covering_bounds(cloud, 1.0) == want
+
+    def test_wide_span_and_dense_clouds(self):
+        # more cells per coordinate than the grid keeps, and a cloud so dense
+        # that the candidate pairs exceed the grid's budget
+        rng = np.random.default_rng(5)
+        wide = np.concatenate([rng.random((300, 2)), [[4.0e4, 0.0], [-3.0e4, 1.0]]])
+        dense = rng.random((400, 3))
+        for pts, eps in ((wide, 1e-2), (wide, 1e-3), (dense, 0.9), (dense, 0.05)):
+            cloud = PointCloud(points=pts, metric=MetricDescriptor(kind=LINF_FINITE))
+            want = reference_covering_bounds(cloud, eps)
+            assert orc.covering_bounds(cloud, eps) == want
 
 
 class TestHausdorffUpper:
@@ -143,6 +250,50 @@ class TestQBoxFamily:
         rep = orc.verify_family_separation(fam, samples=500)
         assert rep["mode"] == "sampled_pairs"
         assert rep["ok"]
+
+    @pytest.mark.parametrize(
+        "a, rel", [(3, R_EXAMPLE), (4, [(0, 0), (1, 1), (3, 0), (2, 1)])]
+    )
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_witness_cloud_matches_fsum_formula(self, a, rel, n):
+        fam = orc.qbox_family(cp.carpet_from_tuples(a, 2, rel), n, 5 - n)
+        cloud = fam.witness_cloud()
+        depth = cloud.payload["depth"]
+        xi_u, xi_v = fam.anchor_pair
+        pts = []
+        for pairs in itertools.product(fam.omega_words, repeat=fam.floor_wm):
+            for vs in itertools.product(fam.image_words, repeat=fam.m - fam.floor_wm):
+                u_rows = [p[0] for p in pairs] + [fam.section[v] for v in vs]
+                v_rows = [p[1] for p in pairs] + list(vs)
+                u_rows += [xi_u] * (depth - fam.m)
+                v_rows += [xi_v] * (depth - fam.m)
+                pts.append(
+                    [
+                        math.fsum(rows[i][j] * base ** -(i + 1) for i in range(depth))
+                        for rows, base in ((u_rows, a), (v_rows, 2))
+                        for j in range(n)
+                    ]
+                )
+        assert np.array_equal(cloud.points, np.array(pts))
+
+    def test_sampled_separation_pinned(self):
+        # observed minima recorded before the witness builder was vectorized
+        spec = cp.carpet_from_tuples(5, 3, [(0, 0), (1, 1), (2, 2), (4, 0), (3, 1)])
+        fam = orc.qbox_family(spec, 1, 5)
+        for seed, observed in (
+            (1, 0.0041152263374485964),
+            (2, 0.004115226337448569),
+            (3, 0.024691358024691412),
+            (4, 0.1934156378600823),
+        ):
+            rep = orc.verify_family_separation(
+                fam, full_pair_cap=100, samples=6, seed=seed
+            )
+            assert rep["mode"] == "sampled_pairs"
+            assert rep["observed_min"] == observed
+        fam = orc.qbox_family(cp.carpet_from_tuples(3, 2, R_EXAMPLE), 2, 6)
+        rep = orc.verify_family_separation(fam, samples=4, seed=4)
+        assert (rep["mode"], rep["observed_min"]) == ("sampled_pairs", 0.46875)
 
     def test_witness_cloud_distinct_points(self):
         spec = cp.carpet_from_tuples(3, 2, R_EXAMPLE)
