@@ -26,8 +26,10 @@ KIND_FORBIDDEN = "forbidden"
 KIND_TUPLES = "tuples"
 KIND_AUTOMATON = "automaton"  # output-only: rooted labeled graph (sofic images)
 
-SPECTRAL_REL_TOL = 1e-10
-_SPECTRAL_ITER_CAP = 200_000
+SPECTRAL_LOG_TOL = 1e-10  # widest certified bracket accepted on log(radius)
+_NODA_MAX_SOLVES = 64  # quadratic convergence needs about ten
+_DENSE_COMPONENT_CAP = 2048  # states of one component in a dense solve (32 MB)
+_UNIT_ROUNDOFF = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -116,114 +118,124 @@ class Automaton:
             state = self.succ[state][label]
         return tuple(out)
 
-    def count_matrix(self):
-        """Integer matrix T with T[s][t] = number of labels sending s to t."""
-        n = self.n_states
-        mat = [[0] * n for _ in range(n)]
-        for s, trans in enumerate(self.succ):
-            for t in trans.values():
-                mat[s][t] += 1
-        return mat
+    def spectral_log(self) -> tuple[float, float]:
+        """Certified bracket (lo, hi) on log of the spectral radius of the
+        transition structure reachable from the root; its midpoint is the
+        reported value.
 
-    def spectral_log(self) -> float:
-        """log of the spectral radius of the live transition structure.
-
-        Computed per strongly connected component with Collatz-Wielandt
-        brackets around a deterministic power iteration on M + I (all-ones
-        start, fixed cap); the shift makes the iteration converge even for
-        periodic components, keeping the 1e-10 relative tolerance honest.
+        The radius is the largest over the strongly connected components.  A
+        one-state component is exact (its loop count).  A larger one runs
+        Noda inverse iteration, whose Collatz-Wielandt bracket
+        min (Mx)_i/x_i <= rho <= max (Mx)_i/x_i holds at every step once
+        widened by the rounding of the product.  Raises ResourceLimit when a
+        component's log-bracket stays wider than SPECTRAL_LOG_TOL (absolute),
+        and EmptySubshift when no cycle is reachable.
         """
-        mat = self.count_matrix()
-        reach = self._reachable()
-        rho = 0.0
-        for comp in _strongly_connected(mat, reach):
-            rho = max(rho, _component_radius(mat, comp))
-        if rho <= 0.0:
+        lo = hi = 0.0
+        for comp in _strongly_connected(self.succ, self.root):
+            c_lo, c_hi = _component_radius(self.succ, comp)
+            lo, hi = max(lo, c_lo), max(hi, c_hi)
+        if hi <= 0.0:
             raise EmptySubshift("transition graph has no cycle")
-        return math.log(rho)
-
-    def _reachable(self) -> list[int]:
-        seen = {self.root}
-        stack = [self.root]
-        while stack:
-            s = stack.pop()
-            for t in self.succ[s].values():
-                if t not in seen:
-                    seen.add(t)
-                    stack.append(t)
-        return sorted(seen)
+        return (
+            math.nextafter(math.log(lo), -math.inf),
+            math.nextafter(math.log(hi), math.inf),
+        )
 
 
-def _strongly_connected(mat, nodes) -> list[list[int]]:
-    """Tarjan SCCs (iterative) of the subgraph induced by `nodes`."""
-    node_set = set(nodes)
-    index: dict = {}
-    low: dict = {}
-    on_stack: set = set()
-    stack: list[int] = []
+def _strongly_connected(succ, root) -> list[list[int]]:
+    """Tarjan SCCs (iterative) of the states reachable from root."""
+    index = {root: 0}
+    low = {root: 0}
+    on_stack = {root}
+    stack = [root]
     comps: list[list[int]] = []
-    counter = [0]
-
-    adj = {
-        s: [t for t, k in enumerate(mat[s]) if k and t in node_set] for s in nodes
-    }
-
-    for start in nodes:
-        if start in index:
+    work = [(root, iter(succ[root].values()))]
+    while work:
+        node, it = work[-1]
+        advanced = False
+        for t in it:
+            if t not in index:
+                index[t] = low[t] = len(index)
+                stack.append(t)
+                on_stack.add(t)
+                work.append((t, iter(succ[t].values())))
+                advanced = True
+                break
+            if t in on_stack:
+                low[node] = min(low[node], index[t])
+        if advanced:
             continue
-        work = [(start, iter(adj[start]))]
-        index[start] = low[start] = counter[0]
-        counter[0] += 1
-        stack.append(start)
-        on_stack.add(start)
-        while work:
-            node, it = work[-1]
-            advanced = False
-            for t in it:
-                if t not in index:
-                    index[t] = low[t] = counter[0]
-                    counter[0] += 1
-                    stack.append(t)
-                    on_stack.add(t)
-                    work.append((t, iter(adj[t])))
-                    advanced = True
+        work.pop()
+        if work:
+            parent = work[-1][0]
+            low[parent] = min(low[parent], low[node])
+        if low[node] == index[node]:
+            comp = []
+            while True:
+                w = stack.pop()
+                on_stack.discard(w)
+                comp.append(w)
+                if w == node:
                     break
-                if t in on_stack:
-                    low[node] = min(low[node], index[t])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[node])
-            if low[node] == index[node]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == node:
-                        break
-                comps.append(comp)
+            comps.append(comp)
     return comps
 
 
-def _component_radius(mat, comp) -> float:
-    if len(comp) == 1:
+def _component_radius(succ, comp) -> tuple[float, float]:
+    """Bracket (lo, hi) on the spectral radius of one strongly connected
+    component (0, 0 for a state without a loop)."""
+    n = len(comp)
+    if n == 1:
         s = comp[0]
-        return float(mat[s][s])
-    sub = np.array([[mat[i][j] for j in comp] for i in comp], dtype=float)
-    shifted = sub + np.eye(len(comp))
-    x = np.ones(len(comp))
-    lo, hi = 0.0, float("inf")
-    for _ in range(_SPECTRAL_ITER_CAP):
-        y = shifted @ x
-        ratios = y / x
-        lo, hi = float(ratios.min()), float(ratios.max())
-        if hi - lo <= 1e-13 * hi:
+        loops = float(sum(t == s for t in succ[s].values()))
+        return loops, loops
+    if n > _DENSE_COMPONENT_CAP:
+        raise ResourceLimit(
+            f"spectral radius: a {n}-state component exceeds the dense-solve cap "
+            f"of {_DENSE_COMPONENT_CAP} states"
+        )
+    local = {s: i for i, s in enumerate(comp)}
+    mat = np.zeros((n, n))
+    for s in comp:
+        row = mat[local[s]]
+        for t in succ[s].values():
+            j = local.get(t)
+            if j is not None:
+                row[j] += 1.0
+    # The start vector is all ones, so the first bracket (the row sums) is exact.
+    row_sums = mat.sum(axis=1)
+    lo, hi = float(row_sums.min()), float(row_sums.max())
+    # Each (Mx)_i sums at most n nonnegative terms, and one division follows.
+    slack = (n + 2) * _UNIT_ROUNDOFF
+    shifted = -mat
+    diag = mat.diagonal().copy()
+    x = np.ones(n)
+    solves = 0
+    while hi - lo > 4 * slack * hi and solves < _NODA_MAX_SOLVES:
+        # sigma > rho, so (sigma I - M)^-1 is entrywise positive for irreducible M.
+        shifted.flat[:: n + 1] = hi * (1.0 + 8 * _UNIT_ROUNDOFF) - diag
+        try:
+            y = np.linalg.solve(shifted, x)
+        except np.linalg.LinAlgError:
+            break
+        solves += 1
+        if not (np.isfinite(y).all() and (y > 0).all()):
             break
         x = y / y.max()
-    return 0.5 * (lo + hi) - 1.0
+        ratios = (mat @ x) / x
+        new_lo = float(ratios.min()) * (1.0 - slack)
+        new_hi = float(ratios.max()) * (1.0 + slack)
+        if new_lo <= lo and new_hi >= hi:
+            break
+        lo, hi = max(lo, new_lo), min(hi, new_hi)
+    width = math.log(hi) - math.log(lo)
+    if width > SPECTRAL_LOG_TOL:
+        raise ResourceLimit(
+            f"spectral radius of a {n}-state component: log-bracket width {width:.3g} "
+            f"after {solves} Noda solves exceeds the tolerance {SPECTRAL_LOG_TOL:g}"
+        )
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -314,22 +326,27 @@ def allowed_tuples(a: int, b: int, relation) -> SubshiftSpec:
 
 
 def _prune_graph(succ: list[dict], root: int) -> tuple[tuple[dict, ...], int]:
-    """Iteratively drop states with no outgoing transition; keep only states
-    reachable from the root.  Raises EmptySubshift if the root dies."""
-    alive = set(range(len(succ)))
-    changed = True
-    while changed:
-        changed = False
-        for s in list(alive):
-            if s == root:
-                continue
-            trans = {l: t for l, t in succ[s].items() if t in alive}
-            if not trans:
-                alive.discard(s)
-                changed = True
-            succ[s] = trans
-    succ[root] = {l: t for l, t in succ[root].items() if t in alive}
-    if not succ[root]:
+    """Drop states with no infinite continuation, then keep only states
+    reachable from the root, in O(V + E).  Raises EmptySubshift if the root
+    dies.
+
+    One backward liveness pass: a state dies when its last transition into a
+    live state is lost, so each dead state's predecessors lose one each.
+    """
+    preds: list[list[int]] = [[] for _ in succ]
+    live_out = [len(trans) for trans in succ]
+    for s, trans in enumerate(succ):
+        for t in trans.values():
+            preds[t].append(s)
+    dead = [s for s, k in enumerate(live_out) if k == 0]
+    alive = [k > 0 for k in live_out]
+    while dead:
+        for s in preds[dead.pop()]:
+            live_out[s] -= 1
+            if live_out[s] == 0:
+                alive[s] = False
+                dead.append(s)
+    if not alive[root]:
         raise EmptySubshift("no admissible infinite sequence")
 
     reach = {root}
@@ -337,12 +354,14 @@ def _prune_graph(succ: list[dict], root: int) -> tuple[tuple[dict, ...], int]:
     while stack:
         s = stack.pop()
         for t in succ[s].values():
-            if t not in reach:
+            if alive[t] and t not in reach:
                 reach.add(t)
                 stack.append(t)
     keep = sorted(reach)
     remap = {s: i for i, s in enumerate(keep)}
-    pruned = tuple({l: remap[t] for l, t in succ[s].items()} for s in keep)
+    pruned = tuple(
+        {l: remap[t] for l, t in succ[s].items() if alive[t]} for s in keep
+    )
     return pruned, remap[root]
 
 
@@ -553,12 +572,15 @@ class EntropyReport:
     """Certified entropy estimates, in nats.
 
     upper_bounds[N-1] = min_{j <= N} log counts[j] / j is a true upper bound
-    for every N by Fekete's lemma; spectral_value is exact (to tolerance) for
-    graph-backed kinds and equals the limit.
+    for every N by Fekete's lemma.  For graph-backed kinds spectral_bracket
+    (lo, hi) is a certified bracket on the limit, no wider than
+    SPECTRAL_LOG_TOL, and spectral_value is its midpoint; both are None for
+    word-set specs.
     """
 
     upper_bounds: tuple
     spectral_value: float | None
+    spectral_bracket: tuple | None
     best_estimate: float
     exact: bool
 
@@ -616,13 +638,16 @@ def entropy(spec: SubshiftSpec, n_max: int = 12, budget: int | None = None) -> E
         return EntropyReport(
             upper_bounds=tuple(bounds),
             spectral_value=None,
+            spectral_bracket=None,
             best_estimate=bounds[-1],
             exact=False,
         )
-    spectral = spec.automaton.spectral_log()
+    lo, hi = spec.automaton.spectral_log()
+    spectral = 0.5 * (lo + hi)
     return EntropyReport(
         upper_bounds=tuple(bounds),
         spectral_value=spectral,
+        spectral_bracket=(lo, hi),
         best_estimate=spectral,
         exact=True,
     )
@@ -693,13 +718,7 @@ def spec_from_json(doc) -> SubshiftSpec:
         t = doc["tuples"]
         return allowed_tuples(int(t["a"]), int(t["b"]), t["R"])
     if kind == KIND_AUTOMATON:
-        body = doc["automaton"]
-        n_states = 1 + max(max(s, t) for s, _, t in body["transitions"])
-        succ: list[dict] = [dict() for _ in range(n_states)]
-        for s, l, t in body["transitions"]:
-            succ[s][l] = t
-        aut = Automaton(alphabet_size=k, root=int(body["root"]), succ=tuple(succ))
-        return automaton_spec(aut, k)
+        return automaton_spec(_automaton_from_json(k, doc["automaton"]), k)
     if kind == "wordset":
         wordsets = tuple(
             (int(n), frozenset(tuple(int(c) for c in w) for w in ws))
@@ -707,3 +726,38 @@ def spec_from_json(doc) -> SubshiftSpec:
         )
         return SubshiftSpec(alphabet=k, kind=KIND_AUTOMATON, wordsets=wordsets)
     raise DomainError(f"unknown subshift kind {kind!r}")
+
+
+def _is_index(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _automaton_from_json(k: int, body) -> Automaton:
+    """Checked and pruned automaton from its JSON body: transitions are
+    [state, label, state] with states nonnegative integers, labels in
+    [0, k), one target per (state, label), and the root one of the states.
+    States are renumbered densely, so a large state number costs nothing."""
+    transitions = body["transitions"]
+    if not isinstance(transitions, list) or not transitions:
+        raise DomainError("automaton needs a nonempty transition list")
+    for item in transitions:
+        if not (isinstance(item, (list, tuple)) and len(item) == 3):
+            raise DomainError(f"transition {item!r} is not [state, label, state]")
+        s, l, t = item
+        if not (_is_index(s) and _is_index(t)):
+            raise DomainError(f"transition {item}: states must be nonnegative integers")
+        if not (_is_index(l) and l < k):
+            raise DomainError(f"transition {item}: label leaves the alphabet 0..{k - 1}")
+    states = sorted({s for s, _, _ in transitions} | {t for _, _, t in transitions})
+    root = body["root"]
+    if not (_is_index(root) and root <= states[-1]):
+        raise DomainError(f"root {root!r} is not one of the states 0..{states[-1]}")
+    local = {s: i for i, s in enumerate(states)}
+    if root not in local:
+        raise EmptySubshift(f"root {root} has no transitions")
+    succ: list[dict] = [dict() for _ in states]
+    for s, l, t in transitions:
+        if succ[local[s]].setdefault(l, local[t]) != local[t]:
+            raise DomainError(f"state {s} has two transitions labelled {l}")
+    pruned, root = _prune_graph(succ, local[root])
+    return Automaton(alphabet_size=k, root=root, succ=pruned)

@@ -19,6 +19,19 @@ def run_cli(capsys, *argv):
     return code, out
 
 
+def run_cli_process(*argv):
+    """The CLI in a fresh interpreter, so a traceback would show on stderr."""
+    src = str(Path(meandim.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "meandim.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": path},
+        timeout=60,
+    )
+
+
 class TestSubcommands:
     def test_carpet_inline_tuples(self, capsys):
         code, out = run_cli(
@@ -141,6 +154,63 @@ class TestExitCodes:
         assert code == 3
 
 
+def automaton_doc(transitions, root=0, alphabet=2):
+    return {
+        "alphabet": alphabet,
+        "kind": "automaton",
+        "automaton": {"root": root, "transitions": transitions},
+    }
+
+
+class TestAutomatonSpecChecks:
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            (automaton_doc([[0, 2, 0]]), "label leaves the alphabet"),
+            (automaton_doc([[0, -1, 0]]), "label leaves the alphabet"),
+            (automaton_doc([[0, 0, -1], [0, 1, 0]]), "states must be nonnegative"),
+            (automaton_doc([[0, 0, 1.5]]), "states must be nonnegative"),
+            (automaton_doc([["0", 0, 0]]), "states must be nonnegative"),
+            (automaton_doc([[0, 0, 0]], root=1), "root 1 is not one of the states"),
+            (automaton_doc([[0, 0, 2]], root=1), "root 1 has no transitions"),
+            (automaton_doc([[0, 0, 0]], root=-1), "root -1 is not one of the states"),
+            (automaton_doc([]), "nonempty transition list"),
+            (automaton_doc([[0, 0, 0, 0]]), "is not [state, label, state]"),
+            (automaton_doc([[0, 0, 0], [0, 0, 1]]), "two transitions labelled 0"),
+        ],
+    )
+    def test_bad_automaton_spec_exits_4_without_traceback(self, tmp_path, doc, message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        proc = run_cli_process("entropy", "--spec", str(spec))
+        assert proc.returncode == 4
+        assert "Traceback" not in proc.stderr
+        assert message in proc.stderr
+
+    def test_dead_end_states_are_pruned_on_entry(self, capsys, tmp_path):
+        # state 1 has no way on: "1" is not a prefix of any point
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(automaton_doc([[0, 0, 0], [0, 1, 1]])))
+        code, out = run_cli(capsys, "entropy", "--spec", str(spec), "--nmax", "3")
+        assert code == 0
+        assert json.loads(out)["counts"] == {"1": "1", "2": "1", "3": "1"}
+
+    def test_sparse_state_numbers_are_renumbered(self, capsys, tmp_path):
+        spec = tmp_path / "spec.json"
+        doc = automaton_doc([[10**12, 0, 10**12], [10**12, 1, 10**12]], root=10**12)
+        spec.write_text(json.dumps(doc))
+        code, out = run_cli(capsys, "entropy", "--spec", str(spec), "--nmax", "3")
+        assert code == 0
+        assert json.loads(out)["counts"] == {"1": "2", "2": "4", "3": "8"}
+
+    def test_wide_spectral_bracket_exits_3(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(meandim.symbolic, "SPECTRAL_LOG_TOL", 0.0)
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"alphabet": 2, "kind": "forbidden", "forbidden": ["11"]}')
+        assert main(["entropy", "--spec", str(spec)]) == 3
+        assert "exceeds the tolerance 0" in capsys.readouterr().err
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize(
         "argv, message",
@@ -155,15 +225,7 @@ class TestUsageErrors:
         ],
     )
     def test_missing_or_empty_flag_exits_2_without_traceback(self, argv, message):
-        src = str(Path(meandim.__file__).resolve().parent.parent)
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run(
-            [sys.executable, "-m", "meandim.cli", *argv],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": path},
-            timeout=60,
-        )
+        proc = run_cli_process(*argv)
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert message in proc.stderr

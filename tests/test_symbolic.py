@@ -1,15 +1,21 @@
 """Subshift counting and entropy against naive string-based oracles."""
 
 import itertools
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meandim import symbolic as sym
-from meandim.errors import DomainError, EmptySubshift
+from meandim.errors import DomainError, EmptySubshift, ResourceLimit
 
 GOLDEN_ENTROPY = 0.4812118250596035  # log((1 + sqrt 5) / 2)
 
@@ -64,6 +70,75 @@ def naive_forbidden_words(k, forbidden, n, extension=8):
     ]
 
 
+def reference_prune(succ, root):
+    """The fixed-point pruning loop: drop non-root states without a
+    transition into a surviving state until nothing changes, then keep the
+    states reachable from the root.  Mutates succ."""
+    alive = set(range(len(succ)))
+    changed = True
+    while changed:
+        changed = False
+        for s in list(alive):
+            if s == root:
+                continue
+            trans = {l: t for l, t in succ[s].items() if t in alive}
+            if not trans:
+                alive.discard(s)
+                changed = True
+            succ[s] = trans
+    succ[root] = {l: t for l, t in succ[root].items() if t in alive}
+    if not succ[root]:
+        raise EmptySubshift("no admissible infinite sequence")
+    reach = {root}
+    stack = [root]
+    while stack:
+        s = stack.pop()
+        for t in succ[s].values():
+            if t not in reach:
+                reach.add(t)
+                stack.append(t)
+    keep = sorted(reach)
+    remap = {s: i for i, s in enumerate(keep)}
+    return tuple({l: remap[t] for l, t in succ[s].items()} for s in keep), remap[root]
+
+
+@st.composite
+def random_automata(draw):
+    """(succ, root, alphabet): deterministic graphs with dead ends, chains
+    into dead ends, unreachable parts and self-loops."""
+    n = draw(st.integers(1, 9))
+    k = draw(st.integers(1, 3))
+    succ = [
+        draw(st.dictionaries(st.integers(0, k - 1), st.integers(0, n - 1), max_size=k))
+        for _ in range(n)
+    ]
+    return succ, draw(st.integers(0, n - 1)), k
+
+
+def cycle_chord_log_radius(k, length):
+    """log radius of the k-cycle plus a chord closing a second cycle of the
+    given length: the radius is 1/x for the root of x^k + x^length = 1 in (0, 1)."""
+    lo, hi = 0.0, 1.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return -math.log(mid)
+        if mid**k + mid**length < 1.0:
+            lo = mid
+        else:
+            hi = mid
+
+
+def cycle_chord_automaton(k):
+    """Vertex shift of the k-cycle 0 -> 1 -> ... -> k-1 -> 0 plus the chord
+    k-1 -> k//2."""
+    matrix = [[0] * k for _ in range(k)]
+    for s in range(k):
+        matrix[s][(s + 1) % k] = 1
+    matrix[k - 1][k // 2] = 1
+    return sym.prune(sym.sft_from_matrix(matrix)).automaton
+
+
 class TestPrune:
     def test_full_shift_compiles_to_all_ones_matrix(self):
         p = sym.prune(sym.full_shift(3))
@@ -94,6 +169,24 @@ class TestPrune:
         p = sym.prune(sym.forbidden_words(2, ["11"]))
         again = sym.prune(p)
         assert sym.count_words(again, 6).counts == sym.count_words(p, 6).counts
+
+    @settings(max_examples=300, deadline=None)
+    @given(random_automata())
+    def test_liveness_pass_matches_fixed_point_loop(self, case):
+        succ, root, k = case
+        try:
+            want = reference_prune([dict(t) for t in succ], root)
+        except EmptySubshift:
+            with pytest.raises(EmptySubshift):
+                sym._prune_graph([dict(t) for t in succ], root)
+            return
+        got = sym._prune_graph([dict(t) for t in succ], root)
+        assert got == want
+        counts = [
+            sym.Automaton(alphabet_size=k, root=r, succ=g).word_counts(8)
+            for g, r in (got, want)
+        ]
+        assert counts[0] == counts[1]
 
 
 class TestCountWords:
@@ -198,6 +291,113 @@ class TestEntropy:
         assert rep.spectral_value == pytest.approx(0.0, abs=1e-10)
         table = sym.count_words(sym.sft_from_matrix([[1, 1], [0, 1]]), 12)
         assert all(table[n] == n + 1 for n in range(1, 13))
+
+
+class TestSpectralBracket:
+    @pytest.mark.parametrize("k", [45, 175, 400])
+    def test_cycle_chord_bracket_holds_the_closed_form(self, k):
+        lo, hi = cycle_chord_automaton(k).spectral_log()
+        assert lo <= cycle_chord_log_radius(k, k - k // 2) <= hi
+        assert hi - lo <= sym.SPECTRAL_LOG_TOL
+
+    def test_800_state_cycle_chord_under_a_second(self):
+        # Timed in a child with one BLAS thread, as perfbench/probe.py times
+        # it: threaded LAPACK on a loaded two-core host is several times slower.
+        child = (
+            "import json, time\n"
+            "from test_symbolic import cycle_chord_automaton\n"
+            "aut = cycle_chord_automaton(800)\n"
+            "t0 = time.perf_counter()\n"
+            "bracket = aut.spectral_log()\n"
+            "print(json.dumps([time.perf_counter() - t0, *bracket]))\n"
+        )
+        src = str(Path(sym.__file__).resolve().parent.parent)
+        path = os.pathsep.join([src, str(Path(__file__).parent)])
+        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1",
+               "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                              text=True, env=env, timeout=120, check=True)
+        seconds, lo, hi = json.loads(proc.stdout)
+        assert seconds < 1.0
+        assert lo <= cycle_chord_log_radius(800, 400) <= hi
+        assert hi - lo <= sym.SPECTRAL_LOG_TOL
+
+    def test_pure_cycle_is_exactly_zero(self):
+        matrix = [[int(t == (s + 1) % 7) for t in range(7)] for s in range(7)]
+        rep = sym.entropy(sym.sft_from_matrix(matrix), 4)
+        assert rep.spectral_value == 0.0
+        lo, hi = rep.spectral_bracket
+        assert lo <= 0.0 <= hi
+
+    def test_period_two_component(self):
+        # complete bipartite K_{2,3} in both directions: radius sqrt(6)
+        matrix = [[int((s < 2) != (t < 2)) for t in range(5)] for s in range(5)]
+        lo, hi = sym.prune(sym.sft_from_matrix(matrix)).automaton.spectral_log()
+        assert lo <= 0.5 * math.log(6) <= hi
+        assert hi - lo <= sym.SPECTRAL_LOG_TOL
+
+    @pytest.mark.parametrize("big_first", [False, True])
+    def test_reducible_graph_takes_the_largest_component(self, big_first):
+        # a golden-mean pair and a full 3-shift triple, one edge between them
+        golden, full = [0, 1], [2, 3, 4]
+        matrix = [[0] * 5 for _ in range(5)]
+        for s in full:
+            for t in full:
+                matrix[s][t] = 1
+        matrix[0][0] = matrix[0][1] = matrix[1][0] = 1
+        source, target = (full[0], golden[0]) if big_first else (golden[0], full[0])
+        matrix[source][target] = 1
+        lo, hi = sym.prune(sym.sft_from_matrix(matrix)).automaton.spectral_log()
+        assert lo <= math.log(3) <= hi
+        assert hi - lo <= sym.SPECTRAL_LOG_TOL
+
+    def test_one_state_with_two_loops_is_log_2(self):
+        aut = sym.Automaton(alphabet_size=2, root=0, succ=({0: 0, 1: 0},))
+        lo, hi = aut.spectral_log()
+        assert 0.5 * (lo + hi) == math.log(2)
+        assert lo < math.log(2) < hi
+
+    def test_acyclic_graph_is_empty(self):
+        aut = sym.Automaton(alphabet_size=2, root=0, succ=({0: 1, 1: 2}, {0: 2}, {}))
+        with pytest.raises(EmptySubshift):
+            aut.spectral_log()
+
+    def test_too_wide_bracket_raises(self, monkeypatch):
+        monkeypatch.setattr(sym, "SPECTRAL_LOG_TOL", 0.0)
+        with pytest.raises(ResourceLimit, match=r"width .* tolerance 0"):
+            sym.entropy(sym.forbidden_words(2, ["11"]), 4)
+
+    def test_component_over_the_dense_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(sym, "_DENSE_COMPONENT_CAP", 1)
+        with pytest.raises(ResourceLimit, match="2-state component"):
+            sym.entropy(sym.forbidden_words(2, ["11"]), 4)
+
+    def test_report_carries_the_bracket(self):
+        rep = sym.entropy(sym.forbidden_words(2, ["11"]), 4)
+        lo, hi = rep.spectral_bracket
+        assert lo <= GOLDEN_ENTROPY <= hi
+        assert rep.spectral_value == 0.5 * (lo + hi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 12).flatmap(
+        lambda k: st.lists(
+            st.lists(st.integers(0, 1), min_size=k, max_size=k),
+            min_size=k,
+            max_size=k,
+        )
+    )
+)
+def test_bracket_holds_the_eigenvalue_radius(matrix):
+    try:
+        aut = sym.prune(sym.sft_from_matrix(matrix)).automaton
+    except EmptySubshift:
+        return
+    lo, hi = aut.spectral_log()
+    radius = math.log(max(abs(np.linalg.eigvals(np.array(matrix, dtype=float)))))
+    assert lo - 1e-12 <= radius <= hi + 1e-12
+    assert hi - lo <= sym.SPECTRAL_LOG_TOL
 
 
 class TestJson:

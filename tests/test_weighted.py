@@ -244,6 +244,7 @@ class TestDeterminizationFallback:
         assert all(table[n] == full_table[n] for n in range(1, 9))
         rep = sym.entropy(image, 8)
         assert rep.spectral_value is None
+        assert rep.spectral_bracket is None
         assert not rep.exact
 
     def test_fallback_round_trips_through_json(self):
