@@ -112,7 +112,7 @@ def mean_dims(spec: CarpetSpec, n_max: int = 8, budget: int | None = None) -> Di
     )
 
     classical = None
-    if spec.system.omega.kind in (symbolic.KIND_TUPLES, symbolic.KIND_FULL):
+    if weighted._is_product_kind(spec.system.omega):
         rel = _relation_of(spec)
         classical = classical_carpet_dims(spec.a, spec.b, rel)
 

@@ -223,8 +223,8 @@ def cmd_beta(args) -> int:
 
 def cmd_grid2d(args) -> int:
     spec = grid2d.rule_from_json(_load_json(args.rule))
-    rep = grid2d.entropy2d(spec, args.nmax, args.mmax)
-    homog = grid2d.homog_mean_dims(spec, spec.alphabet, args.nmax, args.mmax)
+    rep = grid2d.entropy2d(spec, args.nmax, args.mmax, budget=args.budget)
+    homog = grid2d.homog_dims_from_report(rep, spec.alphabet)
     _emit(
         {
             "command": "grid2d",

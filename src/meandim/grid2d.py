@@ -2,7 +2,7 @@
 
 Rules are Free (no constraint), LinearMod (a three-cell linear congruence),
 or LocalPatterns (a single allowed window set).  Counting is exact over big
-integers via a column transfer matrix; locally admissible counts upper-bound
+integers via a column transfer graph; locally admissible counts upper-bound
 the pattern language of the corresponding subshift, and normalized log-counts
 are certified entropy upper bounds by subadditivity in both axes.  The digit
 points x_n = sum_m w[n][m] a^-m embed admissible patterns into the torus
@@ -92,136 +92,220 @@ def hard_square_rule() -> Grid2DSpec:
 # ---------------------------------------------------------------------------
 
 
-def _linear_intra_ok(spec: Grid2DSpec, col) -> bool:
-    a = spec.alphabet
-    c00, c10, c01 = spec.coeffs
-    if c01 != 0:
-        return True  # constraint references the next column; checked there
-    top = len(col) - (1 if c10 != 0 else 0)
-    for i in range(top):
-        nxt = col[i + 1] if c10 != 0 else 0
-        if (c00 * col[i] + c10 * nxt) % a != 0:
-            return False
-    return True
+@dataclass(frozen=True)
+class _TransferGraph:
+    """Column transfer graph of a rule at a fixed number of rows.
+
+    A state is a strip of the last `width` columns of a pattern (one column
+    for linear rules and for single-column windows, w - 1 columns for wider
+    windows), each column a tuple of digits, numbered in `itertools.product`
+    order.  succ[s] lists in increasing order the states reached by
+    appending one column; None means every state may follow every state
+    (the rule only constrains single columns).
+    """
+
+    strips: list
+    width: int
+    succ: list | None
 
 
-def _linear_trans_ok(spec: Grid2DSpec, col, nxt_col) -> bool:
-    a = spec.alphabet
-    c00, c10, c01 = spec.coeffs
-    if c01 == 0:
+def _window_free(spec: Grid2DSpec, n_rows: int, m_cols: int) -> bool:
+    """True when no constraint fits in an n_rows x m_cols grid."""
+    if spec.rule == RULE_FREE:
         return True
-    top = len(col) - (1 if c10 != 0 else 0)
-    for i in range(top):
-        below = col[i + 1] if c10 != 0 else 0
-        if (c00 * col[i] + c10 * below + c01 * nxt_col[i]) % a != 0:
-            return False
-    return True
+    if spec.rule == RULE_PATTERNS:
+        h, w = spec.window
+        return n_rows < h or m_cols < w
+    return False
 
 
-def _patterns_trans_ok(spec: Grid2DSpec, strip, new_col) -> bool:
-    """strip: the previous w-1 columns; check all windows ending at new_col."""
-    h, w = spec.window
-    cols = strip + (new_col,)
-    rows = len(new_col)
-    for i in range(rows - h + 1):
-        pat = tuple(tuple(cols[c][i + r] for c in range(w)) for r in range(h))
-        if pat not in spec.allowed:
-            return False
-    return True
+def _check_edges(edges: int, n_rows: int, cap: int) -> None:
+    if edges > cap:
+        raise ResourceLimit(
+            f"state budget: the transfer graph for {n_rows} rows needs more than "
+            f"{cap} edges, the cap"
+        )
 
 
-def count_rectangles(spec: Grid2DSpec, n_rows: int, m_cols: int) -> int:
+def _column_successors(spec: Grid2DSpec, strip_rows, n_rows: int) -> list[int]:
+    """Indices, in increasing order, of the columns whose every h x w window
+    with the strip (given row by row) is allowed.  A row DFS tests each
+    window as soon as its bottom row is filled."""
+    a = spec.alphabet
+    h, _ = spec.window
+    allowed = spec.allowed
+    col = [0] * n_rows
+    out: list[int] = []
+
+    def fill(r: int, code: int) -> None:
+        for x in range(a):
+            col[r] = x
+            if r >= h - 1 and tuple(
+                strip_rows[i] + (col[i],) for i in range(r - h + 1, r + 1)
+            ) not in allowed:
+                continue
+            if r + 1 == n_rows:
+                out.append(code + x)
+            else:
+                fill(r + 1, (code + x) * a)
+
+    fill(0, 0)
+    return out
+
+
+def _linear_graph(spec: Grid2DSpec, n_rows: int, cap: int) -> _TransferGraph:
+    """Columns solve c00 x[i] + c10 x[i+1] = 0 when c01 = 0; otherwise each
+    row i above `top` of the next column solves
+    c01 y = -(c00 x[i] + c10 x[i+1]) (mod a) and the rows below stay free."""
+    a = spec.alphabet
+    c00, c10, c01 = spec.coeffs
+    top = n_rows - (1 if c10 != 0 else 0)
+    cols = list(itertools.product(range(a), repeat=n_rows))
+
+    def residue(col, i):
+        return (c00 * col[i] + (c10 * col[i + 1] if c10 != 0 else 0)) % a
+
+    if c01 == 0:
+        strips = [(c,) for c in cols if all(residue(c, i) == 0 for i in range(top))]
+        return _TransferGraph(strips=strips, width=1, succ=None)
+    roots = [[y for y in range(a) if (c01 * y + r) % a == 0] for r in range(a)]
+    free = list(range(a))
+    succ = []
+    edges = 0
+    for col in cols:
+        targets = [0]
+        for i in range(n_rows):
+            choices = roots[residue(col, i)] if i < top else free
+            targets = [t * a + y for t in targets for y in choices]
+        edges += len(targets)
+        _check_edges(edges, n_rows, cap)
+        succ.append(targets)
+    return _TransferGraph(strips=[(c,) for c in cols], width=1, succ=succ)
+
+
+def _patterns_graph(spec: Grid2DSpec, n_rows: int, cap: int) -> _TransferGraph:
+    a = spec.alphabet
+    _, w = spec.window
+    cols = list(itertools.product(range(a), repeat=n_rows))
+    if w == 1:
+        empty = ((),) * n_rows
+        strips = [(cols[c],) for c in _column_successors(spec, empty, n_rows)]
+        return _TransferGraph(strips=strips, width=1, succ=None)
+    strips = list(itertools.product(cols, repeat=w - 1))
+    shift = a ** (n_rows * (w - 2))  # a strip drops its first column
+    succ = []
+    edges = 0
+    for s, strip in enumerate(strips):
+        base = (s % shift) * len(cols)
+        targets = [base + c for c in _column_successors(spec, tuple(zip(*strip)), n_rows)]
+        edges += len(targets)
+        _check_edges(edges, n_rows, cap)
+        succ.append(targets)
+    return _TransferGraph(strips=strips, width=w - 1, succ=succ)
+
+
+def _transfer_graph(spec: Grid2DSpec, n_rows: int, budget: int | None) -> _TransferGraph:
+    """The transfer graph of a linear or pattern rule.  `budget` (default
+    `state_budget()`) caps its states, checked before anything is built,
+    and its edges, checked as they are generated."""
+    cap = state_budget(budget)
+    a = spec.alphabet
+    width = 1 if spec.rule == RULE_LINEAR else max(spec.window[1] - 1, 1)
+    n_states = a ** (n_rows * width)
+    if n_states > cap:
+        raise ResourceLimit(
+            f"state budget: {n_states} transfer states for {n_rows} rows exceed the cap {cap}"
+        )
+    if spec.rule == RULE_LINEAR:
+        return _linear_graph(spec, n_rows, cap)
+    return _patterns_graph(spec, n_rows, cap)
+
+
+def _sweep(graph: _TransferGraph, a: int, n_rows: int, m_max: int) -> list[int]:
+    """count(n_rows, m) for m = 1..m_max: big-int path weights over the graph."""
+    counts = [a ** (n_rows * m) for m in range(1, min(graph.width, m_max + 1))]
+    size = len(graph.strips)
+    if graph.succ is None:
+        return counts + [size**m for m in range(1, m_max + 1)]
+    weights = [1] * size
+    counts.append(size)
+    for _ in range(m_max - graph.width):
+        nxt = [0] * size
+        for k, targets in zip(weights, graph.succ):
+            if k:
+                for t in targets:
+                    nxt[t] += k
+        weights = nxt
+        counts.append(sum(weights))
+    return counts[:m_max]
+
+
+def count_rectangles(
+    spec: Grid2DSpec, n_rows: int, m_cols: int, budget: int | None = None
+) -> int:
     """Exact number of locally admissible n x m patterns.
 
     Local admissibility (no in-grid window violates the rule) is decidable
     and exact for the Free and LinearMod rules; for LocalPatterns it is an
     upper bound on the pattern language of the 2d subshift, since global
-    extendability of 2d patterns is undecidable in general.
+    extendability of 2d patterns is undecidable in general.  `budget` caps
+    the transfer graph's states and edges (default `state_budget()`).
     """
     if n_rows < 1 or m_cols < 1:
         raise DomainError("pattern dimensions must be positive")
-    a = spec.alphabet
-    if spec.rule == RULE_FREE:
-        return a ** (n_rows * m_cols)
+    if _window_free(spec, n_rows, m_cols):
+        return spec.alphabet ** (n_rows * m_cols)
+    graph = _transfer_graph(spec, n_rows, budget)
+    return _sweep(graph, spec.alphabet, n_rows, m_cols)[-1]
 
-    if spec.rule == RULE_LINEAR:
-        if a**n_rows > state_budget():
-            raise ResourceLimit(f"{a}^{n_rows} column states exceed budget")
-        cols = [c for c in itertools.product(range(a), repeat=n_rows)
-                if _linear_intra_ok(spec, c)]
-        if spec.coeffs[2] == 0:
-            return len(cols) ** m_cols
-        weights = {c: 1 for c in cols}
-        for _ in range(m_cols - 1):
-            nxt: dict = {}
-            for c, k in weights.items():
-                for c2 in cols:
-                    if _linear_trans_ok(spec, c, c2):
-                        nxt[c2] = nxt.get(c2, 0) + k
-            weights = nxt
-        return sum(weights.values())
 
-    h, w = spec.window
-    if n_rows < h or m_cols < w:
-        return a ** (n_rows * m_cols)  # the grid holds no full window
-    if w == 1:
-        good = sum(
-            1
-            for c in itertools.product(range(a), repeat=n_rows)
-            if _patterns_trans_ok(spec, (), c)
-        )
-        return good**m_cols
-    n_states = a ** (n_rows * (w - 1))
-    if n_states > state_budget():
-        raise ResourceLimit(f"{n_states} strip states exceed budget")
-    strips = list(
-        itertools.product(itertools.product(range(a), repeat=n_rows), repeat=w - 1)
-    )
-    weights = {s: 1 for s in strips}
-    cols = list(itertools.product(range(a), repeat=n_rows))
-    for _ in range(m_cols - (w - 1)):
-        nxt = {}
-        for s, k in weights.items():
-            for c in cols:
-                if _patterns_trans_ok(spec, s, c):
-                    s2 = s[1:] + (c,)
-                    nxt[s2] = nxt.get(s2, 0) + k
-        weights = nxt
-    return sum(weights.values())
+def _walk(graph: _TransferGraph, m_cols: int):
+    """Column tuples of every m_cols-column path through the graph, in
+    lexicographic (`itertools.product`) order."""
+    strips, succ = graph.strips, graph.succ
+    if succ is None:
+        yield from itertools.product([strip[0] for strip in strips], repeat=m_cols)
+        return
+    last = [strip[-1] for strip in strips]
+    steps = m_cols - graph.width
+    for s, strip in enumerate(strips):
+        if steps == 0:
+            yield strip
+            continue
+        path = list(strip)
+        stack = [iter(succ[s])]
+        while stack:
+            for t in stack[-1]:
+                path.append(last[t])
+                if len(stack) == steps:
+                    yield tuple(path)
+                    path.pop()
+                else:
+                    stack.append(iter(succ[t]))
+                    break
+            else:
+                stack.pop()
+                if stack:
+                    path.pop()
 
 
 def enumerate_patterns(spec: Grid2DSpec, n_rows: int, m_cols: int, budget: int | None = None):
-    """All locally admissible patterns as row-major tuples of rows."""
+    """All locally admissible patterns as row-major tuples of rows, in the
+    `itertools.product` order of their column sequences."""
+    if n_rows < 1 or m_cols < 1:
+        raise DomainError("pattern dimensions must be positive")
     cap = point_budget(budget)
-    total = count_rectangles(spec, n_rows, m_cols)
+    a = spec.alphabet
+    if _window_free(spec, n_rows, m_cols):
+        total = a ** (n_rows * m_cols)
+        grids = itertools.product(itertools.product(range(a), repeat=n_rows), repeat=m_cols)
+    else:
+        graph = _transfer_graph(spec, n_rows, None)
+        total = _sweep(graph, a, n_rows, m_cols)[-1]
+        grids = _walk(graph, m_cols)
     if total > cap:
         raise ResourceLimit(f"{total} patterns exceed budget {cap}")
-    a = spec.alphabet
-    out = []
-    for cols in itertools.product(
-        itertools.product(range(a), repeat=n_rows), repeat=m_cols
-    ):
-        if _pattern_admissible(spec, cols):
-            out.append(tuple(tuple(cols[m][i] for m in range(m_cols)) for i in range(n_rows)))
-    return out
-
-
-def _pattern_admissible(spec: Grid2DSpec, cols) -> bool:
-    if spec.rule == RULE_FREE:
-        return True
-    if spec.rule == RULE_LINEAR:
-        if not all(_linear_intra_ok(spec, c) for c in cols):
-            return False
-        return all(
-            _linear_trans_ok(spec, cols[j], cols[j + 1]) for j in range(len(cols) - 1)
-        )
-    h, w = spec.window
-    if len(cols[0]) < h or len(cols) < w:
-        return True
-    return all(
-        _patterns_trans_ok(spec, tuple(cols[j : j + w - 1]), cols[j + w - 1])
-        for j in range(len(cols) - w + 1)
-    )
+    return [tuple(zip(*cols)) for cols in grids]
 
 
 # ---------------------------------------------------------------------------
@@ -249,20 +333,28 @@ class Entropy2DReport:
     best_cell: tuple
 
 
-def entropy2d(spec: Grid2DSpec, n_max: int, m_max: int) -> Entropy2DReport:
+def entropy2d(
+    spec: Grid2DSpec, n_max: int, m_max: int, budget: int | None = None
+) -> Entropy2DReport:
     """Normalized log-counts over the (n, m) grid.
 
     Each value log count(n, m) / (n m) upper-bounds the pattern entropy:
     counts are submultiplicative along both axes, so Fekete applies per axis
-    and the double limit is the double infimum.
+    and the double limit is the double infimum.  One sweep of the transfer
+    graph per row count n gives count(n, m) for every m; rows that hold no
+    window take `count_rectangles`' closed form.  `budget` caps the transfer
+    states as in `count_rectangles`.
     """
     estimates = {}
     counts = {}
     best = math.inf
     best_cell = None
     for n in range(1, n_max + 1):
-        for m in range(1, m_max + 1):
-            c = count_rectangles(spec, n, m)
+        if _window_free(spec, n, m_max):
+            row = [count_rectangles(spec, n, m, budget) for m in range(1, m_max + 1)]
+        else:
+            row = _sweep(_transfer_graph(spec, n, budget), spec.alphabet, n, m_max)
+        for m, c in enumerate(row, 1):
             counts[(n, m)] = c
             e = math.log(c) / (n * m) if c > 0 else -math.inf
             estimates[(n, m)] = e
@@ -272,18 +364,14 @@ def entropy2d(spec: Grid2DSpec, n_max: int, m_max: int) -> Entropy2DReport:
     return Entropy2DReport(estimates=estimates, counts=counts, best=best, best_cell=best_cell)
 
 
-def homog_mean_dims(
-    spec: Grid2DSpec, a: int, n_max: int, m_max: int
-) -> dict:
-    """Common mean Hausdorff / metric mean dimension of the base-a digit model.
+def homog_dims_from_report(rep: Entropy2DReport, a: int) -> dict:
+    """Common mean Hausdorff / metric mean dimension of the base-a digit model
+    from the rule's `entropy2d` report.
 
     The value is the rectangle-pattern entropy divided by log a.  When every
     computed count is an exact power of a the ratio is computed in exact
     rational arithmetic (so the Free rule reports exactly 1).
     """
-    if spec.alphabet != a:
-        raise DomainError("digit base must equal the rule's alphabet size")
-    rep = entropy2d(spec, n_max, m_max)
     exact_ratios = []
     for (n, m), c in rep.counts.items():
         e = _int_log(c, a)
@@ -304,6 +392,15 @@ def homog_mean_dims(
         "exact_power": exact,
         "status": "upper_bound",
     }
+
+
+def homog_mean_dims(
+    spec: Grid2DSpec, a: int, n_max: int, m_max: int
+) -> dict:
+    """`homog_dims_from_report` of the rule's n_max x m_max `entropy2d` report."""
+    if spec.alphabet != a:
+        raise DomainError("digit base must equal the rule's alphabet size")
+    return homog_dims_from_report(entropy2d(spec, n_max, m_max), a)
 
 
 # ---------------------------------------------------------------------------

@@ -2,14 +2,15 @@
 
 Every exhaustive enumeration in the package is gated by one of these budgets
 so that a bad input fails fast with ResourceLimit instead of hanging.  The
-environment variable MEANDIM_BUDGET (an integer) overrides the word budget;
-the other budgets are fixed.
+environment variable MEANDIM_BUDGET (an integer) overrides the word and point
+budgets; a value passed by the caller overrides the word, point and state
+budgets.  The subset budget is fixed.
 """
 
 import os
 
 DEFAULT_WORD_BUDGET = 20_000_000  # words materialized by any single enumeration
-DEFAULT_STATE_BUDGET = 2**22      # transfer-matrix row states (2d counting)
+DEFAULT_STATE_BUDGET = 2**22      # transfer-graph states and edges (2d counting)
 DEFAULT_SUBSET_BUDGET = 2**20     # subset states during determinization
 DEFAULT_POINT_BUDGET = 2_000_000  # points materialized into a cloud
 
@@ -23,7 +24,9 @@ def word_budget(override: int | None = None) -> int:
     return DEFAULT_WORD_BUDGET
 
 
-def state_budget() -> int:
+def state_budget(override: int | None = None) -> int:
+    if override is not None:
+        return int(override)
     return DEFAULT_STATE_BUDGET
 
 

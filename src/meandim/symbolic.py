@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -325,7 +326,7 @@ def allowed_tuples(a: int, b: int, relation) -> SubshiftSpec:
 # ---------------------------------------------------------------------------
 
 
-def _prune_graph(succ: list[dict], root: int) -> tuple[tuple[dict, ...], int]:
+def _prune_graph(succ: Sequence[dict], root: int) -> tuple[tuple[dict, ...], int]:
     """Drop states with no infinite continuation, then keep only states
     reachable from the root, in O(V + E).  Raises EmptySubshift if the root
     dies.
@@ -459,6 +460,10 @@ def build_automaton(spec: SubshiftSpec) -> Automaton:
 
 
 def automaton_spec(aut: Automaton, alphabet: int) -> SubshiftSpec:
+    """Spec of the automaton's language, pruned: states with no infinite
+    continuation are dropped, so every counted word extends to a point."""
+    succ, root = _prune_graph(aut.succ, aut.root)
+    aut = Automaton(alphabet_size=aut.alphabet_size, root=root, succ=succ)
     return SubshiftSpec(alphabet=alphabet, kind=KIND_AUTOMATON, automaton=aut)
 
 
@@ -473,12 +478,9 @@ def prune(spec: SubshiftSpec) -> SubshiftSpec:
     """
     if spec.wordsets is not None:
         return spec  # enumeration-only fallback; nothing to compile
-    aut = build_automaton(spec)
     if spec.kind == KIND_AUTOMATON:
-        succ = [dict(t) for t in aut.succ]
-        pruned_succ, root = _prune_graph(succ, aut.root)
-        aut = Automaton(alphabet_size=aut.alphabet_size, root=root, succ=pruned_succ)
-        return SubshiftSpec(alphabet=spec.alphabet, kind=spec.kind, automaton=aut)
+        return automaton_spec(spec.automaton, spec.alphabet)
+    aut = build_automaton(spec)
     one_block = not (
         spec.kind == KIND_FORBIDDEN and max(len(w) for w in spec.forbidden) > 2
     )
@@ -733,10 +735,11 @@ def _is_index(value) -> bool:
 
 
 def _automaton_from_json(k: int, body) -> Automaton:
-    """Checked and pruned automaton from its JSON body: transitions are
-    [state, label, state] with states nonnegative integers, labels in
-    [0, k), one target per (state, label), and the root one of the states.
-    States are renumbered densely, so a large state number costs nothing."""
+    """Checked automaton from its JSON body (`automaton_spec` prunes it):
+    transitions are [state, label, state] with states nonnegative integers,
+    labels in [0, k), one target per (state, label), and the root one of the
+    states.  States are renumbered densely, so a large state number costs
+    nothing."""
     transitions = body["transitions"]
     if not isinstance(transitions, list) or not transitions:
         raise DomainError("automaton needs a nonempty transition list")
@@ -759,5 +762,4 @@ def _automaton_from_json(k: int, body) -> Automaton:
     for s, l, t in transitions:
         if succ[local[s]].setdefault(l, local[t]) != local[t]:
             raise DomainError(f"state {s} has two transitions labelled {l}")
-    pruned, root = _prune_graph(succ, local[root])
-    return Automaton(alphabet_size=k, root=root, succ=pruned)
+    return Automaton(alphabet_size=k, root=local[root], succ=tuple(succ))

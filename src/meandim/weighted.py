@@ -21,7 +21,6 @@ from . import symbolic
 from .symbolic import (
     KIND_AUTOMATON,
     KIND_FULL,
-    KIND_TUPLES,
     Automaton,
     SubshiftSpec,
     automaton_spec,
@@ -71,7 +70,7 @@ def tuple_fiber_sizes(sys: PairShiftSystem) -> dict[int, int]:
     """t(v) = #{u : (u, v) in R} for an allowed-tuple system."""
     if sys.omega.kind == KIND_FULL:
         return {v: sys.a_size for v in range(sys.b_size)}
-    if sys.omega.kind != KIND_TUPLES:
+    if sys.omega.tuple_set is None:
         raise DomainError("tuple fiber sizes require an allowed-tuple system")
     t = {v: 0 for v in range(sys.b_size)}
     for _, v in sys.omega.tuple_set:
@@ -80,7 +79,8 @@ def tuple_fiber_sizes(sys: PairShiftSystem) -> dict[int, int]:
 
 
 def _is_product_kind(spec: SubshiftSpec) -> bool:
-    return spec.kind in (KIND_TUPLES, KIND_FULL)
+    """R^N or the full shift; `prune` keeps the relation R of a tuples spec."""
+    return spec.kind == KIND_FULL or spec.tuple_set is not None
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +280,7 @@ def image_subshift(sys: PairShiftSystem, budget: int | None = None) -> SubshiftS
         letters_seen = set(image.succ[image.root])
         if letters_seen == letters:
             return symbolic.prune(symbolic.full_shift(b))
-    return symbolic.prune(automaton_spec(image, b))
+    return automaton_spec(image, b)
 
 
 def _wordset_fallback(sys: PairShiftSystem, depth: int = 12) -> SubshiftSpec:

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from meandim import carpet as cp
+from meandim import symbolic, weighted
 from meandim.errors import DomainError
 
 R_EXAMPLE = [(0, 0), (1, 1), (2, 0)]
@@ -86,6 +87,12 @@ class TestMeanDims:
             assert rep.classical is not None
             assert rep.mdim_h.value == pytest.approx(rep.classical["dim_h"], abs=1e-9)
             assert rep.mdim_m.value == pytest.approx(rep.classical["dim_m"], abs=1e-9)
+
+    def test_pruned_product_keeps_classical_dims(self):
+        spec = cp.carpet_from_tuples(3, 2, R_EXAMPLE)
+        omega = symbolic.prune(spec.system.omega)
+        pruned = cp.CarpetSpec(3, 2, weighted.pair_system(3, 2, omega))
+        assert cp.mean_dims(pruned, 6) == cp.mean_dims(spec, 6)
 
 
 class TestClassical:

@@ -153,6 +153,16 @@ class TestExitCodes:
         )
         assert code == 3
 
+    def test_grid2d_budget_exits_3_without_traceback(self, tmp_path):
+        rule = tmp_path / "rule.json"
+        rule.write_text(json.dumps(meandim.rule_to_json(meandim.hard_square_rule())))
+        proc = run_cli_process(
+            "grid2d", "--rule", str(rule), "--nmax", "4", "--mmax", "4", "--budget", "4"
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("resource limit:")
+        assert "Traceback" not in proc.stderr
+
 
 def automaton_doc(transitions, root=0, alphabet=2):
     return {

@@ -5,9 +5,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meandim import grid2d as g2
-from meandim.errors import DomainError
+from meandim.errors import DomainError, ResourceLimit
+
+HARD_SQUARE_KAPPA = 1.5030480824753  # Baxter, Ann. Comb. 3 (1999)
 
 
 def brute_force_count(spec, n_rows, m_cols):
@@ -46,6 +50,141 @@ def _grid_ok(spec, grid):
             if pat not in spec.allowed:
                 return False
     return True
+
+
+# The column filter the transfer graph replaced: every a^(n m) grid, in
+# itertools.product order of its columns, kept when no window is violated.
+
+
+def _linear_intra_ok(spec, col):
+    a = spec.alphabet
+    c00, c10, c01 = spec.coeffs
+    if c01 != 0:
+        return True  # constraint references the next column; checked there
+    top = len(col) - (1 if c10 != 0 else 0)
+    for i in range(top):
+        nxt = col[i + 1] if c10 != 0 else 0
+        if (c00 * col[i] + c10 * nxt) % a != 0:
+            return False
+    return True
+
+
+def _linear_trans_ok(spec, col, nxt_col):
+    a = spec.alphabet
+    c00, c10, c01 = spec.coeffs
+    if c01 == 0:
+        return True
+    top = len(col) - (1 if c10 != 0 else 0)
+    for i in range(top):
+        below = col[i + 1] if c10 != 0 else 0
+        if (c00 * col[i] + c10 * below + c01 * nxt_col[i]) % a != 0:
+            return False
+    return True
+
+
+def _patterns_trans_ok(spec, strip, new_col):
+    h, w = spec.window
+    cols = strip + (new_col,)
+    for i in range(len(new_col) - h + 1):
+        pat = tuple(tuple(cols[c][i + r] for c in range(w)) for r in range(h))
+        if pat not in spec.allowed:
+            return False
+    return True
+
+
+def _pattern_admissible(spec, cols):
+    if spec.rule == "free":
+        return True
+    if spec.rule == "linear":
+        if not all(_linear_intra_ok(spec, c) for c in cols):
+            return False
+        return all(
+            _linear_trans_ok(spec, cols[j], cols[j + 1]) for j in range(len(cols) - 1)
+        )
+    h, w = spec.window
+    if len(cols[0]) < h or len(cols) < w:
+        return True
+    return all(
+        _patterns_trans_ok(spec, tuple(cols[j : j + w - 1]), cols[j + w - 1])
+        for j in range(len(cols) - w + 1)
+    )
+
+
+def reference_patterns(spec, n_rows, m_cols):
+    a = spec.alphabet
+    return [
+        tuple(tuple(cols[m][i] for m in range(m_cols)) for i in range(n_rows))
+        for cols in itertools.product(
+            itertools.product(range(a), repeat=n_rows), repeat=m_cols
+        )
+        if _pattern_admissible(spec, cols)
+    ]
+
+
+@st.composite
+def linear_rules(draw):
+    a = draw(st.sampled_from((2, 3, 4)))
+    coeffs = draw(st.tuples(*[st.integers(0, a - 1)] * 3))
+    return g2.linear_rule(a, *coeffs)
+
+
+@st.composite
+def pattern_rules(draw):
+    a = draw(st.sampled_from((2, 3)))
+    h, w = draw(st.sampled_from(((1, 2), (2, 1), (2, 2), (2, 3))))
+    windows = list(itertools.product(itertools.product(range(a), repeat=w), repeat=h))
+    allowed = draw(st.lists(st.sampled_from(windows), unique=True, max_size=len(windows)))
+    return g2.patterns_rule(a, (h, w), allowed)
+
+
+class TestTransferGraph:
+    """The transfer graph against the column filter it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        spec=st.one_of(linear_rules(), pattern_rules()),
+        n_rows=st.integers(1, 4),
+        m_cols=st.integers(1, 4),
+    )
+    def test_matches_the_column_filter(self, spec, n_rows, m_cols):
+        a = spec.alphabet
+        while a ** (n_rows * m_cols) > 4096:  # keep the filter small
+            n_rows, m_cols = max(1, n_rows - 1), max(1, m_cols - 1)
+        want = reference_patterns(spec, n_rows, m_cols)
+        assert g2.count_rectangles(spec, n_rows, m_cols) == len(want)
+        assert g2.enumerate_patterns(spec, n_rows, m_cols) == want
+        rep = g2.entropy2d(spec, n_rows, m_cols)
+        assert list(rep.counts) == [
+            (n, m) for n in range(1, n_rows + 1) for m in range(1, m_cols + 1)
+        ]
+        for (n, m), c in rep.counts.items():
+            assert c == g2.count_rectangles(spec, n, m)
+
+    def test_hard_square_9x9_and_10x10(self):
+        # both values also come out of the pair-by-pair transfer code that
+        # the graph replaced (about 5 s and 20 s there)
+        spec = g2.hard_square_rule()
+        assert g2.count_rectangles(spec, 9, 9) == 770548397261707
+        assert g2.count_rectangles(spec, 10, 10) == 2030049051145980050
+
+    def test_hard_square_entropy_upper_bounds_baxter(self):
+        rep = g2.entropy2d(g2.hard_square_rule(), 10, 10)
+        assert rep.best >= math.log(HARD_SQUARE_KAPPA)
+        assert rep.counts[(10, 10)] == 2030049051145980050
+
+    def test_budget_caps_transfer_states_and_edges(self):
+        spec = g2.hard_square_rule()
+        with pytest.raises(ResourceLimit, match="8 transfer states for 3 rows exceed the cap 4"):
+            g2.count_rectangles(spec, 3, 3, budget=4)
+        # 2 rows: 4 strips, but 7 admissible 2 x 2 patterns, one edge each
+        with pytest.raises(ResourceLimit, match="more than 4 edges, the cap"):
+            g2.count_rectangles(spec, 2, 3, budget=4)
+        assert g2.count_rectangles(spec, 2, 3, budget=7) == 17
+        with pytest.raises(ResourceLimit, match="the cap"):
+            g2.entropy2d(spec, 3, 3, budget=7)
+        # rows that hold no window need no transfer graph
+        assert g2.count_rectangles(spec, 1, 3, budget=0) == 8
+        assert g2.entropy2d(spec, 1, 3, budget=0).counts[(1, 3)] == 8
 
 
 class TestCounts:

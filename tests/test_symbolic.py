@@ -170,6 +170,15 @@ class TestPrune:
         again = sym.prune(p)
         assert sym.count_words(again, 6).counts == sym.count_words(p, 6).counts
 
+    def test_automaton_spec_is_pruned_on_construction(self):
+        # state 1 is a dead end: the word "1" extends to no point
+        aut = sym.Automaton(alphabet_size=2, root=0, succ=({0: 0, 1: 1}, {}))
+        spec = sym.automaton_spec(aut, 2)
+        assert spec.pruned
+        assert spec.automaton.succ == ({0: 0},)
+        assert sym.count_words(spec, 4).counts == {1: 1, 2: 1, 3: 1, 4: 1}
+        assert sym.count_words(sym.prune(spec), 4).counts == {1: 1, 2: 1, 3: 1, 4: 1}
+
     @settings(max_examples=300, deadline=None)
     @given(random_automata())
     def test_liveness_pass_matches_fixed_point_loop(self, case):

@@ -74,6 +74,16 @@ class TestWeightedEntropy:
         assert rep.closed_form == pytest.approx(math.log(1 + 2**W_EXAMPLE), abs=1e-12)
         assert rep.closed_form / math.log(2) == pytest.approx(1.3496838201, abs=1e-9)
 
+    def test_pruned_tuples_spec_keeps_its_closed_form(self):
+        omega = sym.allowed_tuples(3, 2, R_EXAMPLE)
+        pruned = sym.prune(omega)
+        assert pruned.kind == sym.KIND_SFT
+        reps = [wt.weighted_entropy(wt.pair_system(3, 2, spec), 0.6309, 8)
+                for spec in (omega, pruned)]
+        assert reps[0] == reps[1]
+        assert reps[1].closed_form == 0.9355170033117085
+        assert reps[1].exact
+
     def test_endpoints(self):
         sys_ = wt.pair_system_from_tuples(3, 2, R_EXAMPLE)
         assert wt.weighted_entropy(sys_, 1.0, 6).best_estimate == pytest.approx(
