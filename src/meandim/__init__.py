@@ -13,7 +13,6 @@ from .errors import (
     ResourceLimit,
 )
 from .symbolic import (
-    Alphabet,
     Automaton,
     CountTable,
     EntropyReport,

@@ -128,7 +128,7 @@ def mean_dims(spec: CarpetSpec, n_max: int = 8, budget: int | None = None) -> Di
 
 def _relation_of(spec: CarpetSpec):
     omega = spec.system.omega
-    if omega.kind == symbolic.KIND_FULL:
+    if omega.full:
         return [(u, v) for u in range(spec.a) for v in range(spec.b)]
     return sorted(omega.tuple_set)
 

@@ -323,7 +323,7 @@ def cmd_oracle_mass(args) -> int:
     else:
         s = args.s
     rep = oracle.mass_distribution_check(
-        spec, args.N, range(args.mmin, args.mmax + 1), s, seed=args.seed
+        spec, args.N, range(args.mmin, args.mmax + 1), s, seed=args.seed, budget=args.budget
     )
     _emit(
         {

@@ -100,9 +100,6 @@ class PointCloud:
     def distance(self, i: int, j: int) -> float:
         return distance(self.points[i], self.points[j], self.metric)
 
-    def distances_from(self, i: int) -> np.ndarray:
-        return pairwise_to_point(self.points, self.points[i], self.metric)
-
     def pairwise(self) -> np.ndarray:
         """Full distance matrix; intended for clouds of moderate size."""
         n = len(self)

@@ -684,7 +684,7 @@ def mass_distribution_check(
     for m in m_range:
         t_floor = floor_w_m(a, b, m)
         if len(v_words) ** m > cap:
-            raise ResourceLimit(f"{len(v_words)}^{m} y-sequences exceed budget")
+            raise ResourceLimit(f"{len(v_words)}^{m} y-sequences at M={m} exceed budget {cap}")
         diam = float(a) * float(b) ** (-m)
         log_diam = math.log(a) - m * math.log(b)
         min_s_box = math.inf

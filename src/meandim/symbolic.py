@@ -33,17 +33,6 @@ _DENSE_COMPONENT_CAP = 2048  # states of one component in a dense solve (32 MB)
 _UNIT_ROUNDOFF = 2.0**-53
 
 
-@dataclass(frozen=True)
-class Alphabet:
-    """Finite alphabet {0, ..., size-1}."""
-
-    size: int
-
-    def __post_init__(self):
-        if self.size < 1:
-            raise DomainError(f"alphabet size must be >= 1, got {self.size}")
-
-
 # ---------------------------------------------------------------------------
 # Rooted deterministic transition graphs
 # ---------------------------------------------------------------------------
@@ -266,6 +255,7 @@ class SubshiftSpec:
     tuple_sizes: tuple | None = None  # (a, b)
     tuple_set: frozenset | None = None  # {(u, v), ...}
     state_words: tuple | None = None
+    full: bool = field(default=False, init=False)  # kind full; kept by `prune`
     automaton: Automaton | None = field(default=None, compare=False, repr=False)
     # Enumeration-only fallback when determinization exceeds its budget:
     # word sets per length, and no transition graph ("no automaton" marker).
@@ -289,7 +279,9 @@ class SubshiftSpec:
         elif self.kind == KIND_TUPLES:
             if not self.tuple_set:
                 raise DomainError("tuples kind needs a nonempty relation R")
-        elif self.kind not in (KIND_FULL, KIND_AUTOMATON):
+        elif self.kind == KIND_FULL:
+            object.__setattr__(self, "full", True)
+        elif self.kind != KIND_AUTOMATON:
             raise DomainError(f"unknown kind {self.kind!r}")
 
     @property
@@ -485,7 +477,7 @@ def prune(spec: SubshiftSpec) -> SubshiftSpec:
         spec.kind == KIND_FORBIDDEN and max(len(w) for w in spec.forbidden) > 2
     )
     matrix, words = _graph_as_matrix(spec, aut)
-    return SubshiftSpec(
+    pruned = SubshiftSpec(
         alphabet=spec.alphabet,
         kind=KIND_SFT,
         matrix=matrix,
@@ -494,6 +486,8 @@ def prune(spec: SubshiftSpec) -> SubshiftSpec:
         tuple_set=spec.tuple_set,
         automaton=aut,
     )
+    object.__setattr__(pruned, "full", spec.full)
+    return pruned
 
 
 def _graph_as_matrix(spec: SubshiftSpec, aut: Automaton):
@@ -670,18 +664,18 @@ def spec_to_json(spec: SubshiftSpec) -> dict:
                 for n, ws in spec.wordsets
             },
         }
-    if spec.state_words is not None:
+    if spec.state_words is not None or spec.kind == KIND_AUTOMATON:
         # Higher-block normal forms round-trip through the automaton form,
         # whose states are not alphabet symbols.
-        doc = {"alphabet": spec.alphabet, "kind": KIND_AUTOMATON}
         aut = spec.automaton or build_automaton(spec)
-        doc["automaton"] = {
-            "root": aut.root,
-            "transitions": sorted(
-                [s, l, t] for s, trans in enumerate(aut.succ) for l, t in trans.items()
-            ),
+        transitions = sorted(
+            [s, l, t] for s, trans in enumerate(aut.succ) for l, t in trans.items()
+        )
+        return {
+            "alphabet": spec.alphabet,
+            "kind": KIND_AUTOMATON,
+            "automaton": {"root": aut.root, "transitions": transitions},
         }
-        return doc
     doc: dict = {"alphabet": spec.alphabet, "kind": spec.kind}
     if spec.kind == KIND_SFT:
         doc["matrix"] = [list(r) for r in spec.matrix]
@@ -690,14 +684,6 @@ def spec_to_json(spec: SubshiftSpec) -> dict:
     elif spec.kind == KIND_TUPLES:
         a, b = spec.tuple_sizes
         doc["tuples"] = {"a": a, "b": b, "R": sorted([u, v] for u, v in spec.tuple_set)}
-    elif spec.kind == KIND_AUTOMATON:
-        aut = spec.automaton
-        doc["automaton"] = {
-            "root": aut.root,
-            "transitions": sorted(
-                [s, l, t] for s, trans in enumerate(aut.succ) for l, t in trans.items()
-            ),
-        }
     return doc
 
 

@@ -20,7 +20,6 @@ from .limits import subset_budget, word_budget
 from . import symbolic
 from .symbolic import (
     KIND_AUTOMATON,
-    KIND_FULL,
     Automaton,
     SubshiftSpec,
     automaton_spec,
@@ -43,20 +42,6 @@ class PairShiftSystem:
         if self.omega.alphabet != self.a_size * self.b_size:
             raise DomainError("omega alphabet must equal a_size * b_size")
 
-    @property
-    def a_alphabet(self) -> "symbolic.Alphabet":
-        return symbolic.Alphabet(self.a_size)
-
-    @property
-    def b_alphabet(self) -> "symbolic.Alphabet":
-        return symbolic.Alphabet(self.b_size)
-
-    def decode(self, label: int) -> tuple[int, int]:
-        return divmod(label, self.b_size)
-
-    def v_of(self, label: int) -> int:
-        return label % self.b_size
-
 
 def pair_system_from_tuples(a: int, b: int, relation) -> PairShiftSystem:
     return PairShiftSystem(a, b, symbolic.allowed_tuples(a, b, relation))
@@ -68,7 +53,7 @@ def pair_system(a: int, b: int, omega: SubshiftSpec) -> PairShiftSystem:
 
 def tuple_fiber_sizes(sys: PairShiftSystem) -> dict[int, int]:
     """t(v) = #{u : (u, v) in R} for an allowed-tuple system."""
-    if sys.omega.kind == KIND_FULL:
+    if sys.omega.full:
         return {v: sys.a_size for v in range(sys.b_size)}
     if sys.omega.tuple_set is None:
         raise DomainError("tuple fiber sizes require an allowed-tuple system")
@@ -79,8 +64,8 @@ def tuple_fiber_sizes(sys: PairShiftSystem) -> dict[int, int]:
 
 
 def _is_product_kind(spec: SubshiftSpec) -> bool:
-    """R^N or the full shift; `prune` keeps the relation R of a tuples spec."""
-    return spec.kind == KIND_FULL or spec.tuple_set is not None
+    """R^N or the full shift; `prune` keeps the relation R and the full flag."""
+    return spec.full or spec.tuple_set is not None
 
 
 # ---------------------------------------------------------------------------
@@ -96,9 +81,6 @@ class FiberCountTable:
 
     def level(self, n: int) -> dict:
         return self.levels[n]
-
-    def image_count(self, n: int) -> int:
-        return len(self.levels[n])
 
     def total(self, n: int) -> int:
         return sum(self.levels[n].values())
@@ -126,34 +108,68 @@ def fiber_counts(
             level = nxt
         return FiberCountTable(levels=levels)
 
-    omega = ensure_pruned(sys.omega)
-    aut = omega.automaton
-    b = sys.b_size
     levels = {}
-    # DFS over projected letters; the vector maps automaton state -> number of
-    # admissible product words with the current projection.
-    frontier: list[tuple[tuple, dict]] = [((), {aut.root: 1})]
+    words = [()]
+    for n, (parent, letter, counts) in enumerate(_fiber_levels(sys, n_max, cap), 1):
+        words = [words[p] + (v,) for p, v in zip(parent.tolist(), letter.tolist())]
+        levels[n] = dict(zip(words, counts.tolist()))
+    return FiberCountTable(levels=levels)
+
+
+_JOIN_BLOCK = 1 << 20  # (entry, out-edge) pairs per join: bounds the sort's memory
+
+
+def _fiber_levels(sys: PairShiftSystem, n_max: int, cap: int):
+    """Yield (parent, letter, counts) per length: word i of a level, in
+    lexicographic order, is word parent[i] of the level before extended by
+    letter[i], and counts[i] is its fiber size.  The frontier holds one
+    (word, state, count) entry per automaton state reached; a level joins
+    blocks of whole words with their states' out-edges, sorts each join by
+    (word, letter, target) and sums equal keys.  Counts are at most
+    (max out-degree)^n: int64 below 2^63, exact Python ints (object) above."""
+    aut = ensure_pruned(sys.omega).automaton
+    k = aut.n_states
+    src, label, dst = np.array(
+        [(s, lab, t) for s, trans in enumerate(aut.succ) for lab, t in trans.items()]
+    ).T
+    letters, rank = np.unique(label % sys.b_size, return_inverse=True)
+    edge_key, stride = rank * k + dst, len(letters) * k  # key = word * stride + edge_key
+    degree = np.bincount(src, minlength=k)
+    first_edge = np.cumsum(degree) - degree
+    dtype = np.int64 if int(degree.max()) ** n_max < 2**63 else object
+    word, state, count = np.zeros(1, np.int64), np.array([aut.root]), np.ones(1, dtype)
     total = 0
     for n in range(1, n_max + 1):
-        nxt_frontier = []
-        level: dict = {}
-        for word, vec in frontier:
-            by_letter: dict[int, dict] = {}
-            for state, c in vec.items():
-                for label, target in aut.succ[state].items():
-                    v = label % b
-                    slot = by_letter.setdefault(v, {})
-                    slot[target] = slot.get(target, 0) + c
-            for v, nvec in sorted(by_letter.items()):
-                w = word + (v,)
-                level[w] = sum(nvec.values())
-                nxt_frontier.append((w, nvec))
-        total += len(level)
+        if len(word) * stride >= 2**63:
+            raise ResourceLimit(f"fiber sweep keys at length {n} would pass 2^63")
+        reach = np.cumsum(degree[state])
+        marks = np.searchsorted(reach, np.arange(_JOIN_BLOCK, reach[-1], _JOIN_BLOCK))
+        lows = sorted({0, *np.searchsorted(word, word[marks]).tolist()})
+        parts, entries = [], 0
+        for block in map(slice, lows, lows[1:] + [len(word)]):
+            deg = degree[state[block]]
+            edge = np.repeat(first_edge[state[block]] - np.cumsum(deg) + deg, deg)
+            key = edge_key[edge + np.arange(len(edge))] + np.repeat(word[block] * stride, deg)
+            order = np.argsort(key, kind="stable")
+            key, joined = key[order], np.repeat(count[block], deg)[order]
+            first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+            parts.append((key[first], np.add.reduceat(joined, first)))
+            entries += len(first)
+            if entries > cap:
+                raise ResourceLimit(
+                    f"fiber frontier at length {n} needs at least {entries} "
+                    f"(word, state) entries; word budget {cap}"
+                )
+        pair, state = np.divmod(np.concatenate([key for key, _ in parts]), k)
+        count = np.concatenate([joined for _, joined in parts])
+        new_word = np.r_[True, pair[1:] != pair[:-1]]
+        heads = np.flatnonzero(new_word)
+        word = np.cumsum(new_word) - 1
+        total += len(heads)
         if total > cap:
-            raise ResourceLimit(f"fiber table exceeds budget {cap}")
-        levels[n] = level
-        frontier = nxt_frontier
-    return FiberCountTable(levels=levels)
+            raise ResourceLimit(f"fiber table needs {total} words; word budget {cap}")
+        parent, letter = np.divmod(pair[heads], len(letters))
+        yield parent, letters[letter], np.add.reduceat(count, heads)
 
 
 # ---------------------------------------------------------------------------
@@ -204,10 +220,9 @@ def weighted_entropy(
         closed = math.log(_fsum_desc(float(c) ** w for c in t))
         z = _z_values_product(sys, w, n_max, cap)
     else:
-        table = fiber_counts(sys, n_max, budget)
         z = {
-            n: _fsum_desc(float(c) ** w for c in table.level(n).values())
-            for n in range(1, n_max + 1)
+            n: _fsum_desc(float(c) ** w for c in counts.tolist())
+            for n, (_, _, counts) in enumerate(_fiber_levels(sys, n_max, cap), 1)
         }
 
     bounds = []
@@ -277,9 +292,7 @@ def image_subshift(sys: PairShiftSystem, budget: int | None = None) -> SubshiftS
         raise EmptySubshift("projected image is empty")
     letters = set(range(b))
     if all(set(trans) == letters for trans in image.succ):
-        letters_seen = set(image.succ[image.root])
-        if letters_seen == letters:
-            return symbolic.prune(symbolic.full_shift(b))
+        return symbolic.prune(symbolic.full_shift(b))
     return automaton_spec(image, b)
 
 

@@ -94,6 +94,16 @@ class TestMeanDims:
         pruned = cp.CarpetSpec(3, 2, weighted.pair_system(3, 2, omega))
         assert cp.mean_dims(pruned, 6) == cp.mean_dims(spec, 6)
 
+    def test_pruned_full_shift_keeps_classical_dims(self):
+        omega = symbolic.full_shift(6)
+        spec, pruned = (cp.CarpetSpec(3, 2, weighted.pair_system(3, 2, o))
+                        for o in (omega, symbolic.prune(omega)))
+        rep = cp.mean_dims(pruned, 6)
+        assert rep == cp.mean_dims(spec, 6)
+        assert rep.classical == cp.classical_carpet_dims(
+            3, 2, [(u, v) for u in range(3) for v in range(2)]
+        )
+
 
 class TestClassical:
     def test_example_values(self):

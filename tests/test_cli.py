@@ -163,6 +163,15 @@ class TestExitCodes:
         assert proc.stderr.startswith("resource limit:")
         assert "Traceback" not in proc.stderr
 
+    def test_oracle_mass_budget_exits_3_without_traceback(self):
+        proc = run_cli_process(
+            "oracle", "mass", "--a", "3", "--b", "2", "--tuples", "00,11,20",
+            "--N", "1", "--mmin", "4", "--mmax", "6", "--budget", "3",
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("resource limit:")
+        assert "Traceback" not in proc.stderr
+
 
 def automaton_doc(transitions, root=0, alphabet=2):
     return {

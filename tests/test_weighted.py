@@ -3,12 +3,16 @@
 import itertools
 import math
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from meandim import symbolic as sym
 from meandim import weighted as wt
-from meandim.errors import DomainError, InsufficientLength
+from meandim.errors import DomainError, EmptySubshift, InsufficientLength, ResourceLimit
+from meandim.limits import word_budget
 
 R_EXAMPLE = [(0, 0), (1, 1), (2, 0)]
 W_EXAMPLE = math.log(2) / math.log(3)
@@ -26,6 +30,166 @@ def naive_fibers(omega_spec, b, n):
     for u, v in naive_product_words(omega_spec, b, n):
         fibers[v] = fibers.get(v, 0) + 1
     return fibers
+
+
+def reference_fiber_counts(sys_, n_max, budget=None):
+    """Fiber counts by a DFS over projected words, one dict of per-state path
+    counts per word and letters in ascending order: {n: {v_word: count}}."""
+    cap = word_budget(budget)
+    aut = sym.ensure_pruned(sys_.omega).automaton
+    b = sys_.b_size
+    levels = {}
+    frontier = [((), {aut.root: 1})]
+    total = 0
+    for n in range(1, n_max + 1):
+        nxt_frontier = []
+        level = {}
+        for word, vec in frontier:
+            by_letter = {}
+            for state, c in vec.items():
+                for label, target in aut.succ[state].items():
+                    slot = by_letter.setdefault(label % b, {})
+                    slot[target] = slot.get(target, 0) + c
+            for v, nvec in sorted(by_letter.items()):
+                level[word + (v,)] = sum(nvec.values())
+                nxt_frontier.append((word + (v,), nvec))
+        total += len(level)
+        if total > cap:
+            raise ResourceLimit(f"fiber table exceeds budget {cap}")
+        levels[n] = level
+        frontier = nxt_frontier
+    return levels
+
+
+@st.composite
+def pair_systems(draw):
+    """Non-product pair systems with b in {1, 2, 3}: 0/1 matrices,
+    forbidden-word lists and automata with dead ends."""
+    a, b = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    k = a * b
+    symbol = st.integers(0, k - 1)
+    kind = draw(st.sampled_from(["sft", "forbidden", "automaton"]))
+    if kind == "sft":
+        row = st.lists(st.integers(0, 1), min_size=k, max_size=k)
+        spec = sym.sft_from_matrix(draw(st.lists(row, min_size=k, max_size=k)))
+    elif kind == "forbidden":
+        words = draw(st.lists(st.lists(symbol, min_size=2, max_size=3), min_size=1, max_size=4))
+        spec = sym.forbidden_words(k, words)
+    else:
+        n = draw(st.integers(1, 5))
+        trans = st.dictionaries(symbol, st.integers(0, n - 1), max_size=k)
+        succ = tuple(draw(st.lists(trans, min_size=n, max_size=n)))
+        try:
+            spec = sym.automaton_spec(sym.Automaton(alphabet_size=k, root=0, succ=succ), k)
+        except EmptySubshift:
+            assume(False)
+    try:
+        sym.prune(spec)
+    except EmptySubshift:
+        assume(False)
+    return wt.pair_system(a, b, spec)
+
+
+# jobs.random_pair_matrix(random.Random(0)) of the benchmark package
+PROBE_MATRIX = [
+    [0, 0, 1, 1, 1, 1],
+    [1, 0, 1, 1, 1, 1],
+    [0, 0, 1, 1, 0, 1],
+    [1, 1, 1, 1, 0, 1],
+    [1, 1, 0, 1, 1, 0],
+    [0, 1, 1, 0, 1, 1],
+]
+
+
+class TestFiberSweep:
+    @settings(max_examples=150, deadline=None)
+    @given(pair_systems(), st.integers(1, 7), st.floats(0.0, 1.0))
+    def test_sweep_matches_reference_dfs(self, sys_, n_max, w):
+        want = reference_fiber_counts(sys_, n_max)
+        got = wt.fiber_counts(sys_, n_max)
+        assert list(got.levels) == list(want)
+        for n, level in want.items():
+            assert list(got.level(n).items()) == list(level.items())
+        with mock.patch.object(wt, "_JOIN_BLOCK", 3):  # many blocks per level
+            assert list(wt.fiber_counts(sys_, n_max).level(n_max).items()) == list(
+                want[n_max].items()
+            )
+        z = wt.weighted_entropy(sys_, w, n_max).z_values
+        for n, level in want.items():
+            assert z[n] == wt._fsum_desc(float(c) ** w for c in level.values())
+        small = sum(len(want[n]) for n in range(1, n_max + 1)) - 1
+        with pytest.raises(ResourceLimit):
+            reference_fiber_counts(sys_, n_max, small)
+        with pytest.raises(ResourceLimit):
+            wt.fiber_counts(sys_, n_max, small)
+
+    def test_counts_past_int64_stay_exact(self):
+        # one projected letter, so the single fiber is the whole word count
+        matrix = [[1] * 8 for _ in range(8)]
+        matrix[0][1] = 0
+        sys_ = wt.pair_system(8, 1, sym.sft_from_matrix(matrix))
+        exact = sym.count_words(sys_.omega, 22)
+        assert exact[22] > 2**63
+        table = wt.fiber_counts(sys_, 22)
+        assert table.levels == reference_fiber_counts(sys_, 22)
+        assert table.level(22) == {(0,) * 22: exact[22]}
+        z = wt.weighted_entropy(sys_, 1.0, 22).z_values
+        assert all(z[n] == float(exact[n]) for n in range(1, 23))
+
+    def test_sweep_budget_names_size_and_cap(self):
+        # the root of the pruned probe SFT has 6 out-edges to 6 symbol states
+        sys_ = wt.pair_system(3, 2, sym.sft_from_matrix(PROBE_MATRIX))
+        message = (
+            r"fiber frontier at length 1 needs at least 6 \(word, state\) entries; "
+            r"word budget 5"
+        )
+        with pytest.raises(ResourceLimit, match=message):
+            wt.fiber_counts(sys_, 3, budget=5)
+        with pytest.raises(ResourceLimit, match=message):
+            wt.weighted_entropy(sys_, 0.5, 3, budget=5)
+        assert wt.fiber_counts(sys_, 1, budget=6).level(1) == {(0,): 3, (1,): 3}
+
+    def test_many_states_with_sparse_rows_stay_within_a_small_budget(self):
+        # 6^5 block states, 4 or 5 out-edges each: a words x states frontier
+        # would hold 2 x 7776 entries at length 1, the sparse one holds 5
+        k, blocks = 6, 6**5
+        succ = tuple(
+            {lab: (q * k + lab) % blocks for lab in range(k) if (q + lab) % 5}
+            for q in range(blocks)
+        )
+        omega = sym.automaton_spec(sym.Automaton(alphabet_size=k, root=0, succ=succ), k)
+        assert omega.automaton.n_states == blocks
+        sys_ = wt.pair_system(3, 2, omega)
+        assert wt.fiber_counts(sys_, 6, budget=15_000).levels == reference_fiber_counts(sys_, 6)
+
+    def test_ninety_state_forbidden_system_runs_at_n12(self):
+        # 531,441 projected words at N = 12, about 9 of 90 states per word
+        omega = sym.forbidden_words(9, [[1, 7], [1, 7, 6], [2, 5, 5], [5, 8, 0]])
+        sys_ = wt.pair_system(3, 3, omega)
+        assert sym.ensure_pruned(omega).automaton.n_states == 90
+        z = wt.weighted_entropy(sys_, 1.0, 12).z_values
+        words = sym.count_words(omega, 12)
+        assert all(z[n] == float(words[n]) for n in range(1, 13))
+
+    def test_probe_z_values_are_pinned(self):
+        sys_ = wt.pair_system(3, 2, sym.sft_from_matrix(PROBE_MATRIX))
+        rep = wt.weighted_entropy(sys_, math.log(2) / math.log(3), 14)
+        assert rep.z_values == {
+            1: 4.0,
+            2: 12.684671474042478,
+            3: 39.881286598242326,
+            4: 125.40956647130241,
+            5: 393.8804157726447,
+            6: 1236.9811587925249,
+            7: 3884.558632608918,
+            8: 12198.810648977742,
+            9: 38308.30412140241,
+            10: 120300.7275344601,
+            11: 377784.02342048753,
+            12: 1186366.6244126894,
+            13: 3725583.093159913,
+            14: 11699561.589209871,
+        }
 
 
 class TestFiberCounts:
@@ -82,6 +246,14 @@ class TestWeightedEntropy:
                 for spec in (omega, pruned)]
         assert reps[0] == reps[1]
         assert reps[1].closed_form == 0.9355170033117085
+        assert reps[1].exact
+
+    def test_pruned_full_shift_keeps_its_closed_form(self):
+        omega = sym.full_shift(6)
+        reps = [wt.weighted_entropy(wt.pair_system(3, 2, spec), 0.5, 6)
+                for spec in (omega, sym.prune(omega))]
+        assert reps[0] == reps[1]
+        assert reps[1].closed_form == 1.2424533248940002
         assert reps[1].exact
 
     def test_endpoints(self):
