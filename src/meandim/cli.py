@@ -195,8 +195,8 @@ def cmd_beta(args) -> int:
     omega = symbolic.spec_from_json(_load_json(args.omega)) if args.omega else None
     spec = selfsim.beta_system(args.a, args.beta, omega)
     dims = selfsim.self_similar_dims(spec, args.nmax)
-    gap = selfsim.min_gap(args.a, args.beta, min(args.n, 10))
-    fam = selfsim.covering_lower_bound(spec, args.N, args.n)
+    gap = selfsim.min_gap(args.a, args.beta, min(args.n, 10), args.budget)
+    fam = selfsim.covering_lower_bound(spec, args.N, args.n, budget=args.budget)
     if args.format == "csv":
         _emit_cloud(fam.points, args)
         return EXIT_OK

@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceLimit
 from .limits import point_budget, state_budget
-from .metrics import SUM_WEIGHTED_TORUS, MetricDescriptor, PointCloud
+from .metrics import SUM_WEIGHTED_TORUS, MetricDescriptor, PointCloud, _grid_join
 
 RULE_FREE = "free"
 RULE_LINEAR = "linear"
@@ -438,35 +438,32 @@ def torus_points(
     )
 
 
-def _torus_gap_int(p: int, q: int, denom: int) -> Fraction:
-    d = abs(p - q) % denom
-    return Fraction(min(d, denom - d), denom)
+_FLOAT_EXACT = 1 << 53  # integers below this convert to doubles exactly
 
 
-def rect_metric_distance(
-    ints_x, ints_y, denom: int, a: int, shift_window: int, mult_window: int
-) -> float:
-    """d over the rectangle [0, shift_window) x [0, mult_window): the sup over
-    shift iterates i and digit-multiplication iterates m of the weighted torus
-    sum, computed exactly from integer digit values."""
-    rows = len(ints_x)
-    best = Fraction(0)
+def _torus_distances(x, y, a: int, denom: int, shift_window: int, mult_window: int):
+    """Rectangle-metric distances of the row pairs (x[k], y[k]).
+
+    Rows are integer digit values over `denom`.  The distance is the sup
+    over shift iterates i < shift_window and digit-multiplication iterates
+    m < mult_window of the weighted torus sum: after multiplying by
+    a^m mod denom, row j of a pair has torus gap g_j / denom, and shift i
+    gives S_i / (denom 2^rows) with S_i = 2^i sum_{j >= i} g_j 2^(rows-1-j).
+    The largest S_i is divided once, which rounds the exact rational to its
+    double.  Numerators stay below denom 2^rows / 2, so the int64 rows of
+    the caller must keep denom 2^rows < 2^53 and denom^2 < 2^63; object rows
+    of Python integers take any size.
+    """
+    rows = x.shape[1]
+    weights = np.array([1 << (rows - 1 - j) for j in range(rows)], dtype=x.dtype)
+    lifts = np.array([1 << i for i in range(shift_window)], dtype=x.dtype)
+    top = np.zeros(len(x), dtype=x.dtype)
     for m in range(mult_window):
         mult = pow(a, m, denom)
-        xs = [(v * mult) % denom for v in ints_x]
-        ys = [(v * mult) % denom for v in ints_y]
-        for i in range(shift_window):
-            total = Fraction(0)
-            for j in range(i, rows):
-                total += _torus_gap_int(xs[j], ys[j], denom) / (1 << (j - i + 1))
-            if total > best:
-                best = total
-    return float(best)
-
-
-def shift_metric_distance(ints_x, ints_y, denom: int, shift_window: int) -> float:
-    """The dynamical weighted-torus metric with the given shift window."""
-    return rect_metric_distance(ints_x, ints_y, denom, 1, shift_window, 1)
+        d = np.abs(x * mult % denom - y * mult % denom)
+        suffix = np.cumsum((np.minimum(d, denom - d) * weights)[:, ::-1], axis=1)[:, ::-1]
+        top = np.maximum(top, (suffix[:, :shift_window] * lifts).max(axis=1))
+    return (top / (denom << rows)).astype(float)
 
 
 def key_fact_check(
@@ -479,8 +476,15 @@ def key_fact_check(
     [0, N+L) x [0, M) must be eps-close in the window-N shift metric.  The
     implication transfers covering numbers, so the greedy brackets must
     satisfy lower(shift metric, eps) <= upper(rectangle metric, 1/(4a)).
+
+    Distances are exact integer computations on the digit rows
+    (`_torus_distances`).  Shift i = j alone contributes g_j / (2 a^M) for
+    row j, so only pairs with every row gap g_j below a^M / (2a) can be
+    closer than 1/(4a).  When a^M <= 2a that bound is one: only equal rows
+    qualify, and the rows of distinct patterns differ, so no pair is
+    measured.  Otherwise every pair is measured, in blocks.
     """
-    from .oracle import covering_bounds
+    from .oracle import _greedy_by_conflicts, covering_bounds
 
     a = spec.alphabet
     eps = 0.5 * float(a) ** (-m_cols)
@@ -488,21 +492,29 @@ def key_fact_check(
     while 2.0**-tail >= eps / 2.0:
         tail += 1
     cloud = torus_points(spec, n_rows, m_cols, depth=tail, budget=budget)
-    ints = cloud.payload["ints"]
     denom = cloud.payload["denominator"]
-    n_pts = len(ints)
+    rows = cloud.payload["rows"]
+    n_pts = len(cloud)
+    exact = (denom << rows) < _FLOAT_EXACT and denom * denom < 1 << 63
+    vals = np.array(cloud.payload["ints"], dtype=np.int64 if exact else object)
+    vals = vals.reshape(n_pts, rows)
 
     threshold = 1.0 / (4.0 * a)
+    radius = threshold / 2.0 - 1e-12
     violations = 0
-    for i in range(n_pts):
-        for j in range(i + 1, n_pts):
-            rect = rect_metric_distance(
-                ints[i], ints[j], denom, a, n_rows + tail, m_cols
-            )
-            if rect < threshold:
-                shifted = shift_metric_distance(ints[i], ints[j], denom, n_rows)
-                if shifted >= eps:
-                    violations += 1
+    later, earlier = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)]
+    if denom <= 2 * a:
+        pairs = ()
+    else:
+        pairs = next(_grid_join(np.zeros((n_pts, 0), dtype=np.int64), []))[1]
+    for i, j in pairs:
+        rect = _torus_distances(vals[i], vals[j], a, denom, rows, m_cols)
+        close = rect < threshold
+        shifted = _torus_distances(vals[i[close]], vals[j[close]], 1, denom, n_rows, 1)
+        violations += int((shifted >= eps).sum())
+        near = rect <= radius
+        later.append(np.maximum(i, j)[near])
+        earlier.append(np.minimum(i, j)[near])
 
     shift_cloud = PointCloud(
         points=cloud.points,
@@ -510,18 +522,9 @@ def key_fact_check(
         truncation_error=0.5 * 2.0 ** -(tail + 1),
     )
     lower_shift = covering_bounds(shift_cloud, eps).lower
-
-    # rectangle-metric brackets via explicit greedy on the exact distances
-    centers: list[int] = []
-    radius = threshold / 2.0 - 1e-12
-    for i in range(n_pts):
-        if all(
-            rect_metric_distance(ints[i], ints[c], denom, a, n_rows + tail, m_cols)
-            > radius
-            for c in centers
-        ):
-            centers.append(i)
-    upper_rect = len(centers)
+    # rectangle-metric centers: the greedy keeps a point unless an earlier
+    # center lies within radius of it
+    upper_rect = len(_greedy_by_conflicts(n_pts, np.concatenate(later), np.concatenate(earlier)))
 
     return {
         "eps": eps,

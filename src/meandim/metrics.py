@@ -111,11 +111,33 @@ class PointCloud:
         return out
 
     def min_pairwise(self) -> float:
-        n = len(self)
-        best = np.inf
-        for i in range(n - 1):
-            row = pairwise_to_point(self.points[i + 1 :], self.points[i], self.metric)
-            best = min(best, float(row.min()))
+        """Least distance between two points of the cloud (inf below two).
+
+        linf clouds take the closest pair from a grid join: the distance d0
+        between two neighbours in lexicographic order is a distance some
+        pair has, so the closest pair lies in equal or adjacent cells of side
+        d0 (1 + 1e-9), with the margin argued in `_linf_grid`.  Distances are
+        computed as pairwise_to_point computes them, so the minimum is the
+        same double.  Other metrics scan each point against the later ones.
+        """
+        window = _linf_window(self)
+        if window is None:
+            best = np.inf
+            for i in range(len(self) - 1):
+                row = pairwise_to_point(self.points[i + 1 :], self.points[i], self.metric)
+                best = min(best, float(row.min()))
+            return best
+        cols = np.ascontiguousarray(window.T)
+        order = np.lexsort(cols[::-1])
+        best = float(_linf_pair_distances(cols, order[:-1], order[1:]).min())
+        if best == 0.0:
+            return best
+        cells, radix = _linf_grid(window, best * (1.0 + 1e-9))
+        if len(window) < 2 * 3 ** len(radix):
+            cells, radix = cells[:, :0], []  # one block of all pairs costs less
+        for _, blocks in _grid_join(cells, radix):
+            for i, j in blocks:
+                best = min(best, float(_linf_pair_distances(cols, i, j).min(initial=np.inf)))
         return best
 
 
@@ -136,6 +158,113 @@ def pairwise_to_point(points, ref, metric: MetricDescriptor) -> np.ndarray:
     for i in range(metric.iterates):
         np.maximum(best, rows[..., i:] @ weights[: dim - i], out=best)
     return best
+
+
+def _linf_window(cloud: PointCloud):
+    """The coordinates a linf cloud measures (its first `iterates`), as a
+    points x window array, or None when the grid kernels do not apply: a
+    metric other than linf, points that are not flat, non-finite values,
+    fewer than two points or an empty window."""
+    metric, pts = cloud.metric, cloud.points
+    if metric.kind != LINF_FINITE or pts.ndim != 2 or len(pts) < 2:
+        return None
+    window = pts if metric.iterates is None else pts[:, : metric.iterates]
+    if not (window.shape[1] and np.isfinite(window).all()):
+        return None
+    return window
+
+
+def _linf_pair_distances(cols, i, j):
+    """linf distances of the pairs (i[k], j[k]) over the window columns,
+    computed as pairwise_to_point computes them."""
+    d = np.zeros(len(i))
+    for col in cols:
+        np.maximum(d, np.abs(col[i] - col[j]), out=d)
+    return d
+
+
+_GRID_DIMS = 4  # coordinates bucketed at most (3^4 neighbouring cells)
+_GRID_CELLS = 1 << 15  # cells per coordinate at most; wider cells beyond
+_PAIR_CHUNK = 1 << 12  # candidate pairs measured per batch
+
+
+def _linf_grid(window: np.ndarray, side: float):
+    """Grid cells of a points x coordinates array: (cells, radix).
+
+    Cells have side `side` (wider where a coordinate would split into more
+    than _GRID_CELLS cells) on up to _GRID_DIMS coordinates, those that split
+    into the most cells; a coordinate split into fewer than three cells
+    separates no pair and is left out.  Two points less than `side` apart in
+    every coordinate, with a margin of 1e-9 sides that dwarfs the rounding
+    of the cell coordinates (about 2^-36 sides with at most 2^15 cells per
+    coordinate), lie in equal or adjacent cells.  The radix n_cells + 2 of a
+    coordinate leaves its last digit unoccupied, as `_grid_join` requires.
+    """
+    lo = window.min(axis=0)
+    span = window.max(axis=0) - lo
+    side = np.maximum(side, span / _GRID_CELLS)
+    n_cells = np.floor(span / side)
+    widest = np.argsort(-n_cells, kind="stable")[:_GRID_DIMS]
+    dims = [k for k in widest if n_cells[k] >= 2]
+    cells = np.floor((window[:, dims] - lo[dims]) / side[dims]).astype(np.int64)
+    return cells, [int(n_cells[k]) + 2 for k in dims]
+
+
+def _grid_join(cells: np.ndarray, radix):
+    """Index pairs of points in equal or adjacent grid cells.
+
+    `cells` holds one row of integer cell coordinates per point, coordinate
+    k in [0, radix[k] - 1), so the digit radix[k] - 1 stays unoccupied and a
+    step off the grid (digit -1 borrows, radix[k] - 1 overflows) matches no
+    point.  Each unordered pair of cells is joined once, from the lower
+    code.  Yields, per offset, the number of candidate pairs and a
+    generator of blocks of about _PAIR_CHUNK index pairs (i, j), each
+    unordered pair of points once.  An empty radix yields all pairs.
+    """
+    n = len(cells)
+    codes = np.zeros(n, dtype=np.int64)
+    steps = [0]
+    stride = 1
+    for k, size in enumerate(radix):
+        codes += cells[:, k] * stride
+        steps = [s + o * stride for s in steps for o in (-1, 0, 1)]
+        stride *= size
+    order = np.argsort(codes, kind="stable")
+    sorted_codes = codes[order]
+    index = np.int32 if n < 2**31 else np.int64
+    order = order.astype(index)
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    for step in steps:
+        if step < 0:
+            continue
+        if step == 0:
+            # same cell: the later entries of the run, whose indices are
+            # larger because the sort is stable
+            start = rank + 1
+            stop = np.searchsorted(sorted_codes, codes, "right")
+        else:
+            target = codes + step
+            start = np.searchsorted(sorted_codes, target, "left")
+            stop = np.searchsorted(sorted_codes, target, "right")
+        counts = stop - start
+        yield int(counts.sum()), _candidate_pairs(start, counts, order, index)
+
+
+def _candidate_pairs(start, counts, order, index):
+    """Blocks of about _PAIR_CHUNK pairs (i, order[start[i] + r]), r < counts[i]."""
+    ends = np.cumsum(counts)
+    if not len(ends) or not ends[-1]:
+        return
+    cuts = np.searchsorted(ends, np.arange(_PAIR_CHUNK, ends[-1], _PAIR_CHUNK), "right")
+    edges = sorted({0, len(counts), *cuts.tolist()})
+    for lo, hi in zip(edges[:-1], edges[1:]):
+        c = counts[lo:hi]
+        offsets = start[lo:hi] - (ends[lo:hi] - c)
+        first = np.repeat(np.arange(lo, hi, dtype=index), c)
+        pos = np.arange(ends[lo] - c[0], ends[hi - 1], dtype=np.int64)
+        second = order[pos + np.repeat(offsets, c)]
+        yield first, second
 
 
 def check_scale(cloud: PointCloud, eps: float) -> None:

@@ -32,6 +32,10 @@ from .metrics import (
     MetricDescriptor,
     PointCloud,
     check_scale,
+    _grid_join,
+    _linf_grid,
+    _linf_pair_distances,
+    _linf_window,
     pairwise_to_point,
 )
 
@@ -115,106 +119,44 @@ def _push(buf: np.ndarray, k: int, p) -> np.ndarray:
     return buf
 
 
-_GRID_DIMS = 4  # coordinates bucketed at most (3^4 neighbouring cells)
-_GRID_CELLS = 1 << 15  # cells per coordinate at most; wider cells beyond
 _PAIRS_PER_POINT = 64  # candidate pairs per point before the scan is cheaper
-_PAIR_CHUNK = 1 << 12  # candidate pairs measured per batch
 
 
 def _linf_conflicts(cloud: PointCloud, eps: float, radius: float):
     """Index pairs (later, earlier) closer than eps, and those within radius.
 
-    Returns None when the grid does not apply (a metric other than linf,
-    non-finite values, fewer than two points), for clouds smaller than twice
-    the number of neighbouring cells, and when the candidate pairs exceed
-    _PAIRS_PER_POINT per point: then most pairs conflict, the kept sets are
-    small and the scan is cheaper.
+    Returns None when the grid does not apply (see `_linf_window`), for
+    clouds smaller than twice the number of neighbouring cells, and when the
+    candidate pairs exceed _PAIRS_PER_POINT per point: then most pairs
+    conflict, the kept sets are small and the scan is cheaper.
 
-    Cells have side eps (1 + 1e-9) on up to _GRID_DIMS window coordinates,
-    those that split into the most cells.  A pair at computed distance
-    <= eps differs by less than one cell side in every coordinate, with a
-    margin of 1e-9 sides that dwarfs the rounding of the cell coordinates
-    (about 2^-36 sides with at most 2^15 cells per coordinate), so it lies in
-    equal or adjacent cells.  Distances of candidate pairs are computed as
-    pairwise_to_point computes them, so the brackets are the scan's.
+    Cells have side eps (1 + 1e-9) (`_linf_grid`), so a pair at computed
+    distance <= eps lies in equal or adjacent cells.  Distances of candidate
+    pairs are computed as pairwise_to_point computes them, so the brackets
+    are the scan's.
     """
-    metric, pts = cloud.metric, cloud.points
-    if metric.kind != LINF_FINITE or pts.ndim != 2 or len(pts) < 2:
+    window = _linf_window(cloud)
+    if window is None or not (math.isfinite(eps) and eps > 0.0):
         return None
-    window = pts if metric.iterates is None else pts[:, : metric.iterates]
-    n, dim = window.shape
-    if not (dim and math.isfinite(eps) and eps > 0.0 and np.isfinite(window).all()):
-        return None
-    lo = window.min(axis=0)
-    span = window.max(axis=0) - lo
-    side = np.maximum(eps * (1.0 + 1e-9), span / _GRID_CELLS)
-    n_cells = np.floor(span / side)
-    # a coordinate split into fewer than three cells separates no pair
-    widest = np.argsort(-n_cells, kind="stable")[:_GRID_DIMS]
-    dims = [k for k in widest if n_cells[k] >= 2]
-    if n < 2 * 3 ** len(dims):
+    n = len(window)
+    cells, radix = _linf_grid(window, eps * (1.0 + 1e-9))
+    if n < 2 * 3 ** len(radix):
         return None  # joining 3^k neighbouring cells costs more than the scan
-    codes = np.zeros(n, dtype=np.int64)
-    steps = [0]
-    stride = 1
-    for k in dims:
-        cell = np.floor((window[:, k] - lo[k]) / side[k]).astype(np.int64)
-        codes += cell * stride
-        # radix n_cells + 2 leaves the digit n_cells + 1 unoccupied, so a step
-        # off the grid (digit -1 borrows, n_cells + 1 overflows) matches nothing
-        steps = [s + o * stride for s in steps for o in (-1, 0, 1)]
-        stride *= int(n_cells[k]) + 2
-    order = np.argsort(codes, kind="stable")
-    sorted_codes = codes[order]
-    index = np.int32 if n < 2**31 else np.int64
-    order = order.astype(index)
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
     budget = _PAIRS_PER_POINT * n
     cols = np.ascontiguousarray(window.T)
-    empty = np.zeros(0, dtype=index)
+    empty = np.zeros(0, dtype=np.int32)  # widened on concatenation past 2^31 points
     sep, cen = ([empty], [empty]), ([empty], [empty])
-    for step in steps:
-        if step < 0:
-            continue  # each unordered pair of cells is joined once, from the lower
-        if step == 0:
-            # same cell: the later entries of the run, whose indices are
-            # larger because the sort is stable
-            start = rank + 1
-            stop = np.searchsorted(sorted_codes, codes, "right")
-        else:
-            target = codes + step
-            start = np.searchsorted(sorted_codes, target, "left")
-            stop = np.searchsorted(sorted_codes, target, "right")
-        counts = stop - start
-        budget -= int(counts.sum())
+    for count, blocks in _grid_join(cells, radix):
+        budget -= count
         if budget < 0:
             return None
-        for i, j in _candidate_pairs(start, counts, order, index):
-            d = np.zeros(len(i))
-            for col in cols:
-                np.maximum(d, np.abs(col[i] - col[j]), out=d)
+        for i, j in blocks:
+            d = _linf_pair_distances(cols, i, j)
             later, earlier = np.maximum(i, j), np.minimum(i, j)
             for out, close in ((sep, d < eps), (cen, d <= radius)):
                 out[0].append(later[close])
                 out[1].append(earlier[close])
     return tuple((np.concatenate(a), np.concatenate(b)) for a, b in (sep, cen))
-
-
-def _candidate_pairs(start, counts, order, index):
-    """Blocks of about _PAIR_CHUNK pairs (i, order[start[i] + r]), r < counts[i]."""
-    ends = np.cumsum(counts)
-    if not len(ends) or not ends[-1]:
-        return
-    cuts = np.searchsorted(ends, np.arange(_PAIR_CHUNK, ends[-1], _PAIR_CHUNK), "right")
-    edges = sorted({0, len(counts), *cuts.tolist()})
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        c = counts[lo:hi]
-        offsets = start[lo:hi] - (ends[lo:hi] - c)
-        first = np.repeat(np.arange(lo, hi, dtype=index), c)
-        pos = np.arange(ends[lo] - c[0], ends[hi - 1], dtype=np.int64)
-        second = order[pos + np.repeat(offsets, c)]
-        yield first, second
 
 
 def _greedy_by_conflicts(n: int, later: np.ndarray, earlier: np.ndarray) -> list[int]:
@@ -687,23 +629,28 @@ def mass_distribution_check(
             raise ResourceLimit(f"{len(v_words)}^{m} y-sequences at M={m} exceed budget {cap}")
         diam = float(a) * float(b) ** (-m)
         log_diam = math.log(a) - m * math.log(b)
+        # math.fsum rounds correctly, so log mu(P) depends only on the
+        # multisets of the fixed prefix y[:t_floor] and of the suffix.  Each
+        # pair of multisets stands for all its orderings; its least sequence
+        # is the sorted prefix followed by the sorted suffix, and the pairs
+        # come in the order of those sequences, so the first minimum is the
+        # least sequence at the minimum, as in the per-sequence loop
+        prefixes = _multisets(v_words, t_floor, fibers)
+        suffixes = _multisets(v_words, m - t_floor, None)
         min_s_box = math.inf
         worst = None
-        total_mass = 0.0
-        n_boxes = 0
-        for y_seq in itertools.product(v_words, repeat=m):
-            log_mu = -m * log_z + math.fsum(
-                (w - 1.0) * log_t[v] for v in y_seq
-            ) + math.fsum(log_t[v] for v in y_seq[t_floor:])
-            s_box = log_mu / log_diam
-            if s_box < min_s_box:
-                min_s_box = s_box
-                worst = y_seq
-            multiplicity = 1
-            for v in y_seq[:t_floor]:
-                multiplicity *= fibers[v]
-            total_mass += multiplicity * math.exp(log_mu)
-            n_boxes += multiplicity
+        masses = []
+        for prefix, prefix_count, prefix_mass in prefixes:
+            for suffix, suffix_count, _ in suffixes:
+                log_mu = -m * log_z + math.fsum(
+                    (w - 1.0) * log_t[v] for v in prefix + suffix
+                ) + math.fsum(log_t[v] for v in suffix)
+                s_box = log_mu / log_diam
+                if s_box < min_s_box:
+                    min_s_box = s_box
+                    worst = prefix + suffix
+                masses.append(prefix_count * suffix_count * prefix_mass * math.exp(log_mu))
+        total_mass = math.fsum(masses)
         passed = min_s_box >= s - SLACK
         all_passed = all_passed and passed
         per_m[m] = {
@@ -712,7 +659,7 @@ def mass_distribution_check(
             "largest_s": min_s_box,
             "passed": passed,
             "worst_y": worst,
-            "box_count": n_boxes,
+            "box_count": sum(fibers.values()) ** t_floor * len(v_words) ** (m - t_floor),
             "total_mass": total_mass,
             "mass_ok": abs(total_mass - 1.0) <= 1e-9,
         }
@@ -742,6 +689,19 @@ def mass_distribution_check(
         "identity_max_err": identity_max_err,
         "identity_ok": identity_max_err <= 1e-10,
     }
+
+
+def _multisets(words, size: int, weights):
+    """(sorted words, orderings, product of weights) for every multiset of
+    `size` words; weights None counts 1 per word."""
+    out = []
+    for combo in itertools.combinations_with_replacement(words, size):
+        orderings = math.factorial(size)
+        for _, group in itertools.groupby(combo):
+            orderings //= math.factorial(len(list(group)))
+        product = math.prod(weights[v] for v in combo) if weights is not None else 1
+        out.append((combo, orderings, product))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -138,25 +138,37 @@ def covering_lower_bound(
     anchor = aut.lex_least_stream(depth)
     streams = [aut.lex_least_extension(w, depth) for w in words]
 
+    # coordinate j of a point is fsum_k(d_k beta^-(k+1)) over its digit
+    # column d = (rows[k][j])_k plus the anchor tail: one table of fsum
+    # values over the digits in use gives the same doubles.  Omega is a
+    # subshift, so each such digit starts some N-word and the table has at
+    # most count entries; the budget caps it for other rooted languages
     beta = spec.beta
-    pts = []
-    digit_rows = []
-    for combo in itertools.product(range(len(words)), repeat=n_layers):
-        rows = [streams[i] for i in combo]
-        coords = [
-            math.fsum(rows[k][j] * beta ** -(k + 1) for k in range(n_layers))
-            + anchor[j] * (beta**-n_layers) / (beta - 1.0)
-            for j in range(depth)
-        ]
-        pts.append(coords)
-        digit_rows.append(tuple(rows))
+    present, index = np.unique(np.array(streams, dtype=np.int64), return_inverse=True)
+    index = index.reshape(len(words), depth)
+    if len(present) ** n_layers > point_budget(budget):
+        raise ResourceLimit(
+            f"digit table of {len(present)}^{n_layers} columns exceeds budget"
+        )
+    table = np.array([
+        math.fsum(d * beta ** -(k + 1) for k, d in enumerate(column))
+        for column in itertools.product(present.tolist(), repeat=n_layers)
+    ])
+    choices = np.indices((len(words),) * n_layers).reshape(n_layers, count).T
+    tail = np.array(anchor, dtype=float) * (beta**-n_layers) / (beta - 1.0)
+    points = np.empty((count, depth))
+    for j in range(depth):
+        code = np.zeros(count, dtype=np.int64)
+        for k in range(n_layers):
+            code = code * len(present) + index[choices[:, k], j]
+        points[:, j] = table[code] + tail[j]
     eps = beta**-n_layers
     trunc = (spec.a - 1) / (beta - 1) * 2.0 ** -(depth - n_coords)
     cloud = PointCloud(
-        points=np.array(pts),
+        points=points,
         metric=MetricDescriptor(kind=LINF_FINITE, iterates=n_coords),
         truncation_error=trunc,
-        payload={"digits": digit_rows, "anchor": anchor, "depth": depth},
+        payload={"choices": choices, "anchor": anchor, "depth": depth},
     )
     return CoveringFamily(
         points=cloud,

@@ -172,6 +172,20 @@ class TestExitCodes:
         assert proc.stderr.startswith("resource limit:")
         assert "Traceback" not in proc.stderr
 
+    def test_beta_budget_exits_3_without_traceback(self):
+        proc = run_cli_process("beta", "--a", "2", "--beta", "2.5", "--n", "2", "--N", "2",
+                               "--budget", "3")
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("resource limit:")
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
+
+    def test_beta_readme_example_is_refused_by_the_default_budget(self):
+        proc = run_cli_process("beta", "--a", "2", "--beta", "2.5", "--n", "4", "--N", "6")
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("resource limit:")
+
 
 def automaton_doc(transitions, root=0, alphabet=2):
     return {

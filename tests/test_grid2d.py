@@ -1,11 +1,17 @@
 """Two-dimensional pattern counting against brute-force grid enumeration."""
 
 import itertools
+import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from meandim import grid2d as g2
@@ -307,6 +313,116 @@ class TestTorusPoints:
         assert len(seen) == len(cloud)
 
 
+# The Fraction implementation that key_fact_check's integer kernel replaced,
+# kept as its reference: every pair of cloud points, exact rationals.
+
+
+def _torus_gap_int(p, q, denom):
+    d = abs(p - q) % denom
+    return Fraction(min(d, denom - d), denom)
+
+
+def rect_metric_distance(ints_x, ints_y, denom, a, shift_window, mult_window):
+    """d over the rectangle [0, shift_window) x [0, mult_window): the sup over
+    shift iterates i and digit-multiplication iterates m of the weighted torus
+    sum, computed exactly from integer digit values."""
+    rows = len(ints_x)
+    best = Fraction(0)
+    for m in range(mult_window):
+        mult = pow(a, m, denom)
+        xs = [(v * mult) % denom for v in ints_x]
+        ys = [(v * mult) % denom for v in ints_y]
+        for i in range(shift_window):
+            total = Fraction(0)
+            for j in range(i, rows):
+                total += _torus_gap_int(xs[j], ys[j], denom) / (1 << (j - i + 1))
+            if total > best:
+                best = total
+    return float(best)
+
+
+def shift_metric_distance(ints_x, ints_y, denom, shift_window):
+    """The dynamical weighted-torus metric with the given shift window."""
+    return rect_metric_distance(ints_x, ints_y, denom, 1, shift_window, 1)
+
+
+def reference_key_fact_check(spec, n_rows, m_cols):
+    from meandim.metrics import SUM_WEIGHTED_TORUS, MetricDescriptor, PointCloud
+    from meandim.oracle import covering_bounds
+
+    a = spec.alphabet
+    eps = 0.5 * float(a) ** (-m_cols)
+    tail = 1
+    while 2.0**-tail >= eps / 2.0:
+        tail += 1
+    cloud = g2.torus_points(spec, n_rows, m_cols, depth=tail)
+    ints = cloud.payload["ints"]
+    denom = cloud.payload["denominator"]
+    n_pts = len(ints)
+
+    threshold = 1.0 / (4.0 * a)
+    violations = 0
+    for i in range(n_pts):
+        for j in range(i + 1, n_pts):
+            rect = rect_metric_distance(ints[i], ints[j], denom, a, n_rows + tail, m_cols)
+            if rect < threshold:
+                shifted = shift_metric_distance(ints[i], ints[j], denom, n_rows)
+                if shifted >= eps:
+                    violations += 1
+
+    shift_cloud = PointCloud(
+        points=cloud.points,
+        metric=MetricDescriptor(kind=SUM_WEIGHTED_TORUS, iterates=n_rows),
+        truncation_error=0.5 * 2.0 ** -(tail + 1),
+    )
+    lower_shift = covering_bounds(shift_cloud, eps).lower
+
+    centers = []
+    radius = threshold / 2.0 - 1e-12
+    for i in range(n_pts):
+        if all(
+            rect_metric_distance(ints[i], ints[c], denom, a, n_rows + tail, m_cols) > radius
+            for c in centers
+        ):
+            centers.append(i)
+    upper_rect = len(centers)
+
+    return {
+        "eps": eps,
+        "tail": tail,
+        "pointwise_ok": violations == 0,
+        "violations": violations,
+        "lower_shift": lower_shift,
+        "upper_rect": upper_rect,
+        "bracket_ok": lower_shift <= upper_rect,
+        "points": n_pts,
+    }
+
+
+def key_fact_cloud_size(spec, n_rows, m_cols):
+    eps = 0.5 * float(spec.alphabet) ** (-m_cols)
+    tail = 1
+    while 2.0**-tail >= eps / 2.0:
+        tail += 1
+    return g2.count_rectangles(spec, n_rows + tail, m_cols)
+
+
+@st.composite
+def key_fact_cases(draw):
+    a = draw(st.sampled_from([2, 3]))
+    kind = draw(st.sampled_from(["free", "three_dot", "hard_square", "linear"]))
+    if kind == "free":
+        spec = g2.free_rule(a)
+    elif kind == "three_dot":
+        spec = g2.three_dot_rule(a)
+    elif kind == "hard_square":
+        spec = g2.hard_square_rule()
+    else:
+        c = st.integers(0, a - 1)
+        spec = g2.linear_rule(a, draw(c), draw(c), draw(c))
+    return spec, draw(st.integers(1, 2)), draw(st.integers(1, 2))
+
+
 class TestKeyFact:
     @pytest.mark.parametrize("n_rows,m_cols", [(1, 1), (2, 1)])
     def test_free_rule_implication_and_bracket(self, n_rows, m_cols):
@@ -318,6 +434,94 @@ class TestKeyFact:
         rep = g2.key_fact_check(g2.three_dot_rule(2), 1, 1)
         assert rep["pointwise_ok"]
         assert rep["bracket_ok"]
+
+    @settings(max_examples=30, deadline=None)
+    @given(key_fact_cases())
+    def test_matches_pairwise_fraction_reference(self, case):
+        # a = 3 makes the threshold 1/(4a) non-dyadic; linear a = 3 rules
+        # with m_cols = 2 measure every pair (row gaps up to 1 / 9 qualify)
+        spec, n_rows, m_cols = case
+        assume(key_fact_cloud_size(spec, n_rows, m_cols) <= 81)
+        assert g2.key_fact_check(spec, n_rows, m_cols) == reference_key_fact_check(
+            spec, n_rows, m_cols
+        )
+
+    @pytest.mark.parametrize(
+        "spec,n_rows,m_cols",
+        # 243 points with a^M <= 2a (no pair measured); 9 points with a^M > 2a
+        [(g2.free_rule(3), 1, 1), (g2.linear_rule(3, 1, 2, 0), 2, 2)],
+    )
+    def test_matches_reference_on_base_3_clouds(self, spec, n_rows, m_cols):
+        assert g2.key_fact_check(spec, n_rows, m_cols) == reference_key_fact_check(
+            spec, n_rows, m_cols
+        )
+
+    @pytest.mark.parametrize(
+        "spec,n_rows,m_cols",
+        [(g2.free_rule(2), 2, 1), (g2.linear_rule(3, 1, 1, 0), 2, 2), (g2.three_dot_rule(2), 1, 2)],
+    )
+    def test_python_integer_path_gives_the_same_dict(self, monkeypatch, spec, n_rows, m_cols):
+        fast = g2.key_fact_check(spec, n_rows, m_cols)
+        monkeypatch.setattr(g2, "_FLOAT_EXACT", 1)  # every numerator as a Python int
+        assert g2.key_fact_check(spec, n_rows, m_cols) == fast
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(1, 6)).flatmap(
+            lambda s: st.tuples(
+                st.just(s),
+                st.lists(
+                    st.lists(st.integers(0, s[0] ** s[1] - 1), min_size=2 * s[2], max_size=2 * s[2]),
+                    min_size=1,
+                    max_size=8,
+                ),
+                st.integers(1, s[2]),
+                st.integers(1, s[1]),
+                st.booleans(),
+            )
+        )
+    )
+    def test_torus_distances_match_the_fraction_metric(self, case):
+        (a, m, rows), pairs, shift_window, mult_window, python_ints = case
+        denom = a**m
+        vals = np.array(pairs, dtype=object if python_ints else np.int64)
+        got = g2._torus_distances(
+            vals[:, :rows], vals[:, rows:], a, denom, shift_window, mult_window
+        )
+        want = [
+            rect_metric_distance(p[:rows], p[rows:], denom, a, shift_window, mult_window)
+            for p in pairs
+        ]
+        assert got.tolist() == want
+
+    def test_free_2x2_under_ten_seconds(self):
+        # Timed in a child with one BLAS thread; the pairwise Fraction loop
+        # took more than a minute.  The brackets were cross-checked once
+        # against a blocked all-pairs numpy computation.
+        child = (
+            "import json, time\n"
+            "from meandim import grid2d\n"
+            "t0 = time.perf_counter()\n"
+            "rep = grid2d.key_fact_check(grid2d.free_rule(2), 2, 2)\n"
+            "print(json.dumps([time.perf_counter() - t0, rep]))\n"
+        )
+        src = str(Path(g2.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+               "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                              text=True, env=env, timeout=120, check=True)
+        seconds, rep = json.loads(proc.stdout)
+        assert seconds < 10.0
+        assert rep == {
+            "eps": 0.125,
+            "tail": 5,
+            "pointwise_ok": True,
+            "violations": 0,
+            "lower_shift": 64,
+            "upper_rect": 16384,
+            "bracket_ok": True,
+            "points": 16384,
+        }
 
 
 class TestRuleJson:

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from meandim.metrics import (
     LINF_FINITE,
@@ -13,6 +15,7 @@ from meandim.metrics import (
     MetricDescriptor,
     PointCloud,
     distance,
+    pairwise_to_point,
     torus_gap,
 )
 
@@ -93,3 +96,54 @@ def test_cloud_pairwise_and_min():
     direct = min(mat[i][j] for i in range(n) for j in range(n) if i != j)
     assert cloud.min_pairwise() == pytest.approx(direct, abs=1e-15)
     assert np.allclose(mat, mat.T)
+
+
+def reference_min_pairwise(cloud):
+    """The per-point loop the linf grid join replaced."""
+    best = np.inf
+    for i in range(len(cloud) - 1):
+        row = pairwise_to_point(cloud.points[i + 1 :], cloud.points[i], cloud.metric)
+        best = min(best, float(row.min()))
+    return best
+
+
+@st.composite
+def linf_clouds(draw):
+    """Points on (1/8) Z^dim, scaled by a non-dyadic factor or jittered by
+    tiny offsets: many pairs tie at the same distance, and duplicates occur."""
+    dim = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 120))
+    coords = st.integers(-24, 24).map(lambda k: k / 8.0)
+    rows = draw(st.lists(st.lists(coords, min_size=dim, max_size=dim), min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        rows += draw(st.lists(st.sampled_from(rows), max_size=4))
+    pts = np.array(rows) * draw(st.sampled_from([1.0, 0.1, 3.7]))
+    if draw(st.booleans()):
+        pts += np.random.default_rng(draw(st.integers(0, 99))).random(pts.shape) * 1e-6
+    iterates = draw(st.none() | st.integers(1, dim + 1))
+    return PointCloud(points=pts, metric=MetricDescriptor(kind=LINF_FINITE, iterates=iterates))
+
+
+@settings(max_examples=200, deadline=None)
+@given(linf_clouds())
+def test_linf_min_pairwise_matches_the_per_point_loop(cloud):
+    assert cloud.min_pairwise() == reference_min_pairwise(cloud)
+
+
+def test_min_pairwise_on_a_wide_cloud_with_one_close_pair():
+    rng = np.random.default_rng(8)
+    pts = rng.random((3000, 5)) * 1e3
+    pts[1234] = pts[17] + 1e-7
+    cloud = PointCloud(points=pts, metric=MetricDescriptor(kind=LINF_FINITE, iterates=3))
+    assert cloud.min_pairwise() == reference_min_pairwise(cloud)
+
+
+def test_min_pairwise_joins_adjacent_cells():
+    # the closest pair (9.99, 5.5), (10.01, 5.5) straddles the cell border
+    # near 10 and is not adjacent in lexicographic order, where integer
+    # grid points a distance 1 apart set the cell side
+    grid = np.array([(i, j) for i in range(30) for j in range(30)], dtype=float)
+    pts = np.vstack([grid, [(9.99, 5.5), (10.01, 5.5), (10.0, 50.0)]])
+    cloud = PointCloud(points=pts, metric=MetricDescriptor(kind=LINF_FINITE))
+    assert cloud.min_pairwise() == reference_min_pairwise(cloud)
+    assert cloud.min_pairwise() < 0.03

@@ -6,7 +6,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from meandim import carpet as cp
@@ -352,6 +352,80 @@ class TestMassDistribution:
         spec = cp.carpet_from_tuples(3, 2, R_EXAMPLE)
         rep = orc.mass_distribution_check(spec, 1, [6], s=2.5)
         assert not rep["all_passed"]
+
+
+def reference_mass_per_m(spec, n, m_range):
+    """The per-sequence loop that the multiset enumeration replaced: every
+    y-sequence in itertools.product order, masses summed in that order."""
+    a, b, w = spec.a, spec.b, spec.w
+    fibers = wt.fiber_counts(spec.system, n).level(n)
+    z_n = math.fsum(tv**w for tv in sorted(fibers.values(), reverse=True))
+    log_z = math.log(z_n)
+    log_t = {v: math.log(tv) for v, tv in fibers.items()}
+    v_words = sorted(fibers)
+    per_m = {}
+    for m in m_range:
+        t_floor = cp.floor_w_m(a, b, m)
+        log_diam = math.log(a) - m * math.log(b)
+        min_s_box = math.inf
+        worst = None
+        total_mass = 0.0
+        n_boxes = 0
+        for y_seq in itertools.product(v_words, repeat=m):
+            log_mu = -m * log_z + math.fsum(
+                (w - 1.0) * log_t[v] for v in y_seq
+            ) + math.fsum(log_t[v] for v in y_seq[t_floor:])
+            s_box = log_mu / log_diam
+            if s_box < min_s_box:
+                min_s_box = s_box
+                worst = y_seq
+            multiplicity = 1
+            for v in y_seq[:t_floor]:
+                multiplicity *= fibers[v]
+            total_mass += multiplicity * math.exp(log_mu)
+            n_boxes += multiplicity
+        per_m[m] = {"largest_s": min_s_box, "worst_y": worst, "box_count": n_boxes,
+                    "total_mass": total_mass}
+    return per_m
+
+
+@st.composite
+def mass_cases(draw):
+    a, b = draw(st.sampled_from([(3, 2), (4, 3)]))
+    cells = [(u, v) for u in range(a) for v in range(b)]
+    if draw(st.booleans()):
+        # every column holds the same number of tuples, so all fibers are
+        # equal and every box ties for largest_s
+        per_column = draw(st.integers(1, a))
+        rel = [(u, v) for v in range(b) for u in draw(st.permutations(range(a)))[:per_column]]
+    else:
+        rel = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=len(cells), unique=True))
+    n = draw(st.integers(1, 2))
+    m_lo = draw(st.integers(1, 4))
+    return cp.carpet_from_tuples(a, b, rel), n, range(m_lo, m_lo + draw(st.integers(1, 2)))
+
+
+class TestMassMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(mass_cases(), st.sampled_from([0.3, 0.8, 1.2]))
+    def test_boxes_match_the_per_sequence_loop(self, case, s):
+        spec, n, m_range = case
+        v_count = len(wt.fiber_counts(spec.system, n).level(n))
+        assume(v_count ** max(m_range) <= 5000)
+        rep = orc.mass_distribution_check(spec, n, m_range, s)
+        want = reference_mass_per_m(spec, n, m_range)
+        for m in m_range:
+            got = rep["per_m"][m]
+            for key in ("largest_s", "worst_y", "box_count"):
+                assert got[key] == want[m][key], key
+            assert got["passed"] == (want[m]["largest_s"] >= s - orc.SLACK)
+            assert got["total_mass"] == pytest.approx(want[m]["total_mass"], abs=1e-12)
+
+    def test_equal_fibers_break_ties_by_the_least_sequence(self):
+        rel = [(u, v) for u in range(3) for v in range(2)]
+        spec = cp.carpet_from_tuples(3, 2, rel)
+        rep = orc.mass_distribution_check(spec, 1, [3], s=0.5)
+        assert rep["per_m"][3]["worst_y"] == ((0,), (0,), (0,))
 
 
 class TestDuplicationBound:

@@ -10,7 +10,7 @@ import pytest
 from meandim import oracle as orc
 from meandim import selfsim as ss
 from meandim import symbolic as sym
-from meandim.errors import ConstructionFailure, DomainError
+from meandim.errors import ConstructionFailure, DomainError, ResourceLimit
 from meandim.metrics import SUM_WEIGHTED_ABS, MetricDescriptor, distance
 
 
@@ -82,6 +82,49 @@ class TestCoveringLowerBound:
                 best = min(best, distance(pts[i], pts[j], metric))
         assert best >= fam.dyn_eps - 1e-9
         assert best == pytest.approx(fam.dyn_eps, abs=1e-9)
+
+
+def reference_family_points(spec, n_coords, n_layers, tol=1e-9):
+    """The per-coordinate math.fsum loop that the column tables replaced."""
+    aut = sym.ensure_pruned(spec.omega).automaton
+    words = aut.enumerate_words(n_coords)
+    depth = min(n_coords + n_layers * max(1, math.ceil(math.log2(1.0 / tol))), n_coords + 80)
+    anchor = aut.lex_least_stream(depth)
+    streams = [aut.lex_least_extension(w, depth) for w in words]
+    beta = spec.beta
+    pts = []
+    for combo in itertools.product(range(len(words)), repeat=n_layers):
+        rows = [streams[i] for i in combo]
+        pts.append([
+            math.fsum(rows[k][j] * beta ** -(k + 1) for k in range(n_layers))
+            + anchor[j] * (beta**-n_layers) / (beta - 1.0)
+            for j in range(depth)
+        ])
+    return np.array(pts)
+
+
+class TestFamilyPointsMatchReference:
+    @pytest.mark.parametrize(
+        "a,beta,forbidden",
+        [(2, beta, forbidden) for beta in (2.0, 2.5, 3.5) for forbidden in (None, ["11"])]
+        + [(3, 3.5, None), (3, 3.5, ["00", "12"]), (3, 3.5, ["0"])],
+    )
+    @pytest.mark.parametrize("n_coords,n_layers", [(1, 1), (2, 3), (3, 2), (4, 1)])
+    def test_points_equal_the_fsum_loop(self, a, beta, forbidden, n_coords, n_layers):
+        omega = sym.forbidden_words(a, forbidden) if forbidden else None
+        spec = ss.beta_system(a, beta, omega)
+        got = ss.covering_lower_bound(spec, n_coords, n_layers).points.points
+        want = reference_family_points(spec, n_coords, n_layers)
+        assert got.shape == want.shape
+        assert (got == want).all()
+
+
+    def test_digit_table_beyond_the_budget_is_refused(self):
+        # the rooted orbit 0 1 0 1 ... has one word of length 1 but uses two
+        # digits, so its fsum table (2^3 columns) outgrows its one point
+        orbit = sym.automaton_spec(sym.Automaton(2, 0, ({0: 1}, {1: 0})), 2)
+        with pytest.raises(ResourceLimit, match="digit table"):
+            ss.covering_lower_bound(ss.beta_system(2, 2.5, orbit), 1, 3, budget=4)
 
 
 class TestSelfSimilarDims:
