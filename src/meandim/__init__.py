@@ -73,8 +73,6 @@ from .grid2d import (
 from .metrics import MetricDescriptor, PointCloud
 from .oracle import (
     CoverBounds,
-    ProductMeasure,
-    QBox,
     QBoxFamily,
     WitnessSet,
     covering_bounds,

@@ -112,8 +112,9 @@ def mean_dims(spec: CarpetSpec, n_max: int = 8, budget: int | None = None) -> Di
     )
 
     classical = None
-    if weighted._is_product_kind(spec.system.omega):
-        rel = _relation_of(spec)
+    symbols = spec.system.omega.product_symbols
+    if symbols is not None:
+        rel = [divmod(symbol, spec.b) for symbol in symbols]
         classical = classical_carpet_dims(spec.a, spec.b, rel)
 
     return DimensionReport(
@@ -124,13 +125,6 @@ def mean_dims(spec: CarpetSpec, n_max: int = 8, budget: int | None = None) -> Di
         h_omega_prime=h_prime,
         classical=classical,
     )
-
-
-def _relation_of(spec: CarpetSpec):
-    omega = spec.system.omega
-    if omega.full:
-        return [(u, v) for u in range(spec.a) for v in range(spec.b)]
-    return sorted(omega.tuple_set)
 
 
 def classical_carpet_dims(a: int, b: int, relation) -> dict:

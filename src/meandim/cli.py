@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 check failure or usage error, 3 resource limit,
 4 bad spec/input.  Reports are canonical JSON (sorted keys, 12 significant
-digits) so a fixed configuration and seed reproduce byte-identical files.
+digits) so a fixed configuration reproduces byte-identical files.  Only the
+sampling subcommands (oracle qbox, mass and appendix-k) take --seed.
 """
 
 from __future__ import annotations
@@ -51,13 +52,15 @@ def _subshift_arg(args) -> symbolic.SubshiftSpec:
 
 
 def _pair_system_arg(args) -> weighted.PairShiftSystem:
-    if getattr(args, "tuples", None):
+    if args.tuples:
         rel = _parse_tuples(args.tuples)
         return weighted.pair_system_from_tuples(args.a, args.b, rel)
     doc = _load_json(args.spec)
-    if "omega" in doc:
-        omega = symbolic.spec_from_json(doc["omega"])
-        return weighted.pair_system(int(doc["a"]), int(doc["b"]), omega)
+    if isinstance(doc, dict) and "omega" in doc:
+        a, b = doc.get("a"), doc.get("b")
+        if not all(type(x) is int and x > 0 for x in (a, b)):
+            raise ValueError("a pair system spec needs positive integers a and b")
+        return weighted.pair_system(a, b, symbolic.spec_from_json(doc["omega"]))
     spec = symbolic.spec_from_json(doc)
     if spec.tuple_sizes is None:
         raise ValueError("pair systems need tuple sizes (a, b)")
@@ -145,15 +148,8 @@ def cmd_weighted_entropy(args) -> int:
 
 
 def cmd_carpet(args) -> int:
-    if args.tuples:
-        spec = carpet.carpet_from_tuples(args.a, args.b, _parse_tuples(args.tuples))
-    else:
-        doc = _load_json(args.spec)
-        omega = symbolic.spec_from_json(doc["omega"])
-        spec = carpet.CarpetSpec(
-            int(doc["a"]), int(doc["b"]),
-            weighted.pair_system(int(doc["a"]), int(doc["b"]), omega),
-        )
+    sys_ = _pair_system_arg(args)
+    spec = carpet.CarpetSpec(sys_.a_size, sys_.b_size, sys_)
     rep = carpet.mean_dims(spec, args.nmax, args.budget)
     _emit(
         {
@@ -401,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p, tol=None):
         p.add_argument("--out", help="write the JSON report here")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--budget", type=int, default=None)
         if tol is not None:
             p.add_argument("--tol", type=float, default=tol,
@@ -480,6 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
+    p.add_argument("--seed", type=int, default=0, help="sampling seed")
     common(p)
     p.set_defaults(fn=cmd_oracle_qbox)
 
@@ -491,6 +487,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mmin", type=int, default=4)
     p.add_argument("--mmax", type=int, default=10)
     p.add_argument("--s", type=float, default=None)
+    p.add_argument("--seed", type=int, default=0, help="sampling seed")
     common(p)
     p.set_defaults(fn=cmd_oracle_mass)
 
@@ -502,6 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", action="store_true")
     p.add_argument("--N", type=int, default=3)
     p.add_argument("--m", type=int, default=2)
+    p.add_argument("--seed", type=int, default=0, help="sampling seed")
     common(p)
     p.set_defaults(fn=cmd_oracle_appendix_k)
 

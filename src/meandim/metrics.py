@@ -56,26 +56,6 @@ def _base_rows(x, y, kind):
     return rows
 
 
-def distance(x, y, metric: MetricDescriptor) -> float:
-    """Distance between two truncated points under the descriptor."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    rows = _base_rows(x, y, metric.kind)
-    if metric.kind == LINF_FINITE:
-        if metric.iterates is not None:
-            rows = rows[..., : metric.iterates]
-        return float(rows.max())
-    dim = rows.shape[-1]
-    weights = 0.5 ** np.arange(1, dim + 1)
-    if metric.iterates is None:
-        return float(rows @ weights)
-    best = 0.0
-    for i in range(metric.iterates):
-        tail = rows[..., i:]
-        best = max(best, float(tail @ weights[: dim - i]))
-    return best
-
-
 @dataclass(frozen=True)
 class PointCloud:
     """Finite set of truncated points with the metric they carry.
@@ -98,7 +78,7 @@ class PointCloud:
         return len(self.points)
 
     def distance(self, i: int, j: int) -> float:
-        return distance(self.points[i], self.points[j], self.metric)
+        return float(pairwise_to_point(self.points[i : i + 1], self.points[j], self.metric)[0])
 
     def pairwise(self) -> np.ndarray:
         """Full distance matrix; intended for clouds of moderate size."""

@@ -257,25 +257,10 @@ def hausdorff_upper_at_scale(diameters, eps: float, tol: float = 1e-10) -> float
 
 
 @dataclass(frozen=True)
-class QBox:
-    """Cylinder of carpet points with leading digit layers fixed.
-
-    The first `floor_wm` layers fix full (u, v) digit words, layers up to m
-    fix only the v word; the box is the anchor corner plus
-    [0, a^-floor_wm]^N x [0, b^-m]^N intersected with the space.
-    """
-
-    n: int
-    m: int
-    floor_wm: int
-    x_layers: tuple  # u-words, length floor_wm
-    y_layers: tuple  # v-words, length m
-    anchor: tuple  # (x corner, y corner), each length n
-    diam_bound: float
-
-
-@dataclass(frozen=True)
 class QBoxFamily:
+    """The level-(n, m) boxes: cylinders whose first floor_wm layers fix
+    full (u, v) digit words and whose layers up to m fix only the v word."""
+
     spec: CarpetSpec
     n: int
     m: int
@@ -292,31 +277,6 @@ class QBoxFamily:
 
     def min_separation(self) -> float:
         return float(self.spec.b) ** (-self.m)
-
-    def iter_boxes(self):
-        a, b = self.spec.a, self.spec.b
-        n, m, t = self.n, self.m, self.floor_wm
-        for pair_layers in itertools.product(self.omega_words, repeat=t):
-            for v_layers in itertools.product(self.image_words, repeat=m - t):
-                x_layers = tuple(p[0] for p in pair_layers)
-                y_layers = tuple(p[1] for p in pair_layers) + v_layers
-                anchor_x = tuple(
-                    math.fsum(x_layers[i][j] * a ** -(i + 1) for i in range(t))
-                    for j in range(n)
-                )
-                anchor_y = tuple(
-                    math.fsum(y_layers[i][j] * b ** -(i + 1) for i in range(m))
-                    for j in range(n)
-                )
-                yield QBox(
-                    n=n,
-                    m=m,
-                    floor_wm=t,
-                    x_layers=x_layers,
-                    y_layers=y_layers,
-                    anchor=(anchor_x, anchor_y),
-                    diam_bound=self.diam_bound,
-                )
 
     def witness_cloud(self, cap: int | None = None, depth_extra: int = 45) -> PointCloud:
         """The separated family: one point per box, pairwise linf >= b^-m."""
@@ -545,37 +505,6 @@ def covering_sandwich(spec: CarpetSpec, n: int, m: int, greedy_cap: int = 3000) 
         "separation": fam.separation_certified,
         "greedy": greedy,
     }
-
-
-# ---------------------------------------------------------------------------
-# Product measures
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProductMeasure:
-    """IID product of one coordinate distribution over finitely many tracked
-    coordinates; untracked coordinates carry full mass (the remainder)."""
-
-    values: tuple
-    masses: tuple
-
-    def __post_init__(self):
-        if abs(math.fsum(self.masses) - 1.0) > 1e-12:
-            raise DomainError("coordinate masses must sum to 1 within 1e-12")
-
-    def coordinate_mass(self, allowed) -> float:
-        allowed = set(allowed)
-        return math.fsum(m for v, m in zip(self.values, self.masses) if v in allowed)
-
-    def cylinder_mass(self, constraints) -> float:
-        """constraints: iterable of per-coordinate allowed sets (None = free)."""
-        total = 1.0
-        for c in constraints:
-            if c is None:
-                continue
-            total *= self.coordinate_mass(c)
-        return total
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from .metrics import (
     SUM_WEIGHTED_ABS,
     MetricDescriptor,
     PointCloud,
-    distance,
+    pairwise_to_point,
 )
 
 _RATIONAL_DENOM_CAP = 1 << 30  # beta with a denominator this small goes exact
@@ -198,19 +198,6 @@ def self_similar_dims(spec: BetaSystemSpec, n_max: int = 12) -> dict:
     }
 
 
-def contraction_factor(
-    spec: BetaSystemSpec, x, y, omega_stream, n_window: int
-) -> tuple[float, float]:
-    """(d_N(S x, S y), c * d_N(x, y)) for the map S(x) = (x + omega) / beta."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    w = np.asarray(omega_stream, dtype=float)
-    metric = MetricDescriptor(kind=SUM_WEIGHTED_ABS, iterates=n_window)
-    sx = (x + w) / spec.beta
-    sy = (y + w) / spec.beta
-    return distance(sx, sy, metric), spec.c * distance(x, y, metric)
-
-
 def ball_similarity_check(
     spec: BetaSystemSpec,
     n_window: int,
@@ -261,33 +248,30 @@ def ball_similarity_check(
     p_point = point_of(p_digits)
 
     def phi(x):
-        out = np.asarray(x, dtype=float)
+        out = x
         for i in reversed(range(k)):
             out = (out + np.array(p_digits[i], dtype=float)) / beta
         return out
 
     metric = MetricDescriptor(kind=SUM_WEIGHTED_ABS, iterates=n_window)
-    sample_pts = [point_of(rows) for rows in sample_digits]
-    images = [phi(x) for x in sample_pts]
+    sample_pts = np.array([point_of(rows) for rows in sample_digits]).reshape(-1, depth)
+    images = phi(sample_pts)
 
-    radius_ok = True
-    worst_radius = 0.0
-    for img in images:
-        d = distance(img, p_point, metric)
-        worst_radius = max(worst_radius, d)
-        radius_ok = radius_ok and d <= eps + tol
+    radii = pairwise_to_point(images, p_point, metric)
+    worst_radius = float(radii.max(initial=0.0))
+    radius_ok = bool((radii <= eps + tol).all())
 
     # c^k > c eps / A whenever the bracketing picked k >= 1; for eps >= A the
     # identity map is its own (trivial) expansion certificate
     expansion = min(c**k, c * eps / a_bound)
     expansion_ok = True
     worst_ratio = math.inf
-    for (x, ix), (y, iy) in itertools.combinations(zip(sample_pts, images), 2):
-        base = distance(x, y, metric)
-        mapped = distance(ix, iy, metric)
-        if base > 0:
-            worst_ratio = min(worst_ratio, mapped / base)
-        expansion_ok = expansion_ok and mapped >= expansion * base - tol
+    for i in range(len(images) - 1):
+        base = pairwise_to_point(sample_pts[i + 1 :], sample_pts[i], metric)
+        mapped = pairwise_to_point(images[i + 1 :], images[i], metric)
+        moved = base > 0
+        worst_ratio = min(worst_ratio, float((mapped[moved] / base[moved]).min(initial=math.inf)))
+        expansion_ok = expansion_ok and bool((mapped >= expansion * base - tol).all())
 
     return {
         "k": k,

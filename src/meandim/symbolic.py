@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -239,13 +239,14 @@ class SubshiftSpec:
 
     kinds:
       full      -- the full shift on `alphabet` symbols
-      sft       -- vertex shift of a 0/1 transition matrix (possibly over
-                   block states; `state_words` then maps states to the block
-                   words they spell)
+      sft       -- vertex shift of a 0/1 transition matrix over the symbols
       forbidden -- all sequences avoiding a finite word list
       tuples    -- R^N for a subset R of a product alphabet A x B; symbols
                    are encoded u * b + v
       automaton -- rooted labeled graph (produced by image projections)
+
+    `prune` attaches the compiled automaton and keeps the kind and the
+    declarative fields, so a pruned spec still says what it describes.
     """
 
     alphabet: int
@@ -254,8 +255,6 @@ class SubshiftSpec:
     forbidden: tuple | None = None
     tuple_sizes: tuple | None = None  # (a, b)
     tuple_set: frozenset | None = None  # {(u, v), ...}
-    state_words: tuple | None = None
-    full: bool = field(default=False, init=False)  # kind full; kept by `prune`
     automaton: Automaton | None = field(default=None, compare=False, repr=False)
     # Enumeration-only fallback when determinization exceeds its budget:
     # word sets per length, and no transition graph ("no automaton" marker).
@@ -279,14 +278,24 @@ class SubshiftSpec:
         elif self.kind == KIND_TUPLES:
             if not self.tuple_set:
                 raise DomainError("tuples kind needs a nonempty relation R")
-        elif self.kind == KIND_FULL:
-            object.__setattr__(self, "full", True)
-        elif self.kind != KIND_AUTOMATON:
+        elif self.kind not in (KIND_FULL, KIND_AUTOMATON):
             raise DomainError(f"unknown kind {self.kind!r}")
 
     @property
     def pruned(self) -> bool:
         return self.automaton is not None or self.wordsets is not None
+
+    @property
+    def product_symbols(self) -> tuple | None:
+        """The sorted symbol set S of a product kind, whose language is all
+        words over S (full: every symbol; tuples: u * b + v for (u, v) in
+        R), or None for the other kinds."""
+        if self.kind == KIND_FULL:
+            return tuple(range(self.alphabet))
+        if self.kind == KIND_TUPLES:
+            b = self.tuple_sizes[1]
+            return tuple(sorted(u * b + v for u, v in self.tuple_set))
+        return None
 
 
 def full_shift(k: int) -> SubshiftSpec:
@@ -294,7 +303,14 @@ def full_shift(k: int) -> SubshiftSpec:
 
 
 def sft_from_matrix(matrix) -> SubshiftSpec:
-    rows = tuple(tuple(int(bool(x)) for x in row) for row in matrix)
+    """Vertex shift of a square matrix of 0/1 entries, given as rows."""
+    try:
+        rows = tuple(tuple(row) for row in matrix)
+    except TypeError:
+        raise DomainError(f"sft matrix {matrix!r} is not a list of rows") from None
+    if not all(x in (0, 1) for row in rows for x in row):
+        raise DomainError("sft matrix entries must be 0 or 1")
+    rows = tuple(tuple(int(x) for x in row) for row in rows)
     return SubshiftSpec(alphabet=len(rows), kind=KIND_SFT, matrix=rows)
 
 
@@ -370,7 +386,7 @@ def _automaton_from_matrix(k: int, matrix) -> Automaton:
 
 
 def _automaton_from_forbidden(k: int, words) -> Automaton:
-    maxlen = max(len(w) for w in words)
+    maxlen = max((len(w) for w in words), default=1)  # no word: the full shift
     if k ** (maxlen - 1) > word_budget():
         raise ResourceLimit(
             f"{k}^{maxlen - 1} block states exceed the enumeration budget"
@@ -425,29 +441,17 @@ def _automaton_from_forbidden(k: int, words) -> Automaton:
     return Automaton(alphabet_size=k, root=root, succ=pruned)
 
 
-def _automaton_from_tuples(a: int, b: int, rel) -> Automaton:
-    labels = sorted(u * b + v for u, v in rel)
-    succ = [{l: 1 for l in labels}, {l: 1 for l in labels}]
-    return Automaton(alphabet_size=a * b, root=0, succ=tuple(succ))
-
-
 def build_automaton(spec: SubshiftSpec) -> Automaton:
     if spec.automaton is not None:
         return spec.automaton
-    if spec.kind == KIND_FULL:
-        k = spec.alphabet
-        return Automaton(
-            alphabet_size=k,
-            root=0,
-            succ=({c: 1 for c in range(k)}, {c: 1 for c in range(k)}),
-        )
+    symbols = spec.product_symbols
+    if symbols is not None:
+        loops = {c: 1 for c in symbols}
+        return Automaton(alphabet_size=spec.alphabet, root=0, succ=(dict(loops), loops))
     if spec.kind == KIND_SFT:
         return _automaton_from_matrix(len(spec.matrix), spec.matrix)
     if spec.kind == KIND_FORBIDDEN:
         return _automaton_from_forbidden(spec.alphabet, spec.forbidden)
-    if spec.kind == KIND_TUPLES:
-        a, b = spec.tuple_sizes
-        return _automaton_from_tuples(a, b, spec.tuple_set)
     raise DomainError(f"cannot compile kind {spec.kind!r}")
 
 
@@ -460,77 +464,20 @@ def automaton_spec(aut: Automaton, alphabet: int) -> SubshiftSpec:
 
 
 def prune(spec: SubshiftSpec) -> SubshiftSpec:
-    """Equivalent spec in transition-graph normal form with dead states removed.
+    """The same spec with its compiled automaton attached, dead states removed.
 
-    The admissible-word language (prefixes of points) is unchanged for every
-    length.  Only forward liveness is enforced: a state survives iff an
-    infinite admissible continuation exists.  For a one-sided shift that is
-    exactly the condition for a word to be a prefix of a point; dropping
+    The kind and the declarative fields are kept.  The admissible-word
+    language (prefixes of points) is unchanged for every length.  Only
+    forward liveness is enforced: a state survives iff an infinite
+    admissible continuation exists.  For a one-sided shift that is exactly
+    the condition for a word to be a prefix of a point; dropping
     backward-unreachable states would shrink the prefix language.
     """
     if spec.wordsets is not None:
         return spec  # enumeration-only fallback; nothing to compile
     if spec.kind == KIND_AUTOMATON:
         return automaton_spec(spec.automaton, spec.alphabet)
-    aut = build_automaton(spec)
-    one_block = not (
-        spec.kind == KIND_FORBIDDEN and max(len(w) for w in spec.forbidden) > 2
-    )
-    matrix, words = _graph_as_matrix(spec, aut)
-    pruned = SubshiftSpec(
-        alphabet=spec.alphabet,
-        kind=KIND_SFT,
-        matrix=matrix,
-        state_words=None if one_block else words,
-        tuple_sizes=spec.tuple_sizes,
-        tuple_set=spec.tuple_set,
-        automaton=aut,
-    )
-    object.__setattr__(pruned, "full", spec.full)
-    return pruned
-
-
-def _graph_as_matrix(spec: SubshiftSpec, aut: Automaton):
-    """Transition matrix over the automaton's recurrent-layer states.
-
-    For one-block kinds the states are live symbols and the matrix is the
-    pruned k x k symbol matrix (padded with zero rows/columns for dead
-    symbols so its size stays the alphabet size).  For higher-block kinds the
-    matrix is over block states and `state_words` records the block words.
-    """
-    k = spec.alphabet
-    # Identify "symbol layer" states: the targets of root transitions in the
-    # matrix/full/tuples constructions are symbol states; in the forbidden
-    # construction with blocks > 1 the deep layer is used instead.
-    if spec.kind == KIND_FORBIDDEN and max(len(w) for w in spec.forbidden) > 2:
-        block = max(len(w) for w in spec.forbidden) - 1
-        # Recover block states by walking paths of length `block` from root.
-        state_word: dict[int, tuple] = {}
-        stack = [(aut.root, ())]
-        while stack:
-            s, p = stack.pop()
-            if len(p) == block:
-                state_word[s] = p
-                continue
-            for l, t in aut.succ[s].items():
-                stack.append((t, p + (l,)))
-        states = sorted(state_word, key=lambda s: state_word[s])
-        idx = {s: i for i, s in enumerate(states)}
-        n = len(states)
-        matrix = [[0] * n for _ in range(n)]
-        for s in states:
-            for t in aut.succ[s].values():
-                matrix[idx[s]][idx[t]] = 1
-        words = tuple(state_word[s] for s in states)
-        return tuple(tuple(r) for r in matrix), words
-
-    live = sorted(set(aut.succ[aut.root]))
-    state_of = {l: aut.succ[aut.root][l] for l in live}
-    matrix = [[0] * k for _ in range(k)]
-    for l in live:
-        for l2, t in aut.succ[state_of[l]].items():
-            matrix[l][l2] = 1
-    return tuple(tuple(r) for r in matrix), tuple((l,) for l in range(k))
+    return replace(spec, automaton=build_automaton(spec))
 
 
 def ensure_pruned(spec: SubshiftSpec) -> SubshiftSpec:
@@ -664,10 +611,8 @@ def spec_to_json(spec: SubshiftSpec) -> dict:
                 for n, ws in spec.wordsets
             },
         }
-    if spec.state_words is not None or spec.kind == KIND_AUTOMATON:
-        # Higher-block normal forms round-trip through the automaton form,
-        # whose states are not alphabet symbols.
-        aut = spec.automaton or build_automaton(spec)
+    if spec.kind == KIND_AUTOMATON:
+        aut = build_automaton(spec)
         transitions = sorted(
             [s, l, t] for s, trans in enumerate(aut.succ) for l, t in trans.items()
         )
@@ -688,29 +633,49 @@ def spec_to_json(spec: SubshiftSpec) -> dict:
 
 
 def spec_from_json(doc) -> SubshiftSpec:
+    """Checked spec from its JSON document: a malformed document raises
+    DomainError naming the field."""
     if isinstance(doc, str):
         doc = json.loads(doc)
+    if not isinstance(doc, dict):
+        raise DomainError("a subshift spec is a JSON object")
     kind = doc.get("kind")
-    k = int(doc["alphabet"])
+    k = doc.get("alphabet")
+    if not (_is_index(k) and k > 0):
+        raise DomainError(f"alphabet {k!r} is not a positive integer")
     if kind == KIND_FULL:
         return full_shift(k)
     if kind == KIND_SFT:
-        return sft_from_matrix(doc["matrix"])
+        return sft_from_matrix(doc.get("matrix"))
     if kind == KIND_FORBIDDEN:
-        words = [
-            [int(c) for c in w] if isinstance(w, str) else [int(c) for c in w]
-            for w in doc["forbidden"]
-        ]
-        return forbidden_words(k, words)
+        words = doc.get("forbidden")
+        if not isinstance(words, list):
+            raise DomainError("forbidden kind needs a list of words")
+        return forbidden_words(k, [_json_word(w) for w in words])
     if kind == KIND_TUPLES:
-        t = doc["tuples"]
-        return allowed_tuples(int(t["a"]), int(t["b"]), t["R"])
+        t = doc.get("tuples")
+        if not isinstance(t, dict):
+            raise DomainError('tuples kind needs {"a": ..., "b": ..., "R": [[u, v], ...]}')
+        a, b, rel = t.get("a"), t.get("b"), t.get("R")
+        if not (_is_index(a) and _is_index(b) and isinstance(rel, list)):
+            raise DomainError("tuples need integers a, b and a list R")
+        for pair in rel:
+            if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_index, pair))):
+                raise DomainError(f"tuple {pair!r} is not [u, v]")
+        return allowed_tuples(a, b, rel)
     if kind == KIND_AUTOMATON:
-        return automaton_spec(_automaton_from_json(k, doc["automaton"]), k)
+        return automaton_spec(_automaton_from_json(k, doc.get("automaton")), k)
     if kind == "wordset":
+        words = doc.get("words")
+        if not (
+            isinstance(words, dict)
+            and words
+            and all(str(n).isdecimal() and isinstance(ws, list) for n, ws in words.items())
+        ):
+            raise DomainError("wordset kind needs {length: [words], ...}")
         wordsets = tuple(
-            (int(n), frozenset(tuple(int(c) for c in w) for w in ws))
-            for n, ws in sorted(doc["words"].items(), key=lambda kv: int(kv[0]))
+            (int(n), frozenset(tuple(_json_word(w)) for w in ws))
+            for n, ws in sorted(words.items(), key=lambda kv: int(kv[0]))
         )
         return SubshiftSpec(alphabet=k, kind=KIND_AUTOMATON, wordsets=wordsets)
     raise DomainError(f"unknown subshift kind {kind!r}")
@@ -720,13 +685,24 @@ def _is_index(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= 0
 
 
+def _json_word(w) -> list:
+    """A word given as a digit string or as a list of symbols."""
+    if isinstance(w, str) and w.isdecimal():
+        return [int(c) for c in w]
+    if isinstance(w, list) and all(map(_is_index, w)):
+        return w
+    raise DomainError(f"word {w!r} is neither a digit string nor a list of symbols")
+
+
 def _automaton_from_json(k: int, body) -> Automaton:
     """Checked automaton from its JSON body (`automaton_spec` prunes it):
     transitions are [state, label, state] with states nonnegative integers,
     labels in [0, k), one target per (state, label), and the root one of the
     states.  States are renumbered densely, so a large state number costs
     nothing."""
-    transitions = body["transitions"]
+    if not isinstance(body, dict):
+        raise DomainError('automaton kind needs {"root": ..., "transitions": [...]}')
+    transitions = body.get("transitions")
     if not isinstance(transitions, list) or not transitions:
         raise DomainError("automaton needs a nonempty transition list")
     for item in transitions:
@@ -738,7 +714,7 @@ def _automaton_from_json(k: int, body) -> Automaton:
         if not (_is_index(l) and l < k):
             raise DomainError(f"transition {item}: label leaves the alphabet 0..{k - 1}")
     states = sorted({s for s, _, _ in transitions} | {t for _, _, t in transitions})
-    root = body["root"]
+    root = body.get("root")
     if not (_is_index(root) and root <= states[-1]):
         raise DomainError(f"root {root!r} is not one of the states 0..{states[-1]}")
     local = {s: i for i, s in enumerate(states)}

@@ -52,20 +52,14 @@ def pair_system(a: int, b: int, omega: SubshiftSpec) -> PairShiftSystem:
 
 
 def tuple_fiber_sizes(sys: PairShiftSystem) -> dict[int, int]:
-    """t(v) = #{u : (u, v) in R} for an allowed-tuple system."""
-    if sys.omega.full:
-        return {v: sys.a_size for v in range(sys.b_size)}
-    if sys.omega.tuple_set is None:
-        raise DomainError("tuple fiber sizes require an allowed-tuple system")
+    """t(v) = #{u : (u, v) in R} for a product system R^N (full or tuples)."""
+    symbols = sys.omega.product_symbols
+    if symbols is None:
+        raise DomainError("tuple fiber sizes require a product system")
     t = {v: 0 for v in range(sys.b_size)}
-    for _, v in sys.omega.tuple_set:
-        t[v] += 1
+    for symbol in symbols:
+        t[symbol % sys.b_size] += 1
     return t
-
-
-def _is_product_kind(spec: SubshiftSpec) -> bool:
-    """R^N or the full shift; `prune` keeps the relation R and the full flag."""
-    return spec.full or spec.tuple_set is not None
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +84,7 @@ def fiber_counts(
     sys: PairShiftSystem, n_max: int, budget: int | None = None
 ) -> FiberCountTable:
     cap = word_budget(budget)
-    if _is_product_kind(sys.omega):
+    if sys.omega.product_symbols is not None:
         t = {v: c for v, c in tuple_fiber_sizes(sys).items() if c > 0}
         letters = sorted(t)
         levels: dict = {}
@@ -212,10 +206,12 @@ def weighted_entropy(
 ) -> WeightedEntropyReport:
     if not (0.0 <= w <= 1.0):
         raise DomainError(f"weight exponent must lie in [0, 1], got {w}")
+    if n_max < 1:
+        raise DomainError("n_max must be >= 1")
     cap = word_budget(budget)
 
     closed = None
-    if _is_product_kind(sys.omega):
+    if sys.omega.product_symbols is not None:
         t = [c for c in tuple_fiber_sizes(sys).values() if c > 0]
         closed = math.log(_fsum_desc(float(c) ** w for c in t))
         z = _z_values_product(sys, w, n_max, cap)

@@ -1,12 +1,17 @@
 """Command-line interface: subcommands, exit codes, report determinism."""
 
+import io
 import json
 import os
+import resource
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import meandim
 from meandim.cli import main
@@ -187,6 +192,47 @@ class TestExitCodes:
         assert proc.stderr.startswith("resource limit:")
 
 
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            {"alphabet": 2, "kind": "sft", "matrix": 5},
+            {"alphabet": 2, "kind": "forbidden", "forbidden": 5},
+            [1, 2],
+            {"alphabet": 2, "kind": "sft", "matrix": [[1, "x"], [1, 1]]},
+        ],
+    )
+    def test_malformed_spec_exits_4(self, capsys, tmp_path, doc):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        assert main(["entropy", "--spec", str(spec)]) == 4
+        assert capsys.readouterr().err.startswith("spec error:")
+
+    def test_large_forbidden_spec_exits_3_without_traceback(self, tmp_path):
+        # 46,656 block states: the compiled automaton fits in memory, and the
+        # spectral solve refuses its one large component
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(
+            {"alphabet": 6, "kind": "forbidden", "forbidden": ["3302433", "2324141", "2104245"]}
+        ))
+        cap = 1536 << 20  # address space of the child, in bytes
+
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+        src = str(Path(meandim.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-m", "meandim.cli", "entropy", "--spec", str(spec)],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+            preexec_fn=limit_memory,
+            timeout=120,
+        )
+        assert proc.returncode == 3
+        assert proc.stderr.startswith("resource limit:")
+        assert "Traceback" not in proc.stderr
+
+
 def automaton_doc(transitions, root=0, alphabet=2):
     return {
         "alphabet": alphabet,
@@ -264,12 +310,115 @@ class TestUsageErrors:
         assert message in proc.stderr
 
 
+class TestSeedFlag:
+    def test_seed_is_rejected_where_nothing_samples(self, tmp_path):
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"alphabet": 2, "kind": "full"}')
+        proc = run_cli_process("entropy", "--spec", str(spec), "--seed", "1")
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --seed 1" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "qbox", "--a", "3", "--b", "2", "--tuples", "00,11,20",
+             "--N", "1", "--M", "2", "--seed", "1"],
+            ["oracle", "mass", "--a", "3", "--b", "2", "--tuples", "00,11,20",
+             "--mmin", "4", "--mmax", "4", "--seed", "1"],
+            ["oracle", "appendix-k", "--eps", "1e-2", "--seed", "1"],
+        ],
+    )
+    def test_sampling_commands_take_a_seed(self, capsys, argv):
+        assert run_cli(capsys, *argv)[0] == 0
+
+
+# Spec documents for the fuzz test: well formed for their kind, or with one
+# field replaced by arbitrary small JSON, so both the checks and the
+# computations behind them run.
+JUNK = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 4) | st.floats(-2, 4) | st.text("01x", max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text("abR", max_size=1), inner, max_size=2),
+    max_leaves=6,
+)
+SYMBOL = st.integers(0, 3)
+KIND_FIELDS = {
+    "full": {},
+    "sft": {"matrix": st.integers(1, 3).flatmap(lambda k: st.lists(
+        st.lists(st.sampled_from([0, 1]), min_size=k, max_size=k), min_size=k, max_size=k))},
+    "forbidden": {"forbidden": st.lists(
+        st.text("0123", min_size=1, max_size=3) | st.lists(SYMBOL, max_size=3), max_size=3)},
+    "tuples": {"tuples": st.fixed_dictionaries({
+        "a": st.integers(1, 3), "b": st.integers(1, 3),
+        "R": st.lists(st.lists(st.integers(0, 2), min_size=2, max_size=2), max_size=4)})},
+    "automaton": {"automaton": st.fixed_dictionaries({
+        "root": SYMBOL,
+        "transitions": st.lists(st.lists(SYMBOL, min_size=3, max_size=3), max_size=5)})},
+    "wordset": {"words": st.dictionaries(
+        st.sampled_from(["1", "2", "x"]), st.lists(st.text("012", max_size=2), max_size=3),
+        max_size=2)},
+}
+
+
+@st.composite
+def spec_docs(draw, alphabet=st.integers(1, 4)):
+    kind = draw(st.sampled_from(sorted(KIND_FIELDS)))
+    doc = {"alphabet": draw(alphabet), "kind": kind}
+    doc.update({key: draw(field) for key, field in KIND_FIELDS[kind].items()})
+    if draw(st.booleans()):
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(JUNK)
+    return doc
+
+
+@st.composite
+def pair_docs(draw):
+    b = draw(st.integers(1, 3))
+    a = draw(st.integers(b, 3))  # carpets need a >= b >= 2
+    doc = {"a": a, "b": b, "omega": draw(spec_docs(alphabet=st.just(a * b)))}
+    if draw(st.booleans()):
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(JUNK)
+    return doc
+
+
+COMMANDS = st.sampled_from([
+    ["entropy", "--spec", "{spec}"],
+    ["weighted-entropy", "--spec", "{spec}", "--w", "0.5"],
+    ["carpet", "--spec", "{spec}"],
+    ["beta", "--a", "2", "--beta", "2.5", "--omega", "{spec}", "--n", "2", "--N", "2"],
+])
+EXTRA_FLAGS = st.lists(
+    st.tuples(st.sampled_from(["--nmax", "--budget", "--w", "--seed"]),
+              st.sampled_from(["1", "2", "4", "0", "-1", "0.5", "x"])),
+    max_size=2,
+)
+
+
+class TestCliFuzz:
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(spec_docs() | pair_docs() | JUNK, COMMANDS, EXTRA_FLAGS)
+    @example({"a": 2, "b": 2, "omega": {"alphabet": 4, "kind": "forbidden", "forbidden": ["11"]}},
+             ["weighted-entropy", "--spec", "{spec}", "--w", "0.5"], [("--nmax", "0")])
+    def test_exit_code_is_documented_and_no_traceback(self, tmp_path, doc, command, extra):
+        """An exception escaping main, a traceback from the command line,
+        fails the test; so does an undocumented exit code."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        argv = [arg.format(spec=spec) for arg in command]
+        argv += [item for pair in extra for item in pair]
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse usage errors
+                code = exc.code
+        assert code in (0, 2, 3, 4), (argv, doc, err.getvalue())
+
+
 class TestDeterminism:
     def test_identical_config_gives_identical_bytes(self, capsys, tmp_path):
-        args = [
-            "carpet", "--a", "3", "--b", "2", "--tuples", "00,11,20",
-            "--seed", "0",
-        ]
+        args = ["carpet", "--a", "3", "--b", "2", "--tuples", "00,11,20"]
         _, first = run_cli(capsys, *args)
         _, second = run_cli(capsys, *args)
         assert first == second

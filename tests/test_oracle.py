@@ -225,17 +225,6 @@ class TestQBoxFamily:
         for n, m in ((1, 1), (2, 3), (3, 5)):
             assert orc.qbox_family(spec, n, m).count == 1
 
-    def test_box_iteration_matches_count_and_anchors(self):
-        spec = cp.carpet_from_tuples(3, 2, R_EXAMPLE)
-        fam = orc.qbox_family(spec, 1, 2)
-        boxes = list(fam.iter_boxes())
-        assert len(boxes) == fam.count
-        anchors = {box.anchor for box in boxes}
-        assert len(anchors) == fam.count
-        for box in boxes:
-            assert box.diam_bound == fam.diam_bound
-            assert box.diam_bound < 3 * 2.0**-2
-
     def test_separation_observed(self):
         spec = cp.carpet_from_tuples(3, 2, R_EXAMPLE)
         for n, m in ((1, 2), (2, 3), (2, 4)):
@@ -275,6 +264,7 @@ class TestQBoxFamily:
                     ]
                 )
         assert np.array_equal(cloud.points, np.array(pts))
+        assert len(cloud) == fam.count == fam.count_formula
 
     def test_sampled_separation_pinned(self):
         # observed minima recorded before the witness builder was vectorized
@@ -489,16 +479,6 @@ class TestMeasureCoverUpper:
         witnesses = [orc.WitnessSet(diam=0.001, mass=1.0, covers=frozenset([0]))]
         with pytest.raises(HypothesisViolated):
             orc.measure_cover_upper(2, witnesses, eps=0.1, c=0.5, s=0.1)
-
-
-class TestProductMeasure:
-    def test_normalization_enforced(self):
-        with pytest.raises(DomainError):
-            orc.ProductMeasure(values=(0, 1), masses=(0.5, 0.4))
-
-    def test_cylinder_mass(self):
-        mu = orc.ProductMeasure(values=(0, 1, 2), masses=(0.5, 0.25, 0.25))
-        assert mu.cylinder_mass([{0}, None, {1, 2}]) == pytest.approx(0.25, abs=1e-15)
 
 
 class TestReciprocalSpace:

@@ -11,7 +11,7 @@ from meandim import oracle as orc
 from meandim import selfsim as ss
 from meandim import symbolic as sym
 from meandim.errors import ConstructionFailure, DomainError, ResourceLimit
-from meandim.metrics import SUM_WEIGHTED_ABS, MetricDescriptor, distance
+from meandim.metrics import SUM_WEIGHTED_ABS, MetricDescriptor, pairwise_to_point
 
 
 def exhaustive_min_gap(a, beta, n):
@@ -76,10 +76,9 @@ class TestCoveringLowerBound:
         fam = ss.covering_lower_bound(spec, 2, 2)
         metric = MetricDescriptor(kind=SUM_WEIGHTED_ABS, iterates=2)
         pts = fam.points.points
-        best = math.inf
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                best = min(best, distance(pts[i], pts[j], metric))
+        best = min(
+            pairwise_to_point(pts[i + 1 :], pts[i], metric).min() for i in range(len(pts) - 1)
+        )
         assert best >= fam.dyn_eps - 1e-9
         assert best == pytest.approx(fam.dyn_eps, abs=1e-9)
 
@@ -154,19 +153,6 @@ class TestSelfSimilarDims:
             )
         assert slopes == sorted(slopes)  # nondecreasing for full shifts
         assert all(s <= target + 1e-9 for s in slopes)
-
-
-class TestContraction:
-    def test_identity_on_random_points(self):
-        rng = np.random.default_rng(2)
-        spec = ss.beta_system(3, 3.5)
-        worst = 0.0
-        for _ in range(200):
-            x, y = rng.random(16), rng.random(16)
-            w = rng.integers(0, 3, 16)
-            lhs, rhs = ss.contraction_factor(spec, x, y, w, 6)
-            worst = max(worst, abs(lhs - rhs))
-        assert worst <= 1e-12
 
 
 class TestBallSimilarity:

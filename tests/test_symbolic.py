@@ -141,18 +141,20 @@ def cycle_chord_automaton(k):
 
 class TestPrune:
     def test_full_shift_compiles_to_all_ones_matrix(self):
+        # the language of the all-ones matrix: every word, and the kind kept
         p = sym.prune(sym.full_shift(3))
-        assert p.kind == sym.KIND_SFT
-        assert p.matrix == ((1, 1, 1), (1, 1, 1), (1, 1, 1))
+        assert p.kind == sym.KIND_FULL
+        for n in range(1, 5):
+            assert sym.enumerate_words(p, n) == naive_sft_words([[1] * 3] * 3, n)
 
     def test_forbidden_11_gives_golden_mean_matrix(self):
         p = sym.prune(sym.forbidden_words(2, ["11"]))
-        assert p.matrix == ((1, 1), (1, 0))
-        # language unchanged: compare against the naive oracle up to length 4
+        assert p.kind == sym.KIND_FORBIDDEN
+        # the golden-mean vertex shift's language, and the naive oracle's
         for n in range(1, 5):
-            assert sorted(sym.enumerate_words(p, n)) == naive_forbidden_words(
-                2, [(1, 1)], n
-            )
+            words = sym.enumerate_words(p, n)
+            assert words == naive_sft_words([[1, 1], [1, 0]], n)
+            assert words == naive_forbidden_words(2, [(1, 1)], n)
 
     def test_no_cycle_is_empty(self):
         with pytest.raises(EmptySubshift):
@@ -231,7 +233,7 @@ class TestCountWords:
     def test_higher_block_compilation(self):
         spec = sym.forbidden_words(2, ["111", "00"])
         pruned = sym.prune(spec)
-        assert pruned.state_words is not None
+        assert pruned == spec and pruned.automaton is not None
         for n in range(1, 8):
             expected = naive_forbidden_words(2, [(1, 1, 1), (0, 0)], n)
             assert sorted(sym.enumerate_words(pruned, n)) == expected
@@ -430,13 +432,16 @@ class TestJson:
         specs = [
             sym.full_shift(4),
             sym.sft_from_matrix([[1, 1], [1, 0]]),
-            sym.forbidden_words(2, ["11", "000"]),
+            sym.forbidden_words(2, ["11", "000"]),  # compiled over block states
             sym.allowed_tuples(3, 2, [(0, 0), (1, 1), (2, 0)]),
+            sym.automaton_spec(sym.Automaton(2, 0, ({0: 0, 1: 1}, {0: 0})), 2),
         ]
         for spec in specs:
-            doc = sym.spec_to_json(spec)
-            back = sym.spec_from_json(doc)
-            assert sym.count_words(back, 6).counts == sym.count_words(spec, 6).counts
+            for form in (spec, sym.prune(spec)):  # a pruned spec keeps its kind
+                doc = json.loads(json.dumps(sym.spec_to_json(form)))
+                back = sym.spec_from_json(doc)
+                assert back.kind == spec.kind
+                assert sym.count_words(back, 6).counts == sym.count_words(spec, 6).counts
 
     def test_counts_serialized_as_exact_integers(self):
         table = sym.count_words(sym.full_shift(10), 30)

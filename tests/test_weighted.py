@@ -241,7 +241,8 @@ class TestWeightedEntropy:
     def test_pruned_tuples_spec_keeps_its_closed_form(self):
         omega = sym.allowed_tuples(3, 2, R_EXAMPLE)
         pruned = sym.prune(omega)
-        assert pruned.kind == sym.KIND_SFT
+        assert pruned.kind == sym.KIND_TUPLES
+        assert sym.count_words(pruned, 6).counts == sym.count_words(omega, 6).counts
         reps = [wt.weighted_entropy(wt.pair_system(3, 2, spec), 0.6309, 8)
                 for spec in (omega, pruned)]
         assert reps[0] == reps[1]
