@@ -14,8 +14,8 @@ import math
 import sys
 
 from . import carpet, grid2d, oracle, selfsim, symbolic, weighted
-from .errors import MeanDimError, ResourceLimit
-from .metrics import MetricDescriptor, PointCloud
+from .errors import DomainError, MeanDimError, ResourceLimit
+from .metrics import LINF_FINITE, SUM_WEIGHTED_ABS, SUM_WEIGHTED_TORUS, MetricDescriptor, PointCloud
 from .reportio import cloud_from_csv, cloud_to_csv, write_report
 from .suite import run_suite
 
@@ -236,18 +236,33 @@ def cmd_grid2d(args) -> int:
     return EXIT_OK
 
 
+_CSV_KINDS = (LINF_FINITE, SUM_WEIGHTED_ABS, SUM_WEIGHTED_TORUS)  # metrics of flat points
+
+
+def _sidecar_metric(doc) -> tuple[MetricDescriptor, float]:
+    """Checked metric and truncation error from a cloud's JSON sidecar (the
+    document `_emit_cloud` writes): a malformed document raises DomainError
+    naming the field."""
+    if not isinstance(doc, dict):
+        raise DomainError("a metric sidecar is a JSON object")
+    kind = doc.get("kind")
+    if kind not in _CSV_KINDS:
+        raise DomainError(f"metric kind {kind!r} is not one of {', '.join(_CSV_KINDS)}")
+    iterates = doc.get("iterates")
+    if iterates is not None and not (type(iterates) is int and iterates >= 1):
+        raise DomainError(f"metric iterates {iterates!r} is neither null nor a positive integer")
+    trunc = doc.get("truncation_error", 0.0)
+    if not (type(trunc) in (int, float) and 0.0 <= trunc < math.inf):
+        raise DomainError(f"metric truncation_error {trunc!r} is not a finite number >= 0")
+    return MetricDescriptor(kind=kind, iterates=iterates), float(trunc)
+
+
 def cmd_oracle_cover(args) -> int:
     with open(args.points) as fh:
         pts = cloud_from_csv(fh.read())
-    metric_doc = _load_json(args.metric) if args.metric else {"kind": "linf_finite"}
-    metric = MetricDescriptor(
-        kind=metric_doc["kind"], iterates=metric_doc.get("iterates")
-    )
-    cloud = PointCloud(
-        points=pts,
-        metric=metric,
-        truncation_error=float(metric_doc.get("truncation_error", 0.0)),
-    )
+    metric_doc = _load_json(args.metric) if args.metric else {"kind": LINF_FINITE}
+    metric, trunc = _sidecar_metric(metric_doc)
+    cloud = PointCloud(points=pts, metric=metric, truncation_error=trunc)
     bounds = oracle.covering_bounds(cloud, args.eps)
     report = {
         "command": "oracle cover",
@@ -313,7 +328,7 @@ def cmd_oracle_mass(args) -> int:
     spec = carpet.carpet_from_tuples(args.a, args.b, _parse_tuples(args.tuples))
     if args.s is None:
         z1 = math.fsum(
-            t**spec.w for t in weighted.tuple_fiber_sizes(spec.system).values() if t
+            t**spec.w for t in weighted.tuple_fiber_sizes(spec.system).values()
         )
         s = math.log(z1) / math.log(spec.b) - 0.1
     else:
@@ -395,9 +410,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, tol=None):
+    def common(p, tol=None, budget=False):
         p.add_argument("--out", help="write the JSON report here")
-        p.add_argument("--budget", type=int, default=None)
+        if budget:
+            p.add_argument("--budget", type=int, default=None)
         if tol is not None:
             p.add_argument("--tol", type=float, default=tol,
                            help="tolerance override for this command's checks")
@@ -405,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("entropy", help="word counts and entropy of a subshift")
     p.add_argument("--spec", required=True)
     p.add_argument("--nmax", type=int, default=12)
-    common(p)
+    common(p, budget=True)
     p.set_defaults(fn=cmd_entropy)
 
     p = sub.add_parser("weighted-entropy", help="weighted entropy of the projection")
@@ -415,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--b", type=int)
     p.add_argument("--w", type=float, required=True)
     p.add_argument("--nmax", type=int, default=8)
-    common(p)
+    common(p, budget=True)
     p.set_defaults(fn=cmd_weighted_entropy)
 
     p = sub.add_parser("carpet", help="mean dimensions of a carpet system")
@@ -424,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int)
     p.add_argument("--b", type=int)
     p.add_argument("--nmax", type=int, default=8)
-    common(p)
+    common(p, budget=True)
     p.set_defaults(fn=cmd_carpet)
 
     p = sub.add_parser("bm-classical", help="classical planar carpet dimensions")
@@ -442,14 +458,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=3, help="coordinate window")
     p.add_argument("--nmax", type=int, default=12)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    common(p, tol=1e-9)
+    common(p, tol=1e-9, budget=True)
     p.set_defaults(fn=cmd_beta)
 
     p = sub.add_parser("grid2d", help="2d rectangle-pattern counts and entropy")
     p.add_argument("--rule", required=True, help="rule JSON file")
     p.add_argument("--nmax", type=int, default=4)
     p.add_argument("--mmax", type=int, default=4)
-    common(p)
+    common(p, budget=True)
     p.set_defaults(fn=cmd_grid2d)
 
     po = sub.add_parser("oracle", help="brute-force metric geometry checks")
@@ -476,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
-    common(p)
+    common(p, budget=True)
     p.set_defaults(fn=cmd_oracle_qbox)
 
     p = osub.add_parser("mass", help="box-granular mass-distribution certificate")
@@ -488,7 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mmax", type=int, default=10)
     p.add_argument("--s", type=float, default=None)
     p.add_argument("--seed", type=int, default=0, help="sampling seed")
-    common(p)
+    common(p, budget=True)
     p.set_defaults(fn=cmd_oracle_mass)
 
     p = osub.add_parser(

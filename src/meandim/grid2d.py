@@ -21,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceLimit
 from .limits import point_budget, state_budget
-from .metrics import SUM_WEIGHTED_TORUS, MetricDescriptor, PointCloud, _grid_join
+from .metrics import SUM_WEIGHTED_TORUS, MetricDescriptor, PointCloud
 
 RULE_FREE = "free"
 RULE_LINEAR = "linear"
@@ -372,6 +372,8 @@ def homog_dims_from_report(rep: Entropy2DReport, a: int) -> dict:
     computed count is an exact power of a the ratio is computed in exact
     rational arithmetic (so the Free rule reports exactly 1).
     """
+    if a < 2:
+        raise DomainError(f"digit base {a}: the dimension entropy / log a needs a >= 2")
     exact_ratios = []
     for (n, m), c in rep.counts.items():
         e = _int_log(c, a)
@@ -394,13 +396,10 @@ def homog_dims_from_report(rep: Entropy2DReport, a: int) -> dict:
     }
 
 
-def homog_mean_dims(
-    spec: Grid2DSpec, a: int, n_max: int, m_max: int
-) -> dict:
-    """`homog_dims_from_report` of the rule's n_max x m_max `entropy2d` report."""
-    if spec.alphabet != a:
-        raise DomainError("digit base must equal the rule's alphabet size")
-    return homog_dims_from_report(entropy2d(spec, n_max, m_max), a)
+def homog_mean_dims(spec: Grid2DSpec, n_max: int, m_max: int) -> dict:
+    """`homog_dims_from_report` of the rule's n_max x m_max `entropy2d` report,
+    with the rule's alphabet as the digit base."""
+    return homog_dims_from_report(entropy2d(spec, n_max, m_max), spec.alphabet)
 
 
 # ---------------------------------------------------------------------------
@@ -415,76 +414,43 @@ def torus_points(
 
     Coordinate n of the point is x_n = sum_m w[n][m] a^-m in [0, 1); `depth`
     adds extra coordinate rows so that dynamical metrics with window n_rows
-    stay truncation-sound.  Digit rows are kept as exact integers
-    (x_n = payload int / a^m_cols) for exact torus arithmetic.
+    stay truncation-sound.
     """
     rows = n_rows + depth
     pats = enumerate_patterns(spec, rows, m_cols, budget)
     a = spec.alphabet
     denom = a**m_cols
-    ints = []
-    pts = []
-    for pat in pats:
-        vals = [
-            sum(row[m] * a ** (m_cols - 1 - m) for m in range(m_cols)) for row in pat
-        ]
-        ints.append(tuple(vals))
-        pts.append([v / denom for v in vals])
+    pts = [
+        [sum(row[m] * a ** (m_cols - 1 - m) for m in range(m_cols)) / denom for row in pat]
+        for pat in pats
+    ]
     return PointCloud(
         points=np.array(pts),
         metric=MetricDescriptor(kind=SUM_WEIGHTED_TORUS, iterates=n_rows),
         truncation_error=0.5 * 2.0 ** -(rows - n_rows + 1) if depth else 0.5 * 2.0 ** -1,
-        payload={"ints": ints, "denominator": denom, "rows": rows, "cols": m_cols},
     )
-
-
-_FLOAT_EXACT = 1 << 53  # integers below this convert to doubles exactly
-
-
-def _torus_distances(x, y, a: int, denom: int, shift_window: int, mult_window: int):
-    """Rectangle-metric distances of the row pairs (x[k], y[k]).
-
-    Rows are integer digit values over `denom`.  The distance is the sup
-    over shift iterates i < shift_window and digit-multiplication iterates
-    m < mult_window of the weighted torus sum: after multiplying by
-    a^m mod denom, row j of a pair has torus gap g_j / denom, and shift i
-    gives S_i / (denom 2^rows) with S_i = 2^i sum_{j >= i} g_j 2^(rows-1-j).
-    The largest S_i is divided once, which rounds the exact rational to its
-    double.  Numerators stay below denom 2^rows / 2, so the int64 rows of
-    the caller must keep denom 2^rows < 2^53 and denom^2 < 2^63; object rows
-    of Python integers take any size.
-    """
-    rows = x.shape[1]
-    weights = np.array([1 << (rows - 1 - j) for j in range(rows)], dtype=x.dtype)
-    lifts = np.array([1 << i for i in range(shift_window)], dtype=x.dtype)
-    top = np.zeros(len(x), dtype=x.dtype)
-    for m in range(mult_window):
-        mult = pow(a, m, denom)
-        d = np.abs(x * mult % denom - y * mult % denom)
-        suffix = np.cumsum((np.minimum(d, denom - d) * weights)[:, ::-1], axis=1)[:, ::-1]
-        top = np.maximum(top, (suffix[:, :shift_window] * lifts).max(axis=1))
-    return (top / (denom << rows)).astype(float)
 
 
 def key_fact_check(
     spec: Grid2DSpec, n_rows: int, m_cols: int, budget: int | None = None
 ) -> dict:
-    """Pairwise test of the digit-agreement implication on a finite cloud.
+    """The digit-agreement implication and its covering bracket on a cloud.
 
     At eps in (a^-M, a^-(M-1)] with tail cutoff L (least 2^-L < eps/2), any
     two cloud points closer than 1/(4a) in the rectangle metric over
-    [0, N+L) x [0, M) must be eps-close in the window-N shift metric.  The
-    implication transfers covering numbers, so the greedy brackets must
-    satisfy lower(shift metric, eps) <= upper(rectangle metric, 1/(4a)).
+    [0, N+L) x [0, M) must be eps-close in the window-N shift metric, so
+    lower(shift metric, eps) <= upper(rectangle metric, 1/(4a)).
 
-    Distances are exact integer computations on the digit rows
-    (`_torus_distances`).  Shift i = j alone contributes g_j / (2 a^M) for
-    row j, so only pairs with every row gap g_j below a^M / (2a) can be
-    closer than 1/(4a).  When a^M <= 2a that bound is one: only equal rows
-    qualify, and the rows of distinct patterns differ, so no pair is
-    measured.  Otherwise every pair is measured, in blocks.
+    No two distinct digit points are that close.  Coordinates are integers
+    over a^M; let two points' rows first differ at row j, by a^v u with u
+    prime to a and v < M.  Multiplying by a^(M-1-v) turns the difference
+    into u a^(M-1) mod a^M, a torus gap of at least 1/a, and shift j alone
+    weighs it by 1/2: the rectangle distance is at least 1/(2a), above the
+    threshold 1/(4a) and the greedy radius 1/(8a).  So there are no
+    violations and the rectangle-metric greedy keeps every point; only the
+    shift-metric lower bound is computed.
     """
-    from .oracle import _greedy_by_conflicts, covering_bounds
+    from .oracle import covering_bounds
 
     a = spec.alphabet
     eps = 0.5 * float(a) ** (-m_cols)
@@ -492,48 +458,16 @@ def key_fact_check(
     while 2.0**-tail >= eps / 2.0:
         tail += 1
     cloud = torus_points(spec, n_rows, m_cols, depth=tail, budget=budget)
-    denom = cloud.payload["denominator"]
-    rows = cloud.payload["rows"]
     n_pts = len(cloud)
-    exact = (denom << rows) < _FLOAT_EXACT and denom * denom < 1 << 63
-    vals = np.array(cloud.payload["ints"], dtype=np.int64 if exact else object)
-    vals = vals.reshape(n_pts, rows)
-
-    threshold = 1.0 / (4.0 * a)
-    radius = threshold / 2.0 - 1e-12
-    violations = 0
-    later, earlier = [np.zeros(0, dtype=np.int32)], [np.zeros(0, dtype=np.int32)]
-    if denom <= 2 * a:
-        pairs = ()
-    else:
-        pairs = next(_grid_join(np.zeros((n_pts, 0), dtype=np.int64), []))[1]
-    for i, j in pairs:
-        rect = _torus_distances(vals[i], vals[j], a, denom, rows, m_cols)
-        close = rect < threshold
-        shifted = _torus_distances(vals[i[close]], vals[j[close]], 1, denom, n_rows, 1)
-        violations += int((shifted >= eps).sum())
-        near = rect <= radius
-        later.append(np.maximum(i, j)[near])
-        earlier.append(np.minimum(i, j)[near])
-
-    shift_cloud = PointCloud(
-        points=cloud.points,
-        metric=MetricDescriptor(kind=SUM_WEIGHTED_TORUS, iterates=n_rows),
-        truncation_error=0.5 * 2.0 ** -(tail + 1),
-    )
-    lower_shift = covering_bounds(shift_cloud, eps).lower
-    # rectangle-metric centers: the greedy keeps a point unless an earlier
-    # center lies within radius of it
-    upper_rect = len(_greedy_by_conflicts(n_pts, np.concatenate(later), np.concatenate(earlier)))
-
+    lower_shift = covering_bounds(cloud, eps).lower
     return {
         "eps": eps,
         "tail": tail,
-        "pointwise_ok": violations == 0,
-        "violations": violations,
+        "pointwise_ok": True,
+        "violations": 0,
         "lower_shift": lower_shift,
-        "upper_rect": upper_rect,
-        "bracket_ok": lower_shift <= upper_rect,
+        "upper_rect": n_pts,
+        "bracket_ok": lower_shift <= n_pts,
         "points": n_pts,
     }
 
@@ -554,15 +488,36 @@ def rule_to_json(spec: Grid2DSpec) -> dict:
 
 
 def rule_from_json(doc) -> Grid2DSpec:
+    """Checked rule from its JSON document: a malformed document raises
+    DomainError naming the field."""
     if isinstance(doc, str):
         doc = json.loads(doc)
-    a = int(doc["a"])
-    rule = doc["rule"]
+    if not isinstance(doc, dict):
+        raise DomainError("a 2d rule is a JSON object")
+    a, rule = doc.get("a"), doc.get("rule")
+    if not (_ints([a]) and a > 0):
+        raise DomainError(f"rule alphabet a {a!r} is not a positive integer")
     if rule == RULE_FREE:
         return free_rule(a)
     if rule == RULE_LINEAR:
-        c = doc["coeffs"]
-        return linear_rule(a, int(c[0]), int(c[1]), int(c[2]))
+        c = doc.get("coeffs")
+        if not (_ints(c) and len(c) == 3):
+            raise DomainError(f"linear rule coeffs {c!r} are not three integers")
+        return linear_rule(a, *c)
     if rule == RULE_PATTERNS:
-        return patterns_rule(a, tuple(doc["window"]), doc["allowed"])
+        window, allowed = doc.get("window"), doc.get("allowed")
+        if not (_ints(window) and len(window) == 2 and min(window) > 0):
+            raise DomainError(f"patterns rule window {window!r} is not [h, w], both positive")
+        if not (isinstance(allowed, list) and all(
+            isinstance(p, list) and all(map(_ints, p)) for p in allowed
+        )):
+            raise DomainError("patterns rule allowed is not a list of patterns (lists of rows)")
+        return patterns_rule(a, tuple(window), allowed)
     raise DomainError(f"unknown rule {rule!r}")
+
+
+def _ints(value) -> bool:
+    """True for a JSON list of integers."""
+    return isinstance(value, list) and all(
+        isinstance(x, int) and not isinstance(x, bool) for x in value
+    )

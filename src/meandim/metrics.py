@@ -9,7 +9,7 @@ where the shift drops the leading coordinate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,14 +61,12 @@ class PointCloud:
     """Finite set of truncated points with the metric they carry.
 
     `truncation_error` bounds the contribution of the discarded coordinate
-    tail to any distance; scale queries must stay well above it.  `payload`
-    holds provenance (digit matrices etc.) used by exact certificates.
+    tail to any distance; scale queries must stay well above it.
     """
 
     points: np.ndarray
     metric: MetricDescriptor
     truncation_error: float = 0.0
-    payload: dict = field(default_factory=dict, compare=False, repr=False)
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)

@@ -256,6 +256,9 @@ def hausdorff_upper_at_scale(diameters, eps: float, tol: float = 1e-10) -> float
 # ---------------------------------------------------------------------------
 
 
+WITNESS_TAIL_LAYERS = 45  # anchor layers past m in a witness point
+
+
 @dataclass(frozen=True)
 class QBoxFamily:
     """The level-(n, m) boxes: cylinders whose first floor_wm layers fix
@@ -278,15 +281,15 @@ class QBoxFamily:
     def min_separation(self) -> float:
         return float(self.spec.b) ** (-self.m)
 
-    def witness_cloud(self, cap: int | None = None, depth_extra: int = 45) -> PointCloud:
+    def witness_cloud(self) -> PointCloud:
         """The separated family: one point per box, pairwise linf >= b^-m."""
-        cap = point_budget(cap)
+        cap = point_budget()
         if self.count > cap:
             raise ResourceLimit(
                 f"witness family has {self.count} points, budget {cap}"
             )
         t, m = self.floor_wm, self.m
-        depth = m + depth_extra
+        depth = m + WITNESS_TAIL_LAYERS
         sizes = (len(self.omega_words),) * t + (len(self.image_words),) * (m - t)
         # every digit choice, first layer slowest (the order of itertools.product)
         choices = np.indices(sizes).reshape(m, self.count).T
@@ -294,7 +297,6 @@ class QBoxFamily:
             points=_witness_points(self, choices, depth),
             metric=MetricDescriptor(kind=LINF_FINITE),  # over the 2N coordinates
             truncation_error=float(self.spec.b) ** (-depth),
-            payload={"choices": choices, "depth": depth},
         )
 
 
@@ -474,7 +476,7 @@ def qbox_cover_exponent(family: QBoxFamily, eps: float | None = None) -> float:
     )
 
 
-def covering_sandwich(spec: CarpetSpec, n: int, m: int, greedy_cap: int = 3000) -> dict:
+def covering_sandwich(spec: CarpetSpec, n: int, m: int) -> dict:
     """Two-sided covering-number bracket at scales (b^-M, a b^-M).
 
     The witness family gives #(X|_N, linf, b^-M) >= count; the box cover
@@ -486,7 +488,7 @@ def covering_sandwich(spec: CarpetSpec, n: int, m: int, greedy_cap: int = 3000) 
     log_b = math.log(spec.b)
     ratio = math.log(fam.count) / (n * m * log_b)
     greedy = None
-    if fam.count <= greedy_cap:
+    if fam.count <= 3000:  # the greedy cross-check runs on small families only
         cloud = fam.witness_cloud()
         eps = fam.min_separation()
         bounds = covering_bounds(cloud, eps)

@@ -115,7 +115,6 @@ def covering_lower_bound(
     spec: BetaSystemSpec,
     n_coords: int,
     n_layers: int,
-    tol: float = 1e-9,
     budget: int | None = None,
 ) -> CoveringFamily:
     """The separated family {sum_{k<=n} omega_k / beta^k + anchor tail}.
@@ -133,9 +132,8 @@ def covering_lower_bound(
     if count > point_budget(budget):
         raise ResourceLimit(f"family of {count} points exceeds budget")
 
-    depth = n_coords + n_layers * max(1, math.ceil(math.log2(1.0 / tol)))
-    depth = min(depth, n_coords + 80)
-    anchor = aut.lex_least_stream(depth)
+    depth = n_coords + min(30 * n_layers, 80)  # a tail below 2^-30 < 1e-9 per layer
+    anchor = aut.lex_least_extension((), depth)
     streams = [aut.lex_least_extension(w, depth) for w in words]
 
     # coordinate j of a point is fsum_k(d_k beta^-(k+1)) over its digit
@@ -168,7 +166,6 @@ def covering_lower_bound(
         points=points,
         metric=MetricDescriptor(kind=LINF_FINITE, iterates=n_coords),
         truncation_error=trunc,
-        payload={"choices": choices, "anchor": anchor, "depth": depth},
     )
     return CoveringFamily(
         points=cloud,

@@ -226,7 +226,7 @@ def criterion_grid2d():
         for n in range(1, 5)
         for m in range(1, 5)
     )
-    homog = grid2d.homog_mean_dims(grid2d.free_rule(2), 2, 4, 4)
+    homog = grid2d.homog_mean_dims(grid2d.free_rule(2), 4, 4)
     homog_ok = homog["mdim"] == 1.0
     return _result(
         "2d pattern counts",

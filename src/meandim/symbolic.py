@@ -86,16 +86,6 @@ class Automaton:
         words.sort()
         return words
 
-    def lex_least_stream(self, depth: int) -> tuple:
-        """Lexicographically least admissible sequence, truncated at depth."""
-        out = []
-        state = self.root
-        for _ in range(depth):
-            label = min(self.succ[state])
-            out.append(label)
-            state = self.succ[state][label]
-        return tuple(out)
-
     def lex_least_extension(self, word: tuple, depth: int) -> tuple:
         """word extended to length depth by the least admissible continuation."""
         state = self.root
@@ -289,9 +279,13 @@ class SubshiftSpec:
     def product_symbols(self) -> tuple | None:
         """The sorted symbol set S of a product kind, whose language is all
         words over S (full: every symbol; tuples: u * b + v for (u, v) in
-        R), or None for the other kinds."""
+        R), or None for the other kinds.  A full shift on more symbols
+        than the word budget is refused."""
         if self.kind == KIND_FULL:
-            return tuple(range(self.alphabet))
+            k, cap = self.alphabet, word_budget()
+            if k > cap:
+                raise ResourceLimit(f"word budget: full shift on {k} symbols exceeds the cap {cap}")
+            return tuple(range(k))
         if self.kind == KIND_TUPLES:
             b = self.tuple_sizes[1]
             return tuple(sorted(u * b + v for u, v in self.tuple_set))
@@ -387,12 +381,15 @@ def _automaton_from_matrix(k: int, matrix) -> Automaton:
 
 def _automaton_from_forbidden(k: int, words) -> Automaton:
     maxlen = max((len(w) for w in words), default=1)  # no word: the full shift
-    if k ** (maxlen - 1) > word_budget():
+    cap = word_budget()
+    if k ** (maxlen - 1) > cap:
         raise ResourceLimit(
-            f"{k}^{maxlen - 1} block states exceed the enumeration budget"
+            f"word budget: {k}^{maxlen - 1} block states exceed the cap {cap}"
         )
     forb = {tuple(w) for w in words}
     if maxlen == 1:
+        if k * k > cap:
+            raise ResourceLimit(f"word budget: a {k} x {k} transition matrix exceeds the cap {cap}")
         banned = {w[0] for w in forb}
         matrix = [
             [1 if (s not in banned and t not in banned) else 0 for t in range(k)]
@@ -494,7 +491,6 @@ class CountTable:
     """Exact admissible-word counts per length."""
 
     counts: dict
-    max_length: int
 
     def __getitem__(self, n: int) -> int:
         return self.counts[n]
@@ -534,9 +530,7 @@ def _wordset_table(spec: SubshiftSpec, n_max: int) -> CountTable:
         raise ResourceLimit(
             f"enumeration-only spec stores word sets up to length {max(stored)}"
         )
-    return CountTable(
-        counts={n: len(stored[n]) for n in range(1, n_max + 1)}, max_length=n_max
-    )
+    return CountTable(counts={n: len(stored[n]) for n in range(1, n_max + 1)})
 
 
 def count_words(spec: SubshiftSpec, n_max: int, budget: int | None = None) -> CountTable:
@@ -549,9 +543,7 @@ def count_words(spec: SubshiftSpec, n_max: int, budget: int | None = None) -> Co
     if aut.n_states > word_budget(budget):
         raise ResourceLimit("state space exceeds budget")
     counts = aut.word_counts(n_max)
-    return CountTable(
-        counts={n + 1: c for n, c in enumerate(counts)}, max_length=n_max
-    )
+    return CountTable(counts={n + 1: c for n, c in enumerate(counts)})
 
 
 def enumerate_words(spec: SubshiftSpec, n: int, budget: int | None = None) -> list[tuple]:

@@ -52,14 +52,16 @@ def pair_system(a: int, b: int, omega: SubshiftSpec) -> PairShiftSystem:
 
 
 def tuple_fiber_sizes(sys: PairShiftSystem) -> dict[int, int]:
-    """t(v) = #{u : (u, v) in R} for a product system R^N (full or tuples)."""
+    """t(v) = #{u : (u, v) in R} > 0 for a product system R^N (full or
+    tuples), over the occupied columns v in increasing order."""
     symbols = sys.omega.product_symbols
     if symbols is None:
         raise DomainError("tuple fiber sizes require a product system")
-    t = {v: 0 for v in range(sys.b_size)}
+    t: dict[int, int] = {}
     for symbol in symbols:
-        t[symbol % sys.b_size] += 1
-    return t
+        v = symbol % sys.b_size
+        t[v] = t.get(v, 0) + 1
+    return dict(sorted(t.items()))
 
 
 # ---------------------------------------------------------------------------
@@ -84,24 +86,6 @@ def fiber_counts(
     sys: PairShiftSystem, n_max: int, budget: int | None = None
 ) -> FiberCountTable:
     cap = word_budget(budget)
-    if sys.omega.product_symbols is not None:
-        t = {v: c for v, c in tuple_fiber_sizes(sys).items() if c > 0}
-        letters = sorted(t)
-        levels: dict = {}
-        level = {(): 1}
-        total = 0
-        for n in range(1, n_max + 1):
-            nxt = {}
-            for word, c in level.items():
-                for v in letters:
-                    nxt[word + (v,)] = c * t[v]
-            total += len(nxt)
-            if total > cap:
-                raise ResourceLimit(f"fiber table exceeds budget {cap}")
-            levels[n] = nxt
-            level = nxt
-        return FiberCountTable(levels=levels)
-
     levels = {}
     words = [()]
     for n, (parent, letter, counts) in enumerate(_fiber_levels(sys, n_max, cap), 1):
@@ -188,7 +172,7 @@ def _fsum_desc(values) -> float:
 
 def _z_values_product(sys: PairShiftSystem, w: float, n_max: int, cap: int) -> dict:
     """Z_N by explicit enumeration over projected words (vectorized)."""
-    t = [c for c in tuple_fiber_sizes(sys).values() if c > 0]
+    t = list(tuple_fiber_sizes(sys).values())
     tw = np.sort(np.array(t, dtype=float) ** w)[::-1]
     z = {}
     level = tw.copy()
@@ -212,7 +196,7 @@ def weighted_entropy(
 
     closed = None
     if sys.omega.product_symbols is not None:
-        t = [c for c in tuple_fiber_sizes(sys).values() if c > 0]
+        t = tuple_fiber_sizes(sys).values()
         closed = math.log(_fsum_desc(float(c) ** w for c in t))
         z = _z_values_product(sys, w, n_max, cap)
     else:

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import resource
 import subprocess
@@ -214,23 +215,56 @@ class TestExitCodes:
         spec.write_text(json.dumps(
             {"alphabet": 6, "kind": "forbidden", "forbidden": ["3302433", "2324141", "2104245"]}
         ))
-        cap = 1536 << 20  # address space of the child, in bytes
-
-        def limit_memory():
-            resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
-
-        src = str(Path(meandim.__file__).resolve().parent.parent)
-        proc = subprocess.run(
-            [sys.executable, "-m", "meandim.cli", "entropy", "--spec", str(spec)],
-            capture_output=True,
-            text=True,
-            env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
-            preexec_fn=limit_memory,
-            timeout=120,
-        )
+        proc = run_cli_capped(1536 << 20, "entropy", "--spec", str(spec))
         assert proc.returncode == 3
         assert proc.stderr.startswith("resource limit:")
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "doc, size",
+        [
+            ({"alphabet": 10**8, "kind": "full"}, "full shift on 100000000 symbols"),
+            ({"alphabet": 10**5, "kind": "forbidden", "forbidden": ["0", "7"]},
+             "a 100000 x 100000 transition matrix"),
+        ],
+    )
+    def test_huge_alphabet_is_refused_by_the_word_budget(self, tmp_path, doc, size):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        proc = run_cli_capped(1 << 30, "entropy", "--spec", str(spec))
+        assert proc.returncode == 3
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("resource limit: word budget:")
+        assert size in proc.stderr and "the cap 20000000" in proc.stderr
+
+    def test_tuples_spec_with_a_huge_projected_alphabet_runs(self, tmp_path):
+        # only the occupied columns of the 50,000,000 get a fiber size
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"alphabet": 1, "kind": "tuples", "tuples": {
+            "a": 3, "b": 50_000_000, "R": [[0, 0], [1, 1]]}}))
+        proc = run_cli_capped(1 << 30, "weighted-entropy", "--spec", str(spec), "--w", "0.5")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["closed_form"] == pytest.approx(math.log(2))
+
+
+def run_cli_capped(cap, *argv):
+    """The CLI in a fresh interpreter whose address space is capped at `cap`
+    bytes (the limit is set in the child only), with one BLAS thread and
+    the default budgets."""
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    src = str(Path(meandim.__file__).resolve().parent.parent)
+    env = {k: v for k, v in os.environ.items() if k != "MEANDIM_BUDGET"}
+    return subprocess.run(
+        [sys.executable, "-m", "meandim.cli", *argv],
+        capture_output=True,
+        text=True,
+        env={**env, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=limit_memory,
+        timeout=120,
+    )
 
 
 def automaton_doc(transitions, root=0, alphabet=2):
@@ -310,6 +344,29 @@ class TestUsageErrors:
         assert message in proc.stderr
 
 
+class TestBudgetFlag:
+    def test_budget_is_rejected_where_nothing_reads_it(self):
+        proc = run_cli_process("bm-classical", "--a", "3", "--b", "2", "--tuples", "00,11",
+                               "--budget", "5")
+        assert proc.returncode == 2
+        assert "unrecognized arguments: --budget 5" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["oracle", "cover", "--points", "cloud.csv", "--eps", "0.25"],
+            ["oracle", "hdim", "--diams", "0.25,0.25", "--eps", "0.3"],
+            ["oracle", "appendix-k", "--eps", "1e-4"],
+            ["paper-suite", "--quiet"],
+        ],
+    )
+    def test_budget_is_a_usage_error(self, argv):
+        with pytest.raises(SystemExit) as exc, redirect_stderr(io.StringIO()):
+            main(argv + ["--budget", "5"])
+        assert exc.value.code == 2
+
+
 class TestSeedFlag:
     def test_seed_is_rejected_where_nothing_samples(self, tmp_path):
         spec = tmp_path / "spec.json"
@@ -381,11 +438,47 @@ def pair_docs(draw):
     return doc
 
 
+RULE_FIELDS = {
+    "free": {},
+    "linear": {"coeffs": st.lists(st.integers(-1, 3), min_size=3, max_size=3)},
+    "patterns": {
+        "window": st.lists(st.integers(1, 2), min_size=2, max_size=2),
+        "allowed": st.lists(st.lists(st.lists(st.integers(0, 2), min_size=1, max_size=2),
+                                     min_size=1, max_size=2), max_size=4),
+    },
+}
+
+
+@st.composite
+def rule_docs(draw):
+    rule = draw(st.sampled_from(sorted(RULE_FIELDS)))
+    doc = {"a": draw(st.integers(1, 3)), "rule": rule}
+    doc.update({key: draw(field) for key, field in RULE_FIELDS[rule].items()})
+    if draw(st.booleans()):
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(JUNK)
+    return doc
+
+
+@st.composite
+def metric_docs(draw):
+    doc = {
+        "kind": draw(st.sampled_from(
+            ["linf_finite", "sum_weighted_abs", "sum_weighted_max", "sum_weighted_torus"])),
+        "iterates": draw(st.none() | st.integers(1, 3)),
+        "truncation_error": draw(st.sampled_from([0.0, 0.01, 1.0])),
+    }
+    if draw(st.booleans()):
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(JUNK)
+    return doc
+
+
 COMMANDS = st.sampled_from([
     ["entropy", "--spec", "{spec}"],
     ["weighted-entropy", "--spec", "{spec}", "--w", "0.5"],
     ["carpet", "--spec", "{spec}"],
     ["beta", "--a", "2", "--beta", "2.5", "--omega", "{spec}", "--n", "2", "--N", "2"],
+    ["grid2d", "--rule", "{spec}", "--nmax", "2", "--mmax", "2"],
+    ["oracle", "cover", "--points", "{points}", "--metric", "{spec}", "--eps", "0.3"],
 ])
 EXTRA_FLAGS = st.lists(
     st.tuples(st.sampled_from(["--nmax", "--budget", "--w", "--seed"]),
@@ -397,15 +490,21 @@ EXTRA_FLAGS = st.lists(
 class TestCliFuzz:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(spec_docs() | pair_docs() | JUNK, COMMANDS, EXTRA_FLAGS)
+    @given(spec_docs() | pair_docs() | rule_docs() | metric_docs() | JUNK, COMMANDS, EXTRA_FLAGS)
     @example({"a": 2, "b": 2, "omega": {"alphabet": 4, "kind": "forbidden", "forbidden": ["11"]}},
              ["weighted-entropy", "--spec", "{spec}", "--w", "0.5"], [("--nmax", "0")])
+    @example([1], ["grid2d", "--rule", "{spec}"], [])
+    @example([1], ["oracle", "cover", "--points", "{points}", "--metric", "{spec}",
+                   "--eps", "0.3"], [])
+    @example({"a": 1, "rule": "free"}, ["grid2d", "--rule", "{spec}"], [])
     def test_exit_code_is_documented_and_no_traceback(self, tmp_path, doc, command, extra):
         """An exception escaping main, a traceback from the command line,
         fails the test; so does an undocumented exit code."""
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(doc))
-        argv = [arg.format(spec=spec) for arg in command]
+        points = tmp_path / "points.csv"
+        points.write_text("x1,x2,x3\n0,0.25,0.5\n0.5,0.5,0.125\n0.75,0,1\n")
+        argv = [arg.format(spec=spec, points=points) for arg in command]
         argv += [item for pair in extra for item in pair]
         out, err = io.StringIO(), io.StringIO()
         with redirect_stdout(out), redirect_stderr(err):

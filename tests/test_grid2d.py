@@ -9,7 +9,6 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -275,22 +274,24 @@ class TestEntropy2D:
 
 class TestHomogeneousDims:
     def test_free_is_exactly_one(self):
-        rep = g2.homog_mean_dims(g2.free_rule(2), 2, 4, 4)
+        rep = g2.homog_mean_dims(g2.free_rule(2), 4, 4)
         assert rep["mdim"] == 1.0
         assert rep["exact_power"]
 
     def test_three_dot_trends_to_zero(self):
-        rep = g2.homog_mean_dims(g2.three_dot_rule(2), 2, 6, 6)
+        rep = g2.homog_mean_dims(g2.three_dot_rule(2), 6, 6)
         assert rep["mdim"] == pytest.approx(float(Fraction(11, 36)), abs=1e-12)
 
     def test_single_pattern_is_zero(self):
         spec = g2.patterns_rule(2, (1, 1), [((0,),)])
-        rep = g2.homog_mean_dims(spec, 2, 3, 3)
+        rep = g2.homog_mean_dims(spec, 3, 3)
         assert rep["mdim"] == 0.0
 
-    def test_alphabet_mismatch_rejected(self):
+    @pytest.mark.parametrize("spec", [g2.free_rule(1), g2.linear_rule(1, 1, 1, 1)])
+    def test_unary_alphabet_is_rejected(self, spec):
+        # log a = 0: there is no dimension to report
         with pytest.raises(DomainError):
-            g2.homog_mean_dims(g2.free_rule(2), 3, 2, 2)
+            g2.homog_mean_dims(spec, 2, 2)
 
 
 class TestTorusPoints:
@@ -313,8 +314,8 @@ class TestTorusPoints:
         assert len(seen) == len(cloud)
 
 
-# The Fraction implementation that key_fact_check's integer kernel replaced,
-# kept as its reference: every pair of cloud points, exact rationals.
+# The pairwise Fraction computation that key_fact_check's digit-gap lemma
+# replaced, kept as its reference: every pair of cloud points, exact rationals.
 
 
 def _torus_gap_int(p, q, denom):
@@ -356,8 +357,11 @@ def reference_key_fact_check(spec, n_rows, m_cols):
     while 2.0**-tail >= eps / 2.0:
         tail += 1
     cloud = g2.torus_points(spec, n_rows, m_cols, depth=tail)
-    ints = cloud.payload["ints"]
-    denom = cloud.payload["denominator"]
+    denom = a**m_cols
+    ints = [
+        tuple(sum(d * a ** (m_cols - 1 - m) for m, d in enumerate(row)) for row in pat)
+        for pat in g2.enumerate_patterns(spec, n_rows + tail, m_cols)
+    ]
     n_pts = len(ints)
 
     threshold = 1.0 / (4.0 * a)
@@ -438,8 +442,9 @@ class TestKeyFact:
     @settings(max_examples=30, deadline=None)
     @given(key_fact_cases())
     def test_matches_pairwise_fraction_reference(self, case):
-        # a = 3 makes the threshold 1/(4a) non-dyadic; linear a = 3 rules
-        # with m_cols = 2 measure every pair (row gaps up to 1 / 9 qualify)
+        # a = 3 makes the threshold 1/(4a) non-dyadic; a = 3 with m_cols = 2
+        # has a^M > 2a, so rows can differ by less than 1/(2a) before the
+        # digit multiplication
         spec, n_rows, m_cols = case
         assume(key_fact_cloud_size(spec, n_rows, m_cols) <= 81)
         assert g2.key_fact_check(spec, n_rows, m_cols) == reference_key_fact_check(
@@ -448,7 +453,7 @@ class TestKeyFact:
 
     @pytest.mark.parametrize(
         "spec,n_rows,m_cols",
-        # 243 points with a^M <= 2a (no pair measured); 9 points with a^M > 2a
+        # 243 points with a^M <= 2a; 9 points with a^M > 2a
         [(g2.free_rule(3), 1, 1), (g2.linear_rule(3, 1, 2, 0), 2, 2)],
     )
     def test_matches_reference_on_base_3_clouds(self, spec, n_rows, m_cols):
@@ -456,53 +461,14 @@ class TestKeyFact:
             spec, n_rows, m_cols
         )
 
-    @pytest.mark.parametrize(
-        "spec,n_rows,m_cols",
-        [(g2.free_rule(2), 2, 1), (g2.linear_rule(3, 1, 1, 0), 2, 2), (g2.three_dot_rule(2), 1, 2)],
-    )
-    def test_python_integer_path_gives_the_same_dict(self, monkeypatch, spec, n_rows, m_cols):
-        fast = g2.key_fact_check(spec, n_rows, m_cols)
-        monkeypatch.setattr(g2, "_FLOAT_EXACT", 1)  # every numerator as a Python int
-        assert g2.key_fact_check(spec, n_rows, m_cols) == fast
-
-    @settings(max_examples=150, deadline=None)
-    @given(
-        st.tuples(st.integers(1, 4), st.integers(1, 3), st.integers(1, 6)).flatmap(
-            lambda s: st.tuples(
-                st.just(s),
-                st.lists(
-                    st.lists(st.integers(0, s[0] ** s[1] - 1), min_size=2 * s[2], max_size=2 * s[2]),
-                    min_size=1,
-                    max_size=8,
-                ),
-                st.integers(1, s[2]),
-                st.integers(1, s[1]),
-                st.booleans(),
-            )
-        )
-    )
-    def test_torus_distances_match_the_fraction_metric(self, case):
-        (a, m, rows), pairs, shift_window, mult_window, python_ints = case
-        denom = a**m
-        vals = np.array(pairs, dtype=object if python_ints else np.int64)
-        got = g2._torus_distances(
-            vals[:, :rows], vals[:, rows:], a, denom, shift_window, mult_window
-        )
-        want = [
-            rect_metric_distance(p[:rows], p[rows:], denom, a, shift_window, mult_window)
-            for p in pairs
-        ]
-        assert got.tolist() == want
-
-    def test_free_2x2_under_ten_seconds(self):
-        # Timed in a child with one BLAS thread; the pairwise Fraction loop
-        # took more than a minute.  The brackets were cross-checked once
-        # against a blocked all-pairs numpy computation.
+    @staticmethod
+    def timed_in_child(call):
+        """(seconds, report) of grid2d.<call> in a child with one BLAS thread."""
         child = (
             "import json, time\n"
             "from meandim import grid2d\n"
             "t0 = time.perf_counter()\n"
-            "rep = grid2d.key_fact_check(grid2d.free_rule(2), 2, 2)\n"
+            f"rep = grid2d.{call}\n"
             "print(json.dumps([time.perf_counter() - t0, rep]))\n"
         )
         src = str(Path(g2.__file__).resolve().parent.parent)
@@ -510,7 +476,12 @@ class TestKeyFact:
                "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
         proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
                               text=True, env=env, timeout=120, check=True)
-        seconds, rep = json.loads(proc.stdout)
+        return json.loads(proc.stdout)
+
+    def test_free_2x2_under_ten_seconds(self):
+        # The pairwise Fraction loop took more than a minute.  The brackets
+        # were cross-checked once against a blocked all-pairs numpy computation.
+        seconds, rep = self.timed_in_child("key_fact_check(grid2d.free_rule(2), 2, 2)")
         assert seconds < 10.0
         assert rep == {
             "eps": 0.125,
@@ -521,6 +492,22 @@ class TestKeyFact:
             "upper_rect": 16384,
             "bracket_ok": True,
             "points": 16384,
+        }
+
+    def test_base_3_cloud_with_large_row_gaps_under_three_seconds(self):
+        # a^M = 9 > 2a: measuring every rectangle-metric pair of these 6,561
+        # points took about 7.5 s; the digit-gap lemma measures none
+        seconds, rep = self.timed_in_child("key_fact_check(grid2d.linear_rule(3, 1, 1, 1), 1, 2)")
+        assert seconds < 3.0
+        assert rep == {
+            "eps": 0.05555555555555555,
+            "tail": 6,
+            "pointwise_ok": True,
+            "violations": 0,
+            "lower_shift": 54,
+            "upper_rect": 6561,
+            "bracket_ok": True,
+            "points": 6561,
         }
 
 

@@ -247,7 +247,7 @@ class TestQBoxFamily:
     def test_witness_cloud_matches_fsum_formula(self, a, rel, n):
         fam = orc.qbox_family(cp.carpet_from_tuples(a, 2, rel), n, 5 - n)
         cloud = fam.witness_cloud()
-        depth = cloud.payload["depth"]
+        depth = fam.m + orc.WITNESS_TAIL_LAYERS
         xi_u, xi_v = fam.anchor_pair
         pts = []
         for pairs in itertools.product(fam.omega_words, repeat=fam.floor_wm):

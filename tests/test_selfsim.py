@@ -88,7 +88,7 @@ def reference_family_points(spec, n_coords, n_layers, tol=1e-9):
     aut = sym.ensure_pruned(spec.omega).automaton
     words = aut.enumerate_words(n_coords)
     depth = min(n_coords + n_layers * max(1, math.ceil(math.log2(1.0 / tol))), n_coords + 80)
-    anchor = aut.lex_least_stream(depth)
+    anchor = aut.lex_least_extension((), depth)
     streams = [aut.lex_least_extension(w, depth) for w in words]
     beta = spec.beta
     pts = []
