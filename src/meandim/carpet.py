@@ -147,7 +147,7 @@ def classical_carpet_dims(a: int, b: int, relation) -> dict:
         t[v] += 1
     r = len(rel)
     s = sum(1 for x in t if x > 0)
-    dim_h = math.log(math.fsum(sorted((x**w for x in t if x > 0), reverse=True))) / math.log(b)
+    dim_h = math.log(math.fsum(x**w for x in t if x > 0)) / math.log(b)
     dim_m = math.log(s) / math.log(b) + math.log(r / s) / math.log(a)
     return {
         "dim_h": dim_h,

@@ -71,6 +71,13 @@ class PointCloud:
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         object.__setattr__(self, "points", pts)
+        # a weighted window shifts past the last coordinate (linf takes them all)
+        iterates = self.metric.iterates
+        if len(pts) and self.metric.kind != LINF_FINITE and iterates is not None:
+            if iterates > pts.shape[-1]:
+                raise DomainError(
+                    f"metric iterates {iterates} exceeds the cloud's {pts.shape[-1]} coordinates"
+                )
 
     def __len__(self) -> int:
         return len(self.points)

@@ -10,6 +10,7 @@ integer certificates, or double precision with outward 1e-12 slack.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
@@ -712,9 +713,7 @@ def inverse_square_mass(lo: float, hi: float, enum_cap: int = 1_000_000) -> floa
             j_min = _least_index_at_most(hi)
             # all atoms 1/j <= hi: enumerate a prefix, bound the rest
             j_stop = j_min + enum_cap
-            total += INV_SQ_WEIGHT * math.fsum(
-                1.0 / (j * j) for j in range(j_min, j_stop)
-            )
+            total += INV_SQ_WEIGHT * _inverse_square_sum(j_min, j_stop)
             total += INV_SQ_WEIGHT / j_stop  # integral tail: sum_{j>=J} j^-2 >= 1/J
         return min(total, 1.0)
     if hi <= 0.0:
@@ -724,11 +723,32 @@ def inverse_square_mass(lo: float, hi: float, enum_cap: int = 1_000_000) -> floa
     if j_max < j_min:
         return 0.0
     if j_max - j_min + 1 <= enum_cap:
-        return INV_SQ_WEIGHT * math.fsum(
-            1.0 / (j * j) for j in range(j_min, j_max + 1)
-        )
+        return INV_SQ_WEIGHT * _inverse_square_sum(j_min, j_max + 1)
     # integral lower bound: sum_{j=j0}^{j1} j^-2 >= 1/j0 - 1/(j1 + 1)
     return INV_SQ_WEIGHT * (1.0 / j_min - 1.0 / (j_max + 1))
+
+
+_INV_SQ_BLOCK = 1 << 14  # terms per block of the exact sum: bounds its memory
+
+
+def _inverse_square_sum(j_lo: int, j_hi: int) -> float:
+    """math.fsum of 1.0 / (j * j) over j_lo <= j < j_hi, bit for bit.
+
+    A float64 j is exact below 2^53, and j * j then rounds as Python's int
+    to float conversion does; larger j stay Python ints.  A single atom is
+    its own sum (most calls from the product witness hold one).
+    """
+    if j_hi - j_lo == 1:
+        return 1.0 / (j_lo * j_lo)
+    dtype = float if j_hi <= 2**53 else object
+    total = sum(
+        weighted.exact_total(1.0 / (j * j))
+        for j in (
+            np.arange(lo, min(lo + _INV_SQ_BLOCK, j_hi), dtype=dtype)
+            for lo in range(j_lo, j_hi, _INV_SQ_BLOCK)
+        )
+    )
+    return float(total)
 
 
 def _least_index_at_most(hi: float) -> int:
@@ -877,13 +897,13 @@ def reciprocal_set_dims(n_cap: int, eps_list, probe_s: float = 0.05) -> dict:
             raise DegenerateScale(
                 f"eps = {eps} is below the truncation resolution 1/{n_cap}"
             )
+        # greedy intervals [start, start + eps): p - start rounds monotonically
+        # in p, so bisect finds the first point with p - start >= eps
         count = 0
         i = 0
-        n = len(points)
-        while i < n:
+        while i < len(points):
             start = points[i]
-            while i < n and points[i] - start < eps:
-                i += 1
+            i = bisect.bisect_left(points, True, lo=i, key=lambda p: p - start >= eps)
             count += 1
         out["minkowski_scale"][eps] = math.log(count) / math.log(1.0 / eps)
         out["covering_number_" + repr(eps)] = count
@@ -892,7 +912,7 @@ def reciprocal_set_dims(n_cap: int, eps_list, probe_s: float = 0.05) -> dict:
         out["hausdorff_scale_upper"][eps] = 0.0
         out["witness"][eps] = {
             "delta": delta,
-            "singletons": sum(1 for p in points if p > delta),
+            "singletons": len(points) - bisect.bisect_right(points, delta),
             "probe_s": probe_s,
             "weight_sum": weight,
             "weight_below_one": weight < 1.0,

@@ -85,11 +85,14 @@ def min_gap(a: int, beta: float, n: int, budget: int | None = None) -> float:
         # with beta = p/q, sum u_k beta^-k = (sum u_k q^k p^(n-k)) / p^n: the
         # minimum gap is an exact integer difference over the denominator p^n
         p, q = frac.numerator, frac.denominator
-        scaled = sorted(
-            sum(u * q**k2 * p ** (n - k2) for k2, u in zip(range(1, n + 1), tup))
-            for tup in itertools.product(range(a), repeat=n)
-        )
-        best = min(b2 - a2 for a2, b2 in zip(scaled, scaled[1:]))
+        weights = [q**k * p ** (n - k) for k in range(1, n + 1)]
+        # add the digit columns as an outer sweep, in int64 when every scaled
+        # sum fits it and in Python ints otherwise
+        dtype = np.int64 if (a - 1) * sum(weights) < 2**62 else object
+        scaled = np.zeros(1, dtype=dtype)
+        for weight in weights:
+            scaled = np.add.outer(scaled, np.arange(a).astype(dtype) * weight).ravel()
+        best = int(np.diff(np.sort(scaled)).min())
         return best / float(p) ** n
     values = np.sort(
         np.array(

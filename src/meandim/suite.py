@@ -11,6 +11,8 @@ import math
 import random
 import time
 
+import numpy as np
+
 from . import carpet, grid2d, oracle, selfsim, symbolic, weighted
 
 GOLDEN_MEAN_ENTROPY = 0.48121182505960347  # log((1 + sqrt 5) / 2)
@@ -241,23 +243,25 @@ def criterion_grid2d():
     )
 
 
-def _brute_force_grid_count(spec, n_rows, m_cols):
-    import itertools
+_GRID_BLOCK = 4096  # grids per block of the brute-force count
 
+
+def _brute_force_grid_count(spec, n_rows, m_cols):
+    """Exhaustive count of the n_rows x m_cols grids over the rule's alphabet
+    whose every 2 x 2 window satisfies c00 x + c10 y + c01 z = 0 (mod a),
+    independent of the transfer graph: grid g of itertools.product order has
+    the base-a digits of g as its cells, row by row, checked a block at a time.
+    """
     a = spec.alphabet
     c00, c10, c01 = spec.coeffs
+    cells = n_rows * m_cols
+    place = a ** np.arange(cells - 1, -1, -1, dtype=np.int64)
     count = 0
-    for flat in itertools.product(range(a), repeat=n_rows * m_cols):
-        grid = [flat[i * m_cols : (i + 1) * m_cols] for i in range(n_rows)]
-        ok = True
-        for i in range(n_rows - 1):
-            for j in range(m_cols - 1):
-                if (c00 * grid[i][j] + c10 * grid[i + 1][j] + c01 * grid[i][j + 1]) % a:
-                    ok = False
-                    break
-            if not ok:
-                break
-        count += ok
+    for lo in range(0, a**cells, _GRID_BLOCK):
+        g = np.arange(lo, min(lo + _GRID_BLOCK, a**cells), dtype=np.int64)
+        grid = (g[:, None] // place % a).reshape(-1, n_rows, m_cols)
+        window = c00 * grid[:, :-1, :-1] + c10 * grid[:, 1:, :-1] + c01 * grid[:, :-1, 1:]
+        count += int((window % a == 0).all(axis=(1, 2)).sum())
     return count
 
 

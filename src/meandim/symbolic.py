@@ -382,15 +382,11 @@ def _automaton_from_matrix(k: int, matrix) -> Automaton:
 def _automaton_from_forbidden(k: int, words) -> Automaton:
     maxlen = max((len(w) for w in words), default=1)  # no word: the full shift
     cap = word_budget()
-    if k ** (maxlen - 1) > cap:
-        raise ResourceLimit(
-            f"word budget: {k}^{maxlen - 1} block states exceed the cap {cap}"
-        )
     forb = {tuple(w) for w in words}
+    banned = {w[0] for w in forb if len(w) == 1}
     if maxlen == 1:
         if k * k > cap:
             raise ResourceLimit(f"word budget: a {k} x {k} transition matrix exceeds the cap {cap}")
-        banned = {w[0] for w in forb}
         matrix = [
             [1 if (s not in banned and t not in banned) else 0 for t in range(k)]
             for s in range(k)
@@ -398,6 +394,19 @@ def _automaton_from_forbidden(k: int, words) -> Automaton:
         return _automaton_from_matrix(k, matrix)
 
     block = maxlen - 1
+    # A clean prefix holds only live symbols (those not forbidden as words
+    # themselves), so the trie reaches at most live^block block states, each
+    # trying the live symbols: live^maxlen bounds states and transitions.
+    # Counting at least two live symbols also bounds the length of the
+    # chain that a single live symbol spells.
+    n_live = k - len(banned)
+    size = max(n_live, 2) ** maxlen
+    if size > cap:
+        raise ResourceLimit(
+            f"word budget: {max(n_live, 2)}^{maxlen} words over {n_live} live symbols "
+            f"({size}) exceed the cap {cap}"
+        )
+    live = [c for c in range(k) if c not in banned]
 
     def clean(word: tuple) -> bool:
         for f in forb:
@@ -417,7 +426,7 @@ def _automaton_from_forbidden(k: int, words) -> Automaton:
         for p in frontier:
             if len(p) >= block:
                 continue
-            for c in range(k):
+            for c in live:
                 q = p + (c,)
                 if clean(q):
                     states[q] = len(succ)
@@ -428,7 +437,7 @@ def _automaton_from_forbidden(k: int, words) -> Automaton:
     for p, idx in list(states.items()):
         if len(p) != block:
             continue
-        for c in range(k):
+        for c in live:
             word = p + (c,)
             if clean(word):
                 q = word[1:]

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -166,22 +167,58 @@ class WeightedEntropyReport:
     submultiplicative_ok: bool
 
 
-def _fsum_desc(values) -> float:
-    return math.fsum(sorted(values, reverse=True))
+_EXACT_RUN = 1 << 10  # int64 sums of this many 53-bit mantissas cannot overflow
+
+
+def exact_total(values, counts=None) -> Fraction:
+    """The exact sum of counts[i] copies of each finite double values[i]
+    (one copy each when counts is None).
+
+    np.frexp splits each double into a 53-bit integer mantissa and an
+    exponent.  The mantissas of one exponent add as int64 in runs of at most
+    _EXACT_RUN (Python ints once counts multiply them), and the run sums add
+    as Python ints shifted to the least exponent.  float() of the result
+    divides int by int, which rounds correctly, half to even, as math.fsum
+    does, so it is math.fsum of the expanded multiset bit for bit, in any
+    order of the terms.
+    """
+    frac, exp = np.frexp(np.asarray(values, dtype=float))
+    if not len(exp):
+        return Fraction(0)
+    order = np.argsort(exp, kind="stable")
+    exp = exp[order]
+    terms = (frac[order] * 2.0**53).astype(np.int64)
+    if counts is not None:
+        terms = terms.astype(object) * np.asarray(counts, dtype=object)[order]
+    cut = np.ones(len(exp), dtype=bool)
+    cut[1:] = exp[1:] != exp[:-1]
+    cut[::_EXACT_RUN] = True
+    heads = np.flatnonzero(cut)
+    low = min(0, int(exp[0]) - 53)
+    sums = np.add.reduceat(terms, heads).tolist()
+    total = sum(s << (e - 53 - low) for s, e in zip(sums, exp[heads].tolist()))
+    return Fraction(total, 1 << -low)
 
 
 def _z_values_product(sys: PairShiftSystem, w: float, n_max: int, cap: int) -> dict:
-    """Z_N by explicit enumeration over projected words (vectorized)."""
+    """Z_N over the multiset of word values: a word's value is its prefix's
+    value times the new letter's t^w, rounded, so level N is the distinct
+    values of level N - 1 times each distinct t^w, with word counts."""
     t = list(tuple_fiber_sizes(sys).values())
-    tw = np.sort(np.array(t, dtype=float) ** w)[::-1]
+    tw, mult = np.unique(np.array(t, dtype=float) ** w, return_counts=True)
+    values, counts = tw, mult.astype(object)
     z = {}
-    level = tw.copy()
     for n in range(1, n_max + 1):
-        if level.size > cap:
+        if len(t) ** n > cap:
             raise ResourceLimit(f"Z enumeration exceeds budget {cap}")
-        z[n] = _fsum_desc(level.tolist())
+        z[n] = float(exact_total(values, counts))
         if n < n_max:
-            level = np.multiply.outer(level, tw).ravel()
+            values, inverse = np.unique(
+                np.multiply.outer(values, tw).ravel(), return_inverse=True
+            )
+            merged = np.zeros(len(values), dtype=object)
+            np.add.at(merged, inverse, np.multiply.outer(counts, mult).ravel())
+            counts = merged
     return z
 
 
@@ -197,13 +234,13 @@ def weighted_entropy(
     closed = None
     if sys.omega.product_symbols is not None:
         t = tuple_fiber_sizes(sys).values()
-        closed = math.log(_fsum_desc(float(c) ** w for c in t))
+        closed = math.log(math.fsum(float(c) ** w for c in t))
         z = _z_values_product(sys, w, n_max, cap)
     else:
-        z = {
-            n: _fsum_desc(float(c) ** w for c in counts.tolist())
-            for n, (_, _, counts) in enumerate(_fiber_levels(sys, n_max, cap), 1)
-        }
+        z = {}
+        for n, (_, _, counts) in enumerate(_fiber_levels(sys, n_max, cap), 1):
+            sizes, mult = np.unique(counts, return_counts=True)
+            z[n] = float(exact_total([float(c) ** w for c in sizes.tolist()], mult))
 
     bounds = []
     best = math.inf

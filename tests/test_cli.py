@@ -237,6 +237,34 @@ class TestExitCodes:
         assert proc.stderr.startswith("resource limit: word budget:")
         assert size in proc.stderr and "the cap 20000000" in proc.stderr
 
+    def test_forbidden_spec_with_too_many_transitions_exits_3(self, tmp_path):
+        # 20,000 block states of length 1, each trying the 20,000 live symbols
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"alphabet": 20000, "kind": "forbidden", "forbidden": ["00"]}))
+        proc = run_cli_capped(1 << 30, "entropy", "--spec", str(spec))
+        assert proc.returncode == 3, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("resource limit: word budget:")
+        assert "20000^2 words over 20000 live symbols (400000000)" in proc.stderr
+        assert "the cap 20000000" in proc.stderr
+
+    def test_forbidden_symbols_do_not_count_as_live(self, capsys, tmp_path):
+        # 10^8 words of length 8 exceed the cap; over the 2 live symbols there are 2^8
+        spec = tmp_path / "spec.json"
+        words = [str(c) for c in range(2, 10)] + ["0" * 8]
+        spec.write_text(json.dumps({"alphabet": 10, "kind": "forbidden", "forbidden": words}))
+        code, out = run_cli(capsys, "entropy", "--spec", str(spec), "--nmax", "6")
+        assert code == 0
+        assert json.loads(out)["counts"]["6"] == str(2**6)
+
+    def test_one_live_symbol_and_a_long_word_exits_3(self, capsys, tmp_path):
+        # the single live symbol spells a chain as long as the word
+        spec = tmp_path / "spec.json"
+        doc = {"alphabet": 2, "kind": "forbidden", "forbidden": ["1", "0" * 40]}
+        spec.write_text(json.dumps(doc))
+        assert main(["entropy", "--spec", str(spec)]) == 3
+        assert "2^40 words over 1 live symbols" in capsys.readouterr().err
+
     def test_tuples_spec_with_a_huge_projected_alphabet_runs(self, tmp_path):
         # only the occupied columns of the 50,000,000 get a fiber size
         spec = tmp_path / "spec.json"
@@ -322,6 +350,41 @@ class TestAutomatonSpecChecks:
         spec.write_text('{"alphabet": 2, "kind": "forbidden", "forbidden": ["11"]}')
         assert main(["entropy", "--spec", str(spec)]) == 3
         assert "exceeds the tolerance 0" in capsys.readouterr().err
+
+
+class TestOracleCoverSidecar:
+    @pytest.mark.parametrize("kind", ["sum_weighted_abs", "sum_weighted_torus"])
+    def test_iterates_past_the_coordinates_exits_4(self, capsys, tmp_path, kind):
+        points = tmp_path / "cloud.csv"
+        points.write_text("x1,x2\n0,0.25\n0.5,0.5\n")
+        metric = tmp_path / "metric.json"
+        metric.write_text(json.dumps({"kind": kind, "iterates": 5}))
+        code = main(["oracle", "cover", "--points", str(points), "--metric", str(metric),
+                     "--eps", "0.3"])
+        assert code == 4
+        assert capsys.readouterr().err == (
+            "spec error: metric iterates 5 exceeds the cloud's 2 coordinates\n"
+        )
+
+    def test_iterates_equal_to_the_coordinates_runs(self, capsys, tmp_path):
+        points = tmp_path / "cloud.csv"
+        points.write_text("x1,x2\n0,0.25\n0.5,0.5\n")
+        metric = tmp_path / "metric.json"
+        metric.write_text(json.dumps({"kind": "sum_weighted_abs", "iterates": 2}))
+        code, out = run_cli(capsys, "oracle", "cover", "--points", str(points),
+                            "--metric", str(metric), "--eps", "0.3")
+        assert code == 0
+        assert json.loads(out)["exact"] == 2
+
+    def test_linf_iterates_past_the_coordinates_takes_them_all(self, capsys, tmp_path):
+        points = tmp_path / "cloud.csv"
+        points.write_text("x1,x2\n0,0.25\n0.5,0.5\n")
+        metric = tmp_path / "metric.json"
+        metric.write_text(json.dumps({"kind": "linf_finite", "iterates": 5}))
+        code, out = run_cli(capsys, "oracle", "cover", "--points", str(points),
+                            "--metric", str(metric), "--eps", "0.3")
+        assert code == 0
+        assert json.loads(out)["exact"] == 2
 
 
 class TestUsageErrors:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meandim.errors import DomainError
 from meandim.metrics import (
     LINF_FINITE,
     SUM_WEIGHTED_ABS,
@@ -151,3 +152,11 @@ def test_min_pairwise_joins_adjacent_cells():
     cloud = PointCloud(points=pts, metric=MetricDescriptor(kind=LINF_FINITE))
     assert cloud.min_pairwise() == reference_min_pairwise(cloud)
     assert cloud.min_pairwise() < 0.03
+
+
+@pytest.mark.parametrize("kind", [SUM_WEIGHTED_ABS, SUM_WEIGHTED_MAX, SUM_WEIGHTED_TORUS])
+def test_weighted_window_past_the_coordinates_is_refused(kind):
+    pts = np.zeros((3, 2, 4)) if kind == SUM_WEIGHTED_MAX else np.zeros((3, 4))
+    PointCloud(points=pts, metric=MetricDescriptor(kind=kind, iterates=4))
+    with pytest.raises(DomainError, match="metric iterates 5 exceeds the cloud's 4 coordinates"):
+        PointCloud(points=pts, metric=MetricDescriptor(kind=kind, iterates=5))

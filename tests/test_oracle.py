@@ -550,6 +550,76 @@ class TestReciprocalSpace:
             orc.reciprocal_set_dims(100, [1e-4])
 
 
+def reference_inverse_square_mass(lo, hi, enum_cap=1_000_000):
+    """inverse_square_mass with its atoms summed one by one by math.fsum."""
+    if hi < lo:
+        return 0.0
+    total = 0.0
+    if lo <= 0.0 <= hi:
+        total += 0.5
+        if hi > 0.0:
+            j_min = orc._least_index_at_most(hi)
+            j_stop = j_min + enum_cap
+            total += orc.INV_SQ_WEIGHT * math.fsum(1.0 / (j * j) for j in range(j_min, j_stop))
+            total += orc.INV_SQ_WEIGHT / j_stop
+        return min(total, 1.0)
+    if hi <= 0.0:
+        return 0.0
+    j_min = orc._least_index_at_most(hi)
+    j_max = orc._greatest_index_at_least(lo)
+    if j_max < j_min:
+        return 0.0
+    if j_max - j_min + 1 <= enum_cap:
+        return orc.INV_SQ_WEIGHT * math.fsum(1.0 / (j * j) for j in range(j_min, j_max + 1))
+    return orc.INV_SQ_WEIGHT * (1.0 / j_min - 1.0 / (j_max + 1))
+
+
+def reference_set_dims_counts(n_cap, eps):
+    """Greedy interval count and singleton count of reciprocal_set_dims,
+    one point at a time."""
+    points = orc.reciprocal_atoms(n_cap)
+    count, i = 0, 0
+    while i < len(points):
+        start = points[i]
+        while i < len(points) and points[i] - start < eps:
+            i += 1
+        count += 1
+    return count, sum(1 for p in points if p > eps / 2.0)
+
+
+class TestReciprocalKernelsMatchReference:
+    @pytest.mark.parametrize("j_lo, j_hi", [
+        (1, 2), (1, 3), (7, orc._INV_SQ_BLOCK), (7, orc._INV_SQ_BLOCK + 8),
+        (orc._INV_SQ_BLOCK - 1, 3 * orc._INV_SQ_BLOCK + 2), (10**9, 10**9 + 2**16 + 3),
+        (2**53 - 5, 2**53 + 4),  # past 2^53 the indices stay Python ints
+    ])
+    def test_sum_equals_the_fsum_generator(self, j_lo, j_hi):
+        want = math.fsum(1.0 / (j * j) for j in range(j_lo, j_hi))
+        assert orc._inverse_square_sum(j_lo, j_hi) == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([-0.1, 0.0]) | st.floats(1e-6, 1.0) | st.integers(1, 10**5).map(lambda j: 1 / j),
+        st.floats(1e-12, 0.2) | st.sampled_from([0.0, 1e-7, 1e-5]),
+        st.sampled_from([1, 100, 40_000, 200_000]),
+    )
+    def test_mass_equals_the_reference(self, lo, width, enum_cap):
+        hi = lo + width
+        assert orc.inverse_square_mass(lo, hi, enum_cap) == reference_inverse_square_mass(
+            lo, hi, enum_cap
+        )
+
+    @pytest.mark.parametrize("n_cap, eps", [
+        (100_000, 1e-4), (100_000, 1e-3), (100_000, 1e-2), (100_000, 0.1), (1, 0.5),
+        (1000, 0.3), (1000, 0.25),
+    ])
+    def test_set_dims_counts_equal_the_point_loop(self, n_cap, eps):
+        rep = orc.reciprocal_set_dims(n_cap, [eps])
+        count, singletons = reference_set_dims_counts(n_cap, eps)
+        assert rep["covering_number_" + repr(eps)] == count
+        assert rep["witness"][eps]["singletons"] == singletons
+
+
 def test_all_zero_point_records_threshold_scale():
     # with every coordinate in the smallest class, mass >= (1/2)^(N+L);
     # the claim follows whenever m stays below 6 log2(1 / (2r))

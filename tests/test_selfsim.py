@@ -24,7 +24,47 @@ def exhaustive_min_gap(a, beta, n):
     return float(min(y - x for x, y in zip(values, values[1:])))
 
 
+def python_int_min_gap(a, beta, n):
+    """min_gap's rational path with one Python-int sum per digit tuple."""
+    frac = Fraction(beta).limit_denominator(1 << 30)
+    assert float(frac) == beta
+    p, q = frac.numerator, frac.denominator
+    scaled = sorted(
+        sum(u * q**k2 * p ** (n - k2) for k2, u in zip(range(1, n + 1), tup))
+        for tup in itertools.product(range(a), repeat=n)
+    )
+    best = min(b2 - a2 for a2, b2 in zip(scaled, scaled[1:]))
+    return best / float(p) ** n
+
+
+def scaled_sum_bound(a, beta, n):
+    """(a - 1) times the digit weights of min_gap's rational path: the
+    largest scaled sum, which decides between int64 and Python ints."""
+    frac = Fraction(beta).limit_denominator(1 << 30)
+    p, q = frac.numerator, frac.denominator
+    return (a - 1) * sum(q**k * p ** (n - k) for k in range(1, n + 1))
+
+
 class TestMinGap:
+    @pytest.mark.parametrize("a", [2, 3, 4])
+    @pytest.mark.parametrize("offset", [0.0, 0.5, 1.0, 0.25, 0.125, 1.75])
+    def test_int64_sweep_equals_the_python_int_sweep(self, a, offset):
+        beta = a + offset
+        for n in range(1, 8 if a < 4 else 6):
+            assert scaled_sum_bound(a, beta, n) < 2**62
+            assert ss.min_gap(a, beta, n) == python_int_min_gap(a, beta, n)
+
+    def test_largest_int64_case_next_to_the_python_int_dtype(self):
+        assert scaled_sum_bound(2, 2.3, 13) < 2**62 <= scaled_sum_bound(2, 2.3, 14)
+        assert ss.min_gap(2, 2.3, 13) == python_int_min_gap(2, 2.3, 13)
+
+    @pytest.mark.parametrize(
+        "a, beta, n", [(3, 3.000001, 6), (2, 2.000001, 5), (2, 2.3, 14), (2, 2.3, 15)]
+    )
+    def test_python_int_dtype_sweep_equals_the_reference(self, a, beta, n):
+        assert scaled_sum_bound(a, beta, n) >= 2**62
+        assert ss.min_gap(a, beta, n) == python_int_min_gap(a, beta, n)
+
     def test_dyadic_exact(self):
         assert ss.min_gap(2, 2.0, 3) == 0.125
 

@@ -1,0 +1,79 @@
+"""The paper-suite's own kernels: the brute-force grid count and the memory
+the array kernels of criteria 2 and 7 take."""
+
+import itertools
+import tracemalloc
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from meandim import grid2d as g2
+from meandim import suite
+
+
+def reference_grid_count(spec, n_rows, m_cols):
+    """Every grid of itertools.product order, every 2 x 2 window checked
+    one cell at a time."""
+    a = spec.alphabet
+    c00, c10, c01 = spec.coeffs
+    count = 0
+    for flat in itertools.product(range(a), repeat=n_rows * m_cols):
+        grid = [flat[i * m_cols : (i + 1) * m_cols] for i in range(n_rows)]
+        ok = True
+        for i in range(n_rows - 1):
+            for j in range(m_cols - 1):
+                if (c00 * grid[i][j] + c10 * grid[i + 1][j] + c01 * grid[i][j + 1]) % a:
+                    ok = False
+                    break
+            if not ok:
+                break
+        count += ok
+    return count
+
+
+@st.composite
+def linear_grid_cases(draw):
+    """Random linear rules, zero coefficients included, on sizes with at
+    most 4,096 grids (one block)."""
+    a = draw(st.sampled_from((2, 3, 4)))
+    coeffs = draw(st.tuples(*[st.integers(0, a - 1)] * 3))
+    n_rows = draw(st.integers(1, 4))
+    m_cols = draw(st.integers(1, 4).filter(lambda m: a ** (n_rows * m) <= 4096))
+    return g2.linear_rule(a, *coeffs), n_rows, m_cols
+
+
+class TestBruteForceGridCount:
+    @settings(max_examples=120, deadline=None)
+    @given(linear_grid_cases())
+    def test_blocks_equal_the_cell_loop(self, case):
+        spec, n_rows, m_cols = case
+        want = reference_grid_count(spec, n_rows, m_cols)
+        assert suite._brute_force_grid_count(spec, n_rows, m_cols) == want
+        with mock.patch.object(suite, "_GRID_BLOCK", 7):  # many blocks, a ragged last one
+            assert suite._brute_force_grid_count(spec, n_rows, m_cols) == want
+
+    def test_grids_past_one_block(self):
+        # 2^16 grids: sixteen full blocks
+        spec = g2.linear_rule(2, 1, 1, 1)
+        want = reference_grid_count(spec, 4, 4)
+        assert suite._brute_force_grid_count(spec, 4, 4) == want == 2 ** (4 + 4 - 1)
+
+
+@pytest.mark.parametrize(
+    "criterion, cap",
+    [(suite.criterion_weighted_consistency, 1 << 20), (suite.criterion_grid2d, 4 << 20)],
+)
+def test_criterion_peak_traced_memory(criterion, cap):
+    """Criterion 2 keeps multisets of word values instead of b^N arrays and
+    criterion 7 counts grids a block at a time; the first run fills the
+    library's caches, the second is traced."""
+    assert criterion()["passed"]
+    tracemalloc.start()
+    try:
+        assert criterion()["passed"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < cap

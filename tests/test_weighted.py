@@ -5,8 +5,9 @@ import math
 import random
 from unittest import mock
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from meandim import symbolic as sym
@@ -116,7 +117,7 @@ class TestFiberSweep:
             )
         z = wt.weighted_entropy(sys_, w, n_max).z_values
         for n, level in want.items():
-            assert z[n] == wt._fsum_desc(float(c) ** w for c in level.values())
+            assert z[n] == math.fsum(float(c) ** w for c in level.values())
         small = sum(len(want[n]) for n in range(1, n_max + 1)) - 1
         with pytest.raises(ResourceLimit):
             reference_fiber_counts(sys_, n_max, small)
@@ -229,6 +230,92 @@ class TestFiberCounts:
             built += 1
             for n in (1, 3, 5):
                 assert table.level(n) == naive_fibers(sys_.omega, 2, n)
+
+
+# doubles over the whole exponent range, subnormals included
+BINADE_DOUBLES = st.builds(math.ldexp, st.floats(-1.0, 1.0), st.integers(-1080, 1000))
+
+
+@st.composite
+def half_ulp_ties(draw):
+    """A double x and 2^j copies of ulp(x) / 2^(j+1): the exact sum lies
+    half-way between x and its neighbour, where rounding goes to even."""
+    x = draw(st.floats(2.0**-1000, 2.0**1000))
+    j = draw(st.integers(0, 13))
+    return [x, math.ulp(x) / 2 ** (j + 1)], [1, 2**j]
+
+
+class TestExactTotal:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(BINADE_DOUBLES, st.integers(0, 10**4)), max_size=12))
+    @example([(1.0, 1), (2.0**-53, 1)])  # a tie: 1 + ulp/2 rounds to 1
+    @example([(1.0 + 2.0**-52, 1), (2.0**-53, 1)])  # a tie rounding up to even
+    @example([(1e308, 1), (-1e308, 1), (1e-300, 3)])
+    @example([(5e-324, 10**4), (-5e-324, 3)])
+    def test_equals_fsum_of_the_expanded_multiset(self, pairs):
+        values, counts = [v for v, _ in pairs], [c for _, c in pairs]
+        want = math.fsum(v for v, c in pairs for _ in range(c))
+        assert float(wt.exact_total(values, counts)) == want
+        assert float(wt.exact_total(values)) == math.fsum(values)
+
+    @settings(max_examples=200, deadline=None)
+    @given(half_ulp_ties())
+    def test_half_ulp_ties_round_to_even(self, tie):
+        values, counts = tie
+        want = math.fsum(v for v, c in zip(values, counts) for _ in range(c))
+        assert float(wt.exact_total(values, counts)) == want
+        assert float(wt.exact_total(values[::-1], counts[::-1])) == want
+
+    def test_long_runs_of_one_exponent_stay_exact(self):
+        # 3 * 2^10 + 5 mantissas near 2^53 in one binade: past one int64 run
+        values = np.nextafter(1.0, 2.0) + np.arange(3 * 2**10 + 5) * 2.0**-52
+        assert float(wt.exact_total(values)) == math.fsum(values.tolist())
+
+
+def reference_z_values_product(sys_, w, n_max, cap):
+    """Z_N by the full b^N array of word values, summed by math.fsum."""
+    t = list(wt.tuple_fiber_sizes(sys_).values())
+    tw = np.sort(np.array(t, dtype=float) ** w)[::-1]
+    z = {}
+    level = tw.copy()
+    for n in range(1, n_max + 1):
+        if level.size > cap:
+            raise ResourceLimit(f"Z enumeration exceeds budget {cap}")
+        z[n] = math.fsum(sorted(level.tolist(), reverse=True))
+        if n < n_max:
+            level = np.multiply.outer(level, tw).ravel()
+    return z
+
+
+class TestZValuesProduct:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(2, 5).flatmap(lambda a: st.tuples(
+            st.just(a),
+            st.integers(2, a),
+            st.sets(st.tuples(st.integers(0, a - 1), st.integers(0, a - 1)), min_size=1),
+        )),
+        st.floats(0.0, 1.0),
+        st.integers(1, 7),
+    )
+    def test_multiset_matches_the_full_enumeration(self, system, w, n_max):
+        a, b, rel = system
+        rel = [(u, v % b) for u, v in rel]
+        sys_ = wt.pair_system_from_tuples(a, b, rel)
+        cap = word_budget()
+        assert wt.weighted_entropy(sys_, w, n_max).z_values == reference_z_values_product(
+            sys_, w, n_max, cap
+        )
+
+    def test_budget_refuses_at_the_same_length(self):
+        sys_ = wt.pair_system_from_tuples(3, 2, R_EXAMPLE)  # two columns
+        with pytest.raises(ResourceLimit, match="Z enumeration exceeds budget 31"):
+            reference_z_values_product(sys_, 0.5, 5, 31)
+        with pytest.raises(ResourceLimit, match="Z enumeration exceeds budget 31"):
+            wt.weighted_entropy(sys_, 0.5, 5, budget=31)
+        assert wt.weighted_entropy(sys_, 0.5, 5, budget=32).z_values == (
+            reference_z_values_product(sys_, 0.5, 5, 32)
+        )
 
 
 class TestWeightedEntropy:
