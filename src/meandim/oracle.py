@@ -183,35 +183,45 @@ def _greedy_by_conflicts(n: int, later: np.ndarray, earlier: np.ndarray) -> list
 def exact_min_cover(cloud: PointCloud, eps: float) -> int:
     """Exact minimum number of diameter-<eps subsets covering the cloud.
 
-    Exponential set-cover DP; restricted to clouds of at most 12 points.
+    A subset has diameter < eps exactly when its points are pairwise closer
+    than eps: it is a clique of the graph joining such points.  Every clique
+    lies in a maximal one, so the answer is the least number of maximal
+    cliques covering the cloud.  The clique table runs over all 2^n point
+    masks at once; a breadth-first search over covered sets then adds, at
+    each step, every maximal clique through the least uncovered point.
+    Restricted to clouds of at most 12 points.
     """
     n = len(cloud)
     if n > 12:
         raise ResourceLimit("exact cover limited to 12 points")
     check_scale(cloud, eps)
-    dist = cloud.pairwise()
-    ok = []
-    for mask in range(1 << n):
-        idx = [i for i in range(n) if mask >> i & 1]
-        good = all(dist[i][j] < eps for i, j in itertools.combinations(idx, 2))
-        ok.append(good)
     full = (1 << n) - 1
-    memo = {0: 0}
-
-    def solve(mask: int) -> int:
-        if mask in memo:
-            return memo[mask]
-        low = (mask & -mask).bit_length() - 1
-        best = n + 1
-        sub = mask
-        while sub:
-            if sub >> low & 1 and ok[sub]:
-                best = min(best, 1 + solve(mask & ~sub))
-            sub = (sub - 1) & mask
-        memo[mask] = best
-        return best
-
-    return solve(full)
+    near = cloud.pairwise() < eps
+    np.fill_diagonal(near, False)
+    nbr = (near * (1 << np.arange(n))).sum(axis=1).tolist()
+    # mask m + 2^i (m below 2^i) is a clique when m is one and lies in
+    # i's neighbourhood; `common` holds the points adjacent to all of a mask
+    clique = np.ones(1, dtype=bool)
+    common = np.full(1, full)
+    for i in range(n):
+        masks = np.arange(1 << i)
+        clique = np.concatenate([clique, clique & (masks & ~nbr[i] == 0)])
+        common = np.concatenate([common, common & nbr[i]])
+    maximal = np.flatnonzero(clique & (common == 0))
+    through = [maximal[maximal >> i & 1 == 1] for i in range(n)]
+    seen = np.zeros(full + 1, dtype=bool)
+    seen[0] = True
+    covered, steps = np.zeros(1, dtype=np.intp), 0
+    while not seen[full]:
+        reached = np.zeros(full + 1, dtype=bool)
+        for i in range(n):  # states whose least uncovered point is i
+            below = (2 << i) - 1
+            low_i = covered[covered & below == below >> 1]
+            reached[(low_i[:, None] | through[i]).ravel()] = True
+        covered = np.flatnonzero(reached & ~seen)
+        seen |= reached
+        steps += 1
+    return steps
 
 
 # ---------------------------------------------------------------------------
@@ -366,10 +376,9 @@ def qbox_family(
     cap = word_budget(budget)
 
     # decode admissible N-words of the product system into (u-word, v-word)
-    from .symbolic import ensure_pruned
+    from .symbolic import enumerate_words
 
-    omega_spec = ensure_pruned(spec.system.omega)
-    label_words = omega_spec.automaton.enumerate_words(n, budget)
+    label_words = enumerate_words(spec.system.omega, n, budget)
     pairs = []
     for word in label_words:
         u = tuple(l // b for l in word)
@@ -540,14 +549,8 @@ def mass_distribution_check(
 
     table = weighted.fiber_counts(spec.system, n, budget)
     fibers = table.level(n)  # v-word -> t_N(v)
-    t_values = sorted(fibers.values(), reverse=True)
-    z_n = math.fsum(tv**w for tv in t_values)
+    z_n = math.fsum(tv**w for tv in fibers.values())
     log_z = math.log(z_n)
-
-    # normalization: sum over Omega|_N of f_N = sum_v t^w / Z = 1
-    norm = math.fsum(tv**w for tv in t_values) / z_n
-    if abs(norm - 1.0) > 1e-12:
-        raise AssertionError(f"f_N normalization off: {norm}")
 
     log_t = {v: math.log(tv) for v, tv in fibers.items()}
     v_words = sorted(fibers)
@@ -690,6 +693,7 @@ def measure_cover_upper(
 # ---------------------------------------------------------------------------
 
 INV_SQ_WEIGHT = 3.0 / math.pi**2  # atom at 1/j has mass (3/pi^2) / j^2; atom at 0 has 1/2
+_ATOM_FLOOR = 2.0**-500  # atoms 1/j at or above it have j * j below 2^1002
 
 
 def reciprocal_atoms(n_cap: int) -> list[float]:
@@ -702,22 +706,27 @@ def inverse_square_mass(lo: float, hi: float, enum_cap: int = 1_000_000) -> floa
 
     Atoms sit at 0 (mass 1/2) and 1/j (mass (3/pi^2)/j^2); ranges wider than
     enum_cap atoms fall back to the integral tail bound, which only
-    under-counts.  The full-line mass is exactly 1 by the zeta(2) identity.
+    under-counts.  Atoms below _ATOM_FLOOR are never enumerated (near
+    j = 2^512, j * j passes the largest double): an interval from 0 past
+    the floor counts them through its tail bound, any other interval leaves
+    them out, an under-count of less than 2^-500.  The full-line mass is
+    exactly 1 by the zeta(2) identity.
     """
     if hi < lo:
         return 0.0
     total = 0.0
     if lo <= 0.0 <= hi:
         total += 0.5
-        if hi > 0.0:
+        if hi >= _ATOM_FLOOR:
             j_min = _least_index_at_most(hi)
             # all atoms 1/j <= hi: enumerate a prefix, bound the rest
             j_stop = j_min + enum_cap
             total += INV_SQ_WEIGHT * _inverse_square_sum(j_min, j_stop)
             total += INV_SQ_WEIGHT / j_stop  # integral tail: sum_{j>=J} j^-2 >= 1/J
         return min(total, 1.0)
-    if hi <= 0.0:
+    if hi < _ATOM_FLOOR:
         return 0.0
+    lo = max(lo, _ATOM_FLOOR)
     j_min = _least_index_at_most(hi)
     j_max = _greatest_index_at_least(lo)
     if j_max < j_min:
@@ -752,24 +761,47 @@ def _inverse_square_sum(j_lo: int, j_hi: int) -> float:
 
 
 def _least_index_at_most(hi: float) -> int:
-    """Least j >= 1 with float(1/j) <= hi.
+    """Least j >= 1 with float(1/j) <= hi, exactly while 1/hi is below 2^53.
 
     ceil(1/hi) can land one past the answer when 1/hi rounds up past an
     integer (1/(1/j) > j happens for many j), so start safely below and walk
-    up on the exact float comparison.
+    up on the exact float comparison.  Past 2^53 the start can lie inside a
+    run of integers sharing one double; the j returned then satisfies the
+    comparison but need not be the least, and counting atoms from it only
+    under-counts.
     """
-    j = max(1, math.ceil(1.0 / hi) - 2)
-    while 1.0 / j > hi:
-        j += 1
-    return j
+    return _walk(max(1, math.ceil(1.0 / hi) - 2), 1, lambda j: 1.0 / j <= hi)
 
 
 def _greatest_index_at_least(lo: float) -> int:
-    """Greatest j >= 1 with float(1/j) >= lo (0 if none)."""
-    j = max(1, math.floor(1.0 / lo) + 2)
-    while j >= 1 and 1.0 / j < lo:
-        j -= 1
-    return j
+    """Greatest j >= 1 with float(1/j) >= lo (0 if none), exactly while 1/lo
+    is below 2^53.  Past it the j returned satisfies the comparison but need
+    not be the greatest, and counting atoms up to it only under-counts."""
+    return _walk(max(1, math.floor(1.0 / lo) + 2), -1, lambda j: j < 1 or 1.0 / j >= lo)
+
+
+def _walk(j: int, direction: int, done) -> int:
+    """The first of j, j + direction, j + 2 direction, ... where done holds,
+    done being monotone along the walk.  The steps double, then bisect:
+    past 2^53 runs of consecutive integers share one double (about 10^9 of
+    them at 10^25), and a walk by ones crosses such a run one step at a
+    time.  A start inside a run is returned as it is, though the run may
+    extend past it; the index helpers then narrow the atoms counted, which
+    only under-counts."""
+    if done(j):
+        return j
+    step = direction
+    while not done(j + step):
+        j += step
+        step *= 2
+    end = j + step
+    while abs(end - j) > 1:
+        mid = (j + end) // 2
+        if done(mid):
+            end = mid
+        else:
+            j = mid
+    return end
 
 
 def reciprocal_witness_delta(m: int, eps: float) -> float:

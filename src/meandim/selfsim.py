@@ -114,6 +114,13 @@ class CoveringFamily:
     dyn_eps: float  # beta^-n / 2, the certified separation under the shift metric
 
 
+def _omega_automaton(spec: BetaSystemSpec):
+    """The pruned automaton of omega; a stored word set has none."""
+    if spec.omega.wordsets is not None:
+        raise DomainError("omega must be a compiled subshift, not an enumeration-only word set")
+    return symbolic.ensure_pruned(spec.omega).automaton
+
+
 def covering_lower_bound(
     spec: BetaSystemSpec,
     n_coords: int,
@@ -128,8 +135,7 @@ def covering_lower_bound(
     separated in linf over the first N coordinates (and beta^-n / 2 separated
     under the dynamical weighted metric, whose leading weight is 1/2).
     """
-    omega = symbolic.ensure_pruned(spec.omega)
-    aut = omega.automaton
+    aut = _omega_automaton(spec)
     words = aut.enumerate_words(n_coords, budget)
     count = len(words) ** n_layers
     if count > point_budget(budget):
@@ -213,8 +219,7 @@ def ball_similarity_check(
     by exactly c^k >= c eps / A.  Digit rows must be admissible prefixes of
     the driving subshift, otherwise the requested cell does not exist.
     """
-    omega = symbolic.ensure_pruned(spec.omega)
-    aut = omega.automaton
+    aut = _omega_automaton(spec)
     a_bound = spec.diameter_bound()
     beta = spec.beta
     c = spec.c

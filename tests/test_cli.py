@@ -560,6 +560,9 @@ class TestCliFuzz:
     @example([1], ["oracle", "cover", "--points", "{points}", "--metric", "{spec}",
                    "--eps", "0.3"], [])
     @example({"a": 1, "rule": "free"}, ["grid2d", "--rule", "{spec}"], [])
+    @example({"alphabet": 2, "kind": "wordset", "words": {"1": ["0"]}},
+             ["beta", "--a", "2", "--beta", "2.5", "--omega", "{spec}", "--n", "2", "--N", "2"],
+             [("--nmax", "1")])
     def test_exit_code_is_documented_and_no_traceback(self, tmp_path, doc, command, extra):
         """An exception escaping main, a traceback from the command line,
         fails the test; so does an undocumented exit code."""

@@ -11,15 +11,18 @@ from hypothesis import strategies as st
 
 from meandim import carpet as cp
 from meandim import oracle as orc
+from meandim import symbolic as sym
 from meandim import weighted as wt
 from meandim.errors import (
     DegenerateScale,
     DomainError,
     HypothesisViolated,
     ParameterOverflow,
+    ResourceLimit,
 )
 from meandim.metrics import (
     LINF_FINITE,
+    SUM_WEIGHTED_ABS,
     SUM_WEIGHTED_TORUS,
     MetricDescriptor,
     PointCloud,
@@ -75,6 +78,59 @@ class TestCoveringBounds:
         )
         with pytest.raises(DegenerateScale):
             orc.covering_bounds(cloud, 0.3)
+
+
+def reference_exact_min_cover(cloud, eps):
+    """The set-cover DP over all 2^n masks: a table of the diameter-<eps
+    masks, then the memoised submask recursion through the least point."""
+    n = len(cloud)
+    dist = cloud.pairwise()
+    ok = []
+    for mask in range(1 << n):
+        idx = [i for i in range(n) if mask >> i & 1]
+        ok.append(all(dist[i][j] < eps for i, j in itertools.combinations(idx, 2)))
+    memo = {0: 0}
+
+    def solve(mask):
+        if mask in memo:
+            return memo[mask]
+        low = (mask & -mask).bit_length() - 1
+        best = n + 1
+        sub = mask
+        while sub:
+            if sub >> low & 1 and ok[sub]:
+                best = min(best, 1 + solve(mask & ~sub))
+            sub = (sub - 1) & mask
+        memo[mask] = best
+        return best
+
+    return solve((1 << n) - 1)
+
+
+class TestExactMinCover:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 3).flatmap(lambda d: st.lists(
+            st.lists(st.integers(0, 8), min_size=d, max_size=d), max_size=12,
+        ).map(lambda rows: np.array(rows, dtype=float).reshape(len(rows), d) / 8)),
+        st.sampled_from([LINF_FINITE, SUM_WEIGHTED_ABS, SUM_WEIGHTED_TORUS]),
+        st.integers(1, 12).map(lambda k: k / 16),
+    )
+    def test_equals_the_reference_dp(self, points, kind, eps):
+        """Grid points 1/8 apart and eps on the 1/16 grid make distances tie
+        with eps exactly, where < and <= part."""
+        cloud = PointCloud(points=points, metric=MetricDescriptor(kind=kind))
+        assert orc.exact_min_cover(cloud, eps) == reference_exact_min_cover(cloud, eps)
+
+    def test_empty_cloud_needs_no_sets(self):
+        cloud = PointCloud(points=np.zeros((0, 2)), metric=MetricDescriptor(kind=LINF_FINITE))
+        assert orc.exact_min_cover(cloud, 0.3) == 0
+
+    def test_thirteen_points_are_refused(self):
+        cloud = line_cloud([j / 13 for j in range(13)])
+        with pytest.raises(ResourceLimit, match="exact cover limited to 12 points"):
+            orc.exact_min_cover(cloud, 0.3)
+        assert orc.exact_min_cover(line_cloud([j / 12 for j in range(12)]), 0.3) == 3
 
 
 def reference_covering_bounds(cloud, eps):
@@ -224,6 +280,21 @@ class TestQBoxFamily:
         spec = cp.carpet_from_tuples(3, 2, [(1, 0)])
         for n, m in ((1, 1), (2, 3), (3, 5)):
             assert orc.qbox_family(spec, n, m).count == 1
+
+    def test_stored_word_set_gives_the_same_family(self):
+        """An enumeration-only omega holding the product's words of lengths
+        1 and 2 gives the product's family; length 3 is not stored."""
+        prod = cp.carpet_from_tuples(3, 2, R_EXAMPLE)
+        words = {
+            str(n): ["".join(map(str, w)) for w in sym.enumerate_words(prod.system.omega, n)]
+            for n in (1, 2)
+        }
+        omega = sym.spec_from_json({"alphabet": 6, "kind": "wordset", "words": words})
+        spec = cp.CarpetSpec(3, 2, wt.pair_system(3, 2, omega))
+        want, got = orc.qbox_family(prod, 2, 3), orc.qbox_family(spec, 2, 3)
+        assert (got.count, got.omega_words, got.section) == (want.count, want.omega_words, want.section)
+        with pytest.raises(ResourceLimit, match="stores word sets up to length 2"):
+            orc.qbox_family(spec, 3, 3)
 
     def test_separation_observed(self):
         spec = cp.carpet_from_tuples(3, 2, R_EXAMPLE)
@@ -608,6 +679,35 @@ class TestReciprocalKernelsMatchReference:
         assert orc.inverse_square_mass(lo, hi, enum_cap) == reference_inverse_square_mass(
             lo, hi, enum_cap
         )
+
+    @pytest.mark.parametrize("lo, hi, enum_cap, want", [
+        (0.0, 6.4e-162, 100, 0.5), (0.0, 1e-300, 10, 0.5), (0.0, 5e-324, 10, 0.5),
+        (1e-160, 1e-160, 10, 0.0), (5e-324, 1e-300, 10, 0.0),
+    ])
+    def test_tiny_intervals_do_not_overflow(self, lo, hi, enum_cap, want):
+        """Past j = 2^512, j * j overflows a double; atoms that far out are
+        left to the tail bound or left out, both under-counts."""
+        assert orc.inverse_square_mass(lo, hi, enum_cap) == want
+
+    def test_index_walks_end_past_2_53(self):
+        """hi = 1e-25 and lo = 7.3e-25 start the walks inside runs of about
+        10^9 integers that share one double, where steps of one barely move."""
+        j = orc._least_index_at_most(1e-25)
+        assert 1.0 / j <= 1e-25
+        j = orc._greatest_index_at_least(7.3e-25)
+        assert 1.0 / j >= 7.3e-25
+        assert orc.inverse_square_mass(0.0, 1e-25, 10) == 0.5
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.floats(0.0, 1e-150) | st.floats(0.0, 1.0) | st.sampled_from([0.0, 5e-324, 2.0**-500]),
+        st.floats(0.0, 1e-150) | st.floats(0.0, 2.0) | st.sampled_from([0.0, 5e-324, 2.0**-500]),
+        st.sampled_from([1, 10, 1000]),
+    )
+    def test_mass_is_a_finite_probability(self, x, y, enum_cap):
+        lo, hi = sorted((x, y))
+        mass = orc.inverse_square_mass(lo, hi, enum_cap)
+        assert 0.0 <= mass <= 1.0
 
     @pytest.mark.parametrize("n_cap, eps", [
         (100_000, 1e-4), (100_000, 1e-3), (100_000, 1e-2), (100_000, 0.1), (1, 0.5),

@@ -287,20 +287,31 @@ def reference_z_values_product(sys_, w, n_max, cap):
     return z
 
 
+def column_size_relations(a):
+    """Relations with a chosen size per column, up to a distinct sizes."""
+    return st.lists(st.integers(0, a), min_size=2, max_size=a).map(
+        lambda sizes: (a, len(sizes), {(u, v) for v, size in enumerate(sizes) for u in range(size)})
+    )
+
+
 class TestZValuesProduct:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(
-        st.integers(2, 5).flatmap(lambda a: st.tuples(
+        st.integers(2, 7).flatmap(lambda a: st.tuples(
             st.just(a),
             st.integers(2, a),
             st.sets(st.tuples(st.integers(0, a - 1), st.integers(0, a - 1)), min_size=1),
-        )),
-        st.floats(0.0, 1.0),
+        ) | column_size_relations(a)),
+        st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0]),
         st.integers(1, 7),
     )
+    @example((7, 6, {(u, v) for v in range(6) for u in range(v + 1)}), 0.0, 6)
+    @example((7, 6, {(u, v) for v in range(6) for u in range(v + 1)}), 1.0, 6)
+    @example((7, 6, {(u, v) for v in range(6) for u in range(v + 1)}), math.log(6) / math.log(7), 6)
     def test_multiset_matches_the_full_enumeration(self, system, w, n_max):
         a, b, rel = system
         rel = [(u, v % b) for u, v in rel]
+        assume(rel and len({v for _, v in rel}) ** n_max <= 300_000)
         sys_ = wt.pair_system_from_tuples(a, b, rel)
         cap = word_budget()
         assert wt.weighted_entropy(sys_, w, n_max).z_values == reference_z_values_product(
