@@ -34,4 +34,4 @@ class InsufficientLength(MeanDimError):
 
 
 class ParameterOverflow(MeanDimError):
-    """A derived parameter underflows double precision; use the log-space path."""
+    """A derived parameter or value passes the range of double precision."""

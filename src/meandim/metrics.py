@@ -253,8 +253,8 @@ def _candidate_pairs(start, counts, order, index):
 
 
 def check_scale(cloud: PointCloud, eps: float) -> None:
-    if eps <= 4.0 * cloud.truncation_error:
+    if not eps > 4.0 * cloud.truncation_error:  # nan fails too
         raise DegenerateScale(
-            f"eps = {eps} is within 4x the truncation error "
+            f"eps = {eps} is not above 4x the truncation error "
             f"{cloud.truncation_error}"
         )

@@ -923,6 +923,8 @@ def reciprocal_set_dims(n_cap: int, eps_list, probe_s: float = 0.05) -> dict:
     out: dict = {"minkowski_scale": {}, "hausdorff_scale_upper": {}, "witness": {}}
     out["truncation_error"] = 1.0 / n_cap
     for eps in eps_list:
+        if not 0.0 < eps < 1.0:
+            raise DomainError(f"eps = {eps} must lie in (0, 1)")
         # scales below the truncation resolution would probe discarded atoms;
         # coarse scales (>= 1/4) are meaningful for any truncation
         if eps <= 4.0 / n_cap and eps < 0.25:

@@ -40,8 +40,8 @@ class BetaSystemSpec:
     def __post_init__(self):
         if self.a < 2:
             raise DomainError("digit alphabet needs a >= 2")
-        if self.beta < self.a:
-            raise DomainError("need beta >= a")
+        if not self.a <= self.beta < math.inf:
+            raise DomainError(f"need a finite beta >= a, got {self.beta}")
         if self.omega.alphabet != self.a:
             raise DomainError("omega must live on the digit alphabet")
 

@@ -11,13 +11,18 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, EmptySubshift, InsufficientLength, ResourceLimit
+from .errors import (
+    DomainError,
+    EmptySubshift,
+    InsufficientLength,
+    ParameterOverflow,
+    ResourceLimit,
+)
 from .limits import subset_budget, word_budget
 from . import symbolic
 from .symbolic import (
@@ -183,15 +188,10 @@ def exact_total(values, counts=None) -> Fraction:
     does, so it is math.fsum of the expanded multiset bit for bit, in any
     order of the terms.
 
-    Two sums use it: the non-product fiber sizes (up to 13,362 distinct
-    sizes at N = 14 in the closed_form benchmark's pair systems, where the
-    per-denominator Python sum of _level_total measured 1.4 to 2.2 times
-    slower) and the inverse-square series (up to 10^6 terms).  The product
-    Z_N levels are built as dicts anyway, so _level_total sums them: the
-    suite's levels hold a few hundred values, where numpy's fixed cost per
-    call exceeds the arithmetic.  Only the word budget bounds a product
-    level (699,135 distinct values at 200 columns and N = 3); there the
-    dict levels take about three times as long as arrays did.
+    Three sums use it: the letter values of a product system, the
+    non-product fiber sizes (up to 13,362 distinct sizes at N = 14 in the
+    closed_form benchmark's pair systems) and the inverse-square series (up
+    to 10^6 terms).
     """
     frac, exp = np.frexp(np.asarray(values, dtype=float))
     if not len(exp):
@@ -211,63 +211,53 @@ def exact_total(values, counts=None) -> Fraction:
     return Fraction(total, 1 << -low)
 
 
-def _level_total(level: dict) -> float:
-    """The correctly rounded sum of count copies of each value in
-    {value: count}: every double is an integer over a power of two, so the
-    numerators add exactly per denominator, the group sums scale to the
-    largest denominator, and int / int rounds once, half to even, as
-    exact_total and math.fsum do."""
-    groups: dict = {}
-    for value, count in level.items():
-        num, den = value.as_integer_ratio()
-        groups[den] = groups.get(den, 0) + num * count
-    den = max(groups)
-    return sum(num * (den // d) for d, num in groups.items()) / den
+def _z_powers(letters: np.ndarray, n_max: int):
+    """Yield S^N for N = 1..n_max, S the exact sum of the letter values, each
+    rounded once: int / int rounds correctly, as float(S ** N) does.  The
+    running numerator and denominator grow by one factor per N, where S ** N
+    afresh for each N took 13 s at n_max = 5,000 with S one ulp above 1,
+    against 0.3 s this way (2-core Xeon)."""
+    num, den = exact_total(letters).as_integer_ratio()
+    top, bottom = 1, 1
+    for _ in range(n_max):
+        top, bottom = top * num, bottom * den
+        yield top / bottom
 
 
-def _z_values_product(sys: PairShiftSystem, w: float, n_max: int, cap: int) -> dict:
-    """Z_N over the multiset of word values: a word's value is its prefix's
-    value times the new letter's t^w, rounded, so level N is the distinct
-    values of level N - 1 times each distinct t^w, with word counts.  The
-    letter values come from numpy's ** (Python's float ** can differ in
-    the last ulp); the products are the same IEEE products in Python."""
-    t = list(tuple_fiber_sizes(sys).values())
-    letters = Counter((np.array(t, dtype=float) ** w).tolist())
-    level = dict(letters)
-    z = {}
-    for n in range(1, n_max + 1):
-        if len(t) ** n > cap:
-            raise ResourceLimit(f"Z enumeration exceeds budget {cap}")
-        z[n] = _level_total(level)
-        if n < n_max:
-            grown: dict = {}
-            for value, count in level.items():
-                for tw, mult in letters.items():
-                    key = value * tw
-                    grown[key] = grown.get(key, 0) + count * mult
-            level = grown
-    return z
+def _z_sweep(sys: PairShiftSystem, w: float, n_max: int, cap: int):
+    """Yield Z_N for N = 1..n_max from the fiber sizes of the generic sweep."""
+    for _, _, counts in _fiber_levels(sys, n_max, cap):
+        sizes, mult = np.unique(counts, return_counts=True)
+        yield float(exact_total([float(c) ** w for c in sizes.tolist()], mult))
 
 
 def weighted_entropy(
     sys: PairShiftSystem, w: float, n_max: int, budget: int | None = None
 ) -> WeightedEntropyReport:
+    """Z_N for N = 1..n_max, the upper bounds v_N and, for a product system,
+    the closed form.  budget bounds only the fiber sweep of a system that is
+    not a product; a Z_N past the double range raises ParameterOverflow."""
     if not (0.0 <= w <= 1.0):
         raise DomainError(f"weight exponent must lie in [0, 1], got {w}")
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
-    cap = word_budget(budget)
-
     closed = None
     if sys.omega.product_symbols is not None:
-        t = tuple_fiber_sizes(sys).values()
-        closed = math.log(math.fsum(float(c) ** w for c in t))
-        z = _z_values_product(sys, w, n_max, cap)
+        # Z_N = S^N, S = sum_v t(v)^w over numpy's ** of the letter values
+        # (Python's float ** of the closed form can differ in the last ulp)
+        t = np.array(list(tuple_fiber_sizes(sys).values()), dtype=float)
+        closed = math.log(math.fsum(c**w for c in t.tolist()))
+        levels = _z_powers(t**w, n_max)
     else:
-        z = {}
-        for n, (_, _, counts) in enumerate(_fiber_levels(sys, n_max, cap), 1):
-            sizes, mult = np.unique(counts, return_counts=True)
-            z[n] = float(exact_total([float(c) ** w for c in sizes.tolist()], mult))
+        levels = _z_sweep(sys, w, n_max, word_budget(budget))
+    z = {}
+    try:
+        for n, value in enumerate(levels, 1):
+            z[n] = value
+    except OverflowError as exc:
+        raise ParameterOverflow(
+            f"Z_{len(z) + 1} or one of its terms passes the double range"
+        ) from exc
 
     bounds = []
     best = math.inf

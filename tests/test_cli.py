@@ -159,6 +159,18 @@ class TestExitCodes:
         )
         assert code == 3
 
+    def test_cover_at_nan_eps_exits_4(self, capsys, tmp_path):
+        points = tmp_path / "points.csv"
+        points.write_text("x1,x2\n0,0.25\n0.5,0.5\n")
+        assert main(["oracle", "cover", "--points", str(points), "--eps", "nan"]) == 4
+        assert "eps = nan" in capsys.readouterr().err
+
+    def test_overflowing_z_exits_4(self, capsys):
+        argv = ["weighted-entropy", "--a", "3", "--b", "2", "--tuples", "00,10,20",
+                "--w", "1", "--nmax", "700"]
+        assert main(argv) == 4
+        assert "Z_647 or one of its terms passes the double range" in capsys.readouterr().err
+
     def test_grid2d_budget_exits_3_without_traceback(self, tmp_path):
         rule = tmp_path / "rule.json"
         rule.write_text(json.dumps(meandim.rule_to_json(meandim.hard_square_rule())))
@@ -542,10 +554,11 @@ COMMANDS = st.sampled_from([
     ["beta", "--a", "2", "--beta", "2.5", "--omega", "{spec}", "--n", "2", "--N", "2"],
     ["grid2d", "--rule", "{spec}", "--nmax", "2", "--mmax", "2"],
     ["oracle", "cover", "--points", "{points}", "--metric", "{spec}", "--eps", "0.3"],
+    ["oracle", "appendix-k"],
 ])
 EXTRA_FLAGS = st.lists(
-    st.tuples(st.sampled_from(["--nmax", "--budget", "--w", "--seed"]),
-              st.sampled_from(["1", "2", "4", "0", "-1", "0.5", "x"])),
+    st.tuples(st.sampled_from(["--nmax", "--budget", "--w", "--seed", "--eps", "--beta"]),
+              st.sampled_from(["1", "2", "4", "0", "-1", "0.5", "x", "nan", "inf"])),
     max_size=2,
 )
 
@@ -563,6 +576,10 @@ class TestCliFuzz:
     @example({"alphabet": 2, "kind": "wordset", "words": {"1": ["0"]}},
              ["beta", "--a", "2", "--beta", "2.5", "--omega", "{spec}", "--n", "2", "--N", "2"],
              [("--nmax", "1")])
+    @example({}, ["oracle", "appendix-k"], [("--eps", "1")])
+    @example({"alphabet": 2, "kind": "full"},
+             ["beta", "--a", "2", "--beta", "2.5", "--omega", "{spec}", "--n", "2", "--N", "2"],
+             [("--beta", "inf")])
     def test_exit_code_is_documented_and_no_traceback(self, tmp_path, doc, command, extra):
         """An exception escaping main, a traceback from the command line,
         fails the test; so does an undocumented exit code."""

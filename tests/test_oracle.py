@@ -620,6 +620,11 @@ class TestReciprocalSpace:
         with pytest.raises(DegenerateScale):
             orc.reciprocal_set_dims(100, [1e-4])
 
+    @pytest.mark.parametrize("eps", [1.0, 2.0, math.inf, math.nan, 0.0])
+    def test_eps_outside_the_unit_interval_rejected(self, eps):
+        with pytest.raises(DomainError, match=r"must lie in \(0, 1\)"):
+            orc.reciprocal_set_dims(100, [eps])
+
 
 def reference_inverse_square_mass(lo, hi, enum_cap=1_000_000):
     """inverse_square_mass with its atoms summed one by one by math.fsum."""

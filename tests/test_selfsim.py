@@ -87,6 +87,11 @@ class TestMinGap:
         with pytest.raises(DomainError):
             ss.min_gap(3, 2.5, 4)  # beta < a
 
+    @pytest.mark.parametrize("beta", [math.inf, math.nan])
+    def test_beta_must_be_finite(self, beta):
+        with pytest.raises(DomainError, match="finite beta"):
+            ss.beta_system(2, beta)
+
 
 class TestCoveringLowerBound:
     def test_full_shift_family(self):

@@ -1,5 +1,6 @@
-"""The paper-suite's own kernels: the brute-force grid count and the memory
-the array kernels of criteria 2 and 7 take."""
+"""The paper-suite's own kernels and records: the brute-force grid count,
+the memory criteria 2 and 7 take, criterion 2's second computation and the
+suite's timer."""
 
 import itertools
 import tracemalloc
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from meandim import grid2d as g2
-from meandim import suite
+from meandim import suite, weighted
 
 
 def reference_grid_count(spec, n_rows, m_cols):
@@ -66,7 +67,7 @@ class TestBruteForceGridCount:
     [(suite.criterion_weighted_consistency, 1 << 20), (suite.criterion_grid2d, 4 << 20)],
 )
 def test_criterion_peak_traced_memory(criterion, cap):
-    """Criterion 2 keeps multisets of word values instead of b^N arrays and
+    """Criterion 2 raises Z_N to powers and sweeps at most four lengths, and
     criterion 7 counts grids a block at a time; the first run fills the
     library's caches, the second is traced."""
     assert criterion()["passed"]
@@ -77,3 +78,32 @@ def test_criterion_peak_traced_memory(criterion, cap):
     finally:
         tracemalloc.stop()
     assert peak < cap
+
+
+def test_weighted_consistency_catches_a_wrong_closed_form(monkeypatch):
+    """One fiber moved between two columns keeps |R| and the column count,
+    so only the generic sweep can tell the closed form is wrong."""
+    true_sizes = weighted.tuple_fiber_sizes
+
+    def moved_unit(sys_):
+        t = true_sizes(sys_)
+        big = [v for v, size in t.items() if size >= 2]
+        if big and len(t) >= 2:
+            t[big[0]] -= 1
+            t[next(v for v in t if v != big[0])] += 1
+        return t
+
+    assert suite.criterion_weighted_consistency()["passed"]
+    monkeypatch.setattr(weighted, "tuple_fiber_sizes", moved_unit)
+    assert not suite.criterion_weighted_consistency()["passed"]
+
+
+def test_run_suite_times_each_criterion(monkeypatch):
+    def criterion():
+        return {"name": "fake", "passed": True, "details": {}}
+
+    monkeypatch.setattr(suite, "CRITERIA", (("1", criterion), ("2", criterion)))
+    results = suite.run_suite(verbose=False)
+    assert [r["number"] for r in results] == ["1", "2"]
+    assert all(r.keys() == {"name", "passed", "details", "number", "seconds"} for r in results)
+    assert all(r["seconds"] >= 0 for r in results)

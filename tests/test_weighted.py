@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -12,7 +13,13 @@ from hypothesis import strategies as st
 
 from meandim import symbolic as sym
 from meandim import weighted as wt
-from meandim.errors import DomainError, EmptySubshift, InsufficientLength, ResourceLimit
+from meandim.errors import (
+    DomainError,
+    EmptySubshift,
+    InsufficientLength,
+    ParameterOverflow,
+    ResourceLimit,
+)
 from meandim.limits import word_budget
 
 R_EXAMPLE = [(0, 0), (1, 1), (2, 0)]
@@ -136,6 +143,13 @@ class TestFiberSweep:
         assert table.level(22) == {(0,) * 22: exact[22]}
         z = wt.weighted_entropy(sys_, 1.0, 22).z_values
         assert all(z[n] == float(exact[n]) for n in range(1, 23))
+
+    def test_overflow_names_the_length(self):
+        # one projected letter over a full 2-shift: the fiber at N is 2^N
+        sys_ = wt.pair_system(2, 1, sym.sft_from_matrix([[1, 1], [1, 1]]))
+        assert wt.weighted_entropy(sys_, 1.0, 1023).z_values[1023] == 2.0**1023
+        with pytest.raises(ParameterOverflow, match=r"Z_1024 "):
+            wt.weighted_entropy(sys_, 1.0, 1030)
 
     def test_sweep_budget_names_size_and_cap(self):
         # the root of the pruned probe SFT has 6 out-edges to 6 symbol states
@@ -272,19 +286,31 @@ class TestExactTotal:
         assert float(wt.exact_total(values)) == math.fsum(values.tolist())
 
 
-def reference_z_values_product(sys_, w, n_max, cap):
-    """Z_N by the full b^N array of word values, summed by math.fsum."""
+def reference_z_values_product(sys_, w, n_max):
+    """Z_N by the full b^N array of word values, summed by math.fsum.
+
+    With u = 2^-53, a word value is a product of N letter values rounded
+    N - 1 times, so it lies within a factor (1 +- u)^(N-1) of the exact
+    product; so does the exact sum of the word values against S^N, and fsum
+    rounds once more.  The library rounds S^N once.  Its Z_N over this one
+    therefore lies in [(1 - u) / (1 + u)^N, (1 + u) / (1 - u)^N]: relative
+    (N + 1) u, up to terms in N^2 u^2.
+    """
     t = list(wt.tuple_fiber_sizes(sys_).values())
     tw = np.sort(np.array(t, dtype=float) ** w)[::-1]
     z = {}
     level = tw.copy()
     for n in range(1, n_max + 1):
-        if level.size > cap:
-            raise ResourceLimit(f"Z enumeration exceeds budget {cap}")
         z[n] = math.fsum(sorted(level.tolist(), reverse=True))
         if n < n_max:
             level = np.multiply.outer(level, tw).ravel()
     return z
+
+
+def within_product_rounding(got, want, n):
+    """got / want in the interval of reference_z_values_product, exactly."""
+    u = Fraction(1, 2**53)
+    return (1 - u) / (1 + u) ** n <= Fraction(got) / Fraction(want) <= (1 + u) / (1 - u) ** n
 
 
 def column_size_relations(a):
@@ -308,25 +334,33 @@ class TestZValuesProduct:
     @example((7, 6, {(u, v) for v in range(6) for u in range(v + 1)}), 0.0, 6)
     @example((7, 6, {(u, v) for v in range(6) for u in range(v + 1)}), 1.0, 6)
     @example((7, 6, {(u, v) for v in range(6) for u in range(v + 1)}), math.log(6) / math.log(7), 6)
-    def test_multiset_matches_the_full_enumeration(self, system, w, n_max):
+    def test_power_matches_the_full_enumeration(self, system, w, n_max):
         a, b, rel = system
         rel = [(u, v % b) for u, v in rel]
         assume(rel and len({v for _, v in rel}) ** n_max <= 300_000)
         sys_ = wt.pair_system_from_tuples(a, b, rel)
-        cap = word_budget()
-        assert wt.weighted_entropy(sys_, w, n_max).z_values == reference_z_values_product(
-            sys_, w, n_max, cap
-        )
+        got = wt.weighted_entropy(sys_, w, n_max).z_values
+        want = reference_z_values_product(sys_, w, n_max)
+        assert got.keys() == want.keys()
+        for n in want:
+            assert within_product_rounding(got[n], want[n], n), (n, got[n], want[n])
 
-    def test_budget_refuses_at_the_same_length(self):
-        sys_ = wt.pair_system_from_tuples(3, 2, R_EXAMPLE)  # two columns
-        with pytest.raises(ResourceLimit, match="Z enumeration exceeds budget 31"):
-            reference_z_values_product(sys_, 0.5, 5, 31)
-        with pytest.raises(ResourceLimit, match="Z enumeration exceeds budget 31"):
-            wt.weighted_entropy(sys_, 0.5, 5, budget=31)
-        assert wt.weighted_entropy(sys_, 0.5, 5, budget=32).z_values == (
-            reference_z_values_product(sys_, 0.5, 5, 32)
+    def test_budget_bounds_only_the_sweep(self):
+        # 200 columns of sizes 1..200: 699,135 distinct word values at N = 3
+        k = 200
+        sys_ = wt.pair_system_from_tuples(
+            k + 1, k, [(u, v) for v in range(k) for u in range(v + 1)]
         )
+        w = math.log(k) / math.log(k + 1)
+        s = sum(map(Fraction, (np.arange(1, k + 1, dtype=float) ** w).tolist()))
+        rep = wt.weighted_entropy(sys_, w, 3, budget=1)
+        assert rep.z_values == {n: float(s**n) for n in (1, 2, 3)}
+
+    def test_overflow_names_the_length(self):
+        sys_ = wt.pair_system_from_tuples(3, 2, [(0, 0), (1, 0), (2, 0)])  # Z_N = 3^N
+        assert wt.weighted_entropy(sys_, 1.0, 646).z_values[646] == float(3**646)
+        with pytest.raises(ParameterOverflow, match=r"Z_647 "):
+            wt.weighted_entropy(sys_, 1.0, 700)
 
 
 class TestWeightedEntropy:
