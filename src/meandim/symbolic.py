@@ -15,6 +15,7 @@ import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -275,12 +276,12 @@ class SubshiftSpec:
     def pruned(self) -> bool:
         return self.automaton is not None or self.wordsets is not None
 
-    @property
+    @cached_property
     def product_symbols(self) -> tuple | None:
         """The sorted symbol set S of a product kind, whose language is all
         words over S (full: every symbol; tuples: u * b + v for (u, v) in
-        R), or None for the other kinds.  A full shift on more symbols
-        than the word budget is refused."""
+        R), or None for the other kinds, computed once per spec.  A full
+        shift on more symbols than the word budget is refused."""
         if self.kind == KIND_FULL:
             k, cap = self.alphabet, word_budget()
             if k > cap:
@@ -380,69 +381,52 @@ def _automaton_from_matrix(k: int, matrix) -> Automaton:
 
 
 def _automaton_from_forbidden(k: int, words) -> Automaton:
-    maxlen = max((len(w) for w in words), default=1)  # no word: the full shift
-    cap = word_budget()
-    forb = {tuple(w) for w in words}
-    banned = {w[0] for w in forb if len(w) == 1}
-    if maxlen == 1:
-        if k * k > cap:
-            raise ResourceLimit(f"word budget: a {k} x {k} transition matrix exceeds the cap {cap}")
-        matrix = [
-            [1 if (s not in banned and t not in banned) else 0 for t in range(k)]
-            for s in range(k)
-        ]
-        return _automaton_from_matrix(k, matrix)
+    """Aho-Corasick automaton of the forbidden words (Aho and Corasick,
+    CACM 18, 1975).
 
-    block = maxlen - 1
-    # A clean prefix holds only live symbols (those not forbidden as words
-    # themselves), so the trie reaches at most live^block block states, each
-    # trying the live symbols: live^maxlen bounds states and transitions.
-    # Counting at least two live symbols also bounds the length of the
-    # chain that a single live symbol spells.
-    n_live = k - len(banned)
-    size = max(n_live, 2) ** maxlen
+    A state is a prefix of a forbidden word, the root the empty one.
+    Reading a symbol moves to the longest state that is a suffix of the word
+    read so far; a state's failure state is its longest proper suffix among
+    the states.  Both are filled in breadth-first order, so a state's
+    failure state is complete before the state.  A state is dead when it is
+    a forbidden word or its failure state is dead, that is when a forbidden
+    word ends at the last symbol read: no edge enters it, and
+    `_prune_graph` enforces forward liveness.  At most 1 + sum |w| states,
+    and each admissible word has exactly one path.
+    """
+    goto: list[dict] = [{}]
+    banned = [False]
+    for w in words:
+        s = 0
+        for c in w:
+            if c not in goto[s]:
+                goto[s][c] = len(goto)
+                goto.append({})
+                banned.append(False)
+            s = goto[s][c]
+        banned[s] = True
+    size, cap = len(goto) * k, word_budget()
     if size > cap:
         raise ResourceLimit(
-            f"word budget: {max(n_live, 2)}^{maxlen} words over {n_live} live symbols "
-            f"({size}) exceed the cap {cap}"
+            f"word budget: {len(goto)} states x {k} symbols ({size} transitions) "
+            f"exceed the cap {cap}"
         )
-    live = [c for c in range(k) if c not in banned]
-
-    def clean(word: tuple) -> bool:
-        for f in forb:
-            lf = len(f)
-            for i in range(len(word) - lf + 1):
-                if word[i : i + lf] == f:
-                    return False
-        return True
-
-    # Trie of admissible prefixes up to the block length, then a sliding
-    # window over blocks; every admissible word is spelled by exactly one path.
-    states: dict[tuple, int] = {(): 0}
-    succ: list[dict] = [dict()]
-    frontier = [()]
-    while frontier:
-        nxt = []
-        for p in frontier:
-            if len(p) >= block:
-                continue
-            for c in live:
-                q = p + (c,)
-                if clean(q):
-                    states[q] = len(succ)
-                    succ.append(dict())
-                    succ[states[p]][c] = states[q]
-                    nxt.append(q)
-        frontier = nxt
-    for p, idx in list(states.items()):
-        if len(p) != block:
-            continue
-        for c in live:
-            word = p + (c,)
-            if clean(word):
-                q = word[1:]
-                if q in states:
-                    succ[idx][c] = states[q]
+    fail = [0] * len(goto)
+    succ: list[dict] = [{} for _ in goto]
+    order = [0]
+    for s in order:  # the live states, breadth first, appended as they are reached
+        for c in range(k):
+            f = succ[fail[s]].get(c) if s else 0  # None: that suffix state is dead
+            t = goto[s].get(c)
+            if t is None:
+                t = f
+            elif banned[t] or f is None:
+                t = None
+            else:
+                fail[t] = f
+                order.append(t)
+            if t is not None:
+                succ[s][c] = t
     pruned, root = _prune_graph(succ, 0)
     return Automaton(alphabet_size=k, root=root, succ=pruned)
 

@@ -265,14 +265,6 @@ def weighted_entropy(
         best = min(best, math.log(z[n]) / n)
         bounds.append(best)
 
-    submult_ok = True
-    for n in z:
-        for m in z:
-            if n + m in z and z[n + m] > z[n] * z[m] * (1 + 1e-9):
-                submult_ok = False
-                warnings.warn(
-                    f"Z_{n + m} exceeds Z_{n} * Z_{m} beyond tolerance", stacklevel=2
-                )
     return WeightedEntropyReport(
         w=w,
         z_values=z,
@@ -280,8 +272,23 @@ def weighted_entropy(
         closed_form=closed,
         best_estimate=closed if closed is not None else bounds[-1],
         exact=closed is not None,
-        submultiplicative_ok=submult_ok,
+        # S^N rounded once cannot break Z_{n+m} <= Z_n Z_m; the sweep's Z_N can
+        submultiplicative_ok=closed is not None or _submultiplicative(z),
     )
+
+
+def _submultiplicative(z: dict) -> bool:
+    """Whether Z_{n+m} <= Z_n Z_m, to a relative 1e-9, for every pair of
+    stored lengths; each pair that fails warns."""
+    ok = True
+    for n in z:
+        for m in z:
+            if n + m in z and z[n + m] > z[n] * z[m] * (1 + 1e-9):
+                ok = False
+                warnings.warn(
+                    f"Z_{n + m} exceeds Z_{n} * Z_{m} beyond tolerance", stacklevel=3
+                )
+    return ok
 
 
 # ---------------------------------------------------------------------------

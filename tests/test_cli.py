@@ -220,24 +220,24 @@ class TestExitCodes:
         assert main(["entropy", "--spec", str(spec)]) == 4
         assert capsys.readouterr().err.startswith("spec error:")
 
-    def test_large_forbidden_spec_exits_3_without_traceback(self, tmp_path):
-        # 46,656 block states: the compiled automaton fits in memory, and the
-        # spectral solve refuses its one large component
+    def test_large_forbidden_spec_runs_under_a_memory_cap(self, tmp_path):
+        # 18 states, one per proper prefix of the three words (the block automaton
+        # had 46,656, and the spectral solve refused them)
         spec = tmp_path / "spec.json"
         spec.write_text(json.dumps(
             {"alphabet": 6, "kind": "forbidden", "forbidden": ["3302433", "2324141", "2104245"]}
         ))
         proc = run_cli_capped(1536 << 20, "entropy", "--spec", str(spec))
-        assert proc.returncode == 3
-        assert proc.stderr.startswith("resource limit:")
-        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 0, proc.stderr
+        counts = json.loads(proc.stdout)["counts"]
+        assert counts["6"] == str(6**6) and counts["7"] == str(6**7 - 3)
 
     @pytest.mark.parametrize(
         "doc, size",
         [
             ({"alphabet": 10**8, "kind": "full"}, "full shift on 100000000 symbols"),
-            ({"alphabet": 10**5, "kind": "forbidden", "forbidden": ["0", "7"]},
-             "a 100000 x 100000 transition matrix"),
+            ({"alphabet": 10**7, "kind": "forbidden", "forbidden": ["00"]},
+             "3 states x 10000000 symbols (30000000 transitions)"),
         ],
     )
     def test_huge_alphabet_is_refused_by_the_word_budget(self, tmp_path, doc, size):
@@ -249,19 +249,25 @@ class TestExitCodes:
         assert proc.stderr.startswith("resource limit: word budget:")
         assert size in proc.stderr and "the cap 20000000" in proc.stderr
 
-    def test_forbidden_spec_with_too_many_transitions_exits_3(self, tmp_path):
-        # 20,000 block states of length 1, each trying the 20,000 live symbols
+    @pytest.mark.parametrize(
+        "k, words, counts",
+        [
+            # two symbols forbidden outright: (k - 2)^n words
+            (10**5, ["0", "7"], lambda n: (10**5 - 2) ** n),
+            # no 00 factor: words ending in 0 follow a word not ending in 0
+            (20000, ["00"], lambda n: golden_counts(20000, n)),
+        ],
+    )
+    def test_forbidden_spec_on_a_large_alphabet_runs(self, tmp_path, k, words, counts):
+        # 3 states of k transitions each, under the word budget
         spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"alphabet": 20000, "kind": "forbidden", "forbidden": ["00"]}))
-        proc = run_cli_capped(1 << 30, "entropy", "--spec", str(spec))
-        assert proc.returncode == 3, proc.stderr
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("resource limit: word budget:")
-        assert "20000^2 words over 20000 live symbols (400000000)" in proc.stderr
-        assert "the cap 20000000" in proc.stderr
+        spec.write_text(json.dumps({"alphabet": k, "kind": "forbidden", "forbidden": words}))
+        proc = run_cli_capped(1 << 30, "entropy", "--spec", str(spec), "--nmax", "6")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["counts"] == {str(n): str(counts(n)) for n in range(1, 7)}
 
     def test_forbidden_symbols_do_not_count_as_live(self, capsys, tmp_path):
-        # 10^8 words of length 8 exceed the cap; over the 2 live symbols there are 2^8
+        # eight of ten symbols forbidden and a word of length 8: 2^6 words of length 6
         spec = tmp_path / "spec.json"
         words = [str(c) for c in range(2, 10)] + ["0" * 8]
         spec.write_text(json.dumps({"alphabet": 10, "kind": "forbidden", "forbidden": words}))
@@ -269,13 +275,13 @@ class TestExitCodes:
         assert code == 0
         assert json.loads(out)["counts"]["6"] == str(2**6)
 
-    def test_one_live_symbol_and_a_long_word_exits_3(self, capsys, tmp_path):
-        # the single live symbol spells a chain as long as the word
+    def test_one_free_symbol_and_its_long_run_forbidden_is_empty(self, capsys, tmp_path):
+        # 0 is the only symbol left, and 0^40 is forbidden: no infinite sequence
         spec = tmp_path / "spec.json"
         doc = {"alphabet": 2, "kind": "forbidden", "forbidden": ["1", "0" * 40]}
         spec.write_text(json.dumps(doc))
-        assert main(["entropy", "--spec", str(spec)]) == 3
-        assert "2^40 words over 1 live symbols" in capsys.readouterr().err
+        assert main(["entropy", "--spec", str(spec)]) == 4
+        assert "no admissible infinite sequence" in capsys.readouterr().err
 
     def test_tuples_spec_with_a_huge_projected_alphabet_runs(self, tmp_path):
         # only the occupied columns of the 50,000,000 get a fiber size
@@ -285,6 +291,14 @@ class TestExitCodes:
         proc = run_cli_capped(1 << 30, "weighted-entropy", "--spec", str(spec), "--w", "0.5")
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["closed_form"] == pytest.approx(math.log(2))
+
+
+def golden_counts(k, n):
+    """Words of length n over k symbols with no 00 factor."""
+    zero, other = 1, k - 1  # the words of length 1 ending in 0, and in another symbol
+    for _ in range(n - 1):
+        zero, other = other, (k - 1) * (zero + other)
+    return zero + other
 
 
 def run_cli_capped(cap, *argv):

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from meandim import symbolic as sym
@@ -100,6 +100,45 @@ def reference_prune(succ, root):
     keep = sorted(reach)
     remap = {s: i for i, s in enumerate(keep)}
     return tuple({l: remap[t] for l, t in succ[s].items()} for s in keep), remap[root]
+
+
+def reference_block_automaton(k, words):
+    """The block automaton that compiled forbidden-word specs before the
+    Aho-Corasick construction: a trie of the clean words up to length
+    L - 1 (L the longest forbidden word), then a window sliding over those
+    blocks, pruned by `reference_prune`.  Up to k^(L-1) block states."""
+    forb = {tuple(w) for w in words}
+    block = max((len(f) for f in forb), default=1) - 1
+
+    def clean(word):
+        return not any(
+            word[i : i + len(f)] == f for f in forb for i in range(len(word) - len(f) + 1)
+        )
+
+    states = {(): 0}
+    succ = [{}]
+    frontier = [()]
+    while frontier:
+        nxt = []
+        for p in frontier:
+            if len(p) >= block:
+                continue
+            for c in range(k):
+                q = p + (c,)
+                if clean(q):
+                    states[q] = len(succ)
+                    succ.append({})
+                    succ[states[p]][c] = states[q]
+                    nxt.append(q)
+        frontier = nxt
+    for p, idx in list(states.items()):
+        if len(p) == block:
+            for c in range(k):
+                word = p + (c,)
+                if clean(word) and word[1:] in states:
+                    succ[idx][c] = states[word[1:]]
+    pruned, root = reference_prune(succ, 0)
+    return sym.Automaton(alphabet_size=k, root=root, succ=pruned)
 
 
 @st.composite
@@ -200,6 +239,13 @@ class TestPrune:
         assert counts[0] == counts[1]
 
 
+def test_product_symbols_are_computed_once():
+    spec = sym.allowed_tuples(3, 2, [(0, 0), (1, 1), (2, 0)])
+    assert spec.product_symbols == (0, 3, 4)
+    assert spec.product_symbols is spec.product_symbols
+    assert sym.forbidden_words(2, ["11"]).product_symbols is None
+
+
 class TestCountWords:
     def test_full_shift_power_counts(self):
         table = sym.count_words(sym.full_shift(3), 6)
@@ -241,6 +287,49 @@ class TestCountWords:
     def test_submultiplicative_check_passes(self):
         table = sym.count_words(sym.forbidden_words(2, ["11"]), 12)
         table.check_submultiplicative()
+
+
+forbidden_cases = st.integers(1, 4).flatmap(
+    lambda k: st.tuples(
+        st.just(k),
+        st.lists(st.lists(st.integers(0, k - 1), min_size=1, max_size=5), max_size=4),
+    )
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(forbidden_cases)
+@example((3, []))  # the full shift
+@example((3, [[1, 2], [1, 2]]))  # a duplicate
+@example((4, [[0], [2], [3, 1]]))  # single symbols
+@example((2, [[0, 1, 1], [1, 1], [1, 0, 1, 0]]))  # words that contain another
+@example((2, [[0], [1, 1]]))  # no infinite sequence
+@example((1, [[0, 0, 0, 0, 0]]))  # one symbol
+def test_aho_corasick_matches_the_block_automaton(case):
+    k, words = case
+    spec = sym.forbidden_words(k, words)
+    try:
+        ref = sym.automaton_spec(reference_block_automaton(k, words), k)
+    except EmptySubshift:
+        with pytest.raises(EmptySubshift):
+            sym.prune(spec)
+        return
+    got = sym.prune(spec)
+    assert got.automaton.n_states <= 1 + sum(map(len, words))
+    for n in range(1, 8):
+        assert sym.enumerate_words(got, n) == sym.enumerate_words(ref, n)
+    assert sym.count_words(got, 12).counts == sym.count_words(ref, 12).counts
+    got_rep, ref_rep = sym.entropy(got, 12), sym.entropy(ref, 12)
+    assert got_rep.upper_bounds == ref_rep.upper_bounds
+    (lo, hi), (ref_lo, ref_hi) = got_rep.spectral_bracket, ref_rep.spectral_bracket
+    assert max(lo, ref_lo) <= min(hi, ref_hi)
+
+
+def test_long_words_take_one_state_per_prefix():
+    # the 18 proper prefixes of the three words, the empty one included
+    spec = sym.forbidden_words(6, ["3302433", "2324141", "2104245"])
+    assert sym.prune(spec).automaton.n_states == 18
+    assert sym.count_words(spec, 7)[7] == 6**7 - 3
 
 
 @settings(max_examples=60, deadline=None)
@@ -432,7 +521,7 @@ class TestJson:
         specs = [
             sym.full_shift(4),
             sym.sft_from_matrix([[1, 1], [1, 0]]),
-            sym.forbidden_words(2, ["11", "000"]),  # compiled over block states
+            sym.forbidden_words(2, ["11", "000"]),
             sym.allowed_tuples(3, 2, [(0, 0), (1, 1), (2, 0)]),
             sym.automaton_spec(sym.Automaton(2, 0, ({0: 0, 1: 1}, {0: 0})), 2),
         ]

@@ -21,6 +21,7 @@ from meandim.errors import (
     ResourceLimit,
 )
 from meandim.limits import word_budget
+from test_symbolic import reference_block_automaton
 
 R_EXAMPLE = [(0, 0), (1, 1), (2, 0)]
 W_EXAMPLE = math.log(2) / math.log(3)
@@ -178,8 +179,10 @@ class TestFiberSweep:
         assert wt.fiber_counts(sys_, 6, budget=15_000).levels == reference_fiber_counts(sys_, 6)
 
     def test_ninety_state_forbidden_system_runs_at_n12(self):
-        # 531,441 projected words at N = 12, about 9 of 90 states per word
-        omega = sym.forbidden_words(9, [[1, 7], [1, 7, 6], [2, 5, 5], [5, 8, 0]])
+        # 531,441 projected words at N = 12, about 9 of 90 states per word;
+        # the block automaton gives the 90 states (Aho-Corasick gives 6)
+        words = [[1, 7], [1, 7, 6], [2, 5, 5], [5, 8, 0]]
+        omega = sym.automaton_spec(reference_block_automaton(9, words), 9)
         sys_ = wt.pair_system(3, 3, omega)
         assert sym.ensure_pruned(omega).automaton.n_states == 90
         z = wt.weighted_entropy(sys_, 1.0, 12).z_values
@@ -456,6 +459,18 @@ class TestWeightedEntropy:
         sys_ = wt.pair_system(2, 2, sym.sft_from_matrix(mat))
         rep = wt.weighted_entropy(sys_, 0.6, 8)
         assert rep.submultiplicative_ok
+
+    def test_product_systems_skip_the_pair_check(self, monkeypatch):
+        # S^N rounded once cannot fail it, and its n_max^2 pairs took most
+        # of a product call at n_max = 3000
+        checked = []
+        monkeypatch.setattr(wt, "_submultiplicative", lambda z: checked.append(len(z)) or True)
+        product = wt.pair_system_from_tuples(2, 2, [(0, 0), (1, 0)])
+        assert wt.weighted_entropy(product, 0.1, 3000).submultiplicative_ok
+        assert checked == []
+        sweep = wt.pair_system(3, 2, sym.sft_from_matrix(PROBE_MATRIX))
+        assert wt.weighted_entropy(sweep, 0.5, 4).submultiplicative_ok
+        assert checked == [4]
 
     def test_w_outside_range_rejected(self):
         sys_ = wt.pair_system_from_tuples(3, 2, R_EXAMPLE)
