@@ -2,9 +2,10 @@
 
 Rules are Free (no constraint), LinearMod (a three-cell linear congruence),
 or LocalPatterns (a single allowed window set).  Counting is exact over big
-integers via a column transfer graph; locally admissible counts upper-bound
-the pattern language of the corresponding subshift, and normalized log-counts
-are certified entropy upper bounds by subadditivity in both axes.  The digit
+integers as path counts of the column transfer graph, a `symbolic.Automaton`
+whose labels are columns.  Locally admissible counts upper-bound the pattern
+language of the corresponding subshift, and normalized log-counts are
+certified entropy upper bounds by subadditivity in both axes.  The digit
 points x_n = sum_m w[n][m] a^-m embed admissible patterns into the torus
 product for metric cross-checks.
 """
@@ -22,6 +23,7 @@ import numpy as np
 from .errors import DomainError, ResourceLimit
 from .limits import point_budget, state_budget
 from .metrics import SUM_WEIGHTED_TORUS, MetricDescriptor, PointCloud
+from .symbolic import Automaton
 
 RULE_FREE = "free"
 RULE_LINEAR = "linear"
@@ -49,6 +51,10 @@ class Grid2DSpec:
             for pat in self.allowed:
                 if len(pat) != h or any(len(row) != w for row in pat):
                     raise DomainError("allowed pattern does not fit the window")
+                if any(not 0 <= x < self.alphabet for row in pat for x in row):
+                    raise DomainError(
+                        f"allowed pattern {pat} has a symbol outside 0..{self.alphabet - 1}"
+                    )
         elif self.rule != RULE_FREE:
             raise DomainError(f"unknown rule {self.rule!r}")
 
@@ -92,23 +98,6 @@ def hard_square_rule() -> Grid2DSpec:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _TransferGraph:
-    """Column transfer graph of a rule at a fixed number of rows.
-
-    A state is a strip of the last `width` columns of a pattern (one column
-    for linear rules and for single-column windows, w - 1 columns for wider
-    windows), each column a tuple of digits, numbered in `itertools.product`
-    order.  succ[s] lists in increasing order the states reached by
-    appending one column; None means every state may follow every state
-    (the rule only constrains single columns).
-    """
-
-    strips: list
-    width: int
-    succ: list | None
-
-
 def _window_free(spec: Grid2DSpec, n_rows: int, m_cols: int) -> bool:
     """True when no constraint fits in an n_rows x m_cols grid."""
     if spec.rule == RULE_FREE:
@@ -117,14 +106,6 @@ def _window_free(spec: Grid2DSpec, n_rows: int, m_cols: int) -> bool:
         h, w = spec.window
         return n_rows < h or m_cols < w
     return False
-
-
-def _check_edges(edges: int, n_rows: int, cap: int) -> None:
-    if edges > cap:
-        raise ResourceLimit(
-            f"state budget: the transfer graph for {n_rows} rows needs more than "
-            f"{cap} edges, the cap"
-        )
 
 
 def _column_successors(spec: Grid2DSpec, strip_rows, n_rows: int) -> list[int]:
@@ -153,7 +134,37 @@ def _column_successors(spec: Grid2DSpec, strip_rows, n_rows: int) -> list[int]:
     return out
 
 
-def _linear_graph(spec: Grid2DSpec, n_rows: int, cap: int) -> _TransferGraph:
+def _loops(n_cols: int, cols: list) -> Automaton:
+    """One state with a loop per admissible column: a single-column rule."""
+    return Automaton(alphabet_size=n_cols, root=0, succ=({c: 0 for c in cols},))
+
+
+def _rooted(cols: list, width: int, succ, cap: int) -> Automaton:
+    """Strip graph with column labels: `succ` yields each strip's target
+    strips, and strip t ends in cols[t % len(cols)].  Its edges are capped
+    at `cap` as they are generated.  The root reads the first `width`
+    columns freely through a chain of prefix states, each level numbered
+    like the strips."""
+    k = len(cols)
+    states = []
+    edges = 0
+    for targets in succ:
+        edges += len(targets)
+        if edges > cap:
+            raise ResourceLimit(
+                f"state budget: the transfer graph for {len(cols[0])} rows needs more "
+                f"than {cap} edges, the cap"
+            )
+        states.append({cols[t % k]: t for t in targets})
+    level = 0  # first state of the level the next one reaches
+    for j in range(width - 1, -1, -1):
+        start = len(states)
+        states.extend({c: level + p * k + i for i, c in enumerate(cols)} for p in range(k**j))
+        level = start
+    return Automaton(alphabet_size=k, root=level, succ=tuple(states))
+
+
+def _linear_graph(spec: Grid2DSpec, n_rows: int, cap: int) -> Automaton:
     """Columns solve c00 x[i] + c10 x[i+1] = 0 when c01 = 0; otherwise each
     row i above `top` of the next column solves
     c01 y = -(c00 x[i] + c10 x[i+1]) (mod a) and the rows below stay free."""
@@ -166,48 +177,42 @@ def _linear_graph(spec: Grid2DSpec, n_rows: int, cap: int) -> _TransferGraph:
         return (c00 * col[i] + (c10 * col[i + 1] if c10 != 0 else 0)) % a
 
     if c01 == 0:
-        strips = [(c,) for c in cols if all(residue(c, i) == 0 for i in range(top))]
-        return _TransferGraph(strips=strips, width=1, succ=None)
+        return _loops(len(cols), [c for c in cols if all(residue(c, i) == 0 for i in range(top))])
     roots = [[y for y in range(a) if (c01 * y + r) % a == 0] for r in range(a)]
     free = list(range(a))
-    succ = []
-    edges = 0
-    for col in cols:
-        targets = [0]
+
+    def targets(col):
+        out = [0]
         for i in range(n_rows):
             choices = roots[residue(col, i)] if i < top else free
-            targets = [t * a + y for t in targets for y in choices]
-        edges += len(targets)
-        _check_edges(edges, n_rows, cap)
-        succ.append(targets)
-    return _TransferGraph(strips=[(c,) for c in cols], width=1, succ=succ)
+            out = [t * a + y for t in out for y in choices]
+        return out
+
+    return _rooted(cols, 1, map(targets, cols), cap)
 
 
-def _patterns_graph(spec: Grid2DSpec, n_rows: int, cap: int) -> _TransferGraph:
+def _patterns_graph(spec: Grid2DSpec, n_rows: int, cap: int) -> Automaton:
     a = spec.alphabet
     _, w = spec.window
     cols = list(itertools.product(range(a), repeat=n_rows))
     if w == 1:
         empty = ((),) * n_rows
-        strips = [(cols[c],) for c in _column_successors(spec, empty, n_rows)]
-        return _TransferGraph(strips=strips, width=1, succ=None)
-    strips = list(itertools.product(cols, repeat=w - 1))
+        return _loops(len(cols), [cols[c] for c in _column_successors(spec, empty, n_rows)])
     shift = a ** (n_rows * (w - 2))  # a strip drops its first column
-    succ = []
-    edges = 0
-    for s, strip in enumerate(strips):
-        base = (s % shift) * len(cols)
-        targets = [base + c for c in _column_successors(spec, tuple(zip(*strip)), n_rows)]
-        edges += len(targets)
-        _check_edges(edges, n_rows, cap)
-        succ.append(targets)
-    return _TransferGraph(strips=strips, width=w - 1, succ=succ)
+    succ = (
+        [(s % shift) * len(cols) + c for c in _column_successors(spec, tuple(zip(*strip)), n_rows)]
+        for s, strip in enumerate(itertools.product(cols, repeat=w - 1))
+    )
+    return _rooted(cols, w - 1, succ, cap)
 
 
-def _transfer_graph(spec: Grid2DSpec, n_rows: int, budget: int | None) -> _TransferGraph:
-    """The transfer graph of a linear or pattern rule.  `budget` (default
-    `state_budget()`) caps its states, checked before anything is built,
-    and its edges, checked as they are generated."""
+def _transfer_graph(spec: Grid2DSpec, n_rows: int, budget: int | None) -> Automaton:
+    """Automaton whose words of length m are the locally admissible
+    n_rows x m patterns, column by column.  A strip state holds the last
+    column (linear rules) or w - 1 columns, numbered in `itertools.product`
+    order.  `budget` (default `state_budget()`) caps the strips, checked
+    before anything is built (the root and chain states are fewer), and the
+    strip-to-strip edges, checked as they are generated."""
     cap = state_budget(budget)
     a = spec.alphabet
     width = 1 if spec.rule == RULE_LINEAR else max(spec.window[1] - 1, 1)
@@ -219,25 +224,6 @@ def _transfer_graph(spec: Grid2DSpec, n_rows: int, budget: int | None) -> _Trans
     if spec.rule == RULE_LINEAR:
         return _linear_graph(spec, n_rows, cap)
     return _patterns_graph(spec, n_rows, cap)
-
-
-def _sweep(graph: _TransferGraph, a: int, n_rows: int, m_max: int) -> list[int]:
-    """count(n_rows, m) for m = 1..m_max: big-int path weights over the graph."""
-    counts = [a ** (n_rows * m) for m in range(1, min(graph.width, m_max + 1))]
-    size = len(graph.strips)
-    if graph.succ is None:
-        return counts + [size**m for m in range(1, m_max + 1)]
-    weights = [1] * size
-    counts.append(size)
-    for _ in range(m_max - graph.width):
-        nxt = [0] * size
-        for k, targets in zip(weights, graph.succ):
-            if k:
-                for t in targets:
-                    nxt[t] += k
-        weights = nxt
-        counts.append(sum(weights))
-    return counts[:m_max]
 
 
 def count_rectangles(
@@ -255,38 +241,7 @@ def count_rectangles(
         raise DomainError("pattern dimensions must be positive")
     if _window_free(spec, n_rows, m_cols):
         return spec.alphabet ** (n_rows * m_cols)
-    graph = _transfer_graph(spec, n_rows, budget)
-    return _sweep(graph, spec.alphabet, n_rows, m_cols)[-1]
-
-
-def _walk(graph: _TransferGraph, m_cols: int):
-    """Column tuples of every m_cols-column path through the graph, in
-    lexicographic (`itertools.product`) order."""
-    strips, succ = graph.strips, graph.succ
-    if succ is None:
-        yield from itertools.product([strip[0] for strip in strips], repeat=m_cols)
-        return
-    last = [strip[-1] for strip in strips]
-    steps = m_cols - graph.width
-    for s, strip in enumerate(strips):
-        if steps == 0:
-            yield strip
-            continue
-        path = list(strip)
-        stack = [iter(succ[s])]
-        while stack:
-            for t in stack[-1]:
-                path.append(last[t])
-                if len(stack) == steps:
-                    yield tuple(path)
-                    path.pop()
-                else:
-                    stack.append(iter(succ[t]))
-                    break
-            else:
-                stack.pop()
-                if stack:
-                    path.pop()
+    return _transfer_graph(spec, n_rows, budget).word_counts(m_cols)[-1]
 
 
 def enumerate_patterns(spec: Grid2DSpec, n_rows: int, m_cols: int, budget: int | None = None):
@@ -296,15 +251,15 @@ def enumerate_patterns(spec: Grid2DSpec, n_rows: int, m_cols: int, budget: int |
         raise DomainError("pattern dimensions must be positive")
     cap = point_budget(budget)
     a = spec.alphabet
-    if _window_free(spec, n_rows, m_cols):
-        total = a ** (n_rows * m_cols)
-        grids = itertools.product(itertools.product(range(a), repeat=n_rows), repeat=m_cols)
-    else:
-        graph = _transfer_graph(spec, n_rows, None)
-        total = _sweep(graph, a, n_rows, m_cols)[-1]
-        grids = _walk(graph, m_cols)
+    free = _window_free(spec, n_rows, m_cols)
+    graph = None if free else _transfer_graph(spec, n_rows, None)
+    total = a ** (n_rows * m_cols) if free else graph.word_counts(m_cols)[-1]
     if total > cap:
         raise ResourceLimit(f"{total} patterns exceed budget {cap}")
+    if free:
+        grids = itertools.product(itertools.product(range(a), repeat=n_rows), repeat=m_cols)
+    else:
+        grids = graph.enumerate_words(m_cols, cap)
     return [tuple(zip(*cols)) for cols in grids]
 
 
@@ -345,6 +300,8 @@ def entropy2d(
     window take `count_rectangles`' closed form.  `budget` caps the transfer
     states as in `count_rectangles`.
     """
+    if n_max < 1 or m_max < 1:
+        raise DomainError(f"grid (n_max, m_max) = ({n_max}, {m_max}) needs both >= 1")
     estimates = {}
     counts = {}
     best = math.inf
@@ -353,7 +310,7 @@ def entropy2d(
         if _window_free(spec, n, m_max):
             row = [count_rectangles(spec, n, m, budget) for m in range(1, m_max + 1)]
         else:
-            row = _sweep(_transfer_graph(spec, n, budget), spec.alphabet, n, m_max)
+            row = _transfer_graph(spec, n, budget).word_counts(m_max)
         for m, c in enumerate(row, 1):
             counts[(n, m)] = c
             e = math.log(c) / (n * m) if c > 0 else -math.inf

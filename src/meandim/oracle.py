@@ -234,8 +234,11 @@ def hausdorff_upper_at_scale(diameters, eps: float, tol: float = 1e-10) -> float
 
     Every diameter must lie in (0, min(1, eps)); then s -> sum diam^s is
     strictly decreasing, and the value certifies dimh(., d, eps) <= s* for any
-    space covered by sets of these diameters.
+    space covered by sets of these diameters.  The bisection stops at width
+    tol, a finite number above 0, or at adjacent doubles.
     """
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise DomainError(f"tol = {tol} is not a finite number above 0")
     diams = sorted((float(d) for d in diameters), reverse=True)
     if not diams:
         raise DomainError("cover must be nonempty")
@@ -255,6 +258,8 @@ def hausdorff_upper_at_scale(diameters, eps: float, tol: float = 1e-10) -> float
             raise DomainError("exponent search diverged")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
         if total(mid) >= 1.0:
             lo = mid
         else:
@@ -371,6 +376,8 @@ def qbox_family(
     integer arithmetic on the digit structure; distances on materialized
     points are double precision.
     """
+    if n < 1 or m < 1:
+        raise DomainError(f"box level (N, M) = ({n}, {m}) needs N >= 1 and M >= 1")
     a, b = spec.a, spec.b
     t = floor_w_m(a, b, m)
     cap = word_budget(budget)
@@ -543,6 +550,10 @@ def mass_distribution_check(
     identity for (1/NM) log mu(P) on sampled digit sequences and that the
     measure is a probability measure.
     """
+    if n < 1:
+        raise DomainError(f"coordinate window N = {n} must be >= 1")
+    if not m_range or min(m_range) < 1:
+        raise DomainError(f"M {m_range!r} must be a nonempty range with every M >= 1")
     a, b = spec.a, spec.b
     w = spec.w
     cap = word_budget(budget)
@@ -806,6 +817,8 @@ def _walk(j: int, direction: int, done) -> int:
 
 def reciprocal_witness_delta(m: int, eps: float) -> float:
     """The interval width parameter: strictly below eps/12, a^m/8, 2^-(m/3+1)."""
+    if m < 1:
+        raise DomainError(f"scale depth m = {m} must be >= 1")
     if not (0.0 < eps < 1.0 / 6.0):
         raise DomainError("eps must lie in (0, 1/6)")
     bound = min(eps / 12.0, INV_SQ_WEIGHT**m / 8.0, 0.5 ** (m / 3.0 + 1.0))
@@ -835,6 +848,8 @@ def reciprocal_product_witness(
     on the thin class), giving mass >= diam^(6 (N+L) / m) with
     diam <= r + 2^-L < 2r.
     """
+    if n_window < 1:
+        raise DomainError(f"coordinate window N = {n_window} must be >= 1")
     delta = reciprocal_witness_delta(m, eps)
     tail = reciprocal_tail_depth(m, delta)
     if tail > l_cap:
@@ -898,6 +913,8 @@ def reciprocal_product_witness(
 
 def sample_reciprocal_point(n_coords: int, n_cap: int, seed: int = 0) -> list[float]:
     """Seeded sample from the truncated space, coordinates iid inverse-square."""
+    if n_cap < 1:
+        raise DomainError(f"truncation n_cap = {n_cap} must be >= 1")
     rng = random.Random(seed)
     out = []
     for _ in range(n_coords):
@@ -919,6 +936,8 @@ def reciprocal_set_dims(n_cap: int, eps_list, probe_s: float = 0.05) -> dict:
     every scale: the cover {[0, delta]} plus singletons has weight sum
     delta^s < 1 for every s > 0 (singletons contribute 0^s = 0).
     """
+    if n_cap < 1:
+        raise DomainError(f"truncation n_cap = {n_cap} must be >= 1")
     points = reciprocal_atoms(n_cap)
     out: dict = {"minkowski_scale": {}, "hausdorff_scale_upper": {}, "witness": {}}
     out["truncation_error"] = 1.0 / n_cap

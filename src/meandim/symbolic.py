@@ -47,6 +47,8 @@ class Automaton:
     correspond to distinct paths from the root and word counting reduces to
     path counting.  After pruning, every state has at least one outgoing
     transition, hence every spelled word extends to a point of the subshift.
+    Labels are sortable hashables: symbols for subshifts, columns (tuples of
+    digits) for the column transfer graphs of `grid2d`, which are not pruned.
     """
 
     alphabet_size: int
@@ -59,32 +61,44 @@ class Automaton:
 
     def word_counts(self, n_max: int) -> list:
         """Exact number of admissible words for each length 1..n_max."""
-        ways = {self.root: 1}
+        weights = [0] * len(self.succ)
+        weights[self.root] = 1
         counts = []
         for _ in range(n_max):
-            nxt: dict = {}
-            for s, c in ways.items():
-                for t in self.succ[s].values():
-                    nxt[t] = nxt.get(t, 0) + c
-            ways = nxt
-            counts.append(sum(ways.values()))
+            nxt = [0] * len(weights)
+            for k, trans in zip(weights, self.succ):
+                if k:
+                    for t in trans.values():
+                        nxt[t] += k
+            weights = nxt
+            counts.append(sum(weights))
         return counts
 
     def enumerate_words(self, n: int, budget: int | None = None) -> list[tuple]:
-        """All admissible words of length n, lexicographically sorted."""
+        """All admissible words of length n, in lexicographic order: a
+        depth-first walk over each state's labels in increasing order."""
         cap = word_budget(budget)
-        words: list[tuple] = []
-        stack = [(self.root, ())]
+        edges = [sorted(trans.items()) for trans in self.succ]
+        words: list[tuple] = [()] if n == 0 else []
+        path: list = []
+        stack = [iter(edges[self.root])] if n > 0 else []
         while stack:
-            state, prefix = stack.pop()
-            if len(prefix) == n:
-                words.append(prefix)
+            for label, t in stack[-1]:
+                path.append(label)
+                if len(stack) < n:
+                    stack.append(iter(edges[t]))
+                    break
+                words.append(tuple(path))
                 if len(words) > cap:
-                    raise ResourceLimit(f"word enumeration exceeds budget {cap}")
-                continue
-            for label in sorted(self.succ[state], reverse=True):
-                stack.append((self.succ[state][label], prefix + (label,)))
-        words.sort()
+                    stack.clear()
+                    break
+                path.pop()
+            else:
+                stack.pop()
+                if stack:
+                    path.pop()
+        if len(words) > cap:
+            raise ResourceLimit(f"word enumeration exceeds budget {cap}")
         return words
 
     def lex_least_extension(self, word: tuple, depth: int) -> tuple:

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import resource
+import signal
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -610,6 +611,71 @@ class TestCliFuzz:
             except SystemExit as exc:  # argparse usage errors
                 code = exc.code
         assert code in (0, 2, 3, 4), (argv, doc, err.getvalue())
+
+
+CARPET = ["--a", "3", "--b", "2", "--tuples", "00,11,20"]
+NUMERIC_FLAG_COMMANDS = [
+    (["grid2d", "--rule", "{rule}"], ["--nmax", "--mmax"]),
+    (["oracle", "qbox", *CARPET], ["--N", "--M"]),
+    (["oracle", "mass", *CARPET], ["--N", "--mmin", "--mmax"]),
+    (["oracle", "appendix-k", "--eps", "0.5"], ["--ncap", "--m", "--N"]),
+    (["oracle", "appendix-k", "--witness"], ["--ncap", "--m", "--N"]),
+    (["oracle", "hdim", "--diams", "0.1,0.2", "--eps", "0.5"], ["--tol"]),
+]
+SMALL_INTS = [str(v) for v in range(-2, 5)]
+
+
+@st.composite
+def numeric_flag_calls(draw):
+    command, flags = draw(st.sampled_from(NUMERIC_FLAG_COMMANDS))
+    argv = list(command)
+    for flag in flags:
+        values = SMALL_INTS + ["0.0", "nan"] if flag == "--tol" else SMALL_INTS
+        argv += [flag, draw(st.sampled_from(values))]
+    return argv
+
+
+class CallTimedOut(BaseException):
+    """Raised by the alarm; main catches no BaseException."""
+
+
+class TestNumericFlagFuzz:
+    SECONDS = 10
+
+    @settings(max_examples=120, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(numeric_flag_calls())
+    @example(["oracle", "hdim", "--diams", "0.1,0.2", "--eps", "0.5", "--tol", "0"])
+    @example(["oracle", "appendix-k", "--ncap", "0"])
+    @example(["oracle", "appendix-k", "--witness", "--m", "0"])
+    @example(["oracle", "mass", *CARPET, "--N", "1", "--mmin", "3", "--mmax", "2"])
+    @example(["grid2d", "--rule", "{rule}", "--nmax", "0"])
+    def test_small_values_exit_documented_in_time(self, tmp_path, argv):
+        """Every small value of a numeric flag ends in a documented exit
+        code, without an exception escaping main, within SECONDS."""
+        rule = tmp_path / "rule.json"
+        rule.write_text(json.dumps(
+            {"a": 2, "rule": "patterns", "window": [1, 2], "allowed": [[[0, 0]], [[0, 1]], [[1, 0]]]}
+        ))
+        argv = [arg.format(rule=rule) for arg in argv]
+
+        def hung(signum, frame):
+            raise CallTimedOut(f"{argv} ran more than {self.SECONDS} s")
+
+        previous = signal.signal(signal.SIGALRM, hung)
+        signal.setitimer(signal.ITIMER_REAL, self.SECONDS)
+        out, err = io.StringIO(), io.StringIO()
+        try:
+            with redirect_stdout(out), redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse usage errors
+                    code = exc.code
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert code in (0, 2, 3, 4), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
 
 
 class TestDeterminism:

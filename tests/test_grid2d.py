@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -136,7 +137,7 @@ def linear_rules(draw):
 @st.composite
 def pattern_rules(draw):
     a = draw(st.sampled_from((2, 3)))
-    h, w = draw(st.sampled_from(((1, 2), (2, 1), (2, 2), (2, 3))))
+    h, w = draw(st.sampled_from(((1, 2), (2, 1), (2, 2), (2, 3), (1, 4))))
     windows = list(itertools.product(itertools.product(range(a), repeat=w), repeat=h))
     allowed = draw(st.lists(st.sampled_from(windows), unique=True, max_size=len(windows)))
     return g2.patterns_rule(a, (h, w), allowed)
@@ -164,6 +165,20 @@ class TestTransferGraph:
         ]
         for (n, m), c in rep.counts.items():
             assert c == g2.count_rectangles(spec, n, m)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_width_four_window_reads_three_free_columns(self, seed):
+        # three strip columns: the root reaches each strip through two
+        # levels of prefix states
+        rng = random.Random(seed)
+        windows = list(itertools.product(itertools.product(range(2), repeat=4), repeat=1))
+        spec = g2.patterns_rule(2, (1, 4), rng.sample(windows, rng.randint(1, 15)))
+        for n_rows, m_cols in ((1, 6), (2, 5), (3, 4)):
+            want = reference_patterns(spec, n_rows, m_cols)
+            assert g2.count_rectangles(spec, n_rows, m_cols) == len(want)
+            assert g2.enumerate_patterns(spec, n_rows, m_cols) == want
+            counts = g2.entropy2d(spec, n_rows, m_cols).counts
+            assert [counts[(n_rows, m)] for m in (1, 2, 3)] == [2**n_rows, 4**n_rows, 8**n_rows]
 
     def test_hard_square_9x9_and_10x10(self):
         # both values also come out of the pair-by-pair transfer code that
@@ -251,6 +266,11 @@ class TestCounts:
         with pytest.raises(DomainError):
             g2.count_rectangles(g2.free_rule(2), 0, 3)
 
+    @pytest.mark.parametrize("pattern", [((0, 5),), ((-1, 0),)])
+    def test_pattern_symbols_outside_the_alphabet_rejected(self, pattern):
+        with pytest.raises(DomainError, match=r"allowed pattern .* outside 0\.\.2"):
+            g2.patterns_rule(3, (1, 2), [pattern])
+
 
 class TestEntropy2D:
     def test_free_rule_constant(self):
@@ -263,6 +283,12 @@ class TestEntropy2D:
         assert rep.estimates[(6, 6)] < 0.31 * math.log(2)
         # every cell upper-bounds the entropy (which is 0 for this rule)
         assert all(e >= 0 for e in rep.estimates.values())
+
+    @pytest.mark.parametrize("n_max,m_max", [(0, 4), (4, 0), (-1, -1)])
+    def test_empty_grid_rejected(self, n_max, m_max):
+        # an empty grid failed on min() of an empty sequence
+        with pytest.raises(DomainError, match=rf"\({n_max}, {m_max}\)"):
+            g2.entropy2d(g2.free_rule(2), n_max, m_max)
 
     def test_hard_square_matches_enumeration(self):
         rep = g2.entropy2d(g2.hard_square_rule(), 4, 4)

@@ -2,7 +2,11 @@
 
 import itertools
 import math
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -256,6 +260,37 @@ class TestHausdorffUpper:
         with pytest.raises(DomainError):
             orc.hausdorff_upper_at_scale([0.0, 0.2], 0.3)  # nonpositive diam
 
+    @pytest.mark.parametrize("tol", [math.nan, math.inf])
+    def test_tol_that_ends_no_bisection_rejected(self, tol):
+        # nan and inf returned the first midpoint, unconverged
+        with pytest.raises(DomainError, match=f"tol = {tol}"):
+            orc.hausdorff_upper_at_scale([0.1, 0.2], 0.5, tol=tol)
+
+    def test_tol_below_the_double_spacing_ends(self):
+        # with lo and hi adjacent doubles the midpoint is one of them, so a
+        # tol of 1e-300 bisected forever, as did 0 and -1; a child process
+        # bounds the run
+        child = (
+            "from meandim import oracle\n"
+            "from meandim.errors import DomainError\n"
+            "print(repr(oracle.hausdorff_upper_at_scale([0.1, 0.2], 0.5, tol=1e-300)))\n"
+            "for tol in (0.0, -1.0):\n"
+            "    try:\n"
+            "        oracle.hausdorff_upper_at_scale([0.1, 0.2], 0.5, tol=tol)\n"
+            "    except DomainError as exc:\n"
+            "        print(exc)\n"
+        )
+        src = str(Path(orc.__file__).resolve().parent.parent)
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=20, check=True)
+        root, zero, negative = proc.stdout.splitlines()
+        # 0.1^s + 0.2^s = 1
+        assert float(root) == pytest.approx(
+            orc.hausdorff_upper_at_scale([0.1, 0.2], 0.5), abs=1e-9
+        )
+        assert zero == "tol = 0.0 is not a finite number above 0"
+        assert negative == "tol = -1.0 is not a finite number above 0"
+
 
 class TestQBoxFamily:
     def test_example_counts_exact(self):
@@ -295,6 +330,14 @@ class TestQBoxFamily:
         assert (got.count, got.omega_words, got.section) == (want.count, want.omega_words, want.section)
         with pytest.raises(ResourceLimit, match="stores word sets up to length 2"):
             orc.qbox_family(spec, 3, 3)
+
+    @pytest.mark.parametrize("n,m", [(0, 2), (1, 0)])
+    def test_level_below_one_rejected(self, n, m):
+        # N = 0 or M = 0 gave one box and an infinite separation; a negative
+        # N enumerated words without end
+        spec = cp.carpet_from_tuples(3, 2, R_EXAMPLE)
+        with pytest.raises(DomainError, match=rf"\(N, M\) = \({n}, {m}\)"):
+            orc.qbox_family(spec, n, m)
 
     def test_separation_observed(self):
         spec = cp.carpet_from_tuples(3, 2, R_EXAMPLE)
@@ -413,6 +456,19 @@ class TestMassDistribution:
         spec = cp.carpet_from_tuples(3, 2, R_EXAMPLE)
         rep = orc.mass_distribution_check(spec, 1, [6], s=2.5)
         assert not rep["all_passed"]
+
+    @pytest.mark.parametrize(
+        "n,m_range,match",
+        [
+            (0, range(4, 6), "N = 0"),  # a bare KeyError
+            (1, range(0, 3), r"M range\(0, 3\)"),  # division by zero
+            (1, range(3, 3), r"M range\(3, 3\)"),  # max() of an empty sequence
+        ],
+    )
+    def test_window_and_m_range_checked_on_entry(self, n, m_range, match):
+        spec = cp.carpet_from_tuples(3, 2, R_EXAMPLE)
+        with pytest.raises(DomainError, match=match):
+            orc.mass_distribution_check(spec, n, m_range, s=0.5)
 
 
 def reference_mass_per_m(spec, n, m_range):
@@ -624,6 +680,21 @@ class TestReciprocalSpace:
     def test_eps_outside_the_unit_interval_rejected(self, eps):
         with pytest.raises(DomainError, match=r"must lie in \(0, 1\)"):
             orc.reciprocal_set_dims(100, [eps])
+
+    @pytest.mark.parametrize("n_cap", [0, -5])
+    def test_truncation_below_one_rejected(self, n_cap):
+        # 0 divided by zero; -5 reported a Minkowski value of 0
+        with pytest.raises(DomainError, match=f"n_cap = {n_cap}"):
+            orc.reciprocal_set_dims(n_cap, [0.5])
+        with pytest.raises(DomainError, match=f"n_cap = {n_cap}"):
+            orc.sample_reciprocal_point(4, n_cap)
+
+    def test_witness_depth_and_window_checked_on_entry(self):
+        # m = 0 divided by zero; N = -1 gave a witness over fewer coordinates
+        with pytest.raises(DomainError, match="m = 0"):
+            orc.reciprocal_witness_delta(0, 0.1)
+        with pytest.raises(DomainError, match="N = -1"):
+            orc.reciprocal_product_witness([0.0] * 40, -1, 2, 0.1)
 
 
 def reference_inverse_square_mass(lo, hi, enum_cap=1_000_000):

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from meandim import symbolic as sym
 from meandim.errors import DomainError, EmptySubshift, ResourceLimit
+from meandim.limits import word_budget
 
 GOLDEN_ENTROPY = 0.4812118250596035  # log((1 + sqrt 5) / 2)
 
@@ -154,6 +155,40 @@ def random_automata(draw):
     return succ, draw(st.integers(0, n - 1)), k
 
 
+def reference_word_counts(aut, n_max):
+    """The word counter before the list-of-weights sweep: a dict of weights
+    over the states reached so far."""
+    ways = {aut.root: 1}
+    counts = []
+    for _ in range(n_max):
+        nxt = {}
+        for s, c in ways.items():
+            for t in aut.succ[s].values():
+                nxt[t] = nxt.get(t, 0) + c
+        ways = nxt
+        counts.append(sum(ways.values()))
+    return counts
+
+
+def reference_enumerate_words(aut, n, budget=None):
+    """The word enumerator before the iterator-stack walk: a stack of
+    (state, prefix) pairs, then a sort."""
+    cap = word_budget(budget)
+    words = []
+    stack = [(aut.root, ())]
+    while stack:
+        state, prefix = stack.pop()
+        if len(prefix) == n:
+            words.append(prefix)
+            if len(words) > cap:
+                raise ResourceLimit(f"word enumeration exceeds budget {cap}")
+            continue
+        for label in sorted(aut.succ[state], reverse=True):
+            stack.append((aut.succ[state][label], prefix + (label,)))
+    words.sort()
+    return words
+
+
 def cycle_chord_log_radius(k, length):
     """log radius of the k-cycle plus a chord closing a second cycle of the
     given length: the radius is 1/x for the root of x^k + x^length = 1 in (0, 1)."""
@@ -237,6 +272,30 @@ class TestPrune:
             for g, r in (got, want)
         ]
         assert counts[0] == counts[1]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    random_automata(),
+    st.integers(0, 6),
+    st.one_of(st.none(), st.integers(0, 40)),
+    st.booleans(),
+)
+def test_walk_and_sweep_match_the_reference(case, n, budget, column_labels):
+    # unpruned graphs, as the 2d transfer graphs are; column_labels makes the
+    # labels tuples, as the 2d columns are
+    succ, root, k = case
+    if column_labels:
+        succ = [{(l % 2, l): t for l, t in trans.items()} for trans in succ]
+    aut = sym.Automaton(alphabet_size=k, root=root, succ=tuple(succ))
+    assert aut.word_counts(6) == reference_word_counts(aut, 6)
+    try:
+        want = reference_enumerate_words(aut, n, budget)
+    except ResourceLimit as exc:
+        with pytest.raises(ResourceLimit, match=str(exc)):
+            aut.enumerate_words(n, budget)
+        return
+    assert aut.enumerate_words(n, budget) == want
 
 
 def test_product_symbols_are_computed_once():
