@@ -377,12 +377,12 @@ def torus_points(
     pats = enumerate_patterns(spec, rows, m_cols, budget)
     a = spec.alphabet
     denom = a**m_cols
-    pts = [
-        [sum(row[m] * a ** (m_cols - 1 - m) for m in range(m_cols)) / denom for row in pat]
-        for pat in pats
-    ]
+    # exact below 2^53, so the one division rounds as Python's int / int
+    dtype = np.int64 if denom <= 2**53 else object
+    digits = np.array(pats, dtype=dtype).reshape(len(pats), rows, m_cols)
+    place = np.array([a ** (m_cols - 1 - m) for m in range(m_cols)], dtype=dtype)
     return PointCloud(
-        points=np.array(pts),
+        points=(digits @ place / denom).astype(float),
         metric=MetricDescriptor(kind=SUM_WEIGHTED_TORUS, iterates=n_rows),
         truncation_error=0.5 * 2.0 ** -(rows - n_rows + 1) if depth else 0.5 * 2.0 ** -1,
     )

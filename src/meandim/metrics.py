@@ -37,7 +37,8 @@ class MetricDescriptor:
 
 def torus_gap(u, v):
     """Circle distance rho(u, v) = min_m |u - v - m| on R/Z."""
-    diff = np.abs(np.asarray(u) - np.asarray(v)) % 1.0
+    diff = np.abs(np.asarray(u) - np.asarray(v))
+    diff = diff - np.floor(diff)  # diff mod 1, exact like % 1.0 and faster
     return np.minimum(diff, 1.0 - diff)
 
 
@@ -71,6 +72,8 @@ class PointCloud:
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=float)
         object.__setattr__(self, "points", pts)
+        if not np.isfinite(pts).all():
+            raise DomainError("cloud coordinates must be finite numbers")
         # a weighted window shifts past the last coordinate (linf takes them all)
         iterates = self.metric.iterates
         if len(pts) and self.metric.kind != LINF_FINITE and iterates is not None:
@@ -82,17 +85,13 @@ class PointCloud:
     def __len__(self) -> int:
         return len(self.points)
 
-    def distance(self, i: int, j: int) -> float:
-        return float(pairwise_to_point(self.points[i : i + 1], self.points[j], self.metric)[0])
-
     def pairwise(self) -> np.ndarray:
         """Full distance matrix; intended for clouds of moderate size."""
         n = len(self)
         out = np.zeros((n, n))
-        for i in range(n):
-            row = pairwise_to_point(self.points[i:], self.points[i], self.metric)
-            out[i, i:] = row
-            out[i:, i] = row
+        for lo, d in _distance_rows(self):
+            out[lo : lo + len(d), lo:] = d
+            out[lo:, lo : lo + len(d)] = d.T
         return out
 
     def min_pairwise(self) -> float:
@@ -103,15 +102,12 @@ class PointCloud:
         pair has, so the closest pair lies in equal or adjacent cells of side
         d0 (1 + 1e-9), with the margin argued in `_linf_grid`.  Distances are
         computed as pairwise_to_point computes them, so the minimum is the
-        same double.  Other metrics scan each point against the later ones.
+        same double.  Other metrics measure every pair, in batches.
         """
         window = _linf_window(self)
         if window is None:
-            best = np.inf
-            for i in range(len(self) - 1):
-                row = pairwise_to_point(self.points[i + 1 :], self.points[i], self.metric)
-                best = min(best, float(row.min()))
-            return best
+            return min((float(d[np.triu_indices(len(d), 1, d.shape[1])].min(initial=np.inf))
+                        for _, d in _distance_rows(self)), default=np.inf)  # pairs i < j
         cols = np.ascontiguousarray(window.T)
         order = np.lexsort(cols[::-1])
         best = float(_linf_pair_distances(cols, order[:-1], order[1:]).min())
@@ -126,37 +122,46 @@ class PointCloud:
         return best
 
 
+def _distance_rows(cloud: PointCloud):
+    """Blocks (lo, d) of at most _PAIR_CHUNK pairs (one row at least), d[r, c]
+    the distance between points lo + r and lo + c, covering every pair."""
+    pts, n, lo = cloud.points, len(cloud), 0
+    while lo < n:
+        hi = min(n, lo + max(1, _PAIR_CHUNK // (n - lo)))
+        yield lo, pairwise_to_point(pts[lo:hi, None], pts[lo:], cloud.metric)
+        lo = hi
+
+
 def pairwise_to_point(points, ref, metric: MetricDescriptor) -> np.ndarray:
-    """Vector of distances from every point in `points` to `ref`."""
-    pts = np.asarray(points, dtype=float)
-    ref = np.asarray(ref, dtype=float)
-    rows = _base_rows(pts, ref, metric.kind)
+    """Distances from `points` to `ref`, broadcast as numpy broadcasts.
+
+    Weighted metrics sum from the last coordinate down, s_k = g_k + s_(k+1)/2,
+    so d_i = s_i / 2 after i shifts: one pass gives every window shift, each
+    distance by the same elementwise steps, the same double in any batch."""
+    rows = _base_rows(np.asarray(points, dtype=float), np.asarray(ref, dtype=float), metric.kind)
     if metric.kind == LINF_FINITE:
         if metric.iterates is not None:
             rows = rows[..., : metric.iterates]
         return rows.max(axis=-1)
-    dim = rows.shape[-1]
-    weights = 0.5 ** np.arange(1, dim + 1)
-    if metric.iterates is None:
-        return rows @ weights
-    best = np.zeros(len(pts))
-    for i in range(metric.iterates):
-        np.maximum(best, rows[..., i:] @ weights[: dim - i], out=best)
-    return best
+    shifts = 1 if metric.iterates is None else metric.iterates
+    s = best = np.zeros(rows.shape[:-1])
+    for k in range(rows.shape[-1] - 1, -1, -1):
+        s = s * 0.5 + rows[..., k]
+        if k < shifts:
+            best = np.maximum(best, s)
+    return best * 0.5
 
 
 def _linf_window(cloud: PointCloud):
     """The coordinates a linf cloud measures (its first `iterates`), as a
     points x window array, or None when the grid kernels do not apply: a
-    metric other than linf, points that are not flat, non-finite values,
-    fewer than two points or an empty window."""
+    metric other than linf, points that are not flat, fewer than two points
+    or an empty window."""
     metric, pts = cloud.metric, cloud.points
     if metric.kind != LINF_FINITE or pts.ndim != 2 or len(pts) < 2:
         return None
     window = pts if metric.iterates is None else pts[:, : metric.iterates]
-    if not (window.shape[1] and np.isfinite(window).all()):
-        return None
-    return window
+    return window if window.shape[1] else None
 
 
 def _linf_pair_distances(cols, i, j):

@@ -33,6 +33,7 @@ from .metrics import (
     MetricDescriptor,
     PointCloud,
     check_scale,
+    _PAIR_CHUNK,
     _grid_join,
     _linf_grid,
     _linf_pair_distances,
@@ -71,15 +72,16 @@ def covering_bounds(cloud: PointCloud, eps: float) -> CoverBounds:
     every point already kept, and becomes a center when it lies farther than
     eps/2 - slack from every center.  linf clouds find the pairs closer than
     eps by grid bucketing (near-linear in the cloud size); other metrics,
-    and linf clouds too small or too dense for the grid to pay, scan each
-    point against the points kept so far (linear in the kept set per point).
-    Both ways give the same brackets.
+    and linf clouds too small or too dense for the grid to pay, scan blocks
+    of points against the points kept so far (`_scan_greedy`).  Both
+    ways give the same brackets.
     """
     check_scale(cloud, eps)
     radius = eps / 2.0 - SLACK
     conflicts = _linf_conflicts(cloud, eps, radius)
     if conflicts is None:
-        separated, centers = _scan_greedy(cloud, eps, radius)
+        separated = _scan_greedy(cloud, lambda d: d < eps)
+        centers = _scan_greedy(cloud, lambda d: d <= radius)
     else:
         sep_pairs, cen_pairs = conflicts
         separated = _greedy_by_conflicts(len(cloud), *sep_pairs)
@@ -92,32 +94,25 @@ def covering_bounds(cloud: PointCloud, eps: float) -> CoverBounds:
     )
 
 
-def _scan_greedy(cloud: PointCloud, eps: float, radius: float):
-    """Both greedies by scanning each point against the kept points, which
-    sit in buffers that double when full."""
+def _scan_greedy(cloud: PointCloud, conflict) -> list[int]:
+    """Indices the greedy keeps in index order, where `conflict(d)` marks the
+    distances to a kept point that exclude a point.  Each block of
+    _PAIR_CHUNK // kept points (one at least) is measured against the kept
+    points in one call; then the earliest point left is kept and the rest of
+    the block measured against it, until no point is left."""
     pts, metric = cloud.points, cloud.metric
-    size = min(len(pts), 64)
-    sep_buf = np.empty((size,) + pts.shape[1:])
-    cen_buf = np.empty_like(sep_buf)
-    separated: list[int] = []
-    centers: list[int] = []
-    for i, p in enumerate(pts):
-        k = len(separated)
-        if not k or float(pairwise_to_point(sep_buf[:k], p, metric).min()) >= eps:
-            sep_buf = _push(sep_buf, k, p)
-            separated.append(i)
-        k = len(centers)
-        if not k or float(pairwise_to_point(cen_buf[:k], p, metric).min()) > radius:
-            cen_buf = _push(cen_buf, k, p)
-            centers.append(i)
-    return separated, centers
-
-
-def _push(buf: np.ndarray, k: int, p) -> np.ndarray:
-    if k == len(buf):
-        buf = np.concatenate([buf, np.empty_like(buf)])
-    buf[k] = p
-    return buf
+    kept, lo = [], 0
+    while lo < len(pts):
+        hi = min(len(pts), lo + max(1, _PAIR_CHUNK // max(1, len(kept))))
+        block = np.arange(lo, hi)
+        if kept:
+            block = block[~conflict(pairwise_to_point(pts[lo:hi, None], pts[kept], metric)).any(1)]
+        while len(block):
+            kept.append(int(block[0]))
+            rest = block[1:]
+            block = rest[~conflict(pairwise_to_point(pts[rest], pts[block[0]], metric))]
+        lo = hi
+    return kept
 
 
 _PAIRS_PER_POINT = 64  # candidate pairs per point before the scan is cheaper

@@ -166,6 +166,14 @@ class TestExitCodes:
         assert main(["oracle", "cover", "--points", str(points), "--eps", "nan"]) == 4
         assert "eps = nan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("row", ["nan,0.3", "0.3,inf"])
+    def test_cover_of_a_non_finite_coordinate_exits_4(self, capsys, tmp_path, row):
+        # nan used to give lower 1, upper 1 and exact 2, which is no bracket
+        points = tmp_path / "points.csv"
+        points.write_text(f"x1,x2\n{row}\n0.5,0.5\n")
+        assert main(["oracle", "cover", "--points", str(points), "--eps", "0.2"]) == 4
+        assert capsys.readouterr().err == "spec error: cloud coordinates must be finite numbers\n"
+
     def test_overflowing_z_exits_4(self, capsys):
         argv = ["weighted-entropy", "--a", "3", "--b", "2", "--tuples", "00,10,20",
                 "--w", "1", "--nmax", "700"]

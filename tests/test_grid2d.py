@@ -10,12 +10,14 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from meandim import grid2d as g2
 from meandim.errors import DomainError, ResourceLimit
+from meandim.oracle import covering_bounds
 
 HARD_SQUARE_KAPPA = 1.5030480824753  # Baxter, Ann. Comb. 3 (1999)
 
@@ -338,6 +340,50 @@ class TestTorusPoints:
         cloud = g2.torus_points(g2.free_rule(2), 2, 3)
         seen = {tuple(p) for p in cloud.points.tolist()}
         assert len(seen) == len(cloud)
+
+    @pytest.mark.parametrize(
+        "spec,n_rows,m_cols,depth",
+        [
+            (g2.free_rule(2), 1, 3, 3),
+            (g2.free_rule(3), 1, 2, 2),
+            (g2.hard_square_rule(), 2, 3, 3),
+            (g2.three_dot_rule(3), 2, 3, 1),
+            (g2.linear_rule(5, 1, 2, 3), 1, 3, 0),
+            # a^M = 2^60 and 3^40 pass 2^53: the Python-integer path
+            (g2.patterns_rule(2, (1, 2), [[[0, 0]], [[0, 1]]]), 1, 60, 1),
+            (g2.patterns_rule(3, (1, 2), [[[0, 0]], [[0, 2]], [[2, 1]], [[1, 1]]]), 2, 40, 0),
+        ],
+    )
+    def test_points_equal_the_row_sums(self, spec, n_rows, m_cols, depth):
+        got = g2.torus_points(spec, n_rows, m_cols, depth=depth).points
+        want = reference_torus_points(spec, n_rows, m_cols, depth)
+        assert got.shape == want.shape and (got == want).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(pattern_rules() | linear_rules(), st.integers(1, 3), st.integers(1, 3))
+    def test_points_equal_the_row_sums_on_random_rules(self, spec, n_rows, m_cols):
+        assume(spec.alphabet ** (n_rows * m_cols) <= 4096)
+        got = g2.torus_points(spec, n_rows, m_cols).points
+        want = reference_torus_points(spec, n_rows, m_cols, 0)
+        assert np.array_equal(got, want.reshape(got.shape))  # (0,) when empty
+
+    def test_no_pattern_gives_an_empty_cloud(self):
+        spec = g2.patterns_rule(2, (1, 1), [])
+        cloud = g2.torus_points(spec, 2, 2)
+        assert cloud.points.shape == (0, 2)
+        bounds = covering_bounds(cloud, 1.5)
+        assert (bounds.lower, bounds.upper) == (0, 0)
+
+
+def reference_torus_points(spec, n_rows, m_cols, depth):
+    """The row sums in Python integers, each divided by a^M."""
+    a = spec.alphabet
+    denom = a**m_cols
+    pats = g2.enumerate_patterns(spec, n_rows + depth, m_cols)
+    return np.array([
+        [sum(row[m] * a ** (m_cols - 1 - m) for m in range(m_cols)) / denom for row in pat]
+        for pat in pats
+    ])
 
 
 # The pairwise Fraction computation that key_fact_check's digit-gap lemma

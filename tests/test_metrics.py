@@ -1,12 +1,15 @@
 """Metric axioms and window monotonicity on random truncated points."""
 
+import math
 import random
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from meandim import metrics
 from meandim.errors import DomainError
 from meandim.metrics import (
     LINF_FINITE,
@@ -160,3 +163,79 @@ def test_weighted_window_past_the_coordinates_is_refused(kind):
     PointCloud(points=pts, metric=MetricDescriptor(kind=kind, iterates=4))
     with pytest.raises(DomainError, match="metric iterates 5 exceeds the cloud's 4 coordinates"):
         PointCloud(points=pts, metric=MetricDescriptor(kind=kind, iterates=5))
+
+
+def explicit_distance(x, y, metric):
+    """The weighted sum of one shift at a time, with math.fsum."""
+    gaps = np.asarray(metrics._base_rows(np.asarray(x), np.asarray(y), metric.kind))
+    shifts = 1 if metric.iterates is None else metric.iterates
+    return max(
+        math.fsum(g * 0.5 ** (n - i + 1) for n, g in enumerate(gaps) if n >= i)
+        for i in range(shifts)
+    )
+
+
+@st.composite
+def weighted_clouds(draw):
+    """Random clouds of the weighted metrics, pair-shaped for
+    sum_weighted_max, with non-dyadic coordinates and duplicates."""
+    kind = draw(st.sampled_from([SUM_WEIGHTED_ABS, SUM_WEIGHTED_MAX, SUM_WEIGHTED_TORUS]))
+    dim = draw(st.integers(1, 9))
+    n = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (n, 2, dim) if kind == SUM_WEIGHTED_MAX else (n, dim)
+    pts = (rng.random(shape) - 0.25) * draw(st.sampled_from([1.0, 3.7, 1e-3]))
+    if n > 1 and draw(st.booleans()):
+        pts = np.concatenate([pts, pts[rng.integers(0, n, 3)]])
+    iterates = draw(st.none() | st.integers(1, dim))
+    return PointCloud(points=pts, metric=MetricDescriptor(kind=kind, iterates=iterates))
+
+
+@settings(max_examples=150, deadline=None)
+@given(weighted_clouds())
+def test_kernel_gives_the_same_doubles_in_one_batch_and_row_by_row(cloud):
+    pts, metric = cloud.points, cloud.metric
+    batch = pairwise_to_point(pts[:, None], pts, metric)
+    for j in range(len(pts)):
+        assert np.array_equal(batch[:, j], pairwise_to_point(pts, pts[j], metric))
+        assert np.array_equal(batch[j], pairwise_to_point(pts[j : j + 1, None], pts, metric)[0])
+    i, j = 0, len(pts) - 1
+    assert batch[i, j] == distance(pts[i], pts[j], metric) == batch[j, i]
+    # summing from the last coordinate down rounds once per coordinate
+    want = explicit_distance(pts[i], pts[j], metric)
+    assert abs(batch[i, j] - want) <= 4 * pts.shape[-1] * 2.0**-53 * max(want, 1e-300)
+
+
+def reference_pairwise(cloud):
+    """The per-point loop that filled the distance matrix."""
+    n = len(cloud)
+    out = np.zeros((n, n))
+    for i in range(n):
+        row = pairwise_to_point(cloud.points[i:], cloud.points[i], cloud.metric)
+        out[i, i:] = row
+        out[i:, i] = row
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(weighted_clouds() | linf_clouds(), st.sampled_from([None, 1, 3, 50]))
+def test_pairwise_and_min_pairwise_match_the_per_point_loops(cloud, chunk):
+    # a small _PAIR_CHUNK splits small clouds into many batches
+    with mock.patch.object(metrics, "_PAIR_CHUNK", chunk or metrics._PAIR_CHUNK):
+        assert np.array_equal(cloud.pairwise(), reference_pairwise(cloud))
+        assert cloud.min_pairwise() == reference_min_pairwise(cloud)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("kind", [LINF_FINITE, SUM_WEIGHTED_TORUS])
+def test_non_finite_coordinates_are_refused(bad, kind):
+    with pytest.raises(DomainError, match="cloud coordinates must be finite"):
+        PointCloud(points=np.array([[0.0, 0.5], [bad, 0.3]]), metric=MetricDescriptor(kind=kind))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=2))
+def test_torus_gap_reduces_as_the_remainder_does(xy):
+    x, y = xy
+    diff = abs(x - y) % 1.0
+    assert torus_gap(x, y) == min(diff, 1.0 - diff)

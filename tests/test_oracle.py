@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from meandim import carpet as cp
+from meandim import grid2d as g2
 from meandim import oracle as orc
 from meandim import symbolic as sym
 from meandim import weighted as wt
@@ -27,6 +29,7 @@ from meandim.errors import (
 from meandim.metrics import (
     LINF_FINITE,
     SUM_WEIGHTED_ABS,
+    SUM_WEIGHTED_MAX,
     SUM_WEIGHTED_TORUS,
     MetricDescriptor,
     PointCloud,
@@ -234,6 +237,119 @@ class TestCoveringMatchesReference:
             cloud = PointCloud(points=pts, metric=MetricDescriptor(kind=LINF_FINITE))
             want = reference_covering_bounds(cloud, eps)
             assert orc.covering_bounds(cloud, eps) == want
+
+
+def reference_scan_greedy(cloud, eps, radius):
+    """The per-point scan the blocked greedy replaced: each point against
+    the kept points, which sit in buffers that double when full."""
+    pts, metric = cloud.points, cloud.metric
+    size = min(len(pts), 64)
+    sep_buf = np.empty((size,) + pts.shape[1:])
+    cen_buf = np.empty_like(sep_buf)
+    separated, centers = [], []
+    for i, p in enumerate(pts):
+        k = len(separated)
+        if not k or float(pairwise_to_point(sep_buf[:k], p, metric).min()) >= eps:
+            sep_buf = _push(sep_buf, k, p)
+            separated.append(i)
+        k = len(centers)
+        if not k or float(pairwise_to_point(cen_buf[:k], p, metric).min()) > radius:
+            cen_buf = _push(cen_buf, k, p)
+            centers.append(i)
+    return separated, centers
+
+
+def _push(buf, k, p):
+    if k == len(buf):
+        buf = np.concatenate([buf, np.empty_like(buf)])
+    buf[k] = p
+    return buf
+
+
+@st.composite
+def metric_clouds(draw):
+    """Clouds of every metric on the grid (1/8) Z^dim, pair-shaped for
+    sum_weighted_max, so that distances tie with dyadic eps and radii
+    exactly; or scaled by 0.1, so that they round."""
+    kind = draw(st.sampled_from([LINF_FINITE, SUM_WEIGHTED_ABS, SUM_WEIGHTED_MAX,
+                                 SUM_WEIGHTED_TORUS]))
+    dim = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 60))
+    shape = (2, dim) if kind == SUM_WEIGHTED_MAX else (dim,)
+    size = int(np.prod(shape))
+    coords = st.integers(-12, 12).map(lambda k: k / 8.0)
+    rows = draw(st.lists(st.lists(coords, min_size=size, max_size=size), min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):  # duplicates
+        rows += draw(st.lists(st.sampled_from(rows), max_size=n))
+    pts = np.array(rows).reshape((-1,) + shape) * draw(st.sampled_from([1.0, 0.1]))
+    top = dim + 1 if kind == LINF_FINITE else dim
+    iterates = draw(st.none() | st.integers(1, top))
+    return PointCloud(points=pts, metric=MetricDescriptor(kind=kind, iterates=iterates))
+
+
+class TestBlockedScan:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        metric_clouds(),
+        st.integers(1, 8).map(lambda k: k / 16),
+        st.sampled_from([None, 1, 2, 5, 64]),
+    )
+    def test_matches_the_per_point_scan(self, cloud, eps, chunk):
+        """With the radius eps/2 exactly, distances tie with it as they tie
+        with eps; a small _PAIR_CHUNK splits small clouds into many blocks."""
+        with mock.patch.object(orc, "_PAIR_CHUNK", chunk or orc._PAIR_CHUNK):
+            got = orc.covering_bounds(cloud, eps)
+            want = reference_scan_greedy(cloud, eps, eps / 2.0 - orc.SLACK)
+            assert (list(got.separated), list(got.centers)) == want
+            tie = (orc._scan_greedy(cloud, lambda d: d < eps),
+                   orc._scan_greedy(cloud, lambda d: d <= eps / 2.0))
+            assert tie == reference_scan_greedy(cloud, eps, eps / 2.0)
+
+    def test_kept_set_past_the_pair_chunk(self):
+        # every point of the first 4,200 is kept, so the blocks shrink to one
+        # point; the repeats after them are all dropped
+        n = orc._PAIR_CHUNK + 104
+        line = np.stack([np.arange(n) / 1024.0, np.zeros(n)], axis=1)
+        pts = np.concatenate([line, line[::97]])
+        cloud = PointCloud(points=pts, metric=MetricDescriptor(kind=SUM_WEIGHTED_ABS))
+        got = orc.covering_bounds(cloud, 1 / 4096)
+        assert got.separated == got.centers == tuple(range(n))
+        eps = 1 / 2048  # the line's neighbours 1/2048 apart tie with eps
+        got = orc.covering_bounds(cloud, eps)
+        want = reference_scan_greedy(cloud, eps, eps / 2.0 - orc.SLACK)
+        assert (list(got.separated), list(got.centers)) == want
+        assert len(got.separated) == n
+
+    @pytest.mark.parametrize(
+        "spec,n_rows,m_cols,depth,eps",
+        [
+            (g2.free_rule(2), 1, 3, 3, 0.15),
+            (g2.free_rule(2), 1, 3, 3, 0.25),
+            (g2.hard_square_rule(), 2, 3, 3, 0.2),
+        ],
+    )
+    def test_torus_clouds(self, spec, n_rows, m_cols, depth, eps):
+        cloud = g2.torus_points(spec, n_rows, m_cols, depth=depth)
+        got = orc.covering_bounds(cloud, eps)
+        want = reference_scan_greedy(cloud, eps, eps / 2.0 - orc.SLACK)
+        assert (list(got.separated), list(got.centers)) == want
+
+    @pytest.mark.parametrize(
+        "spec,n_rows,m_cols",
+        [(g2.free_rule(2), 2, 1), (g2.three_dot_rule(2), 1, 2), (g2.free_rule(3), 1, 1),
+         (g2.hard_square_rule(), 1, 2)],
+    )
+    def test_key_fact_clouds(self, spec, n_rows, m_cols):
+        """The clouds key_fact_check covers, with its eps and tail rows."""
+        eps = 0.5 * float(spec.alphabet) ** (-m_cols)
+        tail = 1
+        while 2.0**-tail >= eps / 2.0:
+            tail += 1
+        cloud = g2.torus_points(spec, n_rows, m_cols, depth=tail)
+        got = orc.covering_bounds(cloud, eps)
+        want = reference_scan_greedy(cloud, eps, eps / 2.0 - orc.SLACK)
+        assert (list(got.separated), list(got.centers)) == want
+        assert got.lower == g2.key_fact_check(spec, n_rows, m_cols)["lower_shift"]
 
 
 class TestHausdorffUpper:
@@ -553,10 +669,11 @@ class TestDuplicationBound:
         fam = orc.qbox_family(spec, 1, 2)
         cloud = fam.witness_cloud()
         pts = cloud.points
+        dist = cloud.pairwise()
         target = 2.0**-2
         for combo in itertools.combinations(range(len(pts)), 4**1 + 1):
             found = any(
-                cloud.distance(i, j) >= target - 1e-12
+                dist[i, j] >= target - 1e-12
                 for i, j in itertools.combinations(combo, 2)
             )
             assert found
