@@ -3,7 +3,7 @@
 Rules are Free (no constraint), LinearMod (a three-cell linear congruence),
 or LocalPatterns (a single allowed window set).  Counting is exact over big
 integers as path counts of the column transfer graph, a `symbolic.Automaton`
-whose labels are columns.  Locally admissible counts upper-bound the pattern
+whose labels are column codes.  Locally admissible counts upper-bound the pattern
 language of the corresponding subshift, and normalized log-counts are
 certified entropy upper bounds by subadditivity in both axes.  The digit
 points x_n = sum_m w[n][m] a^-m embed admissible patterns into the torus
@@ -134,32 +134,31 @@ def _column_successors(spec: Grid2DSpec, strip_rows, n_rows: int) -> list[int]:
     return out
 
 
-def _loops(n_cols: int, cols: list) -> Automaton:
-    """One state with a loop per admissible column: a single-column rule."""
-    return Automaton(alphabet_size=n_cols, root=0, succ=({c: 0 for c in cols},))
+def _loops(n_cols: int, codes: list) -> Automaton:
+    """One state with a loop per admissible column code: a single-column rule."""
+    return Automaton(alphabet_size=n_cols, root=0, succ=({c: 0 for c in codes},))
 
 
-def _rooted(cols: list, width: int, succ, cap: int) -> Automaton:
-    """Strip graph with column labels: `succ` yields each strip's target
-    strips, and strip t ends in cols[t % len(cols)].  Its edges are capped
+def _rooted(k: int, n_rows: int, width: int, succ, cap: int) -> Automaton:
+    """Strip graph over the k column codes: `succ` yields each strip's
+    target strips, and strip t ends in column t % k.  Its edges are capped
     at `cap` as they are generated.  The root reads the first `width`
     columns freely through a chain of prefix states, each level numbered
     like the strips."""
-    k = len(cols)
     states = []
     edges = 0
     for targets in succ:
         edges += len(targets)
         if edges > cap:
             raise ResourceLimit(
-                f"state budget: the transfer graph for {len(cols[0])} rows needs more "
+                f"state budget: the transfer graph for {n_rows} rows needs more "
                 f"than {cap} edges, the cap"
             )
-        states.append({cols[t % k]: t for t in targets})
+        states.append({t % k: t for t in targets})
     level = 0  # first state of the level the next one reaches
     for j in range(width - 1, -1, -1):
         start = len(states)
-        states.extend({c: level + p * k + i for i, c in enumerate(cols)} for p in range(k**j))
+        states.extend({c: level + p * k + c for c in range(k)} for p in range(k**j))
         level = start
     return Automaton(alphabet_size=k, root=level, succ=tuple(states))
 
@@ -177,7 +176,8 @@ def _linear_graph(spec: Grid2DSpec, n_rows: int, cap: int) -> Automaton:
         return (c00 * col[i] + (c10 * col[i + 1] if c10 != 0 else 0)) % a
 
     if c01 == 0:
-        return _loops(len(cols), [c for c in cols if all(residue(c, i) == 0 for i in range(top))])
+        zero = [all(residue(col, i) == 0 for i in range(top)) for col in cols]
+        return _loops(len(cols), np.flatnonzero(zero).tolist())
     roots = [[y for y in range(a) if (c01 * y + r) % a == 0] for r in range(a)]
     free = list(range(a))
 
@@ -188,7 +188,7 @@ def _linear_graph(spec: Grid2DSpec, n_rows: int, cap: int) -> Automaton:
             out = [t * a + y for t in out for y in choices]
         return out
 
-    return _rooted(cols, 1, map(targets, cols), cap)
+    return _rooted(len(cols), n_rows, 1, map(targets, cols), cap)
 
 
 def _patterns_graph(spec: Grid2DSpec, n_rows: int, cap: int) -> Automaton:
@@ -197,22 +197,23 @@ def _patterns_graph(spec: Grid2DSpec, n_rows: int, cap: int) -> Automaton:
     cols = list(itertools.product(range(a), repeat=n_rows))
     if w == 1:
         empty = ((),) * n_rows
-        return _loops(len(cols), [cols[c] for c in _column_successors(spec, empty, n_rows)])
+        return _loops(len(cols), _column_successors(spec, empty, n_rows))
     shift = a ** (n_rows * (w - 2))  # a strip drops its first column
     succ = (
         [(s % shift) * len(cols) + c for c in _column_successors(spec, tuple(zip(*strip)), n_rows)]
         for s, strip in enumerate(itertools.product(cols, repeat=w - 1))
     )
-    return _rooted(cols, w - 1, succ, cap)
+    return _rooted(len(cols), n_rows, w - 1, succ, cap)
 
 
 def _transfer_graph(spec: Grid2DSpec, n_rows: int, budget: int | None) -> Automaton:
     """Automaton whose words of length m are the locally admissible
-    n_rows x m patterns, column by column.  A strip state holds the last
-    column (linear rules) or w - 1 columns, numbered in `itertools.product`
-    order.  `budget` (default `state_budget()`) caps the strips, checked
-    before anything is built (the root and chain states are fewer), and the
-    strip-to-strip edges, checked as they are generated."""
+    n_rows x m patterns, column by column, labelled by the column codes
+    sum col[i] a^(n_rows-1-i).  A strip state holds the last column (linear
+    rules) or w - 1 columns, numbered in `itertools.product` order.  `budget`
+    (default `state_budget()`) caps the strips, checked before anything is
+    built (the root and chain states are fewer), and the strip-to-strip
+    edges, checked as they are generated."""
     cap = state_budget(budget)
     a = spec.alphabet
     width = 1 if spec.rule == RULE_LINEAR else max(spec.window[1] - 1, 1)
@@ -244,9 +245,10 @@ def count_rectangles(
     return _transfer_graph(spec, n_rows, budget).word_counts(m_cols)[-1]
 
 
-def enumerate_patterns(spec: Grid2DSpec, n_rows: int, m_cols: int, budget: int | None = None):
-    """All locally admissible patterns as row-major tuples of rows, in the
-    `itertools.product` order of their column sequences."""
+def _pattern_rows(spec: Grid2DSpec, n_rows: int, m_cols: int, budget: int | None) -> np.ndarray:
+    """Row codes sum_m w[n][m] a^(m_cols-1-m) of the admissible patterns, one
+    array row per pattern in column-word order (int64 while a^m_cols <= 2^53,
+    Python ints beyond).  `budget` caps the patterns (default `point_budget()`)."""
     if n_rows < 1 or m_cols < 1:
         raise DomainError("pattern dimensions must be positive")
     cap = point_budget(budget)
@@ -257,10 +259,22 @@ def enumerate_patterns(spec: Grid2DSpec, n_rows: int, m_cols: int, budget: int |
     if total > cap:
         raise ResourceLimit(f"{total} patterns exceed budget {cap}")
     if free:
-        grids = itertools.product(itertools.product(range(a), repeat=n_rows), repeat=m_cols)
+        codes = np.indices((a**n_rows,) * m_cols).reshape(m_cols, total).T
     else:
-        grids = graph.enumerate_words(m_cols, cap)
-    return [tuple(zip(*cols)) for cols in grids]
+        codes = np.array(graph.enumerate_words(m_cols, cap), dtype=np.int64).reshape(total, m_cols)
+    digits = codes[:, None, :] // a ** np.arange(n_rows - 1, -1, -1)[:, None] % a  # w[n][m]
+    dtype = np.int64 if a**m_cols <= 2**53 else object
+    place = np.array([a ** (m_cols - 1 - m) for m in range(m_cols)], dtype=dtype)
+    return digits.astype(dtype, copy=False) @ place
+
+
+def enumerate_patterns(spec: Grid2DSpec, n_rows: int, m_cols: int, budget: int | None = None):
+    """All locally admissible patterns as row-major tuples of rows, in the
+    `itertools.product` order of their column sequences."""
+    a = spec.alphabet
+    codes, index = np.unique(_pattern_rows(spec, n_rows, m_cols, budget), return_inverse=True)
+    rows = [tuple(c // a ** (m_cols - 1 - m) % a for m in range(m_cols)) for c in codes.tolist()]
+    return [tuple(map(rows.__getitem__, p)) for p in index.reshape(-1, n_rows).tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -374,15 +388,9 @@ def torus_points(
     stay truncation-sound.
     """
     rows = n_rows + depth
-    pats = enumerate_patterns(spec, rows, m_cols, budget)
-    a = spec.alphabet
-    denom = a**m_cols
-    # exact below 2^53, so the one division rounds as Python's int / int
-    dtype = np.int64 if denom <= 2**53 else object
-    digits = np.array(pats, dtype=dtype).reshape(len(pats), rows, m_cols)
-    place = np.array([a ** (m_cols - 1 - m) for m in range(m_cols)], dtype=dtype)
+    # row codes are exact below 2^53, so the one division rounds as int / int
     return PointCloud(
-        points=(digits @ place / denom).astype(float),
+        points=(_pattern_rows(spec, rows, m_cols, budget) / spec.alphabet**m_cols).astype(float),
         metric=MetricDescriptor(kind=SUM_WEIGHTED_TORUS, iterates=n_rows),
         truncation_error=0.5 * 2.0 ** -(rows - n_rows + 1) if depth else 0.5 * 2.0 ** -1,
     )
@@ -405,9 +413,9 @@ def key_fact_check(
     weighs it by 1/2: the rectangle distance is at least 1/(2a), above the
     threshold 1/(4a) and the greedy radius 1/(8a).  So there are no
     violations and the rectangle-metric greedy keeps every point; only the
-    shift-metric lower bound is computed.
+    shift-metric lower bound is computed (the separated greedy alone).
     """
-    from .oracle import covering_bounds
+    from .oracle import _greedies
 
     a = spec.alphabet
     eps = 0.5 * float(a) ** (-m_cols)
@@ -416,7 +424,7 @@ def key_fact_check(
         tail += 1
     cloud = torus_points(spec, n_rows, m_cols, depth=tail, budget=budget)
     n_pts = len(cloud)
-    lower_shift = covering_bounds(cloud, eps).lower
+    lower_shift = len(next(_greedies(cloud, eps)))
     return {
         "eps": eps,
         "tail": tail,

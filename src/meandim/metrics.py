@@ -37,7 +37,8 @@ class MetricDescriptor:
 
 def torus_gap(u, v):
     """Circle distance rho(u, v) = min_m |u - v - m| on R/Z."""
-    diff = np.abs(np.asarray(u) - np.asarray(v))
+    with np.errstate(over="ignore"):  # an inf difference, like any from 2^53 up, is 0 mod 1
+        diff = np.minimum(np.abs(np.asarray(u) - np.asarray(v)), 2.0**53)
     diff = diff - np.floor(diff)  # diff mod 1, exact like % 1.0 and faster
     return np.minimum(diff, 1.0 - diff)
 
@@ -89,7 +90,7 @@ class PointCloud:
         """Full distance matrix; intended for clouds of moderate size."""
         n = len(self)
         out = np.zeros((n, n))
-        for lo, d in _distance_rows(self):
+        for lo, d in _distance_rows(self.points, self.metric):
             out[lo : lo + len(d), lo:] = d
             out[lo:, lo : lo + len(d)] = d.T
         return out
@@ -106,8 +107,9 @@ class PointCloud:
         """
         window = _linf_window(self)
         if window is None:
+            blocks = _distance_rows(self.points, self.metric)
             return min((float(d[np.triu_indices(len(d), 1, d.shape[1])].min(initial=np.inf))
-                        for _, d in _distance_rows(self)), default=np.inf)  # pairs i < j
+                        for _, d in blocks), default=np.inf)  # pairs i < j
         cols = np.ascontiguousarray(window.T)
         order = np.lexsort(cols[::-1])
         best = float(_linf_pair_distances(cols, order[:-1], order[1:]).min())
@@ -122,13 +124,13 @@ class PointCloud:
         return best
 
 
-def _distance_rows(cloud: PointCloud):
+def _distance_rows(pts: np.ndarray, metric: MetricDescriptor):
     """Blocks (lo, d) of at most _PAIR_CHUNK pairs (one row at least), d[r, c]
     the distance between points lo + r and lo + c, covering every pair."""
-    pts, n, lo = cloud.points, len(cloud), 0
+    n, lo = len(pts), 0
     while lo < n:
         hi = min(n, lo + max(1, _PAIR_CHUNK // (n - lo)))
-        yield lo, pairwise_to_point(pts[lo:hi, None], pts[lo:], cloud.metric)
+        yield lo, pairwise_to_point(pts[lo:hi, None], pts[lo:], metric)
         lo = hi
 
 

@@ -76,22 +76,27 @@ def covering_bounds(cloud: PointCloud, eps: float) -> CoverBounds:
     of points against the points kept so far (`_scan_greedy`).  Both
     ways give the same brackets.
     """
-    check_scale(cloud, eps)
-    radius = eps / 2.0 - SLACK
-    conflicts = _linf_conflicts(cloud, eps, radius)
-    if conflicts is None:
-        separated = _scan_greedy(cloud, lambda d: d < eps)
-        centers = _scan_greedy(cloud, lambda d: d <= radius)
-    else:
-        sep_pairs, cen_pairs = conflicts
-        separated = _greedy_by_conflicts(len(cloud), *sep_pairs)
-        centers = _greedy_by_conflicts(len(cloud), *cen_pairs)
+    separated, centers = _greedies(cloud, eps)
     return CoverBounds(
         lower=len(separated),
         upper=len(centers),
         separated=tuple(separated),
         centers=tuple(centers),
     )
+
+
+def _greedies(cloud: PointCloud, eps: float):
+    """The separated set, then the centers, of `covering_bounds`: lazily, so
+    a caller that needs only the separated set runs one greedy."""
+    check_scale(cloud, eps)
+    radius = eps / 2.0 - SLACK
+    conflicts = _linf_conflicts(cloud, eps, radius)
+    if conflicts is None:
+        yield _scan_greedy(cloud, lambda d: d < eps)
+        yield _scan_greedy(cloud, lambda d: d <= radius)
+    else:
+        for pairs in conflicts:
+            yield _greedy_by_conflicts(len(cloud), *pairs)
 
 
 def _scan_greedy(cloud: PointCloud, conflict) -> list[int]:
@@ -299,11 +304,9 @@ class QBoxFamily:
             raise ResourceLimit(
                 f"witness family has {self.count} points, budget {cap}"
             )
-        t, m = self.floor_wm, self.m
-        depth = m + WITNESS_TAIL_LAYERS
-        sizes = (len(self.omega_words),) * t + (len(self.image_words),) * (m - t)
+        depth = self.m + WITNESS_TAIL_LAYERS
         # every digit choice, first layer slowest (the order of itertools.product)
-        choices = np.indices(sizes).reshape(m, self.count).T
+        choices = np.indices(_layer_sizes(self)).reshape(self.m, self.count).T
         return PointCloud(
             points=_witness_points(self, choices, depth),
             metric=MetricDescriptor(kind=LINF_FINITE),  # over the 2N coordinates
@@ -322,39 +325,41 @@ def _witness_points(family: QBoxFamily, choices: np.ndarray, depth: int) -> np.n
     u_i[j] * a^-(i+1), rounded once, as math.fsum adds them; each term is a
     binary fraction, so the terms are summed as integers over one power of
     two and divided once (int / int rounds correctly).  y likewise with v
-    and b.
+    and b.  Each coordinate is summed once per distinct digit column
+    (`np.unique` over the columns' integer codes) and gathered.
     """
     a, b = family.spec.a, family.spec.b
     n, m, t = family.n, family.m, family.floor_wm
-    xi_u, xi_v = family.anchor_pair
     terms = [
         [(float(u) * float(base) ** -(i + 1)).as_integer_ratio() for u in range(base)]
         for base in (a, b)
         for i in range(depth)
     ]
     shift = max(den.bit_length() - 1 for layer in terms for _, den in layer)
-    scaled = [
-        [num << (shift + 1 - den.bit_length()) for num, den in layer] for layer in terms
+    scaled = [  # scaled[i][u]: layer i's term for digit u, over 2^shift (y from depth on)
+        np.array([num << (shift + 1 - den.bit_length()) for num, den in layer], dtype=object)
+        for layer in terms
     ]
-
-    def numerators(i: int, u_word, v_word) -> list:
-        return [scaled[i][u] for u in u_word] + [scaled[depth + i][v] for v in v_word]
-
-    layer_words = [family.omega_words] * t + [
-        [(family.section[v], v) for v in family.image_words]
-    ] * (m - t)
-    tail_layers = [numerators(i, xi_u, xi_v) for i in range(m, depth)]
-    tail = [sum(layer[j] for layer in tail_layers) for j in range(2 * n)]
-    tables = [
-        np.array([numerators(i, u, v) for u, v in words], dtype=object)
-        for i, words in enumerate(layer_words)
-    ]
+    image_pairs = [(family.section[v], v) for v in family.image_words]
+    layer_words = [family.omega_words] * t + [image_pairs] * (m - t)
+    digits = [np.array([u + v for u, v in words], dtype=np.int64) for words in layer_words]
+    anchor = family.anchor_pair[0] + family.anchor_pair[1]
     points = np.empty((len(choices), 2 * n))
     for j in range(2 * n):  # one coordinate at a time keeps few big integers alive
-        total = np.full(len(choices), tail[j], dtype=object)
-        for i, table in enumerate(tables):
-            total += table[choices[:, i], j]
-        points[:, j] = total / (1 << shift)
+        base, column = (a, scaled[:depth]) if j < n else (b, scaled[depth:])
+        code, bound = np.zeros(len(choices), dtype=np.int64), 1
+        for i, layer in enumerate(digits):
+            if bound > (1 << 62) // base:  # rank the codes before int64 overflows
+                code = np.unique(code, return_inverse=True)[1]
+                bound = len(choices)
+            code = code * base + layer[choices[:, i], j]
+            bound *= base
+        _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+        tail = sum(column[i][anchor[j]] for i in range(m, depth))  # the anchor's layers
+        total = np.full(len(first), tail, dtype=object)
+        for i, layer in enumerate(digits):
+            total += column[i][layer[choices[first, i], j]]
+        points[:, j] = (total / (1 << shift)).astype(float)[inverse]
     return points
 
 
@@ -440,34 +445,10 @@ def verify_family_separation(
         observed = cloud.min_pairwise()
         mode = "all_pairs"
     else:
-        rng = random.Random(seed)
-        n_pairs = len(family.omega_words)
-        n_image = len(family.image_words)
-        t, m = family.floor_wm, family.m
-        pairs = []
-        for _ in range(samples):
-            pc1 = tuple(rng.randrange(n_pairs) for _ in range(t))
-            vc1 = tuple(rng.randrange(n_image) for _ in range(m - t))
-            if rng.random() < 0.5:
-                pc2 = tuple(rng.randrange(n_pairs) for _ in range(t))
-                vc2 = tuple(rng.randrange(n_image) for _ in range(m - t))
-            else:
-                # perturb exactly one layer; these pairs realize the minimum
-                pc2, vc2 = list(pc1), list(vc1)
-                if t > 0 and (m == t or rng.random() < 0.5):
-                    pos = rng.randrange(t)
-                    pc2[pos] = (pc2[pos] + 1 + rng.randrange(n_pairs - 1)) % n_pairs
-                else:
-                    pos = rng.randrange(m - t)
-                    vc2[pos] = (vc2[pos] + 1 + rng.randrange(n_image - 1)) % n_image
-                pc2, vc2 = tuple(pc2), tuple(vc2)
-            if (pc1, vc1) != (pc2, vc2):
-                pairs.append(pc1 + vc1 + pc2 + vc2)
-        choices = np.array(pairs, dtype=np.intp).reshape(2 * len(pairs), m)
-        pts = _witness_points(family, choices, m + 45).reshape(len(pairs), 2, -1)
-        metric = MetricDescriptor(kind=LINF_FINITE)
-        dists = pairwise_to_point(pts[:, 0], pts[:, 1], metric)
-        observed = float(dists.min()) if len(pairs) else math.inf
+        first, second, _ = _sample_pairs(_layer_sizes(family), samples, seed)
+        pts = _witness_points(family, np.vstack((first, second)), family.m + WITNESS_TAIL_LAYERS)
+        dists = pairwise_to_point(*np.split(pts, 2), MetricDescriptor(kind=LINF_FINITE))
+        observed = float(dists.min())  # raises when no pair was drawn: no empty pass
         mode = "sampled_pairs"
     return {
         "observed_min": observed,
@@ -476,6 +457,33 @@ def verify_family_separation(
         "ok": observed >= target - SLACK,
         "certified": family.separation_certified,
     }
+
+
+def _sample_pairs(sizes, samples: int, seed: int):
+    """(first, second, perturbed): seeded pairs of digit choices over layers
+    of sizes[i] options, as rows, from one block of random.Random(seed)
+    bytes.  A sample's second choice is fresh on heads; on tails it is the
+    first with one layer, of those with two options or more, moved to
+    another option (these pairs attain the minimum).  Equal pairs are dropped."""
+    sizes = np.array(sizes, dtype=np.uint64)
+    m = len(sizes)
+    raw = random.Random(seed).randbytes(8 * samples * (2 * m + 3))
+    bits = np.frombuffer(raw, dtype="<u8").reshape(samples, 2 * m + 3)
+    first, second = bits[:, :m] % sizes, bits[:, m : 2 * m] % sizes
+    movable = np.flatnonzero(sizes > 1)
+    perturbed = (bits[:, 2 * m] >> np.uint64(63) == 1) & (len(movable) > 0)
+    rows = np.flatnonzero(perturbed)
+    layer = movable[bits[rows, 2 * m + 1] % np.uint64(max(1, len(movable)))]
+    step = bits[rows, 2 * m + 2] % (sizes[layer] - np.uint64(1)) + np.uint64(1)
+    second[rows] = first[rows]
+    second[rows, layer] = (first[rows, layer] + step) % sizes[layer]
+    keep = (first != second).any(axis=1)
+    return first[keep].astype(np.intp), second[keep].astype(np.intp), perturbed[keep]
+
+
+def _layer_sizes(family: QBoxFamily) -> tuple:
+    t = family.floor_wm  # Omega|_N pairs, then Omega'|_N words
+    return (len(family.omega_words),) * t + (len(family.image_words),) * (family.m - t)
 
 
 def qbox_cover_exponent(family: QBoxFamily, eps: float | None = None) -> float:

@@ -25,6 +25,7 @@ from .metrics import (
     SUM_WEIGHTED_ABS,
     MetricDescriptor,
     PointCloud,
+    _distance_rows,
     pairwise_to_point,
 )
 
@@ -271,9 +272,10 @@ def ball_similarity_check(
     expansion = min(c**k, c * eps / a_bound)
     expansion_ok = True
     worst_ratio = math.inf
-    for i in range(len(images) - 1):
-        base = pairwise_to_point(sample_pts[i + 1 :], sample_pts[i], metric)
-        mapped = pairwise_to_point(images[i + 1 :], images[i], metric)
+    blocks = zip(_distance_rows(sample_pts, metric), _distance_rows(images, metric))
+    for (_, base), (_, mapped) in blocks:
+        later = np.triu_indices(len(base), 1, base.shape[1])  # pairs i < j
+        base, mapped = base[later], mapped[later]
         moved = base > 0
         worst_ratio = min(worst_ratio, float((mapped[moved] / base[moved]).min(initial=math.inf)))
         expansion_ok = expansion_ok and bool((mapped >= expansion * base - tol).all())

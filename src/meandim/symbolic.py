@@ -47,8 +47,8 @@ class Automaton:
     correspond to distinct paths from the root and word counting reduces to
     path counting.  After pruning, every state has at least one outgoing
     transition, hence every spelled word extends to a point of the subshift.
-    Labels are sortable hashables: symbols for subshifts, columns (tuples of
-    digits) for the column transfer graphs of `grid2d`, which are not pruned.
+    Labels are integers: symbols for subshifts, column codes for the column
+    transfer graphs of `grid2d`, which are not pruned.
     """
 
     alphabet_size: int

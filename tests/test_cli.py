@@ -99,6 +99,21 @@ class TestSubcommands:
         assert doc["count"] == "6"
         assert doc["separation"]["ok"] is True
 
+    def test_oracle_qbox_with_one_image_word(self, capsys):
+        # every image layer has one option; the sampled check exited 4 with
+        # "spec error: empty range for randrange()"
+        code, out = run_cli(
+            capsys,
+            "oracle", "qbox",
+            "--a", "3", "--b", "2", "--tuples", "00,10,20",
+            "--N", "2", "--M", "7",
+        )
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["count"] == "6561"
+        assert doc["separation"]["mode"] == "sampled_pairs"
+        assert doc["separation"]["ok"] is True
+
     def test_oracle_cover_with_csv(self, capsys, tmp_path):
         pts = tmp_path / "pts.csv"
         pts.write_text("x1\n" + "\n".join(str(j / 8) for j in range(8)) + "\n")

@@ -194,6 +194,22 @@ class TestTransferGraph:
         assert rep.best >= math.log(HARD_SQUARE_KAPPA)
         assert rep.counts[(10, 10)] == 2030049051145980050
 
+    @pytest.mark.parametrize("spec", [g2.hard_square_rule(), g2.linear_rule(3, 1, 2, 1),
+                                      g2.linear_rule(3, 1, 2, 0)])
+    def test_labels_are_column_codes(self, spec):
+        # column (c_0, ..., c_{n-1}) has code sum c_i a^(n-1-i), its index
+        # in itertools.product order, so code order is lexicographic order
+        a, n_rows = spec.alphabet, 2
+        graph = g2._transfer_graph(spec, n_rows, None)
+        labels = {label for trans in graph.succ for label in trans}
+        assert all(type(c) is int for c in labels) and labels <= set(range(a**n_rows))
+        words = graph.enumerate_words(3)
+        assert words == sorted(words)
+        cols = list(itertools.product(range(a), repeat=n_rows))
+        assert [tuple(cols[c] for c in w) for w in words] == [
+            tuple(zip(*p)) for p in reference_patterns(spec, n_rows, 3)
+        ]
+
     def test_budget_caps_transfer_states_and_edges(self):
         spec = g2.hard_square_rule()
         with pytest.raises(ResourceLimit, match="8 transfer states for 3 rows exceed the cap 4"):
@@ -358,6 +374,8 @@ class TestTorusPoints:
         got = g2.torus_points(spec, n_rows, m_cols, depth=depth).points
         want = reference_torus_points(spec, n_rows, m_cols, depth)
         assert got.shape == want.shape and (got == want).all()
+        rows = n_rows + depth
+        assert g2.enumerate_patterns(spec, rows, m_cols) == walked_patterns(spec, rows, m_cols)
 
     @settings(max_examples=40, deadline=None)
     @given(pattern_rules() | linear_rules(), st.integers(1, 3), st.integers(1, 3))
@@ -371,15 +389,29 @@ class TestTorusPoints:
         spec = g2.patterns_rule(2, (1, 1), [])
         cloud = g2.torus_points(spec, 2, 2)
         assert cloud.points.shape == (0, 2)
+        assert reference_torus_points(spec, 2, 2, 0).size == 0
+        assert g2.enumerate_patterns(spec, 2, 2) == []
         bounds = covering_bounds(cloud, 1.5)
         assert (bounds.lower, bounds.upper) == (0, 0)
+
+
+def walked_patterns(spec, n_rows, m_cols):
+    """Patterns as row tuples, transposed from column tuples: all column
+    words when no window fits, else the transfer graph's words with each
+    column code looked up in `itertools.product` order."""
+    cols = list(itertools.product(range(spec.alphabet), repeat=n_rows))
+    if g2._window_free(spec, n_rows, m_cols):
+        words = itertools.product(range(len(cols)), repeat=m_cols)
+    else:
+        words = g2._transfer_graph(spec, n_rows, None).enumerate_words(m_cols)
+    return [tuple(zip(*(cols[c] for c in word))) for word in words]
 
 
 def reference_torus_points(spec, n_rows, m_cols, depth):
     """The row sums in Python integers, each divided by a^M."""
     a = spec.alphabet
     denom = a**m_cols
-    pats = g2.enumerate_patterns(spec, n_rows + depth, m_cols)
+    pats = walked_patterns(spec, n_rows + depth, m_cols)
     return np.array([
         [sum(row[m] * a ** (m_cols - 1 - m) for m in range(m_cols)) / denom for row in pat]
         for pat in pats
@@ -510,6 +542,19 @@ class TestKeyFact:
         rep = g2.key_fact_check(g2.three_dot_rule(2), 1, 1)
         assert rep["pointwise_ok"]
         assert rep["bracket_ok"]
+
+    def test_runs_the_separated_greedy_alone(self, monkeypatch):
+        # the check reads only the lower bound, so the centers greedy of
+        # covering_bounds is not run
+        from meandim import oracle
+
+        scans = []
+        scan = oracle._scan_greedy
+        monkeypatch.setattr(oracle, "_scan_greedy", lambda *args: scans.append(1) or scan(*args))
+        rep = g2.key_fact_check(g2.free_rule(2), 1, 2)
+        assert len(scans) == 1
+        cloud = g2.torus_points(g2.free_rule(2), 1, 2, depth=rep["tail"])
+        assert rep["lower_shift"] == covering_bounds(cloud, rep["eps"]).lower
 
     @settings(max_examples=30, deadline=None)
     @given(key_fact_cases())

@@ -239,3 +239,35 @@ def test_torus_gap_reduces_as_the_remainder_does(xy):
     x, y = xy
     diff = abs(x - y) % 1.0
     assert torus_gap(x, y) == min(diff, 1.0 - diff)
+
+
+@settings(max_examples=300, deadline=None)
+@given(*[st.floats(allow_nan=False, allow_infinity=False)] * 2)
+def test_torus_gap_keeps_every_finite_difference(x, y):
+    with np.errstate(over="ignore"):
+        diff = abs(np.float64(x) - np.float64(y))
+    if math.isfinite(diff):
+        diff = float(diff) % 1.0
+        assert torus_gap(x, y) == min(diff, 1.0 - diff)
+    else:  # two doubles this far apart are integers, 0 apart on the circle
+        assert torus_gap(x, y) == 0.0
+
+
+@pytest.mark.parametrize("x,y", [(1e308, -1e308), (-1.7e308, 1.7e308), (1.5e308, -0.5e308)])
+def test_torus_gap_of_a_difference_that_overflows(x, y):
+    # |x - y| overflowed to inf, whose remainder mod 1 is NaN
+    assert torus_gap(x, y) == 0.0
+    assert torus_gap(np.array([x, 0.25]), np.array([y, 0.5])).tolist() == [0.0, 0.25]
+
+
+def test_torus_points_far_apart_share_one_cover():
+    # a NaN distance counted as no conflict: both brackets and the exact
+    # cover read 2 where one set covers both points (0 mod 1)
+    from meandim.oracle import covering_bounds, exact_min_cover
+
+    cloud = PointCloud(np.array([[1e308], [-1e308]]), MetricDescriptor(SUM_WEIGHTED_TORUS))
+    assert cloud.pairwise().tolist() == [[0.0, 0.0], [0.0, 0.0]]
+    assert cloud.min_pairwise() == 0.0
+    bounds = covering_bounds(cloud, 0.2)
+    assert (bounds.lower, bounds.upper) == (1, 1)
+    assert exact_min_cover(cloud, 0.2) == 1

@@ -408,6 +408,84 @@ class TestHausdorffUpper:
         assert negative == "tol = -1.0 is not a finite number above 0"
 
 
+def reference_witness_points(family, choices, depth):
+    """`_witness_points` as it summed every point's exact integer terms,
+    before equal digit columns were summed once."""
+    a, b = family.spec.a, family.spec.b
+    n, m, t = family.n, family.m, family.floor_wm
+    xi_u, xi_v = family.anchor_pair
+    terms = [
+        [(float(u) * float(base) ** -(i + 1)).as_integer_ratio() for u in range(base)]
+        for base in (a, b)
+        for i in range(depth)
+    ]
+    shift = max(den.bit_length() - 1 for layer in terms for _, den in layer)
+    scaled = [
+        [num << (shift + 1 - den.bit_length()) for num, den in layer] for layer in terms
+    ]
+
+    def numerators(i, u_word, v_word):
+        return [scaled[i][u] for u in u_word] + [scaled[depth + i][v] for v in v_word]
+
+    layer_words = [family.omega_words] * t + [
+        [(family.section[v], v) for v in family.image_words]
+    ] * (m - t)
+    tail_layers = [numerators(i, xi_u, xi_v) for i in range(m, depth)]
+    tail = [sum(layer[j] for layer in tail_layers) for j in range(2 * n)]
+    tables = [
+        np.array([numerators(i, u, v) for u, v in words], dtype=object)
+        for i, words in enumerate(layer_words)
+    ]
+    points = np.empty((len(choices), 2 * n))
+    for j in range(2 * n):
+        total = np.full(len(choices), tail[j], dtype=object)
+        for i, table in enumerate(tables):
+            total += table[choices[:, i], j]
+        points[:, j] = total / (1 << shift)
+    return points
+
+
+def fsum_witness_point(family, choice, depth):
+    """Coordinates of one witness point by math.fsum over its layer terms."""
+    a, b, t = family.spec.a, family.spec.b, family.floor_wm
+    pairs = [family.omega_words[c] for c in choice[:t]]
+    pairs += [(family.section[family.image_words[c]], family.image_words[c]) for c in choice[t:]]
+    pairs += [family.anchor_pair] * (depth - family.m)
+    return [
+        math.fsum(pair[k][j] * base ** -(i + 1) for i, pair in enumerate(pairs))
+        for k, base in ((0, a), (1, b))
+        for j in range(family.n)
+    ]
+
+
+def fsum_sampled_minimum(family, samples, seed):
+    """Least linf distance over the sampled pairs, points by math.fsum."""
+    depth = family.m + orc.WITNESS_TAIL_LAYERS
+    first, second, _ = orc._sample_pairs(orc._layer_sizes(family), samples, seed)
+    return min((
+        max(abs(x - y) for x, y in zip(fsum_witness_point(family, p, depth),
+                                       fsum_witness_point(family, q, depth)))
+        for p, q in zip(first.tolist(), second.tolist())
+    ), default=math.inf)
+
+
+@st.composite
+def witness_cases(draw):
+    """A q-box family of a random relation, a random set of digit choices
+    (repeats included) and a depth."""
+    a = draw(st.integers(2, 5))
+    b = draw(st.integers(2, a))
+    cells = [(u, v) for u in range(a) for v in range(b)]
+    rel = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=len(cells), unique=True))
+    n, m = draw(st.integers(1, 2)), draw(st.integers(1, 6))
+    fam = orc.qbox_family(cp.carpet_from_tuples(a, b, rel), n, m, budget=2**62)
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    sizes = orc._layer_sizes(fam)
+    pool = [[rng.randrange(s) for s in sizes] for _ in range(draw(st.integers(1, 30)))]
+    choices = np.array([rng.choice(pool) for _ in range(draw(st.integers(0, 60)))], dtype=np.intp)
+    return fam, choices.reshape(-1, m), m + draw(st.integers(0, orc.WITNESS_TAIL_LAYERS))
+
+
 class TestQBoxFamily:
     def test_example_counts_exact(self):
         spec = cp.carpet_from_tuples(3, 2, R_EXAMPLE)
@@ -497,23 +575,95 @@ class TestQBoxFamily:
         assert len(cloud) == fam.count == fam.count_formula
 
     def test_sampled_separation_pinned(self):
-        # observed minima recorded before the witness builder was vectorized
+        # minima over the seeded pairs, each also the fsum formula's minimum
+        # over the same pairs
         spec = cp.carpet_from_tuples(5, 3, [(0, 0), (1, 1), (2, 2), (4, 0), (3, 1)])
         fam = orc.qbox_family(spec, 1, 5)
         for seed, observed in (
-            (1, 0.0041152263374485964),
-            (2, 0.004115226337448569),
-            (3, 0.024691358024691412),
-            (4, 0.1934156378600823),
+            (1, 0.037037037037037035),
+            (2, 0.008230452674897082),
+            (3, 0.008230452674897137),
+            (4, 0.004115226337448541),
         ):
             rep = orc.verify_family_separation(
                 fam, full_pair_cap=100, samples=6, seed=seed
             )
             assert rep["mode"] == "sampled_pairs"
-            assert rep["observed_min"] == observed
+            assert rep["observed_min"] == observed == fsum_sampled_minimum(fam, 6, seed)
         fam = orc.qbox_family(cp.carpet_from_tuples(3, 2, R_EXAMPLE), 2, 6)
         rep = orc.verify_family_separation(fam, samples=4, seed=4)
-        assert (rep["mode"], rep["observed_min"]) == ("sampled_pairs", 0.46875)
+        assert (rep["mode"], rep["observed_min"]) == ("sampled_pairs", 0.015625)
+        assert fsum_sampled_minimum(fam, 4, 4) == 0.015625
+
+    def test_single_option_layers_are_not_perturbed(self):
+        # every image layer of this relation has one option; the sampler
+        # drew its perturbation from an empty range and raised ValueError
+        fam = orc.qbox_family(cp.carpet_from_tuples(3, 2, [(0, 0), (1, 0), (2, 0)]), 2, 7)
+        assert len(fam.image_words) == 1 and fam.count > 3000
+        rep = orc.verify_family_separation(fam)
+        assert (rep["mode"], rep["ok"]) == ("sampled_pairs", True)
+        assert rep["observed_min"] == fsum_sampled_minimum(fam, 2000, 0)
+
+    def test_no_sampled_pair_is_no_pass(self):
+        fam = orc.qbox_family(cp.carpet_from_tuples(3, 2, R_EXAMPLE), 2, 6)
+        with pytest.raises(ValueError):
+            orc.verify_family_separation(fam, samples=0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.integers(1, 6), min_size=1, max_size=8),
+        st.integers(0, 60),
+        st.integers(0, 2**40),
+    )
+    def test_sampler_properties(self, sizes, samples, seed):
+        first, second, perturbed = orc._sample_pairs(sizes, samples, seed)
+        assert first.shape == second.shape == (len(perturbed), len(sizes))
+        assert len(perturbed) <= samples
+        for choice in (first, second):
+            assert ((choice >= 0) & (choice < np.array(sizes))).all()
+        moved = first != second
+        assert moved.any(axis=1).all()
+        assert (moved[perturbed].sum(axis=1) == 1).all()
+        assert not moved[perturbed][:, np.array(sizes) == 1].any()
+        again = orc._sample_pairs(sizes, samples, seed)
+        assert all(np.array_equal(x, y) for x, y in zip(again, (first, second, perturbed)))
+
+    def test_sampler_mixes_fresh_and_perturbed_pairs(self):
+        first, second, perturbed = orc._sample_pairs((3, 3, 2, 2), 400, 0)
+        assert 150 < perturbed.sum() < 250
+        assert ((first != second).sum(axis=1)[~perturbed] > 1).any()
+        for choice in (first, second):
+            assert [len(set(col)) for col in choice.T.tolist()] == [3, 3, 2, 2]
+        layers = np.flatnonzero((first != second)[perturbed].any(axis=0))
+        assert layers.tolist() == [0, 1, 2, 3]
+        # one layer with options: every perturbation moves it, none is lost
+        first, second, perturbed = orc._sample_pairs((1, 4, 1, 1), 400, 0)
+        assert 150 < perturbed.sum() < 250
+        assert (first[:, [0, 2, 3]] == 0).all() and (second[:, [0, 2, 3]] == 0).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(witness_cases())
+    def test_witness_points_match_reference(self, case):
+        fam, choices, depth = case
+        got = orc._witness_points(fam, choices, depth)
+        want = reference_witness_points(fam, choices, depth)
+        assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize("a,b,rel,m", [
+        (2, 2, [(0, 0), (1, 1)], 66),  # base-2 column codes of 66 digits wrap in int64
+        (3, 2, [(0, 0), (1, 0), (2, 1)], 45),
+    ])
+    def test_witness_points_of_long_columns(self, a, b, rel, m):
+        # column codes are ranked before they pass int64, so columns that
+        # differ only in their first layers stay apart
+        fam = orc.qbox_family(cp.carpet_from_tuples(a, b, rel), 1, m, budget=2**200)
+        rng = random.Random(m)
+        sizes = orc._layer_sizes(fam)
+        choices = np.array([[rng.randrange(s) for s in sizes] for _ in range(60)])
+        choices[1::2, 1:] = choices[::2, 1:]  # pairs that differ at most in layer 0
+        depth = m + orc.WITNESS_TAIL_LAYERS
+        got = orc._witness_points(fam, choices, depth)
+        assert np.array_equal(got, reference_witness_points(fam, choices, depth))
 
     def test_witness_cloud_distinct_points(self):
         spec = cp.carpet_from_tuples(3, 2, R_EXAMPLE)

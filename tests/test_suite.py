@@ -107,3 +107,16 @@ def test_run_suite_times_each_criterion(monkeypatch):
     assert [r["number"] for r in results] == ["1", "2"]
     assert all(r.keys() == {"name", "passed", "details", "number", "seconds"} for r in results)
     assert all(r["seconds"] >= 0 for r in results)
+
+
+def test_qbox_criterion_sampled_cells_pinned():
+    # the three cells past the all-pairs cap are checked on sampled pairs;
+    # their record is the paper-suite's, whichever pairs the sampler draws
+    rec = suite.criterion_qbox()
+    assert rec["passed"]
+    cells = {key: rec["details"][key] for key in ("2,5", "3,4", "3,5")}
+    assert cells == {
+        "2,5": {"count": 11664, "observed_min": 0.03125, "ok": True, "required": 0.03125},
+        "3,4": {"count": 46656, "observed_min": 0.0625, "ok": True, "required": 0.0625},
+        "3,5": {"count": 1259712, "observed_min": 0.03125, "ok": True, "required": 0.03125},
+    }
