@@ -439,6 +439,8 @@ def verify_family_separation(
     perturbations (the pairs that attain the minimum).  The exact-integer
     certificate in the family record covers every pair regardless.
     """
+    if samples < 1:
+        raise DomainError(f"samples = {samples} must be >= 1")
     target = family.min_separation()
     if family.count <= full_pair_cap:
         cloud = family.witness_cloud()
@@ -887,13 +889,13 @@ def reciprocal_product_witness(
     if r == 0.0:
         raise ParameterOverflow("interval width underflows double precision")
 
+    masses = {v: inverse_square_mass(v - r, v, enum_cap) for v in set(x)}  # once per value
     mass = 1.0
-    cases = []
     for v in x:
-        lo = v - r
-        mass *= inverse_square_mass(lo, v, enum_cap)
-        k = class_of(v)
-        cases.append("zero_atom" if k > m0 else ("thin_class" if k == m0 else "large_value"))
+        mass *= masses[v]
+    cases = [
+        "zero_atom" if k > m0 else ("thin_class" if k == m0 else "large_value") for k in classes
+    ]
     diam_bound = r + 2.0**-tail if tail < 1074 else r
     exponent = 6.0 * n_total / m
     required = diam_bound**exponent

@@ -4,11 +4,13 @@ For a subshift over a product alphabet A x B and the projection onto the B
 coordinate, the weighted entropy with exponent w in [0, 1] is the growth rate
 of Z_N = sum over projected N-words v of |fiber(v)|^w.  Z_N is submultiplicative,
 so v_N = min_{j<=N} log Z_j / j is a certified upper-bound sequence; for
-product shifts R^N the value is exactly log sum_{v} t(v)^w.
+product shifts R^N the value is exactly log sum_{v} t(v)^w.  Other systems
+sweep the projected words grouped by the set of automaton states they reach.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -18,7 +20,6 @@ import numpy as np
 
 from .errors import (
     DomainError,
-    EmptySubshift,
     InsufficientLength,
     ParameterOverflow,
     ResourceLimit,
@@ -101,60 +102,77 @@ def fiber_counts(
     return FiberCountTable(levels=levels)
 
 
-_JOIN_BLOCK = 1 << 20  # (entry, out-edge) pairs per join: bounds the sort's memory
+def _subset_moves(aut: Automaton, b: int, subset: tuple) -> list:
+    """[(v, image, sources)], one per projected letter v in increasing order:
+    image is the sorted tuple of states that subset (a sorted tuple) reaches
+    by edges onto v, and sources[j] lists, per such edge into image[j], the
+    index in subset of its source (parallel edges repeat it)."""
+    by_letter: dict[int, dict] = {}
+    for i, state in enumerate(subset):
+        for label, target in aut.succ[state].items():
+            by_letter.setdefault(label % b, {}).setdefault(target, []).append(i)
+    return [(v, *zip(*sorted(edges.items()))) for v, edges in sorted(by_letter.items())]
 
 
 def _fiber_levels(sys: PairShiftSystem, n_max: int, cap: int):
     """Yield (parent, letter, counts) per length: word i of a level, in
     lexicographic order, is word parent[i] of the level before extended by
-    letter[i], and counts[i] is its fiber size.  The frontier holds one
-    (word, state, count) entry per automaton state reached; a level joins
-    blocks of whole words with their states' out-edges, sorts each join by
-    (word, letter, target) and sums equal keys.  Counts are at most
-    (max out-degree)^n: int64 below 2^63, exact Python ints (object) above."""
+    letter[i], and counts[i] is its fiber size.
+
+    The frontier keeps, per image subset S (the states a word's paths reach),
+    a dense |S| x words block of path counts and each word's rank.  Every
+    entry counts a path, so the blocks hold exactly the (word, state) entries
+    reached, which the budget bounds before a level is built.  A successor
+    block gathers, per target, the block row of its first edge's source and
+    adds those of further edges one layer at a time; one argsort of the keys
+    rank * b + v orders a level.  Counts, at most (max out-degree)^n, are
+    int64 below 2^63 and exact Python ints above."""
     aut = ensure_pruned(sys.omega).automaton
-    k = aut.n_states
-    src, label, dst = np.array(
-        [(s, lab, t) for s, trans in enumerate(aut.succ) for lab, t in trans.items()]
-    ).T
-    letters, rank = np.unique(label % sys.b_size, return_inverse=True)
-    edge_key, stride = rank * k + dst, len(letters) * k  # key = word * stride + edge_key
-    degree = np.bincount(src, minlength=k)
-    first_edge = np.cumsum(degree) - degree
-    dtype = np.int64 if int(degree.max()) ** n_max < 2**63 else object
-    word, state, count = np.zeros(1, np.int64), np.array([aut.root]), np.ones(1, dtype)
+
+    @functools.cache
+    def plan(subset):  # per letter: v, image, first sources, layers of further edges
+        moves = []
+        for v, image, sources in _subset_moves(aut, sys.b_size, subset):
+            depths = range(1, max(map(len, sources)))
+            live = [[j for j, s in enumerate(sources) if len(s) > p] for p in depths]
+            layers = [(rows, [sources[j][p] for j in rows]) for p, rows in zip(depths, live)]
+            moves.append((v, image, [s[0] for s in sources], layers))
+        return moves
+
+    dtype = np.int64 if max(map(len, aut.succ)) ** n_max < 2**63 else object
+    frontier = {(aut.root,): ([np.zeros(1, np.int64)], [np.ones((1, 1), dtype)])}
     total = 0
     for n in range(1, n_max + 1):
-        if len(word) * stride >= 2**63:
-            raise ResourceLimit(f"fiber sweep keys at length {n} would pass 2^63")
-        reach = np.cumsum(degree[state])
-        marks = np.searchsorted(reach, np.arange(_JOIN_BLOCK, reach[-1], _JOIN_BLOCK))
-        lows = sorted({0, *np.searchsorted(word, word[marks]).tolist()})
-        parts, entries = [], 0
-        for block in map(slice, lows, lows[1:] + [len(word)]):
-            deg = degree[state[block]]
-            edge = np.repeat(first_edge[state[block]] - np.cumsum(deg) + deg, deg)
-            key = edge_key[edge + np.arange(len(edge))] + np.repeat(word[block] * stride, deg)
-            order = np.argsort(key, kind="stable")
-            key, joined = key[order], np.repeat(count[block], deg)[order]
-            first = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-            parts.append((key[first], np.add.reduceat(joined, first)))
-            entries += len(first)
-            if entries > cap:
-                raise ResourceLimit(
-                    f"fiber frontier at length {n} needs at least {entries} "
-                    f"(word, state) entries; word budget {cap}"
-                )
-        pair, state = np.divmod(np.concatenate([key for key, _ in parts]), k)
-        count = np.concatenate([joined for _, joined in parts])
-        new_word = np.r_[True, pair[1:] != pair[:-1]]
-        heads = np.flatnonzero(new_word)
-        word = np.cumsum(new_word) - 1
-        total += len(heads)
+        moves = [(np.concatenate(r), np.hstack(c), plan(s)) for s, (r, c) in frontier.items()]
+        entries = sum(len(rank) * len(image) for rank, _, succ in moves for _, image, _, _ in succ)
+        if entries > cap:
+            raise ResourceLimit(
+                f"fiber frontier at length {n} needs at least {entries} "
+                f"(word, state) entries; word budget {cap}"
+            )
+        keys, pieces = [], []
+        for rank, block, succ in moves:
+            for v, image, first, layers in succ:
+                successors = block[first]
+                for live, rows in layers:
+                    successors[live] += block[rows]
+                keys.append(rank * sys.b_size + v)
+                pieces.append((image, successors))
+        keys = np.concatenate(keys)
+        total += len(keys)
         if total > cap:
             raise ResourceLimit(f"fiber table needs {total} words; word budget {cap}")
-        parent, letter = np.divmod(pair[heads], len(letters))
-        yield parent, letters[letter], np.add.reduceat(count, heads)
+        order = np.argsort(keys)
+        counts = np.concatenate([block.sum(axis=0) for _, block in pieces])
+        yield *np.divmod(keys[order], sys.b_size), counts[order]
+        ranks = np.empty_like(order)
+        ranks[order] = np.arange(len(order))
+        frontier = {}  # image -> (rank vectors, blocks), joined when the next level reads them
+        for image, block in pieces:
+            rank, ranks = ranks[: block.shape[1]], ranks[block.shape[1] :]
+            parts = frontier.setdefault(image, ([], []))
+            parts[0].append(rank)
+            parts[1].append(block)
 
 
 # ---------------------------------------------------------------------------
@@ -308,19 +326,14 @@ def image_subshift(sys: PairShiftSystem, budget: int | None = None) -> SubshiftS
     b = sys.b_size
     cap = subset_budget() if budget is None else budget
 
-    start = frozenset([aut.root])
+    start = (aut.root,)
     subsets = {start: 0}
     succ: list[dict] = [dict()]
     queue = [start]
     while queue:
         current = queue.pop()
         idx = subsets[current]
-        by_letter: dict[int, set] = {}
-        for state in current:
-            for label, target in aut.succ[state].items():
-                by_letter.setdefault(label % b, set()).add(target)
-        for v, targets in sorted(by_letter.items()):
-            key = frozenset(targets)
+        for v, key, _ in _subset_moves(aut, b, current):
             if key not in subsets:
                 if len(subsets) >= cap:
                     return _wordset_fallback(sys)
@@ -329,8 +342,6 @@ def image_subshift(sys: PairShiftSystem, budget: int | None = None) -> SubshiftS
                 queue.append(key)
             succ[idx][v] = subsets[key]
     image = Automaton(alphabet_size=b, root=0, succ=tuple(succ))
-    if not image.succ[image.root]:
-        raise EmptySubshift("projected image is empty")
     letters = set(range(b))
     if all(set(trans) == letters for trans in image.succ):
         return symbolic.prune(symbolic.full_shift(b))

@@ -605,9 +605,15 @@ class TestQBoxFamily:
         assert rep["observed_min"] == fsum_sampled_minimum(fam, 2000, 0)
 
     def test_no_sampled_pair_is_no_pass(self):
-        fam = orc.qbox_family(cp.carpet_from_tuples(3, 2, R_EXAMPLE), 2, 6)
-        with pytest.raises(ValueError):
-            orc.verify_family_separation(fam, samples=0)
+        # refused on entry, for small families too; 0 raised numpy's
+        # ValueError from an empty minimum, -1 one from randbytes
+        for fam in (
+            orc.qbox_family(cp.carpet_from_tuples(3, 2, R_EXAMPLE), 2, 6),
+            orc.qbox_family(cp.carpet_from_tuples(3, 2, R_EXAMPLE), 1, 2),
+        ):
+            for samples in (0, -1):
+                with pytest.raises(DomainError, match=rf"^samples = {samples} must be >= 1$"):
+                    orc.verify_family_separation(fam, samples=samples)
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -875,7 +881,74 @@ class TestMeasureCoverUpper:
             orc.measure_cover_upper(2, witnesses, eps=0.1, c=0.5, s=0.1)
 
 
+def reference_reciprocal_product_witness(x, n_window, m, eps, enum_cap=1_000_000):
+    """reciprocal_product_witness with one inverse_square_mass and one class
+    lookup per coordinate (errors left to the library)."""
+    delta = orc.reciprocal_witness_delta(m, eps)
+    tail = orc.reciprocal_tail_depth(m, delta)
+    n_total = n_window + tail
+    x = [float(v) for v in x][:n_total]
+    thresholds = [delta ** (m**k) for k in range(m + 1)]
+
+    def class_of(v):
+        if v > delta:
+            return 0
+        for k in range(1, m + 1):
+            if thresholds[k] < v <= thresholds[k - 1]:
+                return k
+        return m + 1
+
+    classes = [class_of(v) for v in x]
+    sizes = [classes.count(k) for k in range(m + 2)]
+    m0 = next(k for k in range(m + 1) if sizes[k] <= n_total / (m + 1))
+    r = delta ** (m**m0)
+    mass = 1.0
+    cases = []
+    for v in x:
+        lo = v - r
+        mass *= orc.inverse_square_mass(lo, v, enum_cap)
+        k = class_of(v)
+        cases.append("zero_atom" if k > m0 else ("thin_class" if k == m0 else "large_value"))
+    diam_bound = r + 2.0**-tail if tail < 1074 else r
+    exponent = 6.0 * n_total / m
+    required = diam_bound**exponent
+    return {
+        "m": m,
+        "m0": m0,
+        "r": r,
+        "delta": delta,
+        "tail_depth": tail,
+        "n_total": n_total,
+        "diam_bound": diam_bound,
+        "mass": mass,
+        "exponent": exponent,
+        "required": required,
+        "passed": mass >= required - orc.SLACK,
+        "cases": cases,
+        "class_sizes": sizes,
+    }
+
+
 class TestReciprocalSpace:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([1, 2, 3]),
+        st.integers(1, 3),
+        st.floats(0.02, 0.15),
+        st.integers(0, 10**6),
+        st.lists(st.floats(0.0, 1.0), max_size=6),
+    )
+    def test_distinct_value_masses_match_the_per_coordinate_loop(
+        self, m, n_window, eps, seed, extra
+    ):
+        # sampled points repeat 0 and 1/j often; extra values are arbitrary
+        delta = orc.reciprocal_witness_delta(m, eps)
+        tail = orc.reciprocal_tail_depth(m, delta)
+        x = orc.sample_reciprocal_point(n_window + tail, 100_000, seed=seed)
+        x[: len(extra)] = extra[: len(x)]
+        got = orc.reciprocal_product_witness(x, n_window, m, eps)
+        assert got == reference_reciprocal_product_witness(x, n_window, m, eps)
+
     def test_interval_mass_hand_values(self):
         a = orc.INV_SQ_WEIGHT
         assert orc.inverse_square_mass(0.99, 1.0) == pytest.approx(a, abs=1e-15)

@@ -4,7 +4,6 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,7 +19,7 @@ from meandim.errors import (
     ParameterOverflow,
     ResourceLimit,
 )
-from meandim.limits import word_budget
+from meandim.limits import subset_budget, word_budget
 from test_symbolic import reference_block_automaton
 
 R_EXAMPLE = [(0, 0), (1, 1), (2, 0)]
@@ -119,10 +118,6 @@ class TestFiberSweep:
         assert list(got.levels) == list(want)
         for n, level in want.items():
             assert list(got.level(n).items()) == list(level.items())
-        with mock.patch.object(wt, "_JOIN_BLOCK", 3):  # many blocks per level
-            assert list(wt.fiber_counts(sys_, n_max).level(n_max).items()) == list(
-                want[n_max].items()
-            )
         z = wt.weighted_entropy(sys_, w, n_max).z_values
         for n, level in want.items():
             assert z[n] == math.fsum(float(c) ** w for c in level.values())
@@ -131,6 +126,32 @@ class TestFiberSweep:
             reference_fiber_counts(sys_, n_max, small)
         with pytest.raises(ResourceLimit):
             wt.fiber_counts(sys_, n_max, small)
+
+    @pytest.mark.parametrize("seed", [1, 3, 4])
+    def test_words_spread_over_many_subsets_match_reference(self, seed):
+        # 8 states, each product label kept with probability 0.6: three labels
+        # project onto each letter, so a level's words reach 10 to 19
+        # different state subsets, each swept as its own block
+        rng = random.Random(seed)
+        succ = tuple(
+            {lab: rng.randrange(8) for lab in range(6) if rng.random() < 0.6}
+            for _ in range(8)
+        )
+        omega = sym.automaton_spec(sym.Automaton(alphabet_size=6, root=0, succ=succ), 6)
+        sys_ = wt.pair_system(3, 2, omega)
+        aut = sym.ensure_pruned(omega).automaton
+        frontier = [{aut.root: 1}]
+        for _ in range(7):
+            frontier = [
+                {t: 1 for s in vec for lab, t in aut.succ[s].items() if lab % 2 == v}
+                for vec in frontier
+                for v in range(2)
+            ]
+        assert len({tuple(sorted(vec)) for vec in frontier if vec}) >= 10
+        want = reference_fiber_counts(sys_, 9)
+        got = wt.fiber_counts(sys_, 9)
+        for n, level in want.items():
+            assert list(got.level(n).items()) == list(level.items())
 
     def test_counts_past_int64_stay_exact(self):
         # one projected letter, so the single fiber is the whole word count
@@ -153,16 +174,19 @@ class TestFiberSweep:
             wt.weighted_entropy(sys_, 1.0, 1030)
 
     def test_sweep_budget_names_size_and_cap(self):
-        # the root of the pruned probe SFT has 6 out-edges to 6 symbol states
+        # the root of the pruned probe SFT has 6 out-edges to 6 symbol states;
+        # the larger budgets pin the numbers of the sort-based sweep that the
+        # subset sweep replaced
         sys_ = wt.pair_system(3, 2, sym.sft_from_matrix(PROBE_MATRIX))
-        message = (
-            r"fiber frontier at length 1 needs at least 6 \(word, state\) entries; "
-            r"word budget 5"
-        )
-        with pytest.raises(ResourceLimit, match=message):
-            wt.fiber_counts(sys_, 3, budget=5)
-        with pytest.raises(ResourceLimit, match=message):
-            wt.weighted_entropy(sys_, 0.5, 3, budget=5)
+        for budget, length, entries in ((5, 1, 6), (50, 5, 96), (500, 8, 768)):
+            message = (
+                rf"^fiber frontier at length {length} needs at least {entries} "
+                rf"\(word, state\) entries; word budget {budget}$"
+            )
+            with pytest.raises(ResourceLimit, match=message):
+                wt.fiber_counts(sys_, 10, budget=budget)
+            with pytest.raises(ResourceLimit, match=message):
+                wt.weighted_entropy(sys_, 0.5, 10, budget=budget)
         assert wt.fiber_counts(sys_, 1, budget=6).level(1) == {(0,): 3, (1,): 3}
 
     def test_many_states_with_sparse_rows_stay_within_a_small_budget(self):
@@ -478,7 +502,44 @@ class TestWeightedEntropy:
             wt.weighted_entropy(sys_, 1.5, 4)
 
 
+def reference_image_subshift(sys_, budget=None):
+    """Powerset determinization over frozensets, one by_letter dict of target
+    sets per subset, with image_subshift's queue order and numbering."""
+    aut = sym.ensure_pruned(sys_.omega).automaton
+    b = sys_.b_size
+    cap = subset_budget() if budget is None else budget
+    start = frozenset([aut.root])
+    subsets = {start: 0}
+    succ = [dict()]
+    queue = [start]
+    while queue:
+        current = queue.pop()
+        idx = subsets[current]
+        by_letter = {}
+        for state in current:
+            for label, target in aut.succ[state].items():
+                by_letter.setdefault(label % b, set()).add(target)
+        for v, targets in sorted(by_letter.items()):
+            key = frozenset(targets)
+            if key not in subsets:
+                if len(subsets) >= cap:
+                    return wt._wordset_fallback(sys_)
+                subsets[key] = len(succ)
+                succ.append(dict())
+                queue.append(key)
+            succ[idx][v] = subsets[key]
+    image = sym.Automaton(alphabet_size=b, root=0, succ=tuple(succ))
+    if all(set(trans) == set(range(b)) for trans in image.succ):
+        return sym.prune(sym.full_shift(b))
+    return sym.automaton_spec(image, b)
+
+
 class TestImageSubshift:
+    @settings(max_examples=150, deadline=None)
+    @given(pair_systems(), st.sampled_from([1, 2, 3, None]))
+    def test_matches_reference_determinization(self, sys_, budget):
+        assert wt.image_subshift(sys_, budget) == reference_image_subshift(sys_, budget)
+
     def test_example_image_is_full(self):
         sys_ = wt.pair_system_from_tuples(3, 2, R_EXAMPLE)
         image = wt.image_subshift(sys_)
