@@ -9,6 +9,7 @@ sampling subcommands (oracle qbox, mass and appendix-k) take --seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -403,7 +404,10 @@ def cmd_paper_suite(args) -> int:
     return EXIT_OK if report["all_passed"] else EXIT_CHECK_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and reused: parsing
+    leaves no state on it, and each call returns a fresh namespace."""
     top = argparse.ArgumentParser(
         prog="meandim",
         description="dimension quantities of symbolic systems, with oracle checks",

@@ -488,16 +488,6 @@ def _layer_sizes(family: QBoxFamily) -> tuple:
     return (len(family.omega_words),) * t + (len(family.image_words),) * (family.m - t)
 
 
-def qbox_cover_exponent(family: QBoxFamily, eps: float | None = None) -> float:
-    """Upper exponent from covering the truncated carpet space by the boxes."""
-    a, b = family.spec.a, family.spec.b
-    if eps is None:
-        eps = float(a) * float(b) ** (-family.m) * (1.0 + 1e-9)
-    return hausdorff_upper_at_scale(
-        [family.diam_bound] * family.count, eps
-    )
-
-
 def covering_sandwich(spec: CarpetSpec, n: int, m: int) -> dict:
     """Two-sided covering-number bracket at scales (b^-M, a b^-M).
 

@@ -124,18 +124,23 @@ class Automaton:
         min (Mx)_i/x_i <= rho <= max (Mx)_i/x_i holds at every step once
         widened by the rounding of the product.  Raises ResourceLimit when a
         component's log-bracket stays wider than SPECTRAL_LOG_TOL (absolute),
-        and EmptySubshift when no cycle is reachable.
+        and EmptySubshift when no cycle is reachable.  The bracket is
+        computed once per automaton and kept on it; a refusal is not kept,
+        so it is raised again on every call.
         """
-        lo = hi = 0.0
-        for comp in _strongly_connected(self.succ, self.root):
-            c_lo, c_hi = _component_radius(self.succ, comp)
-            lo, hi = max(lo, c_lo), max(hi, c_hi)
-        if hi <= 0.0:
-            raise EmptySubshift("transition graph has no cycle")
-        return (
-            math.nextafter(math.log(lo), -math.inf),
-            math.nextafter(math.log(hi), math.inf),
-        )
+        bracket = self.__dict__.get("_spectral_log")
+        if bracket is None:
+            lo = hi = 0.0
+            for comp in _strongly_connected(self.succ, self.root):
+                c_lo, c_hi = _component_radius(self.succ, comp)
+                lo, hi = max(lo, c_lo), max(hi, c_hi)
+            if hi <= 0.0:
+                raise EmptySubshift("transition graph has no cycle")
+            bracket = self.__dict__["_spectral_log"] = (
+                math.nextafter(math.log(lo), -math.inf),
+                math.nextafter(math.log(hi), math.inf),
+            )
+        return bracket
 
 
 def _strongly_connected(succ, root) -> list[list[int]]:
@@ -485,7 +490,15 @@ def prune(spec: SubshiftSpec) -> SubshiftSpec:
 
 
 def ensure_pruned(spec: SubshiftSpec) -> SubshiftSpec:
-    return spec if spec.pruned else prune(spec)
+    """spec if it is pruned, else `prune(spec)`, computed once per spec and
+    kept on it (as `product_symbols` is): later queries of the same spec
+    reuse its compiled automaton and that automaton's spectral bracket."""
+    if spec.pruned:
+        return spec
+    pruned = spec.__dict__.get("_pruned")
+    if pruned is None:
+        pruned = spec.__dict__["_pruned"] = prune(spec)
+    return pruned
 
 
 # ---------------------------------------------------------------------------
@@ -501,16 +514,6 @@ class CountTable:
 
     def __getitem__(self, n: int) -> int:
         return self.counts[n]
-
-    def check_submultiplicative(self) -> None:
-        """counts[n+m] <= counts[n] * counts[m], exactly, for stored lengths."""
-        for n in self.counts:
-            for m in self.counts:
-                if n + m in self.counts:
-                    if self.counts[n + m] > self.counts[n] * self.counts[m]:
-                        raise AssertionError(
-                            f"submultiplicativity fails at ({n}, {m})"
-                        )
 
 
 @dataclass(frozen=True)

@@ -6,6 +6,13 @@ of Z_N = sum over projected N-words v of |fiber(v)|^w.  Z_N is submultiplicative
 so v_N = min_{j<=N} log Z_j / j is a certified upper-bound sequence; for
 product shifts R^N the value is exactly log sum_{v} t(v)^w.  Other systems
 sweep the projected words grouped by the set of automaton states they reach.
+
+One system queried several times is swept once: each spec keeps its
+compiled automaton (`symbolic.ensure_pruned`) and that automaton its
+spectral bracket, and the fiber-size histograms of the last complete sweep
+stay in a one-entry memo, so `weighted_entropy` after `fiber_counts` or
+after itself, on the same system object, N and budget, sweeps nothing.
+Only the last sweep is kept, so at most one system is held alive.
 """
 
 from __future__ import annotations
@@ -96,7 +103,7 @@ def fiber_counts(
     cap = word_budget(budget)
     levels = {}
     words = [()]
-    for n, (parent, letter, counts) in enumerate(_fiber_levels(sys, n_max, cap), 1):
+    for n, (parent, letter, counts, _) in enumerate(_fiber_levels(sys, n_max, cap), 1):
         words = [words[p] + (v,) for p, v in zip(parent.tolist(), letter.tolist())]
         levels[n] = dict(zip(words, counts.tolist()))
     return FiberCountTable(levels=levels)
@@ -114,10 +121,15 @@ def _subset_moves(aut: Automaton, b: int, subset: tuple) -> list:
     return [(v, *zip(*sorted(edges.items()))) for v, edges in sorted(by_letter.items())]
 
 
+_last_sweep: tuple = (None, 0, 0, ())  # (system, n_max, cap, histograms)
+
+
 def _fiber_levels(sys: PairShiftSystem, n_max: int, cap: int):
-    """Yield (parent, letter, counts) per length: word i of a level, in
-    lexicographic order, is word parent[i] of the level before extended by
-    letter[i], and counts[i] is its fiber size.
+    """Yield (parent, letter, counts, histogram) per length: word i of a
+    level, in lexicographic order, is word parent[i] of the level before
+    extended by letter[i], counts[i] is its fiber size, and histogram is
+    np.unique(counts, return_counts=True).  A complete sweep keeps its
+    histograms in _last_sweep.
 
     The frontier keeps, per image subset S (the states a word's paths reach),
     a dense |S| x words block of path counts and each word's rank.  Every
@@ -141,7 +153,7 @@ def _fiber_levels(sys: PairShiftSystem, n_max: int, cap: int):
 
     dtype = np.int64 if max(map(len, aut.succ)) ** n_max < 2**63 else object
     frontier = {(aut.root,): ([np.zeros(1, np.int64)], [np.ones((1, 1), dtype)])}
-    total = 0
+    total, histograms = 0, []
     for n in range(1, n_max + 1):
         moves = [(np.concatenate(r), np.hstack(c), plan(s)) for s, (r, c) in frontier.items()]
         entries = sum(len(rank) * len(image) for rank, _, succ in moves for _, image, _, _ in succ)
@@ -163,8 +175,9 @@ def _fiber_levels(sys: PairShiftSystem, n_max: int, cap: int):
         if total > cap:
             raise ResourceLimit(f"fiber table needs {total} words; word budget {cap}")
         order = np.argsort(keys)
-        counts = np.concatenate([block.sum(axis=0) for _, block in pieces])
-        yield *np.divmod(keys[order], sys.b_size), counts[order]
+        counts = np.concatenate([block.sum(axis=0) for _, block in pieces])[order]
+        histograms.append(np.unique(counts, return_counts=True))
+        yield *np.divmod(keys[order], sys.b_size), counts, histograms[-1]
         ranks = np.empty_like(order)
         ranks[order] = np.arange(len(order))
         frontier = {}  # image -> (rank vectors, blocks), joined when the next level reads them
@@ -173,6 +186,8 @@ def _fiber_levels(sys: PairShiftSystem, n_max: int, cap: int):
             parts = frontier.setdefault(image, ([], []))
             parts[0].append(rank)
             parts[1].append(block)
+    global _last_sweep
+    _last_sweep = (sys, n_max, cap, histograms)
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +258,13 @@ def _z_powers(letters: np.ndarray, n_max: int):
 
 
 def _z_sweep(sys: PairShiftSystem, w: float, n_max: int, cap: int):
-    """Yield Z_N for N = 1..n_max from the fiber sizes of the generic sweep."""
-    for _, _, counts in _fiber_levels(sys, n_max, cap):
-        sizes, mult = np.unique(counts, return_counts=True)
+    """Yield Z_N for N = 1..n_max from the fiber-size histograms of the
+    generic sweep, those of the last sweep when it was of this system (the
+    same object), n_max and cap."""
+    last, *key, histograms = _last_sweep
+    if last is not sys or key != [n_max, cap]:
+        histograms = (level[3] for level in _fiber_levels(sys, n_max, cap))
+    for sizes, mult in histograms:
         yield float(exact_total([float(c) ** w for c in sizes.tolist()], mult))
 
 

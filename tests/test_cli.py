@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import meandim
+from meandim import cli
 from meandim.cli import main
 from meandim.reportio import dumps_canonical
 
@@ -726,6 +727,46 @@ class TestDeterminism:
             _, out = run_cli(capsys, *args)
             doc = json.loads(out)
             assert doc["schema_version"] == 1
+
+
+def call_main(argv):
+    """(exit code, stdout, stderr) of one in-process call, usage errors included."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse usage errors
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestParserReuse:
+    CALLS = (
+        ["entropy", "--nmax", "3"],  # --spec missing: a usage error
+        ["carpet", "--a", "3", "--b", "2", "--tuples", "00,11,20"],
+        ["oracle", "hdim", "--diams", "0.25,0.25", "--eps", "0.3"],
+    )
+
+    def test_reused_parser_gives_the_bytes_of_a_fresh_one(self):
+        fresh = []
+        for argv in self.CALLS:
+            cli.build_parser.cache_clear()
+            fresh.append(call_main(argv))
+        assert [code for code, _, _ in fresh] == [2, 0, 0]
+        cli.build_parser.cache_clear()
+        reused = [call_main(argv) for argv in self.CALLS]
+        assert reused == fresh
+        assert cli.build_parser.cache_info().misses == 1
+
+    def test_import_builds_no_parser(self):
+        src = str(Path(meandim.__file__).resolve().parent.parent)
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "from meandim import cli; print(cli.build_parser.cache_info().currsize)"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert proc.stdout == "0\n"
 
 
 class TestCanonicalJson:

@@ -1154,14 +1154,6 @@ def test_reciprocal_minkowski_trend_toward_half():
     assert values[0] > values[1] > values[2] > 0.5
 
 
-def test_qbox_cover_exponent_matches_hand_value():
-    spec = cp.carpet_from_tuples(3, 2, R_EXAMPLE)
-    fam = orc.qbox_family(spec, 1, 2)
-    assert orc.qbox_cover_exponent(fam) == pytest.approx(
-        math.log(6) / math.log(3), abs=1e-9
-    )
-
-
 def test_uniform_relation_measure_is_uniform():
     rel = [(u, v) for u in range(3) for v in range(2)]
     spec = cp.carpet_from_tuples(3, 2, rel)

@@ -343,10 +343,6 @@ class TestCountWords:
             expected = naive_forbidden_words(2, [(1, 1, 1), (0, 0)], n)
             assert sorted(sym.enumerate_words(pruned, n)) == expected
 
-    def test_submultiplicative_check_passes(self):
-        table = sym.count_words(sym.forbidden_words(2, ["11"]), 12)
-        table.check_submultiplicative()
-
 
 forbidden_cases = st.integers(1, 4).flatmap(
     lambda k: st.tuples(
@@ -525,6 +521,27 @@ class TestSpectralBracket:
         monkeypatch.setattr(sym, "SPECTRAL_LOG_TOL", 0.0)
         with pytest.raises(ResourceLimit, match=r"width .* tolerance 0"):
             sym.entropy(sym.forbidden_words(2, ["11"]), 4)
+
+    def test_bracket_is_computed_once_per_automaton(self, monkeypatch):
+        solved = []
+        radius = sym._component_radius
+        monkeypatch.setattr(
+            sym, "_component_radius", lambda *args: solved.append(1) or radius(*args)
+        )
+        spec = sym.forbidden_words(2, ["11"])
+        first = sym.entropy(spec, 4).spectral_bracket
+        assert solved and sym.entropy(spec, 8).spectral_bracket == first
+        assert len(solved) == 1
+
+    def test_refusal_is_raised_again(self, monkeypatch):
+        aut = sym.prune(sym.forbidden_words(2, ["11"])).automaton
+        monkeypatch.setattr(sym, "SPECTRAL_LOG_TOL", 0.0)
+        for _ in range(2):
+            with pytest.raises(ResourceLimit, match=r"width .* tolerance 0"):
+                aut.spectral_log()
+        monkeypatch.undo()
+        lo, hi = aut.spectral_log()
+        assert lo <= GOLDEN_ENTROPY <= hi
 
     def test_component_over_the_dense_cap_raises(self, monkeypatch):
         monkeypatch.setattr(sym, "_DENSE_COMPONENT_CAP", 1)

@@ -1,8 +1,10 @@
 """Weighted entropy and projection images against full product-word oracles."""
 
+import gc
 import itertools
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -232,6 +234,68 @@ class TestFiberSweep:
             13: 3725583.093159913,
             14: 11699561.589209871,
         }
+
+
+def probe_system():
+    return wt.pair_system(3, 2, sym.sft_from_matrix(PROBE_MATRIX))
+
+
+class TestQueryMemos:
+    def test_one_sweep_serves_fibers_and_both_weights(self, monkeypatch):
+        sweeps = []
+        levels = wt._fiber_levels
+        monkeypatch.setattr(wt, "_fiber_levels", lambda *args: sweeps.append(1) or levels(*args))
+        sys_ = probe_system()
+        wt.fiber_counts(sys_, 10)
+        z = [wt.weighted_entropy(sys_, w, 10).z_values for w in (1.0, W_EXAMPLE)]
+        assert len(sweeps) == 1
+        fresh = [wt.weighted_entropy(probe_system(), w, 10).z_values for w in (1.0, W_EXAMPLE)]
+        assert len(sweeps) == 3
+        assert z == fresh  # positive finite doubles: equal means the same bits
+
+    def test_other_length_or_budget_sweeps_again(self, monkeypatch):
+        sys_ = probe_system()
+        wt.fiber_counts(sys_, 10)
+        message = (
+            r"^fiber frontier at length 8 needs at least 768 \(word, state\) entries; "
+            r"word budget 500$"
+        )
+        with pytest.raises(ResourceLimit, match=message):
+            wt.weighted_entropy(sys_, W_EXAMPLE, 10, budget=500)
+        sweeps = []
+        levels = wt._fiber_levels
+        monkeypatch.setattr(wt, "_fiber_levels", lambda *args: sweeps.append(args) or levels(*args))
+        z = wt.weighted_entropy(sys_, 1.0, 9).z_values
+        assert [args[1:] for args in sweeps] == [(9, word_budget())]
+        assert z == wt.weighted_entropy(probe_system(), 1.0, 9).z_values
+
+    def test_only_the_last_swept_system_is_kept(self):
+        first = probe_system()
+        wt.fiber_counts(first, 6)
+        ref = weakref.ref(first)
+        del first
+        gc.collect()
+        assert ref() is not None  # the memo holds the last sweep's system
+        wt.weighted_entropy(probe_system(), 1.0, 6)
+        gc.collect()
+        assert ref() is None
+
+    def test_each_spec_is_pruned_once(self, monkeypatch):
+        pruned = []
+        prune = sym.prune
+        monkeypatch.setattr(sym, "prune", lambda spec: pruned.append(spec) or prune(spec))
+        sys_ = probe_system()
+        omega = sys_.omega
+        report = sym.entropy(omega, 6)
+        counts = sym.count_words(omega, 9)
+        image = wt.image_subshift(sys_)
+        wt.fiber_counts(sys_, 6)
+        assert [spec for spec in pruned if spec is omega] == [omega]
+        assert sym.ensure_pruned(omega) is sym.ensure_pruned(omega)
+        fresh = probe_system()
+        assert sym.entropy(fresh.omega, 6) == report
+        assert sym.count_words(fresh.omega, 9) == counts
+        assert wt.image_subshift(fresh).automaton == image.automaton
 
 
 class TestFiberCounts:
