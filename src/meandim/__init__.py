@@ -7,7 +7,6 @@ from .errors import (
     DomainError,
     EmptySubshift,
     HypothesisViolated,
-    InsufficientLength,
     MeanDimError,
     ParameterOverflow,
     ResourceLimit,
@@ -36,7 +35,6 @@ from .weighted import (
     image_subshift,
     pair_system,
     pair_system_from_tuples,
-    scale_index,
     weighted_entropy,
 )
 from .carpet import (

@@ -29,9 +29,5 @@ class ConstructionFailure(MeanDimError):
     """A requested geometric construction does not exist for the given input."""
 
 
-class InsufficientLength(MeanDimError):
-    """A supplied sequence is too short to cover the required scan window."""
-
-
 class ParameterOverflow(MeanDimError):
     """A derived parameter or value passes the range of double precision."""

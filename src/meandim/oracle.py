@@ -554,12 +554,13 @@ def mass_distribution_check(
     cap = word_budget(budget)
 
     table = weighted.fiber_counts(spec.system, n, budget)
-    fibers = table.level(n)  # v-word -> t_N(v)
+    fibers = dict(table.level(n).items())  # v-word -> t_N(v), lexicographic
+    words_total = table.total(n)
     z_n = math.fsum(tv**w for tv in fibers.values())
     log_z = math.log(z_n)
 
     log_t = {v: math.log(tv) for v, tv in fibers.items()}
-    v_words = sorted(fibers)
+    v_words = list(fibers)
     rng = random.Random(seed)
 
     per_m = {}
@@ -600,7 +601,7 @@ def mass_distribution_check(
             "largest_s": min_s_box,
             "passed": passed,
             "worst_y": worst,
-            "box_count": sum(fibers.values()) ** t_floor * len(v_words) ** (m - t_floor),
+            "box_count": words_total ** t_floor * len(v_words) ** (m - t_floor),
             "total_mass": total_mass,
             "mass_ok": abs(total_mass - 1.0) <= 1e-9,
         }

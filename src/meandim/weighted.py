@@ -5,7 +5,10 @@ coordinate, the weighted entropy with exponent w in [0, 1] is the growth rate
 of Z_N = sum over projected N-words v of |fiber(v)|^w.  Z_N is submultiplicative,
 so v_N = min_{j<=N} log Z_j / j is a certified upper-bound sequence; for
 product shifts R^N the value is exactly log sum_{v} t(v)^w.  Other systems
-sweep the projected words grouped by the set of automaton states they reach.
+sweep the projected words grouped by the set of automaton states they reach;
+a fiber table's levels keep the sweep's arrays and decode word tuples only
+on first key access, and Z_N sums each level's fiber-size histogram exactly
+(`exact_total`: multiplicities below 2^9 multiply mantissas in int64).
 
 One system queried several times is swept once: each spec keeps its
 compiled automaton (`symbolic.ensure_pruned`) and that automaton its
@@ -20,26 +23,16 @@ from __future__ import annotations
 import functools
 import math
 import warnings
+from collections.abc import Mapping, ValuesView
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    InsufficientLength,
-    ParameterOverflow,
-    ResourceLimit,
-)
+from .errors import DomainError, ParameterOverflow, ResourceLimit
 from .limits import subset_budget, word_budget
 from . import symbolic
-from .symbolic import (
-    KIND_AUTOMATON,
-    Automaton,
-    SubshiftSpec,
-    automaton_spec,
-    ensure_pruned,
-)
+from .symbolic import KIND_AUTOMATON, Automaton, SubshiftSpec, automaton_spec, ensure_pruned
 
 
 @dataclass(frozen=True)
@@ -84,28 +77,67 @@ def tuple_fiber_sizes(sys: PairShiftSystem) -> dict[int, int]:
 # ---------------------------------------------------------------------------
 
 
+class FiberLevel(Mapping):
+    """Fiber sizes of the projected words of one length, word -> count, in
+    lexicographic order.  It holds the sweep's sorted keys (rank * b +
+    letter, rank a word's index in the level before), the counts and the
+    level before: len and values() read the counts alone, and the first key
+    access decodes the word tuples from the previous level's and keeps them."""
+
+    def __init__(self, keys: np.ndarray, counts: list, prev: FiberLevel | None, b: int):
+        self._keys, self._counts, self._prev, self._b, self._words = keys, counts, prev, b, None
+
+    def _decoded(self) -> dict:
+        if self._words is None:
+            chain, level = [], self  # decode from the last decoded level forward
+            while level is not None and level._words is None:
+                chain.append(level)
+                level = level._prev
+            words = [()] if level is None else list(level._words)
+            for level in reversed(chain):
+                parent, letter = np.divmod(level._keys, level._b)
+                words = [words[p] + (v,) for p, v in zip(parent.tolist(), letter.tolist())]
+                level._words, level._prev = dict(zip(words, level._counts)), None
+        return self._words
+
+    def __len__(self):
+        return len(self._counts)
+
+    def values(self):
+        return _Counts(self)
+
+    def __getitem__(self, word):
+        return self._decoded()[word]
+
+    def __iter__(self):
+        return iter(self._decoded())
+
+    def items(self):
+        return self._decoded().items()
+
+
+class _Counts(ValuesView):
+    def __iter__(self):
+        return iter(self._mapping._counts)
+
+
 @dataclass(frozen=True)
 class FiberCountTable:
     """Exact fiber cardinalities |pi_N^{-1}(v)| per projected word v, per N."""
 
-    levels: dict  # N -> {v_word(tuple): int}
+    levels: dict  # N -> FiberLevel, {v_word(tuple): int}
 
-    def level(self, n: int) -> dict:
+    def level(self, n: int) -> FiberLevel:
         return self.levels[n]
 
     def total(self, n: int) -> int:
         return sum(self.levels[n].values())
 
 
-def fiber_counts(
-    sys: PairShiftSystem, n_max: int, budget: int | None = None
-) -> FiberCountTable:
-    cap = word_budget(budget)
-    levels = {}
-    words = [()]
-    for n, (parent, letter, counts, _) in enumerate(_fiber_levels(sys, n_max, cap), 1):
-        words = [words[p] + (v,) for p, v in zip(parent.tolist(), letter.tolist())]
-        levels[n] = dict(zip(words, counts.tolist()))
+def fiber_counts(sys: PairShiftSystem, n_max: int, budget: int | None = None) -> FiberCountTable:
+    levels, level = {}, None
+    for n, (keys, counts, _) in enumerate(_fiber_levels(sys, n_max, word_budget(budget)), 1):
+        levels[n] = level = FiberLevel(keys, counts.tolist(), level, sys.b_size)
     return FiberCountTable(levels=levels)
 
 
@@ -125,9 +157,9 @@ _last_sweep: tuple = (None, 0, 0, ())  # (system, n_max, cap, histograms)
 
 
 def _fiber_levels(sys: PairShiftSystem, n_max: int, cap: int):
-    """Yield (parent, letter, counts, histogram) per length: word i of a
-    level, in lexicographic order, is word parent[i] of the level before
-    extended by letter[i], counts[i] is its fiber size, and histogram is
+    """Yield (keys, counts, histogram) per length: word i of a level, in
+    lexicographic order, is word keys[i] // b of the level before extended
+    by letter keys[i] % b, counts[i] is its fiber size, and histogram is
     np.unique(counts, return_counts=True).  A complete sweep keeps its
     histograms in _last_sweep.
 
@@ -177,7 +209,7 @@ def _fiber_levels(sys: PairShiftSystem, n_max: int, cap: int):
         order = np.argsort(keys)
         counts = np.concatenate([block.sum(axis=0) for _, block in pieces])[order]
         histograms.append(np.unique(counts, return_counts=True))
-        yield *np.divmod(keys[order], sys.b_size), counts, histograms[-1]
+        yield keys[order], counts, histograms[-1]
         ranks = np.empty_like(order)
         ranks[order] = np.arange(len(order))
         frontier = {}  # image -> (rank vectors, blocks), joined when the next level reads them
@@ -215,11 +247,13 @@ def exact_total(values, counts=None) -> Fraction:
 
     np.frexp splits each double into a 53-bit integer mantissa and an
     exponent.  The mantissas of one exponent add as int64 in runs of at most
-    _EXACT_RUN (Python ints once counts multiply them), and the run sums add
-    as Python ints shifted to the least exponent.  float() of the result
-    divides int by int, which rounds correctly, half to even, as math.fsum
-    does, so it is math.fsum of the expanded multiset bit for bit, in any
-    order of the terms.
+    _EXACT_RUN.  Counts of bit length k <= 9 multiply them in int64 too, in
+    runs of _EXACT_RUN >> k, so every partial sum stays below 2^63; larger
+    counts multiply them as Python ints.  The run sums add as Python ints
+    shifted to the least exponent.  float() of the result divides int by
+    int, which rounds correctly, half to even, as math.fsum does, so it is
+    math.fsum of the expanded multiset bit for bit, in any order of the
+    terms.
 
     Three sums use it: the letter values of a product system, the
     non-product fiber sizes (up to 13,362 distinct sizes at N = 14 in the
@@ -232,11 +266,17 @@ def exact_total(values, counts=None) -> Fraction:
     order = np.argsort(exp, kind="stable")
     exp = exp[order]
     terms = (frac[order] * 2.0**53).astype(np.int64)
+    run = _EXACT_RUN
     if counts is not None:
-        terms = terms.astype(object) * np.asarray(counts, dtype=object)[order]
+        mult = np.asarray(counts)
+        width = int(abs(mult).max()).bit_length() if mult.dtype.kind in "iu" else 64
+        if width <= 9:  # |mantissa * count| < 2^(53 + width), so 2^(10 - width) fit
+            terms, run = terms * mult[order].astype(np.int64), run >> width
+        else:
+            terms = terms.astype(object) * np.asarray(counts, dtype=object)[order]
     cut = np.ones(len(exp), dtype=bool)
     cut[1:] = exp[1:] != exp[:-1]
-    cut[::_EXACT_RUN] = True
+    cut[::run] = True
     heads = np.flatnonzero(cut)
     low = min(0, int(exp[0]) - 53)
     sums = np.add.reduceat(terms, heads).tolist()
@@ -263,7 +303,7 @@ def _z_sweep(sys: PairShiftSystem, w: float, n_max: int, cap: int):
     same object), n_max and cap."""
     last, *key, histograms = _last_sweep
     if last is not sys or key != [n_max, cap]:
-        histograms = (level[3] for level in _fiber_levels(sys, n_max, cap))
+        histograms = (level[2] for level in _fiber_levels(sys, n_max, cap))
     for sizes, mult in histograms:
         yield float(exact_total([float(c) ** w for c in sizes.tolist()], mult))
 
@@ -370,48 +410,7 @@ def image_subshift(sys: PairShiftSystem, budget: int | None = None) -> SubshiftS
 def _wordset_fallback(sys: PairShiftSystem, depth: int = 12) -> SubshiftSpec:
     """Enumeration-only image description when determinization blows up."""
     table = fiber_counts(sys, depth)
-    wordsets = tuple(
-        (n, frozenset(table.level(n))) for n in sorted(table.levels)
-    )
+    wordsets = tuple((n, frozenset(level)) for n, level in table.levels.items())
     return SubshiftSpec(
         alphabet=sys.b_size, kind=KIND_AUTOMATON, automaton=None, wordsets=wordsets
     )
-
-
-# ---------------------------------------------------------------------------
-# Scan-window index from the bounded-sequence lemma
-# ---------------------------------------------------------------------------
-
-
-def scale_index(
-    sequence, w: float, delta: float, m: int, c_bound: float | None = None
-) -> int:
-    """Least n >= m in the guaranteed window with a_n - a_{floor(w n)} >= -delta.
-
-    For any sequence with values in [0, C], such an index exists inside
-    [m, w^{-ceil(C/delta)} (m + ceil(C/delta)) + 1]; the scan makes the bound
-    effective.  Raises InsufficientLength if the sequence stops short of the
-    window.
-    """
-    if not (0.0 < w <= 1.0):
-        raise DomainError("w must lie in (0, 1]")
-    if delta <= 0:
-        raise DomainError("delta must be positive")
-    seq = [float(x) for x in sequence]
-    c = max(seq) if c_bound is None else float(c_bound)
-    if any(x < 0 or x > c + 1e-15 for x in seq):
-        raise DomainError("sequence values must lie in [0, C]")
-    k = math.ceil(c / delta)
-    window_end = int(math.floor(w ** (-k) * (m + k) + 1))
-    if len(seq) <= m:
-        raise InsufficientLength(f"need index {m}, sequence has {len(seq)} entries")
-    scan_end = min(window_end, len(seq) - 1)
-    for n in range(m, scan_end + 1):
-        if seq[n] - seq[int(math.floor(w * n))] >= -delta:
-            return n
-    if scan_end < window_end:
-        raise InsufficientLength(
-            f"no index found up to {scan_end}; the guaranteed window extends to "
-            f"{window_end}"
-        )
-    raise AssertionError("window scan failed; input violates the lemma hypotheses")

@@ -17,7 +17,6 @@ from meandim import weighted as wt
 from meandim.errors import (
     DomainError,
     EmptySubshift,
-    InsufficientLength,
     ParameterOverflow,
     ResourceLimit,
 )
@@ -163,6 +162,8 @@ class TestFiberSweep:
         exact = sym.count_words(sys_.omega, 22)
         assert exact[22] > 2**63
         table = wt.fiber_counts(sys_, 22)
+        assert all(type(table.total(n)) is int for n in range(1, 23))
+        assert [table.total(n) for n in range(1, 23)] == [exact[n] for n in range(1, 23)]
         assert table.levels == reference_fiber_counts(sys_, 22)
         assert table.level(22) == {(0,) * 22: exact[22]}
         z = wt.weighted_entropy(sys_, 1.0, 22).z_values
@@ -298,6 +299,48 @@ class TestQueryMemos:
         assert wt.image_subshift(fresh).automaton == image.automaton
 
 
+class TestFiberLevel:
+    @settings(max_examples=150, deadline=None)
+    @given(pair_systems(), st.integers(1, 6), st.data())
+    def test_level_is_the_reference_mapping(self, sys_, n_max, data):
+        want = reference_fiber_counts(sys_, n_max)
+        table = wt.fiber_counts(sys_, n_max)
+        n = data.draw(st.integers(1, n_max))  # decode one level before the others
+        level, ref = table.level(n), want[n]
+        assert len(level) == len(ref)
+        assert level == ref and ref == level
+        assert not (level != ref or ref != level)
+        assert table.levels == want and want == table.levels
+        assert list(level) == sorted(level)  # lexicographic, as the mass check reads it
+        word = data.draw(st.sampled_from(list(ref)))
+        assert word in level and level[word] == level.get(word) == ref[word]
+        absent = (sys_.b_size,) * n  # no letter is b
+        assert absent not in level and level.get(absent) is None
+        for key in (absent, word + (0,), word[:-1], (), word[0], str(word)):
+            with pytest.raises(KeyError):
+                level[key]
+        assert level.get(word[0], -1) == -1
+
+    def test_counts_and_totals_decode_no_words(self, monkeypatch):
+        want = reference_fiber_counts(probe_system(), 10)
+        table = wt.fiber_counts(probe_system(), 10)
+        monkeypatch.setattr(wt.FiberLevel, "_decoded", lambda self: pytest.fail("decoded"))
+        for n, ref in want.items():
+            assert len(table.level(n)) == len(ref)
+            assert list(table.level(n).values()) == list(ref.values())
+            assert len(table.level(n).values()) == len(ref)
+            assert table.total(n) == sum(ref.values())
+        monkeypatch.undo()
+        assert list(table.level(10).items()) == list(want[10].items())
+
+    def test_deep_tables_decode_in_a_loop(self):
+        # a one-letter image: each level is one word, 3,000 levels deep
+        sys_ = wt.pair_system(2, 1, sym.sft_from_matrix([[1, 0], [1, 1]]))
+        table = wt.fiber_counts(sys_, 3000)
+        assert table.level(3000) == {(0,) * 3000: 3001}
+        assert table.level(1500) == {(0,) * 1500: 1501}
+
+
 class TestFiberCounts:
     def test_example_relation_values(self):
         sys_ = wt.pair_system_from_tuples(3, 2, R_EXAMPLE)
@@ -375,6 +418,41 @@ class TestExactTotal:
         # 3 * 2^10 + 5 mantissas near 2^53 in one binade: past one int64 run
         values = np.nextafter(1.0, 2.0) + np.arange(3 * 2**10 + 5) * 2.0**-52
         assert float(wt.exact_total(values)) == math.fsum(values.tolist())
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.tuples(BINADE_DOUBLES, st.integers(0, 511)), min_size=1, max_size=30),
+        st.sampled_from([1, 511, 512, 10**6, 2**70]),
+    )
+    def test_counts_give_the_exact_fraction(self, pairs, top):
+        # the largest multiplicity is top: bit length 9 or less takes the
+        # int64 path (int64 counts), 10 and more the Python-int one, as
+        # object counts always do
+        values = [v for v, _ in pairs]
+        counts = [top] + [min(c, top) for _, c in pairs[1:]]
+        want = sum((Fraction(v) * c for v, c in zip(values, counts)), Fraction(0))
+        assert wt.exact_total(values, counts) == want
+        assert wt.exact_total(values, np.array(counts, dtype=object)) == want
+
+    @pytest.mark.parametrize("top", [511, 512])
+    def test_huge_and_subnormal_values_with_counts(self, top):
+        values = [2.0**1023 * (2 - 2.0**-52), 5e-324, -(2.0**-1022), 3 * 5e-324, -1e308, 1.0]
+        counts = [top, top, 1, top - 1, top, 7]
+        want = sum(Fraction(v) * c for v, c in zip(values, counts))
+        assert wt.exact_total(values, counts) == want
+        assert wt.exact_total(values, np.array(counts, dtype=object)) == want
+
+    @pytest.mark.parametrize("top", [1, 2, 3, 255, 256, 511, 512])
+    def test_long_runs_with_counts_stay_exact(self, top):
+        # 3 * 2^10 + 5 mantissas just below 2^53 in one binade, each counted
+        # top times: 2^(10 - k) of them at bit length k add up to just below
+        # 2^63, so a run one term longer would overflow int64
+        values = np.nextafter(2.0, 1.0) - np.arange(3 * 2**10 + 5) * 2.0**-52
+        counts = np.full(len(values), top, dtype=np.int64)
+        counts[::7] = 1
+        want = sum(Fraction(v) * int(c) for v, c in zip(values.tolist(), counts.tolist()))
+        assert wt.exact_total(values, counts) == want
+        assert wt.exact_total(-values, counts) == -want
 
 
 def reference_z_values_product(sys_, w, n_max):
@@ -654,35 +732,6 @@ class TestImageSubshift:
         for n in range(1, 8):
             projected = {v for _, v in naive_product_words(sys_.omega, 2, n)}
             assert sym.count_words(image, n)[n] == len(projected)
-
-
-class TestScaleIndex:
-    def test_constant_sequence_returns_m(self):
-        assert wt.scale_index([0.4] * 10, 0.5, 0.25, 4, c_bound=1.0) == 4
-
-    def test_slowly_increasing_sequence_matches_exhaustive_scan(self):
-        w, delta, m, c = 0.5, 0.1, 4, 1.0
-        k = math.ceil(c / delta)
-        end = int(math.floor(w**-k * (m + k) + 1))
-        seq = [c * (1 - 1 / (n + 1)) for n in range(end + 1)]
-        got = wt.scale_index(seq, w, delta, m, c_bound=c)
-        scan = next(
-            n
-            for n in range(m, end + 1)
-            if seq[n] - seq[int(math.floor(w * n))] >= -delta
-        )
-        assert got == scan
-
-    def test_slow_decrease_returns_m(self):
-        # dropping delta/2 per step keeps every difference above -delta
-        m, delta, w = 4, 0.2, 0.5
-        seq = [1.0 - (delta / 2) * n / 8 for n in range(60)]
-        assert wt.scale_index(seq, w, delta, m, c_bound=1.0) == m
-
-    def test_insufficient_length(self):
-        # the scan fails at n = 2 and the data stops before the window does
-        with pytest.raises(InsufficientLength):
-            wt.scale_index([1.0, 1.0, 0.0], 0.5, 0.1, 2, c_bound=1.0)
 
 
 class TestDeterminizationFallback:
