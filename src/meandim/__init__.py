@@ -2,11 +2,9 @@
 metric-geometry oracle cross-checking every closed form."""
 
 from .errors import (
-    ConstructionFailure,
     DegenerateScale,
     DomainError,
     EmptySubshift,
-    HypothesisViolated,
     MeanDimError,
     ParameterOverflow,
     ResourceLimit,
@@ -25,7 +23,6 @@ from .symbolic import (
     prune,
     sft_from_matrix,
     spec_from_json,
-    spec_to_json,
 )
 from .weighted import (
     FiberCountTable,
@@ -48,7 +45,6 @@ from .carpet import (
 )
 from .selfsim import (
     BetaSystemSpec,
-    ball_similarity_check,
     beta_system,
     covering_lower_bound,
     min_gap,
@@ -64,7 +60,6 @@ from .grid2d import (
     linear_rule,
     patterns_rule,
     rule_from_json,
-    rule_to_json,
     three_dot_rule,
     torus_points,
 )
@@ -72,13 +67,11 @@ from .metrics import MetricDescriptor, PointCloud
 from .oracle import (
     CoverBounds,
     QBoxFamily,
-    WitnessSet,
     covering_bounds,
     covering_sandwich,
     exact_min_cover,
     hausdorff_upper_at_scale,
     mass_distribution_check,
-    measure_cover_upper,
     qbox_family,
     verify_family_separation,
 )

@@ -21,13 +21,5 @@ class DegenerateScale(MeanDimError):
     """The requested scale is too close to the truncation error of a cloud."""
 
 
-class HypothesisViolated(MeanDimError):
-    """A verification hypothesis failed; the message identifies the witness."""
-
-
-class ConstructionFailure(MeanDimError):
-    """A requested geometric construction does not exist for the given input."""
-
-
 class ParameterOverflow(MeanDimError):
     """A derived parameter or value passes the range of double precision."""

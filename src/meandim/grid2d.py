@@ -442,16 +442,6 @@ def key_fact_check(
 # ---------------------------------------------------------------------------
 
 
-def rule_to_json(spec: Grid2DSpec) -> dict:
-    doc: dict = {"a": spec.alphabet, "rule": spec.rule}
-    if spec.rule == RULE_LINEAR:
-        doc["coeffs"] = list(spec.coeffs)
-    elif spec.rule == RULE_PATTERNS:
-        doc["window"] = list(spec.window)
-        doc["allowed"] = sorted([list(r) for r in p] for p in spec.allowed)
-    return doc
-
-
 def rule_from_json(doc) -> Grid2DSpec:
     """Checked rule from its JSON document: a malformed document raises
     DomainError naming the field."""

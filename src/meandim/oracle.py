@@ -21,7 +21,6 @@ import numpy as np
 from .errors import (
     DegenerateScale,
     DomainError,
-    HypothesisViolated,
     ParameterOverflow,
     ResourceLimit,
 )
@@ -193,7 +192,9 @@ def exact_min_cover(cloud: PointCloud, eps: float) -> int:
     """
     n = len(cloud)
     if n > 12:
-        raise ResourceLimit("exact cover limited to 12 points")
+        raise ResourceLimit(
+            f"exact cover limited to 12 points; exact cover: {n} points exceed the cap 12"
+        )
     check_scale(cloud, eps)
     full = (1 << n) - 1
     near = cloud.pairwise() < eps
@@ -644,55 +645,6 @@ def _multisets(words, size: int, weights):
         product = math.prod(weights[v] for v in combo) if weights is not None else 1
         out.append((combo, orderings, product))
     return out
-
-
-# ---------------------------------------------------------------------------
-# Measure-based upper bound verification
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class WitnessSet:
-    """A Borel witness: diameter, mass, and the sample points it contains."""
-
-    diam: float
-    mass: float
-    covers: frozenset
-
-
-def measure_cover_upper(
-    n_points: int, witnesses, eps: float, c: float, s: float
-) -> dict:
-    """Check the hypotheses of the measure-to-dimension upper bound.
-
-    Requires 6 eps^c < 1; every point must lie in a witness set A with
-    0 < diam A < eps/6 and mass(A) >= (diam A)^s.  A passing verdict
-    certifies dimh(., d, eps) <= (1 + c) s for the sampled space.
-    """
-    if not (6.0 * eps**c < 1.0):
-        raise HypothesisViolated(f"6 eps^c = {6.0 * eps ** c} is not < 1")
-    covered = set()
-    margin = math.inf
-    for k, wset in enumerate(witnesses):
-        if not (0.0 < wset.diam < eps / 6.0):
-            raise HypothesisViolated(
-                f"witness {k}: diam {wset.diam} outside (0, eps/6)"
-            )
-        if wset.mass < wset.diam**s - SLACK:
-            raise HypothesisViolated(
-                f"witness {k}: mass {wset.mass} < diam^s {wset.diam ** s}"
-            )
-        margin = min(margin, wset.mass - wset.diam**s)
-        covered.update(wset.covers)
-    missing = set(range(n_points)) - covered
-    if missing:
-        raise HypothesisViolated(f"point {min(missing)} not covered by any witness")
-    return {
-        "ok": True,
-        "dimension_bound": (1.0 + c) * s,
-        "eps": eps,
-        "mass_margin": margin,
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -17,17 +17,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import ConstructionFailure, DomainError, ResourceLimit
+from .errors import DomainError, ResourceLimit
 from .limits import point_budget, word_budget
 from . import symbolic
-from .metrics import (
-    LINF_FINITE,
-    SUM_WEIGHTED_ABS,
-    MetricDescriptor,
-    PointCloud,
-    _distance_rows,
-    pairwise_to_point,
-)
+from .metrics import LINF_FINITE, MetricDescriptor, PointCloud
 
 _RATIONAL_DENOM_CAP = 1 << 30  # beta with a denominator this small goes exact
 
@@ -49,10 +42,6 @@ class BetaSystemSpec:
     @property
     def c(self) -> float:
         return 1.0 / self.beta
-
-    def diameter_bound(self) -> float:
-        """Strict upper bound for the diameter under the weighted-abs metric."""
-        return (self.a - 1) / (self.beta - 1) + 1e-9
 
 
 def beta_system(a: int, beta: float, omega: symbolic.SubshiftSpec | None = None) -> BetaSystemSpec:
@@ -138,9 +127,12 @@ def covering_lower_bound(
     """
     aut = _omega_automaton(spec)
     words = aut.enumerate_words(n_coords, budget)
-    count = len(words) ** n_layers
-    if count > point_budget(budget):
-        raise ResourceLimit(f"family of {count} points exceeds budget")
+    count, cap = len(words) ** n_layers, point_budget(budget)
+    if count > cap:
+        raise ResourceLimit(
+            f"family of {count} points exceeds budget; "
+            f"point budget: {count} points exceed the cap {cap}"
+        )
 
     depth = n_coords + min(30 * n_layers, 80)  # a tail below 2^-30 < 1e-9 per layer
     anchor = aut.lex_least_extension((), depth)
@@ -154,9 +146,11 @@ def covering_lower_bound(
     beta = spec.beta
     present, index = np.unique(np.array(streams, dtype=np.int64), return_inverse=True)
     index = index.reshape(len(words), depth)
-    if len(present) ** n_layers > point_budget(budget):
+    columns = len(present) ** n_layers
+    if columns > cap:
         raise ResourceLimit(
-            f"digit table of {len(present)}^{n_layers} columns exceeds budget"
+            f"digit table of {len(present)}^{n_layers} columns exceeds budget; "
+            f"point budget: {columns} columns exceed the cap {cap}"
         )
     table = np.array([
         math.fsum(d * beta ** -(k + 1) for k, d in enumerate(column))
@@ -204,99 +198,3 @@ def self_similar_dims(spec: BetaSystemSpec, n_max: int = 12) -> dict:
         "note": "mean Hausdorff and metric mean dimensions coincide",
     }
 
-
-def ball_similarity_check(
-    spec: BetaSystemSpec,
-    n_window: int,
-    eps: float,
-    p_digits,
-    sample_digits,
-    tol: float = 1e-9,
-) -> dict:
-    """Contract the whole system into the eps-ball around p and verify it.
-
-    phi composes k digit maps with c^k A <= eps < c^(k-1) A, following p's own
-    digit rows; phi maps every point into B_eps(p, d_N) and expands distances
-    by exactly c^k >= c eps / A.  Digit rows must be admissible prefixes of
-    the driving subshift, otherwise the requested cell does not exist.
-    """
-    aut = _omega_automaton(spec)
-    a_bound = spec.diameter_bound()
-    beta = spec.beta
-    c = spec.c
-
-    k = 0
-    while c**k * a_bound > eps:
-        k += 1
-    # now c^k A <= eps; if eps >= A then k == 0 and phi is the identity
-
-    p_digits = [tuple(row) for row in p_digits]
-    depth = len(p_digits[0]) if p_digits else 0
-    if k > len(p_digits):
-        raise ConstructionFailure(
-            f"need {k} digit layers to reach the cell of p, got {len(p_digits)}"
-        )
-    for i in range(k):
-        if not _admissible_prefix(aut, p_digits[i]):
-            raise ConstructionFailure(
-                f"digit layer {i} of p is not an admissible word"
-            )
-
-    def point_of(rows):
-        rows = [tuple(r) for r in rows]
-        return np.array(
-            [
-                math.fsum(rows[m][j] * beta ** -(m + 1) for m in range(len(rows)))
-                for j in range(depth)
-            ]
-        )
-
-    p_point = point_of(p_digits)
-
-    def phi(x):
-        out = x
-        for i in reversed(range(k)):
-            out = (out + np.array(p_digits[i], dtype=float)) / beta
-        return out
-
-    metric = MetricDescriptor(kind=SUM_WEIGHTED_ABS, iterates=n_window)
-    sample_pts = np.array([point_of(rows) for rows in sample_digits]).reshape(-1, depth)
-    images = phi(sample_pts)
-
-    radii = pairwise_to_point(images, p_point, metric)
-    worst_radius = float(radii.max(initial=0.0))
-    radius_ok = bool((radii <= eps + tol).all())
-
-    # c^k > c eps / A whenever the bracketing picked k >= 1; for eps >= A the
-    # identity map is its own (trivial) expansion certificate
-    expansion = min(c**k, c * eps / a_bound)
-    expansion_ok = True
-    worst_ratio = math.inf
-    blocks = zip(_distance_rows(sample_pts, metric), _distance_rows(images, metric))
-    for (_, base), (_, mapped) in blocks:
-        later = np.triu_indices(len(base), 1, base.shape[1])  # pairs i < j
-        base, mapped = base[later], mapped[later]
-        moved = base > 0
-        worst_ratio = min(worst_ratio, float((mapped[moved] / base[moved]).min(initial=math.inf)))
-        expansion_ok = expansion_ok and bool((mapped >= expansion * base - tol).all())
-
-    return {
-        "k": k,
-        "eps": eps,
-        "diameter_bound": a_bound,
-        "radius_ok": radius_ok,
-        "worst_radius": worst_radius,
-        "expansion_ok": expansion_ok,
-        "required_ratio": expansion,
-        "worst_ratio": worst_ratio if worst_ratio != math.inf else c**k,
-        "ok": radius_ok and expansion_ok,
-    }
-
-
-def _admissible_prefix(aut, word) -> bool:
-    state = aut.root
-    for label in word:
-        if label not in aut.succ[state]:
-            return False
-        state = aut.succ[state][label]
-    return True

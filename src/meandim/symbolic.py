@@ -26,7 +26,7 @@ KIND_FULL = "full"
 KIND_SFT = "sft"
 KIND_FORBIDDEN = "forbidden"
 KIND_TUPLES = "tuples"
-KIND_AUTOMATON = "automaton"  # output-only: rooted labeled graph (sofic images)
+KIND_AUTOMATON = "automaton"  # rooted labeled graph (sofic images)
 
 SPECTRAL_LOG_TOL = 1e-10  # widest certified bracket accepted on log(radius)
 _NODA_MAX_SOLVES = 64  # quadratic convergence needs about ten
@@ -549,9 +549,11 @@ def count_words(spec: SubshiftSpec, n_max: int, budget: int | None = None) -> Co
     spec = ensure_pruned(spec)
     if spec.automaton is None:
         return _wordset_table(spec, n_max)
-    aut = spec.automaton
-    if aut.n_states > word_budget(budget):
-        raise ResourceLimit("state space exceeds budget")
+    aut, cap = spec.automaton, word_budget(budget)
+    if aut.n_states > cap:
+        raise ResourceLimit(
+            f"state space exceeds budget; word budget: {aut.n_states} states exceed the cap {cap}"
+        )
     counts = aut.word_counts(n_max)
     return CountTable(counts={n + 1: c for n, c in enumerate(counts)})
 
@@ -599,39 +601,8 @@ def entropy(spec: SubshiftSpec, n_max: int = 12, budget: int | None = None) -> E
 
 
 # ---------------------------------------------------------------------------
-# JSON round trip (input schema; `automaton` is an output-only extension)
+# JSON input schema
 # ---------------------------------------------------------------------------
-
-
-def spec_to_json(spec: SubshiftSpec) -> dict:
-    if spec.wordsets is not None:
-        return {
-            "alphabet": spec.alphabet,
-            "kind": "wordset",
-            "words": {
-                str(n): sorted("".join(map(str, w)) for w in ws)
-                for n, ws in spec.wordsets
-            },
-        }
-    if spec.kind == KIND_AUTOMATON:
-        aut = build_automaton(spec)
-        transitions = sorted(
-            [s, l, t] for s, trans in enumerate(aut.succ) for l, t in trans.items()
-        )
-        return {
-            "alphabet": spec.alphabet,
-            "kind": KIND_AUTOMATON,
-            "automaton": {"root": aut.root, "transitions": transitions},
-        }
-    doc: dict = {"alphabet": spec.alphabet, "kind": spec.kind}
-    if spec.kind == KIND_SFT:
-        doc["matrix"] = [list(r) for r in spec.matrix]
-    elif spec.kind == KIND_FORBIDDEN:
-        doc["forbidden"] = ["".join(str(c) for c in w) for w in spec.forbidden]
-    elif spec.kind == KIND_TUPLES:
-        a, b = spec.tuple_sizes
-        doc["tuples"] = {"a": a, "b": b, "R": sorted([u, v] for u, v in spec.tuple_set)}
-    return doc
 
 
 def spec_from_json(doc) -> SubshiftSpec:

@@ -198,7 +198,13 @@ class TestExitCodes:
 
     def test_grid2d_budget_exits_3_without_traceback(self, tmp_path):
         rule = tmp_path / "rule.json"
-        rule.write_text(json.dumps(meandim.rule_to_json(meandim.hard_square_rule())))
+        hard_square = [  # the 2x2 windows without two adjacent 1s
+            [[0, 0], [0, 0]], [[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]],
+            [[0, 0], [0, 1]], [[1, 0], [0, 1]], [[0, 1], [1, 0]],
+        ]
+        rule.write_text(json.dumps(
+            {"a": 2, "rule": "patterns", "window": [2, 2], "allowed": hard_square}
+        ))
         proc = run_cli_process(
             "grid2d", "--rule", str(rule), "--nmax", "4", "--mmax", "4", "--budget", "4"
         )

@@ -628,9 +628,26 @@ class TestKeyFact:
         }
 
 
+HARD_SQUARE_DOC = {  # the seven 2x2 windows without two adjacent 1s
+    "a": 2,
+    "rule": "patterns",
+    "window": [2, 2],
+    "allowed": [
+        [[0, 0], [0, 0]], [[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]],
+        [[0, 0], [0, 1]], [[1, 0], [0, 1]], [[0, 1], [1, 0]],
+    ],
+}
+
+
 class TestRuleJson:
     def test_round_trip(self):
-        specs = [g2.free_rule(2), g2.three_dot_rule(2), g2.hard_square_rule()]
-        for spec in specs:
-            back = g2.rule_from_json(g2.rule_to_json(spec))
+        # literal documents against the rules their constructors build
+        cases = [
+            ({"a": 2, "rule": "free"}, g2.free_rule(2)),
+            ({"a": 2, "rule": "linear", "coeffs": [1, 1, 1]}, g2.three_dot_rule(2)),
+            (HARD_SQUARE_DOC, g2.hard_square_rule()),
+        ]
+        for doc, spec in cases:
+            back = g2.rule_from_json(json.dumps(doc))
+            assert back == spec
             assert g2.count_rectangles(back, 3, 3) == g2.count_rectangles(spec, 3, 3)

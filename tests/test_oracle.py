@@ -22,7 +22,6 @@ from meandim import weighted as wt
 from meandim.errors import (
     DegenerateScale,
     DomainError,
-    HypothesisViolated,
     ParameterOverflow,
     ResourceLimit,
 )
@@ -835,52 +834,6 @@ class TestDuplicationBound:
             assert found
 
 
-class TestMeasureCoverUpper:
-    def test_equal_boxes_pass_with_equality(self):
-        diam = 0.003
-        n_boxes = 4
-        s = math.log(n_boxes) / math.log(1.0 / diam)
-        witnesses = [
-            orc.WitnessSet(diam=diam, mass=1.0 / n_boxes, covers=frozenset([i]))
-            for i in range(n_boxes)
-        ]
-        rep = orc.measure_cover_upper(n_boxes, witnesses, eps=0.02, c=0.5, s=s)
-        assert rep["ok"]
-        assert rep["dimension_bound"] == pytest.approx(1.5 * s, abs=1e-12)
-        assert rep["mass_margin"] == pytest.approx(0.0, abs=1e-12)
-
-    def test_reciprocal_witnesses_feed_the_lemma(self):
-        n_window, m = 2, 2
-        eps = 0.1
-        delta = orc.reciprocal_witness_delta(m, eps)
-        tail = orc.reciprocal_tail_depth(m, delta)
-        witnesses = []
-        for i in range(20):
-            x = orc.sample_reciprocal_point(n_window + tail, 10_000, seed=i)
-            wit = orc.reciprocal_product_witness(x, n_window, m, eps)
-            assert wit["passed"]
-            witnesses.append(
-                orc.WitnessSet(
-                    diam=wit["diam_bound"],
-                    mass=wit["mass"],
-                    covers=frozenset([i]),
-                )
-            )
-        s = 6.0 * (n_window + tail) / m
-        rep = orc.measure_cover_upper(20, witnesses, eps=eps, c=1.0, s=s)
-        assert rep["ok"]
-
-    def test_oversized_witness_rejected(self):
-        witnesses = [orc.WitnessSet(diam=0.05, mass=1.0, covers=frozenset([0]))]
-        with pytest.raises(HypothesisViolated):
-            orc.measure_cover_upper(1, witnesses, eps=0.1, c=0.5, s=0.5)
-
-    def test_uncovered_point_rejected(self):
-        witnesses = [orc.WitnessSet(diam=0.001, mass=1.0, covers=frozenset([0]))]
-        with pytest.raises(HypothesisViolated):
-            orc.measure_cover_upper(2, witnesses, eps=0.1, c=0.5, s=0.1)
-
-
 def reference_reciprocal_product_witness(x, n_window, m, eps, enum_cap=1_000_000):
     """reciprocal_product_witness with one inverse_square_mass and one class
     lookup per coordinate (errors left to the library)."""
@@ -997,6 +950,12 @@ class TestReciprocalSpace:
             x = orc.sample_reciprocal_point(n_window + tail, 100_000, seed=i)
             wit = orc.reciprocal_product_witness(x, n_window, m, eps)
             assert wit["passed"]
+        # and 20 points on a coarser sample at n_window = 2, m = 2, eps = 0.1
+        delta = orc.reciprocal_witness_delta(2, 0.1)
+        tail = orc.reciprocal_tail_depth(2, delta)
+        for i in range(20):
+            x = orc.sample_reciprocal_point(2 + tail, 10_000, seed=i)
+            assert orc.reciprocal_product_witness(x, 2, 2, 0.1)["passed"]
 
     def test_large_m_overflows(self):
         with pytest.raises(ParameterOverflow):
@@ -1172,9 +1131,3 @@ def test_square_base_qbox_fixes_all_layers():
     assert fam.separation_certified and fam.diam_certified
     rep = orc.verify_family_separation(fam, samples=300)
     assert rep["ok"]
-
-
-def test_measure_cover_scale_precondition():
-    witnesses = [orc.WitnessSet(diam=0.001, mass=1.0, covers=frozenset([0]))]
-    with pytest.raises(HypothesisViolated):
-        orc.measure_cover_upper(1, witnesses, eps=0.5, c=0.5, s=0.1)  # 6 eps^c >= 1

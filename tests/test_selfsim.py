@@ -1,4 +1,4 @@
-"""Beta-expansion systems: exact gaps, separated families, similarity maps."""
+"""Beta-expansion systems: exact gaps, separated families, dimensions."""
 
 import itertools
 import math
@@ -7,11 +7,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from meandim import metrics
 from meandim import oracle as orc
 from meandim import selfsim as ss
 from meandim import symbolic as sym
-from meandim.errors import ConstructionFailure, DomainError, ResourceLimit
+from meandim.errors import DomainError, ResourceLimit
 from meandim.metrics import SUM_WEIGHTED_ABS, MetricDescriptor, pairwise_to_point
 
 
@@ -203,7 +202,7 @@ class TestSelfSimilarDims:
 
 class TestWordSetOmega:
     """A stored word set has entropy but no automaton: the dimensions work,
-    the family and the similarity maps refuse it."""
+    the separated family refuses it."""
 
     def setup_method(self):
         omega = sym.spec_from_json(
@@ -217,113 +216,4 @@ class TestWordSetOmega:
     def test_family_and_similarity_refuse_a_word_set(self):
         with pytest.raises(DomainError, match="enumeration-only word set"):
             ss.covering_lower_bound(self.spec, 2, 2)
-        with pytest.raises(DomainError, match="enumeration-only word set"):
-            ss.ball_similarity_check(self.spec, 2, 0.3, [[0, 1]], [])
 
-
-def reference_ball_similarity_check(spec, n_window, eps, p_digits, sample_digits, tol=1e-9):
-    """`ball_similarity_check` as it measured the sample pairs: two
-    pairwise_to_point calls per sample point, against the later points."""
-    aut = ss._omega_automaton(spec)
-    a_bound = spec.diameter_bound()
-    beta, c = spec.beta, spec.c
-    k = 0
-    while c**k * a_bound > eps:
-        k += 1
-    p_digits = [tuple(row) for row in p_digits]
-    depth = len(p_digits[0]) if p_digits else 0
-    if k > len(p_digits) or not all(ss._admissible_prefix(aut, p_digits[i]) for i in range(k)):
-        raise ConstructionFailure("the cell of p does not exist")
-
-    def point_of(rows):
-        rows = [tuple(r) for r in rows]
-        return np.array([
-            math.fsum(rows[m][j] * beta ** -(m + 1) for m in range(len(rows)))
-            for j in range(depth)
-        ])
-
-    p_point = point_of(p_digits)
-
-    def phi(x):
-        out = x
-        for i in reversed(range(k)):
-            out = (out + np.array(p_digits[i], dtype=float)) / beta
-        return out
-
-    metric = MetricDescriptor(kind=SUM_WEIGHTED_ABS, iterates=n_window)
-    sample_pts = np.array([point_of(rows) for rows in sample_digits]).reshape(-1, depth)
-    images = phi(sample_pts)
-    radii = pairwise_to_point(images, p_point, metric)
-    worst_radius = float(radii.max(initial=0.0))
-    radius_ok = bool((radii <= eps + tol).all())
-    expansion = min(c**k, c * eps / a_bound)
-    expansion_ok = True
-    worst_ratio = math.inf
-    for i in range(len(images) - 1):
-        base = pairwise_to_point(sample_pts[i + 1 :], sample_pts[i], metric)
-        mapped = pairwise_to_point(images[i + 1 :], images[i], metric)
-        moved = base > 0
-        worst_ratio = min(worst_ratio, float((mapped[moved] / base[moved]).min(initial=math.inf)))
-        expansion_ok = expansion_ok and bool((mapped >= expansion * base - tol).all())
-    return {
-        "k": k,
-        "eps": eps,
-        "diameter_bound": a_bound,
-        "radius_ok": radius_ok,
-        "worst_radius": worst_radius,
-        "expansion_ok": expansion_ok,
-        "required_ratio": expansion,
-        "worst_ratio": worst_ratio if worst_ratio != math.inf else c**k,
-        "ok": radius_ok and expansion_ok,
-    }
-
-
-class TestBallSimilarity:
-    def setup_method(self):
-        self.spec = ss.beta_system(2, 2.0)
-        rng = np.random.default_rng(9)
-        self.p = [tuple(int(d) for d in rng.integers(0, 2, 10))] * 12
-        self.samples = [
-            [tuple(int(d) for d in rng.integers(0, 2, 10)) for _ in range(12)]
-            for _ in range(10)
-        ]
-
-    def test_contraction_into_ball(self):
-        rep = ss.ball_similarity_check(self.spec, 2, 0.3, self.p, self.samples)
-        assert rep["ok"]
-        assert rep["k"] >= 1
-        assert rep["worst_radius"] <= 0.3 + 1e-9
-
-    def test_large_eps_identity(self):
-        rep = ss.ball_similarity_check(self.spec, 2, 2.0, self.p, self.samples)
-        assert rep["k"] == 0
-        assert rep["ok"]
-
-    @pytest.mark.parametrize("chunk", [1, 7, 64, None])
-    @pytest.mark.parametrize("seed", range(4))
-    def test_report_matches_the_per_point_loop(self, monkeypatch, chunk, seed):
-        # the pairs are measured in blocks of at most _PAIR_CHUNK; patched
-        # small, the samples split into many blocks
-        if chunk is not None:
-            monkeypatch.setattr(metrics, "_PAIR_CHUNK", chunk)
-        rng = np.random.default_rng(seed)
-        beta = (2.0, 2.5, 2.2, 3.0)[seed]
-        spec = ss.beta_system(3 if beta == 3.0 else 2, beta)
-        depth, layers = int(rng.integers(3, 12)), int(rng.integers(1, 5))
-        p = [(0,) * depth] * 16  # enough layers for the contraction at every eps
-        samples = [rng.integers(0, spec.a, (layers, depth)).tolist() for _ in range(40)]
-        samples += samples[:3]  # repeated points: pairs at distance 0
-        for window, eps in ((1, 0.5), (2, 0.3), (depth, 0.05), (depth + 2, 3.0)):
-            want = reference_ball_similarity_check(spec, window, eps, p, samples)
-            assert ss.ball_similarity_check(spec, window, eps, p, samples) == want
-
-    def test_inadmissible_point_rejected(self):
-        bad = [tuple([5] * 10)] + self.p[1:]
-        with pytest.raises(ConstructionFailure):
-            ss.ball_similarity_check(self.spec, 2, 0.3, bad, self.samples)
-
-    def test_inadmissible_subshift_row_rejected(self):
-        spec = ss.beta_system(2, 2.0, sym.forbidden_words(2, ["11"]))
-        bad = [tuple([1, 1] + [0] * 8)] * 12  # contains the forbidden factor
-        with pytest.raises(ConstructionFailure):
-            ss.ball_similarity_check(spec, 2, 0.2, bad, self.samples)

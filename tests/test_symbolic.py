@@ -594,19 +594,30 @@ def test_bracket_holds_the_eigenvalue_radius(matrix):
 
 class TestJson:
     def test_round_trip_all_kinds(self):
-        specs = [
-            sym.full_shift(4),
-            sym.sft_from_matrix([[1, 1], [1, 0]]),
-            sym.forbidden_words(2, ["11", "000"]),
-            sym.allowed_tuples(3, 2, [(0, 0), (1, 1), (2, 0)]),
-            sym.automaton_spec(sym.Automaton(2, 0, ({0: 0, 1: 1}, {0: 0})), 2),
+        # one literal document per input kind against the spec its
+        # constructor builds; a word set parses to an automaton-kind spec
+        golden_words = {
+            str(n): [w for w in map("".join, itertools.product("01", repeat=n)) if "11" not in w]
+            for n in range(1, 7)
+        }
+        cases = [
+            ({"alphabet": 4, "kind": "full"}, "full", sym.full_shift(4)),
+            ({"alphabet": 2, "kind": "sft", "matrix": [[1, 1], [1, 0]]},
+             "sft", sym.sft_from_matrix([[1, 1], [1, 0]])),
+            ({"alphabet": 2, "kind": "forbidden", "forbidden": ["11", [0, 0, 0]]},
+             "forbidden", sym.forbidden_words(2, ["11", "000"])),
+            ({"alphabet": 6, "kind": "tuples", "tuples": {"a": 3, "b": 2, "R": [[0, 0], [1, 1], [2, 0]]}},
+             "tuples", sym.allowed_tuples(3, 2, [(0, 0), (1, 1), (2, 0)])),
+            ({"alphabet": 2, "kind": "automaton",
+              "automaton": {"root": 0, "transitions": [[0, 0, 0], [0, 1, 1], [1, 0, 0]]}},
+             "automaton", sym.automaton_spec(sym.Automaton(2, 0, ({0: 0, 1: 1}, {0: 0})), 2)),
+            ({"alphabet": 2, "kind": "wordset", "words": golden_words},
+             "automaton", sym.forbidden_words(2, ["11"])),
         ]
-        for spec in specs:
-            for form in (spec, sym.prune(spec)):  # a pruned spec keeps its kind
-                doc = json.loads(json.dumps(sym.spec_to_json(form)))
-                back = sym.spec_from_json(doc)
-                assert back.kind == spec.kind
-                assert sym.count_words(back, 6).counts == sym.count_words(spec, 6).counts
+        for doc, kind, spec in cases:
+            back = sym.spec_from_json(json.dumps(doc))
+            assert back.kind == kind
+            assert sym.count_words(back, 6).counts == sym.count_words(spec, 6).counts
 
     def test_counts_serialized_as_exact_integers(self):
         table = sym.count_words(sym.full_shift(10), 30)

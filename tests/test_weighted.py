@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import json
 import math
 import random
 import weakref
@@ -756,5 +757,11 @@ class TestDeterminizationFallback:
         mat[3][3] = 0
         sys_ = wt.pair_system(2, 2, sym.sft_from_matrix(mat))
         image = wt.image_subshift(sys_, budget=1)
-        back = sym.spec_from_json(sym.spec_to_json(image))
+        doc = {
+            "alphabet": image.alphabet,
+            "kind": "wordset",
+            "words": {str(n): ["".join(map(str, w)) for w in ws] for n, ws in image.wordsets},
+        }
+        back = sym.spec_from_json(json.dumps(doc))
+        assert back.wordsets == image.wordsets
         assert sym.count_words(back, 6).counts == sym.count_words(image, 6).counts
