@@ -12,6 +12,7 @@ product for metric cross-checks.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -98,40 +99,88 @@ def hard_square_rule() -> Grid2DSpec:
 # ---------------------------------------------------------------------------
 
 
+def _window_shape(spec: Grid2DSpec) -> tuple[int, int]:
+    """(h, w) of the rule's window: a linear rule's has h = 2 iff c10 != 0, w = 2 iff c01 != 0."""
+    if spec.rule == RULE_LINEAR:
+        _, c10, c01 = spec.coeffs
+        return 1 + (c10 != 0), 1 + (c01 != 0)
+    return spec.window
+
+
 def _window_free(spec: Grid2DSpec, n_rows: int, m_cols: int) -> bool:
     """True when no constraint fits in an n_rows x m_cols grid."""
     if spec.rule == RULE_FREE:
         return True
-    if spec.rule == RULE_PATTERNS:
-        h, w = spec.window
-        return n_rows < h or m_cols < w
-    return False
+    h, w = _window_shape(spec)
+    return n_rows < h or m_cols < w
 
 
-def _column_successors(spec: Grid2DSpec, strip_rows, n_rows: int) -> list[int]:
-    """Indices, in increasing order, of the columns whose every h x w window
-    with the strip (given row by row) is allowed.  A row DFS tests each
-    window as soon as its bottom row is filled."""
+def _window_table(spec: Grid2DSpec) -> tuple[int, int, np.ndarray]:
+    """(h, w, allowed): allowed[code] tells whether the h x w window with that
+    code is allowed, the rows top to bottom and each row coded
+    sum x_j a^(w-1-j).  In a linear window, x is the top-left cell, y the cell
+    below it and z the cell to its right, and c00 x + c10 y + c01 z = 0 (mod a).
+    Kept on the spec once built."""
+    h, w = _window_shape(spec)
+    allowed = spec.__dict__.get("_window_table")
+    if allowed is None:
+        a, size = spec.alphabet, h * w
+        if spec.rule == RULE_LINEAR:  # cells x, y, z are 0, w and 1; a missing one has c = 0
+            cell = np.indices((a,) * size).reshape(size, -1)
+            c00, c10, c01 = spec.coeffs
+            allowed = (c00 * cell[0] + c10 * cell[w % size] + c01 * cell[1 % size]) % a == 0
+        else:
+            allowed = np.zeros(a**size, dtype=bool)
+            allowed[[functools.reduce(lambda c, x: c * a + x, sum(p, ()), 0)
+                     for p in spec.allowed]] = True
+        spec.__dict__["_window_table"] = allowed
+    return h, w, allowed
+
+
+def _row_sweep(spec: Grid2DSpec, n_rows: int, cap: int) -> np.ndarray:
+    """Column codes of the admissible n_rows x w patterns, one array row per
+    pattern.  Each grid row extends every partial pattern by the a^w row
+    codes, keeps a candidate when the window ending at that row is allowed,
+    and carries each column's code sum col[i] a^(n_rows-1-i) (int64 below
+    2^62, Python ints above) and the code of the last h - 1 rows.  `cap`
+    bounds the window table and the partial patterns kept at each row, and
+    candidates are expanded at most `cap` at a time."""
     a = spec.alphabet
-    h, _ = spec.window
-    allowed = spec.allowed
-    col = [0] * n_rows
-    out: list[int] = []
+    h, w = _window_shape(spec)
+    if a ** (h * w) > cap:
+        raise ResourceLimit(
+            f"state budget: {h} x {w} window table: {a**(h * w)} window codes exceed the cap {cap}"
+        )
+    _, _, allowed = _window_table(spec)
+    span = a**w
+    cells = np.indices((a,) * w).reshape(w, span).T  # row code -> its w cells
+    cols = np.zeros((1, w), dtype=np.int64 if a**n_rows <= 2**62 else object)
+    last = np.zeros(1, dtype=np.int64)
+    step = cap // span  # partial patterns per block (>= 1 past the table check)
+    for r in range(n_rows):
+        keep, kept = [np.zeros(0, dtype=np.int64)], 0
+        for lo in range(0, len(last), step):
+            window = (last[lo : lo + step, None] * span + np.arange(span)).ravel()
+            ok = np.flatnonzero(allowed[window]) if r >= h - 1 else np.arange(len(window))
+            keep.append(ok + lo * span)
+            kept += len(ok)
+            if kept > cap:
+                raise ResourceLimit(
+                    f"state budget: the transfer graph for {n_rows} rows, at row {r + 1}: "
+                    f"{kept} or more partial patterns exceed the cap {cap}"
+                )
+        keep = np.concatenate(keep)
+        cols = cols[keep // span] * a + cells[keep % span]
+        last = (last[keep // span] * span + keep % span) % span ** (h - 1)
+    return cols
 
-    def fill(r: int, code: int) -> None:
-        for x in range(a):
-            col[r] = x
-            if r >= h - 1 and tuple(
-                strip_rows[i] + (col[i],) for i in range(r - h + 1, r + 1)
-            ) not in allowed:
-                continue
-            if r + 1 == n_rows:
-                out.append(code + x)
-            else:
-                fill(r + 1, (code + x) * a)
 
-    fill(0, 0)
-    return out
+def _grouped(sources, labels, targets, n_states: int) -> list[dict]:
+    """For each source 0..n_states-1, its dict label -> target."""
+    order = np.argsort(sources, kind="stable")
+    bounds = np.searchsorted(sources[order], np.arange(n_states + 1)).tolist()
+    labels, targets = labels[order].tolist(), targets[order].tolist()
+    return [dict(zip(labels[i:j], targets[i:j])) for i, j in zip(bounds, bounds[1:])]
 
 
 def _loops(n_cols: int, codes: list) -> Automaton:
@@ -139,92 +188,34 @@ def _loops(n_cols: int, codes: list) -> Automaton:
     return Automaton(alphabet_size=n_cols, root=0, succ=({c: 0 for c in codes},))
 
 
-def _rooted(k: int, n_rows: int, width: int, succ, cap: int) -> Automaton:
-    """Strip graph over the k column codes: `succ` yields each strip's
-    target strips, and strip t ends in column t % k.  Its edges are capped
-    at `cap` as they are generated.  The root reads the first `width`
-    columns freely through a chain of prefix states, each level numbered
-    like the strips."""
-    states = []
-    edges = 0
-    for targets in succ:
-        edges += len(targets)
-        if edges > cap:
-            raise ResourceLimit(
-                f"state budget: the transfer graph for {n_rows} rows needs more "
-                f"than {cap} edges, the cap"
-            )
-        states.append({t % k: t for t in targets})
-    level = 0  # first state of the level the next one reaches
-    for j in range(width - 1, -1, -1):
-        start = len(states)
-        states.extend({c: level + p * k + c for c in range(k)} for p in range(k**j))
-        level = start
-    return Automaton(alphabet_size=k, root=level, succ=tuple(states))
-
-
-def _linear_graph(spec: Grid2DSpec, n_rows: int, cap: int) -> Automaton:
-    """Columns solve c00 x[i] + c10 x[i+1] = 0 when c01 = 0; otherwise each
-    row i above `top` of the next column solves
-    c01 y = -(c00 x[i] + c10 x[i+1]) (mod a) and the rows below stay free."""
-    a = spec.alphabet
-    c00, c10, c01 = spec.coeffs
-    top = n_rows - (1 if c10 != 0 else 0)
-    cols = list(itertools.product(range(a), repeat=n_rows))
-
-    def residue(col, i):
-        return (c00 * col[i] + (c10 * col[i + 1] if c10 != 0 else 0)) % a
-
-    if c01 == 0:
-        zero = [all(residue(col, i) == 0 for i in range(top)) for col in cols]
-        return _loops(len(cols), np.flatnonzero(zero).tolist())
-    roots = [[y for y in range(a) if (c01 * y + r) % a == 0] for r in range(a)]
-    free = list(range(a))
-
-    def targets(col):
-        out = [0]
-        for i in range(n_rows):
-            choices = roots[residue(col, i)] if i < top else free
-            out = [t * a + y for t in out for y in choices]
-        return out
-
-    return _rooted(len(cols), n_rows, 1, map(targets, cols), cap)
-
-
-def _patterns_graph(spec: Grid2DSpec, n_rows: int, cap: int) -> Automaton:
-    a = spec.alphabet
-    _, w = spec.window
-    cols = list(itertools.product(range(a), repeat=n_rows))
-    if w == 1:
-        empty = ((),) * n_rows
-        return _loops(len(cols), _column_successors(spec, empty, n_rows))
-    shift = a ** (n_rows * (w - 2))  # a strip drops its first column
-    succ = (
-        [(s % shift) * len(cols) + c for c in _column_successors(spec, tuple(zip(*strip)), n_rows)]
-        for s, strip in enumerate(itertools.product(cols, repeat=w - 1))
-    )
-    return _rooted(len(cols), n_rows, w - 1, succ, cap)
-
-
 def _transfer_graph(spec: Grid2DSpec, n_rows: int, budget: int | None) -> Automaton:
-    """Automaton whose words of length m are the locally admissible
-    n_rows x m patterns, column by column, labelled by the column codes
-    sum col[i] a^(n_rows-1-i).  A strip state holds the last column (linear
-    rules) or w - 1 columns, numbered in `itertools.product` order.  `budget`
-    (default `state_budget()`) caps the strips, checked before anything is
-    built (the root and chain states are fewer), and the strip-to-strip
-    edges, checked as they are generated."""
-    cap = state_budget(budget)
-    a = spec.alphabet
-    width = 1 if spec.rule == RULE_LINEAR else max(spec.window[1] - 1, 1)
-    n_states = a ** (n_rows * width)
-    if n_states > cap:
-        raise ResourceLimit(
-            f"state budget: {n_states} transfer states for {n_rows} rows exceed the cap {cap}"
-        )
-    if spec.rule == RULE_LINEAR:
-        return _linear_graph(spec, n_rows, cap)
-    return _patterns_graph(spec, n_rows, cap)
+    """Automaton whose words of length m >= w are the locally admissible
+    n_rows x m patterns, labelled by their column codes.  Its states are the
+    strips of w - 1 columns in the admissible n_rows x w patterns of
+    `_row_sweep` (capped by `budget`, default `state_budget()`), one edge per
+    pattern from its first strip to its last, labelled by its last column.
+    The root reads the first w - 1 columns through prefix states toward the
+    strips with successors, so shorter words are not all patterns."""
+    k = spec.alphabet**n_rows
+    cols = _row_sweep(spec, n_rows, state_budget(budget))
+    n_pat, w = cols.shape
+    if w == 1:
+        return _loops(k, cols[:, 0].tolist())
+    if k ** (w - 1) > 2**62:
+        cols = cols.astype(object)
+    place = np.array([k**j for j in range(w - 2, -1, -1)], dtype=cols.dtype)  # strip codes
+    left, right = cols[:, :-1] @ place, cols[:, 1:] @ place
+    states, index = np.unique(np.concatenate([left, right]), return_inverse=True)
+    succ = _grouped(index[:n_pat], cols[:, -1], index[n_pat:], len(states))
+    nodes = np.flatnonzero(np.bincount(index[:n_pat], minlength=len(states)))  # live strips
+    codes = states[nodes]
+    for _ in range(w - 2):  # prefix states, one column shorter each level
+        labels = codes % k
+        codes, parent = np.unique(codes // k, return_inverse=True)
+        succ += _grouped(parent, labels, nodes, len(codes))
+        nodes = np.arange(len(succ) - len(codes), len(succ))
+    succ.append(dict(zip(codes.tolist(), nodes.tolist())))  # the root reads the first column
+    return Automaton(alphabet_size=k, root=len(succ) - 1, succ=tuple(succ))
 
 
 def count_rectangles(
@@ -236,7 +227,7 @@ def count_rectangles(
     and exact for the Free and LinearMod rules; for LocalPatterns it is an
     upper bound on the pattern language of the 2d subshift, since global
     extendability of 2d patterns is undecidable in general.  `budget` caps
-    the transfer graph's states and edges (default `state_budget()`).
+    the transfer graph's row sweep (default `state_budget()`).
     """
     if n_rows < 1 or m_cols < 1:
         raise DomainError("pattern dimensions must be positive")
@@ -257,12 +248,17 @@ def _pattern_rows(spec: Grid2DSpec, n_rows: int, m_cols: int, budget: int | None
     graph = None if free else _transfer_graph(spec, n_rows, None)
     total = a ** (n_rows * m_cols) if free else graph.word_counts(m_cols)[-1]
     if total > cap:
-        raise ResourceLimit(f"{total} patterns exceed budget {cap}")
+        raise ResourceLimit(
+            f"{total} patterns exceed budget {cap}; "
+            f"point budget: {total} patterns exceed the cap {cap}"
+        )
     if free:
         codes = np.indices((a**n_rows,) * m_cols).reshape(m_cols, total).T
-    else:
-        codes = np.array(graph.enumerate_words(m_cols, cap), dtype=np.int64).reshape(total, m_cols)
-    digits = codes[:, None, :] // a ** np.arange(n_rows - 1, -1, -1)[:, None] % a  # w[n][m]
+    else:  # column codes past 2^62 stay Python ints
+        kind = np.int64 if a**n_rows <= 2**62 else object
+        codes = np.array(graph.enumerate_words(m_cols, cap), dtype=kind).reshape(total, m_cols)
+    powers = np.array([a**i for i in range(n_rows - 1, -1, -1)], dtype=codes.dtype)
+    digits = codes[:, None, :] // powers[:, None] % a  # w[n][m]
     dtype = np.int64 if a**m_cols <= 2**53 else object
     place = np.array([a ** (m_cols - 1 - m) for m in range(m_cols)], dtype=dtype)
     return digits.astype(dtype, copy=False) @ place
@@ -310,29 +306,24 @@ def entropy2d(
     Each value log count(n, m) / (n m) upper-bounds the pattern entropy:
     counts are submultiplicative along both axes, so Fekete applies per axis
     and the double limit is the double infimum.  One sweep of the transfer
-    graph per row count n gives count(n, m) for every m; rows that hold no
-    window take `count_rectangles`' closed form.  `budget` caps the transfer
-    states as in `count_rectangles`.
+    graph per row count n gives count(n, m) for every m; cells that hold no
+    window take `count_rectangles`' closed form a^(n m) (the graph's words
+    shorter than the window are not all patterns).  `budget` caps each row
+    count's sweep as in `count_rectangles`.
     """
     if n_max < 1 or m_max < 1:
         raise DomainError(f"grid (n_max, m_max) = ({n_max}, {m_max}) needs both >= 1")
     estimates = {}
     counts = {}
-    best = math.inf
-    best_cell = None
     for n in range(1, n_max + 1):
-        if _window_free(spec, n, m_max):
-            row = [count_rectangles(spec, n, m, budget) for m in range(1, m_max + 1)]
-        else:
-            row = _transfer_graph(spec, n, budget).word_counts(m_max)
-        for m, c in enumerate(row, 1):
+        free = _window_free(spec, n, m_max)
+        row = None if free else _transfer_graph(spec, n, budget).word_counts(m_max)
+        for m in range(1, m_max + 1):
+            c = count_rectangles(spec, n, m, budget) if _window_free(spec, n, m) else row[m - 1]
             counts[(n, m)] = c
-            e = math.log(c) / (n * m) if c > 0 else -math.inf
-            estimates[(n, m)] = e
-            if e < best:
-                best = e
-                best_cell = (n, m)
-    return Entropy2DReport(estimates=estimates, counts=counts, best=best, best_cell=best_cell)
+            estimates[(n, m)] = math.log(c) / (n * m) if c > 0 else -math.inf
+    best_cell = min(estimates, key=estimates.get)  # the first least cell, row by row
+    return Entropy2DReport(estimates, counts, estimates[best_cell], best_cell)
 
 
 def homog_dims_from_report(rep: Entropy2DReport, a: int) -> dict:
@@ -345,19 +336,9 @@ def homog_dims_from_report(rep: Entropy2DReport, a: int) -> dict:
     """
     if a < 2:
         raise DomainError(f"digit base {a}: the dimension entropy / log a needs a >= 2")
-    exact_ratios = []
-    for (n, m), c in rep.counts.items():
-        e = _int_log(c, a)
-        if e is None:
-            exact_ratios = None
-            break
-        exact_ratios.append(Fraction(e, n * m))
-    if exact_ratios is not None:
-        value = float(min(exact_ratios))
-        exact = True
-    else:
-        value = rep.best / math.log(a)
-        exact = False
+    ratios = [(_int_log(c, a), n * m) for (n, m), c in rep.counts.items()]
+    exact = all(e is not None for e, _ in ratios)
+    value = float(min(Fraction(e, nm) for e, nm in ratios)) if exact else rep.best / math.log(a)
     return {
         "mdim": value,
         "entropy_best": rep.best,

@@ -303,7 +303,8 @@ class QBoxFamily:
         cap = point_budget()
         if self.count > cap:
             raise ResourceLimit(
-                f"witness family has {self.count} points, budget {cap}"
+                f"witness family has {self.count} points, budget {cap}; "
+                f"point budget: {self.count} points exceed the cap {cap}"
             )
         depth = self.m + WITNESS_TAIL_LAYERS
         # every digit choice, first layer slowest (the order of itertools.product)
@@ -401,7 +402,10 @@ def qbox_family(
 
     count_formula = len(pairs) ** t * len(image_words) ** (m - t)
     if count_formula > cap:
-        raise ResourceLimit(f"box family of size {count_formula} exceeds budget {cap}")
+        raise ResourceLimit(
+            f"box family of size {count_formula} exceeds budget {cap}; "
+            f"word budget: {count_formula} boxes exceed the cap {cap}"
+        )
 
     # diameter: a^-t < a * b^-m  <=>  b^m < a^(t+1), exact integers
     diam_certified = b**m < a ** (t + 1) and a**t <= b**m
@@ -569,7 +573,10 @@ def mass_distribution_check(
     for m in m_range:
         t_floor = floor_w_m(a, b, m)
         if len(v_words) ** m > cap:
-            raise ResourceLimit(f"{len(v_words)}^{m} y-sequences at M={m} exceed budget {cap}")
+            raise ResourceLimit(
+                f"{len(v_words)}^{m} y-sequences at M={m} exceed budget {cap}; "
+                f"word budget: {len(v_words) ** m} y-sequences exceed the cap {cap}"
+            )
         diam = float(a) * float(b) ** (-m)
         log_diam = math.log(a) - m * math.log(b)
         # math.fsum rounds correctly, so log mu(P) depends only on the

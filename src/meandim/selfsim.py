@@ -69,7 +69,9 @@ def min_gap(a: int, beta: float, n: int, budget: int | None = None) -> float:
         raise DomainError("n must be >= 1")
     cap = word_budget(budget)
     if a**n > cap:
-        raise ResourceLimit(f"{a}^{n} tuples exceed budget {cap}")
+        raise ResourceLimit(
+            f"{a}^{n} tuples exceed budget {cap}; word budget: {a**n} tuples exceed the cap {cap}"
+        )
     frac = _beta_as_fraction(beta)
     if frac is not None:
         # with beta = p/q, sum u_k beta^-k = (sum u_k q^k p^(n-k)) / p^n: the
@@ -104,13 +106,6 @@ class CoveringFamily:
     dyn_eps: float  # beta^-n / 2, the certified separation under the shift metric
 
 
-def _omega_automaton(spec: BetaSystemSpec):
-    """The pruned automaton of omega; a stored word set has none."""
-    if spec.omega.wordsets is not None:
-        raise DomainError("omega must be a compiled subshift, not an enumeration-only word set")
-    return symbolic.ensure_pruned(spec.omega).automaton
-
-
 def covering_lower_bound(
     spec: BetaSystemSpec,
     n_coords: int,
@@ -125,7 +120,7 @@ def covering_lower_bound(
     separated in linf over the first N coordinates (and beta^-n / 2 separated
     under the dynamical weighted metric, whose leading weight is 1/2).
     """
-    aut = _omega_automaton(spec)
+    aut = symbolic.compiled_automaton(spec.omega)
     words = aut.enumerate_words(n_coords, budget)
     count, cap = len(words) ** n_layers, point_budget(budget)
     if count > cap:

@@ -98,7 +98,11 @@ class Automaton:
                 if stack:
                     path.pop()
         if len(words) > cap:
-            raise ResourceLimit(f"word enumeration exceeds budget {cap}")
+            total = self.word_counts(n)[-1] if n else 1
+            raise ResourceLimit(
+                f"word enumeration exceeds budget {cap}; "
+                f"word budget: {total} words exceed the cap {cap}"
+            )
         return words
 
     def lex_least_extension(self, word: tuple, depth: int) -> tuple:
@@ -499,6 +503,13 @@ def ensure_pruned(spec: SubshiftSpec) -> SubshiftSpec:
     if pruned is None:
         pruned = spec.__dict__["_pruned"] = prune(spec)
     return pruned
+
+
+def compiled_automaton(spec: SubshiftSpec) -> Automaton:
+    """The pruned automaton of spec; an enumeration-only word set has none."""
+    if spec.wordsets is not None:
+        raise DomainError("omega must be a compiled subshift, not an enumeration-only word set")
+    return ensure_pruned(spec).automaton
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ Only the last sweep is kept, so at most one system is held alive.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import warnings
 from collections.abc import Mapping, ValuesView
@@ -32,7 +33,7 @@ import numpy as np
 from .errors import DomainError, ParameterOverflow, ResourceLimit
 from .limits import subset_budget, word_budget
 from . import symbolic
-from .symbolic import KIND_AUTOMATON, Automaton, SubshiftSpec, automaton_spec, ensure_pruned
+from .symbolic import KIND_AUTOMATON, Automaton, SubshiftSpec, automaton_spec
 
 
 @dataclass(frozen=True)
@@ -171,7 +172,7 @@ def _fiber_levels(sys: PairShiftSystem, n_max: int, cap: int):
     adds those of further edges one layer at a time; one argsort of the keys
     rank * b + v orders a level.  Counts, at most (max out-degree)^n, are
     int64 below 2^63 and exact Python ints above."""
-    aut = ensure_pruned(sys.omega).automaton
+    aut = symbolic.compiled_automaton(sys.omega)
 
     @functools.cache
     def plan(subset):  # per letter: v, image, first sources, layers of further edges
@@ -305,7 +306,11 @@ def _z_sweep(sys: PairShiftSystem, w: float, n_max: int, cap: int):
     if last is not sys or key != [n_max, cap]:
         histograms = (level[2] for level in _fiber_levels(sys, n_max, cap))
     for sizes, mult in histograms:
-        yield float(exact_total([float(c) ** w for c in sizes.tolist()], mult))
+        # libm pow as float ** w (numpy's ** can differ in the last ulp); x^1 = x, x^0 = 1
+        x = sizes.astype(float)
+        if w not in (0.0, 1.0):
+            x = list(map(math.pow, x.tolist(), itertools.repeat(w, len(x))))
+        yield float(exact_total(x if w else np.ones(len(x)), mult))
 
 
 def weighted_entropy(
@@ -380,8 +385,7 @@ def image_subshift(sys: PairShiftSystem, budget: int | None = None) -> SubshiftS
     a rooted deterministic labeled graph (sofic presentations are generally
     not vertex shifts over B).  A full image is recognized and normalized.
     """
-    omega = ensure_pruned(sys.omega)
-    aut = omega.automaton
+    aut = symbolic.compiled_automaton(sys.omega)
     b = sys.b_size
     cap = subset_budget() if budget is None else budget
 

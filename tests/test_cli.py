@@ -212,6 +212,28 @@ class TestExitCodes:
         assert proc.stderr.startswith("resource limit:")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command", [["weighted-entropy", "--w", "0.5"], ["carpet"]])
+    def test_word_set_omega_exits_4(self, capsys, tmp_path, command):
+        # the fiber sweep read the automaton of an enumeration-only omega,
+        # None, and exited 1 with an AttributeError
+        spec = tmp_path / "pair.json"
+        omega = {"alphabet": 4, "kind": "wordset", "words": {"1": ["0", "1"]}}
+        spec.write_text(json.dumps({"a": 2, "b": 2, "omega": omega}))
+        assert main([command[0], "--spec", str(spec), *command[1:]]) == 4
+        assert "enumeration-only word set" in capsys.readouterr().err
+
+    def test_grid2d_column_codes_past_int64(self, tmp_path):
+        # 64 rows: column codes up to 2^64 - 1; the two live strips build
+        rule = tmp_path / "rule.json"
+        allowed = [[[0, 0], [0, 0]], [[1, 1], [1, 1]]]  # all-0 and all-1 windows
+        rule.write_text(json.dumps({"a": 2, "rule": "patterns", "window": [2, 2],
+                                    "allowed": allowed}))
+        proc = run_cli_process("grid2d", "--rule", str(rule), "--nmax", "64", "--mmax", "3")
+        assert proc.returncode in (0, 3), proc.stderr
+        assert "Traceback" not in proc.stderr
+        if proc.returncode == 0:
+            assert json.loads(proc.stdout)["counts"]["64,3"] == "2"
+
     def test_oracle_mass_budget_exits_3_without_traceback(self):
         proc = run_cli_process(
             "oracle", "mass", "--a", "3", "--b", "2", "--tuples", "00,11,20",

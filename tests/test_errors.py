@@ -63,11 +63,21 @@ def test_every_package_import_exists():
         ("covering_family", "64 points", 10),
         ("digit_table", "8 columns", 4),
         ("exact_min_cover", "13 points", 12),
+        ("enumerate_words", "32 words", 3),
+        ("min_gap", "32 tuples", 3),
+        ("enumerate_patterns", "7 patterns", 3),
+        ("witness_cloud", "6 points", 5),
+        ("qbox_family", "1259712 boxes", 1000),
+        ("mass_y_sequences", "16 y-sequences", 5),
+        ("transfer_rows", "17 or more partial patterns", 16),
+        ("window_table", "16 window codes", 15),
     ],
 )
-def test_resource_limits_name_the_size_and_the_cap(case, size, cap):
+def test_resource_limits_name_the_size_and_the_cap(case, size, cap, monkeypatch):
     import numpy as np
 
+    from meandim import carpet as cp
+    from meandim import grid2d as g2
     from meandim import oracle as orc
     from meandim import selfsim as ss
     from meandim import symbolic as sym
@@ -83,7 +93,19 @@ def test_resource_limits_name_the_size_and_the_cap(case, size, cap):
         "covering_family": lambda: ss.covering_lower_bound(ss.beta_system(2, 2.0), 2, 3, budget=10),
         "digit_table": lambda: ss.covering_lower_bound(ss.beta_system(2, 2.5, orbit), 1, 3, budget=4),
         "exact_min_cover": lambda: orc.exact_min_cover(line, 0.3),
+        "enumerate_words": lambda: sym.enumerate_words(sym.full_shift(2), 5, budget=3),
+        "min_gap": lambda: ss.min_gap(2, 2.5, 5, budget=3),
+        "enumerate_patterns": lambda: g2.enumerate_patterns(g2.hard_square_rule(), 2, 2, budget=3),
+        "witness_cloud": lambda: orc.qbox_family(carpet, 1, 2, budget=10**6).witness_cloud(),
+        "qbox_family": lambda: orc.qbox_family(carpet, 3, 5, budget=1000),
+        "mass_y_sequences": lambda: orc.mass_distribution_check(carpet, 1, range(4, 6), 1.0,
+                                                                budget=5),
+        "transfer_rows": lambda: g2.count_rectangles(g2.hard_square_rule(), 3, 3, budget=16),
+        "window_table": lambda: g2.count_rectangles(g2.hard_square_rule(), 3, 3, budget=15),
     }
+    carpet = cp.carpet_from_tuples(3, 2, [(0, 0), (1, 1), (2, 0)])
+    if case == "witness_cloud":  # it reads the point budget from the environment
+        monkeypatch.setenv("MEANDIM_BUDGET", "5")
     with pytest.raises(ResourceLimit) as info:
         calls[case]()
     assert str(info.value).endswith(f": {size} exceed the cap {cap}")

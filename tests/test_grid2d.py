@@ -145,6 +145,25 @@ def pattern_rules(draw):
     return g2.patterns_rule(a, (h, w), allowed)
 
 
+@st.composite
+def sweep_rules(draw):
+    """Linear rules with composite moduli and a non-unit c01 or with no
+    nonzero coefficient, window rules up to 3 x 3 or 1 x 4, and window rules
+    with no allowed window."""
+    kind = draw(st.sampled_from(("composite", "zero", "window", "empty")))
+    if kind == "composite":
+        a = draw(st.sampled_from((4, 6)))
+        return g2.linear_rule(a, draw(st.integers(0, a - 1)), draw(st.integers(0, a - 1)), 2)
+    if kind == "zero":
+        return g2.linear_rule(draw(st.sampled_from((2, 3, 4, 6))), 0, 0, 0)
+    h, w = draw(st.sampled_from(((1, 1), (2, 2), (3, 2), (2, 3), (3, 3), (1, 4))))
+    a = 2 if h * w > 4 else draw(st.sampled_from((2, 3)))
+    if kind == "empty":
+        return g2.patterns_rule(a, (h, w), [])
+    windows = list(itertools.product(itertools.product(range(a), repeat=w), repeat=h))
+    return g2.patterns_rule(a, (h, w), draw(st.lists(st.sampled_from(windows), unique=True)))
+
+
 class TestTransferGraph:
     """The transfer graph against the column filter it replaced."""
 
@@ -211,18 +230,47 @@ class TestTransferGraph:
         ]
 
     def test_budget_caps_transfer_states_and_edges(self):
+        # the budget caps the 16-code window table and the partial patterns
+        # each row of the sweep keeps: 4, 7 and 17 hard-square patterns of
+        # 1, 2 and 3 rows by 2 columns
         spec = g2.hard_square_rule()
-        with pytest.raises(ResourceLimit, match="8 transfer states for 3 rows exceed the cap 4"):
-            g2.count_rectangles(spec, 3, 3, budget=4)
-        # 2 rows: 4 strips, but 7 admissible 2 x 2 patterns, one edge each
-        with pytest.raises(ResourceLimit, match="more than 4 edges, the cap"):
-            g2.count_rectangles(spec, 2, 3, budget=4)
-        assert g2.count_rectangles(spec, 2, 3, budget=7) == 17
-        with pytest.raises(ResourceLimit, match="the cap"):
-            g2.entropy2d(spec, 3, 3, budget=7)
+        with pytest.raises(ResourceLimit, match="window table: 16 window codes exceed the cap 15"):
+            g2.count_rectangles(spec, 2, 3, budget=15)
+        rows = "3 rows, at row 3: 17 or more partial patterns exceed the cap 16"
+        with pytest.raises(ResourceLimit, match=rows):
+            g2.count_rectangles(spec, 3, 3, budget=16)
+        assert g2.count_rectangles(spec, 2, 3, budget=16) == 17
+        with pytest.raises(ResourceLimit, match="the cap 16"):
+            g2.entropy2d(spec, 3, 3, budget=16)
         # rows that hold no window need no transfer graph
         assert g2.count_rectangles(spec, 1, 3, budget=0) == 8
         assert g2.entropy2d(spec, 1, 3, budget=0).counts[(1, 3)] == 8
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=sweep_rules(), n_rows=st.integers(1, 4), m_cols=st.integers(1, 4))
+    def test_row_sweep_matches_the_column_filter(self, spec, n_rows, m_cols):
+        a = spec.alphabet
+        while a ** (n_rows * m_cols) > 4096:  # keep the filter small
+            n_rows, m_cols = max(1, n_rows - 1), max(1, m_cols - 1)
+        want = reference_patterns(spec, n_rows, m_cols)
+        assert g2.count_rectangles(spec, n_rows, m_cols) == len(want)
+        assert g2.enumerate_patterns(spec, n_rows, m_cols) == want
+        counts = g2.entropy2d(spec, n_rows, m_cols).counts
+        for (n, m), c in counts.items():
+            assert c == len(reference_patterns(spec, n, m))
+
+    def test_hard_square_graph_keeps_only_live_strips(self):
+        # F(15) = 610 columns without two adjacent 1s, and the root
+        assert g2._transfer_graph(g2.hard_square_rule(), 13, None).n_states == 611
+
+    def test_columns_past_int64(self):
+        # 2^70 strips, of which the all-0 and all-1 columns are live
+        spec = g2.patterns_rule(2, (2, 2), [((0, 0), (0, 0)), ((1, 1), (1, 1))])
+        assert g2._transfer_graph(spec, 70, None).n_states == 3
+        assert g2.count_rectangles(spec, 70, 5) == 2
+        assert g2.enumerate_patterns(spec, 64, 5) == [((0,) * 5,) * 64, ((1,) * 5,) * 64]
+        cloud = g2.torus_points(spec, 64, 5)
+        assert cloud.points.tolist() == [[0.0] * 64, [31 / 32] * 64]
 
 
 class TestCounts:

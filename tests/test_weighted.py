@@ -113,7 +113,7 @@ PROBE_MATRIX = [
 
 class TestFiberSweep:
     @settings(max_examples=150, deadline=None)
-    @given(pair_systems(), st.integers(1, 7), st.floats(0.0, 1.0))
+    @given(pair_systems(), st.integers(1, 7), st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0))
     def test_sweep_matches_reference_dfs(self, sys_, n_max, w):
         want = reference_fiber_counts(sys_, n_max)
         got = wt.fiber_counts(sys_, n_max)
@@ -675,6 +675,19 @@ def reference_image_subshift(sys_, budget=None):
     if all(set(trans) == set(range(b)) for trans in image.succ):
         return sym.prune(sym.full_shift(b))
     return sym.automaton_spec(image, b)
+
+
+@pytest.mark.parametrize("call", [
+    lambda sys_: wt.fiber_counts(sys_, 2),
+    lambda sys_: wt.weighted_entropy(sys_, 0.5, 2),
+    lambda sys_: wt.image_subshift(sys_),
+])
+def test_word_set_omega_is_a_domain_error(call):
+    # an enumeration-only omega has no automaton to sweep: this raised
+    # AttributeError on None
+    omega = sym.spec_from_json({"alphabet": 4, "kind": "wordset", "words": {"1": ["0", "1"]}})
+    with pytest.raises(DomainError, match="enumeration-only word set"):
+        call(wt.pair_system(2, 2, omega))
 
 
 class TestImageSubshift:
