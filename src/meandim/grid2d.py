@@ -115,26 +115,29 @@ def _window_free(spec: Grid2DSpec, n_rows: int, m_cols: int) -> bool:
     return n_rows < h or m_cols < w
 
 
-def _window_table(spec: Grid2DSpec) -> tuple[int, int, np.ndarray]:
-    """(h, w, allowed): allowed[code] tells whether the h x w window with that
-    code is allowed, the rows top to bottom and each row coded
-    sum x_j a^(w-1-j).  In a linear window, x is the top-left cell, y the cell
-    below it and z the cell to its right, and c00 x + c10 y + c01 z = 0 (mod a).
-    Kept on the spec once built."""
-    h, w = _window_shape(spec)
-    allowed = spec.__dict__.get("_window_table")
-    if allowed is None:
-        a, size = spec.alphabet, h * w
-        if spec.rule == RULE_LINEAR:  # cells x, y, z are 0, w and 1; a missing one has c = 0
-            cell = np.indices((a,) * size).reshape(size, -1)
-            c00, c10, c01 = spec.coeffs
-            allowed = (c00 * cell[0] + c10 * cell[w % size] + c01 * cell[1 % size]) % a == 0
-        else:
-            allowed = np.zeros(a**size, dtype=bool)
-            allowed[[functools.reduce(lambda c, x: c * a + x, sum(p, ()), 0)
-                     for p in spec.allowed]] = True
-        spec.__dict__["_window_table"] = allowed
-    return h, w, allowed
+def _window_test(spec: Grid2DSpec, h: int, w: int):
+    """Function telling, for the codes of the last h - 1 rows of partial
+    patterns (a column) and row codes sum x_j a^(w-1-j), which of the h x w
+    windows they form are allowed.  In a linear window, x is the top-left
+    cell, y the cell below it and z the cell to its right, and
+    c00 x + c10 y + c01 z = 0 (mod a); a pattern rule's windows, coded row
+    by row from the top, are looked up among those of its allowed windows."""
+    a, span = spec.alphabet, spec.alphabet**w
+    if spec.rule == RULE_LINEAR:  # a missing cell has c = 0
+        c00, c10, c01 = spec.coeffs
+        first, rest = np.divmod(np.arange(span), a ** (w - 1))  # by row code: x (or y) and z
+        top, below = c00 * first + c01 * rest, c10 * first
+        # with h = 1 the row is its own top row, and last codes no row: 0
+        return lambda last, rows: (top[last if h == 2 else last + rows] + below[rows]) % a == 0
+    codes = sorted(functools.reduce(lambda c, x: c * a + x, sum(p, ()), 0) for p in spec.allowed)
+    # a^(hw) exceeds every window code, so each search lands in range
+    codes = np.array(codes + [a ** (h * w)], dtype=np.int64 if a ** (h * w) <= 2**62 else object)
+
+    def allowed(last, rows):
+        windows = last * span + rows
+        return codes[np.searchsorted(codes, windows)] == windows
+
+    return allowed
 
 
 def _row_sweep(spec: Grid2DSpec, n_rows: int, cap: int) -> np.ndarray:
@@ -143,25 +146,20 @@ def _row_sweep(spec: Grid2DSpec, n_rows: int, cap: int) -> np.ndarray:
     codes, keeps a candidate when the window ending at that row is allowed,
     and carries each column's code sum col[i] a^(n_rows-1-i) (int64 below
     2^62, Python ints above) and the code of the last h - 1 rows.  `cap`
-    bounds the window table and the partial patterns kept at each row, and
-    candidates are expanded at most `cap` at a time."""
+    bounds the partial patterns kept at each row."""
     a = spec.alphabet
     h, w = _window_shape(spec)
-    if a ** (h * w) > cap:
-        raise ResourceLimit(
-            f"state budget: {h} x {w} window table: {a**(h * w)} window codes exceed the cap {cap}"
-        )
-    _, _, allowed = _window_table(spec)
+    allowed = _window_test(spec, h, w)
     span = a**w
     cells = np.indices((a,) * w).reshape(w, span).T  # row code -> its w cells
     cols = np.zeros((1, w), dtype=np.int64 if a**n_rows <= 2**62 else object)
-    last = np.zeros(1, dtype=np.int64)
-    step = cap // span  # partial patterns per block (>= 1 past the table check)
+    last = np.zeros(1, dtype=np.int64 if a ** (h * w) <= 2**62 else object)
+    step = max((1 << 18) // span, 1)  # partial patterns per batch of 2^18 candidates
     for r in range(n_rows):
         keep, kept = [np.zeros(0, dtype=np.int64)], 0
         for lo in range(0, len(last), step):
-            window = (last[lo : lo + step, None] * span + np.arange(span)).ravel()
-            ok = np.flatnonzero(allowed[window]) if r >= h - 1 else np.arange(len(window))
+            # a window is whole from row h on; the rows above keep every candidate
+            ok = np.flatnonzero(allowed(last[lo : lo + step, None], np.arange(span)) | (r < h - 1))
             keep.append(ok + lo * span)
             kept += len(ok)
             if kept > cap:
@@ -183,11 +181,6 @@ def _grouped(sources, labels, targets, n_states: int) -> list[dict]:
     return [dict(zip(labels[i:j], targets[i:j])) for i, j in zip(bounds, bounds[1:])]
 
 
-def _loops(n_cols: int, codes: list) -> Automaton:
-    """One state with a loop per admissible column code: a single-column rule."""
-    return Automaton(alphabet_size=n_cols, root=0, succ=({c: 0 for c in codes},))
-
-
 def _transfer_graph(spec: Grid2DSpec, n_rows: int, budget: int | None) -> Automaton:
     """Automaton whose words of length m >= w are the locally admissible
     n_rows x m patterns, labelled by their column codes.  Its states are the
@@ -199,8 +192,6 @@ def _transfer_graph(spec: Grid2DSpec, n_rows: int, budget: int | None) -> Automa
     k = spec.alphabet**n_rows
     cols = _row_sweep(spec, n_rows, state_budget(budget))
     n_pat, w = cols.shape
-    if w == 1:
-        return _loops(k, cols[:, 0].tolist())
     if k ** (w - 1) > 2**62:
         cols = cols.astype(object)
     place = np.array([k**j for j in range(w - 2, -1, -1)], dtype=cols.dtype)  # strip codes
@@ -214,7 +205,9 @@ def _transfer_graph(spec: Grid2DSpec, n_rows: int, budget: int | None) -> Automa
         codes, parent = np.unique(codes // k, return_inverse=True)
         succ += _grouped(parent, labels, nodes, len(codes))
         nodes = np.arange(len(succ) - len(codes), len(succ))
-    succ.append(dict(zip(codes.tolist(), nodes.tolist())))  # the root reads the first column
+    if w > 1:  # the root reads the first column; with w = 1 the one strip is the root
+        succ.append(dict(zip(codes.tolist(), nodes.tolist())))
+    succ = succ or [{}]  # no admissible pattern: a root with no edges
     return Automaton(alphabet_size=k, root=len(succ) - 1, succ=tuple(succ))
 
 
@@ -336,9 +329,19 @@ def homog_dims_from_report(rep: Entropy2DReport, a: int) -> dict:
     """
     if a < 2:
         raise DomainError(f"digit base {a}: the dimension entropy / log a needs a >= 2")
-    ratios = [(_int_log(c, a), n * m) for (n, m), c in rep.counts.items()]
-    exact = all(e is not None for e, _ in ratios)
-    value = float(min(Fraction(e, nm) for e, nm in ratios)) if exact else rep.best / math.log(a)
+    exact_ratios = []
+    for (n, m), c in rep.counts.items():
+        e = _int_log(c, a)
+        if e is None:
+            exact_ratios = None
+            break
+        exact_ratios.append(Fraction(e, n * m))
+    if exact_ratios is not None:
+        value = float(min(exact_ratios))
+        exact = True
+    else:
+        value = rep.best / math.log(a)
+        exact = False
     return {
         "mdim": value,
         "entropy_best": rep.best,

@@ -10,7 +10,7 @@ budgets.  The subset budget is fixed.
 import os
 
 DEFAULT_WORD_BUDGET = 20_000_000  # words materialized by any single enumeration
-DEFAULT_STATE_BUDGET = 2**22      # transfer-graph states and edges (2d counting)
+DEFAULT_STATE_BUDGET = 2**22      # partial patterns per row of the 2d transfer-graph sweep
 DEFAULT_SUBSET_BUDGET = 2**20     # subset states during determinization
 DEFAULT_POINT_BUDGET = 2_000_000  # points materialized into a cloud
 

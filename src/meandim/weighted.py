@@ -306,11 +306,10 @@ def _z_sweep(sys: PairShiftSystem, w: float, n_max: int, cap: int):
     if last is not sys or key != [n_max, cap]:
         histograms = (level[2] for level in _fiber_levels(sys, n_max, cap))
     for sizes, mult in histograms:
-        # libm pow as float ** w (numpy's ** can differ in the last ulp); x^1 = x, x^0 = 1
         x = sizes.astype(float)
-        if w not in (0.0, 1.0):
+        if w != 1.0:  # libm pow as float ** w (numpy's ** can differ in the last ulp)
             x = list(map(math.pow, x.tolist(), itertools.repeat(w, len(x))))
-        yield float(exact_total(x if w else np.ones(len(x)), mult))
+        yield float(exact_total(x, mult))
 
 
 def weighted_entropy(

@@ -70,7 +70,6 @@ def test_every_package_import_exists():
         ("qbox_family", "1259712 boxes", 1000),
         ("mass_y_sequences", "16 y-sequences", 5),
         ("transfer_rows", "17 or more partial patterns", 16),
-        ("window_table", "16 window codes", 15),
     ],
 )
 def test_resource_limits_name_the_size_and_the_cap(case, size, cap, monkeypatch):
@@ -101,7 +100,6 @@ def test_resource_limits_name_the_size_and_the_cap(case, size, cap, monkeypatch)
         "mass_y_sequences": lambda: orc.mass_distribution_check(carpet, 1, range(4, 6), 1.0,
                                                                 budget=5),
         "transfer_rows": lambda: g2.count_rectangles(g2.hard_square_rule(), 3, 3, budget=16),
-        "window_table": lambda: g2.count_rectangles(g2.hard_square_rule(), 3, 3, budget=15),
     }
     carpet = cp.carpet_from_tuples(3, 2, [(0, 0), (1, 1), (2, 0)])
     if case == "witness_cloud":  # it reads the point budget from the environment

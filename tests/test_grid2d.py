@@ -230,18 +230,16 @@ class TestTransferGraph:
         ]
 
     def test_budget_caps_transfer_states_and_edges(self):
-        # the budget caps the 16-code window table and the partial patterns
-        # each row of the sweep keeps: 4, 7 and 17 hard-square patterns of
-        # 1, 2 and 3 rows by 2 columns
+        # the budget caps the partial patterns each row of the sweep keeps:
+        # 4, 7 and 17 hard-square patterns of 1, 2 and 3 rows by 2 columns
         spec = g2.hard_square_rule()
-        with pytest.raises(ResourceLimit, match="window table: 16 window codes exceed the cap 15"):
-            g2.count_rectangles(spec, 2, 3, budget=15)
-        rows = "3 rows, at row 3: 17 or more partial patterns exceed the cap 16"
-        with pytest.raises(ResourceLimit, match=rows):
-            g2.count_rectangles(spec, 3, 3, budget=16)
-        assert g2.count_rectangles(spec, 2, 3, budget=16) == 17
-        with pytest.raises(ResourceLimit, match="the cap 16"):
-            g2.entropy2d(spec, 3, 3, budget=16)
+        with pytest.raises(ResourceLimit, match="3 rows, at row 2: 7 or more partial patterns exceed the cap 4"):
+            g2.count_rectangles(spec, 3, 3, budget=4)
+        with pytest.raises(ResourceLimit, match="2 rows, at row 2: 7 or more partial patterns exceed the cap 4"):
+            g2.count_rectangles(spec, 2, 3, budget=4)
+        assert g2.count_rectangles(spec, 2, 3, budget=7) == 17
+        with pytest.raises(ResourceLimit, match="the cap"):
+            g2.entropy2d(spec, 3, 3, budget=7)
         # rows that hold no window need no transfer graph
         assert g2.count_rectangles(spec, 1, 3, budget=0) == 8
         assert g2.entropy2d(spec, 1, 3, budget=0).counts[(1, 3)] == 8
@@ -258,6 +256,12 @@ class TestTransferGraph:
         counts = g2.entropy2d(spec, n_rows, m_cols).counts
         for (n, m), c in counts.items():
             assert c == len(reference_patterns(spec, n, m))
+
+    def test_wide_alphabets_need_no_window_table(self):
+        # 50^4 and 13^6 window codes, far more than the partial patterns kept
+        assert g2.count_rectangles(g2.linear_rule(50, 1, 1, 1), 2, 3) == 50**4
+        constant = [((c,) * 3,) * 2 for c in range(13)]
+        assert g2.count_rectangles(g2.patterns_rule(13, (2, 3), constant), 2, 5) == 13
 
     def test_hard_square_graph_keeps_only_live_strips(self):
         # F(15) = 610 columns without two adjacent 1s, and the root
