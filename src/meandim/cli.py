@@ -123,7 +123,7 @@ def cmd_entropy(args) -> int:
             "spectral_value": rep.spectral_value,
             "upper_bounds": list(rep.upper_bounds),
             "counts": {str(n): str(table[n]) for n in range(1, args.nmax + 1)},
-            "provenance": "spectral" if rep.exact else "bracket",
+            "provenance": "spectral",
         },
         args,
     )

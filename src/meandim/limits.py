@@ -3,8 +3,7 @@
 Every exhaustive enumeration in the package is gated by one of these budgets
 so that a bad input fails fast with ResourceLimit instead of hanging.  The
 environment variable MEANDIM_BUDGET (an integer) overrides the word and point
-budgets; a value passed by the caller overrides the word, point and state
-budgets.  The subset budget is fixed.
+budgets; a value passed by the caller overrides any of them.
 """
 
 import os
@@ -30,7 +29,9 @@ def state_budget(override: int | None = None) -> int:
     return DEFAULT_STATE_BUDGET
 
 
-def subset_budget() -> int:
+def subset_budget(override: int | None = None) -> int:
+    if override is not None:
+        return int(override)
     return DEFAULT_SUBSET_BUDGET
 
 

