@@ -101,9 +101,11 @@ class PointCloud:
         linf clouds take the closest pair from a grid join: the distance d0
         between two neighbours in lexicographic order is a distance some
         pair has, so the closest pair lies in equal or adjacent cells of side
-        d0 (1 + 1e-9), with the margin argued in `_linf_grid`.  Distances are
-        computed as pairwise_to_point computes them, so the minimum is the
-        same double.  Other metrics measure every pair, in batches.
+        d0 (1 + 1e-9), with the margin argued in `_linf_grid`; `_grid_join`
+        hands over the pairs of equal or adjacent occupied cells in blocks.
+        Distances are computed as pairwise_to_point computes them, so the
+        minimum is the same double.  Other metrics measure every pair, in
+        batches.
         """
         window = _linf_window(self)
         if window is None:
@@ -118,9 +120,8 @@ class PointCloud:
         cells, radix = _linf_grid(window, best * (1.0 + 1e-9))
         if len(window) < 2 * 3 ** len(radix):
             cells, radix = cells[:, :0], []  # one block of all pairs costs less
-        for _, blocks in _grid_join(cells, radix):
-            for i, j in blocks:
-                best = min(best, float(_linf_pair_distances(cols, i, j).min(initial=np.inf)))
+        for i, j in _grid_join(cells, radix)[1]:
+            best = min(best, float(_linf_pair_distances(cols, i, j).min()))
         return best
 
 
@@ -203,60 +204,68 @@ def _linf_grid(window: np.ndarray, side: float):
 
 
 def _grid_join(cells: np.ndarray, radix):
-    """Index pairs of points in equal or adjacent grid cells.
+    """Index pairs of points in equal or adjacent grid cells: the number of
+    candidate pairs, then blocks of _PAIR_CHUNK / 2 to about _PAIR_CHUNK pairs
+    (i, j), each unordered pair once.  An empty radix pairs all points.
 
-    `cells` holds one row of integer cell coordinates per point, coordinate
-    k in [0, radix[k] - 1), so the digit radix[k] - 1 stays unoccupied and a
-    step off the grid (digit -1 borrows, radix[k] - 1 overflows) matches no
-    point.  Each unordered pair of cells is joined once, from the lower
-    code.  Yields, per offset, the number of candidate pairs and a
-    generator of blocks of about _PAIR_CHUNK index pairs (i, j), each
-    unordered pair of points once.  An empty radix yields all pairs.
+    Coordinate k of `cells` lies in [0, radix[k] - 1), so a step off the grid
+    (digit -1 borrows, radix[k] - 1 overflows) meets no occupied cell.  Sorted
+    by cell code, coordinate 0 least significant, a row of three cells along
+    coordinate 0 is a run of points: a point pairs with the later points of
+    its own row, and with the row around each neighbouring row code above,
+    found per cell by searchsorted.  Blocks of points keep memory O(n + _PAIR_CHUNK).
     """
     n = len(cells)
-    codes = np.zeros(n, dtype=np.int64)
-    steps = [0]
-    stride = 1
-    for k, size in enumerate(radix):
-        codes += cells[:, k] * stride
-        steps = [s + o * stride for s in steps for o in (-1, 0, 1)]
-        stride *= size
-    order = np.argsort(codes, kind="stable")
+    strides = np.cumprod([1, *radix], dtype=np.int64)[:-1]
+    codes, rows = cells @ strides, [0]
+    for stride in strides[1:].tolist():
+        rows = [s + o * stride for s in rows for o in (-1, 0, 1)]
+    lowest = np.array([s - 1 for s in rows if s > 0], dtype=np.int64)[:, None]
+    order = np.argsort(codes, kind="stable").astype(np.int32 if n < 2**31 else np.int64)
     sorted_codes = codes[order]
-    index = np.int32 if n < 2**31 else np.int64
-    order = order.astype(index)
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    for step in steps:
-        if step < 0:
-            continue
-        if step == 0:
-            # same cell: the later entries of the run, whose indices are
-            # larger because the sort is stable
-            start = rank + 1
-            stop = np.searchsorted(sorted_codes, codes, "right")
-        else:
-            target = codes + step
-            start = np.searchsorted(sorted_codes, target, "left")
-            stop = np.searchsorted(sorted_codes, target, "right")
-        counts = stop - start
-        yield int(counts.sum()), _candidate_pairs(start, counts, order, index)
+    head = np.flatnonzero(np.diff(sorted_codes, prepend=-1))  # each occupied cell's run
+    occupied, bound = sorted_codes[head], np.append(head, n)
+    stop = np.searchsorted(sorted_codes, sorted_codes + 2)  # end of the own row: cells c, c + 1
+    block, half = max(1, (n + _PAIR_CHUNK) // max(1, 2 * len(lowest))), max(1, _PAIR_CHUNK // 2)
+
+    def rows_above(lo):
+        """Runs of the block at lo: reps points from position first pair with begin to end - 1."""
+        hi = min(n, lo + block)
+        cell_lo, cell_hi = np.searchsorted(head, [lo, hi - 1], "right")
+        needles = occupied[cell_lo - 1 : cell_hi] + lowest  # each row's first cell
+        begin, end = np.searchsorted(sorted_codes, np.stack([needles, needles + 3]))
+        live = end > begin
+        cell = np.broadcast_to(np.arange(cell_lo - 1, cell_hi), live.shape)[live]
+        first = np.maximum(head[cell], lo)
+        return first, np.minimum(bound[cell + 1], hi) - first, begin[live], end[live]
+
+    def blocks():
+        held, pairs = [], 0
+        for lo in range(0, n, block):
+            first, reps, begin, end = rows_above(lo)
+            own = np.arange(lo + 1, min(n, lo + block) + 1)  # each point's next position
+            own = own[stop[own - 1] > own]
+            held += [(order[own - 1], own, stop[own - 1] - own), (order[_ragged(first, reps)],
+                     np.repeat(begin, reps), np.repeat(end - begin, reps))]
+            pairs += int(held[-2][2].sum() + held[-1][2].sum())
+            if pairs < half and lo + block < n:
+                continue
+            first, begin, count = (np.concatenate(parts) for parts in zip(*held))
+            cuts = np.arange(half, pairs - half + 1, half)
+            cuts = np.searchsorted(np.cumsum(count), cuts, "right")
+            edges = sorted({0, len(count), *cuts.tolist()})
+            for a, b in zip(edges[:-1], edges[1:]):
+                yield np.repeat(first[a:b], count[a:b]), order[_ragged(begin[a:b], count[a:b])]
+            held, pairs = [], 0
+
+    total = sum(int((r * (e - b)).sum()) for _, r, b, e in map(rows_above, range(0, n, block)))
+    return total + int((stop - np.arange(1, n + 1)).sum()), blocks()
 
 
-def _candidate_pairs(start, counts, order, index):
-    """Blocks of about _PAIR_CHUNK pairs (i, order[start[i] + r]), r < counts[i]."""
-    ends = np.cumsum(counts)
-    if not len(ends) or not ends[-1]:
-        return
-    cuts = np.searchsorted(ends, np.arange(_PAIR_CHUNK, ends[-1], _PAIR_CHUNK), "right")
-    edges = sorted({0, len(counts), *cuts.tolist()})
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        c = counts[lo:hi]
-        offsets = start[lo:hi] - (ends[lo:hi] - c)
-        first = np.repeat(np.arange(lo, hi, dtype=index), c)
-        pos = np.arange(ends[lo] - c[0], ends[hi - 1], dtype=np.int64)
-        second = order[pos + np.repeat(offsets, c)]
-        yield first, second
+def _ragged(start, count):
+    """The ranges start[k] to start[k] + count[k] - 1, concatenated."""
+    ends = np.cumsum(count)
+    return np.repeat(start - ends + count, count) + np.arange(ends[-1] if len(ends) else 0)
 
 
 def check_scale(cloud: PointCloud, eps: float) -> None:

@@ -70,10 +70,10 @@ def covering_bounds(cloud: PointCloud, eps: float) -> CoverBounds:
     A point joins the separated set when it lies at distance >= eps from
     every point already kept, and becomes a center when it lies farther than
     eps/2 - slack from every center.  linf clouds find the pairs closer than
-    eps by grid bucketing (near-linear in the cloud size); other metrics,
-    and linf clouds too small or too dense for the grid to pay, scan blocks
-    of points against the points kept so far (`_scan_greedy`).  Both
-    ways give the same brackets.
+    eps by a join over occupied grid cells (near-linear in the cloud size);
+    other metrics, and linf clouds too small or too dense for the grid to
+    pay, scan blocks of points against the points kept so far
+    (`_scan_greedy`).  Both ways give the same brackets.
     """
     separated, centers = _greedies(cloud, eps)
     return CoverBounds(
@@ -127,8 +127,8 @@ def _linf_conflicts(cloud: PointCloud, eps: float, radius: float):
 
     Returns None when the grid does not apply (see `_linf_window`), for
     clouds smaller than twice the number of neighbouring cells, and when the
-    candidate pairs exceed _PAIRS_PER_POINT per point: then most pairs
-    conflict, the kept sets are small and the scan is cheaper.
+    join's candidate pairs, counted before any is measured, exceed
+    _PAIRS_PER_POINT per point: then most pairs conflict and the scan pays.
 
     Cells have side eps (1 + 1e-9) (`_linf_grid`), so a pair at computed
     distance <= eps lies in equal or adjacent cells.  Distances of candidate
@@ -142,41 +142,32 @@ def _linf_conflicts(cloud: PointCloud, eps: float, radius: float):
     cells, radix = _linf_grid(window, eps * (1.0 + 1e-9))
     if n < 2 * 3 ** len(radix):
         return None  # joining 3^k neighbouring cells costs more than the scan
-    budget = _PAIRS_PER_POINT * n
+    count, blocks = _grid_join(cells, radix)
+    if count > _PAIRS_PER_POINT * n:
+        return None
     cols = np.ascontiguousarray(window.T)
     empty = np.zeros(0, dtype=np.int32)  # widened on concatenation past 2^31 points
     sep, cen = ([empty], [empty]), ([empty], [empty])
-    for count, blocks in _grid_join(cells, radix):
-        budget -= count
-        if budget < 0:
-            return None
-        for i, j in blocks:
-            d = _linf_pair_distances(cols, i, j)
-            later, earlier = np.maximum(i, j), np.minimum(i, j)
-            for out, close in ((sep, d < eps), (cen, d <= radius)):
-                out[0].append(later[close])
-                out[1].append(earlier[close])
+    for i, j in blocks:
+        d = _linf_pair_distances(cols, i, j)
+        later, earlier = np.maximum(i, j), np.minimum(i, j)
+        for out, close in ((sep, d < eps), (cen, d <= radius)):
+            out[0].append(later[close])
+            out[1].append(earlier[close])
     return tuple((np.concatenate(a), np.concatenate(b)) for a, b in (sep, cen))
 
 
 def _greedy_by_conflicts(n: int, later: np.ndarray, earlier: np.ndarray) -> list[int]:
     """Indices kept by the greedy in index order: a point is kept unless an
-    earlier kept point conflicts with it."""
-    order = np.argsort(later, kind="stable")
-    earlier = earlier[order].tolist()
-    ends = np.cumsum(np.bincount(later, minlength=n)).tolist()
-    kept = bytearray(n)
-    out = []
-    start = 0
-    for i, end in enumerate(ends):
-        for j in earlier[start:end]:
+    earlier kept point conflicts with it.  Only conflicting pairs are walked,
+    by later point, so each earlier point is settled when it is read."""
+    order = np.argsort(later)
+    kept = bytearray(b"\x01") * n
+    for part in np.split(order, range(_PAIR_CHUNK, len(order), _PAIR_CHUNK)):  # short int lists
+        for i, j in zip(later[part].tolist(), earlier[part].tolist()):
             if kept[j]:
-                break
-        else:
-            kept[i] = 1
-            out.append(i)
-        start = end
-    return out
+                kept[i] = 0
+    return np.flatnonzero(np.frombuffer(kept, dtype=np.uint8)).tolist()
 
 
 def exact_min_cover(cloud: PointCloud, eps: float) -> int:
@@ -662,9 +653,9 @@ INV_SQ_WEIGHT = 3.0 / math.pi**2  # atom at 1/j has mass (3/pi^2) / j^2; atom at
 _ATOM_FLOOR = 2.0**-500  # atoms 1/j at or above it have j * j below 2^1002
 
 
-def reciprocal_atoms(n_cap: int) -> list[float]:
-    """The truncated point set {0} U {1/j : j <= n_cap}, ascending."""
-    return [0.0] + [1.0 / j for j in range(n_cap, 0, -1)]
+def reciprocal_atoms(n_cap: int) -> np.ndarray:
+    """The truncated point set {0} U {1/j : j <= n_cap}, ascending, in float64."""
+    return np.append(0.0, 1.0 / np.arange(n_cap, 0, -1, dtype=np.float64))
 
 
 def inverse_square_mass(lo: float, hi: float, enum_cap: int = 1_000_000) -> float:
@@ -920,7 +911,7 @@ def reciprocal_set_dims(n_cap: int, eps_list, probe_s: float = 0.05) -> dict:
         out["hausdorff_scale_upper"][eps] = 0.0
         out["witness"][eps] = {
             "delta": delta,
-            "singletons": len(points) - bisect.bisect_right(points, delta),
+            "singletons": len(points) - int(np.searchsorted(points, delta, "right")),
             "probe_s": probe_s,
             "weight_sum": weight,
             "weight_below_one": weight < 1.0,

@@ -257,7 +257,7 @@ class SubshiftSpec:
       forbidden -- all sequences avoiding a finite word list
       tuples    -- R^N for a subset R of a product alphabet A x B; symbols
                    are encoded u * b + v
-      automaton -- rooted labeled graph (produced by image projections)
+      automaton -- rooted labeled graph (image projections), pruned on construction
 
     Every spec compiles to one pruned `Automaton`.  `prune` attaches it and
     keeps the kind and the declarative fields, so a pruned spec still says
@@ -296,6 +296,8 @@ class SubshiftSpec:
         elif self.kind == KIND_AUTOMATON:
             if self.automaton is None:
                 raise DomainError("automaton kind needs a transition graph")
+            succ, root = _prune_graph(self.automaton.succ, self.automaton.root)
+            object.__setattr__(self, "automaton", replace(self.automaton, root=root, succ=succ))
         elif self.kind != KIND_FULL:
             raise DomainError(f"unknown kind {self.kind!r}")
 
@@ -473,8 +475,6 @@ def build_automaton(spec: SubshiftSpec) -> Automaton:
 def automaton_spec(aut: Automaton, alphabet: int) -> SubshiftSpec:
     """Spec of the automaton's language, pruned: states with no infinite
     continuation are dropped, so every counted word extends to a point."""
-    succ, root = _prune_graph(aut.succ, aut.root)
-    aut = Automaton(alphabet_size=aut.alphabet_size, root=root, succ=succ)
     return SubshiftSpec(alphabet=alphabet, kind=KIND_AUTOMATON, automaton=aut)
 
 
@@ -489,7 +489,7 @@ def prune(spec: SubshiftSpec) -> SubshiftSpec:
     backward-unreachable states would shrink the prefix language.
     """
     if spec.kind == KIND_AUTOMATON:
-        return automaton_spec(spec.automaton, spec.alphabet)
+        return spec  # pruned on construction
     return replace(spec, automaton=build_automaton(spec))
 
 

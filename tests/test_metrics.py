@@ -157,6 +157,34 @@ def test_min_pairwise_joins_adjacent_cells():
     assert cloud.min_pairwise() < 0.03
 
 
+@st.composite
+def grid_cells(draw):
+    """Integer cell rows for `_grid_join`: coordinate k in [0, radix[k] - 1),
+    with the edge digits 0 and radix[k] - 2 drawn often and repeated rows."""
+    radix = draw(st.lists(st.integers(2, 6), max_size=4))
+    digits = [st.sampled_from([0, r - 2]) | st.integers(0, r - 2) for r in radix]
+    rows = draw(st.lists(st.tuples(*digits), max_size=90))
+    if rows and draw(st.booleans()):
+        rows += draw(st.lists(st.sampled_from(rows), max_size=30))
+    cells = np.array(rows, dtype=np.int64).reshape(len(rows), len(radix))
+    return cells[np.random.default_rng(draw(st.integers(0, 99))).permutation(len(rows))], radix
+
+
+@settings(max_examples=300, deadline=None)
+@given(grid_cells(), st.sampled_from([None, 1, 5]))
+def test_grid_join_pairs_equal_or_adjacent_cells_once(case, chunk):
+    cells, radix = case
+    n = len(cells)
+    want = {(i, j) for i in range(n) for j in range(i + 1, n)
+            if np.abs(cells[i] - cells[j]).max(initial=0) <= 1}
+    with mock.patch.object(metrics, "_PAIR_CHUNK", chunk or metrics._PAIR_CHUNK):
+        count, blocks = metrics._grid_join(cells, radix)
+        got = [(min(i, j), max(i, j)) for a, b in blocks
+               for i, j in zip(a.tolist(), b.tolist(), strict=True)]
+    assert count == len(got) == len(set(got))
+    assert set(got) == want
+
+
 @pytest.mark.parametrize("kind", [SUM_WEIGHTED_ABS, SUM_WEIGHTED_MAX, SUM_WEIGHTED_TORUS])
 def test_weighted_window_past_the_coordinates_is_refused(kind):
     pts = np.zeros((3, 2, 4)) if kind == SUM_WEIGHTED_MAX else np.zeros((3, 4))

@@ -1,6 +1,7 @@
 """Oracle operations: covering brackets, box machinery, measures, witnesses."""
 
 import itertools
+import json
 import math
 import os
 import random
@@ -235,6 +236,46 @@ class TestCoveringMatchesReference:
             cloud = PointCloud(points=pts, metric=MetricDescriptor(kind=LINF_FINITE))
             want = reference_covering_bounds(cloud, eps)
             assert orc.covering_bounds(cloud, eps) == want
+
+    @pytest.mark.parametrize("last, declined", [(20.0, False), (11.0, True)])
+    def test_pair_budget_is_checked_before_any_pair_is_measured(self, last, declined):
+        # cells of side 1: four points share cell 0 (6 pairs), 10 sits in
+        # cell 9 and `last` in cell 19 or, one pair over the budget of one
+        # pair per point, in the adjacent cell 10
+        pts = np.array([[0.0], [0.1], [0.2], [0.3], [10.0], [last]])
+        cloud = PointCloud(points=pts, metric=MetricDescriptor(kind=LINF_FINITE))
+        with mock.patch.object(orc, "_PAIRS_PER_POINT", 1), mock.patch.object(
+            orc, "_linf_pair_distances", wraps=orc._linf_pair_distances
+        ) as measured:
+            conflicts = orc._linf_conflicts(cloud, 1.0, 0.5 - orc.SLACK)
+            assert (conflicts is None) == declined
+            assert (measured.call_count == 0) == declined
+            assert orc.covering_bounds(cloud, 1.0) == reference_covering_bounds(cloud, 1.0)
+
+    def test_join_memory_on_the_46656_point_family(self):
+        # ru_maxrss growth in a child with one BLAS thread, as perfbench runs:
+        # about 6 MB for both calls with the join taken a block at a time; one
+        # int64 array over all 40 offsets x 43,681 occupied cells takes 14 MB
+        child = (
+            "import json, resource\n"
+            "from meandim import carpet as cp, oracle as orc\n"
+            "fam = orc.qbox_family(cp.carpet_from_tuples(3, 2, ((0, 0), (1, 1), (2, 0))), 2, 6)\n"
+            "cloud, eps = fam.witness_cloud(), fam.min_separation()\n"
+            "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+            "bounds = orc.covering_bounds(cloud, eps)\n"
+            "best = cloud.min_pairwise()\n"
+            "grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base\n"
+            "print(json.dumps([len(cloud), eps, bounds.lower, bounds.upper, best, grown]))\n"
+        )
+        src = str(Path(orc.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1",
+               "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+        proc = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                              env=env, timeout=120, check=True)
+        n, eps, lower, upper, best, grown_kb = json.loads(proc.stdout)
+        assert n == lower == upper == 46656  # separated at eps = 2^-6
+        assert best == eps == 2.0**-6
+        assert grown_kb < 16 * 1024
 
 
 def reference_scan_greedy(cloud, eps, radius):
@@ -1006,8 +1047,9 @@ def reference_inverse_square_mass(lo, hi, enum_cap=1_000_000):
 
 def reference_set_dims_counts(n_cap, eps):
     """Greedy interval count and singleton count of reciprocal_set_dims,
-    one point at a time."""
-    points = orc.reciprocal_atoms(n_cap)
+    one point at a time over a list of Python floats."""
+    points = [0.0] + [1.0 / j for j in range(n_cap, 0, -1)]
+    assert orc.reciprocal_atoms(n_cap).tolist() == points
     count, i = 0, 0
     while i < len(points):
         start = points[i]

@@ -255,6 +255,17 @@ class TestPrune:
         assert sym.count_words(spec, 4).counts == {1: 1, 2: 1, 3: 1, 4: 1}
         assert sym.count_words(sym.prune(spec), 4).counts == {1: 1, 2: 1, 3: 1, 4: 1}
 
+    def test_directly_built_automaton_spec_is_pruned(self):
+        # the same graph without automaton_spec: "1" still extends to no point
+        aut = sym.Automaton(alphabet_size=2, root=0, succ=({0: 0, 1: 1}, {}))
+        spec = sym.SubshiftSpec(alphabet=2, kind=sym.KIND_AUTOMATON, automaton=aut)
+        assert spec.automaton.succ == ({0: 0},)
+        assert sym.count_words(spec, 3).counts == {1: 1, 2: 1, 3: 1}
+        assert sym.ensure_pruned(spec) is spec
+        with pytest.raises(EmptySubshift):
+            sym.SubshiftSpec(alphabet=2, kind=sym.KIND_AUTOMATON,
+                             automaton=sym.Automaton(2, 0, ({1: 1}, {})))
+
     @settings(max_examples=300, deadline=None)
     @given(random_automata())
     def test_liveness_pass_matches_fixed_point_loop(self, case):
