@@ -21,8 +21,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimit
-from .limits import point_budget, state_budget
+from . import limits
+from .errors import DomainError
 from .metrics import SUM_WEIGHTED_TORUS, MetricDescriptor, PointCloud
 from .symbolic import Automaton
 
@@ -162,11 +162,8 @@ def _row_sweep(spec: Grid2DSpec, n_rows: int, cap: int) -> np.ndarray:
             ok = np.flatnonzero(allowed(last[lo : lo + step, None], np.arange(span)) | (r < h - 1))
             keep.append(ok + lo * span)
             kept += len(ok)
-            if kept > cap:
-                raise ResourceLimit(
-                    f"state budget: the transfer graph for {n_rows} rows, at row {r + 1}: "
-                    f"{kept} or more partial patterns exceed the cap {cap}"
-                )
+            limits.check("state", kept, "or more partial patterns", cap,
+                         f"the transfer graph for {n_rows} rows, at row {r + 1}")
         keep = np.concatenate(keep)
         cols = cols[keep // span] * a + cells[keep % span]
         last = (last[keep // span] * span + keep % span) % span ** (h - 1)
@@ -185,12 +182,12 @@ def _transfer_graph(spec: Grid2DSpec, n_rows: int, budget: int | None) -> Automa
     """Automaton whose words of length m >= w are the locally admissible
     n_rows x m patterns, labelled by their column codes.  Its states are the
     strips of w - 1 columns in the admissible n_rows x w patterns of
-    `_row_sweep` (capped by `budget`, default `state_budget()`), one edge per
+    `_row_sweep` (capped by `budget`, default the state budget), one edge per
     pattern from its first strip to its last, labelled by its last column.
     The root reads the first w - 1 columns through prefix states toward the
     strips with successors, so shorter words are not all patterns."""
     k = spec.alphabet**n_rows
-    cols = _row_sweep(spec, n_rows, state_budget(budget))
+    cols = _row_sweep(spec, n_rows, limits.cap("state", budget))
     n_pat, w = cols.shape
     if k ** (w - 1) > 2**62:
         cols = cols.astype(object)
@@ -220,7 +217,7 @@ def count_rectangles(
     and exact for the Free and LinearMod rules; for LocalPatterns it is an
     upper bound on the pattern language of the 2d subshift, since global
     extendability of 2d patterns is undecidable in general.  `budget` caps
-    the transfer graph's row sweep (default `state_budget()`).
+    the transfer graph's row sweep (default the state budget).
     """
     if n_rows < 1 or m_cols < 1:
         raise DomainError("pattern dimensions must be positive")
@@ -232,19 +229,14 @@ def count_rectangles(
 def _pattern_rows(spec: Grid2DSpec, n_rows: int, m_cols: int, budget: int | None) -> np.ndarray:
     """Row codes sum_m w[n][m] a^(m_cols-1-m) of the admissible patterns, one
     array row per pattern in column-word order (int64 while a^m_cols <= 2^53,
-    Python ints beyond).  `budget` caps the patterns (default `point_budget()`)."""
+    Python ints beyond).  `budget` caps the patterns (default the point budget)."""
     if n_rows < 1 or m_cols < 1:
         raise DomainError("pattern dimensions must be positive")
-    cap = point_budget(budget)
-    a = spec.alphabet
+    cap, a = limits.cap("point", budget), spec.alphabet
     free = _window_free(spec, n_rows, m_cols)
     graph = None if free else _transfer_graph(spec, n_rows, None)
     total = a ** (n_rows * m_cols) if free else graph.word_counts(m_cols)[-1]
-    if total > cap:
-        raise ResourceLimit(
-            f"{total} patterns exceed budget {cap}; "
-            f"point budget: {total} patterns exceed the cap {cap}"
-        )
+    limits.check("point", total, "patterns", cap)
     if free:
         codes = np.indices((a**n_rows,) * m_cols).reshape(m_cols, total).T
     else:  # column codes past 2^62 stay Python ints

@@ -204,9 +204,10 @@ def _linf_grid(window: np.ndarray, side: float):
 
 
 def _grid_join(cells: np.ndarray, radix):
-    """Index pairs of points in equal or adjacent grid cells: the number of
-    candidate pairs, then blocks of _PAIR_CHUNK / 2 to about _PAIR_CHUNK pairs
-    (i, j), each unordered pair once.  An empty radix pairs all points.
+    """Index pairs of points in equal or adjacent grid cells: a function
+    that counts the candidate pairs, and blocks of _PAIR_CHUNK / 2 to about
+    _PAIR_CHUNK pairs (i, j), each unordered pair once.  An empty radix
+    pairs all points.
 
     Coordinate k of `cells` lies in [0, radix[k] - 1), so a step off the grid
     (digit -1 borrows, radix[k] - 1 overflows) meets no occupied cell.  Sorted
@@ -258,8 +259,11 @@ def _grid_join(cells: np.ndarray, radix):
                 yield np.repeat(first[a:b], count[a:b]), order[_ragged(begin[a:b], count[a:b])]
             held, pairs = [], 0
 
-    total = sum(int((r * (e - b)).sum()) for _, r, b, e in map(rows_above, range(0, n, block)))
-    return total + int((stop - np.arange(1, n + 1)).sum()), blocks()
+    def count():
+        above = sum(int((r * (e - b)).sum()) for _, r, b, e in map(rows_above, range(0, n, block)))
+        return above + int((stop - np.arange(1, n + 1)).sum())
+
+    return count, blocks()
 
 
 def _ragged(start, count):

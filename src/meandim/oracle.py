@@ -24,8 +24,7 @@ from .errors import (
     ParameterOverflow,
     ResourceLimit,
 )
-from .limits import point_budget, word_budget
-from . import weighted
+from . import limits, weighted
 from .carpet import CarpetSpec, floor_w_m
 from .metrics import (
     LINF_FINITE,
@@ -143,7 +142,7 @@ def _linf_conflicts(cloud: PointCloud, eps: float, radius: float):
     if n < 2 * 3 ** len(radix):
         return None  # joining 3^k neighbouring cells costs more than the scan
     count, blocks = _grid_join(cells, radix)
-    if count > _PAIRS_PER_POINT * n:
+    if count() > _PAIRS_PER_POINT * n:
         return None
     cols = np.ascontiguousarray(window.T)
     empty = np.zeros(0, dtype=np.int32)  # widened on concatenation past 2^31 points
@@ -291,12 +290,7 @@ class QBoxFamily:
 
     def witness_cloud(self) -> PointCloud:
         """The separated family: one point per box, pairwise linf >= b^-m."""
-        cap = point_budget()
-        if self.count > cap:
-            raise ResourceLimit(
-                f"witness family has {self.count} points, budget {cap}; "
-                f"point budget: {self.count} points exceed the cap {cap}"
-            )
+        limits.check("point", self.count, "points", limits.cap("point"), "witness family")
         depth = self.m + WITNESS_TAIL_LAYERS
         # every digit choice, first layer slowest (the order of itertools.product)
         choices = np.indices(_layer_sizes(self)).reshape(self.m, self.count).T
@@ -373,7 +367,6 @@ def qbox_family(
         raise DomainError(f"box level (N, M) = ({n}, {m}) needs N >= 1 and M >= 1")
     a, b = spec.a, spec.b
     t = floor_w_m(a, b, m)
-    cap = word_budget(budget)
 
     # decode admissible N-words of the product system into (u-word, v-word)
     from .symbolic import enumerate_words
@@ -392,11 +385,7 @@ def qbox_family(
             section[v] = u
 
     count_formula = len(pairs) ** t * len(image_words) ** (m - t)
-    if count_formula > cap:
-        raise ResourceLimit(
-            f"box family of size {count_formula} exceeds budget {cap}; "
-            f"word budget: {count_formula} boxes exceed the cap {cap}"
-        )
+    limits.check("word", count_formula, "boxes", limits.cap("word", budget), "box family")
 
     # diameter: a^-t < a * b^-m  <=>  b^m < a^(t+1), exact integers
     diam_certified = b**m < a ** (t + 1) and a**t <= b**m
@@ -547,7 +536,7 @@ def mass_distribution_check(
         raise DomainError(f"M {m_range!r} must be a nonempty range with every M >= 1")
     a, b = spec.a, spec.b
     w = spec.w
-    cap = word_budget(budget)
+    cap = limits.cap("word", budget)
 
     table = weighted.fiber_counts(spec.system, n, budget)
     fibers = dict(table.level(n).items())  # v-word -> t_N(v), lexicographic
@@ -563,11 +552,7 @@ def mass_distribution_check(
     all_passed = True
     for m in m_range:
         t_floor = floor_w_m(a, b, m)
-        if len(v_words) ** m > cap:
-            raise ResourceLimit(
-                f"{len(v_words)}^{m} y-sequences at M={m} exceed budget {cap}; "
-                f"word budget: {len(v_words) ** m} y-sequences exceed the cap {cap}"
-            )
+        limits.check("word", len(v_words) ** m, "y-sequences", cap, f"M = {m}")
         diam = float(a) * float(b) ** (-m)
         log_diam = math.log(a) - m * math.log(b)
         # math.fsum rounds correctly, so log mu(P) depends only on the

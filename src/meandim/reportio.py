@@ -53,13 +53,11 @@ def write_report(report: dict, path: str | None) -> str:
     return text
 
 
-def cloud_to_csv(points, coordinate_names=None) -> str:
-    """One row per point; the header names the coordinates."""
+def cloud_to_csv(points) -> str:
+    """One row per point; the header names the coordinates x1, x2, ..."""
     buf = io.StringIO()
     writer = csv.writer(buf)
-    n_coords = len(points[0])
-    names = coordinate_names or [f"x{i + 1}" for i in range(n_coords)]
-    writer.writerow(names)
+    writer.writerow([f"x{i + 1}" for i in range(len(points[0]))])
     for p in points:
         writer.writerow([format(float(v), ".12g") for v in p])
     return buf.getvalue()

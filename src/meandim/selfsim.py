@@ -17,9 +17,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimit
-from .limits import point_budget, word_budget
-from . import symbolic
+from . import limits, symbolic
+from .errors import DomainError
 from .metrics import LINF_FINITE, MetricDescriptor, PointCloud
 
 _RATIONAL_DENOM_CAP = 1 << 30  # beta with a denominator this small goes exact
@@ -67,11 +66,7 @@ def min_gap(a: int, beta: float, n: int, budget: int | None = None) -> float:
         raise DomainError("need 2 <= a <= beta")
     if n < 1:
         raise DomainError("n must be >= 1")
-    cap = word_budget(budget)
-    if a**n > cap:
-        raise ResourceLimit(
-            f"{a}^{n} tuples exceed budget {cap}; word budget: {a**n} tuples exceed the cap {cap}"
-        )
+    limits.check("word", a**n, "tuples", limits.cap("word", budget))
     frac = _beta_as_fraction(beta)
     if frac is not None:
         # with beta = p/q, sum u_k beta^-k = (sum u_k q^k p^(n-k)) / p^n: the
@@ -120,14 +115,10 @@ def covering_lower_bound(
     separated in linf over the first N coordinates (and beta^-n / 2 separated
     under the dynamical weighted metric, whose leading weight is 1/2).
     """
-    aut = symbolic.ensure_pruned(spec.omega).automaton
+    aut = spec.omega.automaton
     words = aut.enumerate_words(n_coords, budget)
-    count, cap = len(words) ** n_layers, point_budget(budget)
-    if count > cap:
-        raise ResourceLimit(
-            f"family of {count} points exceeds budget; "
-            f"point budget: {count} points exceed the cap {cap}"
-        )
+    count, cap = len(words) ** n_layers, limits.cap("point", budget)
+    limits.check("point", count, "points", cap, "covering family")
 
     depth = n_coords + min(30 * n_layers, 80)  # a tail below 2^-30 < 1e-9 per layer
     anchor = aut.lex_least_extension((), depth)
@@ -142,11 +133,7 @@ def covering_lower_bound(
     present, index = np.unique(np.array(streams, dtype=np.int64), return_inverse=True)
     index = index.reshape(len(words), depth)
     columns = len(present) ** n_layers
-    if columns > cap:
-        raise ResourceLimit(
-            f"digit table of {len(present)}^{n_layers} columns exceeds budget; "
-            f"point budget: {columns} columns exceed the cap {cap}"
-        )
+    limits.check("point", columns, "columns", cap, "digit table")
     table = np.array([
         math.fsum(d * beta ** -(k + 1) for k, d in enumerate(column))
         for column in itertools.product(present.tolist(), repeat=n_layers)

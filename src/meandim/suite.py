@@ -66,7 +66,7 @@ def criterion_weighted_consistency(n_systems=50, n_max=4, seed=0):
         rel = _random_relation(rng, a, b)
         sys = weighted.pair_system_from_tuples(a, b, rel)
         generic = weighted.pair_system(
-            a, b, symbolic.automaton_spec(symbolic.build_automaton(sys.omega), a * b)
+            a, b, symbolic.automaton_spec(sys.omega.automaton, a * b)
         )
         w = math.log(b) / math.log(a)
         rep = weighted.weighted_entropy(sys, w, n_max)
@@ -175,7 +175,7 @@ def criterion_beta_separation():
 
 
 def criterion_entropy_oracles():
-    gm = symbolic.prune(symbolic.forbidden_words(2, ["11"]))
+    gm = symbolic.forbidden_words(2, ["11"])
     rep = symbolic.entropy(gm, 12)
     fib = [1, 1]
     while len(fib) < 23:

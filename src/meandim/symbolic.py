@@ -19,8 +19,8 @@ from functools import cached_property
 
 import numpy as np
 
+from . import limits
 from .errors import DomainError, EmptySubshift, ResourceLimit
-from .limits import word_budget
 
 KIND_FULL = "full"
 KIND_SFT = "sft"
@@ -77,7 +77,7 @@ class Automaton:
     def enumerate_words(self, n: int, budget: int | None = None) -> list[tuple]:
         """All admissible words of length n, in lexicographic order: a
         depth-first walk over each state's labels in increasing order."""
-        cap = word_budget(budget)
+        cap = limits.cap("word", budget)
         edges = [sorted(trans.items()) for trans in self.succ]
         words: list[tuple] = [()] if n == 0 else []
         path: list = []
@@ -98,11 +98,7 @@ class Automaton:
                 if stack:
                     path.pop()
         if len(words) > cap:
-            total = self.word_counts(n)[-1] if n else 1
-            raise ResourceLimit(
-                f"word enumeration exceeds budget {cap}; "
-                f"word budget: {total} words exceed the cap {cap}"
-            )
+            limits.check("word", self.word_counts(n)[-1] if n else 1, "words", cap)
         return words
 
     def lex_least_extension(self, word: tuple, depth: int) -> tuple:
@@ -257,11 +253,11 @@ class SubshiftSpec:
       forbidden -- all sequences avoiding a finite word list
       tuples    -- R^N for a subset R of a product alphabet A x B; symbols
                    are encoded u * b + v
-      automaton -- rooted labeled graph (image projections), pruned on construction
+      automaton -- the language of a rooted labeled graph `graph` (image
+                   projections)
 
-    Every spec compiles to one pruned `Automaton`.  `prune` attaches it and
-    keeps the kind and the declarative fields, so a pruned spec still says
-    what it describes.
+    Every spec compiles to one pruned `Automaton`, `automaton`, on first
+    read; building a spec compiles nothing.
     """
 
     alphabet: int
@@ -270,7 +266,7 @@ class SubshiftSpec:
     forbidden: tuple | None = None
     tuple_sizes: tuple | None = None  # (a, b)
     tuple_set: frozenset | None = None  # {(u, v), ...}
-    automaton: Automaton | None = field(default=None, compare=False, repr=False)
+    graph: Automaton | None = field(default=None, compare=False, repr=False)
     # Always None, not a field: perfbench/tracing.py:46 reads it for the
     # image_subshift.fallbacks counter; it goes when the benchmark drops that.
     wordsets = None
@@ -294,16 +290,35 @@ class SubshiftSpec:
             if not self.tuple_set:
                 raise DomainError("tuples kind needs a nonempty relation R")
         elif self.kind == KIND_AUTOMATON:
-            if self.automaton is None:
+            if self.graph is None:
                 raise DomainError("automaton kind needs a transition graph")
-            succ, root = _prune_graph(self.automaton.succ, self.automaton.root)
-            object.__setattr__(self, "automaton", replace(self.automaton, root=root, succ=succ))
         elif self.kind != KIND_FULL:
             raise DomainError(f"unknown kind {self.kind!r}")
 
-    @property
-    def pruned(self) -> bool:
-        return self.automaton is not None
+    @cached_property
+    def automaton(self) -> Automaton:
+        """The spec's compiled form, built and pruned on first read and kept,
+        so later queries of the same spec reuse it and its spectral bracket.
+
+        Pruning enforces forward liveness only: a state survives iff an
+        infinite admissible continuation exists.  For a one-sided shift that
+        is exactly the condition for a word to be a prefix of a point, so
+        the admissible-word language is unchanged at every length; dropping
+        backward-unreachable states would shrink it.  Raises EmptySubshift
+        when no point exists; a refusal is not kept.
+        """
+        symbols = self.product_symbols
+        if symbols is not None:  # every word over the symbols: live as built
+            loops = {c: 1 for c in symbols}
+            return Automaton(self.alphabet, 0, (dict(loops), loops))
+        if self.kind == KIND_SFT:
+            graph = Automaton(self.alphabet, 0, _matrix_graph(self.matrix))
+        elif self.kind == KIND_FORBIDDEN:
+            graph = Automaton(self.alphabet, 0, _forbidden_graph(self.alphabet, self.forbidden))
+        else:
+            graph = self.graph
+        succ, root = _prune_graph(graph.succ, graph.root)
+        return replace(graph, root=root, succ=succ)
 
     @cached_property
     def product_symbols(self) -> tuple | None:
@@ -312,10 +327,8 @@ class SubshiftSpec:
         R), or None for the other kinds, computed once per spec.  A full
         shift on more symbols than the word budget is refused."""
         if self.kind == KIND_FULL:
-            k, cap = self.alphabet, word_budget()
-            if k > cap:
-                raise ResourceLimit(f"word budget: full shift on {k} symbols exceeds the cap {cap}")
-            return tuple(range(k))
+            limits.check("word", self.alphabet, "symbols", limits.cap("word"), "full shift")
+            return tuple(range(self.alphabet))
         if self.kind == KIND_TUPLES:
             b = self.tuple_sizes[1]
             return tuple(sorted(u * b + v for u, v in self.tuple_set))
@@ -351,6 +364,19 @@ def allowed_tuples(a: int, b: int, relation) -> SubshiftSpec:
     return SubshiftSpec(
         alphabet=a * b, kind=KIND_TUPLES, tuple_sizes=(a, b), tuple_set=rel
     )
+
+
+def automaton_spec(aut: Automaton, alphabet: int) -> SubshiftSpec:
+    """Spec of the automaton's language; its compiled form drops the states
+    with no infinite continuation, so every counted word extends to a point."""
+    return SubshiftSpec(alphabet=alphabet, kind=KIND_AUTOMATON, graph=aut)
+
+
+def prune(spec: SubshiftSpec) -> SubshiftSpec:
+    """spec, with `spec.automaton` compiled, so an empty subshift raises
+    here.  The library reads `spec.automaton`; perfbench calls this name."""
+    spec.automaton
+    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -398,20 +424,18 @@ def _prune_graph(succ: Sequence[dict], root: int) -> tuple[tuple[dict, ...], int
     return pruned, remap[root]
 
 
-def _automaton_from_matrix(k: int, matrix) -> Automaton:
-    succ: list[dict] = [dict() for _ in range(k + 1)]
-    succ[0] = {s: s + 1 for s in range(k)}
-    for s in range(k):
-        for t in range(k):
-            if matrix[s][t]:
-                succ[s + 1][t] = t + 1
-    pruned, root = _prune_graph(succ, 0)
-    return Automaton(alphabet_size=k, root=root, succ=pruned)
+def _matrix_graph(matrix) -> list[dict]:
+    """Transitions of a vertex shift, rooted at 0: state s + 1 is symbol s."""
+    k = len(matrix)
+    succ: list[dict] = [{s: s + 1 for s in range(k)}]
+    for row in matrix:
+        succ.append({t: t + 1 for t in range(k) if row[t]})
+    return succ
 
 
-def _automaton_from_forbidden(k: int, words) -> Automaton:
-    """Aho-Corasick automaton of the forbidden words (Aho and Corasick,
-    CACM 18, 1975).
+def _forbidden_graph(k: int, words) -> list[dict]:
+    """Transitions of the Aho-Corasick automaton of the forbidden words, rooted
+    at 0 (Aho and Corasick, CACM 18, 1975).
 
     A state is a prefix of a forbidden word, the root the empty one.
     Reading a symbol moves to the longest state that is a suffix of the word
@@ -434,12 +458,8 @@ def _automaton_from_forbidden(k: int, words) -> Automaton:
                 banned.append(False)
             s = goto[s][c]
         banned[s] = True
-    size, cap = len(goto) * k, word_budget()
-    if size > cap:
-        raise ResourceLimit(
-            f"word budget: {len(goto)} states x {k} symbols ({size} transitions) "
-            f"exceed the cap {cap}"
-        )
+    limits.check("word", len(goto) * k, "transitions", limits.cap("word"),
+                 f"forbidden-word automaton of {len(goto)} states x {k} symbols")
     fail = [0] * len(goto)
     succ: list[dict] = [{} for _ in goto]
     order = [0]
@@ -456,53 +476,7 @@ def _automaton_from_forbidden(k: int, words) -> Automaton:
                 order.append(t)
             if t is not None:
                 succ[s][c] = t
-    pruned, root = _prune_graph(succ, 0)
-    return Automaton(alphabet_size=k, root=root, succ=pruned)
-
-
-def build_automaton(spec: SubshiftSpec) -> Automaton:
-    if spec.automaton is not None:
-        return spec.automaton
-    symbols = spec.product_symbols
-    if symbols is not None:
-        loops = {c: 1 for c in symbols}
-        return Automaton(alphabet_size=spec.alphabet, root=0, succ=(dict(loops), loops))
-    if spec.kind == KIND_SFT:
-        return _automaton_from_matrix(len(spec.matrix), spec.matrix)
-    return _automaton_from_forbidden(spec.alphabet, spec.forbidden)
-
-
-def automaton_spec(aut: Automaton, alphabet: int) -> SubshiftSpec:
-    """Spec of the automaton's language, pruned: states with no infinite
-    continuation are dropped, so every counted word extends to a point."""
-    return SubshiftSpec(alphabet=alphabet, kind=KIND_AUTOMATON, automaton=aut)
-
-
-def prune(spec: SubshiftSpec) -> SubshiftSpec:
-    """The same spec with its compiled automaton attached, dead states removed.
-
-    The kind and the declarative fields are kept.  The admissible-word
-    language (prefixes of points) is unchanged for every length.  Only
-    forward liveness is enforced: a state survives iff an infinite
-    admissible continuation exists.  For a one-sided shift that is exactly
-    the condition for a word to be a prefix of a point; dropping
-    backward-unreachable states would shrink the prefix language.
-    """
-    if spec.kind == KIND_AUTOMATON:
-        return spec  # pruned on construction
-    return replace(spec, automaton=build_automaton(spec))
-
-
-def ensure_pruned(spec: SubshiftSpec) -> SubshiftSpec:
-    """spec if it is pruned, else `prune(spec)`, computed once per spec and
-    kept on it (as `product_symbols` is): later queries of the same spec
-    reuse its compiled automaton and that automaton's spectral bracket."""
-    if spec.pruned:
-        return spec
-    pruned = spec.__dict__.get("_pruned")
-    if pruned is None:
-        pruned = spec.__dict__["_pruned"] = prune(spec)
-    return pruned
+    return succ
 
 
 # ---------------------------------------------------------------------------
@@ -539,21 +513,17 @@ class EntropyReport:
 def count_words(spec: SubshiftSpec, n_max: int, budget: int | None = None) -> CountTable:
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
-    aut, cap = ensure_pruned(spec).automaton, word_budget(budget)
-    if aut.n_states > cap:
-        raise ResourceLimit(
-            f"state space exceeds budget; word budget: {aut.n_states} states exceed the cap {cap}"
-        )
+    aut = spec.automaton
+    limits.check("word", aut.n_states, "states", limits.cap("word", budget))
     counts = aut.word_counts(n_max)
     return CountTable(counts={n + 1: c for n, c in enumerate(counts)})
 
 
 def enumerate_words(spec: SubshiftSpec, n: int, budget: int | None = None) -> list[tuple]:
-    return ensure_pruned(spec).automaton.enumerate_words(n, budget)
+    return spec.automaton.enumerate_words(n, budget)
 
 
 def entropy(spec: SubshiftSpec, n_max: int = 12, budget: int | None = None) -> EntropyReport:
-    spec = ensure_pruned(spec)
     table = count_words(spec, n_max, budget)
     bounds = []
     best = math.inf
@@ -628,7 +598,7 @@ def _json_word(w) -> list:
 
 
 def _automaton_from_json(k: int, body) -> Automaton:
-    """Checked automaton from its JSON body (`automaton_spec` prunes it):
+    """Checked automaton from its JSON body (its spec prunes it on compile):
     transitions are [state, label, state] with states nonnegative integers,
     labels in [0, k), one target per (state, label), and the root one of the
     states.  States are renumbered densely, so a large state number costs

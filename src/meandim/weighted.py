@@ -14,7 +14,7 @@ on first key access, and Z_N sums each level's fiber-size histogram exactly
 subset moves, and past the subset budget raises ResourceLimit.
 
 One system queried several times is swept once: each spec keeps its
-compiled automaton (`symbolic.ensure_pruned`) and that automaton its
+compiled automaton (`SubshiftSpec.automaton`) and that automaton its
 spectral bracket, and the fiber-size histograms of the last complete sweep
 stay in a one-entry memo, so `weighted_entropy` after `fiber_counts` or
 after itself, on the same system object, N and budget, sweeps nothing.
@@ -33,9 +33,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, ParameterOverflow, ResourceLimit
-from .limits import subset_budget, word_budget
-from . import symbolic
+from . import limits, symbolic
+from .errors import DomainError, ParameterOverflow
 from .symbolic import Automaton, SubshiftSpec, automaton_spec
 
 
@@ -140,7 +139,7 @@ class FiberCountTable:
 
 def fiber_counts(sys: PairShiftSystem, n_max: int, budget: int | None = None) -> FiberCountTable:
     levels, level = {}, None
-    for n, (keys, counts, _) in enumerate(_fiber_levels(sys, n_max, word_budget(budget)), 1):
+    for n, (keys, counts, _) in enumerate(_fiber_levels(sys, n_max, limits.cap("word", budget)), 1):
         levels[n] = level = FiberLevel(keys, counts.tolist(), level, sys.b_size)
     return FiberCountTable(levels=levels)
 
@@ -175,7 +174,7 @@ def _fiber_levels(sys: PairShiftSystem, n_max: int, cap: int):
     adds those of further edges one layer at a time; one argsort of the keys
     rank * b + v orders a level.  Counts, at most (max out-degree)^n, are
     int64 below 2^63 and exact Python ints above."""
-    aut = symbolic.ensure_pruned(sys.omega).automaton
+    aut = sys.omega.automaton
 
     @functools.cache
     def plan(subset):  # per letter: v, image, first sources, layers of further edges
@@ -193,11 +192,8 @@ def _fiber_levels(sys: PairShiftSystem, n_max: int, cap: int):
     for n in range(1, n_max + 1):
         moves = [(np.concatenate(r), np.hstack(c), plan(s)) for s, (r, c) in frontier.items()]
         entries = sum(len(rank) * len(image) for rank, _, succ in moves for _, image, _, _ in succ)
-        if entries > cap:
-            raise ResourceLimit(
-                f"fiber frontier at length {n} needs at least {entries} (word, state) "
-                f"entries; word budget: {entries} entries exceed the cap {cap}"
-            )
+        limits.check("word", entries, "(word, state) entries", cap,
+                     f"fiber frontier at length {n}")
         keys, pieces = [], []
         for rank, block, succ in moves:
             for v, image, first, layers in succ:
@@ -208,10 +204,7 @@ def _fiber_levels(sys: PairShiftSystem, n_max: int, cap: int):
                 pieces.append((image, successors))
         keys = np.concatenate(keys)
         total += len(keys)
-        if total > cap:
-            raise ResourceLimit(
-                f"fiber table needs {total} words; word budget: {total} words exceed the cap {cap}"
-            )
+        limits.check("word", total, "words", cap, "fiber table")
         order = np.argsort(keys)
         counts = np.concatenate([block.sum(axis=0) for _, block in pieces])[order]
         histograms.append(np.unique(counts, return_counts=True))
@@ -335,7 +328,7 @@ def weighted_entropy(
         closed = math.log(math.fsum(c**w for c in t.tolist()))
         levels = _z_powers(t**w, n_max)
     else:
-        levels = _z_sweep(sys, w, n_max, word_budget(budget))
+        levels = _z_sweep(sys, w, n_max, limits.cap("word", budget))
     z = {}
     try:
         for n, value in enumerate(levels, 1):
@@ -390,9 +383,9 @@ def image_subshift(sys: PairShiftSystem, budget: int | None = None) -> SubshiftS
     not vertex shifts over B).  A full image is recognized and normalized.
     More subsets than the subset budget raise ResourceLimit.
     """
-    aut = symbolic.ensure_pruned(sys.omega).automaton
+    aut = sys.omega.automaton
     b = sys.b_size
-    cap = subset_budget(budget)
+    cap = limits.cap("subset", budget)
 
     start = (aut.root,)
     subsets = {start: 0}
@@ -403,10 +396,7 @@ def image_subshift(sys: PairShiftSystem, budget: int | None = None) -> SubshiftS
         idx = subsets[current]
         for v, key, _ in _subset_moves(aut, b, current):
             if key not in subsets:
-                if len(subsets) >= cap:
-                    raise ResourceLimit(
-                        f"subset budget: {len(subsets) + 1} or more subsets exceed the cap {cap}"
-                    )
+                limits.check("subset", len(subsets) + 1, "or more subsets", cap)
                 subsets[key] = len(succ)
                 succ.append(dict())
                 queue.append(key)
@@ -414,5 +404,5 @@ def image_subshift(sys: PairShiftSystem, budget: int | None = None) -> SubshiftS
     image = Automaton(alphabet_size=b, root=0, succ=tuple(succ))
     letters = set(range(b))
     if all(set(trans) == letters for trans in image.succ):
-        return symbolic.prune(symbolic.full_shift(b))
+        return symbolic.full_shift(b)
     return automaton_spec(image, b)

@@ -224,7 +224,7 @@ class TestExitCodes:
 
     def test_carpet_past_the_subset_budget_exits_3(self, capsys, monkeypatch):
         # the image is determinized exactly or refused, never approximated
-        monkeypatch.setattr(meandim.limits, "DEFAULT_SUBSET_BUDGET", 1)
+        monkeypatch.setitem(meandim.limits.DEFAULT_CAPS, "subset", 1)
         assert main(["carpet", "--a", "3", "--b", "2", "--tuples", "00,11,20"]) == 3
         assert capsys.readouterr().err == (
             "resource limit: subset budget: 2 or more subsets exceed the cap 1\n"
@@ -296,9 +296,9 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "doc, size",
         [
-            ({"alphabet": 10**8, "kind": "full"}, "full shift on 100000000 symbols"),
+            ({"alphabet": 10**8, "kind": "full"}, "full shift: 100000000 symbols"),
             ({"alphabet": 10**7, "kind": "forbidden", "forbidden": ["00"]},
-             "3 states x 10000000 symbols (30000000 transitions)"),
+             "3 states x 10000000 symbols: 30000000 transitions"),
         ],
     )
     def test_huge_alphabet_is_refused_by_the_word_budget(self, tmp_path, doc, size):
@@ -825,20 +825,21 @@ class TestCloudCsv:
         from meandim.reportio import cloud_from_csv, cloud_to_csv
 
         pts = [[0.125, 0.5], [0.25, 0.75]]
-        text = cloud_to_csv(pts, coordinate_names=["x1", "x2"])
+        text = cloud_to_csv(pts)
         assert text.splitlines()[0] == "x1,x2"
         assert cloud_from_csv(text) == pts
 
 
 class TestBudgetEnv:
     def test_env_var_overrides_word_budget(self, monkeypatch):
-        from meandim.limits import word_budget
+        from meandim.limits import cap
 
         monkeypatch.setenv("MEANDIM_BUDGET", "123")
-        assert word_budget() == 123
+        assert cap("word") == cap("point") == 123
+        assert cap("subset") > 123 and cap("state") > 123  # not overridden
         monkeypatch.delenv("MEANDIM_BUDGET")
-        assert word_budget() > 123
-        assert word_budget(77) == 77
+        assert cap("word") > 123
+        assert cap("word", 77) == 77
 
 
 class TestSeededDeterminism:

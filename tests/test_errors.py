@@ -1,9 +1,8 @@
 """Error types: every one has a raiser, every export exists, and budget
-refusals name their sizes.
+refusals name their sizes, all through one gate.
 
-The first two tests read the package source with `ast` and import nothing
-from it, so they still run, and name the culprit, when the package itself
-fails to import."""
+The `ast` tests read the package source and import nothing from it, so they
+still run, and name the culprit, when the package itself fails to import."""
 
 import ast
 from pathlib import Path
@@ -56,6 +55,33 @@ def test_every_package_import_exists():
     assert missing == []
 
 
+def test_budget_refusals_go_through_the_gate():
+    # every budget refusal calls limits.check; only the spectral solve's
+    # dense-solve cap and tolerance and the fixed 12-point exact cover,
+    # which have no budget, raise ResourceLimit themselves
+    sites = []
+
+    def visit(node, module, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, module, child.name)
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                if getattr(exc, "id", getattr(exc, "attr", None)) == "ResourceLimit":
+                    sites.append((module, where))
+            visit(child, module, where)
+
+    for path in SRC.glob("*.py"):
+        visit(ast.parse(path.read_text()), path.stem, None)
+    assert sorted(sites) == [
+        ("limits", "check"),
+        ("oracle", "exact_min_cover"),
+        ("symbolic", "_component_radius"),
+        ("symbolic", "_component_radius"),
+    ]
+
+
 @pytest.mark.parametrize(
     "case,size,cap",
     [
@@ -72,6 +98,9 @@ def test_every_package_import_exists():
         ("transfer_rows", "17 or more partial patterns", 16),
         ("image_subsets", "2 or more subsets", 1),
         ("fiber_table", "14 words", 10),
+        ("full_shift_symbols", "6 symbols", 5),
+        ("forbidden_transitions", "6 transitions", 5),
+        ("fiber_frontier", "4 (word, state) entries", 3),
     ],
 )
 def test_resource_limits_name_the_size_and_the_cap(case, size, cap, monkeypatch):
@@ -106,11 +135,16 @@ def test_resource_limits_name_the_size_and_the_cap(case, size, cap, monkeypatch)
         "image_subsets": lambda: wt.image_subshift(wt.pair_system(2, 3, full6), budget=1),
         # the full 2-shift over 1 x 2: 2, 4 and 8 entries, 14 words by length 3
         "fiber_table": lambda: wt.fiber_counts(wt.pair_system(1, 2, full2), 3, budget=10),
+        "full_shift_symbols": lambda: sym.count_words(sym.full_shift(6), 1),
+        # the prefixes of "00", the empty one included, x 2 symbols
+        "forbidden_transitions": lambda: sym.count_words(sym.forbidden_words(2, ["00"]), 1),
+        # 2 then 4 one-state blocks of one word each
+        "fiber_frontier": lambda: wt.fiber_counts(wt.pair_system(1, 2, full2), 3, budget=3),
     }
     full2, full6 = (sym.sft_from_matrix([[1] * k] * k) for k in (2, 6))
     carpet = cp.carpet_from_tuples(3, 2, [(0, 0), (1, 1), (2, 0)])
-    if case == "witness_cloud":  # it reads the point budget from the environment
-        monkeypatch.setenv("MEANDIM_BUDGET", "5")
+    if case in ("witness_cloud", "full_shift_symbols", "forbidden_transitions"):
+        monkeypatch.setenv("MEANDIM_BUDGET", str(cap))  # they take no budget argument
     with pytest.raises(ResourceLimit) as info:
         calls[case]()
     assert str(info.value).endswith(f": {size} exceed the cap {cap}")

@@ -181,7 +181,7 @@ def test_grid_join_pairs_equal_or_adjacent_cells_once(case, chunk):
         count, blocks = metrics._grid_join(cells, radix)
         got = [(min(i, j), max(i, j)) for a, b in blocks
                for i, j in zip(a.tolist(), b.tolist(), strict=True)]
-    assert count == len(got) == len(set(got))
+    assert count() == len(got) == len(set(got))
     assert set(got) == want
 
 

@@ -130,7 +130,7 @@ class TestCoveringLowerBound:
 
 def reference_family_points(spec, n_coords, n_layers, tol=1e-9):
     """The per-coordinate math.fsum loop that the column tables replaced."""
-    aut = sym.ensure_pruned(spec.omega).automaton
+    aut = spec.omega.automaton
     words = aut.enumerate_words(n_coords)
     depth = min(n_coords + n_layers * max(1, math.ceil(math.log2(1.0 / tol))), n_coords + 80)
     anchor = aut.lex_least_extension((), depth)

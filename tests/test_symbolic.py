@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from meandim import symbolic as sym
 from meandim.errors import DomainError, EmptySubshift, ResourceLimit
-from meandim.limits import word_budget
+from meandim.limits import cap as budget_cap
 
 GOLDEN_ENTROPY = 0.4812118250596035  # log((1 + sqrt 5) / 2)
 
@@ -173,7 +173,7 @@ def reference_word_counts(aut, n_max):
 def reference_enumerate_words(aut, n, budget=None):
     """The word enumerator before the iterator-stack walk: a stack of
     (state, prefix) pairs, then a sort."""
-    cap = word_budget(budget)
+    cap = budget_cap("word", budget)
     words = []
     stack = [(aut.root, ())]
     while stack:
@@ -181,7 +181,8 @@ def reference_enumerate_words(aut, n, budget=None):
         if len(prefix) == n:
             words.append(prefix)
             if len(words) > cap:
-                raise ResourceLimit(f"word enumeration exceeds budget {cap}")
+                total = reference_word_counts(aut, n)[-1] if n else 1
+                raise ResourceLimit(f"word budget: {total} words exceed the cap {cap}")
             continue
         for label in sorted(aut.succ[state], reverse=True):
             stack.append((aut.succ[state][label], prefix + (label,)))
@@ -246,11 +247,11 @@ class TestPrune:
         again = sym.prune(p)
         assert sym.count_words(again, 6).counts == sym.count_words(p, 6).counts
 
-    def test_automaton_spec_is_pruned_on_construction(self):
+    def test_automaton_spec_is_pruned_on_first_read(self):
         # state 1 is a dead end: the word "1" extends to no point
         aut = sym.Automaton(alphabet_size=2, root=0, succ=({0: 0, 1: 1}, {}))
         spec = sym.automaton_spec(aut, 2)
-        assert spec.pruned
+        assert spec.graph is aut and "automaton" not in vars(spec)
         assert spec.automaton.succ == ({0: 0},)
         assert sym.count_words(spec, 4).counts == {1: 1, 2: 1, 3: 1, 4: 1}
         assert sym.count_words(sym.prune(spec), 4).counts == {1: 1, 2: 1, 3: 1, 4: 1}
@@ -258,13 +259,16 @@ class TestPrune:
     def test_directly_built_automaton_spec_is_pruned(self):
         # the same graph without automaton_spec: "1" still extends to no point
         aut = sym.Automaton(alphabet_size=2, root=0, succ=({0: 0, 1: 1}, {}))
-        spec = sym.SubshiftSpec(alphabet=2, kind=sym.KIND_AUTOMATON, automaton=aut)
+        spec = sym.SubshiftSpec(alphabet=2, kind=sym.KIND_AUTOMATON, graph=aut)
         assert spec.automaton.succ == ({0: 0},)
         assert sym.count_words(spec, 3).counts == {1: 1, 2: 1, 3: 1}
-        assert sym.ensure_pruned(spec) is spec
-        with pytest.raises(EmptySubshift):
-            sym.SubshiftSpec(alphabet=2, kind=sym.KIND_AUTOMATON,
-                             automaton=sym.Automaton(2, 0, ({1: 1}, {})))
+        assert sym.prune(spec) is spec
+        # an empty language is built and refused on its first compile
+        empty = sym.SubshiftSpec(alphabet=2, kind=sym.KIND_AUTOMATON,
+                                 graph=sym.Automaton(2, 0, ({1: 1}, {})))
+        for _ in range(2):
+            with pytest.raises(EmptySubshift):
+                empty.automaton
 
     @settings(max_examples=300, deadline=None)
     @given(random_automata())
@@ -375,7 +379,7 @@ def test_aho_corasick_matches_the_block_automaton(case):
     k, words = case
     spec = sym.forbidden_words(k, words)
     try:
-        ref = sym.automaton_spec(reference_block_automaton(k, words), k)
+        ref = sym.prune(sym.automaton_spec(reference_block_automaton(k, words), k))
     except EmptySubshift:
         with pytest.raises(EmptySubshift):
             sym.prune(spec)

@@ -20,7 +20,7 @@ from meandim.errors import (
     ParameterOverflow,
     ResourceLimit,
 )
-from meandim.limits import subset_budget, word_budget
+from meandim.limits import cap as budget_cap
 from test_symbolic import reference_block_automaton
 
 R_EXAMPLE = [(0, 0), (1, 1), (2, 0)]
@@ -44,8 +44,8 @@ def naive_fibers(omega_spec, b, n):
 def reference_fiber_counts(sys_, n_max, budget=None):
     """Fiber counts by a DFS over projected words, one dict of per-state path
     counts per word and letters in ascending order: {n: {v_word: count}}."""
-    cap = word_budget(budget)
-    aut = sym.ensure_pruned(sys_.omega).automaton
+    cap = budget_cap("word", budget)
+    aut = sys_.omega.automaton
     b = sys_.b_size
     levels = {}
     frontier = [((), {aut.root: 1})]
@@ -88,10 +88,7 @@ def pair_systems(draw):
         n = draw(st.integers(1, 5))
         trans = st.dictionaries(symbol, st.integers(0, n - 1), max_size=k)
         succ = tuple(draw(st.lists(trans, min_size=n, max_size=n)))
-        try:
-            spec = sym.automaton_spec(sym.Automaton(alphabet_size=k, root=0, succ=succ), k)
-        except EmptySubshift:
-            assume(False)
+        spec = sym.automaton_spec(sym.Automaton(alphabet_size=k, root=0, succ=succ), k)
     try:
         sym.prune(spec)
     except EmptySubshift:
@@ -140,7 +137,7 @@ class TestFiberSweep:
         )
         omega = sym.automaton_spec(sym.Automaton(alphabet_size=6, root=0, succ=succ), 6)
         sys_ = wt.pair_system(3, 2, omega)
-        aut = sym.ensure_pruned(omega).automaton
+        aut = omega.automaton
         frontier = [{aut.root: 1}]
         for _ in range(7):
             frontier = [
@@ -183,8 +180,8 @@ class TestFiberSweep:
         sys_ = wt.pair_system(3, 2, sym.sft_from_matrix(PROBE_MATRIX))
         for budget, length, entries in ((5, 1, 6), (50, 5, 96), (500, 8, 768)):
             message = (
-                rf"^fiber frontier at length {length} needs at least {entries} "
-                rf"\(word, state\) entries; word budget: {entries} entries exceed the cap {budget}$"
+                rf"^word budget: fiber frontier at length {length}: {entries} "
+                rf"\(word, state\) entries exceed the cap {budget}$"
             )
             with pytest.raises(ResourceLimit, match=message):
                 wt.fiber_counts(sys_, 10, budget=budget)
@@ -211,7 +208,7 @@ class TestFiberSweep:
         words = [[1, 7], [1, 7, 6], [2, 5, 5], [5, 8, 0]]
         omega = sym.automaton_spec(reference_block_automaton(9, words), 9)
         sys_ = wt.pair_system(3, 3, omega)
-        assert sym.ensure_pruned(omega).automaton.n_states == 90
+        assert omega.automaton.n_states == 90
         z = wt.weighted_entropy(sys_, 1.0, 12).z_values
         words = sym.count_words(omega, 12)
         assert all(z[n] == float(words[n]) for n in range(1, 13))
@@ -258,8 +255,8 @@ class TestQueryMemos:
         sys_ = probe_system()
         wt.fiber_counts(sys_, 10)
         message = (
-            r"^fiber frontier at length 8 needs at least 768 \(word, state\) entries; "
-            r"word budget: 768 entries exceed the cap 500$"
+            r"^word budget: fiber frontier at length 8: 768 \(word, state\) entries "
+            r"exceed the cap 500$"
         )
         with pytest.raises(ResourceLimit, match=message):
             wt.weighted_entropy(sys_, W_EXAMPLE, 10, budget=500)
@@ -267,7 +264,7 @@ class TestQueryMemos:
         levels = wt._fiber_levels
         monkeypatch.setattr(wt, "_fiber_levels", lambda *args: sweeps.append(args) or levels(*args))
         z = wt.weighted_entropy(sys_, 1.0, 9).z_values
-        assert [args[1:] for args in sweeps] == [(9, word_budget())]
+        assert [args[1:] for args in sweeps] == [(9, budget_cap("word"))]
         assert z == wt.weighted_entropy(probe_system(), 1.0, 9).z_values
 
     def test_only_the_last_swept_system_is_kept(self):
@@ -282,17 +279,21 @@ class TestQueryMemos:
         assert ref() is None
 
     def test_each_spec_is_pruned_once(self, monkeypatch):
-        pruned = []
-        prune = sym.prune
-        monkeypatch.setattr(sym, "prune", lambda spec: pruned.append(spec) or prune(spec))
+        compiled = []
+        prune_graph = sym._prune_graph
+        monkeypatch.setattr(sym, "_prune_graph",
+                            lambda *args: compiled.append(args) or prune_graph(*args))
         sys_ = probe_system()
         omega = sys_.omega
+        assert compiled == []  # building a spec compiles nothing
         report = sym.entropy(omega, 6)
         counts = sym.count_words(omega, 9)
         image = wt.image_subshift(sys_)
         wt.fiber_counts(sys_, 6)
-        assert [spec for spec in pruned if spec is omega] == [omega]
-        assert sym.ensure_pruned(omega) is sym.ensure_pruned(omega)
+        assert "automaton" not in vars(image)  # compiled on its first read
+        assert sym.prune(omega) is omega and omega.automaton is omega.automaton
+        assert image.automaton is image.automaton
+        assert len(compiled) == 1  # omega, once
         fresh = probe_system()
         assert sym.entropy(fresh.omega, 6) == report
         assert sym.count_words(fresh.omega, 9) == counts
@@ -647,9 +648,9 @@ class TestWeightedEntropy:
 def reference_image_subshift(sys_, budget=None):
     """Powerset determinization over frozensets, one by_letter dict of target
     sets per subset, with image_subshift's queue order and numbering."""
-    aut = sym.ensure_pruned(sys_.omega).automaton
+    aut = sys_.omega.automaton
     b = sys_.b_size
-    cap = subset_budget(budget)
+    cap = budget_cap("subset", budget)
     start = frozenset([aut.root])
     subsets = {start: 0}
     succ = [dict()]
@@ -672,7 +673,7 @@ def reference_image_subshift(sys_, budget=None):
             succ[idx][v] = subsets[key]
     image = sym.Automaton(alphabet_size=b, root=0, succ=tuple(succ))
     if all(set(trans) == set(range(b)) for trans in image.succ):
-        return sym.prune(sym.full_shift(b))
+        return sym.full_shift(b)
     return sym.automaton_spec(image, b)
 
 
