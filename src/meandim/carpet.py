@@ -88,8 +88,8 @@ def mean_dims(spec: CarpetSpec, n_max: int = 8, budget: int | None = None) -> Di
     image = weighted.image_subshift(spec.system)
     h_prime_rep = symbolic.entropy(image, n_max, budget)
 
-    h_omega = h_omega_rep.best_estimate
-    h_prime = h_prime_rep.best_estimate
+    h_omega = h_omega_rep.spectral_value
+    h_prime = h_prime_rep.spectral_value
 
     mdh_value = wrep.best_estimate / log_b
     mdh = ValueBracket(

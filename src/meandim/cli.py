@@ -119,7 +119,7 @@ def cmd_entropy(args) -> int:
     _emit(
         {
             "command": "entropy",
-            "best_estimate": rep.best_estimate,
+            "best_estimate": rep.spectral_value,
             "spectral_value": rep.spectral_value,
             "upper_bounds": list(rep.upper_bounds),
             "counts": {str(n): str(table[n]) for n in range(1, args.nmax + 1)},

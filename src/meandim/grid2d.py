@@ -23,7 +23,7 @@ import numpy as np
 
 from . import limits
 from .errors import DomainError
-from .metrics import SUM_WEIGHTED_TORUS, MetricDescriptor, PointCloud
+from .metrics import SUM_WEIGHTED_TORUS, MetricDescriptor, PointCloud, digit_points
 from .symbolic import Automaton
 
 RULE_FREE = "free"
@@ -226,10 +226,13 @@ def count_rectangles(
     return _transfer_graph(spec, n_rows, budget).word_counts(m_cols)[-1]
 
 
-def _pattern_rows(spec: Grid2DSpec, n_rows: int, m_cols: int, budget: int | None) -> np.ndarray:
-    """Row codes sum_m w[n][m] a^(m_cols-1-m) of the admissible patterns, one
-    array row per pattern in column-word order (int64 while a^m_cols <= 2^53,
-    Python ints beyond).  `budget` caps the patterns (default the point budget)."""
+def _pattern_columns(spec: Grid2DSpec, n_rows: int, m_cols: int, budget: int | None):
+    """(digits, index) of the admissible patterns in column-word order:
+    digits[c, n] is row n's digit in entry c of a sorted column table (every
+    column when no window fits, else the transfer graph's labels), and
+    index[p, m] the entry at column m of pattern p.  Only the table's codes
+    are decoded; they stay Python ints past 2^62.  `budget` caps the
+    patterns (default the point budget)."""
     if n_rows < 1 or m_cols < 1:
         raise DomainError("pattern dimensions must be positive")
     cap, a = limits.cap("point", budget), spec.alphabet
@@ -238,24 +241,36 @@ def _pattern_rows(spec: Grid2DSpec, n_rows: int, m_cols: int, budget: int | None
     total = a ** (n_rows * m_cols) if free else graph.word_counts(m_cols)[-1]
     limits.check("point", total, "patterns", cap)
     if free:
-        codes = np.indices((a**n_rows,) * m_cols).reshape(m_cols, total).T
-    else:  # column codes past 2^62 stay Python ints
+        distinct = np.arange(a**n_rows)
+        index = np.indices((a**n_rows,) * m_cols).reshape(m_cols, total).T
+    else:  # the graph's labels, sorted
         kind = np.int64 if a**n_rows <= 2**62 else object
+        distinct = np.array(sorted({c for edges in graph.succ for c in edges}), dtype=kind)
         codes = np.array(graph.enumerate_words(m_cols, cap), dtype=kind).reshape(total, m_cols)
-    powers = np.array([a**i for i in range(n_rows - 1, -1, -1)], dtype=codes.dtype)
-    digits = codes[:, None, :] // powers[:, None] % a  # w[n][m]
-    dtype = np.int64 if a**m_cols <= 2**53 else object
-    place = np.array([a ** (m_cols - 1 - m) for m in range(m_cols)], dtype=dtype)
-    return digits.astype(dtype, copy=False) @ place
+        index = np.searchsorted(distinct, codes)
+    powers = np.array([a**i for i in range(n_rows - 1, -1, -1)], dtype=distinct.dtype)
+    return (distinct[:, None] // powers % a).astype(np.int64), index
+
+
+_PATTERN_BLOCK = 1 << 14  # patterns turned into tuples per batch
 
 
 def enumerate_patterns(spec: Grid2DSpec, n_rows: int, m_cols: int, budget: int | None = None):
     """All locally admissible patterns as row-major tuples of rows, in the
     `itertools.product` order of their column sequences."""
     a = spec.alphabet
-    codes, index = np.unique(_pattern_rows(spec, n_rows, m_cols, budget), return_inverse=True)
-    rows = [tuple(c // a ** (m_cols - 1 - m) % a for m in range(m_cols)) for c in codes.tolist()]
-    return [tuple(map(rows.__getitem__, p)) for p in index.reshape(-1, n_rows).tolist()]
+    digits, index = _pattern_columns(spec, n_rows, m_cols, budget)
+    rows = np.zeros((len(index), n_rows), dtype=np.int64 if a**m_cols <= 2**62 else object)
+    for m in range(m_cols):  # row codes sum_m w[n][m] a^(m_cols-1-m), one column at a time
+        rows *= a
+        rows += digits[index[:, m]]
+    del index  # each array goes once its successor is built: the patterns dominate memory
+    codes, inverse = np.unique(rows, return_inverse=True)
+    del rows
+    words = [tuple(c // a ** (m_cols - 1 - m) % a for m in range(m_cols)) for c in codes.tolist()]
+    inverse = inverse.reshape(-1, n_rows)
+    return [tuple(map(words.__getitem__, p)) for lo in range(0, len(inverse), _PATTERN_BLOCK)
+            for p in inverse[lo : lo + _PATTERN_BLOCK].tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -363,10 +378,11 @@ def torus_points(
     adds extra coordinate rows so that dynamical metrics with window n_rows
     stay truncation-sound.
     """
-    rows = n_rows + depth
-    # row codes are exact below 2^53, so the one division rounds as int / int
+    rows, a = n_rows + depth, spec.alphabet
+    digits, index = _pattern_columns(spec, rows, m_cols, budget)
+    terms = [[Fraction(u, a ** (m + 1)) for u in range(a)] for m in range(m_cols)]
     return PointCloud(
-        points=(_pattern_rows(spec, rows, m_cols, budget) / spec.alphabet**m_cols).astype(float),
+        points=digit_points([digits] * m_cols, index, terms),
         metric=MetricDescriptor(kind=SUM_WEIGHTED_TORUS, iterates=n_rows),
         truncation_error=0.5 * 2.0 ** -(rows - n_rows + 1) if depth else 0.5 * 2.0 ** -1,
     )

@@ -9,7 +9,10 @@ where the shift drops the leading coordinate.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -179,6 +182,7 @@ def _linf_pair_distances(cols, i, j):
 _GRID_DIMS = 4  # coordinates bucketed at most (3^4 neighbouring cells)
 _GRID_CELLS = 1 << 15  # cells per coordinate at most; wider cells beyond
 _PAIR_CHUNK = 1 << 12  # candidate pairs measured per batch
+_DIGIT_BLOCK = 1 << 14  # point coordinates coded per batch of a column table
 
 
 def _linf_grid(window: np.ndarray, side: float):
@@ -270,6 +274,55 @@ def _ragged(start, count):
     """The ranges start[k] to start[k] + count[k] - 1, concatenated."""
     ends = np.cumsum(count)
     return np.repeat(start - ends + count, count) + np.arange(ends[-1] if len(ends) else 0)
+
+
+def digit_points(tables, choices, terms, fixed=None) -> np.ndarray:
+    """Points whose coordinates are exact sums of digit terms, each rounded once.
+
+    Layer k of point p is row choices[p, k] of tables[k], an integer array
+    (options, coordinates) of digits, one layer at least; coordinate j of the
+    point is the sum over k of terms[k][tables[k][choices[p, k], j]] plus
+    fixed[j] (0 when fixed is None), exact rationals (ints, doubles or
+    Fractions) over one common integer denominator, rounded once by int / int.
+    With no more digit columns (the product of the layers' term counts) than
+    points, every column is summed once into a table; otherwise each
+    coordinate ranks its points' columns (`np.unique`, re-ranked before the
+    codes pass int64) and sums the distinct ones.
+    """
+    fracs = [[Fraction(t) for t in layer] for layer in [fixed or [0] * tables[0].shape[1], *terms]]
+    denom = math.lcm(*(f.denominator for f in itertools.chain(*fracs)))
+    base, *scaled = [[f.numerator * (denom // f.denominator) for f in layer] for layer in fracs]
+    bound = sum(max(map(abs, layer), default=0) for layer in [base, *scaled])
+    dtype = np.int64 if max(bound, denom) <= 2**53 else object  # int64 below 2^53: exact doubles
+    sizes, n_points = [len(layer) for layer in scaled], len(choices)
+    picks, points = np.ascontiguousarray(choices.T), np.empty((n_points, len(base)))
+    if math.prod(sizes) <= n_points:  # every column's sum, rounded once per fixed part
+        table = np.zeros(1, dtype=dtype)
+        for layer in scaled:
+            table = np.add.outer(table, np.array(layer, dtype=dtype)).ravel()
+        parts = {b: i * len(table) for i, b in enumerate(dict.fromkeys(base))}  # table offsets
+        rounded = np.concatenate([((table + b) / denom).astype(float) for b in parts])
+        places = np.cumprod([1, *sizes[:0:-1]])[::-1]  # layer 0 most significant
+        step = max(1, _DIGIT_BLOCK // n_points)
+        for lo in range(0, len(base), step):  # blocks of coordinates
+            code = np.array([parts[b] for b in base[lo : lo + step]], dtype=np.int64)
+            for table_k, pick, place in zip(tables, picks, places):
+                code = code + (table_k[:, lo : lo + step] * place).take(pick, axis=0)
+            points[:, lo : lo + step] = rounded.take(code)
+        return points
+    values = [np.array(layer, dtype=dtype) for layer in scaled]
+    for j, b in enumerate(base):  # one coordinate at a time keeps few big integers alive
+        code, reach = np.zeros(n_points, dtype=np.int64), 1
+        for table_k, pick, size in zip(tables, picks, sizes):
+            if reach > (1 << 62) // size:  # rank the codes before int64 overflows
+                code, reach = np.unique(code, return_inverse=True)[1], n_points
+            code, reach = code * size + table_k[:, j].take(pick), reach * size
+        _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
+        total = np.full(len(first), b, dtype=dtype)
+        for value, table_k, pick in zip(values, tables, picks):
+            total += value[table_k[pick[first], j]]
+        points[:, j] = (total / denom).astype(float)[inverse]
+    return points
 
 
 def check_scale(cloud: PointCloud, eps: float) -> None:

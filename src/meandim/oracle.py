@@ -36,6 +36,7 @@ from .metrics import (
     _linf_grid,
     _linf_pair_distances,
     _linf_window,
+    digit_points,
     pairwise_to_point,
 )
 
@@ -308,46 +309,22 @@ def _witness_points(family: QBoxFamily, choices: np.ndarray, depth: int) -> np.n
     point by its m leading digit layers: an index into omega_words for each
     of the first floor_wm layers, into image_words (with the section's
     u-word) for the others.  Layers m to depth - 1 repeat the anchor pair.
-    Coordinate j of x is the sum over layers i of the float term
-    u_i[j] * a^-(i+1), rounded once, as math.fsum adds them; each term is a
-    binary fraction, so the terms are summed as integers over one power of
-    two and divided once (int / int rounds correctly).  y likewise with v
-    and b.  Each coordinate is summed once per distinct digit column
-    (`np.unique` over the columns' integer codes) and gathered.
+    Coordinate j of x is the sum over layers i of the double term
+    u_i[j] * a^-(i+1), rounded once (`digit_points`), as math.fsum adds
+    them; the anchor's layers are its fixed part.  y likewise with v and b.
     """
-    a, b = family.spec.a, family.spec.b
     n, m, t = family.n, family.m, family.floor_wm
-    terms = [
-        [(float(u) * float(base) ** -(i + 1)).as_integer_ratio() for u in range(base)]
-        for base in (a, b)
-        for i in range(depth)
-    ]
-    shift = max(den.bit_length() - 1 for layer in terms for _, den in layer)
-    scaled = [  # scaled[i][u]: layer i's term for digit u, over 2^shift (y from depth on)
-        np.array([num << (shift + 1 - den.bit_length()) for num, den in layer], dtype=object)
-        for layer in terms
-    ]
     image_pairs = [(family.section[v], v) for v in family.image_words]
     layer_words = [family.omega_words] * t + [image_pairs] * (m - t)
     digits = [np.array([u + v for u, v in words], dtype=np.int64) for words in layer_words]
     anchor = family.anchor_pair[0] + family.anchor_pair[1]
-    points = np.empty((len(choices), 2 * n))
-    for j in range(2 * n):  # one coordinate at a time keeps few big integers alive
-        base, column = (a, scaled[:depth]) if j < n else (b, scaled[depth:])
-        code, bound = np.zeros(len(choices), dtype=np.int64), 1
-        for i, layer in enumerate(digits):
-            if bound > (1 << 62) // base:  # rank the codes before int64 overflows
-                code = np.unique(code, return_inverse=True)[1]
-                bound = len(choices)
-            code = code * base + layer[choices[:, i], j]
-            bound *= base
-        _, first, inverse = np.unique(code, return_index=True, return_inverse=True)
-        tail = sum(column[i][anchor[j]] for i in range(m, depth))  # the anchor's layers
-        total = np.full(len(first), tail, dtype=object)
-        for i, layer in enumerate(digits):
-            total += column[i][layer[choices[first, i], j]]
-        points[:, j] = (total / (1 << shift)).astype(float)[inverse]
-    return points
+    blocks = []
+    for base, part in ((family.spec.a, slice(0, n)), (family.spec.b, slice(n, 2 * n))):
+        powers = [float(base) ** -(i + 1) for i in range(depth)]
+        terms = [[float(d) * powers[i] for d in range(base)] for i in range(m)]
+        fixed = [weighted.exact_total([float(d) * p for p in powers[m:]]) for d in anchor[part]]
+        blocks.append(digit_points([layer[:, part] for layer in digits], choices, terms, fixed))
+    return np.hstack(blocks)
 
 
 def qbox_family(
@@ -371,18 +348,10 @@ def qbox_family(
     # decode admissible N-words of the product system into (u-word, v-word)
     from .symbolic import enumerate_words
 
-    label_words = enumerate_words(spec.system.omega, n, budget)
-    pairs = []
-    for word in label_words:
-        u = tuple(l // b for l in word)
-        v = tuple(l % b for l in word)
-        pairs.append((u, v))
-    pairs.sort()
+    pairs = sorted((tuple(l // b for l in word), tuple(l % b for l in word))
+                   for word in enumerate_words(spec.system.omega, n, budget))
     image_words = sorted({v for _, v in pairs})
-    section = {}
-    for u, v in pairs:  # sorted: first hit per v is the least u-word
-        if v not in section:
-            section[v] = u
+    section = {v: u for u, v in reversed(pairs)}  # sorted: the least u-word per v comes last
 
     count_formula = len(pairs) ** t * len(image_words) ** (m - t)
     limits.check("word", count_formula, "boxes", limits.cap("word", budget), "box family")
@@ -482,13 +451,11 @@ def covering_sandwich(spec: CarpetSpec, n: int, m: int) -> dict:
     finite size.
     """
     fam = qbox_family(spec, n, m)
-    log_b = math.log(spec.b)
-    ratio = math.log(fam.count) / (n * m * log_b)
+    ratio = math.log(fam.count) / (n * m * math.log(spec.b))
     greedy = None
     if fam.count <= 3000:  # the greedy cross-check runs on small families only
-        cloud = fam.witness_cloud()
         eps = fam.min_separation()
-        bounds = covering_bounds(cloud, eps)
+        bounds = covering_bounds(fam.witness_cloud(), eps)
         greedy = {"lower": bounds.lower, "upper": bounds.upper, "eps": eps}
         if bounds.lower != fam.count:
             raise AssertionError(
@@ -498,9 +465,7 @@ def covering_sandwich(spec: CarpetSpec, n: int, m: int) -> dict:
         "n": n,
         "m": m,
         "count": fam.count,
-        "ratio": ratio,
-        "lower_ratio": ratio,  # from the separated family at eps = b^-M
-        "upper_ratio": ratio,  # from the box cover at eps = a b^-M
+        "ratio": ratio,  # of the separated family at eps = b^-M and the box cover at a b^-M
         "separation": fam.separation_certified,
         "greedy": greedy,
     }
@@ -510,15 +475,11 @@ def covering_sandwich(spec: CarpetSpec, n: int, m: int) -> dict:
 # Mass-distribution certificate for carpet boxes
 # ---------------------------------------------------------------------------
 
+IDENTITY_SAMPLES = 100  # sampled digit sequences for the product identity
+
 
 def mass_distribution_check(
-    spec: CarpetSpec,
-    n: int,
-    m_range,
-    s: float,
-    identity_samples: int = 100,
-    seed: int = 0,
-    budget: int | None = None,
+    spec: CarpetSpec, n: int, m_range, s: float, seed: int = 0, budget: int | None = None
 ) -> dict:
     """Box-granular mass-distribution certificate at exponent s.
 
@@ -591,9 +552,8 @@ def mass_distribution_check(
         }
 
     # product identity on sampled digit sequences
-    m_max = max(m_range)
     identity_max_err = 0.0
-    for _ in range(identity_samples):
+    for _ in range(IDENTITY_SAMPLES):
         m = rng.choice(list(m_range))
         t_floor = floor_w_m(a, b, m)
         y_seq = [rng.choice(v_words) for _ in range(m)]
@@ -634,6 +594,7 @@ def _multisets(words, size: int, weights):
 # The reciprocal sequence space {0, 1, 1/2, 1/3, ...}^N
 # ---------------------------------------------------------------------------
 
+TAIL_DEPTH_CAP = 200_000  # largest tail depth L of a product witness
 INV_SQ_WEIGHT = 3.0 / math.pi**2  # atom at 1/j has mass (3/pi^2) / j^2; atom at 0 has 1/2
 _ATOM_FLOOR = 2.0**-500  # atoms 1/j at or above it have j * j below 2^1002
 
@@ -762,14 +723,7 @@ def reciprocal_tail_depth(m: int, delta: float) -> int:
     return int(math.floor(exponent)) + 1
 
 
-def reciprocal_product_witness(
-    x,
-    n_window: int,
-    m: int,
-    eps: float,
-    l_cap: int = 200_000,
-    enum_cap: int = 1_000_000,
-) -> dict:
+def reciprocal_product_witness(x, n_window: int, m: int, eps: float) -> dict:
     """Product-interval mass witness around a point of the reciprocal space.
 
     Partitions the first N + L coordinates by the magnitude scale of x_n
@@ -783,9 +737,9 @@ def reciprocal_product_witness(
         raise DomainError(f"coordinate window N = {n_window} must be >= 1")
     delta = reciprocal_witness_delta(m, eps)
     tail = reciprocal_tail_depth(m, delta)
-    if tail > l_cap:
+    if tail > TAIL_DEPTH_CAP:
         raise ParameterOverflow(
-            f"tail depth L = {tail} exceeds the cap {l_cap}; the tail bound "
+            f"tail depth L = {tail} exceeds the cap {TAIL_DEPTH_CAP}; the tail bound "
             f"2^-L < delta^(m^m) is certified in log space only"
         )
     n_total = n_window + tail
@@ -815,7 +769,7 @@ def reciprocal_product_witness(
     if r == 0.0:
         raise ParameterOverflow("interval width underflows double precision")
 
-    masses = {v: inverse_square_mass(v - r, v, enum_cap) for v in set(x)}  # once per value
+    masses = {v: inverse_square_mass(v - r, v) for v in set(x)}  # once per value
     mass = 1.0
     for v in x:
         mass *= masses[v]

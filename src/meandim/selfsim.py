@@ -10,7 +10,6 @@ the subshift entropy divided by log beta, and every map S_omega(x) =
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import limits, symbolic
 from .errors import DomainError
-from .metrics import LINF_FINITE, MetricDescriptor, PointCloud
+from .metrics import LINF_FINITE, MetricDescriptor, PointCloud, digit_points
 
 _RATIONAL_DENOM_CAP = 1 << 30  # beta with a denominator this small goes exact
 
@@ -81,15 +80,10 @@ def min_gap(a: int, beta: float, n: int, budget: int | None = None) -> float:
             scaled = np.add.outer(scaled, np.arange(a).astype(dtype) * weight).ravel()
         best = int(np.diff(np.sort(scaled)).min())
         return best / float(p) ** n
-    values = np.sort(
-        np.array(
-            [
-                math.fsum(u * beta ** -(k + 1) for k, u in enumerate(tup))
-                for tup in itertools.product(range(a), repeat=n)
-            ]
-        )
-    )
-    return float(np.diff(values).min()) - 1e-12
+    terms = [[u * beta ** -(k + 1) for u in range(a)] for k in range(n)]  # fsum of each tuple
+    tuples = np.indices((a,) * n).reshape(n, -1).T
+    values = digit_points([np.arange(a)[:, None]] * n, tuples, terms)[:, 0]
+    return float(np.diff(np.sort(values)).min()) - 1e-12
 
 
 @dataclass(frozen=True)
@@ -115,37 +109,24 @@ def covering_lower_bound(
     separated in linf over the first N coordinates (and beta^-n / 2 separated
     under the dynamical weighted metric, whose leading weight is 1/2).
     """
+    if n_layers < 1:
+        raise DomainError(f"digit layers n = {n_layers} must be >= 1")
     aut = spec.omega.automaton
     words = aut.enumerate_words(n_coords, budget)
-    count, cap = len(words) ** n_layers, limits.cap("point", budget)
-    limits.check("point", count, "points", cap, "covering family")
+    count = len(words) ** n_layers
+    limits.check("point", count, "points", limits.cap("point", budget), "covering family")
 
     depth = n_coords + min(30 * n_layers, 80)  # a tail below 2^-30 < 1e-9 per layer
     anchor = aut.lex_least_extension((), depth)
-    streams = [aut.lex_least_extension(w, depth) for w in words]
+    streams = np.array([aut.lex_least_extension(w, depth) for w in words], dtype=np.int64)
 
     # coordinate j of a point is fsum_k(d_k beta^-(k+1)) over its digit
-    # column d = (rows[k][j])_k plus the anchor tail: one table of fsum
-    # values over the digits in use gives the same doubles.  Omega is a
-    # subshift, so each such digit starts some N-word and the table has at
-    # most count entries; the budget caps it for other rooted languages
+    # column d = (streams[w_k][j])_k (`digit_points`), plus the anchor tail
     beta = spec.beta
-    present, index = np.unique(np.array(streams, dtype=np.int64), return_inverse=True)
-    index = index.reshape(len(words), depth)
-    columns = len(present) ** n_layers
-    limits.check("point", columns, "columns", cap, "digit table")
-    table = np.array([
-        math.fsum(d * beta ** -(k + 1) for k, d in enumerate(column))
-        for column in itertools.product(present.tolist(), repeat=n_layers)
-    ])
+    terms = [[d * beta ** -(k + 1) for d in range(spec.a)] for k in range(n_layers)]
     choices = np.indices((len(words),) * n_layers).reshape(n_layers, count).T
     tail = np.array(anchor, dtype=float) * (beta**-n_layers) / (beta - 1.0)
-    points = np.empty((count, depth))
-    for j in range(depth):
-        code = np.zeros(count, dtype=np.int64)
-        for k in range(n_layers):
-            code = code * len(present) + index[choices[:, k], j]
-        points[:, j] = table[code] + tail[j]
+    points = digit_points([streams] * n_layers, choices, terms) + tail
     eps = beta**-n_layers
     trunc = (spec.a - 1) / (beta - 1) * 2.0 ** -(depth - n_coords)
     cloud = PointCloud(
@@ -170,7 +151,7 @@ def self_similar_dims(spec: BetaSystemSpec, n_max: int = 12) -> dict:
     1/beta.  For non-digit driving systems only the upper bound survives.
     """
     rep = symbolic.entropy(spec.omega, n_max)
-    h = rep.best_estimate
+    h = rep.spectral_value
     value = h / math.log(spec.beta)
     return {
         "mdim": value,

@@ -266,7 +266,7 @@ class SubshiftSpec:
     forbidden: tuple | None = None
     tuple_sizes: tuple | None = None  # (a, b)
     tuple_set: frozenset | None = None  # {(u, v), ...}
-    graph: Automaton | None = field(default=None, compare=False, repr=False)
+    graph: Automaton | None = field(default=None, hash=False, repr=False)  # Automaton holds dicts
     # Always None, not a field: perfbench/tracing.py:46 reads it for the
     # image_subshift.fallbacks counter; it goes when the benchmark drops that.
     wordsets = None
@@ -501,13 +501,12 @@ class EntropyReport:
     upper_bounds[N-1] = min_{j <= N} log counts[j] / j is a true upper bound
     for every N by Fekete's lemma.  spectral_bracket (lo, hi) is a certified
     bracket on the limit, no wider than SPECTRAL_LOG_TOL, from the spec's
-    automaton; spectral_value and best_estimate are its midpoint.
+    automaton; spectral_value is its midpoint.
     """
 
     upper_bounds: tuple
     spectral_value: float
     spectral_bracket: tuple
-    best_estimate: float
 
 
 def count_words(spec: SubshiftSpec, n_max: int, budget: int | None = None) -> CountTable:
@@ -539,7 +538,6 @@ def entropy(spec: SubshiftSpec, n_max: int = 12, budget: int | None = None) -> E
         upper_bounds=tuple(bounds),
         spectral_value=spectral,
         spectral_bracket=(lo, hi),
-        best_estimate=spectral,
     )
 
 

@@ -87,7 +87,6 @@ def test_budget_refusals_go_through_the_gate():
     [
         ("count_words", "3 states", 1),
         ("covering_family", "64 points", 10),
-        ("digit_table", "8 columns", 4),
         ("exact_min_cover", "13 points", 12),
         ("enumerate_words", "32 words", 3),
         ("min_gap", "32 tuples", 3),
@@ -115,14 +114,10 @@ def test_resource_limits_name_the_size_and_the_cap(case, size, cap, monkeypatch)
     from meandim.errors import ResourceLimit
     from meandim.metrics import LINF_FINITE, MetricDescriptor, PointCloud
 
-    # the rooted orbit 0 1 0 1 ... has one word of length 1 but two digits,
-    # so its digit table (2^3 columns) outgrows its single point
-    orbit = sym.automaton_spec(sym.Automaton(2, 0, ({0: 1}, {1: 0})), 2)
     line = PointCloud(np.arange(13.0).reshape(13, 1) / 13, MetricDescriptor(kind=LINF_FINITE))
     calls = {
         "count_words": lambda: sym.count_words(sym.sft_from_matrix([[1, 1], [1, 0]]), 4, budget=1),
         "covering_family": lambda: ss.covering_lower_bound(ss.beta_system(2, 2.0), 2, 3, budget=10),
-        "digit_table": lambda: ss.covering_lower_bound(ss.beta_system(2, 2.5, orbit), 1, 3, budget=4),
         "exact_min_cover": lambda: orc.exact_min_cover(line, 0.3),
         "enumerate_words": lambda: sym.enumerate_words(sym.full_shift(2), 5, budget=3),
         "min_gap": lambda: ss.min_gap(2, 2.5, 5, budget=3),

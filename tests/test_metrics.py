@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -299,3 +300,60 @@ def test_torus_points_far_apart_share_one_cover():
     bounds = covering_bounds(cloud, 0.2)
     assert (bounds.lower, bounds.upper) == (1, 1)
     assert exact_min_cover(cloud, 0.2) == 1
+
+
+NUMBERS = {
+    "int": st.integers(-(2**70), 2**70),
+    "double": st.floats(-1e300, 1e300, allow_nan=False),
+    "fraction": st.fractions(max_denominator=10**6)
+    | st.builds(Fraction, st.integers(-(2**60), 2**60), st.integers(1, 99)),  # past 2^53
+}
+
+
+@st.composite
+def digit_point_cases(draw):
+    """(tables, choices, terms, fixed, kind): digit tables whose columns (the
+    product of the layers' term counts) are tabulated (at most the point
+    count), ranked, or ranked with codes past int64 (4 terms on each of 33
+    to 40 layers); terms and fixed parts are ints, doubles or Fractions, and
+    choices repeat rows."""
+    kind = draw(st.sampled_from(sorted(NUMBERS)))
+    mode = draw(st.sampled_from(["table", "rank", "long"]))
+    if mode == "long":
+        sizes = [4] * draw(st.integers(33, 40))
+    else:
+        sizes = draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    columns = math.prod(sizes)
+    if mode == "table":
+        n_points = draw(st.integers(columns, columns + 12))
+    else:
+        n_points = draw(st.integers(0, min(columns - 1, 30)))
+    coords = draw(st.integers(1, 3))
+    terms = [draw(st.lists(NUMBERS[kind], min_size=size, max_size=size)) for size in sizes]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    options = [int(rng.integers(1, 5)) for _ in sizes]
+    tables = [rng.integers(0, size, (o, coords)) for size, o in zip(sizes, options)]
+    choices = np.stack([rng.integers(0, o, n_points) for o in options], axis=1)
+    choices[1::2, 1:] = choices[: n_points // 2 * 2 : 2, 1:]  # pairs apart at most in layer 0
+    fixed = draw(st.none() | st.lists(NUMBERS[kind], min_size=coords, max_size=coords))
+    return tables, choices.reshape(n_points, len(sizes)), terms, fixed, kind
+
+
+def digit_terms(tables, choices, terms, fixed):
+    """Per point and coordinate, its layer terms and then its fixed part."""
+    tail = [[f] for f in fixed] if fixed else [[]] * tables[0].shape[1]
+    return [[[terms[k][tables[k][c, j]] for k, c in enumerate(row)] + tail[j]
+             for j in range(tables[0].shape[1])] for row in choices.tolist()]
+
+
+@settings(max_examples=200, deadline=None)
+@given(digit_point_cases())
+def test_digit_points_are_the_exact_sums_rounded_once(case):
+    tables, choices, terms, fixed, kind = case
+    got = metrics.digit_points(tables, choices, terms, fixed)
+    parts = digit_terms(tables, choices, terms, fixed)
+    want = np.array([[float(sum(map(Fraction, c), Fraction(0))) for c in p] for p in parts])
+    assert np.array_equal(got.view(np.int64), want.reshape(got.shape).view(np.int64))
+    if kind == "double":  # one rounding of the exact sum is math.fsum
+        fsums = np.array([[math.fsum(c) for c in p] for p in parts])
+        assert (got == fsums.reshape(got.shape)).all()

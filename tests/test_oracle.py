@@ -707,8 +707,7 @@ class TestSandwich:
         spec = cp.carpet_from_tuples(3, 2, R_EXAMPLE)
         target = cp.mean_dims(spec, 6).mdim_m.value
         sw = orc.covering_sandwich(spec, 3, 4)
-        assert sw["lower_ratio"] <= target + 0.15
-        assert sw["upper_ratio"] >= target - 0.15
+        assert target - 0.15 <= sw["ratio"] <= target + 0.15
 
     def test_greedy_agrees_on_materialized_family(self):
         spec = cp.carpet_from_tuples(3, 2, R_EXAMPLE)

@@ -65,6 +65,16 @@ class TestMinGap:
         assert scaled_sum_bound(a, beta, n) >= 2**62
         assert ss.min_gap(a, beta, n) == python_int_min_gap(a, beta, n)
 
+    @pytest.mark.parametrize(
+        "a, beta", [(2, 2.0000000001), (2, 2.1000000000001), (3, 3.1000000000001)]
+    )
+    def test_double_path_equals_the_sorted_fsum_values(self, a, beta):
+        assert ss._beta_as_fraction(beta) is None  # no exact rational: the double path
+        for n in range(1, 8):
+            values = sorted(math.fsum(u * beta ** -(k + 1) for k, u in enumerate(tup))
+                            for tup in itertools.product(range(a), repeat=n))
+            assert ss.min_gap(a, beta, n) == min(y - x for x, y in zip(values, values[1:])) - 1e-12
+
     def test_dyadic_exact(self):
         assert ss.min_gap(2, 2.0, 3) == 0.125
 
@@ -163,12 +173,19 @@ class TestFamilyPointsMatchReference:
         assert (got == want).all()
 
 
-    def test_digit_table_beyond_the_budget_is_refused(self):
+    def test_rooted_orbit_family_is_built_within_its_point_budget(self):
         # the rooted orbit 0 1 0 1 ... has one word of length 1 but uses two
-        # digits, so its fsum table (2^3 columns) outgrows its one point
-        orbit = sym.automaton_spec(sym.Automaton(2, 0, ({0: 1}, {1: 0})), 2)
-        with pytest.raises(ResourceLimit, match="digit table"):
-            ss.covering_lower_bound(ss.beta_system(2, 2.5, orbit), 1, 3, budget=4)
+        # digits: its 2^3 digit columns exceed its one point, and only the
+        # point budget applies
+        spec = ss.beta_system(2, 2.5, sym.automaton_spec(sym.Automaton(2, 0, ({0: 1}, {1: 0})), 2))
+        got = ss.covering_lower_bound(spec, 1, 3, budget=1).points.points
+        assert (got == reference_family_points(spec, 1, 3)).all()
+        with pytest.raises(ResourceLimit, match="covering family"):
+            ss.covering_lower_bound(ss.beta_system(2, 2.5), 1, 3, budget=7)
+
+    def test_a_family_without_layers_is_refused(self):
+        with pytest.raises(DomainError, match="digit layers"):
+            ss.covering_lower_bound(ss.beta_system(2, 2.5), 2, 0)
 
 
 class TestSelfSimilarDims:

@@ -270,6 +270,14 @@ class TestPrune:
             with pytest.raises(EmptySubshift):
                 empty.automaton
 
+    def test_automaton_specs_of_different_graphs_differ(self):
+        # 2^n words against 1: equal kinds and alphabets, different languages
+        full = sym.automaton_spec(sym.Automaton(2, 0, ({0: 0, 1: 0},)), 2)
+        single = sym.automaton_spec(sym.Automaton(2, 0, ({0: 0},)), 2)
+        assert full != single and len({full, single}) == 2
+        same = sym.automaton_spec(sym.Automaton(2, 0, ({0: 0, 1: 0},)), 2)
+        assert full == same and hash(full) == hash(same)
+
     @settings(max_examples=300, deadline=None)
     @given(random_automata())
     def test_liveness_pass_matches_fixed_point_loop(self, case):
@@ -427,7 +435,7 @@ def test_submultiplicativity_random_matrices(matrix):
 class TestEntropy:
     def test_full_shift_exact(self):
         rep = sym.entropy(sym.full_shift(2), 8)
-        assert rep.best_estimate == pytest.approx(math.log(2), abs=1e-12)
+        assert rep.spectral_value == pytest.approx(math.log(2), abs=1e-12)
         assert all(u == pytest.approx(math.log(2), abs=1e-12) for u in rep.upper_bounds)
 
     def test_golden_mean_spectral(self):
@@ -440,7 +448,7 @@ class TestEntropy:
 
     def test_tuples_log_r(self):
         spec = sym.allowed_tuples(3, 2, [(0, 0), (1, 1), (2, 0)])
-        assert sym.entropy(spec).best_estimate == pytest.approx(math.log(3), abs=1e-12)
+        assert sym.entropy(spec).spectral_value == pytest.approx(math.log(3), abs=1e-12)
 
     def test_fekete_brackets_dominate_spectral(self):
         rng = random.Random(7)
