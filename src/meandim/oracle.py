@@ -15,6 +15,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -597,6 +598,7 @@ def _multisets(words, size: int, weights):
 TAIL_DEPTH_CAP = 200_000  # largest tail depth L of a product witness
 INV_SQ_WEIGHT = 3.0 / math.pi**2  # atom at 1/j has mass (3/pi^2) / j^2; atom at 0 has 1/2
 _ATOM_FLOOR = 2.0**-500  # atoms 1/j at or above it have j * j below 2^1002
+_INV_SQ_BLOCK = 1 << 14  # atoms of an interval summed exactly before its tail bound
 
 
 def reciprocal_atoms(n_cap: int) -> np.ndarray:
@@ -604,43 +606,42 @@ def reciprocal_atoms(n_cap: int) -> np.ndarray:
     return np.append(0.0, 1.0 / np.arange(n_cap, 0, -1, dtype=np.float64))
 
 
-def inverse_square_mass(lo: float, hi: float, enum_cap: int = 1_000_000) -> float:
+def inverse_square_mass(lo: float, hi: float) -> float:
     """Certified lower bound on the inverse-square measure of [lo, hi].
 
-    Atoms sit at 0 (mass 1/2) and 1/j (mass (3/pi^2)/j^2); ranges wider than
-    enum_cap atoms fall back to the integral tail bound, which only
-    under-counts.  Atoms below _ATOM_FLOOR are never enumerated (near
-    j = 2^512, j * j passes the largest double): an interval from 0 past
-    the floor counts them through its tail bound, any other interval leaves
-    them out, an under-count of less than 2^-500.  The full-line mass is
-    exactly 1 by the zeta(2) identity.
+    Atoms sit at 0 (mass 1/2) and 1/j (mass (3/pi^2)/j^2).  The interval's
+    atoms 1/j, j_min <= j < j_end, are summed exactly below J = j_min +
+    _INV_SQ_BLOCK; the rest add L(J) - U(j_end), or L(J) when the interval
+    holds 0, by the Euler-Maclaurin enclosure of T(J) = sum_{j>=J} j^-2:
+        L(J) = 1/J + 1/(2J^2) + 1/(6J^3) - 1/(30J^5) <= T(J) <= L(J) + 1/(30J^5) = U(J).
+    Every derivative of x^-2 has constant sign, so each remainder of Euler's
+    summation formula lies between 0 and its first term left out (Graham,
+    Knuth and Patashnik, Concrete Mathematics, 2nd ed., section 9.5).  Atoms
+    below _ATOM_FLOOR (j * j passes the largest double near j = 2^512) count
+    only in the L(J) of an interval from 0, an under-count below 2^-500.  The
+    full-line mass is exactly 1 by the zeta(2) identity.
     """
-    if hi < lo:
-        return 0.0
-    total = 0.0
-    if lo <= 0.0 <= hi:
-        total += 0.5
-        if hi >= _ATOM_FLOOR:
-            j_min = _least_index_at_most(hi)
-            # all atoms 1/j <= hi: enumerate a prefix, bound the rest
-            j_stop = j_min + enum_cap
-            total += INV_SQ_WEIGHT * _inverse_square_sum(j_min, j_stop)
-            total += INV_SQ_WEIGHT / j_stop  # integral tail: sum_{j>=J} j^-2 >= 1/J
-        return min(total, 1.0)
+    zero = 0.5 if lo <= 0.0 <= hi else 0.0
     if hi < _ATOM_FLOOR:
-        return 0.0
-    lo = max(lo, _ATOM_FLOOR)
+        return zero
     j_min = _least_index_at_most(hi)
-    j_max = _greatest_index_at_least(lo)
-    if j_max < j_min:
+    j_end = None if zero else _greatest_index_at_least(max(lo, _ATOM_FLOOR)) + 1
+    if j_end is not None and j_end <= j_min:  # no atom, also when hi < lo
         return 0.0
-    if j_max - j_min + 1 <= enum_cap:
-        return INV_SQ_WEIGHT * _inverse_square_sum(j_min, j_max + 1)
-    # integral lower bound: sum_{j=j0}^{j1} j^-2 >= 1/j0 - 1/(j1 + 1)
-    return INV_SQ_WEIGHT * (1.0 / j_min - 1.0 / (j_max + 1))
+    j_stop = min(j_min + _INV_SQ_BLOCK, j_end or math.inf)
+    tail = _inverse_square_tail(j_stop, j_end) if j_stop != j_end else 0.0
+    return min(zero + INV_SQ_WEIGHT * (_inverse_square_sum(j_min, j_stop) + tail), 1.0)
 
 
-_INV_SQ_BLOCK = 1 << 14  # terms per block of the exact sum: bounds its memory
+def _inverse_square_tail(j_lo: int, j_end: int | None) -> float:
+    """L(j_lo) - U(j_end), or L(j_lo) if j_end is None, exact and rounded down."""
+
+    def upper(j):  # U(j) = 1/j + 1/(2j^2) + 1/(6j^3)
+        return Fraction(6 * j * j + 3 * j + 1, 6 * j**3)
+
+    bound = upper(j_lo) - Fraction(1, 30 * j_lo**5) - (0 if j_end is None else upper(j_end))
+    near = float(bound)
+    return near if Fraction(near) <= bound else math.nextafter(near, -math.inf)
 
 
 def _inverse_square_sum(j_lo: int, j_hi: int) -> float:
@@ -652,15 +653,14 @@ def _inverse_square_sum(j_lo: int, j_hi: int) -> float:
     """
     if j_hi - j_lo == 1:
         return 1.0 / (j_lo * j_lo)
-    dtype = float if j_hi <= 2**53 else object
-    total = sum(
-        weighted.exact_total(1.0 / (j * j))
-        for j in (
-            np.arange(lo, min(lo + _INV_SQ_BLOCK, j_hi), dtype=dtype)
-            for lo in range(j_lo, j_hi, _INV_SQ_BLOCK)
-        )
-    )
-    return float(total)
+    j = np.arange(j_lo, j_hi, dtype=float if j_hi <= 2**53 else object)
+    return float(weighted.exact_total(1.0 / (j * j)))
+
+
+def _is_atom(v: float) -> bool:
+    """v is 0 or the double of some 1/j.  Below 2^-53 consecutive 1/j lie
+    closer together than the doubles, so every positive double there is one."""
+    return v == 0.0 or (0.0 < v <= 1.0 and (v < 2.0**-53 or 1.0 / _least_index_at_most(v) == v))
 
 
 def _least_index_at_most(hi: float) -> int:
@@ -744,6 +744,9 @@ def reciprocal_product_witness(x, n_window: int, m: int, eps: float) -> dict:
         )
     n_total = n_window + tail
     x = [float(v) for v in x]
+    bad = [v for v in set(x) if not _is_atom(v)]
+    if bad:
+        raise DomainError(f"coordinate {min(bad)!r} is neither 0 nor 1/j: not a point of the space")
     if len(x) < n_total:
         raise DomainError(f"need {n_total} coordinates, got {len(x)}")
     x = x[:n_total]
@@ -761,24 +764,24 @@ def reciprocal_product_witness(x, n_window: int, m: int, eps: float) -> dict:
                 return k
         return m + 1
 
-    classes = [class_of(v) for v in x]
+    class_by_value = {v: class_of(v) for v in set(x)}
+    classes = [class_by_value[v] for v in x]
     sizes = [classes.count(k) for k in range(m + 2)]
-    limit = n_total / (m + 1)
-    m0 = next(k for k in range(m + 1) if sizes[k] <= limit)
+    m0 = next(k for k in range(m + 1) if sizes[k] <= n_total / (m + 1))
     r = delta ** (m**m0)
     if r == 0.0:
         raise ParameterOverflow("interval width underflows double precision")
 
     masses = {v: inverse_square_mass(v - r, v) for v in set(x)}  # once per value
-    mass = 1.0
-    for v in x:
-        mass *= masses[v]
+    mass = math.prod(masses[v] for v in x)
     cases = [
         "zero_atom" if k > m0 else ("thin_class" if k == m0 else "large_value") for k in classes
     ]
     diam_bound = r + 2.0**-tail if tail < 1074 else r
     exponent = 6.0 * n_total / m
-    required = diam_bound**exponent
+    required = diam_bound**exponent  # may underflow to 0.0, so passed compares logs
+    logs = {v: math.log(mass_v) if mass_v else -math.inf for v, mass_v in masses.items()}
+    log_mass = math.fsum(logs[v] for v in x)
     return {
         "m": m,
         "m0": m0,
@@ -790,7 +793,7 @@ def reciprocal_product_witness(x, n_window: int, m: int, eps: float) -> dict:
         "mass": mass,
         "exponent": exponent,
         "required": required,
-        "passed": mass >= required - SLACK,
+        "passed": log_mass >= (1.0 + SLACK) * exponent * math.log(diam_bound),  # relative slack
         "cases": cases,
         "class_sizes": sizes,
     }

@@ -10,6 +10,7 @@ the subshift entropy divided by log beta, and every map S_omega(x) =
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -118,7 +119,10 @@ def covering_lower_bound(
 
     depth = n_coords + min(30 * n_layers, 80)  # a tail below 2^-30 < 1e-9 per layer
     anchor = aut.lex_least_extension((), depth)
-    streams = np.array([aut.lex_least_extension(w, depth) for w in words], dtype=np.int64)
+    ends = [functools.reduce(lambda s, d: aut.succ[s][d], w, aut.root) for w in words]
+    last = dict(zip(ends, words))  # a word's extension depends only on its end state
+    tails = {s: aut.lex_least_extension(w, depth)[n_coords:] for s, w in last.items()}
+    streams = np.array([w + tails[s] for w, s in zip(words, ends)], dtype=np.int64)
 
     # coordinate j of a point is fsum_k(d_k beta^-(k+1)) over its digit
     # column d = (streams[w_k][j])_k (`digit_points`), plus the anchor tail

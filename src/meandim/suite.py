@@ -8,6 +8,7 @@ number and its run time in seconds.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -239,19 +240,31 @@ _GRID_BLOCK = 4096  # grids per block of the brute-force count
 def _brute_force_grid_count(spec, n_rows, m_cols):
     """Exhaustive count of the n_rows x m_cols grids over the rule's alphabet
     whose every 2 x 2 window satisfies c00 x + c10 y + c01 z = 0 (mod a),
-    independent of the transfer graph: grid g of itertools.product order has
-    the base-a digits of g as its cells, row by row, checked a block at a time.
+    independent of the transfer graph.  Grid g has the base-a digits of g as
+    its cells, row by row; a block fixes the high digits and takes every value
+    of the last n_low (a^n_low <= _GRID_BLOCK, one table).  Windows of low
+    cells only are tested once, into the mask each block starts from.
     """
-    a = spec.alphabet
-    c00, c10, c01 = spec.coeffs
-    cells = n_rows * m_cols
-    place = a ** np.arange(cells - 1, -1, -1, dtype=np.int64)
+    a, cells = spec.alphabet, n_rows * m_cols
+    n_low = next(k for k in range(cells, -1, -1) if a**k <= _GRID_BLOCK)
+    n_high = cells - n_low
+    low = np.indices((a,) * n_low, dtype=np.min_scalar_type(a - 1)).reshape(n_low, a**n_low)
+    mask = np.ones(low.shape[1], dtype=bool)
+    mixed = []  # (low part mod a, high (coefficient, cell) terms) of each other window
+    for k in (i * m_cols + j for i in range(n_rows - 1) for j in range(m_cols - 1)):
+        terms = list(zip(spec.coeffs, (k, k + m_cols, k + 1)))  # the window at cell k
+        part = sum(c * low[x - n_high].astype(np.int64) for c, x in terms if x >= n_high) % a
+        high = [(c, x) for c, x in terms if x < n_high]
+        if high:
+            mixed.append((part, high))
+        else:
+            mask &= part == 0
     count = 0
-    for lo in range(0, a**cells, _GRID_BLOCK):
-        g = np.arange(lo, min(lo + _GRID_BLOCK, a**cells), dtype=np.int64)
-        grid = (g[:, None] // place % a).reshape(-1, n_rows, m_cols)
-        window = c00 * grid[:, :-1, :-1] + c10 * grid[:, 1:, :-1] + c01 * grid[:, :-1, 1:]
-        count += int((window % a == 0).all(axis=(1, 2)).sum())
+    for digits in itertools.product(range(a), repeat=n_high):
+        ok = mask
+        for part, high in mixed:
+            ok = ok & (part == -sum(c * digits[x] for c, x in high) % a)
+        count += int(np.count_nonzero(ok))
     return count
 
 

@@ -257,7 +257,7 @@ def exact_total(values, counts=None) -> Fraction:
     Three sums use it: the letter values of a product system, the
     non-product fiber sizes (up to 13,362 distinct sizes at N = 14 in the
     closed_form benchmark's pair systems) and the inverse-square series (up
-    to 10^6 terms).
+    to 16,384 terms).
     """
     frac, exp = np.frexp(np.asarray(values, dtype=float))
     if not len(exp):

@@ -7,12 +7,13 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from meandim import carpet as cp
@@ -858,9 +859,10 @@ class TestDuplicationBound:
             assert found
 
 
-def reference_reciprocal_product_witness(x, n_window, m, eps, enum_cap=1_000_000):
+def reference_reciprocal_product_witness(x, n_window, m, eps):
     """reciprocal_product_witness with one inverse_square_mass and one class
-    lookup per coordinate (errors left to the library)."""
+    lookup per coordinate (errors left to the library); passed compares the
+    log of the mass with the log of the required mass."""
     delta = orc.reciprocal_witness_delta(m, eps)
     tail = orc.reciprocal_tail_depth(m, delta)
     n_total = n_window + tail
@@ -880,10 +882,13 @@ def reference_reciprocal_product_witness(x, n_window, m, eps, enum_cap=1_000_000
     m0 = next(k for k in range(m + 1) if sizes[k] <= n_total / (m + 1))
     r = delta ** (m**m0)
     mass = 1.0
+    logs = []
     cases = []
     for v in x:
         lo = v - r
-        mass *= orc.inverse_square_mass(lo, v, enum_cap)
+        mass_v = orc.inverse_square_mass(lo, v)
+        mass *= mass_v
+        logs.append(math.log(mass_v) if mass_v > 0.0 else -math.inf)
         k = class_of(v)
         cases.append("zero_atom" if k > m0 else ("thin_class" if k == m0 else "large_value"))
     diam_bound = r + 2.0**-tail if tail < 1074 else r
@@ -900,10 +905,20 @@ def reference_reciprocal_product_witness(x, n_window, m, eps, enum_cap=1_000_000
         "mass": mass,
         "exponent": exponent,
         "required": required,
-        "passed": mass >= required - orc.SLACK,
+        "passed": math.fsum(logs) >= (1.0 + orc.SLACK) * exponent * math.log(diam_bound),
         "cases": cases,
         "class_sizes": sizes,
     }
+
+
+# points of the reciprocal space: 0, 1/j, and doubles below 2^-53, each the
+# double of some 1/j
+ATOMS = (
+    st.just(0.0)
+    | st.integers(1, 10**6).map(lambda j: 1.0 / j)
+    | st.integers(1, 2**60).map(lambda j: 1.0 / j)
+    | st.floats(0.0, 2.0**-54)
+)
 
 
 class TestReciprocalSpace:
@@ -913,12 +928,12 @@ class TestReciprocalSpace:
         st.integers(1, 3),
         st.floats(0.02, 0.15),
         st.integers(0, 10**6),
-        st.lists(st.floats(0.0, 1.0), max_size=6),
+        st.lists(ATOMS, max_size=6),
     )
     def test_distinct_value_masses_match_the_per_coordinate_loop(
         self, m, n_window, eps, seed, extra
     ):
-        # sampled points repeat 0 and 1/j often; extra values are arbitrary
+        # sampled points repeat 0 and 1/j often; extra values are any atoms
         delta = orc.reciprocal_witness_delta(m, eps)
         tail = orc.reciprocal_tail_depth(m, delta)
         x = orc.sample_reciprocal_point(n_window + tail, 100_000, seed=seed)
@@ -981,6 +996,44 @@ class TestReciprocalSpace:
             x = orc.sample_reciprocal_point(2 + tail, 10_000, seed=i)
             assert orc.reciprocal_product_witness(x, 2, 2, 0.1)["passed"]
 
+    @pytest.mark.parametrize("v", [2.0, 0.3, 0.75, -0.5, 1.0 / 3 + 2**-50, math.nan, math.inf])
+    def test_coordinates_off_the_space_rejected(self, v):
+        # 2.0 passed with mass 0: no interval (2 - r, 2] holds an atom
+        with pytest.raises(DomainError, match="neither 0 nor 1/j"):
+            orc.reciprocal_product_witness([v] * 300, 1, 2, 0.1)
+        with pytest.raises(DomainError, match="neither 0 nor 1/j"):
+            orc.reciprocal_product_witness([0.0] * 299 + [v], 1, 2, 0.1)
+
+    @pytest.mark.parametrize("fake", [1e-300, 0.0])
+    def test_witness_fails_when_the_mass_is_too_small(self, monkeypatch, fake):
+        # 1e-300 per coordinate underflows the product to 0.0, which the
+        # absolute test mass >= required - 1e-12 passed; a zero mass fails too
+        monkeypatch.setattr(orc, "inverse_square_mass", lambda lo, hi: fake)
+        wit = orc.reciprocal_product_witness([0.0] * 300, 1, 2, 0.1)
+        assert wit["mass"] == 0.0
+        assert not wit["passed"]
+
+    def test_witness_decides_in_log_space_when_required_underflows(self):
+        # m = 3: required = diam^444 underflows to 0.0; the mass is about 3e-249
+        wit = orc.reciprocal_product_witness([0.5] * 300, 1, 3, 0.1)
+        assert wit["required"] == 0.0
+        assert wit["passed"]
+        per_coordinate = orc.inverse_square_mass(0.5 - wit["r"], 0.5)
+        margin = wit["n_total"] * math.log(per_coordinate) - wit["exponent"] * math.log(
+            wit["diam_bound"]
+        )
+        assert margin > 300.0
+
+    def test_atoms_and_their_neighbours(self):
+        for j in [1, 2, 3, 7, 1000, 99_991, 2**26, 2**40, 2**52, 2**53, 2**60]:
+            v = 1.0 / j
+            assert orc._is_atom(v)
+            if j <= 2**26:  # 1/j and 1/(j + 1) lie more than an ulp apart
+                assert not orc._is_atom(math.nextafter(v, 0.0))
+                assert j == 1 or not orc._is_atom(math.nextafter(v, 1.0))
+        assert orc._is_atom(0.0) and orc._is_atom(5e-324) and orc._is_atom(2.0**-60)
+        assert not orc._is_atom(-0.25) and not orc._is_atom(1.5)
+
     def test_large_m_overflows(self):
         with pytest.raises(ParameterOverflow):
             orc.reciprocal_product_witness([0.0] * 10, 1, 7, 0.1)
@@ -1020,8 +1073,11 @@ class TestReciprocalSpace:
             orc.reciprocal_product_witness([0.0] * 40, -1, 2, 0.1)
 
 
-def reference_inverse_square_mass(lo, hi, enum_cap=1_000_000):
-    """inverse_square_mass with its atoms summed one by one by math.fsum."""
+def enumerated_inverse_square_mass(lo, hi, enum_cap):
+    """The inverse-square mass as it was bounded before the Euler-Maclaurin
+    tail: up to enum_cap atoms summed one by one by math.fsum, the rest by
+    the integral bounds sum_{j>=J} j^-2 >= 1/J and
+    sum_{j0<=j<=j1} j^-2 >= 1/j0 - 1/(j1 + 1)."""
     if hi < lo:
         return 0.0
     total = 0.0
@@ -1042,6 +1098,55 @@ def reference_inverse_square_mass(lo, hi, enum_cap=1_000_000):
     if j_max - j_min + 1 <= enum_cap:
         return orc.INV_SQ_WEIGHT * math.fsum(1.0 / (j * j) for j in range(j_min, j_max + 1))
     return orc.INV_SQ_WEIGHT * (1.0 / j_min - 1.0 / (j_max + 1))
+
+
+def tail_upper(j):
+    """U(j) = 1/j + 1/(2j^2) + 1/(6j^3) >= sum_{i>=j} i^-2, exact."""
+    return Fraction(1, j) + Fraction(1, 2 * j * j) + Fraction(1, 6 * j**3)
+
+
+def tail_lower(j):
+    """L(j) = U(j) - 1/(30j^5) <= sum_{i>=j} i^-2, exact."""
+    return tail_upper(j) - Fraction(1, 30 * j**5)
+
+
+def reference_inverse_square_bracket(lo, hi, prefix):
+    """Exact (lower, upper) on the inverse-square mass of [lo, hi] with the
+    weight 3/pi^2 taken as the double INV_SQ_WEIGHT: the first `prefix` atoms
+    summed as Fractions, the atoms past them bracketed by L and U."""
+    weight = Fraction(orc.INV_SQ_WEIGHT)
+    zero = Fraction(1, 2) if lo <= 0.0 <= hi else Fraction(0)
+    if hi < lo or hi < orc._ATOM_FLOOR:
+        return (zero, zero) if hi >= lo else (Fraction(0), Fraction(0))
+    j_min = orc._least_index_at_most(hi)
+    j_end = None if zero else orc._greatest_index_at_least(lo) + 1
+    j_stop = j_min + prefix if j_end is None else min(j_min + prefix, j_end)
+    exact = sum((Fraction(1, j * j) for j in range(j_min, j_stop)), Fraction(0))
+    if j_stop == j_end:
+        return zero + weight * exact, zero + weight * exact
+    if j_end is None:
+        return zero + weight * (exact + tail_lower(j_stop)), zero + weight * (
+            exact + tail_upper(j_stop)
+        )
+    return (
+        weight * (exact + tail_lower(j_stop) - tail_upper(j_end)),
+        weight * (exact + tail_upper(j_stop) - tail_lower(j_end)),
+    )
+
+
+ULPS = 4  # rounding of the prefix's terms, its sum and the weight
+
+
+def within_ulps_below(mass, bound):
+    """mass <= float(bound), allowing ULPS ulps for rounding."""
+    top = float(bound)
+    return mass <= top + ULPS * math.ulp(top)
+
+
+def within_ulps_above(mass, bound):
+    """mass >= float(bound), allowing ULPS ulps for rounding."""
+    low = float(bound)
+    return mass >= low - ULPS * math.ulp(low)
 
 
 def reference_set_dims_counts(n_cap, eps):
@@ -1072,22 +1177,59 @@ class TestReciprocalKernelsMatchReference:
     @given(
         st.sampled_from([-0.1, 0.0]) | st.floats(1e-6, 1.0) | st.integers(1, 10**5).map(lambda j: 1 / j),
         st.floats(1e-12, 0.2) | st.sampled_from([0.0, 1e-7, 1e-5]),
+        st.sampled_from([1, 2, 50, 400]),
+    )
+    def test_mass_lies_in_the_exact_bracket(self, lo, width, block):
+        """With the exact prefix cut short, the tail bound does most of the
+        work: the mass stays below the exact upper side, within rounding of
+        the exact lower side, and at or above the old enumeration of the
+        same prefix with its integral tail."""
+        hi = lo + width
+        with mock.patch.object(orc, "_INV_SQ_BLOCK", block):
+            mass = orc.inverse_square_mass(lo, hi)
+        lower, upper = reference_inverse_square_bracket(lo, hi, block)
+        assert within_ulps_below(mass, upper)
+        assert within_ulps_above(mass, lower)
+        assert within_ulps_above(mass, enumerated_inverse_square_mass(lo, hi, block))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from([-0.1, 0.0]) | st.floats(1e-6, 1.0) | st.integers(1, 10**5).map(lambda j: 1 / j),
+        st.floats(1e-12, 0.2) | st.sampled_from([0.0, 1e-7, 1e-5]),
         st.sampled_from([1, 100, 40_000, 200_000]),
     )
-    def test_mass_equals_the_reference(self, lo, width, enum_cap):
+    def test_mass_no_looser_than_the_enumeration(self, lo, width, enum_cap):
+        """At full size the tail bound beats every enumeration with an
+        integral tail, up to rounding; below one block of atoms the sum is
+        the enumeration's, bit for bit."""
         hi = lo + width
-        assert orc.inverse_square_mass(lo, hi, enum_cap) == reference_inverse_square_mass(
-            lo, hi, enum_cap
-        )
+        mass = orc.inverse_square_mass(lo, hi)
+        want = enumerated_inverse_square_mass(lo, hi, enum_cap)
+        assert within_ulps_above(mass, want)
+        if lo > 0.0:
+            j_min, j_max = orc._least_index_at_most(hi), orc._greatest_index_at_least(lo)
+            if j_max - j_min < orc._INV_SQ_BLOCK:
+                assert mass == enumerated_inverse_square_mass(lo, hi, orc._INV_SQ_BLOCK)
 
-    @pytest.mark.parametrize("lo, hi, enum_cap, want", [
-        (0.0, 6.4e-162, 100, 0.5), (0.0, 1e-300, 10, 0.5), (0.0, 5e-324, 10, 0.5),
-        (1e-160, 1e-160, 10, 0.0), (5e-324, 1e-300, 10, 0.0),
+    @pytest.mark.parametrize("lo, hi", [
+        (0.0, 1.0), (-1.0, 2.0), (0.0, 1e-3), (1e-6, 1.0), (1e-9, 1e-3),
     ])
-    def test_tiny_intervals_do_not_overflow(self, lo, hi, enum_cap, want):
+    def test_mass_at_full_size_within_its_bracket(self, lo, hi):
+        """The exact prefix at its full size, 16,384 Fractions, on a few
+        intervals that reach the tail bound."""
+        mass = orc.inverse_square_mass(lo, hi)
+        lower, upper = reference_inverse_square_bracket(lo, hi, orc._INV_SQ_BLOCK)
+        assert within_ulps_below(mass, upper)
+        assert within_ulps_above(mass, lower)
+
+    @pytest.mark.parametrize("lo, hi, want", [
+        (0.0, 6.4e-162, 0.5), (0.0, 1e-300, 0.5), (0.0, 5e-324, 0.5),
+        (1e-160, 1e-160, 0.0), (5e-324, 1e-300, 0.0),
+    ])
+    def test_tiny_intervals_do_not_overflow(self, lo, hi, want):
         """Past j = 2^512, j * j overflows a double; atoms that far out are
         left to the tail bound or left out, both under-counts."""
-        assert orc.inverse_square_mass(lo, hi, enum_cap) == want
+        assert orc.inverse_square_mass(lo, hi) == want
 
     def test_index_walks_end_past_2_53(self):
         """hi = 1e-25 and lo = 7.3e-25 start the walks inside runs of about
@@ -1096,18 +1238,35 @@ class TestReciprocalKernelsMatchReference:
         assert 1.0 / j <= 1e-25
         j = orc._greatest_index_at_least(7.3e-25)
         assert 1.0 / j >= 7.3e-25
-        assert orc.inverse_square_mass(0.0, 1e-25, 10) == 0.5
+        assert orc.inverse_square_mass(0.0, 1e-25) == 0.5
 
     @settings(max_examples=200, deadline=None)
     @given(
         st.floats(0.0, 1e-150) | st.floats(0.0, 1.0) | st.sampled_from([0.0, 5e-324, 2.0**-500]),
         st.floats(0.0, 1e-150) | st.floats(0.0, 2.0) | st.sampled_from([0.0, 5e-324, 2.0**-500]),
-        st.sampled_from([1, 10, 1000]),
     )
-    def test_mass_is_a_finite_probability(self, x, y, enum_cap):
+    @example(6.066545253144683e-151, 6.066545253144683e-151)  # walks that cross past 2^53
+    def test_mass_is_a_finite_probability(self, x, y):
         lo, hi = sorted((x, y))
-        mass = orc.inverse_square_mass(lo, hi, enum_cap)
+        mass = orc.inverse_square_mass(lo, hi)
         assert 0.0 <= mass <= 1.0
+
+    @pytest.mark.parametrize("j", [1, 2, 3, 5, 10, 30])
+    def test_tail_bracket_holds_zeta_2(self, j):
+        # sum_{i>=j} i^-2 = pi^2/6 - sum_{i<j} i^-2; the bracket is at
+        # least 1/(30 * 30^5) = 1.4e-9 wide, far beyond the double's error
+        tail = math.pi**2 / 6 - math.fsum(1.0 / (i * i) for i in range(1, j))
+        assert float(tail_lower(j)) < tail - 1e-14
+        assert float(tail_upper(j)) > tail + 1e-14
+
+    @pytest.mark.parametrize("j_lo, j_end", [
+        (1, None), (2, 3), (7, 100), (16_385, None), (16_385, 16_386), (10**6, 10**9),
+        (2**60, None), (2**60, 2**60 + 1),
+    ])
+    def test_tail_is_exact_bound_rounded_down(self, j_lo, j_end):
+        bound = tail_lower(j_lo) - (0 if j_end is None else tail_upper(j_end))
+        got = orc._inverse_square_tail(j_lo, j_end)
+        assert Fraction(got) <= bound < Fraction(math.nextafter(got, math.inf))
 
     @pytest.mark.parametrize("n_cap, eps", [
         (100_000, 1e-4), (100_000, 1e-3), (100_000, 1e-2), (100_000, 0.1), (1, 0.5),

@@ -47,12 +47,14 @@ def linear_grid_cases(draw):
 
 class TestBruteForceGridCount:
     @settings(max_examples=120, deadline=None)
-    @given(linear_grid_cases())
-    def test_blocks_equal_the_cell_loop(self, case):
+    @given(linear_grid_cases(), st.sampled_from((1, 2, 3, 7, 10, 64)))
+    def test_blocks_equal_the_cell_loop(self, case, block):
+        """Small blocks move the high/low digit split into the grid, so
+        windows straddle it (block 1: every digit high, one grid a block)."""
         spec, n_rows, m_cols = case
         want = reference_grid_count(spec, n_rows, m_cols)
         assert suite._brute_force_grid_count(spec, n_rows, m_cols) == want
-        with mock.patch.object(suite, "_GRID_BLOCK", 7):  # many blocks, a ragged last one
+        with mock.patch.object(suite, "_GRID_BLOCK", block):
             assert suite._brute_force_grid_count(spec, n_rows, m_cols) == want
 
     def test_grids_past_one_block(self):
@@ -64,12 +66,19 @@ class TestBruteForceGridCount:
 
 @pytest.mark.parametrize(
     "criterion, cap",
-    [(suite.criterion_weighted_consistency, 1 << 20), (suite.criterion_grid2d, 4 << 20)],
+    [
+        (suite.criterion_weighted_consistency, 1 << 20),
+        (suite.criterion_grid2d, 1 << 19),
+        (suite.criterion_reciprocal_space, 2 << 20),
+    ],
 )
 def test_criterion_peak_traced_memory(criterion, cap):
-    """Criterion 2 raises Z_N to powers and sweeps at most four lengths, and
-    criterion 7 counts grids a block at a time; the first run fills the
-    library's caches, the second is traced."""
+    """Criterion 2 raises Z_N to powers and sweeps at most four lengths,
+    criterion 7 counts grids a block at a time over one table of low digits
+    (0.27 MiB traced peak), and criterion 9 sums at most one block of atoms
+    per interval (1.54 MiB, most of it the 100,001 atoms of its set
+    dimensions); the first run fills the library's caches, the second is
+    traced."""
     assert criterion()["passed"]
     tracemalloc.start()
     try:
