@@ -11,7 +11,6 @@ from .errors import (
 )
 from .symbolic import (
     Automaton,
-    CountTable,
     EntropyReport,
     SubshiftSpec,
     allowed_tuples,
@@ -56,7 +55,6 @@ from .grid2d import (
     entropy2d,
     free_rule,
     hard_square_rule,
-    homog_mean_dims,
     linear_rule,
     patterns_rule,
     rule_from_json,

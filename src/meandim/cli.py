@@ -46,12 +46,6 @@ def _load_json(path: str):
         return json.load(fh)
 
 
-def _subshift_arg(args) -> symbolic.SubshiftSpec:
-    if getattr(args, "spec", None):
-        return symbolic.spec_from_json(_load_json(args.spec))
-    raise ValueError("a --spec file is required")
-
-
 def _pair_system_arg(args) -> weighted.PairShiftSystem:
     if args.tuples:
         rel = _parse_tuples(args.tuples)
@@ -113,7 +107,7 @@ def _emit_cloud(cloud: PointCloud, args) -> None:
 
 
 def cmd_entropy(args) -> int:
-    spec = _subshift_arg(args)
+    spec = symbolic.spec_from_json(_load_json(args.spec))
     rep = symbolic.entropy(spec, args.nmax, args.budget)
     table = symbolic.count_words(spec, args.nmax, args.budget)
     _emit(
@@ -181,9 +175,7 @@ def cmd_carpet(args) -> int:
 def cmd_bm_classical(args) -> int:
     rel = _parse_tuples(args.tuples)
     rep = carpet.classical_carpet_dims(args.a, args.b, rel)
-    gap = carpet.gap_analysis(args.a, args.b, rel)
-    rep = dict(rep)
-    rep.update({"command": "bm-classical", "equal": gap["equal"], "witness": gap["witness"]})
+    rep.update(carpet.gap_analysis(args.a, args.b, rel), command="bm-classical")
     _emit(rep, args)
     return EXIT_OK
 
@@ -205,7 +197,6 @@ def cmd_beta(args) -> int:
             "a": args.a,
             "beta": args.beta,
             "mdim": dims["mdim"],
-            "similarity_bound": dims["similarity_bound"],
             "min_gap": gap,
             "separation_scale": fam.eps,
             "family_count": str(fam.count),
@@ -301,12 +292,7 @@ def cmd_oracle_qbox(args) -> int:
         _emit_cloud(fam.witness_cloud(), args)
         return EXIT_OK
     sep = oracle.verify_family_separation(fam, seed=args.seed)
-    ok = (
-        fam.count == fam.count_formula
-        and fam.diam_certified
-        and fam.separation_certified
-        and sep["ok"]
-    )
+    ok = fam.diam_certified and fam.separation_certified and sep["ok"]
     _emit(
         {
             "command": "oracle qbox",
@@ -398,9 +384,9 @@ def cmd_paper_suite(args) -> int:
         ],
         "all_passed": all(r["passed"] for r in results),
     }
-    write_report(report, args.out)
+    text = write_report(report, args.out)
     if args.quiet:
-        sys.stdout.write(write_report(report, None))
+        sys.stdout.write(text)
     return EXIT_OK if report["all_passed"] else EXIT_CHECK_FAILED
 
 

@@ -330,9 +330,9 @@ def homog_dims_from_report(rep: Entropy2DReport, a: int) -> dict:
     """Common mean Hausdorff / metric mean dimension of the base-a digit model
     from the rule's `entropy2d` report.
 
-    The value is the rectangle-pattern entropy divided by log a.  When every
-    computed count is an exact power of a the ratio is computed in exact
-    rational arithmetic (so the Free rule reports exactly 1).
+    The value is the report's least estimate divided by log a, an upper
+    bound.  When every computed count is an exact power of a the ratio is
+    computed in exact rational arithmetic (so the Free rule reports exactly 1).
     """
     if a < 2:
         raise DomainError(f"digit base {a}: the dimension entropy / log a needs a >= 2")
@@ -349,19 +349,7 @@ def homog_dims_from_report(rep: Entropy2DReport, a: int) -> dict:
     else:
         value = rep.best / math.log(a)
         exact = False
-    return {
-        "mdim": value,
-        "entropy_best": rep.best,
-        "best_cell": rep.best_cell,
-        "exact_power": exact,
-        "status": "upper_bound",
-    }
-
-
-def homog_mean_dims(spec: Grid2DSpec, n_max: int, m_max: int) -> dict:
-    """`homog_dims_from_report` of the rule's n_max x m_max `entropy2d` report,
-    with the rule's alphabet as the digit base."""
-    return homog_dims_from_report(entropy2d(spec, n_max, m_max), spec.alphabet)
+    return {"mdim": value, "exact_power": exact}
 
 
 # ---------------------------------------------------------------------------

@@ -816,7 +816,7 @@ def sample_reciprocal_point(n_coords: int, n_cap: int, seed: int = 0) -> list[fl
     return out
 
 
-def reciprocal_set_dims(n_cap: int, eps_list, probe_s: float = 0.05) -> dict:
+def reciprocal_set_dims(n_cap: int, eps_list) -> dict:
     """Scale-level dimensions of the one-coordinate reciprocal set.
 
     Covering numbers are exact (optimal interval sweep on sorted points);
@@ -849,13 +849,9 @@ def reciprocal_set_dims(n_cap: int, eps_list, probe_s: float = 0.05) -> dict:
         out["minkowski_scale"][eps] = math.log(count) / math.log(1.0 / eps)
         out["covering_number_" + repr(eps)] = count
         delta = eps / 2.0
-        weight = delta**probe_s
         out["hausdorff_scale_upper"][eps] = 0.0
         out["witness"][eps] = {
             "delta": delta,
             "singletons": len(points) - int(np.searchsorted(points, delta, "right")),
-            "probe_s": probe_s,
-            "weight_sum": weight,
-            "weight_below_one": weight < 1.0,
         }
     return out

@@ -38,10 +38,6 @@ class BetaSystemSpec:
         if self.omega.alphabet != self.a:
             raise DomainError("omega must live on the digit alphabet")
 
-    @property
-    def c(self) -> float:
-        return 1.0 / self.beta
-
 
 def beta_system(a: int, beta: float, omega: symbolic.SubshiftSpec | None = None) -> BetaSystemSpec:
     return BetaSystemSpec(a=a, beta=beta, omega=omega or symbolic.full_shift(a))
@@ -148,20 +144,9 @@ def covering_lower_bound(
 
 
 def self_similar_dims(spec: BetaSystemSpec, n_max: int = 12) -> dict:
-    """Common mean Hausdorff / metric mean dimension of the system.
-
-    Equal to entropy(Omega) / log beta; the similarity bound
-    entropy(Omega) / log(1/c) coincides because the contraction ratio is
-    1/beta.  For non-digit driving systems only the upper bound survives.
-    """
-    rep = symbolic.entropy(spec.omega, n_max)
-    h = rep.spectral_value
-    value = h / math.log(spec.beta)
-    return {
-        "mdim": value,
-        "similarity_bound": h / math.log(1.0 / spec.c),
-        "entropy": h,
-        "exact": True,  # the spectral value of Omega's automaton
-        "note": "mean Hausdorff and metric mean dimensions coincide",
-    }
-
+    """Common mean Hausdorff / metric mean dimension of the system:
+    entropy(Omega) / log beta, from the spectral value of Omega's automaton.
+    Every map contracts by exactly 1/beta, so this is also the similarity
+    bound entropy(Omega) / log(1/c)."""
+    h = symbolic.entropy(spec.omega, n_max).spectral_value
+    return {"mdim": h / math.log(spec.beta), "entropy": h}

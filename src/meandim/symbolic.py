@@ -356,11 +356,20 @@ def forbidden_words(k: int, words) -> SubshiftSpec:
     return SubshiftSpec(alphabet=k, kind=KIND_FORBIDDEN, forbidden=ws)
 
 
-def allowed_tuples(a: int, b: int, relation) -> SubshiftSpec:
+def checked_relation(a: int, b: int, relation) -> frozenset:
+    """The relation R as a set of (u, v) pairs, each checked to lie in the
+    a x b product alphabet."""
     rel = frozenset((int(u), int(v)) for u, v in relation)
     for u, v in rel:
         if not (0 <= u < a and 0 <= v < b):
             raise DomainError(f"tuple {(u, v)} leaves the {a}x{b} product alphabet")
+    return rel
+
+
+def allowed_tuples(a: int, b: int, relation) -> SubshiftSpec:
+    """The product shift R^N.  Only R is stored, so a huge a or b costs
+    nothing here."""
+    rel = checked_relation(a, b, relation)
     return SubshiftSpec(
         alphabet=a * b, kind=KIND_TUPLES, tuple_sizes=(a, b), tuple_set=rel
     )
@@ -485,16 +494,6 @@ def _forbidden_graph(k: int, words) -> list[dict]:
 
 
 @dataclass(frozen=True)
-class CountTable:
-    """Exact admissible-word counts per length."""
-
-    counts: dict
-
-    def __getitem__(self, n: int) -> int:
-        return self.counts[n]
-
-
-@dataclass(frozen=True)
 class EntropyReport:
     """Certified entropy estimates, in nats.
 
@@ -509,13 +508,14 @@ class EntropyReport:
     spectral_bracket: tuple
 
 
-def count_words(spec: SubshiftSpec, n_max: int, budget: int | None = None) -> CountTable:
+def count_words(spec: SubshiftSpec, n_max: int, budget: int | None = None) -> dict:
+    """Exact admissible-word counts {n: count} for n = 1..n_max."""
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     aut = spec.automaton
     limits.check("word", aut.n_states, "states", limits.cap("word", budget))
     counts = aut.word_counts(n_max)
-    return CountTable(counts={n + 1: c for n, c in enumerate(counts)})
+    return {n + 1: c for n, c in enumerate(counts)}
 
 
 def enumerate_words(spec: SubshiftSpec, n: int, budget: int | None = None) -> list[tuple]:

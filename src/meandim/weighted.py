@@ -402,7 +402,6 @@ def image_subshift(sys: PairShiftSystem, budget: int | None = None) -> SubshiftS
                 queue.append(key)
             succ[idx][v] = subsets[key]
     image = Automaton(alphabet_size=b, root=0, succ=tuple(succ))
-    letters = set(range(b))
-    if all(set(trans) == letters for trans in image.succ):
+    if all(len(trans) == b for trans in image.succ):  # labels lie in range(b)
         return symbolic.full_shift(b)
     return automaton_spec(image, b)

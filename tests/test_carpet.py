@@ -148,7 +148,9 @@ class TestGapAnalysis:
         for _ in range(200):
             a = rng.randint(2, 6)
             b = rng.randint(2, a)
-            cp.gap_analysis(a, b, random_relation(rng, a, b))  # raises on mismatch
+            rel = random_relation(rng, a, b)
+            cl = cp.classical_carpet_dims(a, b, rel)
+            assert cp.gap_analysis(a, b, rel)["equal"] == (abs(cl["dim_h"] - cl["dim_m"]) <= 1e-9)
 
 
 class TestFloorWM:

@@ -69,6 +69,15 @@ class TestSubcommands:
         doc = json.loads(out)
         assert doc["equal"] is False
 
+    def test_bm_classical_gap_is_decided_exactly(self, capsys):
+        # occupancies 1 and 2: the dimensions differ, by only 3.0e-10
+        code = main(["bm-classical", "--a", "1000000", "--b", "999999",
+                     "--tuples", "0:0,1:1,2:1"])
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert '"equal":false' in out and '"witness":[1,2]' in out
+        assert err == ""
+
     def test_beta(self, capsys):
         code, out = run_cli(
             capsys, "beta", "--a", "2", "--beta", "2.5", "--n", "2", "--N", "2"
@@ -380,6 +389,19 @@ def run_cli_capped(cap, *argv):
         preexec_fn=limit_memory,
         timeout=120,
     )
+
+
+class TestTupleAlphabetBudget:
+    HUGE = ["--a", "1000000000000", "--b", "1000000000000", "--tuples", "0:0,1:1"]
+
+    @pytest.mark.parametrize("command", ["bm-classical", "carpet"])
+    def test_huge_tuple_alphabets_are_refused_by_the_word_budget(self, command):
+        # both list one occupancy per column of b (the classical formulas)
+        proc = run_cli_capped(1 << 30, command, *self.HUGE)
+        assert proc.returncode == 3
+        assert proc.stdout == ""
+        assert proc.stderr == ("resource limit: word budget: carpet: 1000000000000 columns"
+                               " exceed the cap 20000000\n")
 
 
 def automaton_doc(transitions, root=0, alphabet=2):

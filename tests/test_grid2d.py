@@ -368,26 +368,30 @@ class TestEntropy2D:
                 assert rep.counts[(n, m)] == expected
 
 
+def homog_dims(spec, n_max, m_max):
+    return g2.homog_dims_from_report(g2.entropy2d(spec, n_max, m_max), spec.alphabet)
+
+
 class TestHomogeneousDims:
     def test_free_is_exactly_one(self):
-        rep = g2.homog_mean_dims(g2.free_rule(2), 4, 4)
+        rep = homog_dims(g2.free_rule(2), 4, 4)
         assert rep["mdim"] == 1.0
         assert rep["exact_power"]
 
     def test_three_dot_trends_to_zero(self):
-        rep = g2.homog_mean_dims(g2.three_dot_rule(2), 6, 6)
+        rep = homog_dims(g2.three_dot_rule(2), 6, 6)
         assert rep["mdim"] == pytest.approx(float(Fraction(11, 36)), abs=1e-12)
 
     def test_single_pattern_is_zero(self):
         spec = g2.patterns_rule(2, (1, 1), [((0,),)])
-        rep = g2.homog_mean_dims(spec, 3, 3)
+        rep = homog_dims(spec, 3, 3)
         assert rep["mdim"] == 0.0
 
     @pytest.mark.parametrize("spec", [g2.free_rule(1), g2.linear_rule(1, 1, 1, 1)])
     def test_unary_alphabet_is_rejected(self, spec):
         # log a = 0: there is no dimension to report
         with pytest.raises(DomainError):
-            g2.homog_mean_dims(spec, 2, 2)
+            homog_dims(spec, 2, 2)
 
 
 class TestTorusPoints:

@@ -1042,7 +1042,6 @@ class TestReciprocalSpace:
         rep = orc.reciprocal_set_dims(100_000, [1e-4])
         assert 0.40 <= rep["minkowski_scale"][1e-4] <= 0.60
         assert rep["hausdorff_scale_upper"][1e-4] == 0.0
-        assert rep["witness"][1e-4]["weight_below_one"]
 
     def test_tiny_k_set(self):
         rep = orc.reciprocal_set_dims(1, [0.5])  # K = {0, 1}

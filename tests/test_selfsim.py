@@ -197,7 +197,6 @@ class TestSelfSimilarDims:
     def test_full_shift_base_three(self):
         rep = ss.self_similar_dims(ss.beta_system(2, 3.0))
         assert rep["mdim"] == pytest.approx(math.log(2) / math.log(3), abs=1e-12)
-        assert rep["similarity_bound"] == pytest.approx(rep["mdim"], abs=1e-15)
 
     def test_singleton_is_zero(self):
         spec = ss.beta_system(2, 2.0, sym.sft_from_matrix([[1, 0], [0, 0]]))
