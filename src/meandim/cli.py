@@ -183,14 +183,14 @@ def cmd_bm_classical(args) -> int:
 def cmd_beta(args) -> int:
     omega = symbolic.spec_from_json(_load_json(args.omega)) if args.omega else None
     spec = selfsim.beta_system(args.a, args.beta, omega)
-    dims = selfsim.self_similar_dims(spec, args.nmax)
+    dims = selfsim.self_similar_dims(spec)
     gap = selfsim.min_gap(args.a, args.beta, min(args.n, 10), args.budget)
     fam = selfsim.covering_lower_bound(spec, args.N, args.n, budget=args.budget)
     if args.format == "csv":
         _emit_cloud(fam.points, args)
         return EXIT_OK
     observed = fam.points.min_pairwise() if fam.count > 1 else fam.eps
-    separated = observed >= fam.eps - args.tol
+    separated = observed >= fam.eps - selfsim.SEPARATION_SLACK
     _emit(
         {
             "command": "beta",
@@ -263,7 +263,7 @@ def cmd_oracle_cover(args) -> int:
         "upper": bounds.upper,
         "provenance": "oracle",
     }
-    if len(cloud) <= 12:
+    if len(cloud) <= oracle.EXACT_COVER_CAP:
         report["exact"] = oracle.exact_min_cover(cloud, args.eps)
     _emit(report, args)
     return EXIT_OK
@@ -362,9 +362,9 @@ def cmd_oracle_appendix_k(args) -> int:
             "tail_depth": wit["tail_depth"],
         }
     else:
-        dims = oracle.reciprocal_set_dims(args.ncap, [args.eps])
-        report["minkowski_scale"] = dims["minkowski_scale"][args.eps]
-        report["hausdorff_scale_upper"] = dims["hausdorff_scale_upper"][args.eps]
+        dims = oracle.reciprocal_set_dims(args.ncap, args.eps)
+        report["minkowski_scale"] = dims["minkowski_scale"]
+        report["hausdorff_scale_upper"] = dims["hausdorff_scale_upper"]
     _emit(report, args)
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
@@ -400,13 +400,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, tol=None, budget=False):
+    def common(p, budget=False):
         p.add_argument("--out", help="write the JSON report here")
         if budget:
             p.add_argument("--budget", type=int, default=None)
-        if tol is not None:
-            p.add_argument("--tol", type=float, default=tol,
-                           help="tolerance override for this command's checks")
 
     p = sub.add_parser("entropy", help="word counts and entropy of a subshift")
     p.add_argument("--spec", required=True)
@@ -446,9 +443,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--omega", help="subshift JSON for the driving system")
     p.add_argument("--n", type=int, default=3, help="digit layers in the family")
     p.add_argument("--N", type=int, default=3, help="coordinate window")
-    p.add_argument("--nmax", type=int, default=12)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    common(p, tol=1e-9, budget=True)
+    common(p, budget=True)
     p.set_defaults(fn=cmd_beta)
 
     p = sub.add_parser("grid2d", help="2d rectangle-pattern counts and entropy")
@@ -471,7 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = osub.add_parser("hdim", help="scale-level exponent of a cover")
     p.add_argument("--diams", required=True, help="comma-separated diameters")
     p.add_argument("--eps", type=float, required=True)
-    common(p, tol=1e-10)
+    p.add_argument("--tol", type=float, default=1e-10, help="bisection width")
+    common(p)
     p.set_defaults(fn=cmd_oracle_hdim)
 
     p = osub.add_parser("qbox", help="box family counts and separation")

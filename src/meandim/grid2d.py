@@ -357,9 +357,7 @@ def homog_dims_from_report(rep: Entropy2DReport, a: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def torus_points(
-    spec: Grid2DSpec, n_rows: int, m_cols: int, depth: int = 0, budget: int | None = None
-) -> PointCloud:
+def torus_points(spec: Grid2DSpec, n_rows: int, m_cols: int, depth: int = 0) -> PointCloud:
     """One torus point per admissible (n_rows + depth) x m_cols pattern.
 
     Coordinate n of the point is x_n = sum_m w[n][m] a^-m in [0, 1); `depth`
@@ -367,7 +365,7 @@ def torus_points(
     stay truncation-sound.
     """
     rows, a = n_rows + depth, spec.alphabet
-    digits, index = _pattern_columns(spec, rows, m_cols, budget)
+    digits, index = _pattern_columns(spec, rows, m_cols, None)
     terms = [[Fraction(u, a ** (m + 1)) for u in range(a)] for m in range(m_cols)]
     return PointCloud(
         points=digit_points([digits] * m_cols, index, terms),
@@ -376,9 +374,7 @@ def torus_points(
     )
 
 
-def key_fact_check(
-    spec: Grid2DSpec, n_rows: int, m_cols: int, budget: int | None = None
-) -> dict:
+def key_fact_check(spec: Grid2DSpec, n_rows: int, m_cols: int) -> dict:
     """The digit-agreement implication and its covering bracket on a cloud.
 
     At eps in (a^-M, a^-(M-1)] with tail cutoff L (least 2^-L < eps/2), any
@@ -402,7 +398,7 @@ def key_fact_check(
     tail = 1
     while 2.0**-tail >= eps / 2.0:
         tail += 1
-    cloud = torus_points(spec, n_rows, m_cols, depth=tail, budget=budget)
+    cloud = torus_points(spec, n_rows, m_cols, depth=tail)
     n_pts = len(cloud)
     lower_shift = len(next(_greedies(cloud, eps)))
     return {

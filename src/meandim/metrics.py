@@ -1,10 +1,10 @@
 """Product metrics on truncated sequence points, and point clouds.
 
-All metrics act on finite truncations of sequence-space points.  Scalar
-points are coordinate arrays of shape (dim,); pair points (carpet systems)
-have shape (2, dim).  A descriptor may wrap a base metric in a dynamic
-window: d_N(x, y) = max over shifts 0 <= i < N of d(shift^i x, shift^i y),
-where the shift drops the leading coordinate.
+All metrics act on finite truncations of sequence-space points, flat
+coordinate arrays of shape (dim,); linf clouds over pairs (carpet systems)
+store the 2N coordinates flattened.  A descriptor may wrap a base metric in
+a dynamic window: d_N(x, y) = max over shifts 0 <= i < N of
+d(shift^i x, shift^i y), where the shift drops the leading coordinate.
 """
 
 from __future__ import annotations
@@ -19,11 +19,10 @@ import numpy as np
 from .errors import DegenerateScale, DomainError
 
 SUM_WEIGHTED_ABS = "sum_weighted_abs"      # sum 2^-n |x_n - y_n|
-SUM_WEIGHTED_MAX = "sum_weighted_max"      # sum 2^-n max(|x_n-x'_n|, |y_n-y'_n|)
 SUM_WEIGHTED_TORUS = "sum_weighted_torus"  # sum 2^-n rho(x_n, y_n)
 LINF_FINITE = "linf_finite"                # max_n |x_n - y_n|
 
-_KINDS = (SUM_WEIGHTED_ABS, SUM_WEIGHTED_MAX, SUM_WEIGHTED_TORUS, LINF_FINITE)
+_KINDS = (SUM_WEIGHTED_ABS, SUM_WEIGHTED_TORUS, LINF_FINITE)
 
 
 @dataclass(frozen=True)
@@ -47,18 +46,8 @@ def torus_gap(u, v):
 
 
 def _base_rows(x, y, kind):
-    """Per-coordinate contribution |x_n - y_n|.
-
-    Only SUM_WEIGHTED_MAX takes pair-shaped points (..., 2, dim); it reduces
-    the track axis by max.  Every other kind expects flat coordinate arrays;
-    in particular linf clouds over pairs store the 2N coordinates flattened.
-    """
-    if kind == SUM_WEIGHTED_TORUS:
-        return torus_gap(x, y)
-    rows = np.abs(x - y)
-    if kind == SUM_WEIGHTED_MAX:
-        rows = rows.max(axis=-2)
-    return rows
+    """Per-coordinate contribution: |x_n - y_n|, or rho(x_n, y_n) on the torus."""
+    return torus_gap(x, y) if kind == SUM_WEIGHTED_TORUS else np.abs(x - y)
 
 
 @dataclass(frozen=True)
@@ -120,7 +109,7 @@ class PointCloud:
         best = float(_linf_pair_distances(cols, order[:-1], order[1:]).min())
         if best == 0.0:
             return best
-        cells, radix = _linf_grid(window, best * (1.0 + 1e-9))
+        cells, radix = _linf_grid(window, best)
         if len(window) < 2 * 3 ** len(radix):
             cells, radix = cells[:, :0], []  # one block of all pairs costs less
         for i, j in _grid_join(cells, radix)[1]:
@@ -185,21 +174,21 @@ _PAIR_CHUNK = 1 << 12  # candidate pairs measured per batch
 _DIGIT_BLOCK = 1 << 14  # point coordinates coded per batch of a column table
 
 
-def _linf_grid(window: np.ndarray, side: float):
+def _linf_grid(window: np.ndarray, scale: float):
     """Grid cells of a points x coordinates array: (cells, radix).
 
-    Cells have side `side` (wider where a coordinate would split into more
-    than _GRID_CELLS cells) on up to _GRID_DIMS coordinates, those that split
-    into the most cells; a coordinate split into fewer than three cells
-    separates no pair and is left out.  Two points less than `side` apart in
+    Cells have side scale (1 + 1e-9) (wider where a coordinate would split
+    into more than _GRID_CELLS cells) on up to _GRID_DIMS coordinates, those
+    that split into the most cells; one split into fewer than three cells
+    separates no pair and is left out.  Points at most `scale` apart in
     every coordinate, with a margin of 1e-9 sides that dwarfs the rounding
     of the cell coordinates (about 2^-36 sides with at most 2^15 cells per
-    coordinate), lie in equal or adjacent cells.  The radix n_cells + 2 of a
-    coordinate leaves its last digit unoccupied, as `_grid_join` requires.
+    coordinate), lie in equal or adjacent cells.  The radix n_cells + 2 of
+    a coordinate leaves its last digit unoccupied, as `_grid_join` requires.
     """
     lo = window.min(axis=0)
     span = window.max(axis=0) - lo
-    side = np.maximum(side, span / _GRID_CELLS)
+    side = np.maximum(scale * (1.0 + 1e-9), span / _GRID_CELLS)
     n_cells = np.floor(span / side)
     widest = np.argsort(-n_cells, kind="stable")[:_GRID_DIMS]
     dims = [k for k in widest if n_cells[k] >= 2]

@@ -42,6 +42,7 @@ from .metrics import (
 )
 
 SLACK = 1e-12
+EXACT_COVER_CAP = 12  # points at most in an exact cover (2^n clique masks)
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +141,7 @@ def _linf_conflicts(cloud: PointCloud, eps: float, radius: float):
     if window is None or not (math.isfinite(eps) and eps > 0.0):
         return None
     n = len(window)
-    cells, radix = _linf_grid(window, eps * (1.0 + 1e-9))
+    cells, radix = _linf_grid(window, eps)
     if n < 2 * 3 ** len(radix):
         return None  # joining 3^k neighbouring cells costs more than the scan
     count, blocks = _grid_join(cells, radix)
@@ -180,13 +181,12 @@ def exact_min_cover(cloud: PointCloud, eps: float) -> int:
     cliques covering the cloud.  The clique table runs over all 2^n point
     masks at once; a breadth-first search over covered sets then adds, at
     each step, every maximal clique through the least uncovered point.
-    Restricted to clouds of at most 12 points.
+    Restricted to clouds of at most EXACT_COVER_CAP points.
     """
     n = len(cloud)
-    if n > 12:
-        raise ResourceLimit(
-            f"exact cover limited to 12 points; exact cover: {n} points exceed the cap 12"
-        )
+    if n > EXACT_COVER_CAP:
+        raise ResourceLimit(f"exact cover limited to {EXACT_COVER_CAP} points; "
+                            f"exact cover: {n} points exceed the cap {EXACT_COVER_CAP}")
     check_scale(cloud, eps)
     full = (1 << n) - 1
     near = cloud.pairwise() < eps
@@ -266,6 +266,7 @@ def hausdorff_upper_at_scale(diameters, eps: float, tol: float = 1e-10) -> float
 
 
 WITNESS_TAIL_LAYERS = 45  # anchor layers past m in a witness point
+FULL_PAIR_CAP = 3000  # boxes at most in a family whose every pair is measured
 
 
 @dataclass(frozen=True)
@@ -313,18 +314,22 @@ def _witness_points(family: QBoxFamily, choices: np.ndarray, depth: int) -> np.n
     Coordinate j of x is the sum over layers i of the double term
     u_i[j] * a^-(i+1), rounded once (`digit_points`), as math.fsum adds
     them; the anchor's layers are its fixed part.  y likewise with v and b.
+    Term tables hold only the digits that occur, by rank (a base may be 10^12).
     """
     n, m, t = family.n, family.m, family.floor_wm
-    image_pairs = [(family.section[v], v) for v in family.image_words]
-    layer_words = [family.omega_words] * t + [image_pairs] * (m - t)
-    digits = [np.array([u + v for u, v in words], dtype=np.int64) for words in layer_words]
+    kinds = ([u + v for u, v in family.omega_words],
+             [family.section[v] + v for v in family.image_words])
     anchor = family.anchor_pair[0] + family.anchor_pair[1]
     blocks = []
     for base, part in ((family.spec.a, slice(0, n)), (family.spec.b, slice(n, 2 * n))):
+        occurring = sorted({d for words in kinds for word in words for d in word[part]})
+        rank = {d: r for r, d in enumerate(occurring)}
+        full, image = (np.array([[rank[d] for d in word[part]] for word in words], dtype=np.intp)
+                       for words in kinds)
         powers = [float(base) ** -(i + 1) for i in range(depth)]
-        terms = [[float(d) * powers[i] for d in range(base)] for i in range(m)]
+        terms = [[float(d) * powers[i] for d in occurring] for i in range(m)]
         fixed = [weighted.exact_total([float(d) * p for p in powers[m:]]) for d in anchor[part]]
-        blocks.append(digit_points([layer[:, part] for layer in digits], choices, terms, fixed))
+        blocks.append(digit_points([full] * t + [image] * (m - t), choices, terms, fixed))
     return np.hstack(blocks)
 
 
@@ -381,15 +386,10 @@ def qbox_family(
     )
 
 
-def verify_family_separation(
-    family: QBoxFamily,
-    full_pair_cap: int = 3000,
-    samples: int = 2000,
-    seed: int = 0,
-) -> dict:
+def verify_family_separation(family: QBoxFamily, samples: int = 2000, seed: int = 0) -> dict:
     """Observed pairwise linf separation of the witness family.
 
-    All pairs are checked when the family is small.  For large families a
+    All pairs are checked up to FULL_PAIR_CAP boxes.  For larger families a
     seeded sample is measured instead, mixing random pairs with single-layer
     perturbations (the pairs that attain the minimum).  The exact-integer
     certificate in the family record covers every pair regardless.
@@ -397,7 +397,7 @@ def verify_family_separation(
     if samples < 1:
         raise DomainError(f"samples = {samples} must be >= 1")
     target = family.min_separation()
-    if family.count <= full_pair_cap:
+    if family.count <= FULL_PAIR_CAP:
         cloud = family.witness_cloud()
         observed = cloud.min_pairwise()
         mode = "all_pairs"
@@ -454,7 +454,7 @@ def covering_sandwich(spec: CarpetSpec, n: int, m: int) -> dict:
     fam = qbox_family(spec, n, m)
     ratio = math.log(fam.count) / (n * m * math.log(spec.b))
     greedy = None
-    if fam.count <= 3000:  # the greedy cross-check runs on small families only
+    if fam.count <= FULL_PAIR_CAP:  # the greedy cross-check runs on small families only
         eps = fam.min_separation()
         bounds = covering_bounds(fam.witness_cloud(), eps)
         greedy = {"lower": bounds.lower, "upper": bounds.upper, "eps": eps}
@@ -497,6 +497,10 @@ def mass_distribution_check(
     if not m_range or min(m_range) < 1:
         raise DomainError(f"M {m_range!r} must be a nonempty range with every M >= 1")
     a, b = spec.a, spec.b
+    log_a, log_b = math.log(a), math.log(b)
+    flat = round(log_a / log_b)  # log a - M log b falls with M, so only this M can give 0
+    if flat in m_range and log_a - flat * log_b == 0.0:
+        raise DomainError(f"M = {flat}: the box scale a b^-M is 1 (log a - M log b = 0.0)")
     w = spec.w
     cap = limits.cap("word", budget)
 
@@ -516,7 +520,7 @@ def mass_distribution_check(
         t_floor = floor_w_m(a, b, m)
         limits.check("word", len(v_words) ** m, "y-sequences", cap, f"M = {m}")
         diam = float(a) * float(b) ** (-m)
-        log_diam = math.log(a) - m * math.log(b)
+        log_diam = log_a - m * log_b
         # math.fsum rounds correctly, so log mu(P) depends only on the
         # multisets of the fixed prefix y[:t_floor] and of the suffix.  Each
         # pair of multisets stands for all its orderings; its least sequence
@@ -816,42 +820,39 @@ def sample_reciprocal_point(n_coords: int, n_cap: int, seed: int = 0) -> list[fl
     return out
 
 
-def reciprocal_set_dims(n_cap: int, eps_list) -> dict:
-    """Scale-level dimensions of the one-coordinate reciprocal set.
+def reciprocal_set_dims(n_cap: int, eps: float) -> dict:
+    """Scale-level dimensions of the one-coordinate reciprocal set at eps.
 
-    Covering numbers are exact (optimal interval sweep on sorted points);
+    The covering number is exact (optimal interval sweep on sorted points);
     dimm(K, eps) = log # / log(1/eps).  The scale Hausdorff exponent is 0 at
     every scale: the cover {[0, delta]} plus singletons has weight sum
     delta^s < 1 for every s > 0 (singletons contribute 0^s = 0).
     """
     if n_cap < 1:
         raise DomainError(f"truncation n_cap = {n_cap} must be >= 1")
+    if not 0.0 < eps < 1.0:
+        raise DomainError(f"eps = {eps} must lie in (0, 1)")
+    # scales below the truncation resolution would probe discarded atoms;
+    # coarse scales (>= 1/4) are meaningful for any truncation
+    if eps <= 4.0 / n_cap and eps < 0.25:
+        raise DegenerateScale(f"eps = {eps} is below the truncation resolution 1/{n_cap}")
     points = reciprocal_atoms(n_cap)
-    out: dict = {"minkowski_scale": {}, "hausdorff_scale_upper": {}, "witness": {}}
-    out["truncation_error"] = 1.0 / n_cap
-    for eps in eps_list:
-        if not 0.0 < eps < 1.0:
-            raise DomainError(f"eps = {eps} must lie in (0, 1)")
-        # scales below the truncation resolution would probe discarded atoms;
-        # coarse scales (>= 1/4) are meaningful for any truncation
-        if eps <= 4.0 / n_cap and eps < 0.25:
-            raise DegenerateScale(
-                f"eps = {eps} is below the truncation resolution 1/{n_cap}"
-            )
-        # greedy intervals [start, start + eps): p - start rounds monotonically
-        # in p, so bisect finds the first point with p - start >= eps
-        count = 0
-        i = 0
-        while i < len(points):
-            start = points[i]
-            i = bisect.bisect_left(points, True, lo=i, key=lambda p: p - start >= eps)
-            count += 1
-        out["minkowski_scale"][eps] = math.log(count) / math.log(1.0 / eps)
-        out["covering_number_" + repr(eps)] = count
-        delta = eps / 2.0
-        out["hausdorff_scale_upper"][eps] = 0.0
-        out["witness"][eps] = {
+    # greedy intervals [start, start + eps): p - start rounds monotonically
+    # in p, so bisect finds the first point with p - start >= eps
+    count = 0
+    i = 0
+    while i < len(points):
+        start = points[i]
+        i = bisect.bisect_left(points, True, lo=i, key=lambda p: p - start >= eps)
+        count += 1
+    delta = eps / 2.0
+    return {
+        "minkowski_scale": math.log(count) / math.log(1.0 / eps),
+        "covering_number": count,
+        "hausdorff_scale_upper": 0.0,
+        "witness": {
             "delta": delta,
             "singletons": len(points) - int(np.searchsorted(points, delta, "right")),
-        }
-    return out
+        },
+        "truncation_error": 1.0 / n_cap,
+    }

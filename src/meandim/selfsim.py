@@ -22,6 +22,7 @@ from .errors import DomainError
 from .metrics import LINF_FINITE, MetricDescriptor, PointCloud, digit_points
 
 _RATIONAL_DENOM_CAP = 1 << 30  # beta with a denominator this small goes exact
+SEPARATION_SLACK = 1e-9  # rounding allowed below a family's certified separation eps
 
 
 @dataclass(frozen=True)
@@ -89,7 +90,6 @@ class CoveringFamily:
     count: int
     n_words: int  # |pi_N(Omega)|
     eps: float  # beta^-n, the certified linf separation over the first N coords
-    dyn_eps: float  # beta^-n / 2, the certified separation under the shift metric
 
 
 def covering_lower_bound(
@@ -134,19 +134,14 @@ def covering_lower_bound(
         metric=MetricDescriptor(kind=LINF_FINITE, iterates=n_coords),
         truncation_error=trunc,
     )
-    return CoveringFamily(
-        points=cloud,
-        count=count,
-        n_words=len(words),
-        eps=eps,
-        dyn_eps=eps / 2.0,
-    )
+    return CoveringFamily(points=cloud, count=count, n_words=len(words), eps=eps)
 
 
-def self_similar_dims(spec: BetaSystemSpec, n_max: int = 12) -> dict:
+def self_similar_dims(spec: BetaSystemSpec) -> dict:
     """Common mean Hausdorff / metric mean dimension of the system:
     entropy(Omega) / log beta, from the spectral value of Omega's automaton.
     Every map contracts by exactly 1/beta, so this is also the similarity
     bound entropy(Omega) / log(1/c)."""
-    h = symbolic.entropy(spec.omega, n_max).spectral_value
+    lo, hi = spec.omega.automaton.spectral_log()
+    h = 0.5 * (lo + hi)
     return {"mdim": h / math.log(spec.beta), "entropy": h}

@@ -53,12 +53,13 @@ def criterion_carpet_example():
     )
 
 
-def criterion_weighted_consistency(n_systems=50, n_max=4, seed=0):
+def criterion_weighted_consistency(seed=0):
     """Random product systems: Z_N, from the exact power and from the generic
     fiber sweep of the same language as an automaton spec (which never looks
     at product structure), against the closed form log sum_v t(v)^w; and the
     closed form at w = 1 and w = 0 against log |R| and log #columns."""
     rng = random.Random(seed)
+    n_systems = 50
     worst_z = 0.0
     worst_end = 0.0
     for _ in range(n_systems):
@@ -70,8 +71,8 @@ def criterion_weighted_consistency(n_systems=50, n_max=4, seed=0):
             a, b, symbolic.automaton_spec(sys.omega.automaton, a * b)
         )
         w = math.log(b) / math.log(a)
-        rep = weighted.weighted_entropy(sys, w, n_max)
-        swept = weighted.weighted_entropy(generic, w, n_max).z_values
+        rep = weighted.weighted_entropy(sys, w, 4)
+        swept = weighted.weighted_entropy(generic, w, 4).z_values
         for z in (rep.z_values, swept):
             for n, value in z.items():
                 worst_z = max(worst_z, abs(math.log(value) / n - rep.closed_form))
@@ -88,12 +89,12 @@ def criterion_weighted_consistency(n_systems=50, n_max=4, seed=0):
     )
 
 
-def criterion_qbox(n_max=3, m_max=5):
+def criterion_qbox():
     spec = carpet.carpet_from_tuples(3, 2, EXAMPLE_RELATION)
     all_ok = True
     cells = {}
-    for n in range(1, n_max + 1):
-        for m in range(1, m_max + 1):
+    for n in range(1, 4):
+        for m in range(1, 6):
             fam = oracle.qbox_family(spec, n, m)
             sep = oracle.verify_family_separation(fam, samples=600)
             ok = fam.diam_certified and fam.separation_certified and sep["ok"]
@@ -107,13 +108,13 @@ def criterion_qbox(n_max=3, m_max=5):
     return _result("q-box lemma", all_ok, cells)
 
 
-def criterion_sandwich(n_list=(1, 2, 3), m_list=(1, 2, 3, 4)):
+def criterion_sandwich():
     spec = carpet.carpet_from_tuples(3, 2, EXAMPLE_RELATION)
     target = carpet.mean_dims(spec, 6).mdim_m.value
     grid = {}
     largest = None
-    for n in n_list:
-        for m in m_list:
+    for n in range(1, 4):
+        for m in range(1, 5):
             sw = oracle.covering_sandwich(spec, n, m)
             grid[f"{n},{m}"] = sw["ratio"]
             largest = sw
@@ -150,7 +151,7 @@ def criterion_beta_separation():
                 fam = selfsim.covering_lower_bound(spec, n_coords, n_layers)
                 observed = fam.points.min_pairwise() if fam.count > 1 else fam.eps
                 bounds = oracle.covering_bounds(fam.points, fam.eps)
-                ok = observed >= fam.eps - 1e-9 and bounds.lower >= fam.count
+                ok = observed >= fam.eps - selfsim.SEPARATION_SLACK and bounds.lower >= fam.count
                 family_ok = family_ok and ok
                 details[f"{label} N={n_coords} n={n_layers}"] = {
                     "count": fam.count,
@@ -276,8 +277,9 @@ def criterion_mass_distribution():
     )
 
 
-def criterion_reciprocal_space(n_points=100, seed=0):
+def criterion_reciprocal_space(seed=0):
     rng = random.Random(seed)
+    n_points = 100
     all_passed = True
     for i in range(n_points):
         m = rng.choice((2, 3))
@@ -288,7 +290,7 @@ def criterion_reciprocal_space(n_points=100, seed=0):
         x = oracle.sample_reciprocal_point(n_window + tail, 100_000, seed=seed + i)
         wit = oracle.reciprocal_product_witness(x, n_window, m, eps)
         all_passed = all_passed and wit["passed"]
-    mink = oracle.reciprocal_set_dims(100_000, [1e-4])["minkowski_scale"][1e-4]
+    mink = oracle.reciprocal_set_dims(100_000, 1e-4)["minkowski_scale"]
     return _result(
         "reciprocal sequence space",
         all_passed and 0.40 <= mink <= 0.60,
@@ -296,8 +298,9 @@ def criterion_reciprocal_space(n_points=100, seed=0):
     )
 
 
-def criterion_ordering(n_samples=200, seed=0):
+def criterion_ordering(seed=0):
     rng = random.Random(seed)
+    n_samples = 200
     order_ok = True
     equality_ok = True
     coincide_ok = True

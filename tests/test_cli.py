@@ -260,6 +260,27 @@ class TestExitCodes:
         assert proc.stderr.startswith("resource limit:")
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("flags", [
+        ["--a", "2", "--b", "2", "--tuples", "00,11", "--mmin", "1", "--mmax", "2"],
+        ["--a", "4", "--b", "2", "--tuples", "00,11,31", "--mmin", "2", "--mmax", "3"],
+        ["--a", "9007199254740993", "--b", "9007199254740992", "--tuples", "0:0,1:1",
+         "--mmin", "1", "--mmax", "1"],
+    ])
+    def test_oracle_mass_at_box_scale_one_exits_4(self, capsys, flags):
+        # log a - M log b = 0.0 was a ZeroDivisionError traceback
+        assert main(["oracle", "mass", *flags]) == 4
+        m = flags[flags.index("--mmin") + 1]
+        assert capsys.readouterr().err.startswith(f"spec error: M = {m}: the box scale")
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_oracle_qbox_on_a_huge_base_runs_under_a_memory_cap(self, fmt):
+        # the witness terms ran over every digit of the base: MemoryError
+        proc = run_cli_capped(1 << 30, "oracle", "qbox", "--a", "1000000000000",
+                              "--b", "1000000000000", "--tuples", "0:0,1:1", "--N", "1",
+                              "--M", "2", "--format", fmt)
+        assert proc.returncode in (0, 2, 3, 4), proc.stderr
+        assert "Traceback" not in proc.stderr
+
     def test_beta_budget_exits_3_without_traceback(self):
         proc = run_cli_process("beta", "--a", "2", "--beta", "2.5", "--n", "2", "--N", "2",
                                "--budget", "3")
@@ -673,7 +694,7 @@ class TestCliFuzz:
     @example({"a": 1, "rule": "free"}, ["grid2d", "--rule", "{spec}"], [])
     @example({"alphabet": 2, "kind": "wordset", "words": {"1": ["0"]}},  # an unknown kind
              ["beta", "--a", "2", "--beta", "2.5", "--omega", "{spec}", "--n", "2", "--N", "2"],
-             [("--nmax", "1")])
+             [])
     @example({}, ["oracle", "appendix-k"], [("--eps", "1")])
     @example({"alphabet": 2, "kind": "full"},
              ["beta", "--a", "2", "--beta", "2.5", "--omega", "{spec}", "--n", "2", "--N", "2"],
@@ -697,10 +718,12 @@ class TestCliFuzz:
 
 
 CARPET = ["--a", "3", "--b", "2", "--tuples", "00,11,20"]
+SQUARE_SCALE = ["--a", "4", "--b", "2", "--tuples", "00,11,31"]
 NUMERIC_FLAG_COMMANDS = [
     (["grid2d", "--rule", "{rule}"], ["--nmax", "--mmax"]),
     (["oracle", "qbox", *CARPET], ["--N", "--M"]),
     (["oracle", "mass", *CARPET], ["--N", "--mmin", "--mmax"]),
+    (["oracle", "mass", *SQUARE_SCALE], ["--N", "--mmin", "--mmax"]),  # box scale 1 at M = 2
     (["oracle", "appendix-k", "--eps", "0.5"], ["--ncap", "--m", "--N"]),
     (["oracle", "appendix-k", "--witness"], ["--ncap", "--m", "--N"]),
     (["oracle", "hdim", "--diams", "0.1,0.2", "--eps", "0.5"], ["--tol"]),
@@ -732,6 +755,7 @@ class TestNumericFlagFuzz:
     @example(["oracle", "appendix-k", "--ncap", "0"])
     @example(["oracle", "appendix-k", "--witness", "--m", "0"])
     @example(["oracle", "mass", *CARPET, "--N", "1", "--mmin", "3", "--mmax", "2"])
+    @example(["oracle", "mass", *SQUARE_SCALE, "--N", "1", "--mmin", "2", "--mmax", "2"])
     @example(["grid2d", "--rule", "{rule}", "--nmax", "0"])
     def test_small_values_exit_documented_in_time(self, tmp_path, argv):
         """Every small value of a numeric flag ends in a documented exit

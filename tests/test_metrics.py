@@ -15,7 +15,6 @@ from meandim.errors import DomainError
 from meandim.metrics import (
     LINF_FINITE,
     SUM_WEIGHTED_ABS,
-    SUM_WEIGHTED_MAX,
     SUM_WEIGHTED_TORUS,
     MetricDescriptor,
     PointCloud,
@@ -31,19 +30,13 @@ def distance(x, y, metric):
     return float(pairwise_to_point(np.asarray(x)[None], y, metric)[0])
 
 
-def random_point(rng, kind, dim=12):
-    if kind == SUM_WEIGHTED_MAX:
-        return rng.random((2, dim))
-    return rng.random(dim)
-
-
-@pytest.mark.parametrize("kind", SCALAR_KINDS + (SUM_WEIGHTED_MAX,))
+@pytest.mark.parametrize("kind", SCALAR_KINDS)
 @pytest.mark.parametrize("iterates", [None, 1, 4])
 def test_metric_axioms_on_random_triples(kind, iterates):
     rng = np.random.default_rng(hash((kind, iterates)) % 2**32)
     metric = MetricDescriptor(kind=kind, iterates=iterates)
     for _ in range(1000):
-        x, y, z = (random_point(rng, kind) for _ in range(3))
+        x, y, z = rng.random((3, 12))
         dxy = distance(x, y, metric)
         dyx = distance(y, x, metric)
         assert abs(dxy - dyx) <= 1e-12
@@ -51,11 +44,11 @@ def test_metric_axioms_on_random_triples(kind, iterates):
         assert dxy <= distance(x, z, metric) + distance(z, y, metric) + 1e-12
 
 
-@pytest.mark.parametrize("kind", (SUM_WEIGHTED_ABS, SUM_WEIGHTED_TORUS, SUM_WEIGHTED_MAX))
+@pytest.mark.parametrize("kind", (SUM_WEIGHTED_ABS, SUM_WEIGHTED_TORUS))
 def test_window_monotone(kind):
     rng = np.random.default_rng(5)
     for _ in range(200):
-        x, y = random_point(rng, kind, 16), random_point(rng, kind, 16)
+        x, y = rng.random((2, 16))
         values = [
             distance(x, y, MetricDescriptor(kind=kind, iterates=n)) for n in range(1, 6)
         ]
@@ -85,13 +78,6 @@ def test_weighted_abs_hand_value():
     shifted = MetricDescriptor(kind=SUM_WEIGHTED_ABS, iterates=2)
     # the shift drops the first coordinate: max(0.75, 0.5)
     assert distance(x, y, shifted) == pytest.approx(0.75, abs=1e-15)
-
-
-def test_pair_metric_takes_coordinatewise_max():
-    x = np.array([[1.0, 0.0], [0.0, 0.0]])
-    y = np.array([[0.0, 0.0], [0.5, 0.0]])
-    metric = MetricDescriptor(kind=SUM_WEIGHTED_MAX)
-    assert distance(x, y, metric) == pytest.approx(0.5 * 1.0, abs=1e-15)
 
 
 def test_cloud_pairwise_and_min():
@@ -186,9 +172,9 @@ def test_grid_join_pairs_equal_or_adjacent_cells_once(case, chunk):
     assert set(got) == want
 
 
-@pytest.mark.parametrize("kind", [SUM_WEIGHTED_ABS, SUM_WEIGHTED_MAX, SUM_WEIGHTED_TORUS])
+@pytest.mark.parametrize("kind", [SUM_WEIGHTED_ABS, SUM_WEIGHTED_TORUS])
 def test_weighted_window_past_the_coordinates_is_refused(kind):
-    pts = np.zeros((3, 2, 4)) if kind == SUM_WEIGHTED_MAX else np.zeros((3, 4))
+    pts = np.zeros((3, 4))
     PointCloud(points=pts, metric=MetricDescriptor(kind=kind, iterates=4))
     with pytest.raises(DomainError, match="metric iterates 5 exceeds the cloud's 4 coordinates"):
         PointCloud(points=pts, metric=MetricDescriptor(kind=kind, iterates=5))
@@ -206,14 +192,13 @@ def explicit_distance(x, y, metric):
 
 @st.composite
 def weighted_clouds(draw):
-    """Random clouds of the weighted metrics, pair-shaped for
-    sum_weighted_max, with non-dyadic coordinates and duplicates."""
-    kind = draw(st.sampled_from([SUM_WEIGHTED_ABS, SUM_WEIGHTED_MAX, SUM_WEIGHTED_TORUS]))
+    """Random clouds of the weighted metrics, with non-dyadic coordinates
+    and duplicates."""
+    kind = draw(st.sampled_from([SUM_WEIGHTED_ABS, SUM_WEIGHTED_TORUS]))
     dim = draw(st.integers(1, 9))
     n = draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    shape = (n, 2, dim) if kind == SUM_WEIGHTED_MAX else (n, dim)
-    pts = (rng.random(shape) - 0.25) * draw(st.sampled_from([1.0, 3.7, 1e-3]))
+    pts = (rng.random((n, dim)) - 0.25) * draw(st.sampled_from([1.0, 3.7, 1e-3]))
     if n > 1 and draw(st.booleans()):
         pts = np.concatenate([pts, pts[rng.integers(0, n, 3)]])
     iterates = draw(st.none() | st.integers(1, dim))

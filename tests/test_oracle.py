@@ -29,7 +29,6 @@ from meandim.errors import (
 from meandim.metrics import (
     LINF_FINITE,
     SUM_WEIGHTED_ABS,
-    SUM_WEIGHTED_MAX,
     SUM_WEIGHTED_TORUS,
     MetricDescriptor,
     PointCloud,
@@ -191,7 +190,7 @@ class TestCoveringMatchesReference:
         omega = sy.forbidden_words(2, ["11"]) if golden else None
         fam = ss.covering_lower_bound(ss.beta_system(2, 2.5, omega), n_coords, n_layers)
         assert fam.points.metric.iterates == n_coords
-        for eps in (fam.eps, fam.dyn_eps, 2.5 * fam.eps):
+        for eps in (fam.eps, fam.eps / 2, 2.5 * fam.eps):
             got = orc.covering_bounds(fam.points, eps)
             assert got == reference_covering_bounds(fam.points, eps)
 
@@ -308,20 +307,16 @@ def _push(buf, k, p):
 
 @st.composite
 def metric_clouds(draw):
-    """Clouds of every metric on the grid (1/8) Z^dim, pair-shaped for
-    sum_weighted_max, so that distances tie with dyadic eps and radii
-    exactly; or scaled by 0.1, so that they round."""
-    kind = draw(st.sampled_from([LINF_FINITE, SUM_WEIGHTED_ABS, SUM_WEIGHTED_MAX,
-                                 SUM_WEIGHTED_TORUS]))
+    """Clouds of every metric on the grid (1/8) Z^dim, so that distances tie
+    with dyadic eps and radii exactly; or scaled by 0.1, so that they round."""
+    kind = draw(st.sampled_from([LINF_FINITE, SUM_WEIGHTED_ABS, SUM_WEIGHTED_TORUS]))
     dim = draw(st.integers(1, 5))
     n = draw(st.integers(1, 60))
-    shape = (2, dim) if kind == SUM_WEIGHTED_MAX else (dim,)
-    size = int(np.prod(shape))
     coords = st.integers(-12, 12).map(lambda k: k / 8.0)
-    rows = draw(st.lists(st.lists(coords, min_size=size, max_size=size), min_size=n, max_size=n))
+    rows = draw(st.lists(st.lists(coords, min_size=dim, max_size=dim), min_size=n, max_size=n))
     if n > 1 and draw(st.booleans()):  # duplicates
         rows += draw(st.lists(st.sampled_from(rows), max_size=n))
-    pts = np.array(rows).reshape((-1,) + shape) * draw(st.sampled_from([1.0, 0.1]))
+    pts = np.array(rows) * draw(st.sampled_from([1.0, 0.1]))
     top = dim + 1 if kind == LINF_FINITE else dim
     iterates = draw(st.none() | st.integers(1, top))
     return PointCloud(points=pts, metric=MetricDescriptor(kind=kind, iterates=iterates))
@@ -599,20 +594,19 @@ class TestQBoxFamily:
         assert np.array_equal(cloud.points, np.array(pts))
         assert len(cloud) == fam.count == fam.count_formula
 
-    def test_sampled_separation_pinned(self):
+    def test_sampled_separation_pinned(self, monkeypatch):
         # minima over the seeded pairs, each also the fsum formula's minimum
         # over the same pairs
         spec = cp.carpet_from_tuples(5, 3, [(0, 0), (1, 1), (2, 2), (4, 0), (3, 1)])
         fam = orc.qbox_family(spec, 1, 5)
+        monkeypatch.setattr(orc, "FULL_PAIR_CAP", 100)
         for seed, observed in (
             (1, 0.037037037037037035),
             (2, 0.008230452674897082),
             (3, 0.008230452674897137),
             (4, 0.004115226337448541),
         ):
-            rep = orc.verify_family_separation(
-                fam, full_pair_cap=100, samples=6, seed=seed
-            )
+            rep = orc.verify_family_separation(fam, samples=6, seed=seed)
             assert rep["mode"] == "sampled_pairs"
             assert rep["observed_min"] == observed == fsum_sampled_minimum(fam, 6, seed)
         fam = orc.qbox_family(cp.carpet_from_tuples(3, 2, R_EXAMPLE), 2, 6)
@@ -765,6 +759,22 @@ class TestMassDistribution:
         spec = cp.carpet_from_tuples(3, 2, R_EXAMPLE)
         with pytest.raises(DomainError, match=match):
             orc.mass_distribution_check(spec, n, m_range, s=0.5)
+
+    @pytest.mark.parametrize(
+        "a, b, rel, m_range, flat",
+        [
+            (2, 2, [(0, 0), (1, 1)], range(1, 3), 1),  # a = b
+            (4, 2, [(0, 0), (1, 1), (3, 1)], range(2, 4), 2),  # a = b^2
+            (2**53 + 1, 2**53, [(0, 0), (1, 1)], range(1, 2), 1),  # log a rounds to log b
+        ],
+    )
+    def test_box_scale_one_is_refused_on_entry(self, a, b, rel, m_range, flat):
+        # log a - M log b = 0.0 divided by zero
+        spec = cp.carpet_from_tuples(a, b, rel)
+        with pytest.raises(DomainError, match=f"M = {flat}: the box scale a b\\^-M is 1"):
+            orc.mass_distribution_check(spec, 1, m_range, s=0.5)
+        rest = [m for m in range(1, 5) if m != flat]
+        assert orc.mass_distribution_check(spec, 1, rest, s=0.0)["per_m"].keys() == set(rest)
 
 
 def reference_mass_per_m(spec, n, m_range):
@@ -1039,28 +1049,28 @@ class TestReciprocalSpace:
             orc.reciprocal_product_witness([0.0] * 10, 1, 7, 0.1)
 
     def test_set_dims(self):
-        rep = orc.reciprocal_set_dims(100_000, [1e-4])
-        assert 0.40 <= rep["minkowski_scale"][1e-4] <= 0.60
-        assert rep["hausdorff_scale_upper"][1e-4] == 0.0
+        rep = orc.reciprocal_set_dims(100_000, 1e-4)
+        assert 0.40 <= rep["minkowski_scale"] <= 0.60
+        assert rep["hausdorff_scale_upper"] == 0.0
 
     def test_tiny_k_set(self):
-        rep = orc.reciprocal_set_dims(1, [0.5])  # K = {0, 1}
-        assert rep["covering_number_0.5"] == 2
+        rep = orc.reciprocal_set_dims(1, 0.5)  # K = {0, 1}
+        assert rep["covering_number"] == 2
 
     def test_eps_below_truncation_rejected(self):
         with pytest.raises(DegenerateScale):
-            orc.reciprocal_set_dims(100, [1e-4])
+            orc.reciprocal_set_dims(100, 1e-4)
 
     @pytest.mark.parametrize("eps", [1.0, 2.0, math.inf, math.nan, 0.0])
     def test_eps_outside_the_unit_interval_rejected(self, eps):
         with pytest.raises(DomainError, match=r"must lie in \(0, 1\)"):
-            orc.reciprocal_set_dims(100, [eps])
+            orc.reciprocal_set_dims(100, eps)
 
     @pytest.mark.parametrize("n_cap", [0, -5])
     def test_truncation_below_one_rejected(self, n_cap):
         # 0 divided by zero; -5 reported a Minkowski value of 0
         with pytest.raises(DomainError, match=f"n_cap = {n_cap}"):
-            orc.reciprocal_set_dims(n_cap, [0.5])
+            orc.reciprocal_set_dims(n_cap, 0.5)
         with pytest.raises(DomainError, match=f"n_cap = {n_cap}"):
             orc.sample_reciprocal_point(4, n_cap)
 
@@ -1272,10 +1282,10 @@ class TestReciprocalKernelsMatchReference:
         (1000, 0.3), (1000, 0.25),
     ])
     def test_set_dims_counts_equal_the_point_loop(self, n_cap, eps):
-        rep = orc.reciprocal_set_dims(n_cap, [eps])
+        rep = orc.reciprocal_set_dims(n_cap, eps)
         count, singletons = reference_set_dims_counts(n_cap, eps)
-        assert rep["covering_number_" + repr(eps)] == count
-        assert rep["witness"][eps]["singletons"] == singletons
+        assert rep["covering_number"] == count
+        assert rep["witness"]["singletons"] == singletons
 
 
 def test_all_zero_point_records_threshold_scale():
@@ -1290,8 +1300,7 @@ def test_all_zero_point_records_threshold_scale():
 
 
 def test_reciprocal_minkowski_trend_toward_half():
-    rep = orc.reciprocal_set_dims(100_000, [1e-2, 1e-3, 1e-4])
-    values = [rep["minkowski_scale"][e] for e in (1e-2, 1e-3, 1e-4)]
+    values = [orc.reciprocal_set_dims(100_000, e)["minkowski_scale"] for e in (1e-2, 1e-3, 1e-4)]
     # approaches 1/2 from above as the scale shrinks
     assert values[0] > values[1] > values[2] > 0.5
 

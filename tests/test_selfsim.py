@@ -134,8 +134,8 @@ class TestCoveringLowerBound:
         best = min(
             pairwise_to_point(pts[i + 1 :], pts[i], metric).min() for i in range(len(pts) - 1)
         )
-        assert best >= fam.dyn_eps - 1e-9
-        assert best == pytest.approx(fam.dyn_eps, abs=1e-9)
+        assert best >= fam.eps / 2 - 1e-9
+        assert best == pytest.approx(fam.eps / 2, abs=1e-9)
 
 
 def reference_family_points(spec, n_coords, n_layers, tol=1e-9):
@@ -201,6 +201,11 @@ class TestSelfSimilarDims:
     def test_singleton_is_zero(self):
         spec = ss.beta_system(2, 2.0, sym.sft_from_matrix([[1, 0], [0, 0]]))
         assert ss.self_similar_dims(spec)["mdim"] == pytest.approx(0.0, abs=1e-12)
+
+    def test_entropy_is_the_spectral_value(self):
+        spec = ss.beta_system(2, 2.5, sym.forbidden_words(2, ["11"]))
+        h = sym.entropy(spec.omega).spectral_value
+        assert ss.self_similar_dims(spec) == {"mdim": h / math.log(2.5), "entropy": h}
 
     def test_consistent_with_covering_slope(self):
         # log(count) / (N n log beta) approaches the dimension from below
