@@ -12,6 +12,7 @@ product for metric cross-checks.
 
 from __future__ import annotations
 
+import collections
 import functools
 import itertools
 import json
@@ -140,13 +141,14 @@ def _window_test(spec: Grid2DSpec, h: int, w: int):
     return allowed
 
 
-def _row_sweep(spec: Grid2DSpec, n_rows: int, cap: int) -> np.ndarray:
-    """Column codes of the admissible n_rows x w patterns, one array row per
-    pattern.  Each grid row extends every partial pattern by the a^w row
-    codes, keeps a candidate when the window ending at that row is allowed,
-    and carries each column's code sum col[i] a^(n_rows-1-i) (int64 below
-    2^62, Python ints above) and the code of the last h - 1 rows.  `cap`
-    bounds the partial patterns kept at each row."""
+def _row_sweep(spec: Grid2DSpec, n_rows: int, cap: int):
+    """Yield, after each row r = 1..n_rows, the column codes of the
+    admissible r x w patterns, one array row per pattern.  Each grid row
+    extends every partial pattern by the a^w row codes, keeps a candidate
+    when the window ending at that row is allowed, and carries each column's
+    code sum col[i] a^(r-1-i) (int64 while a^n_rows <= 2^62, Python ints
+    above) and the code of the last h - 1 rows.  `cap` bounds the partial
+    patterns kept at each row."""
     a = spec.alphabet
     h, w = _window_shape(spec)
     allowed = _window_test(spec, h, w)
@@ -164,10 +166,10 @@ def _row_sweep(spec: Grid2DSpec, n_rows: int, cap: int) -> np.ndarray:
             kept += len(ok)
             limits.check("state", kept, "or more partial patterns", cap,
                          f"the transfer graph for {n_rows} rows, at row {r + 1}")
-        keep = np.concatenate(keep)
-        cols = cols[keep // span] * a + cells[keep % span]
-        last = (last[keep // span] * span + keep % span) % span ** (h - 1)
-    return cols
+        parent, code = np.divmod(np.concatenate(keep), span)
+        cols = cols[parent] * a + cells[code]
+        last = (last[parent] * span + code) % span ** (h - 1)
+        yield cols
 
 
 def _grouped(sources, labels, targets, n_states: int) -> list[dict]:
@@ -179,15 +181,19 @@ def _grouped(sources, labels, targets, n_states: int) -> list[dict]:
 
 
 def _transfer_graph(spec: Grid2DSpec, n_rows: int, budget: int | None) -> Automaton:
+    """`_column_graph` of `_row_sweep`'s last row, capped by `budget` (default the state budget)."""
+    sweep = _row_sweep(spec, n_rows, limits.cap("state", budget))
+    return _column_graph(spec.alphabet**n_rows, collections.deque(sweep, maxlen=1)[0])
+
+
+def _column_graph(k: int, cols: np.ndarray) -> Automaton:
     """Automaton whose words of length m >= w are the locally admissible
-    n_rows x m patterns, labelled by their column codes.  Its states are the
-    strips of w - 1 columns in the admissible n_rows x w patterns of
-    `_row_sweep` (capped by `budget`, default the state budget), one edge per
-    pattern from its first strip to its last, labelled by its last column.
-    The root reads the first w - 1 columns through prefix states toward the
-    strips with successors, so shorter words are not all patterns."""
-    k = spec.alphabet**n_rows
-    cols = _row_sweep(spec, n_rows, limits.cap("state", budget))
+    n x m patterns, labelled by their column codes below k = a^n.  Its
+    states are the strips of w - 1 columns in the admissible n x w patterns
+    `cols` swept by `_row_sweep`, one edge per pattern from its first strip
+    to its last, labelled by its last column.  The root reads the first
+    w - 1 columns through prefix states toward the strips with successors,
+    so shorter words are not all patterns."""
     n_pat, w = cols.shape
     if k ** (w - 1) > 2**62:
         cols = cols.astype(object)
@@ -305,19 +311,22 @@ def entropy2d(
 
     Each value log count(n, m) / (n m) upper-bounds the pattern entropy:
     counts are submultiplicative along both axes, so Fekete applies per axis
-    and the double limit is the double infimum.  One sweep of the transfer
-    graph per row count n gives count(n, m) for every m; cells that hold no
-    window take `count_rectangles`' closed form a^(n m) (the graph's words
-    shorter than the window are not all patterns).  `budget` caps each row
-    count's sweep as in `count_rectangles`.
+    and the double limit is the double infimum.  One row sweep to n_max rows
+    gives, after row n, the columns of the n-row transfer graph, whose words
+    give count(n, m) for every m; cells that hold no window take
+    `count_rectangles`' closed form a^(n m) (the graph's words shorter than
+    the window are not all patterns).  `budget` caps the sweep as in
+    `count_rectangles`.
     """
     if n_max < 1 or m_max < 1:
         raise DomainError(f"grid (n_max, m_max) = ({n_max}, {m_max}) needs both >= 1")
+    a = spec.alphabet
+    sweep = itertools.repeat(None) if _window_free(spec, n_max, m_max) else _row_sweep(
+        spec, n_max, limits.cap("state", budget))
     estimates = {}
     counts = {}
-    for n in range(1, n_max + 1):
-        free = _window_free(spec, n, m_max)
-        row = None if free else _transfer_graph(spec, n, budget).word_counts(m_max)
+    for n, cols in zip(range(1, n_max + 1), sweep):
+        row = None if _window_free(spec, n, m_max) else _column_graph(a**n, cols).word_counts(m_max)
         for m in range(1, m_max + 1):
             c = count_rectangles(spec, n, m, budget) if _window_free(spec, n, m) else row[m - 1]
             counts[(n, m)] = c
@@ -336,20 +345,11 @@ def homog_dims_from_report(rep: Entropy2DReport, a: int) -> dict:
     """
     if a < 2:
         raise DomainError(f"digit base {a}: the dimension entropy / log a needs a >= 2")
-    exact_ratios = []
-    for (n, m), c in rep.counts.items():
-        e = _int_log(c, a)
-        if e is None:
-            exact_ratios = None
-            break
-        exact_ratios.append(Fraction(e, n * m))
-    if exact_ratios is not None:
-        value = float(min(exact_ratios))
-        exact = True
-    else:
-        value = rep.best / math.log(a)
-        exact = False
-    return {"mdim": value, "exact_power": exact}
+    logs = {cell: _int_log(c, a) for cell, c in rep.counts.items()}
+    if None in logs.values():
+        return {"mdim": rep.best / math.log(a), "exact_power": False}
+    return {"mdim": float(min(Fraction(e, n * m) for (n, m), e in logs.items())),
+            "exact_power": True}
 
 
 # ---------------------------------------------------------------------------

@@ -42,7 +42,7 @@ from .metrics import (
 )
 
 SLACK = 1e-12
-EXACT_COVER_CAP = 12  # points at most in an exact cover (2^n clique masks)
+EXACT_COVER_CAP = 12  # points at most in an exact cover (2^n covered masks)
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +178,12 @@ def exact_min_cover(cloud: PointCloud, eps: float) -> int:
     A subset has diameter < eps exactly when its points are pairwise closer
     than eps: it is a clique of the graph joining such points.  Every clique
     lies in a maximal one, so the answer is the least number of maximal
-    cliques covering the cloud.  The clique table runs over all 2^n point
-    masks at once; a breadth-first search over covered sets then adds, at
-    each step, every maximal clique through the least uncovered point.
-    Restricted to clouds of at most EXACT_COVER_CAP points.
+    cliques covering the cloud.  Bron-Kerbosch with pivoting lists the
+    maximal cliques as int bit masks (at most 3^(n/3) of them, 81 at 12
+    points); a breadth-first search over covered masks then adds, at each
+    step, every maximal clique through the least uncovered point.  The
+    search can reach every one of the 2^n masks, so clouds are restricted
+    to at most EXACT_COVER_CAP points.
     """
     n = len(cloud)
     if n > EXACT_COVER_CAP:
@@ -192,27 +194,23 @@ def exact_min_cover(cloud: PointCloud, eps: float) -> int:
     near = cloud.pairwise() < eps
     np.fill_diagonal(near, False)
     nbr = (near * (1 << np.arange(n))).sum(axis=1).tolist()
-    # mask m + 2^i (m below 2^i) is a clique when m is one and lies in
-    # i's neighbourhood; `common` holds the points adjacent to all of a mask
-    clique = np.ones(1, dtype=bool)
-    common = np.full(1, full)
-    for i in range(n):
-        masks = np.arange(1 << i)
-        clique = np.concatenate([clique, clique & (masks & ~nbr[i] == 0)])
-        common = np.concatenate([common, common & nbr[i]])
-    maximal = np.flatnonzero(clique & (common == 0))
-    through = [maximal[maximal >> i & 1 == 1] for i in range(n)]
-    seen = np.zeros(full + 1, dtype=bool)
-    seen[0] = True
-    covered, steps = np.zeros(1, dtype=np.intp), 0
-    while not seen[full]:
-        reached = np.zeros(full + 1, dtype=bool)
-        for i in range(n):  # states whose least uncovered point is i
-            below = (2 << i) - 1
-            low_i = covered[covered & below == below >> 1]
-            reached[(low_i[:, None] | through[i]).ravel()] = True
-        covered = np.flatnonzero(reached & ~seen)
-        seen |= reached
+    maximal = []
+
+    def extend(clique, cand, done):  # every maximal clique that grows clique from cand, not done
+        if not cand | done:
+            maximal.append(clique)
+            return
+        pivot = max([u for u in range(n) if (cand | done) >> u & 1],
+                    key=lambda u: (cand & nbr[u]).bit_count())
+        for v in [v for v in range(n) if (cand & ~nbr[pivot]) >> v & 1]:
+            extend(clique | 1 << v, cand & nbr[v], done & nbr[v])
+            cand, done = cand & ~(1 << v), done | 1 << v
+
+    extend(0, full, 0)
+    through = [[c for c in maximal if c >> i & 1] for i in range(n)]
+    covered, steps = {0}, 0
+    while full not in covered:  # ~m & (m + 1) is the lowest bit m lacks: its least uncovered point
+        covered = {m | c for m in covered for c in through[(~m & (m + 1)).bit_length() - 1]}
         steps += 1
     return steps
 
@@ -499,8 +497,9 @@ def mass_distribution_check(
     a, b = spec.a, spec.b
     log_a, log_b = math.log(a), math.log(b)
     flat = round(log_a / log_b)  # log a - M log b falls with M, so only this M can give 0
-    if flat in m_range and log_a - flat * log_b == 0.0:
-        raise DomainError(f"M = {flat}: the box scale a b^-M is 1 (log a - M log b = 0.0)")
+    if flat in m_range and (a == b**flat or log_a - flat * log_b == 0.0):
+        raise DomainError(f"M = {flat}: the box scale a b^-M is 1 or rounds to 1 in log "
+                          f"(log a - M log b = {log_a - flat * log_b!r})")
     w = spec.w
     cap = limits.cap("word", budget)
 

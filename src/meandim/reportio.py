@@ -12,6 +12,8 @@ import io
 import json
 import math
 
+from .errors import DomainError
+
 SCHEMA_VERSION = 1
 BIG_INT_CUTOFF = 1 << 53  # larger integers become decimal strings
 
@@ -59,10 +61,18 @@ def cloud_to_csv(points) -> str:
     writer = csv.writer(buf)
     writer.writerow([f"x{i + 1}" for i in range(len(points[0]))])
     for p in points:
-        writer.writerow([format(float(v), ".12g") for v in p])
+        writer.writerow([repr(float(v)) for v in p])  # the shortest digits that round-trip
     return buf.getvalue()
 
 
 def cloud_from_csv(text: str):
-    rows = list(csv.reader(io.StringIO(text)))
-    return [[float(v) for v in row] for row in rows[1:]]
+    """Points of a CSV cloud: a header naming the coordinates, then one row
+    per point.  Blank lines are skipped; a row of another width than the
+    header is refused, naming its line."""
+    reader = csv.reader(io.StringIO(text))
+    rows = [(reader.line_num, row) for row in reader if "".join(row).strip()]
+    width = len(rows[0][1]) if rows else 0
+    for line, row in rows[1:]:
+        if len(row) != width:
+            raise DomainError(f"cloud line {line}: {len(row)} values, the header names {width}")
+    return [[float(v) for v in row] for _, row in rows[1:]]

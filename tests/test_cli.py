@@ -265,6 +265,11 @@ class TestExitCodes:
         ["--a", "4", "--b", "2", "--tuples", "00,11,31", "--mmin", "2", "--mmax", "3"],
         ["--a", "9007199254740993", "--b", "9007199254740992", "--tuples", "0:0,1:1",
          "--mmin", "1", "--mmax", "1"],
+        # log a - 3 log b is a few ulps, not 0.0: exit 2 and exit 0 with |largest_s| ~ 1e15
+        ["--a", "125", "--b", "5", "--tuples", "0:0,1:1,2:1", "--N", "1", "--mmin", "3",
+         "--mmax", "3"],
+        ["--a", "1000", "--b", "10", "--tuples", "0:0,1:1,2:1", "--N", "1", "--mmin", "3",
+         "--mmax", "3"],
     ])
     def test_oracle_mass_at_box_scale_one_exits_4(self, capsys, flags):
         # log a - M log b = 0.0 was a ZeroDivisionError traceback
@@ -874,6 +879,33 @@ class TestCloudCsv:
         text = cloud_to_csv(pts)
         assert text.splitlines()[0] == "x1,x2"
         assert cloud_from_csv(text) == pts
+
+    def test_distinct_points_stay_distinct(self):
+        # 12 significant digits wrote 1e-12 and 1e-12 + 1e-24 as one row
+        from meandim.reportio import cloud_from_csv, cloud_to_csv
+
+        pts = [[1e-12, 0.1], [1e-12 + 1e-24, 0.1], [1 / 3, 2**-1074]]
+        assert cloud_from_csv(cloud_to_csv(pts)) == pts
+
+    def test_qbox_csv_keeps_every_point(self, capsys):
+        assert main(["oracle", "qbox", "--a", "1000000000000", "--b", "1000000000000",
+                     "--tuples", "0:0,1:1", "--N", "1", "--M", "2", "--format", "csv"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:-1]  # between the header and the sidecar
+        assert len(rows) == len(set(rows)) == 4
+
+    def test_blank_lines_are_skipped(self, tmp_path, capsys):
+        # a blank line was a ragged row: numpy's "inhomogeneous shape" error, exit 4
+        path = tmp_path / "cloud.csv"
+        path.write_text("x1,x2\n0.5,0.25\n\n0.125,0.5\n\n")
+        assert main(["oracle", "cover", "--points", str(path), "--eps", "0.3"]) == 0
+        assert '"exact":2' in capsys.readouterr().out
+
+    def test_ragged_row_is_refused_by_line(self, tmp_path, capsys):
+        path = tmp_path / "cloud.csv"
+        path.write_text("x1,x2\n0.5,0.25\n\n0.125\n")
+        assert main(["oracle", "cover", "--points", str(path), "--eps", "0.3"]) == 4
+        assert capsys.readouterr().err == (
+            "spec error: cloud line 4: 1 values, the header names 2\n")
 
 
 class TestBudgetEnv:

@@ -5,6 +5,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -359,6 +360,28 @@ class TestEntropy2D:
         # an empty grid failed on min() of an empty sequence
         with pytest.raises(DomainError, match=rf"\({n_max}, {m_max}\)"):
             g2.entropy2d(g2.free_rule(2), n_max, m_max)
+
+    @settings(max_examples=150, deadline=None)
+    @given(spec=st.one_of(linear_rules(), pattern_rules(), sweep_rules()),
+           n_max=st.integers(1, 4), m_max=st.integers(1, 4),
+           budget=st.one_of(st.none(), st.integers(0, 40)))
+    def test_one_sweep_matches_count_rectangles_per_row_count(self, spec, n_max, m_max, budget):
+        """entropy2d sweeps once to n_max rows; count_rectangles sweeps each
+        row count on its own.  A budget refusal comes at the same row, with
+        the same budget, size and cap, as the first row count's that fails."""
+        refusal = re.compile(r"^(\w+) budget: .* at row (\d+): (\d+) or more .* the cap (\d+)$")
+        want, first = {}, None
+        for n, m in itertools.product(range(1, n_max + 1), range(1, m_max + 1)):
+            try:
+                want[(n, m)] = g2.count_rectangles(spec, n, m, budget)
+            except ResourceLimit as exc:
+                first = first or refusal.match(str(exc)).groups()
+        if first is None:
+            assert g2.entropy2d(spec, n_max, m_max, budget).counts == want
+        else:
+            with pytest.raises(ResourceLimit) as exc:
+                g2.entropy2d(spec, n_max, m_max, budget)
+            assert refusal.match(str(exc.value)).groups() == first
 
     def test_hard_square_matches_enumeration(self):
         rep = g2.entropy2d(g2.hard_square_rule(), 4, 4)

@@ -132,6 +132,21 @@ class TestExactMinCover:
         cloud = PointCloud(points=np.zeros((0, 2)), metric=MetricDescriptor(kind=LINF_FINITE))
         assert orc.exact_min_cover(cloud, 0.3) == 0
 
+    def test_complete_four_partite_graph_has_81_maximal_cliques(self):
+        """K(3,3,3,3), the graph with the most maximal cliques on 12 points
+        (3^4, Moon-Moser): point i of part g sits at one of three corners
+        +-0.99 s of coordinates (2g, 2g + 1) and at 0 elsewhere, so points of
+        one part are 1.98 s apart and points of two parts 0.99 s."""
+        s = 0.25
+        corners = [(1, 1), (1, -1), (-1, 1)]
+        points = np.zeros((12, 8))
+        for g, i in itertools.product(range(4), range(3)):
+            points[3 * g + i, 2 * g : 2 * g + 2] = np.multiply(corners[i], 0.99 * s)
+        cloud = PointCloud(points=points, metric=MetricDescriptor(kind=LINF_FINITE))
+        near = cloud.pairwise() < s
+        assert near.sum() == 12 + 12 * 9  # the diagonal, and the 9 points of the other parts
+        assert orc.exact_min_cover(cloud, s) == reference_exact_min_cover(cloud, s) == 3
+
     def test_thirteen_points_are_refused(self):
         cloud = line_cloud([j / 13 for j in range(13)])
         with pytest.raises(ResourceLimit, match="exact cover limited to 12 points"):
@@ -766,6 +781,9 @@ class TestMassDistribution:
             (2, 2, [(0, 0), (1, 1)], range(1, 3), 1),  # a = b
             (4, 2, [(0, 0), (1, 1), (3, 1)], range(2, 4), 2),  # a = b^2
             (2**53 + 1, 2**53, [(0, 0), (1, 1)], range(1, 2), 1),  # log a rounds to log b
+            # a = b^3 exactly, but log a - 3 log b is +-8.9e-16, not 0.0
+            (125, 5, [(0, 0), (1, 1), (2, 1)], range(3, 4), 3),
+            (1000, 10, [(0, 0), (1, 1), (2, 1)], range(3, 4), 3),
         ],
     )
     def test_box_scale_one_is_refused_on_entry(self, a, b, rel, m_range, flat):
