@@ -512,6 +512,9 @@ def mass_distribution_check(
     log_t = {v: math.log(tv) for v, tv in fibers.items()}
     v_words = list(fibers)
     rng = random.Random(seed)
+    ratios = {v: ((w - 1.0) * log_t[v]).as_integer_ratio() for v in v_words}
+    den = max(d for _, d in ratios.values())  # (w - 1) log t(v) = units[v] / den exactly
+    units = {v: n * (den // d) for v, (n, d) in ratios.items()}
 
     per_m = {}
     all_passed = True
@@ -521,27 +524,25 @@ def mass_distribution_check(
         diam = float(a) * float(b) ** (-m)
         log_diam = log_a - m * log_b
         # math.fsum rounds correctly, so log mu(P) depends only on the
-        # multisets of the fixed prefix y[:t_floor] and of the suffix.  Each
+        # multisets of the fixed prefix y[:t_floor] and of the suffix (its
+        # fsum is (prefix units + suffix units) / den, rounded once).  Each
         # pair of multisets stands for all its orderings; its least sequence
         # is the sorted prefix followed by the sorted suffix, and the pairs
-        # come in the order of those sequences, so the first minimum is the
-        # least sequence at the minimum, as in the per-sequence loop
+        # come in that order, so the first minimum is the least one
         prefixes = _multisets(v_words, t_floor, fibers)
         suffixes = _multisets(v_words, m - t_floor, None)
-        min_s_box = math.inf
-        worst = None
-        masses = []
-        for prefix, prefix_count, prefix_mass in prefixes:
-            for suffix, suffix_count, _ in suffixes:
-                log_mu = -m * log_z + math.fsum(
-                    (w - 1.0) * log_t[v] for v in prefix + suffix
-                ) + math.fsum(log_t[v] for v in suffix)
-                s_box = log_mu / log_diam
-                if s_box < min_s_box:
-                    min_s_box = s_box
-                    worst = prefix + suffix
-                masses.append(prefix_count * suffix_count * prefix_mass * math.exp(log_mu))
-        total_mass = math.fsum(masses)
+        prefix_units = [sum(units[v] for v in prefix) for prefix, _, _ in prefixes]
+        suffix_units = [sum(units[v] for v in suffix) for suffix, _, _ in suffixes]
+        weighted_logs = np.array([(p + q) / den for p in prefix_units for q in suffix_units])
+        suffix_logs = np.array([math.fsum(log_t[v] for v in suffix) for suffix, _, _ in suffixes])
+        log_mu = (-m * log_z + weighted_logs.reshape(-1, len(suffixes)) + suffix_logs).ravel()
+        s_box = log_mu / log_diam
+        first = int(np.argmin(s_box))
+        min_s_box = float(s_box[first])
+        worst = prefixes[first // len(suffixes)][0] + suffixes[first % len(suffixes)][0]
+        masses = np.array([count * mass * suffix_count for _, count, mass in prefixes
+                           for _, suffix_count, _ in suffixes], dtype=float)
+        total_mass = math.fsum((masses * list(map(math.exp, log_mu.tolist()))).tolist())
         passed = min_s_box >= s - SLACK
         all_passed = all_passed and passed
         per_m[m] = {
@@ -624,10 +625,14 @@ def inverse_square_mass(lo: float, hi: float) -> float:
     only in the L(J) of an interval from 0, an under-count below 2^-500.  The
     full-line mass is exactly 1 by the zeta(2) identity.
     """
+    return _inverse_square_mass(lo, hi, _least_index_at_most(hi) if hi >= _ATOM_FLOOR else None)
+
+
+def _inverse_square_mass(lo: float, hi: float, j_min: int | None) -> float:
+    """inverse_square_mass, j_min being _least_index_at_most(hi) (None below _ATOM_FLOOR)."""
     zero = 0.5 if lo <= 0.0 <= hi else 0.0
-    if hi < _ATOM_FLOOR:
+    if j_min is None:
         return zero
-    j_min = _least_index_at_most(hi)
     j_end = None if zero else _greatest_index_at_least(max(lo, _ATOM_FLOOR)) + 1
     if j_end is not None and j_end <= j_min:  # no atom, also when hi < lo
         return 0.0
@@ -660,10 +665,11 @@ def _inverse_square_sum(j_lo: int, j_hi: int) -> float:
     return float(weighted.exact_total(1.0 / (j * j)))
 
 
-def _is_atom(v: float) -> bool:
-    """v is 0 or the double of some 1/j.  Below 2^-53 consecutive 1/j lie
-    closer together than the doubles, so every positive double there is one."""
-    return v == 0.0 or (0.0 < v <= 1.0 and (v < 2.0**-53 or 1.0 / _least_index_at_most(v) == v))
+def _is_atom(v: float, j_min: int | None = None) -> bool:
+    """v is 0 or the double of some 1/j (j_min: _least_index_at_most(v)).  Below 2^-53
+    consecutive 1/j lie closer than the doubles, so every positive double there is one."""
+    return v == 0.0 or (0.0 < v <= 1.0 and (
+        v < 2.0**-53 or 1.0 / (j_min or _least_index_at_most(v)) == v))
 
 
 def _least_index_at_most(hi: float) -> int:
@@ -747,7 +753,9 @@ def reciprocal_product_witness(x, n_window: int, m: int, eps: float) -> dict:
         )
     n_total = n_window + tail
     x = [float(v) for v in x]
-    bad = [v for v in set(x) if not _is_atom(v)]
+    # one walk per distinct value, shared by the atom check and the masses
+    least = {v: _least_index_at_most(v) for v in set(x) if _ATOM_FLOOR <= v <= 1.0}
+    bad = [v for v in set(x) if not _is_atom(v, least.get(v))]
     if bad:
         raise DomainError(f"coordinate {min(bad)!r} is neither 0 nor 1/j: not a point of the space")
     if len(x) < n_total:
@@ -775,7 +783,7 @@ def reciprocal_product_witness(x, n_window: int, m: int, eps: float) -> dict:
     if r == 0.0:
         raise ParameterOverflow("interval width underflows double precision")
 
-    masses = {v: inverse_square_mass(v - r, v) for v in set(x)}  # once per value
+    masses = {v: _inverse_square_mass(v - r, v, least.get(v)) for v in set(x)}  # once per value
     mass = math.prod(masses[v] for v in x)
     cases = [
         "zero_atom" if k > m0 else ("thin_class" if k == m0 else "large_value") for k in classes
@@ -806,15 +814,14 @@ def sample_reciprocal_point(n_coords: int, n_cap: int, seed: int = 0) -> list[fl
     """Seeded sample from the truncated space, coordinates iid inverse-square."""
     if n_cap < 1:
         raise DomainError(f"truncation n_cap = {n_cap} must be >= 1")
-    rng = random.Random(seed)
+    uniform, top = random.Random(seed).random, 1.0 - 1.0 / (n_cap + 1.0)
     out = []
     for _ in range(n_coords):
-        if rng.random() < 0.5:
+        if uniform() < 0.5:
             out.append(0.0)
         else:
             # inverse-square index sampling by inversion: P(J >= j) ~ 1/j
-            u = rng.random()
-            j = min(n_cap, max(1, int(1.0 / (1.0 - u * (1.0 - 1.0 / (n_cap + 1.0))))))
+            j = min(n_cap, max(1, int(1.0 / (1.0 - uniform() * top))))
             out.append(1.0 / j)
     return out
 

@@ -68,10 +68,12 @@ def cloud_to_csv(points) -> str:
 def cloud_from_csv(text: str):
     """Points of a CSV cloud: a header naming the coordinates, then one row
     per point.  Blank lines are skipped; a row of another width than the
-    header is refused, naming its line."""
+    header is refused, naming its line, and so is a cloud with no points."""
     reader = csv.reader(io.StringIO(text))
     rows = [(reader.line_num, row) for row in reader if "".join(row).strip()]
-    width = len(rows[0][1]) if rows else 0
+    if len(rows) < 2:
+        raise DomainError(f"cloud has no points: {'only a header' if rows else 'empty file'}")
+    width = len(rows[0][1])
     for line, row in rows[1:]:
         if len(row) != width:
             raise DomainError(f"cloud line {line}: {len(row)} values, the header names {width}")

@@ -7,8 +7,8 @@ so v_N = min_{j<=N} log Z_j / j is a certified upper-bound sequence; for
 product shifts R^N the value is exactly log sum_{v} t(v)^w.  Other systems
 sweep the projected words grouped by the set of automaton states they reach;
 a fiber table's levels keep the sweep's arrays and decode word tuples only
-on first key access, and Z_N sums each level's fiber-size histogram exactly
-(`exact_total`: multiplicities below 2^9 multiply mantissas in int64).
+on first key access, and the fiber-size histograms of all lengths give
+every Z_N exactly in one pass (`_level_totals`, `exact_total`'s sums).
 
 `image_subshift` determinizes the projected image exactly with the same
 subset moves, and past the subset budget raises ResourceLimit.
@@ -169,44 +169,48 @@ def _fiber_levels(sys: PairShiftSystem, n_max: int, cap: int):
     The frontier keeps, per image subset S (the states a word's paths reach),
     a dense |S| x words block of path counts and each word's rank.  Every
     entry counts a path, so the blocks hold exactly the (word, state) entries
-    reached, which the budget bounds before a level is built.  A successor
-    block gathers, per target, the block row of its first edge's source and
-    adds those of further edges one layer at a time; one argsort of the keys
-    rank * b + v orders a level.  Counts, at most (max out-degree)^n, are
-    int64 below 2^63 and exact Python ints above."""
+    reached, which the budget bounds before a level is built.  A subset's
+    rows, one per (letter, target) over all letters, gather the block row of
+    each first edge's source and add those of further edges one layer at a
+    time; a letter's fiber sizes sum its rows, and rank * b + v broadcast
+    gives the keys, which one argsort orders.  Counts, at most (max
+    out-degree)^n, are int64 below 2^63 and exact Python ints above."""
     aut = sys.omega.automaton
 
     @functools.cache
-    def plan(subset):  # per letter: v, image, first sources, layers of further edges
-        moves = []
-        for v, image, sources in _subset_moves(aut, sys.b_size, subset):
-            depths = range(1, max(map(len, sources)))
-            live = [[j for j, s in enumerate(sources) if len(s) > p] for p in depths]
-            layers = [(rows, [sources[j][p] for j in rows]) for p, rows in zip(depths, live)]
-            moves.append((v, image, [s[0] for s in sources], layers))
-        return moves
+    def plan(subset):  # letters, first sources, further layers, (image, row slice)s, letter heads
+        letters, images, per_letter = zip(*_subset_moves(aut, sys.b_size, subset))
+        sources = [s for per_target in per_letter for s in per_target]
+        depths = range(1, max(map(len, sources)))
+        live = [np.array([j for j, s in enumerate(sources) if len(s) > p]) for p in depths]
+        layers = [(r, np.array([sources[j][p] for j in r])) for p, r in zip(depths, live)]
+        heads = np.cumsum([0, *map(len, images[:-1])])
+        slices = [slice(h, h + len(image)) for h, image in zip(heads.tolist(), images)]
+        return (np.array(letters)[:, None], np.array([s[0] for s in sources]), layers,
+                list(zip(images, slices)), None if len(sources) == len(images) else heads)
 
     dtype = np.int64 if max(map(len, aut.succ)) ** n_max < 2**63 else object
     frontier = {(aut.root,): ([np.zeros(1, np.int64)], [np.ones((1, 1), dtype)])}
     total, histograms = 0, []
     for n in range(1, n_max + 1):
         moves = [(np.concatenate(r), np.hstack(c), plan(s)) for s, (r, c) in frontier.items()]
-        entries = sum(len(rank) * len(image) for rank, _, succ in moves for _, image, _, _ in succ)
+        entries = sum(len(rank) * len(succ[1]) for rank, _, succ in moves)
         limits.check("word", entries, "(word, state) entries", cap,
                      f"fiber frontier at length {n}")
-        keys, pieces = [], []
-        for rank, block, succ in moves:
-            for v, image, first, layers in succ:
-                successors = block[first]
-                for live, rows in layers:
-                    successors[live] += block[rows]
-                keys.append(rank * sys.b_size + v)
-                pieces.append((image, successors))
+        keys, sums, pieces = [], [], []
+        for rank, block, (letters, first, layers, slices, heads) in moves:
+            rows = block[first]
+            for live, sources in layers:
+                rows[live] += block[sources]
+            keys.append((rank * sys.b_size + letters).ravel())
+            sums.append((rows, heads))
+            pieces += [(image, rows[part]) for image, part in slices]
         keys = np.concatenate(keys)
         total += len(keys)
         limits.check("word", total, "words", cap, "fiber table")
         order = np.argsort(keys)
-        counts = np.concatenate([block.sum(axis=0) for _, block in pieces])[order]
+        counts = np.concatenate([(rows if heads is None else np.add.reduceat(rows, heads)).ravel()
+                                 for rows, heads in sums])[order]
         histograms.append(np.unique(counts, return_counts=True))
         yield keys[order], counts, histograms[-1]
         ranks = np.empty_like(order)
@@ -245,42 +249,47 @@ def exact_total(values, counts=None) -> Fraction:
     (one copy each when counts is None).
 
     np.frexp splits each double into a 53-bit integer mantissa and an
-    exponent.  The mantissas of one exponent add as int64 in runs of at most
-    _EXACT_RUN.  Counts of bit length k <= 9 multiply them in int64 too, in
-    runs of _EXACT_RUN >> k, so every partial sum stays below 2^63; larger
-    counts multiply them as Python ints.  The run sums add as Python ints
-    shifted to the least exponent.  float() of the result divides int by
-    int, which rounds correctly, half to even, as math.fsum does, so it is
-    math.fsum of the expanded multiset bit for bit, in any order of the
-    terms.
+    exponent, and the mantissas of one exponent add as integers
+    (`_run_sums`).  The run sums add as Python ints shifted to the least
+    exponent.  float() of the result divides int by int, which rounds
+    correctly, half to even, as math.fsum does, so it is math.fsum of the
+    expanded multiset bit for bit, in any order of the terms.
 
-    Three sums use it: the letter values of a product system, the
-    non-product fiber sizes (up to 13,362 distinct sizes at N = 14 in the
-    closed_form benchmark's pair systems) and the inverse-square series (up
-    to 16,384 terms).
+    It sums product letter values, q-box witness coordinates and up to
+    16,384 inverse-square terms; `_level_totals` sums all levels of fiber
+    sizes at once (up to 13,362 distinct sizes at N = 14 in the benchmark).
     """
     frac, exp = np.frexp(np.asarray(values, dtype=float))
     if not len(exp):
         return Fraction(0)
-    order = np.argsort(exp, kind="stable")
-    exp = exp[order]
-    terms = (frac[order] * 2.0**53).astype(np.int64)
-    run = _EXACT_RUN
+    exps, sums = _run_sums(frac, exp, counts)
+    low = min(0, int(exps[0]) - 53)
+    return Fraction(sum(s << (e - 53 - low) for s, e in zip(sums, exps.tolist())), 1 << -low)
+
+
+def _run_sums(frac, key, counts):
+    """The mantissas frac as 53-bit integers times counts, sorted by key and
+    added per key: (run keys, run sums).  They add as int64 in runs of at most
+    _EXACT_RUN, or _EXACT_RUN >> k for counts of bit length k <= 9, so every
+    partial sum stays below 2^63; wider counts multiply them as Python ints."""
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    terms = frac[order]
+    terms *= 2.0**53
+    terms, run = terms.astype(np.int64), _EXACT_RUN
     if counts is not None:
-        mult = np.asarray(counts)
+        mult = np.asarray(counts)[order]
         width = int(abs(mult).max()).bit_length() if mult.dtype.kind in "iu" else 64
-        if width <= 9:  # |mantissa * count| < 2^(53 + width), so 2^(10 - width) fit
-            terms, run = terms * mult[order].astype(np.int64), run >> width
+        if width <= 9:
+            terms *= mult.astype(np.int64, copy=False)
+            run >>= width
         else:
-            terms = terms.astype(object) * np.asarray(counts, dtype=object)[order]
-    cut = np.ones(len(exp), dtype=bool)
-    cut[1:] = exp[1:] != exp[:-1]
-    cut[::run] = True
+            terms = terms.astype(object) * mult.astype(object)
+    cut = np.empty(len(key), dtype=bool)
+    cut[1:] = key[1:] != key[:-1]
+    cut[::run] = True  # cut[0] too
     heads = np.flatnonzero(cut)
-    low = min(0, int(exp[0]) - 53)
-    sums = np.add.reduceat(terms, heads).tolist()
-    total = sum(s << (e - 53 - low) for s, e in zip(sums, exp[heads].tolist()))
-    return Fraction(total, 1 << -low)
+    return key[heads], np.add.reduceat(terms, heads).tolist()
 
 
 def _z_powers(letters: np.ndarray, n_max: int):
@@ -296,18 +305,43 @@ def _z_powers(letters: np.ndarray, n_max: int):
         yield top / bottom
 
 
+def _level_totals(levels) -> tuple[list, int]:
+    """exact_total(values, counts) of each (values, counts) pair in levels, at
+    least one value in all, as (numerators, common power-of-two denominator):
+    one _run_sums for all levels."""
+    frac, exp = np.frexp(np.concatenate([np.asarray(x, dtype=float) for x, _ in levels]))
+    level = np.repeat(np.arange(len(levels)), [len(x) for x, _ in levels])
+    keys, sums = _run_sums(frac, level * 4096 + exp,  # frexp exponents lie in (-2048, 2048)
+                           np.concatenate([np.asarray(c) for _, c in levels]))
+    level, exp = np.divmod(keys + 2048, 4096)
+    low = min(0, int(exp.min()) - 2048 - 53)
+    totals = [0] * len(levels)
+    for s, shift, k in zip(sums, (exp - 2048 - 53 - low).tolist(), level.tolist()):
+        totals[k] += s << shift
+    return totals, 1 << -low
+
+
 def _z_sweep(sys: PairShiftSystem, w: float, n_max: int, cap: int):
     """Yield Z_N for N = 1..n_max from the fiber-size histograms of the
     generic sweep, those of the last sweep when it was of this system (the
-    same object), n_max and cap."""
+    same object), n_max and cap, summed in one pass.  A fiber size past the
+    double range at N = k ends it after Z_1..Z_{k-1} with OverflowError."""
     last, *key, histograms = _last_sweep
     if last is not sys or key != [n_max, cap]:
         histograms = (level[2] for level in _fiber_levels(sys, n_max, cap))
+    levels = []
     for sizes, mult in histograms:
-        x = sizes.astype(float)
+        try:
+            x = sizes.astype(float)
+        except OverflowError:
+            break
         if w != 1.0:  # libm pow as float ** w (numpy's ** can differ in the last ulp)
             x = list(map(math.pow, x.tolist(), itertools.repeat(w, len(x))))
-        yield float(exact_total(x, mult))
+        levels.append((x, mult))
+    totals, den = _level_totals(levels)
+    yield from (top / den for top in totals)  # int / int rounds correctly, as fsum does
+    if len(levels) < n_max:
+        raise OverflowError(f"a fiber size at N = {len(levels) + 1} passes the double range")
 
 
 def weighted_entropy(

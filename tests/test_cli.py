@@ -907,6 +907,17 @@ class TestCloudCsv:
         assert capsys.readouterr().err == (
             "spec error: cloud line 4: 1 values, the header names 2\n")
 
+    @pytest.mark.parametrize("text, why", [("x1,x2\n", "only a header"), ("", "empty file"),
+                                           ("\n\n", "empty file")])
+    def test_cloud_with_no_points_is_refused(self, tmp_path, capsys, text, why):
+        # a header alone or an empty file printed lower = upper = exact = 0, exit 0
+        path = tmp_path / "cloud.csv"
+        path.write_text(text)
+        assert main(["oracle", "cover", "--points", str(path), "--eps", "0.3"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"spec error: cloud has no points: {why}\n"
+
 
 class TestBudgetEnv:
     def test_env_var_overrides_word_budget(self, monkeypatch):

@@ -19,10 +19,12 @@ from hypothesis import strategies as st
 from meandim import carpet as cp
 from meandim import grid2d as g2
 from meandim import oracle as orc
+from meandim import symbolic as sym
 from meandim import weighted as wt
 from meandim.errors import (
     DegenerateScale,
     DomainError,
+    EmptySubshift,
     ParameterOverflow,
     ResourceLimit,
 )
@@ -869,6 +871,125 @@ class TestMassMatchesReference:
         assert rep["per_m"][3]["worst_y"] == ((0,), (0,), (0,))
 
 
+def reference_mass_distribution_check(spec, n, m_range, s, seed=0):
+    """mass_distribution_check with one math.fsum pair per (prefix, suffix)
+    multiset pair and the minimum, masses and total in a Python loop (the
+    per-pair form the prefix x suffix grid replaced); errors are left to
+    the library."""
+    a, b = spec.a, spec.b
+    log_a, log_b = math.log(a), math.log(b)
+    w = spec.w
+    table = wt.fiber_counts(spec.system, n)
+    fibers = dict(table.level(n).items())
+    words_total = table.total(n)
+    z_n = math.fsum(tv**w for tv in fibers.values())
+    log_z = math.log(z_n)
+    log_t = {v: math.log(tv) for v, tv in fibers.items()}
+    v_words = list(fibers)
+    rng = random.Random(seed)
+    per_m = {}
+    all_passed = True
+    for m in m_range:
+        t_floor = cp.floor_w_m(a, b, m)
+        log_diam = log_a - m * log_b
+        min_s_box = math.inf
+        worst = None
+        masses = []
+        for prefix, prefix_count, prefix_mass in orc._multisets(v_words, t_floor, fibers):
+            for suffix, suffix_count, _ in orc._multisets(v_words, m - t_floor, None):
+                log_mu = -m * log_z + math.fsum(
+                    (w - 1.0) * log_t[v] for v in prefix + suffix
+                ) + math.fsum(log_t[v] for v in suffix)
+                s_box = log_mu / log_diam
+                if s_box < min_s_box:
+                    min_s_box = s_box
+                    worst = prefix + suffix
+                masses.append(prefix_count * suffix_count * prefix_mass * math.exp(log_mu))
+        total_mass = math.fsum(masses)
+        passed = min_s_box >= s - orc.SLACK
+        all_passed = all_passed and passed
+        per_m[m] = {
+            "floor_wm": t_floor,
+            "diam_bound": float(a) * float(b) ** (-m),
+            "largest_s": min_s_box,
+            "passed": passed,
+            "worst_y": worst,
+            "box_count": words_total ** t_floor * len(v_words) ** (m - t_floor),
+            "total_mass": total_mass,
+            "mass_ok": abs(total_mass - 1.0) <= 1e-9,
+        }
+    identity_max_err = 0.0
+    for _ in range(orc.IDENTITY_SAMPLES):
+        m = rng.choice(list(m_range))
+        t_floor = cp.floor_w_m(a, b, m)
+        y_seq = [rng.choice(v_words) for _ in range(m)]
+        log_mu = -m * log_z + math.fsum(
+            (w - 1.0) * log_t[v] for v in y_seq
+        ) + math.fsum(log_t[v] for v in y_seq[t_floor:])
+        lhs = log_mu / (n * m)
+        s_m = math.fsum(log_t[v] for v in y_seq) / n
+        s_t = math.fsum(log_t[v] for v in y_seq[:t_floor]) / n
+        rhs = -log_z / n + w * (s_m / m - s_t / (w * m))
+        identity_max_err = max(identity_max_err, abs(lhs - rhs))
+    return {
+        "w": w,
+        "z_n": z_n,
+        "s": s,
+        "per_m": per_m,
+        "all_passed": all_passed,
+        "identity_max_err": identity_max_err,
+        "identity_ok": identity_max_err <= 1e-10,
+    }
+
+
+@st.composite
+def mass_report_cases(draw):
+    """Product and non-product carpets with a >= b in 2..5, N in {1, 2} and
+    M ranges from 1, where a b^-M can exceed 1 or round to 1 in log."""
+    a = draw(st.integers(2, 5))
+    b = draw(st.integers(2, a))
+    if draw(st.booleans()):
+        cells = [(u, v) for u in range(a) for v in range(b)]
+        rel = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=len(cells), unique=True))
+        spec = cp.carpet_from_tuples(a, b, rel)
+    else:
+        row = st.lists(st.integers(0, 1), min_size=a * b, max_size=a * b)
+        matrix = draw(st.lists(row, min_size=a * b, max_size=a * b))
+        try:
+            spec = cp.CarpetSpec(a, b, wt.pair_system(a, b, sym.sft_from_matrix(matrix)))
+            sym.prune(spec.system.omega)
+        except EmptySubshift:
+            assume(False)
+    m_lo = draw(st.integers(1, 4))
+    m_range = range(m_lo, m_lo + draw(st.integers(1, 3)))
+    return spec, draw(st.integers(1, 2)), m_range, draw(st.floats(-1.0, 2.0))
+
+
+class TestMassReportMatchesPerPairLoop:
+    @settings(max_examples=150, deadline=None)
+    @given(mass_report_cases(), st.integers(0, 3))
+    @example((cp.carpet_from_tuples(5, 2, [(0, 0), (1, 1), (4, 1)]), 1, range(1, 4), 0.5), 0)
+    @example((cp.carpet_from_tuples(4, 2, [(0, 0), (3, 1)]), 2, range(1, 3), 0.5), 0)
+    @example((cp.carpet_from_tuples(3, 3, [(0, 0), (2, 1)]), 1, range(1, 3), 0.5), 0)
+    @example((cp.carpet_from_tuples(3, 2, [(0, 0), (1, 0), (2, 0)]), 2, range(2, 5), 0.3), 1)
+    def test_whole_report_is_equal(self, case, seed):
+        # (5, 2): a b^-M > 1 at M = 1, 2, so s_box changes sign; (4, 2) and
+        # (3, 3): the box scale is 1 at M = 2 and M = 1, refused; one column
+        # only: every fiber weight (w - 1) log t(v) is one value
+        spec, n, m_range, s = case
+        v_count = len(wt.fiber_counts(spec.system, n).level(n))
+        assume(v_count ** max(m_range) <= 20_000)
+        log_a, log_b = math.log(spec.a), math.log(spec.b)
+        if any(spec.a == spec.b**m or log_a - m * log_b == 0.0 for m in m_range):
+            with pytest.raises(DomainError, match=r"the box scale a b\^-M is 1"):
+                orc.mass_distribution_check(spec, n, m_range, s, seed)
+            return
+        got = orc.mass_distribution_check(spec, n, m_range, s, seed)
+        want = reference_mass_distribution_check(spec, n, m_range, s, seed)
+        assert got == want
+        assert repr(got) == repr(want)  # the same bits, signed zeros included
+
+
 class TestDuplicationBound:
     def test_any_excess_collection_contains_a_separated_pair(self):
         # among any 4^N + 1 boxes with distinct fixed digits, two are
@@ -1032,11 +1153,37 @@ class TestReciprocalSpace:
         with pytest.raises(DomainError, match="neither 0 nor 1/j"):
             orc.reciprocal_product_witness([0.0] * 299 + [v], 1, 2, 0.1)
 
+    @pytest.mark.parametrize("n_cap", [1, 1000, 10**18])
+    def test_each_distinct_value_is_walked_once(self, monkeypatch, n_cap):
+        # the atom check and the interval masses share one least-index walk
+        # per distinct nonzero value (every one at least 1e-18 here)
+        x = orc.sample_reciprocal_point(300, n_cap, seed=5)
+        want = orc.reciprocal_product_witness(x, 1, 2, 0.1)
+        walked = []
+        least = orc._least_index_at_most
+        monkeypatch.setattr(orc, "_least_index_at_most", lambda hi: walked.append(hi) or least(hi))
+        assert orc.reciprocal_product_witness(x, 1, 2, 0.1) == want
+        assert sorted(walked) == sorted(v for v in set(x) if v > 0.0)
+
+    @pytest.mark.parametrize("n_cap", [1, 2, 7, 100_000, 10**18])
+    @pytest.mark.parametrize("seed", [0, 1, 9101])
+    def test_samples_match_the_per_draw_formula(self, n_cap, seed):
+        rng = random.Random(seed)
+        want = []
+        for _ in range(200):
+            if rng.random() < 0.5:
+                want.append(0.0)
+            else:
+                u = rng.random()
+                j = min(n_cap, max(1, int(1.0 / (1.0 - u * (1.0 - 1.0 / (n_cap + 1.0))))))
+                want.append(1.0 / j)
+        assert orc.sample_reciprocal_point(200, n_cap, seed=seed) == want
+
     @pytest.mark.parametrize("fake", [1e-300, 0.0])
     def test_witness_fails_when_the_mass_is_too_small(self, monkeypatch, fake):
         # 1e-300 per coordinate underflows the product to 0.0, which the
         # absolute test mass >= required - 1e-12 passed; a zero mass fails too
-        monkeypatch.setattr(orc, "inverse_square_mass", lambda lo, hi: fake)
+        monkeypatch.setattr(orc, "_inverse_square_mass", lambda lo, hi, j_min: fake)
         wit = orc.reciprocal_product_witness([0.0] * 300, 1, 2, 0.1)
         assert wit["mass"] == 0.0
         assert not wit["passed"]

@@ -455,6 +455,43 @@ class TestExactTotal:
         assert wt.exact_total(values, counts) == want
         assert wt.exact_total(-values, counts) == -want
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.lists(st.tuples(BINADE_DOUBLES, st.integers(0, 511)), max_size=8),
+                 min_size=1, max_size=6),
+        st.sampled_from([1, 511, 512, 10**6, 2**70]),
+    )
+    @example([[(1.0, 1)]], 1)  # one level of one entry
+    @example([[(2.0**1023 * (2 - 2.0**-52), 1)], [(5e-324, 1)], [], [(-1e308, 3)]], 512)
+    @example([[(1.0, 1), (2.0**-53, 1)], [(1.0 + 2.0**-52, 1), (2.0**-53, 1)]], 1)  # ties
+    def test_level_totals_equal_exact_total_per_level(self, levels, top):
+        # the widest count of all levels sets the run length (int64 at 9
+        # bits or less, Python ints above), so a narrow level summed with a
+        # wide one takes the wide path; each level's sum stays its own
+        assume(any(levels))
+        levels = [([v for v, _ in level], [min(c, top) for _, c in level]) for level in levels]
+        if levels[0][1]:
+            levels[0][1][0] = top
+        arrays = [(values, np.array(counts, dtype=np.int64 if top < 2**63 else object))
+                  for values, counts in levels]
+        totals, den = wt._level_totals(arrays)
+        assert len(totals) == len(levels)
+        for (values, counts), total in zip(arrays, totals):
+            want = wt.exact_total(values, counts)
+            assert Fraction(total, den) == want
+            if abs(want) <= np.finfo(float).max:  # float() rounds int / int once either way
+                assert total / den == float(want)
+
+    def test_level_totals_of_long_runs_stay_exact(self):
+        # 3 * 2^10 + 5 mantissas just below 2^53 in one binade, split over
+        # three levels, counted 511 times: runs of 2 terms fill int64
+        values = np.nextafter(2.0, 1.0) - np.arange(3 * 2**10 + 5) * 2.0**-52
+        counts = np.full(len(values), 511, dtype=np.int64)
+        levels = [(values[:5], counts[:5]), (values[5:2000], counts[5:2000]),
+                  (values[2000:], counts[2000:])]
+        totals, den = wt._level_totals(levels)
+        assert [Fraction(t, den) for t in totals] == [wt.exact_total(v, c) for v, c in levels]
+
 
 def reference_z_values_product(sys_, w, n_max):
     """Z_N by the full b^N array of word values, summed by math.fsum.
