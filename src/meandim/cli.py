@@ -64,17 +64,18 @@ def _pair_system_arg(args) -> weighted.PairShiftSystem:
 
 
 def _check_relation_flags(parser: argparse.ArgumentParser, args) -> None:
-    """carpet and weighted-entropy take --tuples with --a and --b, or --spec.
+    """The relation commands take --tuples with --a and --b, or (carpet and
+    weighted-entropy) --spec, which the parser keeps apart from --tuples.
 
     Other combinations are usage errors (exit 2, like a flag argparse
     rejects), named before any computation starts.
     """
-    name = args.command
-    if name not in ("carpet", "weighted-entropy"):
+    if "tuples" not in args:
         return
+    name = f"oracle {args.oracle_command}" if args.command == "oracle" else args.command
     if args.tuples is None:
-        if not args.spec:
-            parser.error(f"{name}: provide --tuples or --spec")
+        if not getattr(args, "spec", None):
+            parser.error(f"{name}: provide --tuples" + (" or --spec" if "spec" in args else ""))
     elif not args.tuples.strip():
         parser.error(f"{name}: --tuples is empty")
     else:
@@ -83,13 +84,16 @@ def _check_relation_flags(parser: argparse.ArgumentParser, args) -> None:
             parser.error(f"{name}: --tuples needs {' and '.join(missing)}")
 
 
-def _emit(report: dict, args) -> None:
-    text = write_report(report, getattr(args, "out", None))
-    sys.stdout.write(text)
+def _emit(report: dict, args, ok: bool = True) -> int:
+    """Write the report to --out and stdout; exit 0, or 2 when ok is false."""
+    text = write_report(report, args.out)
+    if getattr(args, "quiet", True):  # paper-suite prints its progress instead
+        sys.stdout.write(text)
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
-def _emit_cloud(cloud: PointCloud, args) -> None:
-    """CSV rows for the points plus a JSON sidecar for the metric."""
+def _emit_cloud(cloud: PointCloud, args) -> int:
+    """CSV rows for the points plus a JSON sidecar for the metric; exit 0."""
     text = cloud_to_csv(cloud.points.tolist())
     sidecar = write_report(
         {
@@ -104,30 +108,29 @@ def _emit_cloud(cloud: PointCloud, args) -> None:
             fh.write(text)
     sys.stdout.write(text)
     sys.stdout.write(sidecar)
+    return EXIT_OK
 
 
 def cmd_entropy(args) -> int:
     spec = symbolic.spec_from_json(_load_json(args.spec))
     rep = symbolic.entropy(spec, args.nmax, args.budget)
-    table = symbolic.count_words(spec, args.nmax, args.budget)
-    _emit(
+    return _emit(
         {
             "command": "entropy",
             "best_estimate": rep.spectral_value,
             "spectral_value": rep.spectral_value,
             "upper_bounds": list(rep.upper_bounds),
-            "counts": {str(n): str(table[n]) for n in range(1, args.nmax + 1)},
+            "counts": {str(n): str(c) for n, c in rep.counts.items()},
             "provenance": "spectral",
         },
         args,
     )
-    return EXIT_OK
 
 
 def cmd_weighted_entropy(args) -> int:
     sys_ = _pair_system_arg(args)
     rep = weighted.weighted_entropy(sys_, args.w, args.nmax, args.budget)
-    _emit(
+    return _emit(
         {
             "command": "weighted-entropy",
             "w": rep.w,
@@ -139,29 +142,24 @@ def cmd_weighted_entropy(args) -> int:
         },
         args,
     )
-    return EXIT_OK
+
+
+def _bracket(bracket: carpet.ValueBracket) -> dict:
+    return {"value": bracket.value, "upper": bracket.upper, "status": bracket.status}
 
 
 def cmd_carpet(args) -> int:
     sys_ = _pair_system_arg(args)
     spec = carpet.CarpetSpec(sys_.a_size, sys_.b_size, sys_)
     rep = carpet.mean_dims(spec, args.nmax, args.budget)
-    _emit(
+    return _emit(
         {
             "command": "carpet",
             "a": spec.a,
             "b": spec.b,
             "w": rep.w,
-            "mdim_h": {
-                "value": rep.mdim_h.value,
-                "upper": rep.mdim_h.upper,
-                "status": rep.mdim_h.status,
-            },
-            "mdim_m": {
-                "value": rep.mdim_m.value,
-                "upper": rep.mdim_m.upper,
-                "status": rep.mdim_m.status,
-            },
+            "mdim_h": _bracket(rep.mdim_h),
+            "mdim_m": _bracket(rep.mdim_m),
             "h_omega": rep.h_omega,
             "h_omega_prime": rep.h_omega_prime,
             "classical": rep.classical,
@@ -169,15 +167,13 @@ def cmd_carpet(args) -> int:
         },
         args,
     )
-    return EXIT_OK
 
 
 def cmd_bm_classical(args) -> int:
     rel = _parse_tuples(args.tuples)
     rep = carpet.classical_carpet_dims(args.a, args.b, rel)
     rep.update(carpet.gap_analysis(args.a, args.b, rel), command="bm-classical")
-    _emit(rep, args)
-    return EXIT_OK
+    return _emit(rep, args)
 
 
 def cmd_beta(args) -> int:
@@ -187,11 +183,10 @@ def cmd_beta(args) -> int:
     gap = selfsim.min_gap(args.a, args.beta, min(args.n, 10), args.budget)
     fam = selfsim.covering_lower_bound(spec, args.N, args.n, budget=args.budget)
     if args.format == "csv":
-        _emit_cloud(fam.points, args)
-        return EXIT_OK
+        return _emit_cloud(fam.points, args)
     observed = fam.points.min_pairwise() if fam.count > 1 else fam.eps
     separated = observed >= fam.eps - selfsim.SEPARATION_SLACK
-    _emit(
+    return _emit(
         {
             "command": "beta",
             "a": args.a,
@@ -205,15 +200,15 @@ def cmd_beta(args) -> int:
             "provenance": {"mdim": "formula", "family": "oracle"},
         },
         args,
+        separated,
     )
-    return EXIT_OK if separated else EXIT_CHECK_FAILED
 
 
 def cmd_grid2d(args) -> int:
     spec = grid2d.rule_from_json(_load_json(args.rule))
     rep = grid2d.entropy2d(spec, args.nmax, args.mmax, budget=args.budget)
     homog = grid2d.homog_dims_from_report(rep, spec.alphabet)
-    _emit(
+    return _emit(
         {
             "command": "grid2d",
             "counts": {f"{n},{m}": str(c) for (n, m), c in rep.counts.items()},
@@ -225,7 +220,6 @@ def cmd_grid2d(args) -> int:
         },
         args,
     )
-    return EXIT_OK
 
 
 _CSV_KINDS = (LINF_FINITE, SUM_WEIGHTED_ABS, SUM_WEIGHTED_TORUS)  # metrics of flat points
@@ -265,14 +259,13 @@ def cmd_oracle_cover(args) -> int:
     }
     if len(cloud) <= oracle.EXACT_COVER_CAP:
         report["exact"] = oracle.exact_min_cover(cloud, args.eps)
-    _emit(report, args)
-    return EXIT_OK
+    return _emit(report, args)
 
 
 def cmd_oracle_hdim(args) -> int:
     diams = [float(x) for x in args.diams.split(",")]
     value = oracle.hausdorff_upper_at_scale(diams, args.eps, tol=args.tol)
-    _emit(
+    return _emit(
         {
             "command": "oracle hdim",
             "eps": args.eps,
@@ -282,18 +275,16 @@ def cmd_oracle_hdim(args) -> int:
         },
         args,
     )
-    return EXIT_OK
 
 
 def cmd_oracle_qbox(args) -> int:
     spec = carpet.carpet_from_tuples(args.a, args.b, _parse_tuples(args.tuples))
     fam = oracle.qbox_family(spec, args.N, args.M, args.budget)
     if args.format == "csv":
-        _emit_cloud(fam.witness_cloud(), args)
-        return EXIT_OK
+        return _emit_cloud(fam.witness_cloud(), args)
     sep = oracle.verify_family_separation(fam, seed=args.seed)
     ok = fam.diam_certified and fam.separation_certified and sep["ok"]
-    _emit(
+    return _emit(
         {
             "command": "oracle qbox",
             "N": args.N,
@@ -307,23 +298,20 @@ def cmd_oracle_qbox(args) -> int:
             "provenance": {"count": "formula+enumeration", "separation": "oracle"},
         },
         args,
+        ok,
     )
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def cmd_oracle_mass(args) -> int:
     spec = carpet.carpet_from_tuples(args.a, args.b, _parse_tuples(args.tuples))
-    if args.s is None:
-        z1 = math.fsum(
-            t**spec.w for t in weighted.tuple_fiber_sizes(spec.system).values()
-        )
-        s = math.log(z1) / math.log(spec.b) - 0.1
-    else:
-        s = args.s
+    s = args.s
+    if s is None:  # 0.1 below the mean Hausdorff dimension, log Z_1 / log b
+        log_z1 = weighted.weighted_entropy(spec.system, spec.w, 1).closed_form
+        s = log_z1 / math.log(spec.b) - 0.1
     rep = oracle.mass_distribution_check(
         spec, args.N, range(args.mmin, args.mmax + 1), s, seed=args.seed, budget=args.budget
     )
-    _emit(
+    return _emit(
         {
             "command": "oracle mass",
             "s": s,
@@ -341,8 +329,8 @@ def cmd_oracle_mass(args) -> int:
             "provenance": "oracle",
         },
         args,
+        rep["all_passed"] and rep["identity_ok"],
     )
-    return EXIT_OK if rep["all_passed"] and rep["identity_ok"] else EXIT_CHECK_FAILED
 
 
 def cmd_oracle_appendix_k(args) -> int:
@@ -365,8 +353,7 @@ def cmd_oracle_appendix_k(args) -> int:
         dims = oracle.reciprocal_set_dims(args.ncap, args.eps)
         report["minkowski_scale"] = dims["minkowski_scale"]
         report["hausdorff_scale_upper"] = dims["hausdorff_scale_upper"]
-    _emit(report, args)
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return _emit(report, args, ok)
 
 
 def cmd_paper_suite(args) -> int:
@@ -384,10 +371,7 @@ def cmd_paper_suite(args) -> int:
         ],
         "all_passed": all(r["passed"] for r in results),
     }
-    text = write_report(report, args.out)
-    if args.quiet:
-        sys.stdout.write(text)
-    return EXIT_OK if report["all_passed"] else EXIT_CHECK_FAILED
+    return _emit(report, args, report["all_passed"])
 
 
 @functools.cache
@@ -400,10 +384,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = top.add_subparsers(dest="command", required=True)
 
-    def common(p, budget=False):
+    def common(p, budget=False, seed=False):
         p.add_argument("--out", help="write the JSON report here")
         if budget:
             p.add_argument("--budget", type=int, default=None)
+        if seed:
+            p.add_argument("--seed", type=int, default=0, help="sampling seed")
+
+    def relation(p, spec=False):  # checked by _check_relation_flags; --spec excludes --tuples
+        p.add_argument("--a", type=int)
+        p.add_argument("--b", type=int)
+        group = p.add_mutually_exclusive_group() if spec else p
+        if spec:
+            group.add_argument("--spec")
+        group.add_argument("--tuples")
 
     p = sub.add_parser("entropy", help="word counts and entropy of a subshift")
     p.add_argument("--spec", required=True)
@@ -412,28 +406,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_entropy)
 
     p = sub.add_parser("weighted-entropy", help="weighted entropy of the projection")
-    p.add_argument("--spec")
-    p.add_argument("--tuples")
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
+    relation(p, spec=True)
     p.add_argument("--w", type=float, required=True)
     p.add_argument("--nmax", type=int, default=8)
     common(p, budget=True)
     p.set_defaults(fn=cmd_weighted_entropy)
 
     p = sub.add_parser("carpet", help="mean dimensions of a carpet system")
-    p.add_argument("--spec")
-    p.add_argument("--tuples")
-    p.add_argument("--a", type=int)
-    p.add_argument("--b", type=int)
+    relation(p, spec=True)
     p.add_argument("--nmax", type=int, default=8)
     common(p, budget=True)
     p.set_defaults(fn=cmd_carpet)
 
     p = sub.add_parser("bm-classical", help="classical planar carpet dimensions")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--tuples", required=True)
+    relation(p)
     common(p)
     p.set_defaults(fn=cmd_bm_classical)
 
@@ -472,26 +458,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_oracle_hdim)
 
     p = osub.add_parser("qbox", help="box family counts and separation")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--tuples", required=True)
+    relation(p)
     p.add_argument("--N", type=int, required=True)
     p.add_argument("--M", type=int, required=True)
     p.add_argument("--format", choices=("json", "csv"), default="json")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
-    common(p, budget=True)
+    common(p, budget=True, seed=True)
     p.set_defaults(fn=cmd_oracle_qbox)
 
     p = osub.add_parser("mass", help="box-granular mass-distribution certificate")
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--tuples", required=True)
+    relation(p)
     p.add_argument("--N", type=int, default=1)
     p.add_argument("--mmin", type=int, default=4)
     p.add_argument("--mmax", type=int, default=10)
     p.add_argument("--s", type=float, default=None)
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
-    common(p, budget=True)
+    common(p, budget=True, seed=True)
     p.set_defaults(fn=cmd_oracle_mass)
 
     p = osub.add_parser(
@@ -502,8 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witness", action="store_true")
     p.add_argument("--N", type=int, default=3)
     p.add_argument("--m", type=int, default=2)
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
-    common(p)
+    common(p, seed=True)
     p.set_defaults(fn=cmd_oracle_appendix_k)
 
     p = sub.add_parser("paper-suite", help="run every built-in example check")

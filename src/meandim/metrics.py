@@ -46,7 +46,8 @@ def torus_gap(u, v):
 
 
 def _base_rows(x, y, kind):
-    """Per-coordinate contribution: |x_n - y_n|, or rho(x_n, y_n) on the torus."""
+    """Per-coordinate contribution: |x_n - y_n|, or rho(x_n, y_n) on the torus.
+    The loops over pairs let a difference overflow quietly to inf, above every eps."""
     return torus_gap(x, y) if kind == SUM_WEIGHTED_TORUS else np.abs(x - y)
 
 
@@ -123,7 +124,9 @@ def _distance_rows(pts: np.ndarray, metric: MetricDescriptor):
     n, lo = len(pts), 0
     while lo < n:
         hi = min(n, lo + max(1, _PAIR_CHUNK // (n - lo)))
-        yield lo, pairwise_to_point(pts[lo:hi, None], pts[lo:], metric)
+        with np.errstate(over="ignore"):  # an inf distance, see _base_rows
+            d = pairwise_to_point(pts[lo:hi, None], pts[lo:], metric)
+        yield lo, d
         lo = hi
 
 
@@ -159,6 +162,7 @@ def _linf_window(cloud: PointCloud):
     return window if window.shape[1] else None
 
 
+@np.errstate(over="ignore")  # an inf distance, see _base_rows
 def _linf_pair_distances(cols, i, j):
     """linf distances of the pairs (i[k], j[k]) over the window columns,
     computed as pairwise_to_point computes them."""
@@ -174,6 +178,7 @@ _PAIR_CHUNK = 1 << 12  # candidate pairs measured per batch
 _DIGIT_BLOCK = 1 << 14  # point coordinates coded per batch of a column table
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _linf_grid(window: np.ndarray, scale: float):
     """Grid cells of a points x coordinates array: (cells, radix).
 
@@ -185,6 +190,7 @@ def _linf_grid(window: np.ndarray, scale: float):
     of the cell coordinates (about 2^-36 sides with at most 2^15 cells per
     coordinate), lie in equal or adjacent cells.  The radix n_cells + 2 of
     a coordinate leaves its last digit unoccupied, as `_grid_join` requires.
+    A span that overflows to inf gives inf / inf = nan cells: no split.
     """
     lo = window.min(axis=0)
     span = window.max(axis=0) - lo

@@ -100,6 +100,7 @@ def _greedies(cloud: PointCloud, eps: float):
             yield _greedy_by_conflicts(len(cloud), *pairs)
 
 
+@np.errstate(over="ignore")  # an inf distance, see metrics._base_rows
 def _scan_greedy(cloud: PointCloud, conflict) -> list[int]:
     """Indices the greedy keeps in index order, where `conflict(d)` marks the
     distances to a kept point that exclude a point.  Each block of
@@ -492,6 +493,8 @@ def mass_distribution_check(
     """
     if n < 1:
         raise DomainError(f"coordinate window N = {n} must be >= 1")
+    if not math.isfinite(s):
+        raise DomainError(f"exponent s = {s} is not a finite number")
     if not m_range or min(m_range) < 1:
         raise DomainError(f"M {m_range!r} must be a nonempty range with every M >= 1")
     a, b = spec.a, spec.b
@@ -779,9 +782,7 @@ def reciprocal_product_witness(x, n_window: int, m: int, eps: float) -> dict:
     classes = [class_by_value[v] for v in x]
     sizes = [classes.count(k) for k in range(m + 2)]
     m0 = next(k for k in range(m + 1) if sizes[k] <= n_total / (m + 1))
-    r = delta ** (m**m0)
-    if r == 0.0:
-        raise ParameterOverflow("interval width underflows double precision")
+    r = delta ** (m**m0)  # >= delta^(m^m) >= 2^-1000 by the refusal above
 
     masses = {v: _inverse_square_mass(v - r, v, least.get(v)) for v in set(x)}  # once per value
     mass = math.prod(masses[v] for v in x)

@@ -11,6 +11,7 @@ live transition structure.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from collections.abc import Sequence
@@ -497,15 +498,22 @@ def _forbidden_graph(k: int, words) -> list[dict]:
 class EntropyReport:
     """Certified entropy estimates, in nats.
 
-    upper_bounds[N-1] = min_{j <= N} log counts[j] / j is a true upper bound
-    for every N by Fekete's lemma.  spectral_bracket (lo, hi) is a certified
-    bracket on the limit, no wider than SPECTRAL_LOG_TOL, from the spec's
-    automaton; spectral_value is its midpoint.
+    counts are the word counts {n: count} for n = 1..n_max, and
+    upper_bounds their `fekete_bounds`.  spectral_bracket (lo, hi) is a
+    certified bracket on the limit, no wider than SPECTRAL_LOG_TOL, from
+    the spec's automaton; spectral_value is its midpoint.
     """
 
     upper_bounds: tuple
     spectral_value: float
     spectral_bracket: tuple
+    counts: dict
+
+
+def fekete_bounds(values) -> tuple:
+    """min_{j <= N} log v_j / j for N = 1..len(values), v_j > 0 ints or doubles: for
+    a submultiplicative v (word counts, Z_N) upper bounds on lim log v_N / N by Fekete."""
+    return tuple(itertools.accumulate((math.log(v) / n for n, v in enumerate(values, 1)), min))
 
 
 def count_words(spec: SubshiftSpec, n_max: int, budget: int | None = None) -> dict:
@@ -523,21 +531,13 @@ def enumerate_words(spec: SubshiftSpec, n: int, budget: int | None = None) -> li
 
 
 def entropy(spec: SubshiftSpec, n_max: int = 12, budget: int | None = None) -> EntropyReport:
-    table = count_words(spec, n_max, budget)
-    bounds = []
-    best = math.inf
-    for n in range(1, n_max + 1):
-        c = table[n]
-        if c == 0:
-            raise EmptySubshift("no admissible words")
-        best = min(best, math.log(c) / n)
-        bounds.append(best)
+    table = count_words(spec, n_max, budget)  # >= 1 word per length: the root is live
     lo, hi = spec.automaton.spectral_log()
-    spectral = 0.5 * (lo + hi)
     return EntropyReport(
-        upper_bounds=tuple(bounds),
-        spectral_value=spectral,
+        upper_bounds=fekete_bounds(table.values()),
+        spectral_value=0.5 * (lo + hi),
         spectral_bracket=(lo, hi),
+        counts=table,
     )
 
 

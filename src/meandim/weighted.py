@@ -234,7 +234,7 @@ def _fiber_levels(sys: PairShiftSystem, n_max: int, cap: int):
 class WeightedEntropyReport:
     w: float
     z_values: dict  # N -> float
-    upper_bounds: tuple  # v_N = min_{j<=N} log Z_j / j
+    upper_bounds: tuple  # v_N = min_{j<=N} log Z_j / j (`symbolic.fekete_bounds`)
     closed_form: float | None
     best_estimate: float
     exact: bool
@@ -371,17 +371,11 @@ def weighted_entropy(
         raise ParameterOverflow(
             f"Z_{len(z) + 1} or one of its terms passes the double range"
         ) from exc
-
-    bounds = []
-    best = math.inf
-    for n in range(1, n_max + 1):
-        best = min(best, math.log(z[n]) / n)
-        bounds.append(best)
-
+    bounds = symbolic.fekete_bounds(z.values())
     return WeightedEntropyReport(
         w=w,
         z_values=z,
-        upper_bounds=tuple(bounds),
+        upper_bounds=bounds,
         closed_form=closed,
         best_estimate=closed if closed is not None else bounds[-1],
         exact=closed is not None,

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, report determinism."""
 
+import argparse
 import io
 import json
 import math
@@ -10,6 +11,7 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -199,6 +201,28 @@ class TestExitCodes:
         assert main(["oracle", "cover", "--points", str(points), "--eps", "0.2"]) == 4
         assert capsys.readouterr().err == "spec error: cloud coordinates must be finite numbers\n"
 
+    @pytest.mark.parametrize("rows, brackets", [
+        # two points: the scale and the exact cover
+        (["1e308", "-1e308"], '"exact":2,"lower":2'),
+        # chains of two signs 1/64 apart in x2: the grid join measures across them
+        ([f"{(-1) ** i * 1e308!r},{(i // 2) / 64!r}" for i in range(200)], '"lower":50'),
+        # 900 points at least 2^1000 apart: the scan
+        ([repr(v) for i in range(450) for v in (1e308 - i * 2.0**1000, -1e308 + i * 2.0**1000)],
+         '"lower":900'),
+    ])
+    def test_cover_across_an_overflowing_difference_warns_nothing(self, tmp_path, rows, brackets):
+        """A linf distance past the double range is inf, above every eps: the
+        brackets hold and stderr stays empty (numpy printed RuntimeWarnings)."""
+        points = tmp_path / "points.csv"
+        header = ",".join(f"x{k + 1}" for k in range(rows[0].count(",") + 1))
+        points.write_text("\n".join([header, *rows]) + "\n")
+        proc = run_cli_process("oracle", "cover", "--points", str(points), "--eps", "0.0625")
+        assert proc.returncode == 0
+        assert proc.stderr == ""
+        upper = {2: 2, 200: 100, 900: 900}[len(rows)]
+        assert proc.stdout == ('{"command":"oracle cover","eps":0.0625,' + brackets
+                               + f',"provenance":"oracle","schema_version":1,"upper":{upper}}}\n')
+
     def test_overflowing_z_exits_4(self, capsys):
         argv = ["weighted-entropy", "--a", "3", "--b", "2", "--tuples", "00,10,20",
                 "--w", "1", "--nmax", "700"]
@@ -276,6 +300,40 @@ class TestExitCodes:
         assert main(["oracle", "mass", *flags]) == 4
         m = flags[flags.index("--mmin") + 1]
         assert capsys.readouterr().err.startswith(f"spec error: M = {m}: the box scale")
+
+    @pytest.mark.parametrize("s", ["nan", "inf", "-inf"])
+    def test_oracle_mass_at_a_non_finite_s_exits_4(self, s):
+        # -inf exited 0 with all_passed true; nan and inf ran every box and exited 2
+        code, out, err = call_main(["oracle", "mass", "--a", "3", "--b", "2",
+                                    "--tuples", "00,11,20", f"--s={s}"])
+        assert (code, out) == (4, "")
+        assert err == f"spec error: exponent s = {s} is not a finite number\n"
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_oracle_mass_default_s_is_the_fiber_size_sum(self, data):
+        """The default --s is log(sum_v t(v)^w) / log b - 0.1, the same double
+        as the fsum over the tuple fiber sizes gives."""
+        b = data.draw(st.integers(2, 12))
+        a = data.draw(st.integers(b, 40))
+        rel = data.draw(st.sets(st.tuples(st.integers(0, a - 1), st.integers(0, b - 1)),
+                                min_size=1, max_size=40))
+        spec = meandim.carpet_from_tuples(a, b, rel)
+        want = math.log(math.fsum(
+            t**spec.w for t in meandim.weighted.tuple_fiber_sizes(spec.system).values()
+        )) / math.log(b) - 0.1
+        seen = []
+
+        def check(spec, n, m_range, s, seed, budget):
+            seen.append(s)
+            return {"all_passed": True, "identity_ok": True, "identity_max_err": 0.0, "per_m": {}}
+
+        tuples = ",".join(f"{u}:{v}" for u, v in sorted(rel))
+        with mock.patch.object(cli.oracle, "mass_distribution_check", check):
+            code, _, _ = call_main(["oracle", "mass", "--a", str(a), "--b", str(b),
+                                    "--tuples", tuples])
+        assert code == 0
+        assert seen == [want]
 
     @pytest.mark.parametrize("fmt", ["json", "csv"])
     def test_oracle_qbox_on_a_huge_base_runs_under_a_memory_cap(self, fmt):
@@ -533,6 +591,15 @@ class TestUsageErrors:
             (["carpet", "--tuples", ""], "--tuples is empty"),
             (["carpet", "--a", "3", "--tuples", "00,11"], "--tuples needs --b"),
             (["carpet"], "provide --tuples or --spec"),
+            (["bm-classical", "--a", "3", "--b", "2", "--tuples", ""], "--tuples is empty"),
+            (["oracle", "qbox", "--a", "3", "--b", "2", "--tuples", "", "--N", "1", "--M", "2"],
+             "--tuples is empty"),
+            (["oracle", "mass", "--a", "3", "--b", "2", "--tuples", ""], "--tuples is empty"),
+            # the file is never read: the flags conflict before any computation
+            (["carpet", "--spec", "om.json", "--tuples", "00", "--a", "3", "--b", "2"],
+             "argument --tuples: not allowed with argument --spec"),
+            (["weighted-entropy", "--spec", "om.json", "--tuples", "00,11", "--a", "3", "--b", "2",
+              "--w", "0.5"], "argument --tuples: not allowed with argument --spec"),
         ],
     )
     def test_missing_or_empty_flag_exits_2_without_traceback(self, argv, message):
@@ -540,6 +607,32 @@ class TestUsageErrors:
         assert proc.returncode == 2
         assert "Traceback" not in proc.stderr
         assert message in proc.stderr
+
+    def test_relation_commands_declare_the_same_flags(self):
+        def subparsers(parser):
+            action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+            return action.choices
+
+        commands = dict(subparsers(cli.build_parser()))
+        commands.update({f"oracle {k}": p for k, p in subparsers(commands.pop("oracle")).items()})
+        flags = {
+            name: {
+                a.option_strings[0]: (a.type, a.required, a.default)
+                for a in p._actions
+                if a.dest in ("a", "b", "tuples", "spec")
+            }
+            for name, p in commands.items()
+        }
+        relation = {"--a": (int, False, None), "--b": (int, False, None),
+                    "--tuples": (None, False, None)}
+        with_spec = {**relation, "--spec": (None, False, None)}
+        assert {name: f for name, f in flags.items() if "--tuples" in f} == {
+            "carpet": with_spec,
+            "weighted-entropy": with_spec,
+            "bm-classical": relation,
+            "oracle qbox": relation,
+            "oracle mass": relation,
+        }
 
 
 class TestBudgetFlag:

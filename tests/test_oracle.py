@@ -796,6 +796,13 @@ class TestMassDistribution:
         rest = [m for m in range(1, 5) if m != flat]
         assert orc.mass_distribution_check(spec, 1, rest, s=0.0)["per_m"].keys() == set(rest)
 
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+    def test_non_finite_exponent_is_refused(self, s):
+        # -inf passed every box and certified nothing; nan and inf failed every box
+        spec = cp.carpet_from_tuples(3, 2, R_EXAMPLE)
+        with pytest.raises(DomainError, match=f"exponent s = {s} is not a finite number"):
+            orc.mass_distribution_check(spec, 1, range(4, 6), s)
+
 
 def reference_mass_per_m(spec, n, m_range):
     """The per-sequence loop that the multiset enumeration replaced: every

@@ -463,12 +463,44 @@ class TestEntropy:
                 assert rep.spectral_value <= u + 1e-9
             assert all(a >= b - 1e-15 for a, b in zip(rep.upper_bounds, rep.upper_bounds[1:]))
 
+    @settings(max_examples=60, deadline=None)
+    @given(random_automata(), st.integers(1, 14))
+    def test_report_keeps_the_word_counts(self, case, n_max):
+        succ, root, k = case
+        try:
+            spec = sym.automaton_spec(sym.Automaton(k, root, tuple(succ)), k)
+            rep = sym.entropy(spec, n_max)
+        except EmptySubshift:
+            return
+        assert rep.counts == sym.count_words(spec, n_max)
+        assert rep.upper_bounds == sym.fekete_bounds(rep.counts.values())
+
     def test_reducible_defective_matrix(self):
         # counts grow like n + 1: entropy 0, a hard case for plain power iteration
         rep = sym.entropy(sym.sft_from_matrix([[1, 1], [0, 1]]), 10)
         assert rep.spectral_value == pytest.approx(0.0, abs=1e-10)
         table = sym.count_words(sym.sft_from_matrix([[1, 1], [0, 1]]), 12)
         assert all(table[n] == n + 1 for n in range(1, 13))
+
+
+def running_min_bounds(values):
+    """The loop symbolic.entropy and weighted.weighted_entropy each ran
+    before they shared fekete_bounds."""
+    bounds, best = [], math.inf
+    for n, v in enumerate(values, 1):
+        best = min(best, math.log(v) / n)
+        bounds.append(best)
+    return tuple(bounds)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 10**400)
+                | st.floats(min_value=5e-324, max_value=1.7e308, allow_nan=False), max_size=30))
+@example([1, 1, 2**64 + 1, 10**400, 3])
+@example([1.0, 2.0**-1074, 1.7e308, 0.5, 1])
+def test_fekete_bounds_equal_the_running_min_loop(values):
+    got = sym.fekete_bounds(values)
+    assert [x.hex() for x in got] == [x.hex() for x in running_min_bounds(values)]
 
 
 class TestSpectralBracket:
