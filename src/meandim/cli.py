@@ -14,7 +14,7 @@ import json
 import math
 import sys
 
-from . import carpet, grid2d, oracle, selfsim, symbolic, weighted
+from . import carpet, grid2d, limits, oracle, selfsim, symbolic, weighted
 from .errors import DomainError, MeanDimError, ResourceLimit
 from .metrics import LINF_FINITE, SUM_WEIGHTED_ABS, SUM_WEIGHTED_TORUS, MetricDescriptor, PointCloud
 from .reportio import cloud_from_csv, cloud_to_csv, write_report
@@ -65,7 +65,8 @@ def _pair_system_arg(args) -> weighted.PairShiftSystem:
 
 def _check_relation_flags(parser: argparse.ArgumentParser, args) -> None:
     """The relation commands take --tuples with --a and --b, or (carpet and
-    weighted-entropy) --spec, which the parser keeps apart from --tuples.
+    weighted-entropy) --spec alone: the parser keeps it apart from
+    --tuples, and the spec file sets a and b.
 
     Other combinations are usage errors (exit 2, like a flag argparse
     rejects), named before any computation starts.
@@ -73,13 +74,16 @@ def _check_relation_flags(parser: argparse.ArgumentParser, args) -> None:
     if "tuples" not in args:
         return
     name = f"oracle {args.oracle_command}" if args.command == "oracle" else args.command
+    given = [flag for flag in ("--a", "--b") if getattr(args, flag[2:]) is not None]
     if args.tuples is None:
         if not getattr(args, "spec", None):
             parser.error(f"{name}: provide --tuples" + (" or --spec" if "spec" in args else ""))
+        if given:
+            parser.error(f"{name}: --spec excludes {' and '.join(given)}")
     elif not args.tuples.strip():
         parser.error(f"{name}: --tuples is empty")
     else:
-        missing = [flag for flag in ("--a", "--b") if getattr(args, flag[2:]) is None]
+        missing = [flag for flag in ("--a", "--b") if flag not in given]
         if missing:
             parser.error(f"{name}: --tuples needs {' and '.join(missing)}")
 
@@ -204,9 +208,21 @@ def cmd_beta(args) -> int:
     )
 
 
+def _decimal_digits(value: int) -> int:
+    """Decimal digits of value >= 0, counted without the string conversion,
+    which refuses more than sys.get_int_max_str_digits() of them."""
+    v = max(value, 1)
+    d = int(math.log10(v)) + 1  # off by one at most, next to a power of ten
+    return d - (v < 10 ** (d - 1)) + (v >= 10**d)
+
+
 def cmd_grid2d(args) -> int:
     spec = grid2d.rule_from_json(_load_json(args.rule))
     rep = grid2d.entropy2d(spec, args.nmax, args.mmax, budget=args.budget)
+    cap = sys.get_int_max_str_digits()  # the report prints each count in decimal; 0: no cap
+    if cap:
+        (n, m), most = max(rep.counts.items(), key=lambda cell: cell[1])
+        limits.check("digit", _decimal_digits(most), "decimal digits", cap, f"count {n},{m}")
     homog = grid2d.homog_dims_from_report(rep, spec.alphabet)
     return _emit(
         {

@@ -2,10 +2,12 @@
 
 Rules are Free (no constraint), LinearMod (a three-cell linear congruence),
 or LocalPatterns (a single allowed window set).  Counting is exact over big
-integers as path counts of the column transfer graph, a `symbolic.Automaton`
-whose labels are column codes.  Locally admissible counts upper-bound the pattern
-language of the corresponding subshift, and normalized log-counts are
-certified entropy upper bounds by subadditivity in both axes.  The digit
+integers: Free and LinearMod counts are closed forms, and patterns (and
+LocalPatterns counts) are paths of the column transfer graph, a
+`symbolic.Automaton` whose labels are column codes.  Locally admissible
+counts upper-bound the pattern language of the corresponding subshift, and
+normalized log-counts are certified entropy upper bounds by subadditivity
+in both axes.  The digit
 points x_n = sum_m w[n][m] a^-m embed admissible patterns into the torus
 product for metric cross-checks.
 """
@@ -222,14 +224,43 @@ def count_rectangles(
     Local admissibility (no in-grid window violates the rule) is decidable
     and exact for the Free and LinearMod rules; for LocalPatterns it is an
     upper bound on the pattern language of the 2d subshift, since global
-    extendability of 2d patterns is undecidable in general.  `budget` caps
-    the transfer graph's row sweep (default the state budget).
+    extendability of 2d patterns is undecidable in general.  Free and
+    LinearMod counts are closed forms (`_linear_count`); a LocalPatterns
+    count whose window fits is read off the transfer graph, whose row sweep
+    `budget` caps (default the state budget).
     """
     if n_rows < 1 or m_cols < 1:
         raise DomainError("pattern dimensions must be positive")
+    if spec.rule == RULE_LINEAR:
+        return _linear_count(spec, n_rows, m_cols)
     if _window_free(spec, n_rows, m_cols):
         return spec.alphabet ** (n_rows * m_cols)
     return _transfer_graph(spec, n_rows, budget).word_counts(m_cols)[-1]
+
+
+def _linear_count(spec: Grid2DSpec, n_rows: int, m_cols: int) -> int:
+    """g^(nm) (a/g)^(nm - W) solutions of a linear rule on an n x m grid,
+    with g = gcd(a, c00, c10, c01) and W = (n - h + 1)+ (m - w + 1)+ the
+    windows in the grid, (h, w) = `_window_shape`.
+
+    The solutions are the kernel of the map L from the grid to one residue
+    per window, so they number a^(nm) / |image of L|, and by CRT it suffices
+    to count modulo each prime power p^e of a.  Let k be the least
+    p-valuation of the coefficients, capped at e.  Every residue of L lies
+    in p^k Z/p^e, and L reaches all (p^(e-k))^W of them: divided by p^k,
+    some coefficient is a unit mod p, its cell is a different pivot cell in
+    each window, and solving the windows in decreasing order of i + j (unit
+    c00), by row (unit c10) or by column (unit c01) sets each pivot after
+    the pivots its window reads, so any target is met.  That leaves
+    p^(k nm) p^((e-k)(nm-W)) solutions, the p-part of the formula
+    (Ledrappier, C. R. Acad. Sci. Paris 287, 1978; K. Schmidt, Dynamical
+    Systems of Algebraic Origin, 1995).
+    """
+    a, cells = spec.alphabet, n_rows * m_cols
+    g = math.gcd(a, *spec.coeffs)
+    h, w = _window_shape(spec)
+    windows = max(n_rows - h + 1, 0) * max(m_cols - w + 1, 0)
+    return g**cells * (a // g) ** (cells - windows)
 
 
 def _pattern_columns(spec: Grid2DSpec, n_rows: int, m_cols: int, budget: int | None):
@@ -285,15 +316,12 @@ def enumerate_patterns(spec: Grid2DSpec, n_rows: int, m_cols: int, budget: int |
 
 
 def _int_log(value: int, base: int) -> int | None:
-    """Exact e with base^e == value, when it exists."""
+    """Exact e with base^e == value, when it exists (base >= 2).  The float
+    log rounds to the only candidate, and one power checks it."""
     if value < 1:
         return None
-    e = 0
-    v = value
-    while v % base == 0:
-        v //= base
-        e += 1
-    return e if v == 1 else None
+    e = round(math.log(value) / math.log(base))
+    return e if base**e == value else None
 
 
 @dataclass(frozen=True)
@@ -313,22 +341,27 @@ def entropy2d(
     counts are submultiplicative along both axes, so Fekete applies per axis
     and the double limit is the double infimum.  One row sweep to n_max rows
     gives, after row n, the columns of the n-row transfer graph, whose words
-    give count(n, m) for every m; cells that hold no window take
-    `count_rectangles`' closed form a^(n m) (the graph's words shorter than
-    the window are not all patterns).  `budget` caps the sweep as in
+    give count(n, m) for every m.  Only pattern rules are swept: the cells
+    of free and linear rules, and the cells that hold no window (the graph's
+    words shorter than the window are not all patterns), take
+    `count_rectangles`' closed forms.  `budget` caps the sweep as in
     `count_rectangles`.
     """
     if n_max < 1 or m_max < 1:
         raise DomainError(f"grid (n_max, m_max) = ({n_max}, {m_max}) needs both >= 1")
     a = spec.alphabet
-    sweep = itertools.repeat(None) if _window_free(spec, n_max, m_max) else _row_sweep(
-        spec, n_max, limits.cap("state", budget))
+
+    def swept(n, m):
+        return spec.rule == RULE_PATTERNS and not _window_free(spec, n, m)
+
+    sweep = (_row_sweep(spec, n_max, limits.cap("state", budget)) if swept(n_max, m_max)
+             else itertools.repeat(None))
     estimates = {}
     counts = {}
     for n, cols in zip(range(1, n_max + 1), sweep):
-        row = None if _window_free(spec, n, m_max) else _column_graph(a**n, cols).word_counts(m_max)
+        row = _column_graph(a**n, cols).word_counts(m_max) if swept(n, m_max) else None
         for m in range(1, m_max + 1):
-            c = count_rectangles(spec, n, m, budget) if _window_free(spec, n, m) else row[m - 1]
+            c = row[m - 1] if swept(n, m) else count_rectangles(spec, n, m, budget)
             counts[(n, m)] = c
             estimates[(n, m)] = math.log(c) / (n * m) if c > 0 else -math.inf
     best_cell = min(estimates, key=estimates.get)  # the first least cell, row by row

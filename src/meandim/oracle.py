@@ -244,10 +244,10 @@ def hausdorff_upper_at_scale(diameters, eps: float, tol: float = 1e-10) -> float
         return math.fsum(d**s for d in diams)
 
     lo, hi = 0.0, 1.0
+    # every diameter is at most 1 - 2^-53, so d^s underflows to 0 once
+    # s 2^-53 passes 745: the doubling ends by hi = 2^63
     while total(hi) >= 1.0:
         hi *= 2.0
-        if hi > 1e9:
-            raise DomainError("exponent search diverged")
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
         if mid in (lo, hi):

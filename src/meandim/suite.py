@@ -202,10 +202,12 @@ def criterion_grid2d():
             for m in range(1, 6):
                 free_ok = free_ok and grid2d.count_rectangles(spec, n, m) == a ** (n * m)
     td = grid2d.three_dot_rule(2)
+    # two independent counts of the three-dot rule: the transfer sweep
+    # against 2^(n+m-1), and the closed form count_rectangles against brute force
     formula_ok = all(
-        grid2d.count_rectangles(td, n, m) == 2 ** (n + m - 1)
-        for n in range(1, 7)
-        for m in range(1, 7)
+        grid2d._transfer_graph(td, n, None).word_counts(6)
+        == [2 ** (n + m - 1) for m in range(1, 7)]
+        for n in range(2, 7)
     )
     brute_ok = all(
         grid2d.count_rectangles(td, n, m) == _brute_force_grid_count(td, n, m)

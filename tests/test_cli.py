@@ -143,6 +143,13 @@ class TestSubcommands:
         assert code == 0
         assert abs(json.loads(out)["exponent"] - 0.5) < 1e-9
 
+    def test_oracle_hdim_root_past_1e9(self, capsys):
+        # exited 4 with "exponent search diverged"; the root is about 6.2e15
+        code, out = run_cli(capsys, "oracle", "hdim", "--diams",
+                            "0.9999999999999999,0.9999999999999999", "--eps", "1")
+        assert code == 0
+        assert json.loads(out)["exponent"] == pytest.approx(math.log(2) / 2.0**-53, rel=1e-12)
+
     def test_oracle_mass(self, capsys):
         code, out = run_cli(
             capsys,
@@ -274,6 +281,31 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
         if proc.returncode == 0:
             assert json.loads(proc.stdout)["counts"]["64,3"] == "2"
+
+    @pytest.mark.parametrize("rule", [{"a": 10**6, "rule": "free"},
+                                      {"a": 10**6, "rule": "linear", "coeffs": [0, 0, 0]}])
+    def test_grid2d_count_past_the_decimal_digit_cap_exits_3(self, capsys, tmp_path, rule):
+        # 10^4800 has 4801 digits, more than str() prints: this exited 4 with
+        # a spec error (free) or ran for over a minute (linear)
+        path = tmp_path / "rule.json"
+        path.write_text(json.dumps(rule))
+        out = tmp_path / "report.json"
+        argv = ["grid2d", "--rule", str(path), "--nmax", "1", "--mmax", "800", "--out", str(out)]
+        assert main(argv) == 3
+        cap = sys.get_int_max_str_digits()
+        assert capsys.readouterr().err == (
+            f"resource limit: digit budget: count 1,800: 4801 decimal digits exceed the cap {cap}\n"
+        )
+        assert not out.exists()
+        # 716 cells, 4297 digits, still print
+        assert main(argv[:-3] + ["716"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["counts"]["1,716"]) == 4297
+
+    def test_decimal_digits_next_to_powers_of_ten(self):
+        for d in (1, 2, 15, 16, 22, 23, 308, 309, 4300):
+            for value in (10 ** (d - 1), 10 ** (d - 1) + 1, 10**d - 1):
+                assert cli._decimal_digits(value) == len(str(value)) == d
+        assert cli._decimal_digits(0) == 1
 
     def test_oracle_mass_budget_exits_3_without_traceback(self):
         proc = run_cli_process(
@@ -600,6 +632,12 @@ class TestUsageErrors:
              "argument --tuples: not allowed with argument --spec"),
             (["weighted-entropy", "--spec", "om.json", "--tuples", "00,11", "--a", "3", "--b", "2",
               "--w", "0.5"], "argument --tuples: not allowed with argument --spec"),
+            # the spec file sets a and b; the flags were ignored and the report
+            # printed the file's values
+            (["carpet", "--spec", "om.json", "--a", "5", "--b", "7"],
+             "carpet: --spec excludes --a and --b"),
+            (["weighted-entropy", "--spec", "om.json", "--b", "2", "--w", "0.5"],
+             "weighted-entropy: --spec excludes --b"),
         ],
     )
     def test_missing_or_empty_flag_exits_2_without_traceback(self, argv, message):

@@ -260,7 +260,7 @@ class TestTransferGraph:
 
     def test_wide_alphabets_need_no_window_table(self):
         # 50^4 and 13^6 window codes, far more than the partial patterns kept
-        assert g2.count_rectangles(g2.linear_rule(50, 1, 1, 1), 2, 3) == 50**4
+        assert g2._transfer_graph(g2.linear_rule(50, 1, 1, 1), 2, None).word_counts(3)[-1] == 50**4
         constant = [((c,) * 3,) * 2 for c in range(13)]
         assert g2.count_rectangles(g2.patterns_rule(13, (2, 3), constant), 2, 5) == 13
 
@@ -276,6 +276,47 @@ class TestTransferGraph:
         assert g2.enumerate_patterns(spec, 64, 5) == [((0,) * 5,) * 64, ((1,) * 5,) * 64]
         cloud = g2.torus_points(spec, 64, 5)
         assert cloud.points.tolist() == [[0.0] * 64, [31 / 32] * 64]
+
+
+@st.composite
+def wide_linear_rules(draw):
+    """Linear rules on 1 to 18 symbols with coefficients drawn up to 3a, so
+    zeros and coefficients >= a (reduced by linear_rule) both occur."""
+    a = draw(st.integers(1, 18))
+    return g2.linear_rule(a, *draw(st.tuples(*[st.integers(0, 3 * a)] * 3)))
+
+
+class TestLinearClosedForm:
+    """count_rectangles' closed form for linear rules against the transfer
+    sweep and brute-force enumeration, which count without it."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(spec=wide_linear_rules(), n_rows=st.integers(1, 5), m_cols=st.integers(1, 5))
+    def test_formula_matches_the_sweep_and_brute_force(self, spec, n_rows, m_cols):
+        a, cells = spec.alphabet, n_rows * m_cols
+        small = a**cells <= 4096
+        try:  # the graph's words shorter than the window are not all patterns
+            sweep = a**cells if g2._window_free(spec, n_rows, m_cols) else g2._transfer_graph(
+                spec, n_rows, 1 << 15).word_counts(m_cols)[-1]
+        except ResourceLimit:  # past the sweep's cap: brute force alone, if small
+            sweep = None
+        assume(sweep is not None or small)
+        got = g2.count_rectangles(spec, n_rows, m_cols)
+        if sweep is not None:
+            assert got == sweep
+        if small:
+            assert got == brute_force_count(spec, n_rows, m_cols)
+
+    def test_counts_without_a_transfer_graph(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("linear counts build no transfer graph")
+
+        monkeypatch.setattr(g2, "_transfer_graph", refuse)
+        monkeypatch.setattr(g2, "_row_sweep", refuse)
+        # g = 1 and 39 x 39 windows: 12^(1600 - 1521)
+        assert g2.count_rectangles(g2.linear_rule(12, 2, 3, 4), 40, 40) == 12**79
+        counts = g2.entropy2d(g2.linear_rule(50, 1, 1, 1), 3, 3).counts
+        assert counts == {(n, m): 50 ** (n + m - 1) for n in range(1, 4) for m in range(1, 4)}
 
 
 class TestCounts:

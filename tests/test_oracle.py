@@ -420,6 +420,14 @@ class TestHausdorffUpper:
             math.log(6) / math.log(3), abs=1e-9
         )
 
+    def test_root_past_1e9_is_found(self):
+        # 2 d^s = 1 at s* = log 2 / -log d, about 6.2e15 for the largest
+        # double below 1; the doubling search used to stop at 1e9
+        d = math.nextafter(1.0, 0.0)
+        s = orc.hausdorff_upper_at_scale([d, d], 1.0)
+        assert s == pytest.approx(math.log(2) / -math.log(d), rel=1e-12)
+        assert 2 * d ** math.nextafter(s, 0.0) >= 1.0 > 2 * d ** math.nextafter(s, math.inf)
+
     def test_diameter_validation(self):
         with pytest.raises(DomainError):
             orc.hausdorff_upper_at_scale([0.5], 0.3)  # diam >= eps
