@@ -6,7 +6,8 @@ and compiled to a rooted deterministic transition graph.  Label paths from the
 root spell exactly the admissible words (the length-N prefixes of points), so
 exact big-integer word counts are path counts and entropy upper bounds follow
 from subadditivity.  The entropy is the log of the spectral radius of the
-live transition structure.
+live transition structure.  An automaton keeps its word counts and spectral
+bracket, so repeated queries of one spec extend them instead of recounting.
 """
 
 from __future__ import annotations
@@ -61,11 +62,12 @@ class Automaton:
         return len(self.succ)
 
     def word_counts(self, n_max: int) -> list:
-        """Exact number of admissible words for each length 1..n_max."""
-        weights = [0] * len(self.succ)
-        weights[self.root] = 1
-        counts = []
-        for _ in range(n_max):
+        """Exact number of admissible words for each length 1..n_max, as a new
+        list; the counts and last weight vector stay on the automaton to extend."""
+        counts, weights = self.__dict__.get("_word_counts") or ([], [0] * len(self.succ))
+        if not counts:  # the weights of the empty word
+            weights[self.root] = 1
+        for _ in range(n_max - len(counts)):
             nxt = [0] * len(weights)
             for k, trans in zip(weights, self.succ):
                 if k:
@@ -73,7 +75,8 @@ class Automaton:
                         nxt[t] += k
             weights = nxt
             counts.append(sum(weights))
-        return counts
+        self.__dict__["_word_counts"] = counts, weights
+        return counts[: max(n_max, 0)]
 
     def enumerate_words(self, n: int, budget: int | None = None) -> list[tuple]:
         """All admissible words of length n, in lexicographic order: a
@@ -346,9 +349,13 @@ def sft_from_matrix(matrix) -> SubshiftSpec:
         rows = tuple(tuple(row) for row in matrix)
     except TypeError:
         raise DomainError(f"sft matrix {matrix!r} is not a list of rows") from None
-    if not all(x in (0, 1) for row in rows for x in row):
+    try:
+        entries_ok = set(itertools.chain.from_iterable(rows)) <= {0, 1}
+    except TypeError:  # an unhashable entry, such as [1], is no 0 or 1 either
+        entries_ok = False
+    if not entries_ok:
         raise DomainError("sft matrix entries must be 0 or 1")
-    rows = tuple(tuple(int(x) for x in row) for row in rows)
+    rows = tuple(tuple(map(int, row)) for row in rows)
     return SubshiftSpec(alphabet=len(rows), kind=KIND_SFT, matrix=rows)
 
 
@@ -439,7 +446,7 @@ def _matrix_graph(matrix) -> list[dict]:
     k = len(matrix)
     succ: list[dict] = [{s: s + 1 for s in range(k)}]
     for row in matrix:
-        succ.append({t: t + 1 for t in range(k) if row[t]})
+        succ.append({t: t + 1 for t in itertools.compress(range(k), row)})
     return succ
 
 

@@ -6,8 +6,8 @@ of Z_N = sum over projected N-words v of |fiber(v)|^w.  Z_N is submultiplicative
 so v_N = min_{j<=N} log Z_j / j is a certified upper-bound sequence; for
 product shifts R^N the value is exactly log sum_{v} t(v)^w.  Other systems
 sweep the projected words grouped by the set of automaton states they reach;
-a fiber table's levels keep the sweep's arrays and decode word tuples only
-on first key access, and the fiber-size histograms of all lengths give
+a fiber table's levels keep the sweep's key and count arrays and decode word
+tuples only on first key access, and the fiber-size histograms of all lengths give
 every Z_N exactly in one pass (`_level_totals`, `exact_total`'s sums).
 
 `image_subshift` determinizes the projected image exactly with the same
@@ -83,11 +83,12 @@ def tuple_fiber_sizes(sys: PairShiftSystem) -> dict[int, int]:
 class FiberLevel(Mapping):
     """Fiber sizes of the projected words of one length, word -> count, in
     lexicographic order.  It holds the sweep's sorted keys (rank * b +
-    letter, rank a word's index in the level before), the counts and the
-    level before: len and values() read the counts alone, and the first key
-    access decodes the word tuples from the previous level's and keeps them."""
+    letter, rank a word's index in the level before), the sweep's counts
+    array and the level before: len and values() read the counts alone, as
+    Python ints, and the first key access decodes the word tuples from the
+    previous level's and keeps them."""
 
-    def __init__(self, keys: np.ndarray, counts: list, prev: FiberLevel | None, b: int):
+    def __init__(self, keys: np.ndarray, counts: np.ndarray, prev: FiberLevel | None, b: int):
         self._keys, self._counts, self._prev, self._b, self._words = keys, counts, prev, b, None
 
     def _decoded(self) -> dict:
@@ -100,7 +101,7 @@ class FiberLevel(Mapping):
             for level in reversed(chain):
                 parent, letter = np.divmod(level._keys, level._b)
                 words = [words[p] + (v,) for p, v in zip(parent.tolist(), letter.tolist())]
-                level._words, level._prev = dict(zip(words, level._counts)), None
+                level._words, level._prev = dict(zip(words, level._counts.tolist())), None
         return self._words
 
     def __len__(self):
@@ -121,7 +122,7 @@ class FiberLevel(Mapping):
 
 class _Counts(ValuesView):
     def __iter__(self):
-        return iter(self._mapping._counts)
+        return iter(self._mapping._counts.tolist())
 
 
 @dataclass(frozen=True)
@@ -134,13 +135,14 @@ class FiberCountTable:
         return self.levels[n]
 
     def total(self, n: int) -> int:
-        return sum(self.levels[n].values())
+        """Exact: it counts omega's n-paths, below 2^63 when the dtype is int64."""
+        return int(self.levels[n]._counts.sum())
 
 
 def fiber_counts(sys: PairShiftSystem, n_max: int, budget: int | None = None) -> FiberCountTable:
     levels, level = {}, None
     for n, (keys, counts, _) in enumerate(_fiber_levels(sys, n_max, limits.cap("word", budget)), 1):
-        levels[n] = level = FiberLevel(keys, counts.tolist(), level, sys.b_size)
+        levels[n] = level = FiberLevel(keys, counts, level, sys.b_size)
     return FiberCountTable(levels=levels)
 
 
@@ -336,7 +338,7 @@ def _z_sweep(sys: PairShiftSystem, w: float, n_max: int, cap: int):
         except OverflowError:
             break
         if w != 1.0:  # libm pow as float ** w (numpy's ** can differ in the last ulp)
-            x = list(map(math.pow, x.tolist(), itertools.repeat(w, len(x))))
+            x = np.fromiter(map(math.pow, x.tolist(), itertools.repeat(w, len(x))), float, len(x))
         levels.append((x, mult))
     totals, den = _level_totals(levels)
     yield from (top / den for top in totals)  # int / int rounds correctly, as fsum does

@@ -398,6 +398,7 @@ class TestExitCodes:
             {"alphabet": 2, "kind": "forbidden", "forbidden": 5},
             [1, 2],
             {"alphabet": 2, "kind": "sft", "matrix": [[1, "x"], [1, 1]]},
+            {"alphabet": 2, "kind": "sft", "matrix": [[1, [1]], [1, 1]]},
         ],
     )
     def test_malformed_spec_exits_4(self, capsys, tmp_path, doc):
@@ -793,7 +794,7 @@ def rule_docs(draw):
 def metric_docs(draw):
     doc = {
         "kind": draw(st.sampled_from(
-            ["linf_finite", "sum_weighted_abs", "sum_weighted_max", "sum_weighted_torus"])),
+            ["linf_finite", "sum_weighted_abs", "sum_weighted_torus"])),
         "iterates": draw(st.none() | st.integers(1, 3)),
         "truncation_error": draw(st.sampled_from([0.0, 0.01, 1.0])),
     }
@@ -831,6 +832,9 @@ class TestCliFuzz:
     @example({"alphabet": 2, "kind": "wordset", "words": {"1": ["0"]}},  # an unknown kind
              ["beta", "--a", "2", "--beta", "2.5", "--omega", "{spec}", "--n", "2", "--N", "2"],
              [])
+    @example({"kind": "sum_weighted_max", "iterates": None, "truncation_error": 0.0},  # retired
+             ["oracle", "cover", "--points", "{points}", "--metric", "{spec}", "--eps", "0.3"],
+             [])
     @example({}, ["oracle", "appendix-k"], [("--eps", "1")])
     @example({"alphabet": 2, "kind": "full"},
              ["beta", "--a", "2", "--beta", "2.5", "--omega", "{spec}", "--n", "2", "--N", "2"],
@@ -863,6 +867,7 @@ NUMERIC_FLAG_COMMANDS = [
     (["oracle", "appendix-k", "--eps", "0.5"], ["--ncap", "--m", "--N"]),
     (["oracle", "appendix-k", "--witness"], ["--ncap", "--m", "--N"]),
     (["oracle", "hdim", "--diams", "0.1,0.2", "--eps", "0.5"], ["--tol"]),
+    (["bm-classical", "--tuples", "00,11,20"], ["--a", "--b"]),
 ]
 SMALL_INTS = [str(v) for v in range(-2, 5)]
 

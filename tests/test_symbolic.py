@@ -321,6 +321,22 @@ def test_walk_and_sweep_match_the_reference(case, n, budget, column_labels):
     assert aut.enumerate_words(n, budget) == want
 
 
+@settings(max_examples=200, deadline=None)
+@given(random_automata(), st.lists(st.integers(0, 24), min_size=1, max_size=6))
+@example(([{0: 0, 1: 1}, {0: 0}], 0, 2), [8, 16, 24, 5, 0])
+def test_kept_word_counts_answer_lengths_in_any_order(case, lengths):
+    # one automaton asked for lengths in any order answers as the reference
+    # and a fresh automaton do, and a caller's edit of one answer moves no
+    # later one
+    succ, root, k = case
+    aut = sym.Automaton(alphabet_size=k, root=root, succ=tuple(succ))
+    for n in lengths:
+        got = aut.word_counts(n)
+        assert got == reference_word_counts(aut, n)
+        assert got == sym.Automaton(alphabet_size=k, root=root, succ=tuple(succ)).word_counts(n)
+        got.insert(0, -1)
+
+
 def test_product_symbols_are_computed_once():
     spec = sym.allowed_tuples(3, 2, [(0, 0), (1, 1), (2, 0)])
     assert spec.product_symbols == (0, 3, 4)
@@ -671,6 +687,19 @@ class TestJson:
     def test_counts_serialized_as_exact_integers(self):
         table = sym.count_words(sym.full_shift(10), 30)
         assert table[30] == 10**30  # exact big integer, no float rounding
+
+    def test_bool_and_float_matrix_entries_read_as_ints(self):
+        spec = sym.sft_from_matrix([[True, 1.0], [1, False]])
+        assert spec.matrix == ((1, 1), (1, 0))
+        assert all(type(x) is int for row in spec.matrix for x in row)
+
+    @pytest.mark.parametrize(
+        "matrix", [[[1, [1]], [1, 1]], [[1, {}], [0, 1]], [[1, 2], [1, 1]], [[1, "1"], [0, 1]]]
+    )
+    def test_matrix_entries_other_than_0_or_1_are_refused(self, matrix):
+        # an unhashable entry is refused as one, not raised as a TypeError
+        with pytest.raises(DomainError, match="^sft matrix entries must be 0 or 1$"):
+            sym.sft_from_matrix(matrix)
 
     def test_bad_kind_rejected(self):
         with pytest.raises(DomainError):

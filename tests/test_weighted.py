@@ -166,6 +166,36 @@ class TestFiberSweep:
         z = wt.weighted_entropy(sys_, 1.0, 22).z_values
         assert all(z[n] == float(exact[n]) for n in range(1, 23))
 
+    @pytest.mark.parametrize("n_max", [10, 11])
+    def test_counts_read_as_python_ints_on_either_dtype(self, n_max):
+        # 64 symbols: (max out-degree)^N passes 2^63 at N = 11, so that sweep
+        # keeps object counts, and its last totals pass 2^63 too
+        rng = random.Random(5)
+        matrix = [[int(rng.random() < 0.9) for _ in range(64)] for _ in range(64)]
+        sys_ = wt.pair_system(32, 2, sym.sft_from_matrix(matrix))
+        degree = max(map(len, sys_.omega.automaton.succ))
+        assert degree**10 < 2**63 <= degree**11
+        exact = sym.count_words(sys_.omega, n_max)
+        table = wt.fiber_counts(sys_, n_max)
+        for n in range(1, n_max + 1):
+            level = table.level(n)
+            assert all(type(c) is int for c in level.values())
+            assert all(type(c) is int for _, c in level.items())
+            assert type(table.total(n)) is int
+            assert table.total(n) == sum(level.values()) == exact[n]
+        assert (exact[n_max] >= 2**63) == (n_max == 11)
+
+    @settings(max_examples=100, deadline=None)
+    @given(pair_systems(), st.integers(1, 8), st.floats(0.0, 1.0, exclude_max=True))
+    def test_z_values_equal_a_list_pow_reference_bit_for_bit(self, sys_, n_max, w):
+        # w = 1 sweeps; w < 1 then reads the kept histograms
+        levels = reference_fiber_counts(sys_, n_max).values()
+        for weight in (1.0, w):
+            z = wt.weighted_entropy(sys_, weight, n_max).z_values
+            want = [math.fsum(list(map(math.pow, map(float, level.values()),
+                                       [weight] * len(level)))) for level in levels]
+            assert [v.hex() for v in z.values()] == [v.hex() for v in want]
+
     def test_overflow_names_the_length(self):
         # one projected letter over a full 2-shift: the fiber at N is 2^N
         sys_ = wt.pair_system(2, 1, sym.sft_from_matrix([[1, 1], [1, 1]]))
