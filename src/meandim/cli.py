@@ -9,6 +9,7 @@ sampling subcommands (oracle qbox, mass and appendix-k) take --seed.
 from __future__ import annotations
 
 import argparse
+import bisect
 import functools
 import json
 import math
@@ -218,9 +219,16 @@ def _decimal_digits(value: int) -> int:
 
 def cmd_grid2d(args) -> int:
     spec = grid2d.rule_from_json(_load_json(args.rule))
-    rep = grid2d.entropy2d(spec, args.nmax, args.mmax, budget=args.budget)
     cap = sys.get_int_max_str_digits()  # the report prints each count in decimal; 0: no cap
-    if cap:
+    if cap and spec.rule != grid2d.RULE_PATTERNS and min(args.nmax, args.mmax) >= 1:
+        count = functools.partial(grid2d.count_rectangles, spec)  # closed forms grow with n and m
+        most = count(args.nmax, args.mmax)
+        if _decimal_digits(most) > cap:  # refused before the grid is counted; name its first cell
+            n = 1 + bisect.bisect_left(range(1, args.nmax), most, key=lambda n: count(n, args.mmax))
+            m = 1 + bisect.bisect_left(range(1, args.mmax), most, key=lambda m: count(n, m))
+            limits.check("digit", _decimal_digits(most), "decimal digits", cap, f"count {n},{m}")
+    rep = grid2d.entropy2d(spec, args.nmax, args.mmax, budget=args.budget)
+    if cap and spec.rule == grid2d.RULE_PATTERNS:
         (n, m), most = max(rep.counts.items(), key=lambda cell: cell[1])
         limits.check("digit", _decimal_digits(most), "decimal digits", cap, f"count {n},{m}")
     homog = grid2d.homog_dims_from_report(rep, spec.alphabet)

@@ -609,7 +609,9 @@ _INV_SQ_BLOCK = 1 << 14  # atoms of an interval summed exactly before its tail b
 
 
 def reciprocal_atoms(n_cap: int) -> np.ndarray:
-    """The truncated point set {0} U {1/j : j <= n_cap}, ascending, in float64."""
+    """The truncated point set {0} U {1/j : j <= n_cap}, ascending, in float64;
+    an n_cap past the word budget is refused before anything is allocated."""
+    limits.check("word", n_cap, "atoms", limits.cap("word"), "reciprocal set")
     return np.append(0.0, 1.0 / np.arange(n_cap, 0, -1, dtype=np.float64))
 
 

@@ -106,26 +106,26 @@ def covering_lower_bound(
     separated in linf over the first N coordinates (and beta^-n / 2 separated
     under the dynamical weighted metric, whose leading weight is 1/2).
     """
-    if n_layers < 1:
-        raise DomainError(f"digit layers n = {n_layers} must be >= 1")
+    if min(n_coords, n_layers) < 1:
+        raise DomainError(f"window N = {n_coords} and digit layers n = {n_layers} must be >= 1")
     aut = spec.omega.automaton
-    words = aut.enumerate_words(n_coords, budget)
-    count = len(words) ** n_layers
+    n_words = aut.word_counts(n_coords)[-1]  # both budgets are checked before any word is built
+    limits.check("word", n_words, "words", limits.cap("word", budget))
+    count = n_words**n_layers
     limits.check("point", count, "points", limits.cap("point", budget), "covering family")
+    words = aut.enumerate_words(n_coords, budget)
 
     depth = n_coords + min(30 * n_layers, 80)  # a tail below 2^-30 < 1e-9 per layer
-    anchor = aut.lex_least_extension((), depth)
     ends = [functools.reduce(lambda s, d: aut.succ[s][d], w, aut.root) for w in words]
-    last = dict(zip(ends, words))  # a word's extension depends only on its end state
-    tails = {s: aut.lex_least_extension(w, depth)[n_coords:] for s, w in last.items()}
+    tails = {s: aut.least_word(s, depth - n_coords) for s in set(ends)}  # one per end state
     streams = np.array([w + tails[s] for w, s in zip(words, ends)], dtype=np.int64)
 
     # coordinate j of a point is fsum_k(d_k beta^-(k+1)) over its digit
     # column d = (streams[w_k][j])_k (`digit_points`), plus the anchor tail
     beta = spec.beta
     terms = [[d * beta ** -(k + 1) for d in range(spec.a)] for k in range(n_layers)]
-    choices = np.indices((len(words),) * n_layers).reshape(n_layers, count).T
-    tail = np.array(anchor, dtype=float) * (beta**-n_layers) / (beta - 1.0)
+    choices = np.indices((n_words,) * n_layers).reshape(n_layers, count).T
+    tail = np.array(aut.least_word(aut.root, depth), dtype=float) * beta**-n_layers / (beta - 1.0)
     points = digit_points([streams] * n_layers, choices, terms) + tail
     eps = beta**-n_layers
     trunc = (spec.a - 1) / (beta - 1) * 2.0 ** -(depth - n_coords)
@@ -134,7 +134,7 @@ def covering_lower_bound(
         metric=MetricDescriptor(kind=LINF_FINITE, iterates=n_coords),
         truncation_error=trunc,
     )
-    return CoveringFamily(points=cloud, count=count, n_words=len(words), eps=eps)
+    return CoveringFamily(points=cloud, count=count, n_words=n_words, eps=eps)
 
 
 def self_similar_dims(spec: BetaSystemSpec) -> dict:

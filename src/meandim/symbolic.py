@@ -79,9 +79,10 @@ class Automaton:
         return counts[: max(n_max, 0)]
 
     def enumerate_words(self, n: int, budget: int | None = None) -> list[tuple]:
-        """All admissible words of length n, in lexicographic order: a
-        depth-first walk over each state's labels in increasing order."""
-        cap = limits.cap("word", budget)
+        """All admissible words of length n, in lexicographic order (a depth-first
+        walk over sorted labels), once their exact number fits the word budget."""
+        total = (self.word_counts(n) or [int(n == 0)])[-1]  # one empty word, none below
+        limits.check("word", total, "words", limits.cap("word", budget))
         edges = [sorted(trans.items()) for trans in self.succ]
         words: list[tuple] = [()] if n == 0 else []
         path: list = []
@@ -93,25 +94,17 @@ class Automaton:
                     stack.append(iter(edges[t]))
                     break
                 words.append(tuple(path))
-                if len(words) > cap:
-                    stack.clear()
-                    break
                 path.pop()
             else:
                 stack.pop()
                 if stack:
                     path.pop()
-        if len(words) > cap:
-            limits.check("word", self.word_counts(n)[-1] if n else 1, "words", cap)
         return words
 
-    def lex_least_extension(self, word: tuple, depth: int) -> tuple:
-        """word extended to length depth by the least admissible continuation."""
-        state = self.root
-        for label in word:
-            state = self.succ[state][label]
-        out = list(word)
-        while len(out) < depth:
+    def least_word(self, state: int, length: int) -> tuple:
+        """The lexicographically least word of the given length read from state."""
+        out = []
+        for _ in range(length):
             label = min(self.succ[state])
             out.append(label)
             state = self.succ[state][label]
@@ -148,41 +141,36 @@ class Automaton:
 
 
 def _strongly_connected(succ, root) -> list[list[int]]:
-    """Tarjan SCCs (iterative) of the states reachable from root."""
-    index = {root: 0}
-    low = {root: 0}
-    on_stack = {root}
+    """Tarjan SCCs (iterative) of the states reachable from root, each
+    listed after every component it reaches."""
+    index = [-1] * len(succ)  # -1 unseen; inf once listed, so it lowers no low link
+    low = index[:]
+    index[root] = low[root] = 0
+    at = {root: 0}  # position on the stack
     stack = [root]
     comps: list[list[int]] = []
     work = [(root, iter(succ[root].values()))]
     while work:
         node, it = work[-1]
-        advanced = False
         for t in it:
-            if t not in index:
-                index[t] = low[t] = len(index)
+            if index[t] < 0:
+                index[t] = low[t] = len(at)
+                at[t] = len(stack)
                 stack.append(t)
-                on_stack.add(t)
                 work.append((t, iter(succ[t].values())))
-                advanced = True
                 break
-            if t in on_stack:
-                low[node] = min(low[node], index[t])
-        if advanced:
-            continue
-        work.pop()
-        if work:
-            parent = work[-1][0]
-            low[parent] = min(low[parent], low[node])
-        if low[node] == index[node]:
-            comp = []
-            while True:
-                w = stack.pop()
-                on_stack.discard(w)
-                comp.append(w)
-                if w == node:
-                    break
-            comps.append(comp)
+            if index[t] < low[node]:
+                low[node] = index[t]
+        else:
+            work.pop()
+            if work and low[node] < low[work[-1][0]]:
+                low[work[-1][0]] = low[node]
+            if low[node] == index[node]:
+                comp = stack[at[node]:][::-1]  # pop order: `_component_radius` rounds by it
+                del stack[at[node]:]
+                for w in comp:
+                    index[w] = math.inf
+                comps.append(comp)
     return comps
 
 
@@ -355,7 +343,8 @@ def sft_from_matrix(matrix) -> SubshiftSpec:
         entries_ok = False
     if not entries_ok:
         raise DomainError("sft matrix entries must be 0 or 1")
-    rows = tuple(tuple(map(int, row)) for row in rows)
+    if set(map(type, itertools.chain.from_iterable(rows))) != {int}:  # such as True or 1.0
+        rows = tuple(tuple(map(int, row)) for row in rows)
     return SubshiftSpec(alphabet=len(rows), kind=KIND_SFT, matrix=rows)
 
 
@@ -402,42 +391,20 @@ def prune(spec: SubshiftSpec) -> SubshiftSpec:
 
 
 def _prune_graph(succ: Sequence[dict], root: int) -> tuple[tuple[dict, ...], int]:
-    """Drop states with no infinite continuation, then keep only states
-    reachable from the root, in O(V + E).  Raises EmptySubshift if the root
-    dies.
-
-    One backward liveness pass: a state dies when its last transition into a
-    live state is lost, so each dead state's predecessors lose one each.
-    """
-    preds: list[list[int]] = [[] for _ in succ]
-    live_out = [len(trans) for trans in succ]
-    for s, trans in enumerate(succ):
-        for t in trans.values():
-            preds[t].append(s)
-    dead = [s for s, k in enumerate(live_out) if k == 0]
-    alive = [k > 0 for k in live_out]
-    while dead:
-        for s in preds[dead.pop()]:
-            live_out[s] -= 1
-            if live_out[s] == 0:
-                alive[s] = False
-                dead.append(s)
-    if not alive[root]:
+    """Keep the states reachable from the root that have an infinite
+    continuation, in O(V + E); raises EmptySubshift if the root has none.
+    `_strongly_connected` lists each component after those it reaches, so one
+    pass decides liveness: a component is live when it holds a cycle (two
+    states or more, or a self-loop) or an edge into a live component."""
+    live: set[int] = set()
+    for comp in _strongly_connected(succ, root):
+        s = comp[0]
+        if len(comp) > 1 or any(t == s or t in live for t in succ[s].values()):
+            live.update(comp)
+    if root not in live:
         raise EmptySubshift("no admissible infinite sequence")
-
-    reach = {root}
-    stack = [root]
-    while stack:
-        s = stack.pop()
-        for t in succ[s].values():
-            if alive[t] and t not in reach:
-                reach.add(t)
-                stack.append(t)
-    keep = sorted(reach)
-    remap = {s: i for i, s in enumerate(keep)}
-    pruned = tuple(
-        {l: remap[t] for l, t in succ[s].items() if alive[t]} for s in keep
-    )
+    remap = {s: i for i, s in enumerate(sorted(live))}
+    pruned = tuple({l: remap[t] for l, t in succ[s].items() if t in live} for s in remap)
     return pruned, remap[root]
 
 

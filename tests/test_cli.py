@@ -301,6 +301,21 @@ class TestExitCodes:
         assert main(argv[:-3] + ["716"]) == 0
         assert len(json.loads(capsys.readouterr().out)["counts"]["1,716"]) == 4297
 
+    @pytest.mark.parametrize("coeffs, n, m, cell", [([1, 1, 0], 3, 15000, "1,15000"),
+                                                     ([1, 0, 1], 15000, 3, "15000,1")])
+    def test_grid2d_digit_refusal_names_the_first_largest_cell(self, tmp_path, coeffs, n, m,
+                                                               cell):
+        # 2^m in every row (2^n in every column): the refusal, made before the
+        # grid is counted, names the first cell that holds the largest count
+        path = tmp_path / "rule.json"
+        path.write_text(json.dumps({"a": 2, "rule": "linear", "coeffs": coeffs}))
+        code, out, err = call_main(["grid2d", "--rule", str(path), "--nmax", str(n),
+                                    "--mmax", str(m)])
+        assert (code, out) == (3, "")
+        cap = sys.get_int_max_str_digits()
+        assert err == (f"resource limit: digit budget: count {cell}: 4516 decimal digits "
+                       f"exceed the cap {cap}\n")
+
     def test_decimal_digits_next_to_powers_of_ten(self):
         for d in (1, 2, 15, 16, 22, 23, 308, 309, 4300):
             for value in (10 ** (d - 1), 10 ** (d - 1) + 1, 10**d - 1):
@@ -375,6 +390,14 @@ class TestExitCodes:
                               "--M", "2", "--format", fmt)
         assert proc.returncode in (0, 2, 3, 4), proc.stderr
         assert "Traceback" not in proc.stderr
+
+    @pytest.mark.parametrize("n_coords", ["0", "-1"])
+    def test_beta_coordinate_window_below_one_exits_4(self, n_coords):
+        # --N -1 exited 1 with an IndexError traceback from digit_points
+        code, out, err = call_main(["beta", "--a", "2", "--beta", "2.5", "--N", n_coords])
+        assert (code, out) == (4, "")
+        assert err == (f"spec error: window N = {n_coords} and digit layers n = 3 "
+                       "must be >= 1\n")
 
     def test_beta_budget_exits_3_without_traceback(self):
         proc = run_cli_process("beta", "--a", "2", "--beta", "2.5", "--n", "2", "--N", "2",
@@ -855,6 +878,9 @@ class TestCliFuzz:
             except SystemExit as exc:  # argparse usage errors
                 code = exc.code
         assert code in (0, 2, 3, 4), (argv, doc, err.getvalue())
+        if code == 0:  # one JSON document, and the same bytes from a second call
+            json.loads(out.getvalue())
+            assert call_main(argv)[:2] == (0, out.getvalue())
 
 
 CARPET = ["--a", "3", "--b", "2", "--tuples", "00,11,20"]
@@ -868,6 +894,7 @@ NUMERIC_FLAG_COMMANDS = [
     (["oracle", "appendix-k", "--witness"], ["--ncap", "--m", "--N"]),
     (["oracle", "hdim", "--diams", "0.1,0.2", "--eps", "0.5"], ["--tol"]),
     (["bm-classical", "--tuples", "00,11,20"], ["--a", "--b"]),
+    (["beta", "--a", "2", "--beta", "2.5"], ["--n", "--N"]),
 ]
 SMALL_INTS = [str(v) for v in range(-2, 5)]
 
@@ -898,6 +925,7 @@ class TestNumericFlagFuzz:
     @example(["oracle", "mass", *CARPET, "--N", "1", "--mmin", "3", "--mmax", "2"])
     @example(["oracle", "mass", *SQUARE_SCALE, "--N", "1", "--mmin", "2", "--mmax", "2"])
     @example(["grid2d", "--rule", "{rule}", "--nmax", "0"])
+    @example(["beta", "--a", "2", "--beta", "2.5", "--n", "1", "--N", "-1"])  # exited 1
     def test_small_values_exit_documented_in_time(self, tmp_path, argv):
         """Every small value of a numeric flag ends in a documented exit
         code, without an exception escaping main, within SECONDS."""
@@ -924,6 +952,41 @@ class TestNumericFlagFuzz:
             signal.signal(signal.SIGALRM, previous)
         assert code in (0, 2, 3, 4), (argv, err.getvalue())
         assert "Traceback" not in err.getvalue()
+
+
+class TestHugeValues:
+    RULES = {"free": {"a": 2, "rule": "free"},
+             "linear": {"a": 4, "rule": "linear", "coeffs": [2, 2, 2]}}  # g = 2
+
+    @pytest.mark.parametrize("argv, refusal", [
+        (["oracle", "appendix-k", "--ncap", str(10**12)],
+         "word budget: reciprocal set: 1000000000000 atoms exceed the cap 20000000"),
+        (["grid2d", "--rule", "{free}", "--nmax", "1000", "--mmax", "1000"],
+         "digit budget: count 1000,1000: 301030 decimal digits exceed the cap {cap}"),
+        (["grid2d", "--rule", "{linear}", "--nmax", "1000", "--mmax", "1000"],
+         "digit budget: count 1000,1000: 301632 decimal digits exceed the cap {cap}"),
+        (["oracle", "qbox", *CARPET, "--N", "16", "--M", "1"],
+         "word budget: 43046721 words exceed the cap 20000000"),
+        (["beta", "--a", "2", "--beta", "2.5", "--n", "1", "--N", "24"],
+         "point budget: covering family: 16777216 points exceed the cap 2000000"),
+    ], ids=["appendix-k", "grid2d-free", "grid2d-linear", "qbox", "beta"])
+    def test_huge_values_are_refused_under_a_memory_cap(self, tmp_path, argv, refusal):
+        # each exited 1 with a traceback (MemoryError, SystemError) after 1-30 s:
+        # the arrays, counts or words were built before the refusal
+        for name, rule in self.RULES.items():
+            (tmp_path / f"{name}.json").write_text(json.dumps(rule))
+        argv = [arg.format(free=tmp_path / "free.json", linear=tmp_path / "linear.json")
+                for arg in argv]
+        proc = run_cli_capped(1 << 30, *argv)
+        assert "Traceback" not in proc.stderr
+        refusal = refusal.format(cap=sys.get_int_max_str_digits())
+        assert (proc.returncode, proc.stderr) == (3, f"resource limit: {refusal}\n")
+
+    def test_appendix_k_at_the_word_budget_runs(self):
+        # 20,000,000 atoms and 0: the cap itself is not refused
+        proc = run_cli_capped(1 << 30, "oracle", "appendix-k", "--ncap", "20000000")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["command"] == "oracle appendix-k"
 
 
 class TestDeterminism:

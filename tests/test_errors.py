@@ -5,6 +5,10 @@ The `ast` tests read the package source and import nothing from it, so they
 still run, and name the culprit, when the package itself fails to import."""
 
 import ast
+import os
+import resource
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -143,3 +147,58 @@ def test_resource_limits_name_the_size_and_the_cap(case, size, cap, monkeypatch)
     with pytest.raises(ResourceLimit) as info:
         calls[case]()
     assert str(info.value).endswith(f": {size} exceed the cap {cap}")
+
+
+def run_capped_python(cap, code):
+    """`code` in a fresh interpreter whose address space is capped at `cap`
+    bytes (the limit is set in the child only), with the default budgets."""
+    env = {k: v for k, v in os.environ.items() if k != "MEANDIM_BUDGET"}
+    return subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env={**env, "PYTHONPATH": str(SRC.parent), "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        timeout=120,
+    )
+
+
+def test_word_refusal_comes_from_the_count_before_the_walk():
+    # the walk built 20,000,001 words of 30 symbols before it refused them
+    proc = run_capped_python(300 << 20, """
+import time
+from meandim import symbolic as sym
+from meandim.errors import ResourceLimit
+spec = sym.full_shift(2)
+spec.automaton
+start = time.perf_counter()
+try:
+    sym.enumerate_words(spec, 30)
+except ResourceLimit as exc:
+    print(exc)
+    print(time.perf_counter() - start)
+""")
+    message, seconds = proc.stdout.splitlines() or (proc.stderr, "inf")
+    assert message == "word budget: 1073741824 words exceed the cap 20000000"
+    assert float(seconds) < 0.1
+
+
+def test_covering_family_refuses_its_points_before_any_word():
+    # the family built 16,777,216 words of 24 digits before the point refusal
+    proc = run_capped_python(1 << 30, """
+from meandim import selfsim as ss
+from meandim import symbolic as sym
+from meandim.errors import ResourceLimit
+
+def walk(self, n, budget=None):
+    raise AssertionError(f"{n}-words enumerated")
+
+sym.Automaton.enumerate_words = walk
+try:
+    ss.covering_lower_bound(ss.beta_system(2, 2.0), 24, 1)
+except ResourceLimit as exc:
+    print(exc)
+""")
+    assert proc.stdout == (
+        "point budget: covering family: 16777216 points exceed the cap 2000000\n"
+    ), proc.stderr

@@ -143,8 +143,13 @@ def reference_family_points(spec, n_coords, n_layers, tol=1e-9):
     aut = spec.omega.automaton
     words = aut.enumerate_words(n_coords)
     depth = min(n_coords + n_layers * max(1, math.ceil(math.log2(1.0 / tol))), n_coords + 80)
-    anchor = aut.lex_least_extension((), depth)
-    streams = [aut.lex_least_extension(w, depth) for w in words]
+    anchor = aut.least_word(aut.root, depth)
+    streams = []
+    for w in words:  # each word, continued by the least word from its end state
+        state = aut.root
+        for d in w:
+            state = aut.succ[state][d]
+        streams.append(w + aut.least_word(state, depth - n_coords))
     beta = spec.beta
     pts = []
     for combo in itertools.product(range(len(words)), repeat=n_layers):
