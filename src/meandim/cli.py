@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import bisect
+import decimal
 import functools
 import json
 import math
@@ -209,28 +210,55 @@ def cmd_beta(args) -> int:
     )
 
 
-def _decimal_digits(value: int) -> int:
-    """Decimal digits of value >= 0, counted without the string conversion,
-    which refuses more than sys.get_int_max_str_digits() of them."""
-    v = max(value, 1)
-    d = int(math.log10(v)) + 1  # off by one at most, next to a power of ten
-    return d - (v < 10 ** (d - 1)) + (v >= 10**d)
+def _decimal_digits(powers) -> int:
+    """Decimal digits of the product of b**e over the (b, e) in powers (ints
+    b >= 1 and e >= 0, or the one pair (0, 1): 0 has one digit), exact and
+    without the string conversion, which refuses more than
+    sys.get_int_max_str_digits() of them.  A product past 2^16 bits is not
+    taken: its log10 is bracketed at growing precision until one integer
+    part remains, and it is an integer only for a power of ten, which the
+    factors 2 and 5 of each b tell."""
+    if sum(e * b.bit_length() for b, e in powers) <= 1 << 16:
+        v = max(math.prod(b**e for b, e in powers), 1)
+        d = int(math.log10(v)) + 1  # off by one at most, next to a power of ten
+        return d - (v < 10 ** (d - 1)) + (v >= 10**d)
+    twos, fives, rest = 0, 0, 1
+    for b, e in powers:
+        while b % 2 == 0:
+            b, twos = b // 2, twos + e
+        while b % 5 == 0:
+            b, fives = b // 5, fives + e
+        rest *= b
+    if rest == 1 and twos == fives:
+        return twos + 1
+    prec = 40
+    while True:
+        with decimal.localcontext(prec=prec):
+            log = sum(decimal.Decimal(b).log10() * e for b, e in powers)
+            slack = log.scaleb(3 - prec)  # each log10, product and sum rounds it once
+            lo, hi = math.floor(log - slack), math.floor(log + slack)
+        if lo == hi:
+            return lo + 1
+        prec *= 2
 
 
 def cmd_grid2d(args) -> int:
     spec = grid2d.rule_from_json(_load_json(args.rule))
     cap = sys.get_int_max_str_digits()  # the report prints each count in decimal; 0: no cap
     if cap and spec.rule != grid2d.RULE_PATTERNS and min(args.nmax, args.mmax) >= 1:
-        count = functools.partial(grid2d.count_rectangles, spec)  # closed forms grow with n and m
-        most = count(args.nmax, args.mmax)
-        if _decimal_digits(most) > cap:  # refused before the grid is counted; name its first cell
-            n = 1 + bisect.bisect_left(range(1, args.nmax), most, key=lambda n: count(n, args.mmax))
-            m = 1 + bisect.bisect_left(range(1, args.mmax), most, key=lambda m: count(n, m))
-            limits.check("digit", _decimal_digits(most), "decimal digits", cap, f"count {n},{m}")
+        # refused before any power is taken, at the first cell whose exponents (of bases > 1,
+        # each nondecreasing in n and m) are the largest
+        powers = functools.partial(grid2d.closed_form_powers, spec)
+        exps = lambda n, m: [e for b, e in powers(n, m) if b > 1]  # noqa: E731
+        most, digits = exps(args.nmax, args.mmax), _decimal_digits(powers(args.nmax, args.mmax))
+        if digits > cap:
+            n = 1 + bisect.bisect_left(range(1, args.nmax), most, key=lambda n: exps(n, args.mmax))
+            m = 1 + bisect.bisect_left(range(1, args.mmax), most, key=lambda m: exps(n, m))
+            limits.check("digit", digits, "decimal digits", cap, f"count {n},{m}")
     rep = grid2d.entropy2d(spec, args.nmax, args.mmax, budget=args.budget)
     if cap and spec.rule == grid2d.RULE_PATTERNS:
         (n, m), most = max(rep.counts.items(), key=lambda cell: cell[1])
-        limits.check("digit", _decimal_digits(most), "decimal digits", cap, f"count {n},{m}")
+        limits.check("digit", _decimal_digits([(most, 1)]), "decimal digits", cap, f"count {n},{m}")
     homog = grid2d.homog_dims_from_report(rep, spec.alphabet)
     return _emit(
         {

@@ -225,23 +225,25 @@ def count_rectangles(
     and exact for the Free and LinearMod rules; for LocalPatterns it is an
     upper bound on the pattern language of the 2d subshift, since global
     extendability of 2d patterns is undecidable in general.  Free and
-    LinearMod counts are closed forms (`_linear_count`); a LocalPatterns
+    LinearMod counts are closed forms (`closed_form_powers`); a LocalPatterns
     count whose window fits is read off the transfer graph, whose row sweep
     `budget` caps (default the state budget).
     """
     if n_rows < 1 or m_cols < 1:
         raise DomainError("pattern dimensions must be positive")
-    if spec.rule == RULE_LINEAR:
-        return _linear_count(spec, n_rows, m_cols)
+    if spec.rule != RULE_PATTERNS:
+        return math.prod(base**e for base, e in closed_form_powers(spec, n_rows, m_cols))
     if _window_free(spec, n_rows, m_cols):
         return spec.alphabet ** (n_rows * m_cols)
     return _transfer_graph(spec, n_rows, budget).word_counts(m_cols)[-1]
 
 
-def _linear_count(spec: Grid2DSpec, n_rows: int, m_cols: int) -> int:
-    """g^(nm) (a/g)^(nm - W) solutions of a linear rule on an n x m grid,
-    with g = gcd(a, c00, c10, c01) and W = (n - h + 1)+ (m - w + 1)+ the
-    windows in the grid, (h, w) = `_window_shape`.
+def closed_form_powers(spec: Grid2DSpec, n_rows: int, m_cols: int) -> tuple:
+    """(base, exponent) pairs whose powers multiply to a free or linear
+    rule's count on an n x m grid, each exponent nondecreasing in n and m:
+    a^(nm) patterns of a free rule; g^(nm) (a/g)^(nm - W) solutions of a
+    linear rule, with g = gcd(a, c00, c10, c01) and W = (n - h + 1)+
+    (m - w + 1)+ the windows in the grid, (h, w) = `_window_shape`.
 
     The solutions are the kernel of the map L from the grid to one residue
     per window, so they number a^(nm) / |image of L|, and by CRT it suffices
@@ -257,10 +259,12 @@ def _linear_count(spec: Grid2DSpec, n_rows: int, m_cols: int) -> int:
     Systems of Algebraic Origin, 1995).
     """
     a, cells = spec.alphabet, n_rows * m_cols
+    if spec.rule == RULE_FREE:
+        return ((a, cells),)
     g = math.gcd(a, *spec.coeffs)
     h, w = _window_shape(spec)
     windows = max(n_rows - h + 1, 0) * max(m_cols - w + 1, 0)
-    return g**cells * (a // g) ** (cells - windows)
+    return (g, cells), (a // g, cells - windows)
 
 
 def _pattern_columns(spec: Grid2DSpec, n_rows: int, m_cols: int, budget: int | None):

@@ -254,7 +254,7 @@ class SubshiftSpec:
 
     alphabet: int
     kind: str
-    matrix: tuple | None = None
+    successors: tuple | None = None  # sft: successors[s], the symbols that may follow s
     forbidden: tuple | None = None
     tuple_sizes: tuple | None = None  # (a, b)
     tuple_set: frozenset | None = None  # {(u, v), ...}
@@ -267,9 +267,10 @@ class SubshiftSpec:
         if self.alphabet < 1:
             raise DomainError("alphabet size must be positive")
         if self.kind == KIND_SFT:
-            m = self.matrix
-            if m is None or any(len(row) != len(m) for row in m):
-                raise DomainError("sft kind needs a square 0/1 matrix")
+            rows, k = self.successors, self.alphabet
+            if rows is None or len(rows) != k or not set(
+                    itertools.chain.from_iterable(rows)).issubset(range(k)):
+                raise DomainError(f"sft kind needs {k} successor rows of symbols in 0..{k - 1}")
         elif self.kind == KIND_FORBIDDEN:
             if self.forbidden is None:
                 raise DomainError("forbidden kind needs a word list")
@@ -303,8 +304,9 @@ class SubshiftSpec:
         if symbols is not None:  # every word over the symbols: live as built
             loops = {c: 1 for c in symbols}
             return Automaton(self.alphabet, 0, (dict(loops), loops))
-        if self.kind == KIND_SFT:
-            graph = Automaton(self.alphabet, 0, _matrix_graph(self.matrix))
+        if self.kind == KIND_SFT:  # rooted at 0, before every symbol; state s + 1 is symbol s
+            rows = (range(self.alphabet), *self.successors)
+            graph = Automaton(self.alphabet, 0, [{t: t + 1 for t in row} for row in rows])
         elif self.kind == KIND_FORBIDDEN:
             graph = Automaton(self.alphabet, 0, _forbidden_graph(self.alphabet, self.forbidden))
         else:
@@ -332,20 +334,23 @@ def full_shift(k: int) -> SubshiftSpec:
 
 
 def sft_from_matrix(matrix) -> SubshiftSpec:
-    """Vertex shift of a square matrix of 0/1 entries, given as rows."""
+    """Vertex shift of a square matrix of 0/1 entries, given as a sequence of
+    rows.  The spec keeps each row's successors, the columns of its 1s."""
     try:
-        rows = tuple(tuple(row) for row in matrix)
+        rows = list(matrix)
+        if any(len(row) != len(rows) for row in rows):
+            raise DomainError("sft kind needs a square 0/1 matrix")
     except TypeError:
         raise DomainError(f"sft matrix {matrix!r} is not a list of rows") from None
     try:
-        entries_ok = set(itertools.chain.from_iterable(rows)) <= {0, 1}
+        entries_ok = all(set(row) <= {0, 1} for row in rows)
     except TypeError:  # an unhashable entry, such as [1], is no 0 or 1 either
         entries_ok = False
     if not entries_ok:
         raise DomainError("sft matrix entries must be 0 or 1")
-    if set(map(type, itertools.chain.from_iterable(rows))) != {int}:  # such as True or 1.0
-        rows = tuple(tuple(map(int, row)) for row in rows)
-    return SubshiftSpec(alphabet=len(rows), kind=KIND_SFT, matrix=rows)
+    columns = range(len(rows))  # an entry 0 or 1 (False, 1.0, numpy ints) is an edge iff true
+    successors = tuple(tuple(itertools.compress(columns, row)) for row in rows)
+    return SubshiftSpec(alphabet=len(rows), kind=KIND_SFT, successors=successors)
 
 
 def forbidden_words(k: int, words) -> SubshiftSpec:
@@ -406,15 +411,6 @@ def _prune_graph(succ: Sequence[dict], root: int) -> tuple[tuple[dict, ...], int
     remap = {s: i for i, s in enumerate(sorted(live))}
     pruned = tuple({l: remap[t] for l, t in succ[s].items() if t in live} for s in remap)
     return pruned, remap[root]
-
-
-def _matrix_graph(matrix) -> list[dict]:
-    """Transitions of a vertex shift, rooted at 0: state s + 1 is symbol s."""
-    k = len(matrix)
-    succ: list[dict] = [{s: s + 1 for s in range(k)}]
-    for row in matrix:
-        succ.append({t: t + 1 for t in itertools.compress(range(k), row)})
-    return succ
 
 
 def _forbidden_graph(k: int, words) -> list[dict]:
@@ -534,13 +530,13 @@ def spec_from_json(doc) -> SubshiftSpec:
     if kind == KIND_FULL:
         return full_shift(k)
     if kind == KIND_SFT:
-        return sft_from_matrix(doc.get("matrix"))
-    if kind == KIND_FORBIDDEN:
+        spec = sft_from_matrix(doc.get("matrix"))
+    elif kind == KIND_FORBIDDEN:
         words = doc.get("forbidden")
         if not isinstance(words, list):
             raise DomainError("forbidden kind needs a list of words")
         return forbidden_words(k, [_json_word(w) for w in words])
-    if kind == KIND_TUPLES:
+    elif kind == KIND_TUPLES:
         t = doc.get("tuples")
         if not isinstance(t, dict):
             raise DomainError('tuples kind needs {"a": ..., "b": ..., "R": [[u, v], ...]}')
@@ -550,10 +546,14 @@ def spec_from_json(doc) -> SubshiftSpec:
         for pair in rel:
             if not (isinstance(pair, list) and len(pair) == 2 and all(map(_is_index, pair))):
                 raise DomainError(f"tuple {pair!r} is not [u, v]")
-        return allowed_tuples(a, b, rel)
-    if kind == KIND_AUTOMATON:
+        spec = allowed_tuples(a, b, rel)
+    elif kind == KIND_AUTOMATON:
         return automaton_spec(_automaton_from_json(k, doc.get("automaton")), k)
-    raise DomainError(f"unknown subshift kind {kind!r}")
+    else:
+        raise DomainError(f"unknown subshift kind {kind!r}")
+    if spec.alphabet != k:  # the matrix size, or a * b
+        raise DomainError(f"alphabet {k} disagrees with the {kind} body's {spec.alphabet} symbols")
+    return spec
 
 
 def _is_index(value) -> bool:

@@ -319,8 +319,31 @@ class TestExitCodes:
     def test_decimal_digits_next_to_powers_of_ten(self):
         for d in (1, 2, 15, 16, 22, 23, 308, 309, 4300):
             for value in (10 ** (d - 1), 10 ** (d - 1) + 1, 10**d - 1):
-                assert cli._decimal_digits(value) == len(str(value)) == d
-        assert cli._decimal_digits(0) == 1
+                assert cli._decimal_digits([(value, 1)]) == len(str(value)) == d
+        assert cli._decimal_digits([(0, 1)]) == 1
+
+    @pytest.mark.parametrize("powers", [
+        [(10, 30000)], [(2, 70000), (5, 70000)], [(5, 36000), (8, 12000)],  # powers of ten
+        [(10, 30000), (3, 1)], [(2, 70001), (5, 70000)], [(5, 36000), (8, 11999)],
+        [(2, 100000)], [(3, 50000), (7, 40000)], [(999999, 4000)], [(6, 40000), (1, 10**12)],
+        [(4, 2**15 + 1), (1, 0)], [(2**16 - 1, 4097)],
+    ])
+    def test_decimal_digits_of_products_past_2_16_bits(self, powers):
+        # the products whose log10 is bracketed, against the digits of the product taken
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            want = len(str(math.prod(b**e for b, e in powers)))
+        finally:
+            sys.set_int_max_str_digits(previous)
+        assert sum(e * b.bit_length() for b, e in powers) > 1 << 16
+        assert cli._decimal_digits(powers) == want
+
+    def test_decimal_digits_of_powers_too_large_to_take(self):
+        assert cli._decimal_digits([(2, 10**10)]) == 3010299957  # floor(10^10 log10 2) + 1
+        assert cli._decimal_digits([(10, 10**10)]) == 10**10 + 1
+        assert cli._decimal_digits([(2, 10**12), (5, 10**12)]) == 10**12 + 1
+        assert cli._decimal_digits([(1, 10**100)]) == 1
 
     def test_oracle_mass_budget_exits_3_without_traceback(self):
         proc = run_cli_process(
@@ -430,6 +453,19 @@ class TestExitCodes:
         assert main(["entropy", "--spec", str(spec)]) == 4
         assert capsys.readouterr().err.startswith("spec error:")
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"alphabet": 5, "kind": "sft", "matrix": [[1, 1], [1, 0]]},
+         "alphabet 5 disagrees with the sft body's 2 symbols"),
+        ({"alphabet": 7, "kind": "tuples", "tuples": {"a": 3, "b": 2, "R": [[0, 0], [1, 1]]}},
+         "alphabet 7 disagrees with the tuples body's 6 symbols"),
+    ])
+    def test_alphabet_that_disagrees_with_the_body_exits_4(self, capsys, tmp_path, doc, message):
+        # both exited 0, as a 2-symbol SFT and a 6-symbol product shift
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        assert main(["entropy", "--spec", str(spec)]) == 4
+        assert capsys.readouterr().err == f"spec error: {message}\n"
+
     def test_large_forbidden_spec_runs_under_a_memory_cap(self, tmp_path):
         # 18 states, one per proper prefix of the three words (the block automaton
         # had 46,656, and the spectral solve refused them)
@@ -496,7 +532,7 @@ class TestExitCodes:
     def test_tuples_spec_with_a_huge_projected_alphabet_runs(self, tmp_path):
         # only the occupied columns of the 50,000,000 get a fiber size
         spec = tmp_path / "spec.json"
-        spec.write_text(json.dumps({"alphabet": 1, "kind": "tuples", "tuples": {
+        spec.write_text(json.dumps({"alphabet": 150_000_000, "kind": "tuples", "tuples": {
             "a": 3, "b": 50_000_000, "R": [[0, 0], [1, 1]]}}))
         proc = run_cli_capped(1 << 30, "weighted-entropy", "--spec", str(spec), "--w", "0.5")
         assert proc.returncode == 0, proc.stderr
@@ -842,6 +878,38 @@ EXTRA_FLAGS = st.lists(
 )
 
 
+RELATION_COMMANDS = [
+    ["bm-classical"],
+    ["oracle", "qbox", "--N", "1", "--M", "1"],
+    ["oracle", "mass", "--N", "1", "--mmin", "1", "--mmax", "2"],
+    ["carpet"],
+    ["weighted-entropy", "--w", "0.5"],
+]
+RELATION_FLAGS = {  # small, zero, negative and empty values
+    "--a": ["-1", "0", "1", "2", "3", ""],
+    "--b": ["-1", "0", "1", "2", "3", ""],
+    "--tuples": ["", " ", "0", "00", "00,11,20", "0:0,1:1", "-1:0", "00,,11", "x"],
+    "--spec": ["{spec}"],
+}
+HDIM_FLAGS = {
+    "--diams": ["", "0", "-0.5", "0.5", "0.5,0.5", "1", "0.5,", "nan", "1e-300,1e-300"],
+    "--eps": ["0", "-1", "0.5", "1", "nan", "inf"],
+    "--tol": ["0", "-1", "1e-10", "nan", "1"],
+}
+
+
+@st.composite
+def relation_flag_calls(draw):
+    """A relation command, or `oracle hdim`, with each of its flags left out
+    or drawn from the small values; --spec (a tuples spec) next to the rest."""
+    hdim = draw(st.integers(0, 5)) == 0
+    argv = ["oracle", "hdim"] if hdim else list(draw(st.sampled_from(RELATION_COMMANDS)))
+    for flag, values in (HDIM_FLAGS if hdim else RELATION_FLAGS).items():
+        if draw(st.booleans()):
+            argv += [flag, draw(st.sampled_from(values))]
+    return argv
+
+
 class TestCliFuzz:
     @settings(max_examples=300, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -881,6 +949,56 @@ class TestCliFuzz:
         if code == 0:  # one JSON document, and the same bytes from a second call
             json.loads(out.getvalue())
             assert call_main(argv)[:2] == (0, out.getvalue())
+
+    @settings(max_examples=250, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(relation_flag_calls())
+    @example(["carpet", "--spec", "{spec}", "--a", "3", "--b", "2"])
+    @example(["oracle", "qbox", "--N", "1", "--M", "1", "--a", "0", "--b", "0", "--tuples", "00"])
+    @example(["oracle", "mass", "--N", "1", "--mmin", "1", "--mmax", "2", "--a", "-1", "--b", "2",
+              "--tuples", "00"])
+    @example(["bm-classical", "--a", "3", "--b", "2", "--tuples", "00,,11"])
+    @example(["oracle", "hdim", "--diams", "", "--eps", "1"])
+    def test_relation_flags_exit_documented(self, tmp_path, argv):
+        """bm-classical, oracle qbox, oracle mass, carpet, weighted-entropy
+        and oracle hdim: every small value ends in a documented exit code
+        without a traceback, and an exit 0 prints one JSON document, the
+        same bytes twice."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({"a": 3, "b": 2, "omega": {
+            "alphabet": 6, "kind": "tuples", "tuples": {"a": 3, "b": 2, "R": [[0, 0], [1, 1]]}}}))
+        argv = [arg.format(spec=spec) for arg in argv]
+        code, out, err = call_main(argv)
+        assert code in (0, 2, 3, 4), (argv, err)
+        assert "Traceback" not in err
+        if code == 0:
+            json.loads(out)
+            assert call_main(argv)[:2] == (0, out)
+
+    HUGE = str(10**12)
+
+    @pytest.mark.parametrize("argv, code", [
+        (["bm-classical", "--a", HUGE, "--b", "2", "--tuples", "00,11"], 0),
+        (["bm-classical", "--a", HUGE, "--b", HUGE, "--tuples", "00,11"], 3),
+        (["bm-classical", "--a", HUGE, "--b", "2", "--tuples", f"0:0,{10**12 - 1}:1"], 0),
+        (["oracle", "qbox", "--a", HUGE, "--b", "2", "--tuples", "00,11", "--N", "1", "--M", "1"],
+         0),
+        (["oracle", "qbox", "--a", HUGE, "--b", HUGE, "--tuples", "00,11", "--N", "1", "--M", "1"],
+         0),
+        (["oracle", "qbox", "--a", "3", "--b", "2", "--tuples", f"0:{HUGE}", "--N", "1",
+          "--M", "1"], 4),
+        (["oracle", "mass", "--a", HUGE, "--b", HUGE, "--tuples", "00,11"], 0),
+        (["oracle", "mass", "--a", f"-{HUGE}", "--b", "2", "--tuples", "00"], 4),
+        (["oracle", "hdim", "--diams", "0.5,0.5", "--eps", HUGE], 0),
+        (["oracle", "hdim", "--diams", "0.5,0.5", "--eps", "1", "--tol", HUGE], 0),
+    ])
+    def test_huge_relation_values_under_a_memory_cap(self, argv, code):
+        # huge --N and --M (qbox, mass) are not here: they are not refused before their sweeps
+        proc = run_cli_capped(1 << 30, *argv)
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == code, proc.stderr
+        if code == 0:
+            json.loads(proc.stdout)
 
 
 CARPET = ["--a", "3", "--b", "2", "--tuples", "00,11,20"]
@@ -965,11 +1083,16 @@ class TestHugeValues:
          "digit budget: count 1000,1000: 301030 decimal digits exceed the cap {cap}"),
         (["grid2d", "--rule", "{linear}", "--nmax", "1000", "--mmax", "1000"],
          "digit budget: count 1000,1000: 301632 decimal digits exceed the cap {cap}"),
+        (["grid2d", "--rule", "{free}", "--nmax", "100000", "--mmax", "100000"],
+         "digit budget: count 100000,100000: 3010299957 decimal digits exceed the cap {cap}"),
+        (["grid2d", "--rule", "{linear}", "--nmax", "100000", "--mmax", "100000"],
+         "digit budget: count 100000,100000: 3010360163 decimal digits exceed the cap {cap}"),
         (["oracle", "qbox", *CARPET, "--N", "16", "--M", "1"],
          "word budget: 43046721 words exceed the cap 20000000"),
         (["beta", "--a", "2", "--beta", "2.5", "--n", "1", "--N", "24"],
          "point budget: covering family: 16777216 points exceed the cap 2000000"),
-    ], ids=["appendix-k", "grid2d-free", "grid2d-linear", "qbox", "beta"])
+    ], ids=["appendix-k", "grid2d-free", "grid2d-linear", "grid2d-free-1e5", "grid2d-linear-1e5",
+            "qbox", "beta"])
     def test_huge_values_are_refused_under_a_memory_cap(self, tmp_path, argv, refusal):
         # each exited 1 with a traceback (MemoryError, SystemError) after 1-30 s:
         # the arrays, counts or words were built before the refusal

@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -204,14 +205,18 @@ def cycle_chord_log_radius(k, length):
             hi = mid
 
 
-def cycle_chord_automaton(k):
-    """Vertex shift of the k-cycle 0 -> 1 -> ... -> k-1 -> 0 plus the chord
-    k-1 -> k//2."""
+def cycle_chord_matrix(k):
+    """The k-cycle 0 -> 1 -> ... -> k-1 -> 0 plus the chord k-1 -> k//2."""
     matrix = [[0] * k for _ in range(k)]
     for s in range(k):
         matrix[s][(s + 1) % k] = 1
     matrix[k - 1][k // 2] = 1
-    return sym.prune(sym.sft_from_matrix(matrix)).automaton
+    return matrix
+
+
+def cycle_chord_automaton(k):
+    """Vertex shift of `cycle_chord_matrix(k)`."""
+    return sym.prune(sym.sft_from_matrix(cycle_chord_matrix(k))).automaton
 
 
 class TestPrune:
@@ -663,6 +668,68 @@ def test_bracket_holds_the_eigenvalue_radius(matrix):
     assert hi - lo <= sym.SPECTRAL_LOG_TOL
 
 
+ZERO_ENTRIES = (0, False, 0.0, np.int64(0), np.uint8(0), np.bool_(False))
+ONE_ENTRIES = (1, True, 1.0, np.int64(1), np.uint8(1), np.bool_(True))
+
+
+@st.composite
+def mixed_entry_matrices(draw):
+    """(int matrix, the same matrix with each entry spelled as a bool, float,
+    numpy int or int, given as lists or as a numpy array)."""
+    k = draw(st.integers(1, 7))
+    ints = draw(st.lists(st.lists(st.integers(0, 1), min_size=k, max_size=k),
+                         min_size=k, max_size=k))
+    spelled = [[draw(st.sampled_from(ONE_ENTRIES if x else ZERO_ENTRIES)) for x in row]
+               for row in ints]
+    return ints, np.array(spelled) if draw(st.booleans()) else spelled
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_entry_matrices())
+def test_successor_rows_match_the_int_matrix(case):
+    ints, spelled = case
+    spec = sym.sft_from_matrix(spelled)
+    assert spec.successors == tuple(tuple(j for j, x in enumerate(row) if x == 1) for row in ints)
+    assert all(type(t) is int for row in spec.successors for t in row)
+    # the dense graph the matrix compiled to before successor rows: the same automaton
+    k = len(ints)
+    dense = [{s: s + 1 for s in range(k)}]
+    dense += [{t: t + 1 for t in range(k) if row[t]} for row in ints]
+    try:
+        want = sym._prune_graph(dense, 0)
+    except EmptySubshift:
+        with pytest.raises(EmptySubshift):
+            spec.automaton
+        return
+    aut = spec.automaton
+    assert (aut.succ, aut.root) == want
+    assert [list(d.items()) for d in aut.succ] == [list(d.items()) for d in want[0]]
+    assert sym.count_words(spec, 5) == {n: len(naive_sft_words(ints, n)) for n in range(1, 6)}
+    try:
+        bracket = sym.prune(sym.sft_from_matrix(ints)).automaton.spectral_log()
+    except EmptySubshift:
+        with pytest.raises(EmptySubshift):
+            aut.spectral_log()
+        return
+    assert aut.spectral_log() == bracket
+    assert bracket[0] - 1e-12 <= math.log(perron_radius(ints)) <= bracket[1] + 1e-12
+
+
+def test_cycle_chord_spec_holds_its_successor_rows_only():
+    # k = 800: the dense k x k copy held 4.9 MiB for the life of the spec
+    k = 800
+    matrix = cycle_chord_matrix(k)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        spec = sym.sft_from_matrix(matrix)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < 0.5 * 2**20
+    assert sum(map(len, spec.successors)) == k + 1
+
+
 class TestJson:
     def test_round_trip_all_kinds(self):
         # one literal document per input kind against the spec its
@@ -690,8 +757,31 @@ class TestJson:
 
     def test_bool_and_float_matrix_entries_read_as_ints(self):
         spec = sym.sft_from_matrix([[True, 1.0], [1, False]])
-        assert spec.matrix == ((1, 1), (1, 0))
-        assert all(type(x) is int for row in spec.matrix for x in row)
+        assert spec.successors == ((0, 1), (0,))
+        assert all(type(t) is int for row in spec.successors for t in row)
+
+    @pytest.mark.parametrize("doc, sizes", [
+        ({"alphabet": 5, "kind": "sft", "matrix": [[1, 1], [1, 0]]}, "alphabet 5 .* 2 symbols"),
+        ({"alphabet": 1, "kind": "sft", "matrix": [[1, 1], [1, 0]]}, "alphabet 1 .* 2 symbols"),
+        ({"alphabet": 7, "kind": "tuples", "tuples": {"a": 3, "b": 2, "R": [[0, 0], [1, 1]]}},
+         "alphabet 7 .* 6 symbols"),
+        ({"alphabet": 1, "kind": "tuples", "tuples": {"a": 3, "b": 50_000_000, "R": [[0, 0]]}},
+         "alphabet 1 .* 150000000 symbols"),
+    ])
+    def test_alphabet_that_disagrees_with_the_body_is_refused(self, doc, sizes):
+        # each compiled as the body's alphabet, ignoring the document's
+        with pytest.raises(DomainError, match=sizes):
+            sym.spec_from_json(doc)
+
+    def test_non_square_matrix_is_refused(self):
+        for matrix in ([[1, 1], [1]], [[1, 1, 0], [1, 0, 1]], [[1], [1]]):
+            with pytest.raises(DomainError, match="^sft kind needs a square 0/1 matrix$"):
+                sym.sft_from_matrix(matrix)
+
+    @pytest.mark.parametrize("successors", [None, ((0,),), ((0, 2), (1,)), ((-1,), (0,))])
+    def test_successor_rows_are_checked_against_the_alphabet(self, successors):
+        with pytest.raises(DomainError, match="sft kind needs 2 successor rows of symbols in 0..1"):
+            sym.SubshiftSpec(alphabet=2, kind=sym.KIND_SFT, successors=successors)
 
     @pytest.mark.parametrize(
         "matrix", [[[1, [1]], [1, 1]], [[1, {}], [0, 1]], [[1, 2], [1, 1]], [[1, "1"], [0, 1]]]
