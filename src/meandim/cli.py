@@ -210,30 +210,33 @@ def cmd_beta(args) -> int:
     )
 
 
-def _decimal_digits(powers) -> int:
+def _decimal_digits(value: int) -> int:
+    """Decimal digits of value >= 0, counted without the string conversion,
+    which refuses more than sys.get_int_max_str_digits() of them."""
+    v = max(value, 1)
+    d = int(math.log10(v)) + 1  # off by one at most, next to a power of ten
+    return d - (v < 10 ** (d - 1)) + (v >= 10**d)
+
+
+def _closed_form_digits(powers) -> int:
     """Decimal digits of the product of b**e over the (b, e) in powers (ints
-    b >= 1 and e >= 0, or the one pair (0, 1): 0 has one digit), exact and
-    without the string conversion, which refuses more than
-    sys.get_int_max_str_digits() of them.  A product past 2^16 bits is not
-    taken: its log10 is bracketed at growing precision until one integer
-    part remains, and it is an integer only for a power of ten, which the
-    factors 2 and 5 of each b tell."""
-    if sum(e * b.bit_length() for b, e in powers) <= 1 << 16:
-        v = max(math.prod(b**e for b, e in powers), 1)
-        d = int(math.log10(v)) + 1  # off by one at most, next to a power of ten
-        return d - (v < 10 ** (d - 1)) + (v >= 10**d)
-    twos, fives, rest = 0, 0, 1
+    b >= 1, e >= 0), exact and with no power taken: the log10 of the product
+    is bracketed at growing precision until one integer part remains.  Only
+    a power of ten, 2^twos 5^fives with twos = fives, has an integer log10."""
+    twos = fives = 0
     for b, e in powers:
-        while b % 2 == 0:
-            b, twos = b // 2, twos + e
-        while b % 5 == 0:
-            b, fives = b // 5, fives + e
-        rest *= b
-    if rest == 1 and twos == fives:
-        return twos + 1
+        t = (b & -b).bit_length() - 1
+        f = round(math.log(b >> t, 5))
+        if e and b != 5**f << t:
+            break
+        twos, fives = twos + t * e, fives + f * e
+    else:
+        if twos == fives:
+            return twos + 1
     prec = 40
     while True:
-        with decimal.localcontext(prec=prec):
+        with decimal.localcontext() as ctx:
+            ctx.prec = prec
             log = sum(decimal.Decimal(b).log10() * e for b, e in powers)
             slack = log.scaleb(3 - prec)  # each log10, product and sum rounds it once
             lo, hi = math.floor(log - slack), math.floor(log + slack)
@@ -250,7 +253,7 @@ def cmd_grid2d(args) -> int:
         # each nondecreasing in n and m) are the largest
         powers = functools.partial(grid2d.closed_form_powers, spec)
         exps = lambda n, m: [e for b, e in powers(n, m) if b > 1]  # noqa: E731
-        most, digits = exps(args.nmax, args.mmax), _decimal_digits(powers(args.nmax, args.mmax))
+        most, digits = exps(args.nmax, args.mmax), _closed_form_digits(powers(args.nmax, args.mmax))
         if digits > cap:
             n = 1 + bisect.bisect_left(range(1, args.nmax), most, key=lambda n: exps(n, args.mmax))
             m = 1 + bisect.bisect_left(range(1, args.mmax), most, key=lambda m: exps(n, m))
@@ -258,7 +261,7 @@ def cmd_grid2d(args) -> int:
     rep = grid2d.entropy2d(spec, args.nmax, args.mmax, budget=args.budget)
     if cap and spec.rule == grid2d.RULE_PATTERNS:
         (n, m), most = max(rep.counts.items(), key=lambda cell: cell[1])
-        limits.check("digit", _decimal_digits([(most, 1)]), "decimal digits", cap, f"count {n},{m}")
+        limits.check("digit", _decimal_digits(most), "decimal digits", cap, f"count {n},{m}")
     homog = grid2d.homog_dims_from_report(rep, spec.alphabet)
     return _emit(
         {
@@ -394,17 +397,11 @@ def cmd_oracle_appendix_k(args) -> int:
         x = oracle.sample_reciprocal_point(args.N + tail, args.ncap, seed=args.seed)
         wit = oracle.reciprocal_product_witness(x, args.N, args.m, args.eps)
         ok = wit["passed"]
-        report["witness"] = {
-            "passed": wit["passed"],
-            "mass": wit["mass"],
-            "diam_bound": wit["diam_bound"],
-            "exponent": wit["exponent"],
-            "tail_depth": wit["tail_depth"],
-        }
+        keys = ("passed", "mass", "diam_bound", "exponent", "tail_depth")
+        report["witness"] = {k: wit[k] for k in keys}
     else:
         dims = oracle.reciprocal_set_dims(args.ncap, args.eps)
-        report["minkowski_scale"] = dims["minkowski_scale"]
-        report["hausdorff_scale_upper"] = dims["hausdorff_scale_upper"]
+        report.update((k, dims[k]) for k in ("minkowski_scale", "hausdorff_scale_upper"))
     return _emit(report, args, ok)
 
 
@@ -412,15 +409,7 @@ def cmd_paper_suite(args) -> int:
     results = run_suite(verbose=not args.quiet)
     report = {
         "command": "paper-suite",
-        "criteria": [
-            {
-                "number": r["number"],
-                "name": r["name"],
-                "passed": r["passed"],
-                "seconds": r["seconds"],
-            }
-            for r in results
-        ],
+        "criteria": [{k: r[k] for k in ("number", "name", "passed", "seconds")} for r in results],
         "all_passed": all(r["passed"] for r in results),
     }
     return _emit(report, args, report["all_passed"])

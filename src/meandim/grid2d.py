@@ -83,17 +83,8 @@ def patterns_rule(a: int, window, allowed) -> Grid2DSpec:
 
 def hard_square_rule() -> Grid2DSpec:
     """No two adjacent 1s, encoded as the allowed 2x2 windows."""
-    allowed = []
-    for p in itertools.product((0, 1), repeat=4):
-        pat = ((p[0], p[1]), (p[2], p[3]))
-        if (
-            (pat[0][0] and pat[0][1])
-            or (pat[1][0] and pat[1][1])
-            or (pat[0][0] and pat[1][0])
-            or (pat[0][1] and pat[1][1])
-        ):
-            continue
-        allowed.append(pat)
+    allowed = [((p, q), (r, s)) for p, q, r, s in itertools.product((0, 1), repeat=4)
+               if not (p and q or r and s or p and r or q and s)]
     return patterns_rule(2, (2, 2), allowed)
 
 

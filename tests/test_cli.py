@@ -319,31 +319,36 @@ class TestExitCodes:
     def test_decimal_digits_next_to_powers_of_ten(self):
         for d in (1, 2, 15, 16, 22, 23, 308, 309, 4300):
             for value in (10 ** (d - 1), 10 ** (d - 1) + 1, 10**d - 1):
-                assert cli._decimal_digits([(value, 1)]) == len(str(value)) == d
-        assert cli._decimal_digits([(0, 1)]) == 1
+                assert cli._decimal_digits(value) == len(str(value)) == d
+        assert cli._decimal_digits(0) == 1
+
+    def test_decimal_digits_of_a_pattern_sized_power_of_two(self):
+        # pattern counts past 2^16 bits, one next to a power of ten: two powers of ten each
+        for value in (2 ** (2**20), 2 ** (2**20) - 1, 10**315652, 10**315653 - 1):
+            assert cli._decimal_digits(value) == 315653  # floor(2^20 log10 2) + 1
 
     @pytest.mark.parametrize("powers", [
+        [], [(1, 5)], [(2, 16)], [(3, 7), (1, 9)], [(10, 3), (3, 0)], [(2, 3), (5, 3)],
+        [(999999, 1)], [(1000000, 1)], [(4, 2), (25, 2), (7, 0)], [(2, 10), (5, 9)],
         [(10, 30000)], [(2, 70000), (5, 70000)], [(5, 36000), (8, 12000)],  # powers of ten
         [(10, 30000), (3, 1)], [(2, 70001), (5, 70000)], [(5, 36000), (8, 11999)],
         [(2, 100000)], [(3, 50000), (7, 40000)], [(999999, 4000)], [(6, 40000), (1, 10**12)],
         [(4, 2**15 + 1), (1, 0)], [(2**16 - 1, 4097)],
     ])
-    def test_decimal_digits_of_products_past_2_16_bits(self, powers):
-        # the products whose log10 is bracketed, against the digits of the product taken
+    def test_closed_form_digits_match_the_product(self, powers):
         previous = sys.get_int_max_str_digits()
         sys.set_int_max_str_digits(0)
         try:
             want = len(str(math.prod(b**e for b, e in powers)))
         finally:
             sys.set_int_max_str_digits(previous)
-        assert sum(e * b.bit_length() for b, e in powers) > 1 << 16
-        assert cli._decimal_digits(powers) == want
+        assert cli._closed_form_digits(powers) == want
 
-    def test_decimal_digits_of_powers_too_large_to_take(self):
-        assert cli._decimal_digits([(2, 10**10)]) == 3010299957  # floor(10^10 log10 2) + 1
-        assert cli._decimal_digits([(10, 10**10)]) == 10**10 + 1
-        assert cli._decimal_digits([(2, 10**12), (5, 10**12)]) == 10**12 + 1
-        assert cli._decimal_digits([(1, 10**100)]) == 1
+    def test_closed_form_digits_of_powers_too_large_to_take(self):
+        assert cli._closed_form_digits([(2, 10**10)]) == 3010299957  # floor(10^10 log10 2) + 1
+        assert cli._closed_form_digits([(10, 10**10)]) == 10**10 + 1
+        assert cli._closed_form_digits([(2, 10**12), (5, 10**12)]) == 10**12 + 1
+        assert cli._closed_form_digits([(1, 10**100)]) == 1
 
     def test_oracle_mass_budget_exits_3_without_traceback(self):
         proc = run_cli_process(
