@@ -69,14 +69,11 @@ class DimensionReport:
 
 
 def floor_w_m(a: int, b: int, m: int) -> int:
-    """floor(M log_a b) computed exactly: the largest t with a^t <= b^M."""
-    target = b**m
-    t = 0
-    power = 1
-    while power * a <= target:
-        power *= a
-        t += 1
-    return t
+    """floor(M log_a b) exactly, the largest t with a^t <= b^M: the float
+    estimate, off by less than 1 while t < 2^50, and one exact step each way."""
+    target, t = b**m, int(m * math.log(b) / math.log(a))
+    power = a**t
+    return t - 1 if power > target else t + (power * a <= target)
 
 
 def mean_dims(spec: CarpetSpec, n_max: int = 8, budget: int | None = None) -> DimensionReport:

@@ -18,6 +18,7 @@ DEFAULT_CAPS = {
     "point": 2_000_000,  # points materialized into a cloud
 }
 _ENV_BUDGETS = ("word", "point")  # the budgets MEANDIM_BUDGET overrides
+PRINTED_BITS = 14_000  # sizes below 2^14,000 are taken exactly: str() prints 4,300 digits
 
 
 def cap(budget: str, override: int | None = None) -> int:

@@ -25,7 +25,7 @@ from .errors import (
     ParameterOverflow,
     ResourceLimit,
 )
-from . import limits, weighted
+from . import limits, symbolic, weighted
 from .carpet import CarpetSpec, floor_w_m
 from .metrics import (
     LINF_FINITE,
@@ -347,19 +347,20 @@ def qbox_family(
     """
     if n < 1 or m < 1:
         raise DomainError(f"box level (N, M) = ({n}, {m}) needs N >= 1 and M >= 1")
-    a, b = spec.a, spec.b
-    t = floor_w_m(a, b, m)
+    a, b, cap = spec.a, spec.b, limits.cap("word", budget)
 
     # decode admissible N-words of the product system into (u-word, v-word)
-    from .symbolic import enumerate_words
-
     pairs = sorted((tuple(l // b for l in word), tuple(l % b for l in word))
-                   for word in enumerate_words(spec.system.omega, n, budget))
+                   for word in symbolic.enumerate_words(spec.system.omega, n, budget))
     image_words = sorted({v for _, v in pairs})
     section = {v: u for u, v in reversed(pairs)}  # sorted: the least u-word per v comes last
 
+    if m > cap.bit_length():  # |Omega'|_N|^M <= count: refused with no power of size M
+        limits.check("word", len(image_words) ** cap.bit_length(), "or more boxes", cap,
+                     "box family")
+    t = floor_w_m(a, b, m)
     count_formula = len(pairs) ** t * len(image_words) ** (m - t)
-    limits.check("word", count_formula, "boxes", limits.cap("word", budget), "box family")
+    limits.check("word", count_formula, "boxes", cap, "box family")
 
     # diameter: a^-t < a * b^-m  <=>  b^m < a^(t+1), exact integers
     diam_certified = b**m < a ** (t + 1) and a**t <= b**m
@@ -489,22 +490,22 @@ def mass_distribution_check(
     mu(P) <= (a b^-M)^s, the scale-level mass bound that lower-bounds the
     Hausdorff exponent at the box scale; it also confirms the exact product
     identity for (1/NM) log mu(P) on sampled digit sequences and that the
-    measure is a probability measure.
+    measure is a probability measure.  m_range is a range or an increasing
+    list; a box scale of 1 or more at its least M (read at its ends) is refused.
     """
     if n < 1:
         raise DomainError(f"coordinate window N = {n} must be >= 1")
     if not math.isfinite(s):
         raise DomainError(f"exponent s = {s} is not a finite number")
-    if not m_range or min(m_range) < 1:
+    m_lo = min(m_range[0], m_range[-1]) if m_range else 0
+    if m_lo < 1:
         raise DomainError(f"M {m_range!r} must be a nonempty range with every M >= 1")
     a, b = spec.a, spec.b
     log_a, log_b = math.log(a), math.log(b)
-    flat = round(log_a / log_b)  # log a - M log b falls with M, so only this M can give 0
-    if flat in m_range and (a == b**flat or log_a - flat * log_b == 0.0):
-        raise DomainError(f"M = {flat}: the box scale a b^-M is 1 or rounds to 1 in log "
-                          f"(log a - M log b = {log_a - flat * log_b!r})")
-    w = spec.w
-    cap = limits.cap("word", budget)
+    if m_lo <= floor_w_m(b, a, 1) or log_a - m_lo * log_b >= 0.0:  # a >= b^M, falling with M
+        raise DomainError(f"M = {m_lo}: the box scale a b^-M is 1 or more, exactly or in log "
+                          f"(log a - M log b = {log_a - m_lo * log_b!r})")
+    w, cap = spec.w, limits.cap("word", budget)
 
     table = weighted.fiber_counts(spec.system, n, budget)
     fibers = dict(table.level(n).items())  # v-word -> t_N(v), lexicographic
@@ -522,8 +523,10 @@ def mass_distribution_check(
     per_m = {}
     all_passed = True
     for m in m_range:
+        exact = m * (len(v_words) - 1).bit_length() <= limits.PRINTED_BITS  # else |V|^M > 2^7,000
+        limits.check("word", len(v_words) ** (m if exact else cap.bit_length()),
+                     "y-sequences" if exact else "or more y-sequences", cap, f"M = {m}")
         t_floor = floor_w_m(a, b, m)
-        limits.check("word", len(v_words) ** m, "y-sequences", cap, f"M = {m}")
         diam = float(a) * float(b) ** (-m)
         log_diam = log_a - m * log_b
         # math.fsum rounds correctly, so log mu(P) depends only on the

@@ -61,13 +61,14 @@ class Automaton:
     def n_states(self) -> int:
         return len(self.succ)
 
-    def word_counts(self, n_max: int) -> list:
+    def word_counts(self, n_max: int, stop: int | None = None) -> list:
         """Exact number of admissible words for each length 1..n_max, as a new
-        list; the counts and last weight vector stay on the automaton to extend."""
+        list, which ends at the first count past stop when one is given; the
+        counts and last weight vector stay on the automaton to extend."""
         counts, weights = self.__dict__.get("_word_counts") or ([], [0] * len(self.succ))
         if not counts:  # the weights of the empty word
             weights[self.root] = 1
-        for _ in range(n_max - len(counts)):
+        while len(counts) < n_max and (stop is None or not counts or counts[-1] <= stop):
             nxt = [0] * len(weights)
             for k, trans in zip(weights, self.succ):
                 if k:
@@ -80,9 +81,14 @@ class Automaton:
 
     def enumerate_words(self, n: int, budget: int | None = None) -> list[tuple]:
         """All admissible words of length n, in lexicographic order (a depth-first
-        walk over sorted labels), once their exact number fits the word budget."""
-        total = (self.word_counts(n) or [int(n == 0)])[-1]  # one empty word, none below
-        limits.check("word", total, "words", limits.cap("word", budget))
+        walk over sorted labels), once their exact number fits the word budget.
+        Where every state has a successor the counts never fall with the length:
+        they stop past limits.PRINTED_BITS, and the first past the cap is named."""
+        cap = limits.cap("word", budget)
+        counts = self.word_counts(n, 1 << limits.PRINTED_BITS if all(self.succ) else None)
+        if len(counts) < n:
+            limits.check("word", next(c for c in counts if c > cap), "or more words", cap)
+        limits.check("word", (counts or [int(n == 0)])[-1], "words", cap)  # one empty word
         edges = [sorted(trans.items()) for trans in self.succ]
         words: list[tuple] = [()] if n == 0 else []
         path: list = []

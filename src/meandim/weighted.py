@@ -6,8 +6,9 @@ of Z_N = sum over projected N-words v of |fiber(v)|^w.  Z_N is submultiplicative
 so v_N = min_{j<=N} log Z_j / j is a certified upper-bound sequence; for
 product shifts R^N the value is exactly log sum_{v} t(v)^w.  Other systems
 sweep the projected words grouped by the set of automaton states they reach;
-a fiber table's levels keep the sweep's key and count arrays and decode word
-tuples only on first key access, and the fiber-size histograms of all lengths give
+a fiber table's levels keep the sweep's key and count arrays, and a level
+decodes its own word tuples alone, walking the keys down the levels before,
+on its first key access; the fiber-size histograms of all lengths give
 every Z_N exactly in one pass (`_level_totals`, `exact_total`'s sums).
 
 `image_subshift` determinizes the projected image exactly with the same
@@ -27,7 +28,7 @@ import functools
 import itertools
 import math
 import warnings
-from collections.abc import Mapping, ValuesView
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -85,30 +86,27 @@ class FiberLevel(Mapping):
     lexicographic order.  It holds the sweep's sorted keys (rank * b +
     letter, rank a word's index in the level before), the sweep's counts
     array and the level before: len and values() read the counts alone, as
-    Python ints, and the first key access decodes the word tuples from the
-    previous level's and keeps them."""
+    Python ints, and the first key access decodes this level's word tuples
+    alone, one letter per level walking the keys down, and keeps them."""
 
     def __init__(self, keys: np.ndarray, counts: np.ndarray, prev: FiberLevel | None, b: int):
         self._keys, self._counts, self._prev, self._b, self._words = keys, counts, prev, b, None
 
     def _decoded(self) -> dict:
         if self._words is None:
-            chain, level = [], self  # decode from the last decoded level forward
-            while level is not None and level._words is None:
-                chain.append(level)
+            letters, rank, level = [], slice(None), self
+            while level is not None:
+                rank, letter = np.divmod(level._keys[rank], self._b)
+                letters.append(letter.tolist())
                 level = level._prev
-            words = [()] if level is None else list(level._words)
-            for level in reversed(chain):
-                parent, letter = np.divmod(level._keys, level._b)
-                words = [words[p] + (v,) for p, v in zip(parent.tolist(), letter.tolist())]
-                level._words, level._prev = dict(zip(words, level._counts.tolist())), None
+            self._words = dict(zip(zip(*reversed(letters)), self._counts.tolist()))
         return self._words
 
     def __len__(self):
         return len(self._counts)
 
     def values(self):
-        return _Counts(self)
+        return self._counts.tolist()
 
     def __getitem__(self, word):
         return self._decoded()[word]
@@ -118,11 +116,6 @@ class FiberLevel(Mapping):
 
     def items(self):
         return self._decoded().items()
-
-
-class _Counts(ValuesView):
-    def __iter__(self):
-        return iter(self._mapping._counts.tolist())
 
 
 @dataclass(frozen=True)
@@ -191,7 +184,7 @@ def _fiber_levels(sys: PairShiftSystem, n_max: int, cap: int):
         return (np.array(letters)[:, None], np.array([s[0] for s in sources]), layers,
                 list(zip(images, slices)), None if len(sources) == len(images) else heads)
 
-    dtype = np.int64 if max(map(len, aut.succ)) ** n_max < 2**63 else object
+    dtype = np.int64 if max(map(len, aut.succ)) ** min(n_max, 63) < 2**63 else object
     frontier = {(aut.root,): ([np.zeros(1, np.int64)], [np.ones((1, 1), dtype)])}
     total, histograms = 0, []
     for n in range(1, n_max + 1):
@@ -208,8 +201,8 @@ def _fiber_levels(sys: PairShiftSystem, n_max: int, cap: int):
             sums.append((rows, heads))
             pieces += [(image, rows[part]) for image, part in slices]
         keys = np.concatenate(keys)
-        total += len(keys)
-        limits.check("word", total, "words", cap, "fiber table")
+        total += len(keys)  # and at least one word per level: n_max past the cap is refused
+        limits.check("word", max(total, n_max), "words", cap, "fiber table")
         order = np.argsort(keys)
         counts = np.concatenate([(rows if heads is None else np.add.reduceat(rows, heads)).ravel()
                                  for rows, heads in sums])[order]

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from meandim import carpet as cp
 from meandim import symbolic, weighted
@@ -153,7 +155,32 @@ class TestGapAnalysis:
             assert cp.gap_analysis(a, b, rel)["equal"] == (abs(cl["dim_h"] - cl["dim_m"]) <= 1e-9)
 
 
+def reference_floor_w_m(a, b, m):
+    """The multiplication loop that floor_w_m replaced: a^t against b^M for
+    t = 0, 1, ... until a^(t+1) passes b^M."""
+    target, t, power = b**m, 0, 1
+    while power * a <= target:
+        power *= a
+        t += 1
+    return t
+
+
 class TestFloorWM:
+    @pytest.mark.parametrize("a, b", [(4, 2), (9, 3), (125, 5), (1000, 10), (2**53 + 1, 2**53)])
+    def test_exact_powers_match_the_loop(self, a, b):
+        # b^M and a^t meet, or (2^53 + 1, 2^53) round to one log: the float
+        # estimate lands on either side of t
+        for m in range(200):
+            assert cp.floor_w_m(a, b, m) == reference_floor_w_m(a, b, m)
+            assert cp.floor_w_m(b, a, m) == reference_floor_w_m(b, a, m)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(2, 10**12), st.integers(2, 10**12), st.integers(0, 300))
+    @example(10**12, 10**12 - 1, 300)
+    @example(2, 10**12, 300)
+    def test_matches_the_loop(self, a, b, m):
+        assert cp.floor_w_m(a, b, m) == reference_floor_w_m(a, b, m)
+
     def test_matches_float_floor_away_from_integers(self):
         w = math.log(2) / math.log(3)
         for m in range(1, 40):

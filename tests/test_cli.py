@@ -9,6 +9,7 @@ import resource
 import signal
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from unittest import mock
@@ -375,6 +376,17 @@ class TestExitCodes:
         assert main(["oracle", "mass", *flags]) == 4
         m = flags[flags.index("--mmin") + 1]
         assert capsys.readouterr().err.startswith(f"spec error: M = {m}: the box scale")
+
+    @pytest.mark.parametrize("flags, m", [
+        (["--a", "3", "--b", "2", "--tuples", "00,11,20", "--N", "1", "--mmin", "1", "--mmax", "1",
+          "--s", "0.5"], 1),
+        (["--a", "1000000000000", "--b", "2", "--tuples", "00,11"], 4),
+    ])
+    def test_oracle_mass_at_a_box_scale_above_one_exits_4(self, flags, m):
+        # both exited 2 with passed false, though every box has mass <= 1 <= (a b^-M)^s
+        code, out, err = call_main(["oracle", "mass", *flags])
+        assert (code, out) == (4, "")
+        assert err.startswith(f"spec error: M = {m}: the box scale a b^-M is 1 or more")
 
     @pytest.mark.parametrize("s", ["nan", "inf", "-inf"])
     def test_oracle_mass_at_a_non_finite_s_exits_4(self, s):
@@ -998,7 +1010,6 @@ class TestCliFuzz:
         (["oracle", "hdim", "--diams", "0.5,0.5", "--eps", "1", "--tol", HUGE], 0),
     ])
     def test_huge_relation_values_under_a_memory_cap(self, argv, code):
-        # huge --N and --M (qbox, mass) are not here: they are not refused before their sweeps
         proc = run_cli_capped(1 << 30, *argv)
         assert "Traceback" not in proc.stderr
         assert proc.returncode == code, proc.stderr
@@ -1109,6 +1120,28 @@ class TestHugeValues:
         assert "Traceback" not in proc.stderr
         refusal = refusal.format(cap=sys.get_int_max_str_digits())
         assert (proc.returncode, proc.stderr) == (3, f"resource limit: {refusal}\n")
+
+    HUGE = str(10**12)
+
+    @pytest.mark.parametrize("argv, refusal", [
+        (["oracle", "qbox", *CARPET, "--N", HUGE, "--M", "1"],
+         "word budget: 43046721 or more words exceed the cap 20000000"),
+        (["oracle", "qbox", *CARPET, "--N", "1", "--M", HUGE],
+         "word budget: box family: 33554432 or more boxes exceed the cap 20000000"),
+        (["oracle", "mass", *CARPET, "--mmax", HUGE],
+         "word budget: M = 25: 33554432 y-sequences exceed the cap 20000000"),
+        (["oracle", "mass", *CARPET, "--mmin", HUGE, "--mmax", HUGE],
+         f"word budget: M = {HUGE}: 33554432 or more y-sequences exceed the cap 20000000"),
+        (["oracle", "mass", *CARPET, "--N", HUGE],
+         "word budget: fiber table: 1000000000000 words exceed the cap 20000000"),
+    ], ids=["qbox-N", "qbox-M", "mass-mmax", "mass-M", "mass-N"])
+    def test_huge_box_levels_are_refused_from_counts(self, argv, refusal):
+        # qbox and mass took b^M, |V|^M or (max out-degree)^N, counted words
+        # up to N or walked the M range first: MemoryError or more than 60 s
+        start = time.perf_counter()
+        proc = run_cli_capped(1 << 30, *argv)
+        assert (proc.returncode, proc.stderr) == (3, f"resource limit: {refusal}\n")
+        assert time.perf_counter() - start < 1.0  # the interpreter's start included
 
     def test_appendix_k_at_the_word_budget_runs(self):
         # 20,000,000 atoms and 0: the cap itself is not refused

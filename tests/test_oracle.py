@@ -797,12 +797,30 @@ class TestMassDistribution:
         ],
     )
     def test_box_scale_one_is_refused_on_entry(self, a, b, rel, m_range, flat):
-        # log a - M log b = 0.0 divided by zero
+        # log a - M log b = 0.0 divided by zero; a smaller M has a scale above
+        # 1 and is refused too, at the least M of the range
         spec = cp.carpet_from_tuples(a, b, rel)
         with pytest.raises(DomainError, match=f"M = {flat}: the box scale a b\\^-M is 1"):
             orc.mass_distribution_check(spec, 1, m_range, s=0.5)
-        rest = [m for m in range(1, 5) if m != flat]
+        rest = [m for m in range(1, 5) if m > flat]
         assert orc.mass_distribution_check(spec, 1, rest, s=0.0)["per_m"].keys() == set(rest)
+
+    @pytest.mark.parametrize(
+        "a, b, rel, m_range",
+        [
+            (3, 2, R_EXAMPLE, [1]),  # scale 1.5: every box has mass <= 1 <= 1.5^0.5
+            (5, 2, [(0, 0), (1, 1), (4, 1)], range(1, 4)),  # 2.5 and 1.25 at M = 1, 2
+            (4, 2, [(0, 0), (1, 1), (3, 1)], range(1, 2)),  # 2 at M = 1
+            (10**12, 2, [(0, 0), (1, 1)], range(4, 11)),  # 10^12 / 1024 at M = 10
+        ],
+    )
+    def test_box_scale_above_one_is_refused(self, a, b, rel, m_range):
+        # log mu / log(a b^-M) with log(a b^-M) > 0 kept the inequality's
+        # direction, so a box within its bound was reported as failing
+        spec = cp.carpet_from_tuples(a, b, rel)
+        m = min(m_range)
+        with pytest.raises(DomainError, match=f"^M = {m}: the box scale a b\\^-M is 1 or more"):
+            orc.mass_distribution_check(spec, 1, m_range, s=0.5)
 
     @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
     def test_non_finite_exponent_is_refused(self, s):
@@ -870,6 +888,10 @@ class TestMassMatchesReference:
         spec, n, m_range = case
         v_count = len(wt.fiber_counts(spec.system, n).level(n))
         assume(v_count ** max(m_range) <= 5000)
+        if m_range[0] == 1:  # a b^-1 = 3/2 or 4/3: the box scale is above 1
+            with pytest.raises(DomainError, match=r"^M = 1: the box scale a b\^-M is 1 or more"):
+                orc.mass_distribution_check(spec, n, m_range, s)
+            return
         rep = orc.mass_distribution_check(spec, n, m_range, s)
         want = reference_mass_per_m(spec, n, m_range)
         for m in m_range:
@@ -960,7 +982,7 @@ def reference_mass_distribution_check(spec, n, m_range, s, seed=0):
 @st.composite
 def mass_report_cases(draw):
     """Product and non-product carpets with a >= b in 2..5, N in {1, 2} and
-    M ranges from 1, where a b^-M can exceed 1 or round to 1 in log."""
+    M ranges from 1, where a b^-M can be 1 or more, exactly or in log."""
     a = draw(st.integers(2, 5))
     b = draw(st.integers(2, a))
     if draw(st.booleans()):
@@ -984,18 +1006,19 @@ class TestMassReportMatchesPerPairLoop:
     @settings(max_examples=150, deadline=None)
     @given(mass_report_cases(), st.integers(0, 3))
     @example((cp.carpet_from_tuples(5, 2, [(0, 0), (1, 1), (4, 1)]), 1, range(1, 4), 0.5), 0)
+    @example((cp.carpet_from_tuples(5, 2, [(0, 0), (1, 1), (4, 1)]), 1, range(3, 6), 0.5), 0)
     @example((cp.carpet_from_tuples(4, 2, [(0, 0), (3, 1)]), 2, range(1, 3), 0.5), 0)
     @example((cp.carpet_from_tuples(3, 3, [(0, 0), (2, 1)]), 1, range(1, 3), 0.5), 0)
     @example((cp.carpet_from_tuples(3, 2, [(0, 0), (1, 0), (2, 0)]), 2, range(2, 5), 0.3), 1)
     def test_whole_report_is_equal(self, case, seed):
-        # (5, 2): a b^-M > 1 at M = 1, 2, so s_box changes sign; (4, 2) and
-        # (3, 3): the box scale is 1 at M = 2 and M = 1, refused; one column
-        # only: every fiber weight (w - 1) log t(v) is one value
+        # (5, 2): a b^-M > 1 at M = 1, 2, refused, and below 1 from M = 3;
+        # (4, 2) and (3, 3): the box scale is 1 at M = 2 and M = 1, refused;
+        # one column only: every fiber weight (w - 1) log t(v) is one value
         spec, n, m_range, s = case
         v_count = len(wt.fiber_counts(spec.system, n).level(n))
         assume(v_count ** max(m_range) <= 20_000)
         log_a, log_b = math.log(spec.a), math.log(spec.b)
-        if any(spec.a == spec.b**m or log_a - m * log_b == 0.0 for m in m_range):
+        if any(spec.a >= spec.b**m or log_a - m * log_b >= 0.0 for m in m_range):
             with pytest.raises(DomainError, match=r"the box scale a b\^-M is 1"):
                 orc.mass_distribution_check(spec, n, m_range, s, seed)
             return

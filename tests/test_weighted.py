@@ -364,6 +364,15 @@ class TestFiberLevel:
         monkeypatch.undo()
         assert list(table.level(10).items()) == list(want[10].items())
 
+    def test_a_level_decodes_no_other_level(self):
+        # each shorter level kept a word dict of its own when one level was read
+        want = reference_fiber_counts(probe_system(), 10)
+        table = wt.fiber_counts(probe_system(), 10)
+        assert list(table.level(10).items()) == list(want[10].items())
+        assert [n for n, level in table.levels.items() if level._words is not None] == [10]
+        assert table.level(4) == want[4]
+        assert [n for n, level in table.levels.items() if level._words is not None] == [4, 10]
+
     def test_deep_tables_decode_in_a_loop(self):
         # a one-letter image: each level is one word, 3,000 levels deep
         sys_ = wt.pair_system(2, 1, sym.sft_from_matrix([[1, 0], [1, 1]]))
