@@ -9,14 +9,12 @@ sampling subcommands (oracle qbox, mass and appendix-k) take --seed.
 from __future__ import annotations
 
 import argparse
-import bisect
-import decimal
 import functools
 import json
 import math
 import sys
 
-from . import carpet, grid2d, limits, oracle, selfsim, symbolic, weighted
+from . import carpet, grid2d, oracle, selfsim, symbolic, weighted
 from .errors import DomainError, MeanDimError, ResourceLimit
 from .metrics import LINF_FINITE, SUM_WEIGHTED_ABS, SUM_WEIGHTED_TORUS, MetricDescriptor, PointCloud
 from .reportio import cloud_from_csv, cloud_to_csv, write_report
@@ -92,9 +90,7 @@ def _check_relation_flags(parser: argparse.ArgumentParser, args) -> None:
 
 def _emit(report: dict, args, ok: bool = True) -> int:
     """Write the report to --out and stdout; exit 0, or 2 when ok is false."""
-    text = write_report(report, args.out)
-    if getattr(args, "quiet", True):  # paper-suite prints its progress instead
-        sys.stdout.write(text)
+    sys.stdout.write(write_report(report, args.out))
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
@@ -210,58 +206,9 @@ def cmd_beta(args) -> int:
     )
 
 
-def _decimal_digits(value: int) -> int:
-    """Decimal digits of value >= 0, counted without the string conversion,
-    which refuses more than sys.get_int_max_str_digits() of them."""
-    v = max(value, 1)
-    d = int(math.log10(v)) + 1  # off by one at most, next to a power of ten
-    return d - (v < 10 ** (d - 1)) + (v >= 10**d)
-
-
-def _closed_form_digits(powers) -> int:
-    """Decimal digits of the product of b**e over the (b, e) in powers (ints
-    b >= 1, e >= 0), exact and with no power taken: the log10 of the product
-    is bracketed at growing precision until one integer part remains.  Only
-    a power of ten, 2^twos 5^fives with twos = fives, has an integer log10."""
-    twos = fives = 0
-    for b, e in powers:
-        t = (b & -b).bit_length() - 1
-        f = round(math.log(b >> t, 5))
-        if e and b != 5**f << t:
-            break
-        twos, fives = twos + t * e, fives + f * e
-    else:
-        if twos == fives:
-            return twos + 1
-    prec = 40
-    while True:
-        with decimal.localcontext() as ctx:
-            ctx.prec = prec
-            log = sum(decimal.Decimal(b).log10() * e for b, e in powers)
-            slack = log.scaleb(3 - prec)  # each log10, product and sum rounds it once
-            lo, hi = math.floor(log - slack), math.floor(log + slack)
-        if lo == hi:
-            return lo + 1
-        prec *= 2
-
-
 def cmd_grid2d(args) -> int:
     spec = grid2d.rule_from_json(_load_json(args.rule))
-    cap = sys.get_int_max_str_digits()  # the report prints each count in decimal; 0: no cap
-    if cap and spec.rule != grid2d.RULE_PATTERNS and min(args.nmax, args.mmax) >= 1:
-        # refused before any power is taken, at the first cell whose exponents (of bases > 1,
-        # each nondecreasing in n and m) are the largest
-        powers = functools.partial(grid2d.closed_form_powers, spec)
-        exps = lambda n, m: [e for b, e in powers(n, m) if b > 1]  # noqa: E731
-        most, digits = exps(args.nmax, args.mmax), _closed_form_digits(powers(args.nmax, args.mmax))
-        if digits > cap:
-            n = 1 + bisect.bisect_left(range(1, args.nmax), most, key=lambda n: exps(n, args.mmax))
-            m = 1 + bisect.bisect_left(range(1, args.mmax), most, key=lambda m: exps(n, m))
-            limits.check("digit", digits, "decimal digits", cap, f"count {n},{m}")
     rep = grid2d.entropy2d(spec, args.nmax, args.mmax, budget=args.budget)
-    if cap and spec.rule == grid2d.RULE_PATTERNS:
-        (n, m), most = max(rep.counts.items(), key=lambda cell: cell[1])
-        limits.check("digit", _decimal_digits(most), "decimal digits", cap, f"count {n},{m}")
     homog = grid2d.homog_dims_from_report(rep, spec.alphabet)
     return _emit(
         {

@@ -14,6 +14,7 @@ product for metric cross-checks.
 
 from __future__ import annotations
 
+import bisect
 import collections
 import functools
 import itertools
@@ -26,7 +27,7 @@ import numpy as np
 
 from . import limits
 from .errors import DomainError
-from .metrics import SUM_WEIGHTED_TORUS, MetricDescriptor, PointCloud, digit_points
+from .metrics import SUM_WEIGHTED_TORUS, MetricDescriptor, PointCloud, digit_points, product_rows
 from .symbolic import Automaton
 
 RULE_FREE = "free"
@@ -146,9 +147,9 @@ def _row_sweep(spec: Grid2DSpec, n_rows: int, cap: int):
     h, w = _window_shape(spec)
     allowed = _window_test(spec, h, w)
     span = a**w
-    cells = np.indices((a,) * w).reshape(w, span).T  # row code -> its w cells
-    cols = np.zeros((1, w), dtype=np.int64 if a**n_rows <= 2**62 else object)
-    last = np.zeros(1, dtype=np.int64 if a ** (h * w) <= 2**62 else object)
+    cells = product_rows([a] * w)  # row code -> its w cells
+    cols = np.zeros((1, w), dtype=np.int64 if a ** min(n_rows, 63) <= 2**62 else object)
+    last = np.zeros(1, dtype=np.int64 if a ** min(h * w, 63) <= 2**62 else object)
     step = max((1 << 18) // span, 1)  # partial patterns per batch of 2^18 candidates
     for r in range(n_rows):
         keep, kept = [np.zeros(0, dtype=np.int64)], 0
@@ -157,8 +158,8 @@ def _row_sweep(spec: Grid2DSpec, n_rows: int, cap: int):
             ok = np.flatnonzero(allowed(last[lo : lo + step, None], np.arange(span)) | (r < h - 1))
             keep.append(ok + lo * span)
             kept += len(ok)
-            limits.check("state", kept, "or more partial patterns", cap,
-                         f"the transfer graph for {n_rows} rows, at row {r + 1}")
+            limits.check_at_least("state", kept, "partial patterns", cap,
+                                  f"the transfer graph for {n_rows} rows, at row {r + 1}")
         parent, code = np.divmod(np.concatenate(keep), span)
         cols = cols[parent] * a + cells[code]
         last = (last[parent] * span + code) % span ** (h - 1)
@@ -268,15 +269,14 @@ def _pattern_columns(spec: Grid2DSpec, n_rows: int, m_cols: int, budget: int | N
     if n_rows < 1 or m_cols < 1:
         raise DomainError("pattern dimensions must be positive")
     cap, a = limits.cap("point", budget), spec.alphabet
-    free = _window_free(spec, n_rows, m_cols)
-    graph = None if free else _transfer_graph(spec, n_rows, None)
-    total = a ** (n_rows * m_cols) if free else graph.word_counts(m_cols)[-1]
-    limits.check("point", total, "patterns", cap)
-    if free:
+    if _window_free(spec, n_rows, m_cols):
+        limits.check("point", [(a, n_rows * m_cols)], "patterns", cap)
         distinct = np.arange(a**n_rows)
-        index = np.indices((a**n_rows,) * m_cols).reshape(m_cols, total).T
+        index = product_rows([a**n_rows] * m_cols)
     else:  # the graph's labels, sorted
-        kind = np.int64 if a**n_rows <= 2**62 else object
+        graph = _transfer_graph(spec, n_rows, None)
+        total = graph.checked_count(m_cols, "point", cap, "patterns")
+        kind = np.int64 if a ** min(n_rows, 63) <= 2**62 else object
         distinct = np.array(sorted({c for edges in graph.succ for c in edges}), dtype=kind)
         codes = np.array(graph.enumerate_words(m_cols, cap), dtype=kind).reshape(total, m_cols)
         index = np.searchsorted(distinct, codes)
@@ -292,7 +292,8 @@ def enumerate_patterns(spec: Grid2DSpec, n_rows: int, m_cols: int, budget: int |
     `itertools.product` order of their column sequences."""
     a = spec.alphabet
     digits, index = _pattern_columns(spec, n_rows, m_cols, budget)
-    rows = np.zeros((len(index), n_rows), dtype=np.int64 if a**m_cols <= 2**62 else object)
+    kind = np.int64 if a ** min(m_cols, 63) <= 2**62 else object
+    rows = np.zeros((len(index), n_rows), dtype=kind)
     for m in range(m_cols):  # row codes sum_m w[n][m] a^(m_cols-1-m), one column at a time
         rows *= a
         rows += digits[index[:, m]]
@@ -340,27 +341,56 @@ def entropy2d(
     of free and linear rules, and the cells that hold no window (the graph's
     words shorter than the window are not all patterns), take
     `count_rectangles`' closed forms.  `budget` caps the sweep as in
-    `count_rectangles`.
+    `count_rectangles`.  Closed forms past the digit budget are refused
+    first (`_check_digits`), and a swept row at its first count past it.
     """
     if n_max < 1 or m_max < 1:
         raise DomainError(f"grid (n_max, m_max) = ({n_max}, {m_max}) needs both >= 1")
     a = spec.alphabet
+    _check_digits(spec, n_max, m_max)
+    limits.check("word", n_max * m_max, "cells", limits.cap("word"), "grid")
 
     def swept(n, m):
         return spec.rule == RULE_PATTERNS and not _window_free(spec, n, m)
 
     sweep = (_row_sweep(spec, n_max, limits.cap("state", budget)) if swept(n_max, m_max)
              else itertools.repeat(None))
+    stop = limits.printed_stop()
     estimates = {}
     counts = {}
     for n, cols in zip(range(1, n_max + 1), sweep):
-        row = _column_graph(a**n, cols).word_counts(m_max) if swept(n, m_max) else None
+        row = _column_graph(a**n, cols).word_counts(m_max, stop) if swept(n, m_max) else None
+        if row and stop is not None and row[-1] > stop:  # the row ends at its first such count
+            limits.check_digits([(row[-1], 1)], f"count {n},{len(row)}")
         for m in range(1, m_max + 1):
             c = row[m - 1] if swept(n, m) else count_rectangles(spec, n, m, budget)
             counts[(n, m)] = c
             estimates[(n, m)] = math.log(c) / (n * m) if c > 0 else -math.inf
     best_cell = min(estimates, key=estimates.get)  # the first least cell, row by row
     return Entropy2DReport(estimates, counts, estimates[best_cell], best_cell)
+
+
+def _check_digits(spec: Grid2DSpec, n_max: int, m_max: int) -> None:
+    """Refuse, with no power taken, closed-form cells past the digit budget:
+    those of free and linear rules, and a pattern rule's a^(nm) where no
+    window fits, the largest a^max(min(h - 1, n) m, n min(w - 1, m)).  The
+    first cell with the largest exponents (each nondecreasing) is named."""
+    if spec.rule == RULE_PATTERNS:
+        h, w = spec.window
+
+        def powers(n, m):
+            return ((spec.alphabet, max(min(h - 1, n) * m, n * min(w - 1, m))),)
+    else:
+        powers = functools.partial(closed_form_powers, spec)
+    exps = lambda n, m: [e for b, e in powers(n, m) if b > 1]  # noqa: E731
+
+    def first_largest():
+        most = exps(n_max, m_max)
+        n = 1 + bisect.bisect_left(range(1, n_max), most, key=lambda n: exps(n, m_max))
+        m = 1 + bisect.bisect_left(range(1, m_max), most, key=lambda m: exps(n, m))
+        return f"count {n},{m}"
+
+    limits.check_digits(powers(n_max, m_max), first_largest)
 
 
 def homog_dims_from_report(rep: Entropy2DReport, a: int) -> dict:

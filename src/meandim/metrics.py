@@ -271,6 +271,19 @@ def _ragged(start, count):
     return np.repeat(start - ends + count, count) + np.arange(ends[-1] if len(ends) else 0)
 
 
+def product_rows(sizes) -> np.ndarray:
+    """Every choice of one option per layer, layer k taking sizes[k] options,
+    as the rows of an int array in the order of itertools.product (first
+    layer slowest), for any number of layers; each layer is one column."""
+    sizes = [int(size) for size in sizes]
+    columns = np.zeros((len(sizes), math.prod(sizes)), dtype=np.intp)
+    inner = columns.shape[1]
+    for column, size in zip(columns, sizes if inner else []):
+        inner //= size  # rows per option of this layer within one option of the layers above
+        column.reshape(-1, size, inner)[:] = np.arange(size)[:, None]
+    return columns.T
+
+
 def digit_points(tables, choices, terms, fixed=None) -> np.ndarray:
     """Points whose coordinates are exact sums of digit terms, each rounded once.
 

@@ -39,6 +39,7 @@ from .metrics import (
     _linf_window,
     digit_points,
     pairwise_to_point,
+    product_rows,
 )
 
 SLACK = 1e-12
@@ -294,10 +295,8 @@ class QBoxFamily:
         """The separated family: one point per box, pairwise linf >= b^-m."""
         limits.check("point", self.count, "points", limits.cap("point"), "witness family")
         depth = self.m + WITNESS_TAIL_LAYERS
-        # every digit choice, first layer slowest (the order of itertools.product)
-        choices = np.indices(_layer_sizes(self)).reshape(self.m, self.count).T
         return PointCloud(
-            points=_witness_points(self, choices, depth),
+            points=_witness_points(self, product_rows(_layer_sizes(self)), depth),
             metric=MetricDescriptor(kind=LINF_FINITE),  # over the 2N coordinates
             truncation_error=float(self.spec.b) ** (-depth),
         )
@@ -356,11 +355,13 @@ def qbox_family(
     section = {v: u for u, v in reversed(pairs)}  # sorted: the least u-word per v comes last
 
     if m > cap.bit_length():  # |Omega'|_N|^M <= count: refused with no power of size M
-        limits.check("word", len(image_words) ** cap.bit_length(), "or more boxes", cap,
-                     "box family")
+        limits.check_at_least("word", len(image_words) ** cap.bit_length(), "boxes", cap,
+                              "box family")
+    if float(b) ** -m == 0.0:  # before b^M is taken
+        raise ParameterOverflow(f"box separation b^-M = {b}^-{m} underflows double precision")
     t = floor_w_m(a, b, m)
-    count_formula = len(pairs) ** t * len(image_words) ** (m - t)
-    limits.check("word", count_formula, "boxes", cap, "box family")
+    count_formula = limits.check("word", [(len(pairs), t), (len(image_words), m - t)], "boxes",
+                                 cap, "box family")
 
     # diameter: a^-t < a * b^-m  <=>  b^m < a^(t+1), exact integers
     diam_certified = b**m < a ** (t + 1) and a**t <= b**m
@@ -523,9 +524,7 @@ def mass_distribution_check(
     per_m = {}
     all_passed = True
     for m in m_range:
-        exact = m * (len(v_words) - 1).bit_length() <= limits.PRINTED_BITS  # else |V|^M > 2^7,000
-        limits.check("word", len(v_words) ** (m if exact else cap.bit_length()),
-                     "y-sequences" if exact else "or more y-sequences", cap, f"M = {m}")
+        limits.check("word", [(len(v_words), m)], "y-sequences", cap, f"M = {m}")
         t_floor = floor_w_m(a, b, m)
         diam = float(a) * float(b) ** (-m)
         log_diam = log_a - m * log_b
@@ -605,7 +604,6 @@ def _multisets(words, size: int, weights):
 # The reciprocal sequence space {0, 1, 1/2, 1/3, ...}^N
 # ---------------------------------------------------------------------------
 
-TAIL_DEPTH_CAP = 200_000  # largest tail depth L of a product witness
 INV_SQ_WEIGHT = 3.0 / math.pi**2  # atom at 1/j has mass (3/pi^2) / j^2; atom at 0 has 1/2
 _ATOM_FLOOR = 2.0**-500  # atoms 1/j at or above it have j * j below 2^1002
 _INV_SQ_BLOCK = 1 << 14  # atoms of an interval summed exactly before its tail bound
@@ -735,7 +733,12 @@ def reciprocal_witness_delta(m: int, eps: float) -> float:
 
 
 def reciprocal_tail_depth(m: int, delta: float) -> int:
-    """Least L with 2^-L < delta^(m^m), computed in log space."""
+    """Least L with 2^-L < delta^(m^m), in log space (0 < delta < 1); a
+    delta^(m^m) below 2^-1000 (L past 1,000) is refused with ParameterOverflow,
+    with no power m^m past m^m |log2 delta| = 2^10."""
+    log2_delta = math.log2(delta) if delta > 0.0 else -math.inf  # delta is 0.0 from m = 627
+    if m * math.log2(m) + math.log2(-log2_delta) > 10.0 or float(m**m) * log2_delta < -1000.0:
+        raise ParameterOverflow("delta^(m^m) underflows double precision")
     exponent = float(m**m) * math.log2(1.0 / delta)
     return int(math.floor(exponent)) + 1
 
@@ -753,12 +756,7 @@ def reciprocal_product_witness(x, n_window: int, m: int, eps: float) -> dict:
     if n_window < 1:
         raise DomainError(f"coordinate window N = {n_window} must be >= 1")
     delta = reciprocal_witness_delta(m, eps)
-    tail = reciprocal_tail_depth(m, delta)
-    if tail > TAIL_DEPTH_CAP:
-        raise ParameterOverflow(
-            f"tail depth L = {tail} exceeds the cap {TAIL_DEPTH_CAP}; the tail bound "
-            f"2^-L < delta^(m^m) is certified in log space only"
-        )
+    tail = reciprocal_tail_depth(m, delta)  # refuses a delta^(m^m) below 2^-1000
     n_total = n_window + tail
     x = [float(v) for v in x]
     # one walk per distinct value, shared by the atom check and the masses
@@ -770,9 +768,6 @@ def reciprocal_product_witness(x, n_window: int, m: int, eps: float) -> dict:
         raise DomainError(f"need {n_total} coordinates, got {len(x)}")
     x = x[:n_total]
 
-    log2_delta = math.log2(delta)
-    if float(m**m) * log2_delta < -1000.0:
-        raise ParameterOverflow("delta^(m^m) underflows double precision")
     thresholds = [delta ** (m**k) for k in range(m + 1)]  # k = 0..m
 
     def class_of(v: float) -> int:
@@ -787,7 +782,7 @@ def reciprocal_product_witness(x, n_window: int, m: int, eps: float) -> dict:
     classes = [class_by_value[v] for v in x]
     sizes = [classes.count(k) for k in range(m + 2)]
     m0 = next(k for k in range(m + 1) if sizes[k] <= n_total / (m + 1))
-    r = delta ** (m**m0)  # >= delta^(m^m) >= 2^-1000 by the refusal above
+    r = delta ** (m**m0)  # >= delta^(m^m) >= 2^-1000 by the tail depth's refusal
 
     masses = {v: _inverse_square_mass(v - r, v, least.get(v)) for v in set(x)}  # once per value
     mass = math.prod(masses[v] for v in x)
@@ -817,9 +812,11 @@ def reciprocal_product_witness(x, n_window: int, m: int, eps: float) -> dict:
 
 
 def sample_reciprocal_point(n_coords: int, n_cap: int, seed: int = 0) -> list[float]:
-    """Seeded sample from the truncated space, coordinates iid inverse-square."""
+    """Seeded sample from the truncated space, coordinates iid inverse-square;
+    more coordinates than the word budget are refused before any is drawn."""
     if n_cap < 1:
         raise DomainError(f"truncation n_cap = {n_cap} must be >= 1")
+    limits.check("word", n_coords, "coordinates", limits.cap("word"), "reciprocal sample")
     uniform, top = random.Random(seed).random, 1.0 - 1.0 / (n_cap + 1.0)
     out = []
     for _ in range(n_coords):

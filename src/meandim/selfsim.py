@@ -18,8 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import limits, symbolic
-from .errors import DomainError
-from .metrics import LINF_FINITE, MetricDescriptor, PointCloud, digit_points
+from .errors import DomainError, ParameterOverflow
+from .metrics import LINF_FINITE, MetricDescriptor, PointCloud, digit_points, product_rows
 
 _RATIONAL_DENOM_CAP = 1 << 30  # beta with a denominator this small goes exact
 SEPARATION_SLACK = 1e-9  # rounding allowed below a family's certified separation eps
@@ -63,7 +63,7 @@ def min_gap(a: int, beta: float, n: int, budget: int | None = None) -> float:
         raise DomainError("need 2 <= a <= beta")
     if n < 1:
         raise DomainError("n must be >= 1")
-    limits.check("word", a**n, "tuples", limits.cap("word", budget))
+    limits.check("word", [(a, n)], "tuples", limits.cap("word", budget))
     frac = _beta_as_fraction(beta)
     if frac is not None:
         # with beta = p/q, sum u_k beta^-k = (sum u_k q^k p^(n-k)) / p^n: the
@@ -79,7 +79,7 @@ def min_gap(a: int, beta: float, n: int, budget: int | None = None) -> float:
         best = int(np.diff(np.sort(scaled)).min())
         return best / float(p) ** n
     terms = [[u * beta ** -(k + 1) for u in range(a)] for k in range(n)]  # fsum of each tuple
-    tuples = np.indices((a,) * n).reshape(n, -1).T
+    tuples = product_rows([a] * n)
     values = digit_points([np.arange(a)[:, None]] * n, tuples, terms)[:, 0]
     return float(np.diff(np.sort(values)).min()) - 1e-12
 
@@ -108,11 +108,14 @@ def covering_lower_bound(
     """
     if min(n_coords, n_layers) < 1:
         raise DomainError(f"window N = {n_coords} and digit layers n = {n_layers} must be >= 1")
-    aut = spec.omega.automaton
-    n_words = aut.word_counts(n_coords)[-1]  # both budgets are checked before any word is built
-    limits.check("word", n_words, "words", limits.cap("word", budget))
-    count = n_words**n_layers
-    limits.check("point", count, "points", limits.cap("point", budget), "covering family")
+    aut = spec.omega.automaton  # both budgets and the scale are checked before any word is built
+    n_words = aut.checked_count(n_coords, "word", limits.cap("word", budget))
+    count = limits.check("point", [(n_words, n_layers)], "points", limits.cap("point", budget),
+                         "covering family")
+    eps = spec.beta**-n_layers
+    if eps == 0.0:
+        raise ParameterOverflow(f"separation beta^-n = {spec.beta}^-{n_layers} underflows "
+                                f"double precision")
     words = aut.enumerate_words(n_coords, budget)
 
     depth = n_coords + min(30 * n_layers, 80)  # a tail below 2^-30 < 1e-9 per layer
@@ -124,10 +127,9 @@ def covering_lower_bound(
     # column d = (streams[w_k][j])_k (`digit_points`), plus the anchor tail
     beta = spec.beta
     terms = [[d * beta ** -(k + 1) for d in range(spec.a)] for k in range(n_layers)]
-    choices = np.indices((n_words,) * n_layers).reshape(n_layers, count).T
+    choices = product_rows([n_words] * n_layers)
     tail = np.array(aut.least_word(aut.root, depth), dtype=float) * beta**-n_layers / (beta - 1.0)
     points = digit_points([streams] * n_layers, choices, terms) + tail
-    eps = beta**-n_layers
     trunc = (spec.a - 1) / (beta - 1) * 2.0 ** -(depth - n_coords)
     cloud = PointCloud(
         points=points,

@@ -11,11 +11,13 @@ from __future__ import annotations
 import itertools
 import math
 import random
+import sys
 import time
 
 import numpy as np
 
 from . import carpet, grid2d, oracle, selfsim, symbolic, weighted
+from .metrics import product_rows
 
 GOLDEN_MEAN_ENTROPY = 0.48121182505960347  # log((1 + sqrt 5) / 2)
 CARPET_H_TARGET = 1.3496838201  # log_2(1 + 2^(log_3 2)), 10 digits
@@ -242,7 +244,7 @@ def _brute_force_grid_count(spec, n_rows, m_cols):
     a, cells = spec.alphabet, n_rows * m_cols
     n_low = next(k for k in range(cells, -1, -1) if a**k <= _GRID_BLOCK)
     n_high = cells - n_low
-    low = np.indices((a,) * n_low, dtype=np.min_scalar_type(a - 1)).reshape(n_low, a**n_low)
+    low = product_rows([a] * n_low).T.astype(np.min_scalar_type(a - 1))
     mask = np.ones(low.shape[1], dtype=bool)
     mixed = []  # (low part mod a, high (coefficient, cell) terms) of each other window
     for k in (i * m_cols + j for i in range(n_rows - 1) for j in range(m_cols - 1)):
@@ -357,5 +359,5 @@ def run_suite(verbose=True):
         results.append(rec)
         if verbose:
             tag = "PASS" if rec["passed"] else "FAIL"
-            print(f"[{tag}] criterion {number}: {rec['name']} ({rec['seconds']}s)")
+            print(f"[{tag}] criterion {number}: {rec['name']} ({rec['seconds']}s)", file=sys.stderr)
     return results

@@ -12,6 +12,7 @@ bracket, so repeated queries of one spec extend them instead of recounting.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import json
 import math
@@ -79,16 +80,25 @@ class Automaton:
         self.__dict__["_word_counts"] = counts, weights
         return counts[: max(n_max, 0)]
 
+    def checked_count(self, n: int, budget: str, cap: int, what: str = "words") -> int:
+        """The number of words of length n, refused past cap.  Where every
+        state has a successor the counts never fall: they stop past
+        2^PRINTED_BITS (or the cap), and the first past the cap is named from
+        below.  Counts not past it at length PRINTED_BITS + 1 grow slower
+        than 2^n, and a length past the cap (one word's symbols) is refused."""
+        stop = max(cap, 1 << limits.PRINTED_BITS) if all(self.succ) else None
+        counts = self.word_counts(min(n, limits.PRINTED_BITS + 1), stop)
+        if len(counts) < n and (stop is None or counts[-1] <= stop):
+            limits.check(budget, n, "symbols in a word", cap)
+            counts = self.word_counts(n, stop)
+        if len(counts) < n:
+            limits.check_at_least(budget, next(c for c in counts if c > cap), what, cap)
+        return limits.check(budget, counts[-1] if n > 0 else int(n == 0), what, cap)  # n = 0: ()
+
     def enumerate_words(self, n: int, budget: int | None = None) -> list[tuple]:
         """All admissible words of length n, in lexicographic order (a depth-first
-        walk over sorted labels), once their exact number fits the word budget.
-        Where every state has a successor the counts never fall with the length:
-        they stop past limits.PRINTED_BITS, and the first past the cap is named."""
-        cap = limits.cap("word", budget)
-        counts = self.word_counts(n, 1 << limits.PRINTED_BITS if all(self.succ) else None)
-        if len(counts) < n:
-            limits.check("word", next(c for c in counts if c > cap), "or more words", cap)
-        limits.check("word", (counts or [int(n == 0)])[-1], "words", cap)  # one empty word
+        walk over sorted labels), once their `checked_count` fits the word budget."""
+        self.checked_count(n, "word", limits.cap("word", budget))
         edges = [sorted(trans.items()) for trans in self.succ]
         words: list[tuple] = [()] if n == 0 else []
         path: list = []
@@ -493,12 +503,19 @@ def fekete_bounds(values) -> tuple:
 
 
 def count_words(spec: SubshiftSpec, n_max: int, budget: int | None = None) -> dict:
-    """Exact admissible-word counts {n: count} for n = 1..n_max."""
+    """Exact admissible-word counts {n: count} for n = 1..n_max, refused at
+    the first that the digit budget refuses."""
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     aut = spec.automaton
-    limits.check("word", aut.n_states, "states", limits.cap("word", budget))
-    counts = aut.word_counts(n_max)
+    cap = limits.cap("word", budget)
+    limits.check("word", aut.n_states, "states", cap)
+    limits.check("word", n_max, "lengths", cap)
+    stop = limits.printed_stop()
+    counts = aut.word_counts(n_max, stop)
+    if stop is not None and counts[-1] > stop:  # nondecreasing: refused at the first past it
+        n = bisect.bisect_right(counts, stop)
+        limits.check_digits([(counts[n], 1)], f"count {n + 1}")
     return {n + 1: c for n, c in enumerate(counts)}
 
 

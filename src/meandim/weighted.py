@@ -419,7 +419,7 @@ def image_subshift(sys: PairShiftSystem, budget: int | None = None) -> SubshiftS
         idx = subsets[current]
         for v, key, _ in _subset_moves(aut, b, current):
             if key not in subsets:
-                limits.check("subset", len(subsets) + 1, "or more subsets", cap)
+                limits.check_at_least("subset", len(subsets) + 1, "subsets", cap)
                 subsets[key] = len(succ)
                 succ.append(dict())
                 queue.append(key)

@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import meandim
-from meandim import cli
+from meandim import cli, limits
 from meandim.cli import main
 from meandim.reportio import dumps_canonical
 
@@ -318,15 +318,10 @@ class TestExitCodes:
                        f"exceed the cap {cap}\n")
 
     def test_decimal_digits_next_to_powers_of_ten(self):
+        # a swept count past the digit cap is counted as the one power (count, 1)
         for d in (1, 2, 15, 16, 22, 23, 308, 309, 4300):
             for value in (10 ** (d - 1), 10 ** (d - 1) + 1, 10**d - 1):
-                assert cli._decimal_digits(value) == len(str(value)) == d
-        assert cli._decimal_digits(0) == 1
-
-    def test_decimal_digits_of_a_pattern_sized_power_of_two(self):
-        # pattern counts past 2^16 bits, one next to a power of ten: two powers of ten each
-        for value in (2 ** (2**20), 2 ** (2**20) - 1, 10**315652, 10**315653 - 1):
-            assert cli._decimal_digits(value) == 315653  # floor(2^20 log10 2) + 1
+                assert limits.decimal_digits([(value, 1)]) == len(str(value)) == d
 
     @pytest.mark.parametrize("powers", [
         [], [(1, 5)], [(2, 16)], [(3, 7), (1, 9)], [(10, 3), (3, 0)], [(2, 3), (5, 3)],
@@ -343,13 +338,13 @@ class TestExitCodes:
             want = len(str(math.prod(b**e for b, e in powers)))
         finally:
             sys.set_int_max_str_digits(previous)
-        assert cli._closed_form_digits(powers) == want
+        assert limits.decimal_digits(powers) == want
 
     def test_closed_form_digits_of_powers_too_large_to_take(self):
-        assert cli._closed_form_digits([(2, 10**10)]) == 3010299957  # floor(10^10 log10 2) + 1
-        assert cli._closed_form_digits([(10, 10**10)]) == 10**10 + 1
-        assert cli._closed_form_digits([(2, 10**12), (5, 10**12)]) == 10**12 + 1
-        assert cli._closed_form_digits([(1, 10**100)]) == 1
+        assert limits.decimal_digits([(2, 10**10)]) == 3010299957  # floor(10^10 log10 2) + 1
+        assert limits.decimal_digits([(10, 10**10)]) == 10**10 + 1
+        assert limits.decimal_digits([(2, 10**12), (5, 10**12)]) == 10**12 + 1
+        assert limits.decimal_digits([(1, 10**100)]) == 1
 
     def test_oracle_mass_budget_exits_3_without_traceback(self):
         proc = run_cli_process(
@@ -1143,6 +1138,77 @@ class TestHugeValues:
         assert (proc.returncode, proc.stderr) == (3, f"resource limit: {refusal}\n")
         assert time.perf_counter() - start < 1.0  # the interpreter's start included
 
+    FILES = {
+        "rule": {"a": 2, "rule": "patterns", "window": [1, 2],  # the fuzz rule: no 1, 1
+                 "allowed": [[[0, 0]], [[0, 1]], [[1, 0]]]},
+        "square": {"a": 2, "rule": "patterns", "window": [2, 2], "allowed": [  # hard square
+            [[0, 0], [0, 0]], [[1, 0], [0, 0]], [[0, 1], [0, 0]], [[0, 0], [1, 0]],
+            [[0, 0], [0, 1]], [[1, 0], [0, 1]], [[0, 1], [1, 0]]]},
+        "one": {"alphabet": 2, "kind": "sft", "matrix": [[1, 0], [0, 0]]},  # the word 000...
+        "full": {"alphabet": 2, "kind": "full"},
+    }
+    ONE_BOX = ["--a", "3", "--b", "2", "--tuples", "00"]
+    WITNESS = ["oracle", "appendix-k", "--witness"]
+    # with the cases above and in test_huge_relation_values_under_a_memory_cap, one call
+    # per size flag of every command at 10^12
+    CALLS = {
+        "grid2d-nmax": (["grid2d", "--rule", "{rule}", "--nmax", HUGE], 3),
+        "grid2d-mmax": (["grid2d", "--rule", "{rule}", "--mmax", HUGE], 3),
+        "qbox-one-box-N": (["oracle", "qbox", *ONE_BOX, "--N", HUGE, "--M", "1"], 3),
+        "qbox-one-box-M": (["oracle", "qbox", *ONE_BOX, "--N", "1", "--M", HUGE], 4),
+        "mass-mmin": (["oracle", "mass", *CARPET, "--mmin", HUGE], 4),
+        "mass-square-N": (["oracle", "mass", *SQUARE_SCALE, "--N", HUGE], 3),
+        "mass-square-mmin": (["oracle", "mass", *SQUARE_SCALE, "--mmin", HUGE], 4),
+        "mass-square-mmax": (["oracle", "mass", *SQUARE_SCALE, "--mmax", HUGE], 3),
+        "appendix-k-m": (["oracle", "appendix-k", "--eps", "0.5", "--m", HUGE], 0),
+        "appendix-k-N": (["oracle", "appendix-k", "--eps", "0.5", "--N", HUGE], 0),
+        "witness-ncap": ([*WITNESS, "--ncap", HUGE], 0),
+        "witness-m": ([*WITNESS, "--m", HUGE], 4),
+        "witness-N": ([*WITNESS, "--N", HUGE], 3),
+        "beta-n": (["beta", "--a", "2", "--beta", "2.5", "--n", HUGE], 3),
+        "beta-N": (["beta", "--a", "2", "--beta", "2.5", "--N", HUGE], 3),
+        "beta-one-word-n": (["beta", "--a", "2", "--beta", "2.5", "--omega", "{one}", "--N", "1",
+                             "--n", HUGE], 4),
+        "beta-one-word-N": (["beta", "--a", "2", "--beta", "2.5", "--omega", "{one}", "--N", HUGE],
+                            3),
+        "entropy-nmax": (["entropy", "--spec", "{full}", "--nmax", HUGE], 3),
+        "weighted-entropy-nmax": (["weighted-entropy", *CARPET, "--w", "0.5", "--nmax", HUGE], 4),
+        "carpet-nmax": (["carpet", *CARPET, "--nmax", HUGE], 4),
+        # the families and sizes that ran out of memory, hit numpy's 64 dimensions or took
+        # seconds before a refusal
+        "square-2x30000": (["grid2d", "--rule", "{square}", "--nmax", "2", "--mmax", "30000"], 3),
+        "square-2xhuge": (["grid2d", "--rule", "{square}", "--nmax", "2", "--mmax", HUGE], 3),
+        "square-hugex2": (["grid2d", "--rule", "{square}", "--nmax", HUGE, "--mmax", "2"], 3),
+        "entropy-20000": (["entropy", "--spec", "{full}", "--nmax", "20000"], 3),
+        "witness-m-4": ([*WITNESS, "--m", "4"], 4),
+        "witness-m-7": ([*WITNESS, "--m", "7"], 4),
+        "witness-m-30": ([*WITNESS, "--m", "30"], 4),
+        "qbox-one-box-M-70": (["oracle", "qbox", *ONE_BOX, "--N", "1", "--M", "70"], 0),
+        "qbox-one-box-M-2000": (["oracle", "qbox", *ONE_BOX, "--N", "1", "--M", "2000"], 4,
+                                "spec error: box separation b^-M = 2^-2000 underflows"),
+        "beta-one-word-n-70": (["beta", "--a", "2", "--beta", "2.5", "--omega", "{one}", "--N", "1",
+                                "--n", "70"], 0),
+    }
+
+    @pytest.mark.parametrize("name", CALLS)
+    def test_every_size_flag_ends_in_its_exit_code_within_a_second(self, tmp_path, name):
+        # every size is refused from counts, or its scale from its exponent, before any work
+        argv, code, *prefix = self.CALLS[name]
+        for key, doc in self.FILES.items():
+            (tmp_path / f"{key}.json").write_text(json.dumps(doc))
+        argv = [arg.format(**{key: tmp_path / f"{key}.json" for key in self.FILES})
+                for arg in argv]
+        start = time.perf_counter()
+        proc = run_cli_capped(1 << 30, *argv)
+        seconds = time.perf_counter() - start
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == code, proc.stderr
+        prefix = prefix or [{0: "", 3: "resource limit: ", 4: "spec error: "}[code]]
+        assert proc.stderr.startswith(prefix[0]) and (code or not proc.stderr)
+        if code == 0:
+            json.loads(proc.stdout)
+        assert seconds < 1.0  # the interpreter's start included
+
     def test_appendix_k_at_the_word_budget_runs(self):
         # 20,000,000 atoms and 0: the cap itself is not refused
         proc = run_cli_capped(1 << 30, "oracle", "appendix-k", "--ncap", "20000000")
@@ -1156,6 +1222,13 @@ class TestDeterminism:
         _, first = run_cli(capsys, *args)
         _, second = run_cli(capsys, *args)
         assert first == second
+
+    def test_paper_suite_stdout_is_one_json_document(self):
+        # the progress lines went to stdout before the report, which was then not written
+        code, out, err = call_main(["paper-suite"])
+        assert code == 0
+        assert json.loads(out)["command"] == "paper-suite"
+        assert err.count("[PASS] criterion") == 10
 
     def test_out_file_matches_stdout(self, capsys, tmp_path):
         out_path = tmp_path / "report.json"

@@ -202,3 +202,48 @@ except ResourceLimit as exc:
     assert proc.stdout == (
         "point budget: covering family: 16777216 points exceed the cap 2000000\n"
     ), proc.stderr
+
+
+def test_power_sizes_are_the_exact_product_below_printed_bits():
+    from hypothesis import given, settings
+    from hypothesis import strategies as st
+
+    from meandim import limits
+    from meandim.errors import ResourceLimit
+
+    pairs = st.lists(st.tuples(st.integers(1, 2**40), st.integers(0, 400)), max_size=4)
+
+    @settings(max_examples=300, deadline=None)
+    @given(pairs, st.integers(0, 2**80))
+    def agree(powers, cap):
+        product = 1
+        for b, e in powers:
+            product *= b**e
+        if product.bit_length() > limits.PRINTED_BITS:
+            return
+        try:
+            got = limits.check("word", powers, "boxes", cap, "family")
+        except ResourceLimit as exc:
+            got = str(exc)
+        try:
+            want = limits.check("word", product, "boxes", cap, "family")
+        except ResourceLimit as exc:
+            want = str(exc)
+        assert got == want
+
+    agree()
+
+
+@pytest.mark.parametrize("powers, named", [
+    ([(2, 10**12)], "33554432 or more boxes"),  # 2^25: the cap has 25 bits
+    ([(3, 20_000)], "847288609443 or more boxes"),
+    ([(3, 14_000), (2, 1)], "847288609443 or more boxes"),
+    ([(5, 7_000), (7, 7_000)], "298023223876953125 or more boxes"),  # the first longest, 5^25
+])
+def test_power_sizes_past_printed_bits_are_named_from_below(powers, named):
+    from meandim import limits
+    from meandim.errors import ResourceLimit
+
+    with pytest.raises(ResourceLimit) as info:
+        limits.check("word", powers, "boxes", 20_000_000, "family")
+    assert str(info.value) == f"word budget: family: {named} exceed the cap 20000000"

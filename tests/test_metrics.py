@@ -1,5 +1,6 @@
 """Metric axioms and window monotonicity on random truncated points."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -342,3 +343,12 @@ def test_digit_points_are_the_exact_sums_rounded_once(case):
     if kind == "double":  # one rounding of the exact sum is math.fsum
         fsums = np.array([[math.fsum(c) for c in p] for p in parts])
         assert (got == fsums.reshape(got.shape)).all()
+
+
+@pytest.mark.parametrize("sizes", [(), (3,), (2, 3, 4), (3, 1, 2), (2, 0, 3), (1,) * 70,
+                                   (2,) * 12, (1, 2) * 8])
+def test_product_rows_follow_itertools_product(sizes):
+    rows = metrics.product_rows(sizes)
+    want = list(itertools.product(*map(range, sizes)))
+    assert rows.shape == (len(want), len(sizes))
+    assert list(map(tuple, rows.tolist())) == want

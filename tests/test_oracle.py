@@ -1251,6 +1251,32 @@ class TestReciprocalSpace:
         with pytest.raises(ParameterOverflow):
             orc.reciprocal_product_witness([0.0] * 10, 1, 7, 0.1)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4), st.floats(1e-300, 1.0 / 6.0, exclude_max=True))
+    @example(3, 1e-12)  # 27 |log2 delta| just below and above 1,000 around here
+    @example(3, 1e-10)
+    def test_tail_depth_refuses_exactly_the_underflowing_witnesses(self, m, eps):
+        # the log-space guard for large m moves no boundary where m^m is small
+        delta = orc.reciprocal_witness_delta(m, eps)
+        if float(m**m) * math.log2(delta) < -1000.0:
+            with pytest.raises(ParameterOverflow, match=r"delta\^\(m\^m\) underflows"):
+                orc.reciprocal_tail_depth(m, delta)
+        else:
+            want = int(math.floor(float(m**m) * math.log2(1.0 / delta))) + 1
+            assert orc.reciprocal_tail_depth(m, delta) == want <= 1001
+
+    @pytest.mark.parametrize("m", [5, 6, 7, 30, 627, 10**12])
+    def test_tail_depth_refuses_large_m_with_no_power_taken(self, m):
+        # m^m at m = 10^12 would not finish; the cap on the tail depth went
+        delta = orc.reciprocal_witness_delta(m, 0.1)  # 0.0 from m = 627
+        with pytest.raises(ParameterOverflow, match=r"delta\^\(m\^m\) underflows"):
+            orc.reciprocal_tail_depth(m, delta)
+
+    def test_sample_past_the_word_budget_is_refused_before_any_draw(self):
+        with pytest.raises(ResourceLimit, match=r"^word budget: reciprocal sample: "
+                                                r"1000000000000 coordinates exceed the cap"):
+            orc.sample_reciprocal_point(10**12, 100)
+
     def test_set_dims(self):
         rep = orc.reciprocal_set_dims(100_000, 1e-4)
         assert 0.40 <= rep["minkowski_scale"] <= 0.60

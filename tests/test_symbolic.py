@@ -364,6 +364,44 @@ class TestCountWords:
         spec = sym.allowed_tuples(3, 2, [(0, 0), (1, 1), (2, 0)])
         assert sym.count_words(spec, 3)[3] == 27
 
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(2, 4), st.data())
+    def test_checked_count_is_the_number_of_enumerated_words(self, k, data):
+        matrix = data.draw(st.lists(st.lists(st.integers(0, 1), min_size=k, max_size=k),
+                                    min_size=k, max_size=k))
+        try:
+            aut = sym.sft_from_matrix(matrix).automaton
+        except EmptySubshift:
+            return
+        for n in range(7):
+            assert aut.checked_count(n, "word", 10**6) == len(aut.enumerate_words(n))
+
+    @pytest.mark.parametrize("n, cap, refusal", [
+        (30, 20_000_000, "1073741824 words"),  # exact below 2^PRINTED_BITS
+        (5, 3, "32 words"),
+        (20_000, 20_000_000, "33554432 or more words"),  # the first count past the cap
+        (10**12, 20_000_000, "33554432 or more words"),
+    ])
+    def test_checked_count_refusals(self, n, cap, refusal):
+        with pytest.raises(ResourceLimit) as info:
+            sym.full_shift(2).automaton.checked_count(n, "word", cap)
+        assert str(info.value) == f"word budget: {refusal} exceed the cap {cap}"
+
+    def test_checked_count_of_a_slow_count_refuses_its_length(self):
+        # one word per length: the counts never pass the cap, the word's symbols do
+        aut = sym.sft_from_matrix([[1, 0], [0, 0]]).automaton
+        assert aut.checked_count(20_000, "word", 20_000_000) == 1
+        with pytest.raises(ResourceLimit, match=r"^word budget: 1000000000000 symbols in a word "):
+            aut.checked_count(10**12, "word", 20_000_000)
+
+    def test_counts_stop_at_the_first_one_past_the_digit_budget(self):
+        spec = sym.full_shift(2)
+        assert sym.count_words(spec, 14284)[14284] == 2**14284  # 4300 digits print
+        with pytest.raises(ResourceLimit) as info:
+            sym.count_words(spec, 10**6)
+        assert str(info.value) == (
+            "digit budget: count 14285: 4301 decimal digits exceed the cap 4300")
+
     def test_matrix_vs_enumeration_small_alphabets(self):
         rng = random.Random(1)
         cases = 0
