@@ -89,6 +89,8 @@ def decimal_digits(powers) -> int:
             lo, hi = math.floor(log - slack), math.floor(log + slack)
         if lo == hi:
             return lo + 1
+        if hi <= PRINTED_BITS:  # the product lies next to 10^hi, a power small to take
+            return hi + (math.prod(b**e for b, e in powers) >= 10**hi)
         prec *= 2
 
 
