@@ -525,6 +525,8 @@ def mass_distribution_check(
     all_passed = True
     for m in m_range:
         limits.check("word", [(len(v_words), m)], "y-sequences", cap, f"M = {m}")
+        if float(b) ** -m == 0.0:  # before b^M is taken
+            raise ParameterOverflow(f"M = {m}: box separation {b}^-{m} underflows double precision")
         t_floor = floor_w_m(a, b, m)
         diam = float(a) * float(b) ** (-m)
         log_diam = log_a - m * log_b
@@ -545,8 +547,11 @@ def mass_distribution_check(
         first = int(np.argmin(s_box))
         min_s_box = float(s_box[first])
         worst = prefixes[first // len(suffixes)][0] + suffixes[first % len(suffixes)][0]
-        masses = np.array([count * mass * suffix_count for _, count, mass in prefixes
-                           for _, suffix_count, _ in suffixes], dtype=float)
+        try:
+            masses = np.array([count * mass * suffix_count for _, count, mass in prefixes
+                               for _, suffix_count, _ in suffixes], dtype=float)
+        except OverflowError:
+            raise ParameterOverflow(f"M = {m}: box mass counts exceed the double range") from None
         total_mass = math.fsum((masses * list(map(math.exp, log_mu.tolist()))).tolist())
         passed = min_s_box >= s - SLACK
         all_passed = all_passed and passed

@@ -3,15 +3,20 @@
 Each criterion is a self-contained check with its stated tolerance; the suite
 is exposed both to pytest and to the command line (`meandim paper-suite`).
 Criteria return a record {name, passed, details}; run_suite adds each one's
-number and its run time in seconds.
+number and its run time in seconds, and runs them on up to two processes.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
+import os
+import pickle
 import random
+import signal
 import sys
+import threading
 import time
 
 import numpy as np
@@ -349,14 +354,54 @@ CRITERIA = (
 )
 
 
+def _run(indices):
+    """{index: record, or the exception it raised} of each criterion in indices."""
+    done = {}
+    for index in indices:
+        number, fn = CRITERIA[index]
+        t0 = time.perf_counter()
+        try:
+            done[index] = {**fn(), "seconds": round(time.perf_counter() - t0, 3), "number": number}
+        except Exception as exc:  # run_suite raises it in CRITERIA order
+            done[index] = exc
+    return done
+
+
 def run_suite(verbose=True):
-    results = []
-    for number, fn in CRITERIA:
-        start = time.perf_counter()
-        rec = fn()
-        rec["seconds"] = round(time.perf_counter() - start, 3)
-        rec["number"] = number
-        results.append(rec)
+    """Every criterion's record, in CRITERIA order.  With fork, two CPUs and no
+    other thread, a forked child (a spawned one would pay the import) shares
+    the work: each process claims the next index from one pipe by an atomic
+    one-byte read, and the child pickles its records back.  What it claimed
+    but did not send runs here, so the first failure in CRITERIA order raises."""
+    (claims, fill), (inbox, outbox) = os.pipe(), os.pipe()
+    os.write(fill, bytes(range(len(CRITERIA))))
+    os.close(fill)
+    claimed = (claim[0] for claim in iter(lambda: os.read(claims, 1), b""))
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    child = None
+    try:
+        if hasattr(os, "fork") and cpus >= 2 and threading.active_count() == 1:
+            child = os.fork()
+        if child == 0:
+            try:
+                done = _run(claimed)
+                os.write(outbox, pickle.dumps({i: r for i, r in done.items() if type(r) is dict}))
+            finally:
+                os._exit(0)
+        os.close(outbox)
+        done = _run(claimed)
+        with contextlib.suppress(EOFError, pickle.UnpicklingError):  # no child, or it died
+            done.update(pickle.loads(b"".join(iter(lambda: os.read(inbox, 1 << 16), b""))))
+    finally:
+        for fd in (claims, inbox):
+            os.close(fd)
+        if child:  # it has exited, or this process is unwinding
+            os.kill(child, signal.SIGKILL)
+            os.waitpid(child, 0)
+    results = [done[i] if i in done else _run([i])[i] for i in range(len(CRITERIA))]
+    for rec, (number, _) in zip(results, CRITERIA):
+        if isinstance(rec, Exception):
+            raise rec
         if verbose:
             tag = "PASS" if rec["passed"] else "FAIL"
             print(f"[{tag}] criterion {number}: {rec['name']} ({rec['seconds']}s)", file=sys.stderr)

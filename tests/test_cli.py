@@ -1148,6 +1148,7 @@ class TestHugeValues:
         "full": {"alphabet": 2, "kind": "full"},
     }
     ONE_BOX = ["--a", "3", "--b", "2", "--tuples", "00"]
+    ONE_COLUMN = ["--a", "3", "--b", "2", "--tuples", "00,10"]  # one projected word: |V|^M = 1
     WITNESS = ["oracle", "appendix-k", "--witness"]
     # with the cases above and in test_huge_relation_values_under_a_memory_cap, one call
     # per size flag of every command at 10^12
@@ -1188,6 +1189,15 @@ class TestHugeValues:
                                 "spec error: box separation b^-M = 2^-2000 underflows"),
         "beta-one-word-n-70": (["beta", "--a", "2", "--beta", "2.5", "--omega", "{one}", "--N", "1",
                                 "--n", "70"], 0),
+        # an OverflowError in the masses array, a MemoryError in b^M, and a mass count of
+        # 3^649, past the double range while 2^-1030 is still a (subnormal) double
+        "mass-one-column-2000": (["oracle", "mass", *ONE_COLUMN, "--mmin", "2000", "--mmax", "2000"],
+                                 4, "spec error: M = 2000: box separation 2^-2000 underflows"),
+        "mass-one-column-huge": (["oracle", "mass", *ONE_COLUMN, "--mmin", HUGE, "--mmax", HUGE], 4,
+                                 f"spec error: M = {HUGE}: box separation 2^-{HUGE} underflows"),
+        "mass-three-rows-1030": (["oracle", "mass", "--a", "3", "--b", "2", "--tuples", "00,10,20",
+                                  "--mmin", "1030", "--mmax", "1030"], 4,
+                                 "spec error: M = 1030: box mass counts exceed the double range"),
     }
 
     @pytest.mark.parametrize("name", CALLS)

@@ -1,17 +1,28 @@
 """The paper-suite's own kernels and records: the brute-force grid count,
-the memory criteria 2 and 7 take, criterion 2's second computation and the
-suite's timer."""
+the memory criteria 2 and 7 take, criterion 2's second computation, the
+suite's timer and its two-process claim loop."""
 
+import io
 import itertools
+import json
+import os
+import subprocess
+import sys
+import threading
+import time
 import tracemalloc
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import meandim
+from meandim import cli, suite, weighted
 from meandim import grid2d as g2
-from meandim import suite, weighted
+from meandim.errors import ResourceLimit
 
 
 def reference_grid_count(spec, n_rows, m_cols):
@@ -129,3 +140,147 @@ def test_qbox_criterion_sampled_cells_pinned():
         "3,4": {"count": 46656, "observed_min": 0.0625, "ok": True, "required": 0.0625},
         "3,5": {"count": 1259712, "observed_min": 0.03125, "ok": True, "required": 0.03125},
     }
+
+
+def fake_criteria(count=8, fail=None):
+    """Criteria that sleep 30 ms each, so both processes claim some; each
+    record's details name the pid that ran it, and fail(number) runs before
+    the record is returned."""
+
+    def make(number):
+        def criterion():
+            time.sleep(0.03)
+            if fail:
+                fail(number)
+            return {"name": f"fake {number}", "passed": True, "details": {"pid": os.getpid()}}
+        return criterion
+
+    return tuple((str(k), make(str(k))) for k in range(1, count + 1))
+
+
+def without(records, *keys):
+    return [{k: v for k, v in rec.items() if k not in keys} for rec in records]
+
+
+def serial(monkeypatch):
+    """run_suite on one CPU, where it must not fork."""
+    with monkeypatch.context() as m:
+        m.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        m.setattr(os, "fork", mock.Mock(side_effect=AssertionError("forked on one CPU")))
+        return suite.run_suite(verbose=False)
+
+
+TWO_CPUS = hasattr(os, "fork") and len(
+    os.sched_getaffinity(0) if hasattr(os, "sched_getaffinity") else range(os.cpu_count() or 1)
+) >= 2
+
+
+class TestClaimLoop:
+    @pytest.fixture(autouse=True)
+    def no_child_left(self):
+        yield
+        with pytest.raises(ChildProcessError):  # nothing left running or unreaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_records_come_back_in_order_equal_to_the_serial_loop(self, monkeypatch):
+        monkeypatch.setattr(suite, "CRITERIA", fake_criteria())
+        results = suite.run_suite(verbose=False)
+        assert [r["number"] for r in results] == [str(k) for k in range(1, 9)]
+        assert all(r["seconds"] >= 0.03 for r in results)  # timed where it ran
+        want = serial(monkeypatch)
+        assert without(results, "seconds", "details") == without(want, "seconds", "details")
+
+    @pytest.mark.skipif(not TWO_CPUS, reason="the claim loop forks only with two CPUs")
+    def test_both_processes_run_criteria(self, monkeypatch):
+        monkeypatch.setattr(suite, "CRITERIA", fake_criteria())
+        pids = {r["details"]["pid"] for r in suite.run_suite(verbose=False)}
+        assert os.getpid() in pids and len(pids) == 2
+
+    @pytest.mark.parametrize("error, code, prefix", [
+        (AssertionError, 2, "check failed: "),
+        (ResourceLimit, 3, "resource limit: "),
+    ])
+    def test_the_first_failure_in_order_raises_with_its_exit_code(self, monkeypatch, error,
+                                                                  code, prefix):
+        def fail(number):
+            if number in ("3", "6"):  # whichever process claims either
+                raise error(f"criterion {number} broke")
+
+        monkeypatch.setattr(suite, "CRITERIA", fake_criteria(fail=fail))
+        with pytest.raises(error, match="^criterion 3 broke$"):
+            suite.run_suite(verbose=False)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            assert cli.main(["paper-suite"]) == code
+        assert out.getvalue() == ""
+        lines = err.getvalue().splitlines()  # progress in CRITERIA order, then the failure
+        assert [line.split(":")[0] for line in lines[:-1]] == ["[PASS] criterion 1",
+                                                               "[PASS] criterion 2"]
+        assert lines[-1] == f"{prefix}criterion 3 broke"
+
+    def test_no_fork_beside_another_thread(self, monkeypatch):
+        # a forked child holds only the calling thread, so a lock another
+        # thread held at the fork would never be released in it
+        monkeypatch.setattr(suite, "CRITERIA", fake_criteria(count=3))
+        monkeypatch.setattr(os, "fork", mock.Mock(side_effect=AssertionError("forked")))
+        release = threading.Event()
+        other = threading.Thread(target=release.wait)
+        other.start()
+        try:
+            results = suite.run_suite(verbose=False)
+        finally:
+            release.set()
+            other.join(timeout=10)
+        assert not other.is_alive()
+        assert {r["details"]["pid"] for r in results} == {os.getpid()}
+
+    def test_a_child_that_dies_still_yields_the_full_report(self, monkeypatch):
+        parent = os.getpid()
+
+        def die_in_the_child(number):
+            if os.getpid() != parent:
+                os._exit(1)
+
+        monkeypatch.setattr(suite, "CRITERIA", fake_criteria(fail=die_in_the_child))
+        results = suite.run_suite(verbose=False)
+        assert [r["number"] for r in results] == [str(k) for k in range(1, 9)]
+        assert all(r["passed"] and r["details"]["pid"] == parent for r in results)
+
+    def test_an_interrupt_in_the_parent_kills_and_reaps_the_child(self, monkeypatch):
+        parent = os.getpid()
+
+        def interrupt(number):
+            if os.getpid() != parent:
+                time.sleep(30)  # killed, not waited for
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(suite, "CRITERIA", fake_criteria(count=4, fail=interrupt))
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            suite.run_suite(verbose=False)
+        assert time.perf_counter() - start < 10.0
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="needs sched_setaffinity")
+def test_one_cpu_runs_the_same_loop_without_fork():
+    """A child process pinned to one CPU, with an os.fork that fails, gives
+    the same number, name and passed fields as an unpinned run."""
+    pin = (
+        "import os, sys\n"
+        "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+        "def no_fork():\n"
+        "    raise RuntimeError('forked on one CPU')\n"
+        "os.fork = no_fork\n"
+    )
+    run = "from meandim.cli import main\nsys.exit(main(['paper-suite', '--quiet']))\n"
+    src = str(Path(meandim.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}
+    reports = []
+    for code in (pin + run, "import sys\n" + run):
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        reports.append([{k: c[k] for k in ("number", "name", "passed")}
+                        for c in json.loads(proc.stdout)["criteria"]])
+    assert reports[0] == reports[1]
+    assert len(reports[0]) == 10 and all(c["passed"] for c in reports[0])
