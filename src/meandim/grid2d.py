@@ -403,11 +403,13 @@ def homog_dims_from_report(rep: Entropy2DReport, a: int) -> dict:
     """
     if a < 2:
         raise DomainError(f"digit base {a}: the dimension entropy / log a needs a >= 2")
-    logs = {cell: _int_log(c, a) for cell, c in rep.counts.items()}
-    if None in logs.values():
-        return {"mdim": rep.best / math.log(a), "exact_power": False}
-    return {"mdim": float(min(Fraction(e, n * m) for (n, m), e in logs.items())),
-            "exact_power": True}
+    ratios = []
+    for (n, m), c in rep.counts.items():
+        e = _int_log(c, a)
+        if e is None:  # the first count that is no power of a settles it
+            return {"mdim": rep.best / math.log(a), "exact_power": False}
+        ratios.append(Fraction(e, n * m))
+    return {"mdim": float(min(ratios)), "exact_power": True}
 
 
 # ---------------------------------------------------------------------------

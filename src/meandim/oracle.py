@@ -11,7 +11,6 @@ integer certificates, or double precision with outward 1e-12 slack.
 from __future__ import annotations
 
 import bisect
-import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -492,13 +491,14 @@ def mass_distribution_check(
     Hausdorff exponent at the box scale; it also confirms the exact product
     identity for (1/NM) log mu(P) on sampled digit sequences and that the
     measure is a probability measure.  m_range is a range or an increasing
-    list; a box scale of 1 or more at its least M (read at its ends) is refused.
+    list, read at its ends: a box scale of 1 or more at its least M, and a
+    separation b^-M that underflows a double at its largest, are refused.
     """
     if n < 1:
         raise DomainError(f"coordinate window N = {n} must be >= 1")
     if not math.isfinite(s):
         raise DomainError(f"exponent s = {s} is not a finite number")
-    m_lo = min(m_range[0], m_range[-1]) if m_range else 0
+    m_lo, m_hi = sorted((m_range[0], m_range[-1])) if m_range else (0, 0)
     if m_lo < 1:
         raise DomainError(f"M {m_range!r} must be a nonempty range with every M >= 1")
     a, b = spec.a, spec.b
@@ -506,64 +506,51 @@ def mass_distribution_check(
     if m_lo <= floor_w_m(b, a, 1) or log_a - m_lo * log_b >= 0.0:  # a >= b^M, falling with M
         raise DomainError(f"M = {m_lo}: the box scale a b^-M is 1 or more, exactly or in log "
                           f"(log a - M log b = {log_a - m_lo * log_b!r})")
-    w, cap = spec.w, limits.cap("word", budget)
+    if float(b) ** -m_hi == 0.0:  # before the fiber table and floor_w_m's b^M
+        raise ParameterOverflow(
+            f"M = {m_hi}: box separation {b}^-{m_hi} underflows double precision"
+        )
+    w = spec.w
 
     table = weighted.fiber_counts(spec.system, n, budget)
     fibers = dict(table.level(n).items())  # v-word -> t_N(v), lexicographic
     words_total = table.total(n)
     z_n = math.fsum(tv**w for tv in fibers.values())
     log_z = math.log(z_n)
+    # every fixed layer of digit pairs carries sum_v t(v) t(v)^(w-1) / Z_N, and
+    # every free layer sum_v t(v)^w / Z_N = 1
+    mass_ok = abs(math.fsum(tv * tv ** (w - 1.0) for tv in fibers.values()) / z_n - 1.0) <= 1e-9
 
     log_t = {v: math.log(tv) for v, tv in fibers.items()}
+    weight = {v: (w - 1.0) * log_t[v] for v in fibers}  # log f_N(u, v) + log Z_N
     v_words = list(fibers)
     rng = random.Random(seed)
-    ratios = {v: ((w - 1.0) * log_t[v]).as_integer_ratio() for v in v_words}
-    den = max(d for _, d in ratios.values())  # (w - 1) log t(v) = units[v] / den exactly
-    units = {v: n * (den // d) for v, (n, d) in ratios.items()}
+    # log mu(P) + M log Z_N is a sum of per-position terms, weight[y_i] in the
+    # floor(wM) fixed layers and w log t(y_i) after them, so the heaviest box,
+    # and the least of the heaviest, repeats the least word of most weight
+    # and then the least word with the largest fiber
+    low, high = max(v_words, key=weight.__getitem__), max(v_words, key=fibers.__getitem__)
 
     per_m = {}
     all_passed = True
     for m in m_range:
-        limits.check("word", [(len(v_words), m)], "y-sequences", cap, f"M = {m}")
-        if float(b) ** -m == 0.0:  # before b^M is taken
-            raise ParameterOverflow(f"M = {m}: box separation {b}^-{m} underflows double precision")
         t_floor = floor_w_m(a, b, m)
-        diam = float(a) * float(b) ** (-m)
         log_diam = log_a - m * log_b
-        # math.fsum rounds correctly, so log mu(P) depends only on the
-        # multisets of the fixed prefix y[:t_floor] and of the suffix (its
-        # fsum is (prefix units + suffix units) / den, rounded once).  Each
-        # pair of multisets stands for all its orderings; its least sequence
-        # is the sorted prefix followed by the sorted suffix, and the pairs
-        # come in that order, so the first minimum is the least one
-        prefixes = _multisets(v_words, t_floor, fibers)
-        suffixes = _multisets(v_words, m - t_floor, None)
-        prefix_units = [sum(units[v] for v in prefix) for prefix, _, _ in prefixes]
-        suffix_units = [sum(units[v] for v in suffix) for suffix, _, _ in suffixes]
-        weighted_logs = np.array([(p + q) / den for p in prefix_units for q in suffix_units])
-        suffix_logs = np.array([math.fsum(log_t[v] for v in suffix) for suffix, _, _ in suffixes])
-        log_mu = (-m * log_z + weighted_logs.reshape(-1, len(suffixes)) + suffix_logs).ravel()
-        s_box = log_mu / log_diam
-        first = int(np.argmin(s_box))
-        min_s_box = float(s_box[first])
-        worst = prefixes[first // len(suffixes)][0] + suffixes[first % len(suffixes)][0]
-        try:
-            masses = np.array([count * mass * suffix_count for _, count, mass in prefixes
-                               for _, suffix_count, _ in suffixes], dtype=float)
-        except OverflowError:
-            raise ParameterOverflow(f"M = {m}: box mass counts exceed the double range") from None
-        total_mass = math.fsum((masses * list(map(math.exp, log_mu.tolist()))).tolist())
-        passed = min_s_box >= s - SLACK
+        # the float steps of a math.fsum over the box's weights (their exact
+        # sum, rounded once) and one over its free layers
+        weights = t_floor * Fraction(weight[low]) + (m - t_floor) * Fraction(weight[high])
+        log_mu = -m * log_z + float(weights) + math.fsum([log_t[high]] * (m - t_floor))
+        largest_s = log_mu / log_diam
+        passed = largest_s >= s - SLACK
         all_passed = all_passed and passed
         per_m[m] = {
             "floor_wm": t_floor,
-            "diam_bound": diam,
-            "largest_s": min_s_box,
+            "diam_bound": float(a) * float(b) ** (-m),
+            "largest_s": largest_s,
             "passed": passed,
-            "worst_y": worst,
+            "worst_y": (low,) * t_floor + (high,) * (m - t_floor),
             "box_count": words_total ** t_floor * len(v_words) ** (m - t_floor),
-            "total_mass": total_mass,
-            "mass_ok": abs(total_mass - 1.0) <= 1e-9,
+            "mass_ok": mass_ok,
         }
 
     # product identity on sampled digit sequences
@@ -590,19 +577,6 @@ def mass_distribution_check(
         "identity_max_err": identity_max_err,
         "identity_ok": identity_max_err <= 1e-10,
     }
-
-
-def _multisets(words, size: int, weights):
-    """(sorted words, orderings, product of weights) for every multiset of
-    `size` words; weights None counts 1 per word."""
-    out = []
-    for combo in itertools.combinations_with_replacement(words, size):
-        orderings = math.factorial(size)
-        for _, group in itertools.groupby(combo):
-            orderings //= math.factorial(len(list(group)))
-        product = math.prod(weights[v] for v in combo) if weights is not None else 1
-        out.append((combo, orderings, product))
-    return out
 
 
 # ---------------------------------------------------------------------------

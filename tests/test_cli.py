@@ -349,11 +349,13 @@ class TestExitCodes:
     def test_oracle_mass_budget_exits_3_without_traceback(self):
         proc = run_cli_process(
             "oracle", "mass", "--a", "3", "--b", "2", "--tuples", "00,11,20",
-            "--N", "1", "--mmin", "4", "--mmax", "6", "--budget", "3",
+            "--N", "2", "--mmin", "4", "--mmax", "6", "--budget", "3",
         )
         assert proc.returncode == 3
-        assert proc.stderr.startswith("resource limit:")
-        assert "Traceback" not in proc.stderr
+        assert proc.stderr == (
+            "resource limit: word budget: fiber frontier at length 2: 4 (word, state) entries"
+            " exceed the cap 3\n"
+        )
 
     @pytest.mark.parametrize("flags", [
         ["--a", "2", "--b", "2", "--tuples", "00,11", "--mmin", "1", "--mmax", "2"],
@@ -1123,16 +1125,12 @@ class TestHugeValues:
          "word budget: 43046721 or more words exceed the cap 20000000"),
         (["oracle", "qbox", *CARPET, "--N", "1", "--M", HUGE],
          "word budget: box family: 33554432 or more boxes exceed the cap 20000000"),
-        (["oracle", "mass", *CARPET, "--mmax", HUGE],
-         "word budget: M = 25: 33554432 y-sequences exceed the cap 20000000"),
-        (["oracle", "mass", *CARPET, "--mmin", HUGE, "--mmax", HUGE],
-         f"word budget: M = {HUGE}: 33554432 or more y-sequences exceed the cap 20000000"),
         (["oracle", "mass", *CARPET, "--N", HUGE],
          "word budget: fiber table: 1000000000000 words exceed the cap 20000000"),
-    ], ids=["qbox-N", "qbox-M", "mass-mmax", "mass-M", "mass-N"])
+    ], ids=["qbox-N", "qbox-M", "mass-N"])
     def test_huge_box_levels_are_refused_from_counts(self, argv, refusal):
-        # qbox and mass took b^M, |V|^M or (max out-degree)^N, counted words
-        # up to N or walked the M range first: MemoryError or more than 60 s
+        # qbox and mass took b^M or (max out-degree)^N or counted words up
+        # to N first: MemoryError or more than 60 s
         start = time.perf_counter()
         proc = run_cli_capped(1 << 30, *argv)
         assert (proc.returncode, proc.stderr) == (3, f"resource limit: {refusal}\n")
@@ -1149,6 +1147,7 @@ class TestHugeValues:
     }
     ONE_BOX = ["--a", "3", "--b", "2", "--tuples", "00"]
     ONE_COLUMN = ["--a", "3", "--b", "2", "--tuples", "00,10"]  # one projected word: |V|^M = 1
+    UNDERFLOW = f"spec error: M = {HUGE}: box separation 2^-{HUGE} underflows double precision\n"
     WITNESS = ["oracle", "appendix-k", "--witness"]
     # with the cases above and in test_huge_relation_values_under_a_memory_cap, one call
     # per size flag of every command at 10^12
@@ -1158,9 +1157,13 @@ class TestHugeValues:
         "qbox-one-box-N": (["oracle", "qbox", *ONE_BOX, "--N", HUGE, "--M", "1"], 3),
         "qbox-one-box-M": (["oracle", "qbox", *ONE_BOX, "--N", "1", "--M", HUGE], 4),
         "mass-mmin": (["oracle", "mass", *CARPET, "--mmin", HUGE], 4),
+        # the separation b^-M of the range's largest M, before the fiber table
+        "mass-mmax": (["oracle", "mass", *CARPET, "--mmax", HUGE], 4, UNDERFLOW),
+        "mass-M": (["oracle", "mass", *CARPET, "--mmin", HUGE, "--mmax", HUGE], 4, UNDERFLOW),
+        "mass-N-mmax": (["oracle", "mass", *CARPET, "--N", HUGE, "--mmax", HUGE], 4, UNDERFLOW),
         "mass-square-N": (["oracle", "mass", *SQUARE_SCALE, "--N", HUGE], 3),
         "mass-square-mmin": (["oracle", "mass", *SQUARE_SCALE, "--mmin", HUGE], 4),
-        "mass-square-mmax": (["oracle", "mass", *SQUARE_SCALE, "--mmax", HUGE], 3),
+        "mass-square-mmax": (["oracle", "mass", *SQUARE_SCALE, "--mmax", HUGE], 4, UNDERFLOW),
         "appendix-k-m": (["oracle", "appendix-k", "--eps", "0.5", "--m", HUGE], 0),
         "appendix-k-N": (["oracle", "appendix-k", "--eps", "0.5", "--N", HUGE], 0),
         "witness-ncap": ([*WITNESS, "--ncap", HUGE], 0),
@@ -1189,15 +1192,14 @@ class TestHugeValues:
                                 "spec error: box separation b^-M = 2^-2000 underflows"),
         "beta-one-word-n-70": (["beta", "--a", "2", "--beta", "2.5", "--omega", "{one}", "--N", "1",
                                 "--n", "70"], 0),
-        # an OverflowError in the masses array, a MemoryError in b^M, and a mass count of
-        # 3^649, past the double range while 2^-1030 is still a (subnormal) double
+        # an OverflowError in the masses array and a MemoryError in b^M; a box
+        # count of 3^649 runs, 2^-1030 being still a (subnormal) double
         "mass-one-column-2000": (["oracle", "mass", *ONE_COLUMN, "--mmin", "2000", "--mmax", "2000"],
                                  4, "spec error: M = 2000: box separation 2^-2000 underflows"),
         "mass-one-column-huge": (["oracle", "mass", *ONE_COLUMN, "--mmin", HUGE, "--mmax", HUGE], 4,
-                                 f"spec error: M = {HUGE}: box separation 2^-{HUGE} underflows"),
+                                 UNDERFLOW),
         "mass-three-rows-1030": (["oracle", "mass", "--a", "3", "--b", "2", "--tuples", "00,10,20",
-                                  "--mmin", "1030", "--mmax", "1030"], 4,
-                                 "spec error: M = 1030: box mass counts exceed the double range"),
+                                  "--mmin", "1030", "--mmax", "1030"], 0),
     }
 
     @pytest.mark.parametrize("name", CALLS)
@@ -1217,6 +1219,21 @@ class TestHugeValues:
         assert proc.stderr.startswith(prefix[0]) and (code or not proc.stderr)
         if code == 0:
             json.loads(proc.stdout)
+        assert seconds < 1.0  # the interpreter's start included
+
+    @pytest.mark.parametrize("m", ["25", "1000"])
+    def test_mass_past_the_enumeration_prints_its_report_within_a_second(self, m):
+        # the y-sequences |V|^M = 2^M passed the word budget from M = 25 (exit
+        # 3); the extremal box is one closed form per M
+        start = time.perf_counter()
+        proc = run_cli_capped(1 << 30, "oracle", "mass", *CARPET, "--N", "1", "--mmin", m,
+                              "--mmax", m)
+        seconds = time.perf_counter() - start
+        assert (proc.returncode, proc.stderr) == (2, "")  # the worst box fails the default s
+        t = meandim.carpet.floor_w_m(3, 2, int(m))
+        cell = json.loads(proc.stdout)["per_m"][m]
+        assert cell["box_count"] == str(3**t * 2 ** (int(m) - t))
+        assert cell["passed"] is False
         assert seconds < 1.0  # the interpreter's start included
 
     def test_appendix_k_at_the_word_budget_runs(self):

@@ -97,7 +97,7 @@ def test_budget_refusals_go_through_the_gate():
         ("enumerate_patterns", "7 patterns", 3),
         ("witness_cloud", "6 points", 5),
         ("qbox_family", "1259712 boxes", 1000),
-        ("mass_y_sequences", "16 y-sequences", 5),
+        ("mass_fiber_table", "6 words", 5),
         ("transfer_rows", "17 or more partial patterns", 16),
         ("image_subsets", "2 or more subsets", 1),
         ("fiber_table", "14 words", 10),
@@ -128,7 +128,8 @@ def test_resource_limits_name_the_size_and_the_cap(case, size, cap, monkeypatch)
         "enumerate_patterns": lambda: g2.enumerate_patterns(g2.hard_square_rule(), 2, 2, budget=3),
         "witness_cloud": lambda: orc.qbox_family(carpet, 1, 2, budget=10**6).witness_cloud(),
         "qbox_family": lambda: orc.qbox_family(carpet, 3, 5, budget=1000),
-        "mass_y_sequences": lambda: orc.mass_distribution_check(carpet, 1, range(4, 6), 1.0,
+        # 2 + 4 projected words by N = 2: the budget reaches the fiber table
+        "mass_fiber_table": lambda: orc.mass_distribution_check(carpet, 2, range(4, 6), 1.0,
                                                                 budget=5),
         "transfer_rows": lambda: g2.count_rectangles(g2.hard_square_rule(), 3, 3, budget=16),
         "image_subsets": lambda: wt.image_subshift(wt.pair_system(2, 3, full6), budget=1),

@@ -451,6 +451,22 @@ class TestHomogeneousDims:
         rep = homog_dims(spec, 3, 3)
         assert rep["mdim"] == 0.0
 
+    def test_stops_at_the_first_count_that_is_no_power(self, monkeypatch):
+        # a row holds no 2 x 2 window, so 2, 4, 8 and 16 are powers; 7 at
+        # 2 x 2 is the first that is not, and ends the report after 6 of
+        # the 16 counts
+        rep = g2.entropy2d(g2.hard_square_rule(), 4, 4)
+        calls, int_log = [], g2._int_log
+
+        def counted(value, base):
+            calls.append(value)
+            return int_log(value, base)
+
+        monkeypatch.setattr(g2, "_int_log", counted)
+        got = g2.homog_dims_from_report(rep, 2)
+        assert got == {"mdim": rep.best / math.log(2), "exact_power": False}
+        assert calls == [2, 4, 8, 16, 4, 7]
+
     @pytest.mark.parametrize("spec", [g2.free_rule(1), g2.linear_rule(1, 1, 1, 1)])
     def test_unary_alphabet_is_rejected(self, spec):
         # log a = 0: there is no dimension to report

@@ -899,7 +899,7 @@ class TestMassMatchesReference:
             for key in ("largest_s", "worst_y", "box_count"):
                 assert got[key] == want[m][key], key
             assert got["passed"] == (want[m]["largest_s"] >= s - orc.SLACK)
-            assert got["total_mass"] == pytest.approx(want[m]["total_mass"], abs=1e-12)
+            assert got["mass_ok"] == (abs(want[m]["total_mass"] - 1.0) <= 1e-9)
 
     def test_equal_fibers_break_ties_by_the_least_sequence(self):
         rel = [(u, v) for u in range(3) for v in range(2)]
@@ -908,11 +908,24 @@ class TestMassMatchesReference:
         assert rep["per_m"][3]["worst_y"] == ((0,), (0,), (0,))
 
 
+def _multisets(words, size: int, weights):
+    """(sorted words, orderings, product of weights) for every multiset of
+    `size` words; weights None counts 1 per word."""
+    out = []
+    for combo in itertools.combinations_with_replacement(words, size):
+        orderings = math.factorial(size)
+        for _, group in itertools.groupby(combo):
+            orderings //= math.factorial(len(list(group)))
+        product = math.prod(weights[v] for v in combo) if weights is not None else 1
+        out.append((combo, orderings, product))
+    return out
+
+
 def reference_mass_distribution_check(spec, n, m_range, s, seed=0):
-    """mass_distribution_check with one math.fsum pair per (prefix, suffix)
-    multiset pair and the minimum, masses and total in a Python loop (the
-    per-pair form the prefix x suffix grid replaced); errors are left to
-    the library."""
+    """mass_distribution_check by enumeration: one math.fsum pair per
+    (prefix, suffix) multiset pair, a box's mass depending only on the
+    multisets of its fixed and free layers, the first minimum and the total
+    mass in a Python loop; errors are left to the library."""
     a, b = spec.a, spec.b
     log_a, log_b = math.log(a), math.log(b)
     w = spec.w
@@ -932,8 +945,8 @@ def reference_mass_distribution_check(spec, n, m_range, s, seed=0):
         min_s_box = math.inf
         worst = None
         masses = []
-        for prefix, prefix_count, prefix_mass in orc._multisets(v_words, t_floor, fibers):
-            for suffix, suffix_count, _ in orc._multisets(v_words, m - t_floor, None):
+        for prefix, prefix_count, prefix_mass in _multisets(v_words, t_floor, fibers):
+            for suffix, suffix_count, _ in _multisets(v_words, m - t_floor, None):
                 log_mu = -m * log_z + math.fsum(
                     (w - 1.0) * log_t[v] for v in prefix + suffix
                 ) + math.fsum(log_t[v] for v in suffix)
@@ -952,7 +965,6 @@ def reference_mass_distribution_check(spec, n, m_range, s, seed=0):
             "passed": passed,
             "worst_y": worst,
             "box_count": words_total ** t_floor * len(v_words) ** (m - t_floor),
-            "total_mass": total_mass,
             "mass_ok": abs(total_mass - 1.0) <= 1e-9,
         }
     identity_max_err = 0.0
@@ -979,15 +991,26 @@ def reference_mass_distribution_check(spec, n, m_range, s, seed=0):
     }
 
 
+ENUMERATED_BOXES = 20_000  # |V|^M at most, the y-sequences behind the multisets
+
+
 @st.composite
 def mass_report_cases(draw):
-    """Product and non-product carpets with a >= b in 2..5, N in {1, 2} and
-    M ranges from 1, where a b^-M can be 1 or more, exactly or in log."""
-    a = draw(st.integers(2, 5))
+    """Product, equal-fiber and non-product carpets with a >= b in 2..6 (a = b
+    included), N in {1, 2} and M ranges from 1 through every M with
+    |V|^M <= ENUMERATED_BOXES (up to 30 for one projected word), where a b^-M
+    can be 1 or more, exactly or in log."""
+    kind = draw(st.sampled_from(["product", "equal fibers", "matrix"]))
+    a = draw(st.integers(2, 5 if kind == "matrix" else 6))
     b = draw(st.integers(2, a))
-    if draw(st.booleans()):
+    if kind == "product":
         cells = [(u, v) for u in range(a) for v in range(b)]
         rel = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=len(cells), unique=True))
+        spec = cp.carpet_from_tuples(a, b, rel)
+    elif kind == "equal fibers":
+        # every column holds the same number of tuples, so every fiber ties
+        per_column = draw(st.integers(1, a))
+        rel = [(u, v) for v in range(b) for u in draw(st.permutations(range(a)))[:per_column]]
         spec = cp.carpet_from_tuples(a, b, rel)
     else:
         row = st.lists(st.integers(0, 1), min_size=a * b, max_size=a * b)
@@ -997,13 +1020,16 @@ def mass_report_cases(draw):
             sym.prune(spec.system.omega)
         except EmptySubshift:
             assume(False)
-    m_lo = draw(st.integers(1, 4))
-    m_range = range(m_lo, m_lo + draw(st.integers(1, 3)))
-    return spec, draw(st.integers(1, 2)), m_range, draw(st.floats(-1.0, 2.0))
+    n = draw(st.integers(1, 2))
+    v_count = len(wt.fiber_counts(spec.system, n).level(n))
+    m_top = max(m for m in range(1, 31) if v_count**m <= ENUMERATED_BOXES)
+    m_lo = draw(st.integers(1, m_top))
+    m_range = range(m_lo, draw(st.integers(m_lo, m_top)) + 1)
+    return spec, n, m_range, draw(st.floats(-1.0, 2.0))
 
 
 class TestMassReportMatchesPerPairLoop:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(mass_report_cases(), st.integers(0, 3))
     @example((cp.carpet_from_tuples(5, 2, [(0, 0), (1, 1), (4, 1)]), 1, range(1, 4), 0.5), 0)
     @example((cp.carpet_from_tuples(5, 2, [(0, 0), (1, 1), (4, 1)]), 1, range(3, 6), 0.5), 0)
@@ -1013,10 +1039,10 @@ class TestMassReportMatchesPerPairLoop:
     def test_whole_report_is_equal(self, case, seed):
         # (5, 2): a b^-M > 1 at M = 1, 2, refused, and below 1 from M = 3;
         # (4, 2) and (3, 3): the box scale is 1 at M = 2 and M = 1, refused;
-        # one column only: every fiber weight (w - 1) log t(v) is one value
+        # one column only: every fiber weight (w - 1) log t(v) is one value;
+        # the extremal box's largest_s, worst_y, box_count and passed, and
+        # mass_ok from the layer sums, equal the enumeration's bit for bit
         spec, n, m_range, s = case
-        v_count = len(wt.fiber_counts(spec.system, n).level(n))
-        assume(v_count ** max(m_range) <= 20_000)
         log_a, log_b = math.log(spec.a), math.log(spec.b)
         if any(spec.a >= spec.b**m or log_a - m * log_b >= 0.0 for m in m_range):
             with pytest.raises(DomainError, match=r"the box scale a b\^-M is 1"):
