@@ -13,6 +13,7 @@ from __future__ import annotations
 import bisect
 import math
 import random
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -345,6 +346,8 @@ def qbox_family(
     """
     if n < 1 or m < 1:
         raise DomainError(f"box level (N, M) = ({n}, {m}) needs N >= 1 and M >= 1")
+    if spec.a > sys.float_info.max:  # before any float(a) or float(b), as b <= a
+        raise ParameterOverflow(f"base a of {spec.a.bit_length()} bits passes double precision")
     a, b, cap = spec.a, spec.b, limits.cap("word", budget)
 
     # decode admissible N-words of the product system into (u-word, v-word)
@@ -501,6 +504,8 @@ def mass_distribution_check(
     m_lo, m_hi = sorted((m_range[0], m_range[-1])) if m_range else (0, 0)
     if m_lo < 1:
         raise DomainError(f"M {m_range!r} must be a nonempty range with every M >= 1")
+    if spec.a > sys.float_info.max:  # before any float(a) or float(b), as b <= a
+        raise ParameterOverflow(f"base a of {spec.a.bit_length()} bits passes double precision")
     a, b = spec.a, spec.b
     log_a, log_b = math.log(a), math.log(b)
     if m_lo <= floor_w_m(b, a, 1) or log_a - m_lo * log_b >= 0.0:  # a >= b^M, falling with M
@@ -524,6 +529,8 @@ def mass_distribution_check(
     log_t = {v: math.log(tv) for v, tv in fibers.items()}
     weight = {v: (w - 1.0) * log_t[v] for v in fibers}  # log f_N(u, v) + log Z_N
     v_words = list(fibers)
+    t_hi = floor_w_m(a, b, m_hi)  # the box count |Omega_N|^t |Omega'_N|^(M - t) grows with M
+    limits.check_digits([(words_total, t_hi), (len(v_words), m_hi - t_hi)], f"M = {m_hi}")
     rng = random.Random(seed)
     # log mu(P) + M log Z_N is a sum of per-position terms, weight[y_i] in the
     # floor(wM) fixed layers and w log t(y_i) after them, so the heaviest box,

@@ -44,44 +44,35 @@ def beta_system(a: int, beta: float, omega: symbolic.SubshiftSpec | None = None)
     return BetaSystemSpec(a=a, beta=beta, omega=omega or symbolic.full_shift(a))
 
 
-def _beta_as_fraction(beta: float) -> Fraction | None:
+def _beta_as_fraction(beta: float) -> Fraction:
+    """beta as the fraction of denominator at most 2^30 that equals the double
+    (2.3 is 23/10), else as the double's exact binary value."""
     frac = Fraction(beta).limit_denominator(_RATIONAL_DENOM_CAP)
-    if float(frac) == beta:
-        return frac
-    return None
+    return frac if float(frac) == beta else Fraction(beta)
 
 
 def min_gap(a: int, beta: float, n: int, budget: int | None = None) -> float:
     """Exact minimum of |sum u_k beta^-k - sum v_k beta^-k| over distinct
-    digit tuples of length n.
-
-    Exhaustive over a^n tuples via a sort; exact rational arithmetic whenever
-    beta is a representable rational, otherwise doubles with outward 1e-12
-    rounding.  The digit-separation bound guarantees the result >= beta^-n.
-    """
+    digit tuples of length n, rounded once: exhaustive over the a^n tuples
+    via a sort, in integers on beta as a fraction p/q (`_beta_as_fraction`).
+    The digit-separation bound guarantees the result >= beta^-n."""
     if not (2 <= a <= beta):
         raise DomainError("need 2 <= a <= beta")
     if n < 1:
         raise DomainError("n must be >= 1")
     limits.check("word", [(a, n)], "tuples", limits.cap("word", budget))
-    frac = _beta_as_fraction(beta)
-    if frac is not None:
-        # with beta = p/q, sum u_k beta^-k = (sum u_k q^k p^(n-k)) / p^n: the
-        # minimum gap is an exact integer difference over the denominator p^n
-        p, q = frac.numerator, frac.denominator
-        weights = [q**k * p ** (n - k) for k in range(1, n + 1)]
-        # add the digit columns as an outer sweep, in int64 when every scaled
-        # sum fits it and in Python ints otherwise
-        dtype = np.int64 if (a - 1) * sum(weights) < 2**62 else object
-        scaled = np.zeros(1, dtype=dtype)
-        for weight in weights:
-            scaled = np.add.outer(scaled, np.arange(a).astype(dtype) * weight).ravel()
-        best = int(np.diff(np.sort(scaled)).min())
-        return best / float(p) ** n
-    terms = [[u * beta ** -(k + 1) for u in range(a)] for k in range(n)]  # fsum of each tuple
-    tuples = product_rows([a] * n)
-    values = digit_points([np.arange(a)[:, None]] * n, tuples, terms)[:, 0]
-    return float(np.diff(np.sort(values)).min()) - 1e-12
+    # with beta = p/q, sum u_k beta^-k = (sum u_k q^k p^(n-k)) / p^n: the
+    # minimum gap is an exact integer difference over the denominator p^n
+    p, q = _beta_as_fraction(beta).as_integer_ratio()
+    weights = [q**k * p ** (n - k) for k in range(1, n + 1)]
+    # add the digit columns as an outer sweep, in int64 when every scaled
+    # sum fits it and in Python ints otherwise
+    dtype = np.int64 if (a - 1) * sum(weights) < 2**62 else object
+    scaled = np.zeros(1, dtype=dtype)
+    for weight in weights:
+        scaled = np.add.outer(scaled, np.arange(a).astype(dtype) * weight).ravel()
+    best = int(np.diff(np.sort(scaled)).min())
+    return best / p**n  # one correctly rounded int division
 
 
 @dataclass(frozen=True)

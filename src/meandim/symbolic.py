@@ -12,7 +12,6 @@ bracket, so repeated queries of one spec extend them instead of recounting.
 
 from __future__ import annotations
 
-import bisect
 import itertools
 import json
 import math
@@ -78,7 +77,10 @@ class Automaton:
             weights = nxt
             counts.append(sum(weights))
         self.__dict__["_word_counts"] = counts, weights
-        return counts[: max(n_max, 0)]
+        end = max(n_max, 0)
+        if stop is not None:  # counts kept for a larger stop, or none, run past it
+            end = next((n for n, c in enumerate(itertools.islice(counts, end), 1) if c > stop), end)
+        return counts[:end]
 
     def checked_count(self, n: int, budget: str, cap: int, what: str = "words") -> int:
         """The number of words of length n, refused past cap.  Where every
@@ -513,9 +515,8 @@ def count_words(spec: SubshiftSpec, n_max: int, budget: int | None = None) -> di
     limits.check("word", n_max, "lengths", cap)
     stop = limits.printed_stop()
     counts = aut.word_counts(n_max, stop)
-    if stop is not None and counts[-1] > stop:  # nondecreasing: refused at the first past it
-        n = bisect.bisect_right(counts, stop)
-        limits.check_digits([(counts[n], 1)], f"count {n + 1}")
+    if stop is not None and counts[-1] > stop:  # the counts end at the first past it
+        limits.check_digits([(counts[-1], 1)], f"count {len(counts)}")
     return {n + 1: c for n, c in enumerate(counts)}
 
 

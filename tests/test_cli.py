@@ -1104,8 +1104,12 @@ class TestHugeValues:
          "word budget: 43046721 words exceed the cap 20000000"),
         (["beta", "--a", "2", "--beta", "2.5", "--n", "1", "--N", "24"],
          "point budget: covering family: 16777216 points exceed the cap 2000000"),
+        # exited 4 with a ValueError from str() of the 7,225-digit box count
+        (["oracle", "mass", "--a", "2", "--b", "2", "--tuples", "00,01,10,11", "--N", "12",
+          "--mmin", "1000", "--mmax", "1000"],
+         "digit budget: M = 1000: 7225 decimal digits exceed the cap {cap}"),
     ], ids=["appendix-k", "grid2d-free", "grid2d-linear", "grid2d-free-1e5", "grid2d-linear-1e5",
-            "qbox", "beta"])
+            "qbox", "beta", "mass-digits"])
     def test_huge_values_are_refused_under_a_memory_cap(self, tmp_path, argv, refusal):
         # each exited 1 with a traceback (MemoryError, SystemError) after 1-30 s:
         # the arrays, counts or words were built before the refusal
@@ -1149,6 +1153,8 @@ class TestHugeValues:
     ONE_COLUMN = ["--a", "3", "--b", "2", "--tuples", "00,10"]  # one projected word: |V|^M = 1
     UNDERFLOW = f"spec error: M = {HUGE}: box separation 2^-{HUGE} underflows double precision\n"
     WITNESS = ["oracle", "appendix-k", "--witness"]
+    BEYOND = ["--a", str(10**400), "--b", str(10**400), "--tuples", "00,11"]  # past a double
+    BASE = "spec error: base a of 1329 bits passes double precision\n"
     # with the cases above and in test_huge_relation_values_under_a_memory_cap, one call
     # per size flag of every command at 10^12
     CALLS = {
@@ -1200,6 +1206,16 @@ class TestHugeValues:
                                  UNDERFLOW),
         "mass-three-rows-1030": (["oracle", "mass", "--a", "3", "--b", "2", "--tuples", "00,10,20",
                                   "--mmin", "1030", "--mmax", "1030"], 0),
+        # a base past the double range: qbox, mass and beta exited 1 (OverflowError)
+        "carpet-1e400": (["carpet", *BEYOND], 3),
+        "weighted-entropy-1e400": (["weighted-entropy", *BEYOND, "--w", "0.5"], 0),
+        "bm-classical-1e400": (["bm-classical", *BEYOND], 3),
+        "qbox-1e400": (["oracle", "qbox", *BEYOND, "--N", "1", "--M", "1"], 4, BASE),
+        "qbox-a-1e400": (["oracle", "qbox", *BEYOND[:3], "2", *BEYOND[4:], "--N", "1", "--M", "1"],
+                         4, BASE),
+        "mass-1e400": (["oracle", "mass", *BEYOND], 4, BASE),
+        "beta-1e300": (["beta", "--a", "2", "--beta", "1e300", "--n", "2", "--N", "1"], 4,
+                       "spec error: separation beta^-n = 1e+300^-2 underflows"),
     }
 
     @pytest.mark.parametrize("name", CALLS)

@@ -6,6 +6,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from meandim import oracle as orc
 from meandim import selfsim as ss
@@ -34,7 +36,7 @@ def python_int_min_gap(a, beta, n):
         for tup in itertools.product(range(a), repeat=n)
     )
     best = min(b2 - a2 for a2, b2 in zip(scaled, scaled[1:]))
-    return best / float(p) ** n
+    return best / p**n
 
 
 def scaled_sum_bound(a, beta, n):
@@ -65,15 +67,20 @@ class TestMinGap:
         assert scaled_sum_bound(a, beta, n) >= 2**62
         assert ss.min_gap(a, beta, n) == python_int_min_gap(a, beta, n)
 
-    @pytest.mark.parametrize(
-        "a, beta", [(2, 2.0000000001), (2, 2.1000000000001), (3, 3.1000000000001)]
-    )
-    def test_double_path_equals_the_sorted_fsum_values(self, a, beta):
-        assert ss._beta_as_fraction(beta) is None  # no exact rational: the double path
-        for n in range(1, 8):
-            values = sorted(math.fsum(u * beta ** -(k + 1) for k, u in enumerate(tup))
-                            for tup in itertools.product(range(a), repeat=n))
-            assert ss.min_gap(a, beta, n) == min(y - x for x, y in zip(values, values[1:])) - 1e-12
+    @given(a=st.sampled_from([2, 3]), n=st.integers(1, 5),
+           offset=st.one_of(st.floats(0.0, 1.0), st.floats(1e-15, 1e-9)))
+    @example(a=2, n=7, offset=1e-10)  # the first three have no small-denominator fraction
+    @example(a=2, n=7, offset=0.1000000000001)
+    @example(a=3, n=6, offset=0.1000000000001)
+    @example(a=2, n=7, offset=0.3)  # 23/10
+    @settings(max_examples=100, deadline=None)
+    def test_every_double_beta_equals_its_exact_reference(self, a, n, offset):
+        # a beta with a fraction of denominator at most 2^30 equal to it is
+        # read as that fraction, any other as its exact binary value
+        beta = a + offset
+        frac = Fraction(beta).limit_denominator(1 << 30)
+        reference = python_int_min_gap if float(frac) == beta else exhaustive_min_gap
+        assert ss.min_gap(a, beta, n) == reference(a, beta, n)
 
     def test_dyadic_exact(self):
         assert ss.min_gap(2, 2.0, 3) == 0.125

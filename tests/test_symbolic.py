@@ -342,6 +342,23 @@ def test_kept_word_counts_answer_lengths_in_any_order(case, lengths):
         got.insert(0, -1)
 
 
+@settings(max_examples=200, deadline=None)
+@given(random_automata(), st.lists(st.tuples(st.integers(0, 24), st.none() | st.integers(0, 300)),
+                                   min_size=1, max_size=6))
+@example(([{0: 0, 1: 1}, {0: 0}], 0, 2), [(24, None), (24, 10), (24, 100), (5, 1), (3, 0)])
+def test_kept_word_counts_end_at_the_first_count_past_each_stop(case, requests):
+    # counts kept from a request with a larger stop, or none, ran past a
+    # smaller stop's first count past it
+    succ, root, k = case
+    aut = sym.Automaton(alphabet_size=k, root=root, succ=tuple(succ))
+    for n, stop in requests:
+        want = reference_word_counts(aut, n)
+        if stop is not None:
+            want = want[: next((i for i, c in enumerate(want, 1) if c > stop), n)]
+        fresh = sym.Automaton(alphabet_size=k, root=root, succ=tuple(succ))
+        assert aut.word_counts(n, stop) == want == fresh.word_counts(n, stop)
+
+
 def test_product_symbols_are_computed_once():
     spec = sym.allowed_tuples(3, 2, [(0, 0), (1, 1), (2, 0)])
     assert spec.product_symbols == (0, 3, 4)
@@ -401,6 +418,20 @@ class TestCountWords:
             sym.count_words(spec, 10**6)
         assert str(info.value) == (
             "digit budget: count 14285: 4301 decimal digits exceed the cap 4300")
+
+    def test_a_lower_digit_cap_refuses_the_first_count_past_it(self):
+        # the 3,000 counts kept by the word-budget refusal named count 3000
+        spec = sym.full_shift(2)
+        with pytest.raises(ResourceLimit, match="^word budget: "):
+            sym.enumerate_words(spec, 3000)
+        previous = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(640)
+        try:
+            with pytest.raises(ResourceLimit) as info:
+                sym.count_words(spec, 3000)
+        finally:
+            sys.set_int_max_str_digits(previous)
+        assert str(info.value) == "digit budget: count 2127: 641 decimal digits exceed the cap 640"
 
     def test_matrix_vs_enumeration_small_alphabets(self):
         rng = random.Random(1)
