@@ -134,14 +134,14 @@ class Automaton:
         reported value.
 
         The radius is the largest over the strongly connected components.  A
-        one-state component is exact (its loop count).  A larger one runs
-        Noda inverse iteration, whose Collatz-Wielandt bracket
-        min (Mx)_i/x_i <= rho <= max (Mx)_i/x_i holds at every step once
-        widened by the rounding of the product.  Raises ResourceLimit when a
-        component's log-bracket stays wider than SPECTRAL_LOG_TOL (absolute),
-        and EmptySubshift when no cycle is reachable.  The bracket is
-        computed once per automaton and kept on it; a refusal is not kept,
-        so it is raised again on every call.
+        one-state component is exact (its loop count).  A larger one runs Noda
+        inverse iteration, each solve on its branching states only, and the
+        Collatz-Wielandt bracket min (Mx)_i/x_i <= rho <= max (Mx)_i/x_i on the
+        full M holds at every step once widened by the rounding of the product.
+        Raises ResourceLimit when a component's log-bracket stays wider than
+        SPECTRAL_LOG_TOL (absolute), and EmptySubshift when no cycle is
+        reachable.  The bracket is computed once per automaton and kept on
+        it; a refusal is not kept, so it is raised again on every call.
         """
         bracket = self.__dict__.get("_spectral_log")
         if bracket is None:
@@ -194,57 +194,92 @@ def _strongly_connected(succ, root) -> list[list[int]]:
 
 def _component_radius(succ, comp) -> tuple[float, float]:
     """Bracket (lo, hi) on the spectral radius of one strongly connected
-    component (0, 0 for a state without a loop)."""
+    component (0, 0 for a state without a loop).
+
+    Noda solves cover the branching states B only.  A chain state i (one successor j) has
+    y_i = (x_i + m_ij y_j) / sigma = a_i + beta_i y_t(i), walked after j, for the branching
+    state t(i) ending its chain (chain states alone would be a pure cycle, the whole component,
+    which keeps one).  Beta folded onto the terminal columns leaves (sigma I - R) y_B = x_B +
+    M_BC a_C; the Collatz-Wielandt ratios stay on the full M, so the certificate is unchanged.
+    """
     n = len(comp)
     if n == 1:
         s = comp[0]
         loops = float(sum(t == s for t in succ[s].values()))
         return loops, loops
     if n > _DENSE_COMPONENT_CAP:
-        raise ResourceLimit(
-            f"spectral radius: a {n}-state component exceeds the dense-solve cap "
-            f"of {_DENSE_COMPONENT_CAP} states"
-        )
+        raise ResourceLimit(f"spectral radius: a {n}-state component exceeds the dense-solve "
+                            f"cap of {_DENSE_COMPONENT_CAP} states")
     local = {s: i for i, s in enumerate(comp)}
-    mat = np.zeros((n, n))
-    for s in comp:
-        row = mat[local[s]]
+    out, edges = [], []  # out[i][j] = m_ij; edges: i * n + j, once per label
+    for i, s in enumerate(comp):
+        row = {}
         for t in succ[s].values():
             j = local.get(t)
             if j is not None:
-                row[j] += 1.0
+                row[j] = row.get(j, 0.0) + 1.0
+                edges.append(i * n + j)
+        out.append(row)
+    mat = np.bincount(edges, minlength=n * n).reshape(n, n).astype(float)
     # The start vector is all ones, so the first bracket (the row sums) is exact.
-    row_sums = mat.sum(axis=1)
-    lo, hi = float(row_sums.min()), float(row_sums.max())
+    row_sums = mat.sum(axis=1).tolist()
+    lo, hi = min(row_sums), max(row_sums)
+    keep = [i for i, row in enumerate(out) if len(row) > 1] or [0]
+    term, chain = [None] * n, []  # t(i)'s place in keep; (i, j, m_ij), each after j
+    for p, b in enumerate(keep):
+        term[b] = p
+    for i in [i for i, t in enumerate(term) if t is None]:
+        path = []
+        while term[i] is None:
+            path.append((i, *out[i].popitem()))  # (i, j, m_ij); kept rows stay whole
+            i = path[-1][1]
+        for c, _, _ in path:
+            term[c] = term[i]
+        chain += reversed(path)
+    keep_at = np.array(keep)
+    sub = mat.take(keep_at, 0).take(keep_at, 1) if chain else mat
+    shifted = -sub  # the folds below write into it; each solve puts their entries back
+    folds = [(p, term[j], j, m, shifted[p, term[j]]) for p, b in enumerate(keep)
+             for j, m in out[b].items() if keep[term[j]] != j]
     # Each (Mx)_i sums at most n nonnegative terms, and one division follows.
     slack = (n + 2) * _UNIT_ROUNDOFF
-    shifted = -mat
-    diag = mat.diagonal().copy()
-    x = np.ones(n)
-    solves = 0
+    x, xs, solves = np.ones(n), [1.0] * n, 0
     while hi - lo > 4 * slack * hi and solves < _NODA_MAX_SOLVES:
         # sigma > rho, so (sigma I - M)^-1 is entrywise positive for irreducible M.
-        shifted.flat[:: n + 1] = hi * (1.0 + 8 * _UNIT_ROUNDOFF) - diag
+        sigma, a, beta = hi * (1.0 + 8 * _UNIT_ROUNDOFF), [0.0] * n, [1.0] * n
+        for i, j, m in chain:  # y_i = a_i + beta_i y_t(i); a kept state has 0 and 1
+            a[i] = (xs[i] + m * a[j]) / sigma
+            beta[i] = m * beta[j] / sigma
+        rhs = x[keep_at]
+        shifted.flat[:: len(keep) + 1] = sigma - sub.diagonal()
+        for p, q, j, m, _ in folds:
+            shifted[p, q] -= m * beta[j]
+            rhs[p] += m * a[j]
         try:
-            y = np.linalg.solve(shifted, x)
+            y_keep = np.linalg.solve(shifted, rhs).tolist()
         except np.linalg.LinAlgError:
             break
+        for p, q, _, _, entry in folds:
+            shifted[p, q] = entry
         solves += 1
-        if not (np.isfinite(y).all() and (y > 0).all()):
+        if not all(0.0 < v < math.inf for v in y_keep):
             break
-        x = y / y.max()
-        ratios = (mat @ x) / x
-        new_lo = float(ratios.min()) * (1.0 - slack)
-        new_hi = float(ratios.max()) * (1.0 + slack)
+        top = max(y_keep)  # any positive scale of x gives the same ratios
+        xs = [(ai + bi * y_keep[t]) / top for ai, bi, t in zip(a, beta, term)]
+        if not (0.0 < min(xs) and max(xs) < math.inf):  # a chain's under- or overflow
+            break
+        x = np.array(xs)
+        ratios = ((mat @ x) / x).tolist()
+        new_lo = min(ratios) * (1.0 - slack)
+        new_hi = max(ratios) * (1.0 + slack)
         if new_lo <= lo and new_hi >= hi:
             break
         lo, hi = max(lo, new_lo), min(hi, new_hi)
     width = math.log(hi) - math.log(lo)
     if width > SPECTRAL_LOG_TOL:
-        raise ResourceLimit(
-            f"spectral radius of a {n}-state component: log-bracket width {width:.3g} "
-            f"after {solves} Noda solves exceeds the tolerance {SPECTRAL_LOG_TOL:g}"
-        )
+        raise ResourceLimit(f"spectral radius of a {n}-state component: log-bracket width "
+                            f"{width:.3g} after {solves} Noda solves exceeds the tolerance "
+                            f"{SPECTRAL_LOG_TOL:g}")
     return lo, hi
 
 

@@ -1,5 +1,6 @@
 """Subshift counting and entropy against naive string-based oracles."""
 
+import functools
 import itertools
 import json
 import math
@@ -8,8 +9,10 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -191,18 +194,28 @@ def reference_enumerate_words(aut, n, budget=None):
     return words
 
 
+@functools.lru_cache(maxsize=None)
 def cycle_chord_log_radius(k, length):
-    """log radius of the k-cycle plus a chord closing a second cycle of the
-    given length: the radius is 1/x for the root of x^k + x^length = 1 in (0, 1)."""
-    lo, hi = 0.0, 1.0
-    while True:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
-            return -math.log(mid)
-        if mid**k + mid**length < 1.0:
+    """Enclosure (lo, hi), as 50-digit mpmath numbers, of the log radius of
+    the k-cycle plus a chord closing a second cycle of the given length.  The
+    radius is 1/x for the root x of x^k + x^length = 1 in (0, 1), isolated by
+    exact sign tests on Fractions to a width below 2^-100."""
+    lo, hi = Fraction(0), Fraction(1)
+    while hi - lo >= Fraction(1, 2**100):
+        mid = (lo + hi) / 2
+        p, q = mid.numerator, mid.denominator  # the sign of (mid^k + mid^length - 1) q^k
+        if p**k + p**length * q ** (k - length) < q**k:
             lo = mid
         else:
             hi = mid
+    with mpmath.workdps(50):
+        return tuple(-mpmath.log(mpmath.mpf(x.numerator) / x.denominator) for x in (hi, lo))
+
+
+def assert_holds(bracket, judge):
+    """The double bracket (lo, hi) holds the judge's enclosure, compared exactly."""
+    (lo, hi), (judge_lo, judge_hi) = bracket, judge
+    assert mpmath.mpf(lo) <= judge_lo and judge_hi <= mpmath.mpf(hi)
 
 
 def cycle_chord_matrix(k):
@@ -593,33 +606,54 @@ def test_fekete_bounds_equal_the_running_min_loop(values):
     assert [x.hex() for x in got] == [x.hex() for x in running_min_bounds(values)]
 
 
+def spectral_log_in_child(k):
+    """(seconds, lo, hi) of `cycle_chord_automaton(k).spectral_log()`, timed
+    in a child with one BLAS thread, as perfbench/probe.py times it: threaded
+    LAPACK on a loaded two-core host is several times slower."""
+    child = (
+        "import json, time\n"
+        "from test_symbolic import cycle_chord_automaton\n"
+        f"aut = cycle_chord_automaton({k})\n"
+        "t0 = time.perf_counter()\n"
+        "bracket = aut.spectral_log()\n"
+        "print(json.dumps([time.perf_counter() - t0, *bracket]))\n"
+    )
+    src = str(Path(sym.__file__).resolve().parent.parent)
+    path = os.pathsep.join([src, str(Path(__file__).parent)])
+    env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1",
+           "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
+                          text=True, env=env, timeout=120, check=True)
+    return json.loads(proc.stdout)
+
+
 class TestSpectralBracket:
-    @pytest.mark.parametrize("k", [45, 175, 400])
+    @pytest.mark.parametrize("k", [45, 175, 400, 800, 2000])
     def test_cycle_chord_bracket_holds_the_closed_form(self, k):
         lo, hi = cycle_chord_automaton(k).spectral_log()
-        assert lo <= cycle_chord_log_radius(k, k - k // 2) <= hi
+        assert_holds((lo, hi), cycle_chord_log_radius(k, k - k // 2))
         assert hi - lo <= sym.SPECTRAL_LOG_TOL
 
     def test_800_state_cycle_chord_under_a_second(self):
-        # Timed in a child with one BLAS thread, as perfbench/probe.py times
-        # it: threaded LAPACK on a loaded two-core host is several times slower.
-        child = (
-            "import json, time\n"
-            "from test_symbolic import cycle_chord_automaton\n"
-            "aut = cycle_chord_automaton(800)\n"
-            "t0 = time.perf_counter()\n"
-            "bracket = aut.spectral_log()\n"
-            "print(json.dumps([time.perf_counter() - t0, *bracket]))\n"
-        )
-        src = str(Path(sym.__file__).resolve().parent.parent)
-        path = os.pathsep.join([src, str(Path(__file__).parent)])
-        env = {**os.environ, "PYTHONPATH": path, "OPENBLAS_NUM_THREADS": "1",
-               "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-        proc = subprocess.run([sys.executable, "-c", child], capture_output=True,
-                              text=True, env=env, timeout=120, check=True)
-        seconds, lo, hi = json.loads(proc.stdout)
+        seconds, lo, hi = spectral_log_in_child(800)
         assert seconds < 1.0
-        assert lo <= cycle_chord_log_radius(800, 400) <= hi
+        assert_holds((lo, hi), cycle_chord_log_radius(800, 400))
+        assert hi - lo <= sym.SPECTRAL_LOG_TOL
+
+    def test_2000_state_cycle_chord_under_a_quarter_second(self):
+        # one branching state: each Noda step solves a 1 x 1 system
+        seconds, lo, hi = spectral_log_in_child(2000)
+        assert seconds < 0.25
+        assert_holds((lo, hi), cycle_chord_log_radius(2000, 1000))
+        assert hi - lo <= sym.SPECTRAL_LOG_TOL
+
+    def test_pure_cycle_with_a_doubled_edge(self):
+        # every state has one successor; the edge 0 -> 1 carries two labels: radius 2^(1/3)
+        aut = sym.Automaton(alphabet_size=2, root=0, succ=({0: 1, 1: 1}, {0: 2}, {0: 0}))
+        lo, hi = aut.spectral_log()
+        with mpmath.workdps(50):
+            third = mpmath.log(2) / 3
+        assert_holds((lo, hi), (third, third))
         assert hi - lo <= sym.SPECTRAL_LOG_TOL
 
     def test_pure_cycle_is_exactly_zero(self):
@@ -708,8 +742,8 @@ def perron_radius(matrix):
     eigenvalues are off by about the square root of the rounding."""
     a = np.array(matrix, dtype=float)
     reach = np.eye(len(a), dtype=bool) | (a > 0)
-    for _ in range(len(a)):
-        reach = (reach.astype(int) @ reach.astype(int)) > 0
+    for _ in range(len(a).bit_length()):  # squaring: paths of up to 2^i steps
+        reach = (reach.astype(float) @ reach.astype(float)) > 0
     return max(
         max(abs(np.linalg.eigvals(a[np.ix_(block, block)])))
         for block in (np.flatnonzero(row & col) for row, col in zip(reach, reach.T))
@@ -733,6 +767,123 @@ def test_bracket_holds_the_eigenvalue_radius(matrix):
         return
     lo, hi = aut.spectral_log()
     radius = math.log(perron_radius(matrix))
+    assert lo - 1e-12 <= radius <= hi + 1e-12
+    assert hi - lo <= sym.SPECTRAL_LOG_TOL
+
+
+def reference_component_radius(succ, comp):
+    """`symbolic._component_radius` before one-successor states left the
+    solve: every Noda step solves the dense n x n system."""
+    n = len(comp)
+    if n == 1:
+        s = comp[0]
+        loops = float(sum(t == s for t in succ[s].values()))
+        return loops, loops
+    local = {s: i for i, s in enumerate(comp)}
+    mat = np.zeros((n, n))
+    for s in comp:
+        row = mat[local[s]]
+        for t in succ[s].values():
+            j = local.get(t)
+            if j is not None:
+                row[j] += 1.0
+    row_sums = mat.sum(axis=1)
+    lo, hi = float(row_sums.min()), float(row_sums.max())
+    slack = (n + 2) * 2.0**-53
+    shifted = -mat
+    diag = mat.diagonal().copy()
+    x = np.ones(n)
+    solves = 0
+    while hi - lo > 4 * slack * hi and solves < sym._NODA_MAX_SOLVES:
+        shifted.flat[:: n + 1] = hi * (1.0 + 8 * 2.0**-53) - diag
+        try:
+            y = np.linalg.solve(shifted, x)
+        except np.linalg.LinAlgError:
+            break
+        solves += 1
+        if not (np.isfinite(y).all() and (y > 0).all()):
+            break
+        x = y / y.max()
+        ratios = (mat @ x) / x
+        new_lo = float(ratios.min()) * (1.0 - slack)
+        new_hi = float(ratios.max()) * (1.0 + slack)
+        if new_lo <= lo and new_hi >= hi:
+            break
+        lo, hi = max(lo, new_lo), min(hi, new_hi)
+    if math.log(hi) - math.log(lo) > sym.SPECTRAL_LOG_TOL:
+        raise ResourceLimit("too wide")
+    return lo, hi
+
+
+@st.composite
+def branching_automata(draw):
+    """A strongly connected automaton (a cycle through every state, plus more
+    edges and parallel labels) where every state has at least two distinct
+    successors."""
+    n = draw(st.integers(2, 14))
+    succ = []
+    for s in range(n):
+        targets = [(s + 1) % n] + draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=4))
+        if len(set(targets)) < 2:
+            targets.append(s)
+        succ.append(dict(enumerate(targets)))
+    return sym.Automaton(alphabet_size=max(map(len, succ)), root=0, succ=tuple(succ))
+
+
+@settings(max_examples=150, deadline=None)
+@given(branching_automata())
+def test_chain_free_component_keeps_the_dense_bracket_bit_for_bit(aut):
+    (comp,) = sym._strongly_connected(aut.succ, aut.root)
+    try:
+        want = [x.hex() for x in reference_component_radius(aut.succ, comp)]
+    except ResourceLimit:
+        with pytest.raises(ResourceLimit):
+            sym._component_radius(aut.succ, comp)
+        return
+    assert [x.hex() for x in sym._component_radius(aut.succ, comp)] == want
+
+
+@st.composite
+def chain_heavy_automata(draw):
+    """A random strongly connected base graph whose every edge is subdivided
+    into 0-30 chain states.  A chain state may carry two labels to its
+    successor, and a chain may end by merging into an earlier chain, which
+    makes in-trees of chain states."""
+    n0 = draw(st.integers(1, 4))
+    edges = [(s, (s + 1) % n0) for s in range(n0)]
+    edges += draw(st.lists(st.tuples(st.integers(0, n0 - 1), st.integers(0, n0 - 1)), max_size=5))
+    succ = [{} for _ in range(n0)]
+    for s, t in edges:
+        path = [len(succ) + i for i in range(draw(st.integers(0, 30)))]
+        if path and len(succ) > n0 and draw(st.booleans()):
+            t = draw(st.integers(n0, len(succ) - 1))  # merge into an earlier chain
+        succ[s][len(succ[s])] = path[0] if path else t
+        for c, nxt in zip(path, path[1:] + [t]):
+            succ.append({label: nxt for label in range(draw(st.integers(1, 2)))})
+    return sym.Automaton(alphabet_size=max(map(len, succ)), root=0, succ=tuple(succ))
+
+
+def reachable_count_matrix(aut):
+    """Label counts between the states reachable from the root."""
+    seen, order = {aut.root}, [aut.root]
+    for s in order:
+        for t in aut.succ[s].values():
+            if t not in seen:
+                seen.add(t)
+                order.append(t)
+    place = {s: i for i, s in enumerate(order)}
+    matrix = [[0] * len(order) for _ in order]
+    for s in order:
+        for t in aut.succ[s].values():
+            matrix[place[s]][place[t]] += 1
+    return matrix
+
+
+@settings(max_examples=40, deadline=None)
+@given(chain_heavy_automata())
+def test_chain_heavy_bracket_holds_the_eigenvalue_radius(aut):
+    lo, hi = aut.spectral_log()
+    radius = math.log(perron_radius(reachable_count_matrix(aut)))
     assert lo - 1e-12 <= radius <= hi + 1e-12
     assert hi - lo <= sym.SPECTRAL_LOG_TOL
 
