@@ -14,7 +14,7 @@ import math
 import os
 import sys
 
-from .errors import ResourceLimit
+from .errors import DomainError, ResourceLimit
 
 DEFAULT_CAPS = {
     "word": 20_000_000,  # words materialized by any single enumeration
@@ -35,7 +35,12 @@ def cap(budget: str, override: int | None = None) -> int:
     if budget == "digit":
         return sys.get_int_max_str_digits()
     env = os.environ.get("MEANDIM_BUDGET") if budget in _ENV_BUDGETS else None
-    return int(env) if env else DEFAULT_CAPS[budget]
+    if not env:
+        return DEFAULT_CAPS[budget]
+    try:
+        return int(env)
+    except ValueError:
+        raise DomainError(f"MEANDIM_BUDGET = {env!r} is not an integer") from None
 
 
 def check(budget: str, size, what: str, cap: int, where: str | None = None) -> int:

@@ -232,6 +232,8 @@ def hausdorff_upper_at_scale(diameters, eps: float, tol: float = 1e-10) -> float
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise DomainError(f"tol = {tol} is not a finite number above 0")
+    if not eps > 0.0:
+        raise DomainError(f"eps = {eps} is not a number above 0")
     diams = sorted((float(d) for d in diameters), reverse=True)
     if not diams:
         raise DomainError("cover must be nonempty")
@@ -617,14 +619,10 @@ def inverse_square_mass(lo: float, hi: float) -> float:
     only in the L(J) of an interval from 0, an under-count below 2^-500.  The
     full-line mass is exactly 1 by the zeta(2) identity.
     """
-    return _inverse_square_mass(lo, hi, _least_index_at_most(hi) if hi >= _ATOM_FLOOR else None)
-
-
-def _inverse_square_mass(lo: float, hi: float, j_min: int | None) -> float:
-    """inverse_square_mass, j_min being _least_index_at_most(hi) (None below _ATOM_FLOOR)."""
     zero = 0.5 if lo <= 0.0 <= hi else 0.0
-    if j_min is None:
+    if not hi >= _ATOM_FLOOR:
         return zero
+    j_min = _least_index_at_most(hi)
     j_end = None if zero else _greatest_index_at_least(max(lo, _ATOM_FLOOR)) + 1
     if j_end is not None and j_end <= j_min:  # no atom, also when hi < lo
         return 0.0
@@ -657,55 +655,39 @@ def _inverse_square_sum(j_lo: int, j_hi: int) -> float:
     return float(weighted.exact_total(1.0 / (j * j)))
 
 
-def _is_atom(v: float, j_min: int | None = None) -> bool:
-    """v is 0 or the double of some 1/j (j_min: _least_index_at_most(v)).  Below 2^-53
-    consecutive 1/j lie closer than the doubles, so every positive double there is one."""
-    return v == 0.0 or (0.0 < v <= 1.0 and (
-        v < 2.0**-53 or 1.0 / (j_min or _least_index_at_most(v)) == v))
+def _is_atom(v: float) -> bool:
+    """v is 0 or the atom 1 / j of some j >= 1."""
+    return v == 0.0 or (0.0 < v <= 1.0 and 1 / _least_index_at_most(v) == v)
 
 
 def _least_index_at_most(hi: float) -> int:
-    """Least j >= 1 with float(1/j) <= hi, exactly while 1/hi is below 2^53.
+    """Least j >= 1 whose atom 1 / j is at most hi, for a double hi > 0.
 
-    ceil(1/hi) can land one past the answer when 1/hi rounds up past an
-    integer (1/(1/j) > j happens for many j), so start safely below and walk
-    up on the exact float comparison.  Past 2^53 the start can lie inside a
-    run of integers sharing one double; the j returned then satisfies the
-    comparison but need not be the least, and counting atoms from it only
-    under-counts.
+    An atom is the double nearest 1/j: 1 / j, int by int, which for j up to
+    2^53 is the 1.0 / j of reciprocal_atoms.  The reals that round to hi or
+    below lie below the midpoint of hi and the next double, or on it
+    (Goldberg, ACM Computing Surveys 23, 1991).  1/j is below the midpoint
+    for every j past floor(1 / midpoint), so the answer is that floor or one
+    more, and the rounded quotient at the floor decides.
     """
-    return _walk(max(1, math.ceil(1.0 / hi) - 2), 1, lambda j: 1.0 / j <= hi)
+    if hi >= 1.0:
+        return 1
+    p, q = hi.as_integer_ratio()
+    r, s = math.nextafter(hi, 1.0).as_integer_ratio()
+    j = 2 * q * s // (p * s + r * q)  # floor(1 / midpoint), at least 1
+    return j if 1 / j <= hi else j + 1
 
 
 def _greatest_index_at_least(lo: float) -> int:
-    """Greatest j >= 1 with float(1/j) >= lo (0 if none), exactly while 1/lo
-    is below 2^53.  Past it the j returned satisfies the comparison but need
-    not be the greatest, and counting atoms up to it only under-counts."""
-    return _walk(max(1, math.floor(1.0 / lo) + 2), -1, lambda j: j < 1 or 1.0 / j >= lo)
-
-
-def _walk(j: int, direction: int, done) -> int:
-    """The first of j, j + direction, j + 2 direction, ... where done holds,
-    done being monotone along the walk.  The steps double, then bisect:
-    past 2^53 runs of consecutive integers share one double (about 10^9 of
-    them at 10^25), and a walk by ones crosses such a run one step at a
-    time.  A start inside a run is returned as it is, though the run may
-    extend past it; the index helpers then narrow the atoms counted, which
-    only under-counts."""
-    if done(j):
-        return j
-    step = direction
-    while not done(j + step):
-        j += step
-        step *= 2
-    end = j + step
-    while abs(end - j) > 1:
-        mid = (j + end) // 2
-        if done(mid):
-            end = mid
-        else:
-            j = mid
-    return end
+    """Greatest j >= 1 whose atom 1 / j is at least lo (0 if none), for a
+    double lo > 0: ceil(1 / midpoint) or one less, the midpoint being that
+    of lo and the double below it, as in _least_index_at_most."""
+    if lo > 1.0:
+        return 0
+    p, q = lo.as_integer_ratio()
+    r, s = math.nextafter(lo, 0.0).as_integer_ratio()
+    j = -(-2 * q * s // (p * s + r * q))  # ceil(1 / midpoint), at least 2
+    return j if 1 / j >= lo else j - 1
 
 
 def reciprocal_witness_delta(m: int, eps: float) -> float:
@@ -713,7 +695,7 @@ def reciprocal_witness_delta(m: int, eps: float) -> float:
     if m < 1:
         raise DomainError(f"scale depth m = {m} must be >= 1")
     if not (0.0 < eps < 1.0 / 6.0):
-        raise DomainError("eps must lie in (0, 1/6)")
+        raise DomainError(f"eps = {eps} must lie in (0, 1/6)")
     bound = min(eps / 12.0, INV_SQ_WEIGHT**m / 8.0, 0.5 ** (m / 3.0 + 1.0))
     return bound * (1.0 - 1e-9)
 
@@ -745,9 +727,7 @@ def reciprocal_product_witness(x, n_window: int, m: int, eps: float) -> dict:
     tail = reciprocal_tail_depth(m, delta)  # refuses a delta^(m^m) below 2^-1000
     n_total = n_window + tail
     x = [float(v) for v in x]
-    # one walk per distinct value, shared by the atom check and the masses
-    least = {v: _least_index_at_most(v) for v in set(x) if _ATOM_FLOOR <= v <= 1.0}
-    bad = [v for v in set(x) if not _is_atom(v, least.get(v))]
+    bad = [v for v in set(x) if not _is_atom(v)]
     if bad:
         raise DomainError(f"coordinate {min(bad)!r} is neither 0 nor 1/j: not a point of the space")
     if len(x) < n_total:
@@ -770,7 +750,7 @@ def reciprocal_product_witness(x, n_window: int, m: int, eps: float) -> dict:
     m0 = next(k for k in range(m + 1) if sizes[k] <= n_total / (m + 1))
     r = delta ** (m**m0)  # >= delta^(m^m) >= 2^-1000 by the tail depth's refusal
 
-    masses = {v: _inverse_square_mass(v - r, v, least.get(v)) for v in set(x)}  # once per value
+    masses = {v: inverse_square_mass(v - r, v) for v in set(x)}  # once per value
     mass = math.prod(masses[v] for v in x)
     cases = [
         "zero_atom" if k > m0 else ("thin_class" if k == m0 else "large_value") for k in classes

@@ -201,6 +201,17 @@ class TestExitCodes:
         assert main(["oracle", "cover", "--points", str(points), "--eps", "nan"]) == 4
         assert "eps = nan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["oracle", "hdim", "--diams", "0.25,0.25", "--eps", "nan"], "eps = nan is not a number above 0"),
+        (["oracle", "hdim", "--diams", "0.25,0.25", "--eps", "-1"], "eps = -1.0 is not a number above 0"),
+        (["oracle", "appendix-k", "--witness", "--eps", "0.5"], "eps = 0.5 must lie in (0, 1/6)"),
+        (["oracle", "appendix-k", "--witness", "--eps", "nan"], "eps = nan must lie in (0, 1/6)"),
+    ])
+    def test_eps_refusal_names_eps_and_its_value(self, capsys, argv, message):
+        # hdim blamed a diameter; the witness left the value out
+        assert main(argv) == 4
+        assert capsys.readouterr().err == f"spec error: {message}\n"
+
     @pytest.mark.parametrize("row", ["nan,0.3", "0.3,inf"])
     def test_cover_of_a_non_finite_coordinate_exits_4(self, capsys, tmp_path, row):
         # nan used to give lower 1, upper 1 and exact 2, which is no bracket
@@ -1405,6 +1416,17 @@ class TestBudgetEnv:
         monkeypatch.delenv("MEANDIM_BUDGET")
         assert cap("word") > 123
         assert cap("word", 77) == 77
+
+    @pytest.mark.parametrize("value", ["abc", "1e3"])
+    def test_env_var_that_is_no_integer_is_named(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("MEANDIM_BUDGET", value)
+        assert main(["oracle", "appendix-k"]) == 4
+        assert capsys.readouterr().err == f"spec error: MEANDIM_BUDGET = {value!r} is not an integer\n"
+
+    @pytest.mark.parametrize("value, want", [(" 12 ", 12), ("1_000", 1000), ("+7", 7)])
+    def test_env_var_takes_what_int_takes(self, monkeypatch, value, want):
+        monkeypatch.setenv("MEANDIM_BUDGET", value)
+        assert limits.cap("word") == want
 
 
 class TestSeededDeterminism:

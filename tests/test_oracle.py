@@ -1218,16 +1218,16 @@ class TestReciprocalSpace:
             orc.reciprocal_product_witness([0.0] * 299 + [v], 1, 2, 0.1)
 
     @pytest.mark.parametrize("n_cap", [1, 1000, 10**18])
-    def test_each_distinct_value_is_walked_once(self, monkeypatch, n_cap):
-        # the atom check and the interval masses share one least-index walk
-        # per distinct nonzero value (every one at least 1e-18 here)
+    def test_each_distinct_value_is_weighed_once(self, monkeypatch, n_cap):
+        # the interval masses are taken once per distinct value
         x = orc.sample_reciprocal_point(300, n_cap, seed=5)
         want = orc.reciprocal_product_witness(x, 1, 2, 0.1)
-        walked = []
-        least = orc._least_index_at_most
-        monkeypatch.setattr(orc, "_least_index_at_most", lambda hi: walked.append(hi) or least(hi))
+        weighed = []
+        mass = orc.inverse_square_mass
+        monkeypatch.setattr(orc, "inverse_square_mass",
+                            lambda lo, hi: weighed.append(hi) or mass(lo, hi))
         assert orc.reciprocal_product_witness(x, 1, 2, 0.1) == want
-        assert sorted(walked) == sorted(v for v in set(x) if v > 0.0)
+        assert sorted(weighed) == sorted(set(x[: want["n_total"]]))
 
     @pytest.mark.parametrize("n_cap", [1, 2, 7, 100_000, 10**18])
     @pytest.mark.parametrize("seed", [0, 1, 9101])
@@ -1247,7 +1247,7 @@ class TestReciprocalSpace:
     def test_witness_fails_when_the_mass_is_too_small(self, monkeypatch, fake):
         # 1e-300 per coordinate underflows the product to 0.0, which the
         # absolute test mass >= required - 1e-12 passed; a zero mass fails too
-        monkeypatch.setattr(orc, "_inverse_square_mass", lambda lo, hi, j_min: fake)
+        monkeypatch.setattr(orc, "inverse_square_mass", lambda lo, hi: fake)
         wit = orc.reciprocal_product_witness([0.0] * 300, 1, 2, 0.1)
         assert wit["mass"] == 0.0
         assert not wit["passed"]
@@ -1337,6 +1337,29 @@ class TestReciprocalSpace:
             orc.reciprocal_product_witness([0.0] * 40, -1, 2, 0.1)
 
 
+def first_index(holds):
+    """Least j >= 1 where holds(j), by bisection over the integers, for a
+    holds false then true along j and true at 2^1075 (1 / 2^1075 rounds to 0)."""
+    below, top = 0, 2**1075
+    while top - below > 1:
+        mid = (below + top) // 2
+        if holds(mid):
+            top = mid
+        else:
+            below = mid
+    return top
+
+
+def exact_least_index(hi):
+    """Least j >= 1 whose correctly rounded 1 / j is at most hi > 0."""
+    return first_index(lambda j: 1 / j <= hi)
+
+
+def exact_greatest_index(lo):
+    """Greatest j >= 1 whose correctly rounded 1 / j is at least lo > 0 (0 if none)."""
+    return first_index(lambda j: 1 / j < lo) - 1
+
+
 def enumerated_inverse_square_mass(lo, hi, enum_cap):
     """The inverse-square mass as it was bounded before the Euler-Maclaurin
     tail: up to enum_cap atoms summed one by one by math.fsum, the rest by
@@ -1348,15 +1371,15 @@ def enumerated_inverse_square_mass(lo, hi, enum_cap):
     if lo <= 0.0 <= hi:
         total += 0.5
         if hi > 0.0:
-            j_min = orc._least_index_at_most(hi)
+            j_min = exact_least_index(hi)
             j_stop = j_min + enum_cap
             total += orc.INV_SQ_WEIGHT * math.fsum(1.0 / (j * j) for j in range(j_min, j_stop))
             total += orc.INV_SQ_WEIGHT / j_stop
         return min(total, 1.0)
     if hi <= 0.0:
         return 0.0
-    j_min = orc._least_index_at_most(hi)
-    j_max = orc._greatest_index_at_least(lo)
+    j_min = exact_least_index(hi)
+    j_max = exact_greatest_index(lo)
     if j_max < j_min:
         return 0.0
     if j_max - j_min + 1 <= enum_cap:
@@ -1382,8 +1405,8 @@ def reference_inverse_square_bracket(lo, hi, prefix):
     zero = Fraction(1, 2) if lo <= 0.0 <= hi else Fraction(0)
     if hi < lo or hi < orc._ATOM_FLOOR:
         return (zero, zero) if hi >= lo else (Fraction(0), Fraction(0))
-    j_min = orc._least_index_at_most(hi)
-    j_end = None if zero else orc._greatest_index_at_least(lo) + 1
+    j_min = exact_least_index(hi)
+    j_end = None if zero else exact_greatest_index(lo) + 1
     j_stop = j_min + prefix if j_end is None else min(j_min + prefix, j_end)
     exact = sum((Fraction(1, j * j) for j in range(j_min, j_stop)), Fraction(0))
     if j_stop == j_end:
@@ -1471,7 +1494,7 @@ class TestReciprocalKernelsMatchReference:
         want = enumerated_inverse_square_mass(lo, hi, enum_cap)
         assert within_ulps_above(mass, want)
         if lo > 0.0:
-            j_min, j_max = orc._least_index_at_most(hi), orc._greatest_index_at_least(lo)
+            j_min, j_max = exact_least_index(hi), exact_greatest_index(lo)
             if j_max - j_min < orc._INV_SQ_BLOCK:
                 assert mass == enumerated_inverse_square_mass(lo, hi, orc._INV_SQ_BLOCK)
 
@@ -1488,28 +1511,38 @@ class TestReciprocalKernelsMatchReference:
 
     @pytest.mark.parametrize("lo, hi, want", [
         (0.0, 6.4e-162, 0.5), (0.0, 1e-300, 0.5), (0.0, 5e-324, 0.5),
-        (1e-160, 1e-160, 0.0), (5e-324, 1e-300, 0.0),
+        (1e-160, 1e-160, 0.0), (5e-324, 1e-300, 0.0), (0.0, 1e-25, 0.5),
     ])
     def test_tiny_intervals_do_not_overflow(self, lo, hi, want):
         """Past j = 2^512, j * j overflows a double; atoms that far out are
         left to the tail bound or left out, both under-counts."""
         assert orc.inverse_square_mass(lo, hi) == want
 
-    def test_index_walks_end_past_2_53(self):
-        """hi = 1e-25 and lo = 7.3e-25 start the walks inside runs of about
-        10^9 integers that share one double, where steps of one barely move."""
-        j = orc._least_index_at_most(1e-25)
-        assert 1.0 / j <= 1e-25
-        j = orc._greatest_index_at_least(7.3e-25)
-        assert 1.0 / j >= 7.3e-25
-        assert orc.inverse_square_mass(0.0, 1e-25) == 0.5
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.floats(0.0, 1.0, exclude_min=True)
+        | st.integers(1, 2**60).flatmap(lambda j: st.sampled_from(
+            [math.nextafter(1 / j, 0.0), 1 / j, math.nextafter(1 / j, 1.0)]))
+        | st.integers(1, 300).map(lambda k: float(f"1e-{k}"))
+        | st.sampled_from([2.0**-500, 5e-324])
+    )
+    @example(1e-25)  # the least index, 9999999999999999041079452, lies in a run of
+    @example(7.3e-25)  # about 10^9 integers that round to one double
+    @example(1e-17)
+    @example(3e-20)
+    def test_indices_equal_the_exact_bisection(self, v):
+        """Both index rules equal a bisection over j on the correctly
+        rounded comparison, at any size of j."""
+        assert orc._least_index_at_most(v) == exact_least_index(v)
+        assert orc._greatest_index_at_least(v) == exact_greatest_index(v)
+        assert orc._is_atom(v) == (1 / exact_least_index(v) == v)
 
     @settings(max_examples=200, deadline=None)
     @given(
         st.floats(0.0, 1e-150) | st.floats(0.0, 1.0) | st.sampled_from([0.0, 5e-324, 2.0**-500]),
         st.floats(0.0, 1e-150) | st.floats(0.0, 2.0) | st.sampled_from([0.0, 5e-324, 2.0**-500]),
     )
-    @example(6.066545253144683e-151, 6.066545253144683e-151)  # walks that cross past 2^53
+    @example(6.066545253144683e-151, 6.066545253144683e-151)  # indices far past 2^53
     def test_mass_is_a_finite_probability(self, x, y):
         lo, hi = sorted((x, y))
         mass = orc.inverse_square_mass(lo, hi)
