@@ -76,14 +76,14 @@ def floor_w_m(a: int, b: int, m: int) -> int:
     return t - 1 if power > target else t + (power * a <= target)
 
 
-def mean_dims(spec: CarpetSpec, n_max: int = 8, budget: int | None = None) -> DimensionReport:
+def mean_dims(spec: CarpetSpec, n_max: int = 8) -> DimensionReport:
     w = spec.w
     log_a, log_b = math.log(spec.a), math.log(spec.b)
 
-    wrep = weighted.weighted_entropy(spec.system, w, n_max, budget)
-    h_omega_rep = symbolic.entropy(spec.system.omega, n_max, budget)
+    wrep = weighted.weighted_entropy(spec.system, w, n_max)
+    h_omega_rep = symbolic.entropy(spec.system.omega, n_max)
     image = weighted.image_subshift(spec.system)
-    h_prime_rep = symbolic.entropy(image, n_max, budget)
+    h_prime_rep = symbolic.entropy(image, n_max)
 
     h_omega = h_omega_rep.spectral_value
     h_prime = h_prime_rep.spectral_value
@@ -135,7 +135,7 @@ def classical_carpet_dims(a: int, b: int, relation) -> dict:
         raise DomainError("relation R must be nonempty")
     if not (a >= b >= 2):
         raise DomainError(f"need a >= b >= 2, got a={a}, b={b}")
-    limits.check("word", b, "columns", limits.cap("word"), "carpet")
+    limits.check("word", b, "columns", "carpet")
     w = math.log(b) / math.log(a)
     t = [0] * b
     for _, v in rel:

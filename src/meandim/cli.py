@@ -14,7 +14,7 @@ import json
 import math
 import sys
 
-from . import carpet, grid2d, oracle, selfsim, symbolic, weighted
+from . import carpet, grid2d, limits, oracle, selfsim, symbolic, weighted
 from .errors import DomainError, MeanDimError, ResourceLimit
 from .metrics import LINF_FINITE, SUM_WEIGHTED_ABS, SUM_WEIGHTED_TORUS, MetricDescriptor, PointCloud
 from .reportio import cloud_from_csv, cloud_to_csv, write_report
@@ -115,7 +115,7 @@ def _emit_cloud(cloud: PointCloud, args) -> int:
 
 def cmd_entropy(args) -> int:
     spec = symbolic.spec_from_json(_load_json(args.spec))
-    rep = symbolic.entropy(spec, args.nmax, args.budget)
+    rep = symbolic.entropy(spec, args.nmax)
     return _emit(
         {
             "command": "entropy",
@@ -131,7 +131,7 @@ def cmd_entropy(args) -> int:
 
 def cmd_weighted_entropy(args) -> int:
     sys_ = _pair_system_arg(args)
-    rep = weighted.weighted_entropy(sys_, args.w, args.nmax, args.budget)
+    rep = weighted.weighted_entropy(sys_, args.w, args.nmax)
     return _emit(
         {
             "command": "weighted-entropy",
@@ -153,7 +153,7 @@ def _bracket(bracket: carpet.ValueBracket) -> dict:
 def cmd_carpet(args) -> int:
     sys_ = _pair_system_arg(args)
     spec = carpet.CarpetSpec(sys_.a_size, sys_.b_size, sys_)
-    rep = carpet.mean_dims(spec, args.nmax, args.budget)
+    rep = carpet.mean_dims(spec, args.nmax)
     return _emit(
         {
             "command": "carpet",
@@ -182,8 +182,8 @@ def cmd_beta(args) -> int:
     omega = symbolic.spec_from_json(_load_json(args.omega)) if args.omega else None
     spec = selfsim.beta_system(args.a, args.beta, omega)
     dims = selfsim.self_similar_dims(spec)
-    gap = selfsim.min_gap(args.a, args.beta, min(args.n, 10), args.budget)
-    fam = selfsim.covering_lower_bound(spec, args.N, args.n, budget=args.budget)
+    gap = selfsim.min_gap(args.a, args.beta, min(args.n, 10))
+    fam = selfsim.covering_lower_bound(spec, args.N, args.n)
     if args.format == "csv":
         return _emit_cloud(fam.points, args)
     observed = fam.points.min_pairwise() if fam.count > 1 else fam.eps
@@ -208,7 +208,7 @@ def cmd_beta(args) -> int:
 
 def cmd_grid2d(args) -> int:
     spec = grid2d.rule_from_json(_load_json(args.rule))
-    rep = grid2d.entropy2d(spec, args.nmax, args.mmax, budget=args.budget)
+    rep = grid2d.entropy2d(spec, args.nmax, args.mmax)
     homog = grid2d.homog_dims_from_report(rep, spec.alphabet)
     return _emit(
         {
@@ -281,7 +281,7 @@ def cmd_oracle_hdim(args) -> int:
 
 def cmd_oracle_qbox(args) -> int:
     spec = carpet.carpet_from_tuples(args.a, args.b, _parse_tuples(args.tuples))
-    fam = oracle.qbox_family(spec, args.N, args.M, args.budget)
+    fam = oracle.qbox_family(spec, args.N, args.M)
     if args.format == "csv":
         return _emit_cloud(fam.witness_cloud(), args)
     sep = oracle.verify_family_separation(fam, seed=args.seed)
@@ -310,9 +310,8 @@ def cmd_oracle_mass(args) -> int:
     if s is None:  # 0.1 below the mean Hausdorff dimension, log Z_1 / log b
         log_z1 = weighted.weighted_entropy(spec.system, spec.w, 1).closed_form
         s = log_z1 / math.log(spec.b) - 0.1
-    rep = oracle.mass_distribution_check(
-        spec, args.N, range(args.mmin, args.mmax + 1), s, seed=args.seed, budget=args.budget
-    )
+    rep = oracle.mass_distribution_check(spec, args.N, range(args.mmin, args.mmax + 1), s,
+                                         seed=args.seed)
     return _emit(
         {
             "command": "oracle mass",
@@ -486,7 +485,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     _check_relation_flags(parser, args)
     try:
-        return args.fn(args)
+        with limits.override(getattr(args, "budget", None)):  # --budget caps every budget
+            return args.fn(args)
     except ResourceLimit as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

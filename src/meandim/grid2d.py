@@ -135,14 +135,14 @@ def _window_test(spec: Grid2DSpec, h: int, w: int):
     return allowed
 
 
-def _row_sweep(spec: Grid2DSpec, n_rows: int, cap: int):
+def _row_sweep(spec: Grid2DSpec, n_rows: int):
     """Yield, after each row r = 1..n_rows, the column codes of the
     admissible r x w patterns, one array row per pattern.  Each grid row
     extends every partial pattern by the a^w row codes, keeps a candidate
     when the window ending at that row is allowed, and carries each column's
     code sum col[i] a^(r-1-i) (int64 while a^n_rows <= 2^62, Python ints
-    above) and the code of the last h - 1 rows.  `cap` bounds the partial
-    patterns kept at each row."""
+    above) and the code of the last h - 1 rows.  The state budget bounds
+    the partial patterns kept at each row."""
     a = spec.alphabet
     h, w = _window_shape(spec)
     allowed = _window_test(spec, h, w)
@@ -158,7 +158,7 @@ def _row_sweep(spec: Grid2DSpec, n_rows: int, cap: int):
             ok = np.flatnonzero(allowed(last[lo : lo + step, None], np.arange(span)) | (r < h - 1))
             keep.append(ok + lo * span)
             kept += len(ok)
-            limits.check_at_least("state", kept, "partial patterns", cap,
+            limits.check_at_least("state", kept, "partial patterns",
                                   f"the transfer graph for {n_rows} rows, at row {r + 1}")
         parent, code = np.divmod(np.concatenate(keep), span)
         cols = cols[parent] * a + cells[code]
@@ -174,9 +174,9 @@ def _grouped(sources, labels, targets, n_states: int) -> list[dict]:
     return [dict(zip(labels[i:j], targets[i:j])) for i, j in zip(bounds, bounds[1:])]
 
 
-def _transfer_graph(spec: Grid2DSpec, n_rows: int, budget: int | None) -> Automaton:
-    """`_column_graph` of `_row_sweep`'s last row, capped by `budget` (default the state budget)."""
-    sweep = _row_sweep(spec, n_rows, limits.cap("state", budget))
+def _transfer_graph(spec: Grid2DSpec, n_rows: int) -> Automaton:
+    """`_column_graph` of `_row_sweep`'s last row."""
+    sweep = _row_sweep(spec, n_rows)
     return _column_graph(spec.alphabet**n_rows, collections.deque(sweep, maxlen=1)[0])
 
 
@@ -208,9 +208,7 @@ def _column_graph(k: int, cols: np.ndarray) -> Automaton:
     return Automaton(alphabet_size=k, root=len(succ) - 1, succ=tuple(succ))
 
 
-def count_rectangles(
-    spec: Grid2DSpec, n_rows: int, m_cols: int, budget: int | None = None
-) -> int:
+def count_rectangles(spec: Grid2DSpec, n_rows: int, m_cols: int) -> int:
     """Exact number of locally admissible n x m patterns.
 
     Local admissibility (no in-grid window violates the rule) is decidable
@@ -219,7 +217,7 @@ def count_rectangles(
     extendability of 2d patterns is undecidable in general.  Free and
     LinearMod counts are closed forms (`closed_form_powers`); a LocalPatterns
     count whose window fits is read off the transfer graph, whose row sweep
-    `budget` caps (default the state budget).
+    the state budget caps.
     """
     if n_rows < 1 or m_cols < 1:
         raise DomainError("pattern dimensions must be positive")
@@ -227,7 +225,7 @@ def count_rectangles(
         return math.prod(base**e for base, e in closed_form_powers(spec, n_rows, m_cols))
     if _window_free(spec, n_rows, m_cols):
         return spec.alphabet ** (n_rows * m_cols)
-    return _transfer_graph(spec, n_rows, budget).word_counts(m_cols)[-1]
+    return _transfer_graph(spec, n_rows).word_counts(m_cols)[-1]
 
 
 def closed_form_powers(spec: Grid2DSpec, n_rows: int, m_cols: int) -> tuple:
@@ -259,26 +257,26 @@ def closed_form_powers(spec: Grid2DSpec, n_rows: int, m_cols: int) -> tuple:
     return (g, cells), (a // g, cells - windows)
 
 
-def _pattern_columns(spec: Grid2DSpec, n_rows: int, m_cols: int, budget: int | None):
+def _pattern_columns(spec: Grid2DSpec, n_rows: int, m_cols: int):
     """(digits, index) of the admissible patterns in column-word order:
     digits[c, n] is row n's digit in entry c of a sorted column table (every
     column when no window fits, else the transfer graph's labels), and
     index[p, m] the entry at column m of pattern p.  Only the table's codes
-    are decoded; they stay Python ints past 2^62.  `budget` caps the
-    patterns (default the point budget)."""
+    are decoded; they stay Python ints past 2^62.  The point budget caps
+    the patterns."""
     if n_rows < 1 or m_cols < 1:
         raise DomainError("pattern dimensions must be positive")
-    cap, a = limits.cap("point", budget), spec.alphabet
+    a = spec.alphabet
     if _window_free(spec, n_rows, m_cols):
-        limits.check("point", [(a, n_rows * m_cols)], "patterns", cap)
+        limits.check("point", [(a, n_rows * m_cols)], "patterns")
         distinct = np.arange(a**n_rows)
         index = product_rows([a**n_rows] * m_cols)
     else:  # the graph's labels, sorted
-        graph = _transfer_graph(spec, n_rows, None)
-        total = graph.checked_count(m_cols, "point", cap, "patterns")
+        graph = _transfer_graph(spec, n_rows)
+        total = graph.checked_count(m_cols, "point", "patterns")
         kind = np.int64 if a ** min(n_rows, 63) <= 2**62 else object
         distinct = np.array(sorted({c for edges in graph.succ for c in edges}), dtype=kind)
-        codes = np.array(graph.enumerate_words(m_cols, cap), dtype=kind).reshape(total, m_cols)
+        codes = np.array(graph.enumerate_words(m_cols), dtype=kind).reshape(total, m_cols)
         index = np.searchsorted(distinct, codes)
     powers = np.array([a**i for i in range(n_rows - 1, -1, -1)], dtype=distinct.dtype)
     return (distinct[:, None] // powers % a).astype(np.int64), index
@@ -287,11 +285,11 @@ def _pattern_columns(spec: Grid2DSpec, n_rows: int, m_cols: int, budget: int | N
 _PATTERN_BLOCK = 1 << 14  # patterns turned into tuples per batch
 
 
-def enumerate_patterns(spec: Grid2DSpec, n_rows: int, m_cols: int, budget: int | None = None):
+def enumerate_patterns(spec: Grid2DSpec, n_rows: int, m_cols: int):
     """All locally admissible patterns as row-major tuples of rows, in the
     `itertools.product` order of their column sequences."""
     a = spec.alphabet
-    digits, index = _pattern_columns(spec, n_rows, m_cols, budget)
+    digits, index = _pattern_columns(spec, n_rows, m_cols)
     kind = np.int64 if a ** min(m_cols, 63) <= 2**62 else object
     rows = np.zeros((len(index), n_rows), dtype=kind)
     for m in range(m_cols):  # row codes sum_m w[n][m] a^(m_cols-1-m), one column at a time
@@ -328,9 +326,7 @@ class Entropy2DReport:
     best_cell: tuple
 
 
-def entropy2d(
-    spec: Grid2DSpec, n_max: int, m_max: int, budget: int | None = None
-) -> Entropy2DReport:
+def entropy2d(spec: Grid2DSpec, n_max: int, m_max: int) -> Entropy2DReport:
     """Normalized log-counts over the (n, m) grid.
 
     Each value log count(n, m) / (n m) upper-bounds the pattern entropy:
@@ -340,21 +336,20 @@ def entropy2d(
     give count(n, m) for every m.  Only pattern rules are swept: the cells
     of free and linear rules, and the cells that hold no window (the graph's
     words shorter than the window are not all patterns), take
-    `count_rectangles`' closed forms.  `budget` caps the sweep as in
-    `count_rectangles`.  Closed forms past the digit budget are refused
+    `count_rectangles`' closed forms.  The state budget caps the sweep as
+    in `count_rectangles`.  Closed forms past the digit budget are refused
     first (`_check_digits`), and a swept row at its first count past it.
     """
     if n_max < 1 or m_max < 1:
         raise DomainError(f"grid (n_max, m_max) = ({n_max}, {m_max}) needs both >= 1")
     a = spec.alphabet
     _check_digits(spec, n_max, m_max)
-    limits.check("word", n_max * m_max, "cells", limits.cap("word"), "grid")
+    limits.check("word", n_max * m_max, "cells", "grid")
 
     def swept(n, m):
         return spec.rule == RULE_PATTERNS and not _window_free(spec, n, m)
 
-    sweep = (_row_sweep(spec, n_max, limits.cap("state", budget)) if swept(n_max, m_max)
-             else itertools.repeat(None))
+    sweep = _row_sweep(spec, n_max) if swept(n_max, m_max) else itertools.repeat(None)
     stop = limits.printed_stop()
     estimates = {}
     counts = {}
@@ -363,7 +358,7 @@ def entropy2d(
         if row and stop is not None and row[-1] > stop:  # the row ends at its first such count
             limits.check_digits([(row[-1], 1)], f"count {n},{len(row)}")
         for m in range(1, m_max + 1):
-            c = row[m - 1] if swept(n, m) else count_rectangles(spec, n, m, budget)
+            c = row[m - 1] if swept(n, m) else count_rectangles(spec, n, m)
             counts[(n, m)] = c
             estimates[(n, m)] = math.log(c) / (n * m) if c > 0 else -math.inf
     best_cell = min(estimates, key=estimates.get)  # the first least cell, row by row
@@ -425,7 +420,7 @@ def torus_points(spec: Grid2DSpec, n_rows: int, m_cols: int, depth: int = 0) -> 
     stay truncation-sound.
     """
     rows, a = n_rows + depth, spec.alphabet
-    digits, index = _pattern_columns(spec, rows, m_cols, None)
+    digits, index = _pattern_columns(spec, rows, m_cols)
     terms = [[Fraction(u, a ** (m + 1)) for u in range(a)] for m in range(m_cols)]
     return PointCloud(
         points=digit_points([digits] * m_cols, index, terms),

@@ -1,13 +1,15 @@
 """Enumeration budgets and the one refusal past them.
 
 Every exhaustive enumeration in the package is gated by one of these budgets
-so that a bad input fails fast with ResourceLimit instead of hanging.  The
-environment variable MEANDIM_BUDGET (an integer) overrides the word and point
-budgets; a value passed by the caller overrides any of them.  Every refusal
-reads `<budget> budget: [<where>: ]<size> <what> exceed the cap <cap>`; a
-size known only from below reads `<size> or more <what>`.
+so that a bad input fails fast with ResourceLimit instead of hanging.  A cap
+is read where it is checked (`cap`): the `override` block in force, else the
+environment variable MEANDIM_BUDGET (an integer), else DEFAULT_CAPS.  Every
+refusal reads `<budget> budget: [<where>: ]<size> <what> exceed the cap <cap>`;
+a size known only from below reads `<size> or more <what>`.
 """
 
+import contextlib
+import contextvars
 import decimal
 import functools
 import math
@@ -22,19 +24,28 @@ DEFAULT_CAPS = {
     "subset": 2**20,     # subset states during determinization
     "point": 2_000_000,  # points materialized into a cloud
 }
-_ENV_BUDGETS = ("word", "point")  # the budgets MEANDIM_BUDGET overrides
 PRINTED_BITS = 14_000  # sizes below 2^14,000 are taken exactly: str() prints 4,300 digits
+_override = contextvars.ContextVar("meandim_budget", default=None)
 
 
-def cap(budget: str, override: int | None = None) -> int:
-    """The cap of one budget: the caller's override, else MEANDIM_BUDGET
-    for the word and point budgets, else the default.  The digit budget's
-    is sys.get_int_max_str_digits() (0: no cap)."""
-    if override is not None:
-        return int(override)
+@contextlib.contextmanager
+def override(value: int | None):
+    """Cap every budget but the digit budget at value within the block (None: no override)."""
+    token = _override.set(value)
+    try:
+        yield
+    finally:
+        _override.reset(token)
+
+
+def cap(budget: str) -> int:
+    """The cap of one budget: the override in force, else MEANDIM_BUDGET, else
+    the default; the digit budget's is sys.get_int_max_str_digits() (0: none)."""
     if budget == "digit":
         return sys.get_int_max_str_digits()
-    env = os.environ.get("MEANDIM_BUDGET") if budget in _ENV_BUDGETS else None
+    if (value := _override.get()) is not None:
+        return value
+    env = os.environ.get("MEANDIM_BUDGET")
     if not env:
         return DEFAULT_CAPS[budget]
     try:
@@ -43,31 +54,32 @@ def cap(budget: str, override: int | None = None) -> int:
         raise DomainError(f"MEANDIM_BUDGET = {env!r} is not an integer") from None
 
 
-def check(budget: str, size, what: str, cap: int, where: str | None = None) -> int:
-    """Raise ResourceLimit when size passes cap, naming both; else return size.
-    size is a count, or (base, exponent) pairs of ints >= 1 and >= 0 whose
-    powers multiply to it: their product is taken below 2^PRINTED_BITS (or
-    the cap's bits), and past that refused with no power of its size taken,
-    named `or more` from the base of its longest power to cap.bit_length()."""
+def check(budget: str, size, what: str, where: str | None = None) -> int:
+    """Raise ResourceLimit when size passes the budget's cap, naming both; else
+    return size.  size is a count, or (base, exponent) pairs of ints >= 1 and
+    >= 0 whose powers multiply to it: their product is taken below 2^PRINTED_BITS
+    (or the cap's bits), and past that refused with no power of its size taken,
+    named `or more` from the base of its longest power to the cap's bit length."""
+    limit = cap(budget)
     if isinstance(size, (list, tuple)):
-        bits = max(PRINTED_BITS, cap.bit_length())
+        bits = max(PRINTED_BITS, limit.bit_length())
         pairs = [(b, e) for b, e in size if b > 1 and e > 0]
         if sum(e * (b.bit_length() - 1) for b, e in pairs) < bits:  # below 2^(2 bits)
             size = math.prod(b**e for b, e in pairs)
         if not isinstance(size, int) or size.bit_length() > bits:
             base, longest = max(pairs, key=lambda pair: pair[1])
-            size = (base if longest >= cap.bit_length() else 2) ** cap.bit_length()
+            size = (base if longest >= limit.bit_length() else 2) ** limit.bit_length()
             what = f"or more {what}"
-    if size > cap:
+    if size > limit:
         at = f"{where}: " if where else ""
-        raise ResourceLimit(f"{budget} budget: {at}{size} {what} exceed the cap {cap}")
+        raise ResourceLimit(f"{budget} budget: {at}{size} {what} exceed the cap {limit}")
     return size
 
 
-def check_at_least(budget: str, size: int, what: str, cap: int, where: str | None = None) -> None:
+def check_at_least(budget: str, size: int, what: str, where: str | None = None) -> None:
     """`check` of a lower bound on a size (a partial count, or the first of
     a nondecreasing sequence past the cap): named `or more`."""
-    check(budget, size, f"or more {what}", cap, where)
+    check(budget, size, f"or more {what}", where)
 
 
 def decimal_digits(powers) -> int:
@@ -107,7 +119,7 @@ def check_digits(powers, where) -> None:
     digits = cap("digit")
     bits = sum(e * (b - 1).bit_length() for b, e in powers)
     if digits and bits * 0.30103 >= digits:  # 0.30103 > log10 2
-        check("digit", decimal_digits(powers), "decimal digits", digits,
+        check("digit", decimal_digits(powers), "decimal digits",
               where() if callable(where) else where)
 
 

@@ -295,7 +295,7 @@ class QBoxFamily:
 
     def witness_cloud(self) -> PointCloud:
         """The separated family: one point per box, pairwise linf >= b^-m."""
-        limits.check("point", self.count, "points", limits.cap("point"), "witness family")
+        limits.check("point", self.count, "points", "witness family")
         depth = self.m + WITNESS_TAIL_LAYERS
         return PointCloud(
             points=_witness_points(self, product_rows(_layer_sizes(self)), depth),
@@ -333,9 +333,7 @@ def _witness_points(family: QBoxFamily, choices: np.ndarray, depth: int) -> np.n
     return np.hstack(blocks)
 
 
-def qbox_family(
-    spec: CarpetSpec, n: int, m: int, budget: int | None = None
-) -> QBoxFamily:
+def qbox_family(spec: CarpetSpec, n: int, m: int) -> QBoxFamily:
     """Enumerate the level-(n, m) box family and certify its geometry.
 
     The boxes are indexed by t = floor(M log_a b) layers of Omega|_N words
@@ -350,22 +348,22 @@ def qbox_family(
         raise DomainError(f"box level (N, M) = ({n}, {m}) needs N >= 1 and M >= 1")
     if spec.a > sys.float_info.max:  # before any float(a) or float(b), as b <= a
         raise ParameterOverflow(f"base a of {spec.a.bit_length()} bits passes double precision")
-    a, b, cap = spec.a, spec.b, limits.cap("word", budget)
+    a, b = spec.a, spec.b
 
     # decode admissible N-words of the product system into (u-word, v-word)
     pairs = sorted((tuple(l // b for l in word), tuple(l % b for l in word))
-                   for word in symbolic.enumerate_words(spec.system.omega, n, budget))
+                   for word in symbolic.enumerate_words(spec.system.omega, n))
     image_words = sorted({v for _, v in pairs})
     section = {v: u for u, v in reversed(pairs)}  # sorted: the least u-word per v comes last
 
-    if m > cap.bit_length():  # |Omega'|_N|^M <= count: refused with no power of size M
-        limits.check_at_least("word", len(image_words) ** cap.bit_length(), "boxes", cap,
-                              "box family")
+    bits = limits.cap("word").bit_length()
+    if m > bits:  # |Omega'|_N|^M <= count: refused with no power of size M
+        limits.check_at_least("word", len(image_words) ** bits, "boxes", "box family")
     if float(b) ** -m == 0.0:  # before b^M is taken
         raise ParameterOverflow(f"box separation b^-M = {b}^-{m} underflows double precision")
     t = floor_w_m(a, b, m)
     count_formula = limits.check("word", [(len(pairs), t), (len(image_words), m - t)], "boxes",
-                                 cap, "box family")
+                                 "box family")
 
     # diameter: a^-t < a * b^-m  <=>  b^m < a^(t+1), exact integers
     diam_certified = b**m < a ** (t + 1) and a**t <= b**m
@@ -484,9 +482,7 @@ def covering_sandwich(spec: CarpetSpec, n: int, m: int) -> dict:
 IDENTITY_SAMPLES = 100  # sampled digit sequences for the product identity
 
 
-def mass_distribution_check(
-    spec: CarpetSpec, n: int, m_range, s: float, seed: int = 0, budget: int | None = None
-) -> dict:
+def mass_distribution_check(spec: CarpetSpec, n: int, m_range, s: float, seed: int = 0) -> dict:
     """Box-granular mass-distribution certificate at exponent s.
 
     The product measure built from f_N(u, v) = t_N(v)^(w-1) / Z_N gives each
@@ -519,7 +515,7 @@ def mass_distribution_check(
         )
     w = spec.w
 
-    table = weighted.fiber_counts(spec.system, n, budget)
+    table = weighted.fiber_counts(spec.system, n)
     fibers = dict(table.level(n).items())  # v-word -> t_N(v), lexicographic
     words_total = table.total(n)
     z_n = math.fsum(tv**w for tv in fibers.values())
@@ -592,7 +588,7 @@ def mass_distribution_check(
 # The reciprocal sequence space {0, 1, 1/2, 1/3, ...}^N
 # ---------------------------------------------------------------------------
 
-INV_SQ_WEIGHT = 3.0 / math.pi**2  # atom at 1/j has mass (3/pi^2) / j^2; atom at 0 has 1/2
+INV_SQ_WEIGHT = math.nextafter(3.0 / math.pi**2, 0.0)  # 3/pi^2 rounded down: atom 1/j's j^2 mass
 _ATOM_FLOOR = 2.0**-500  # atoms 1/j at or above it have j * j below 2^1002
 _INV_SQ_BLOCK = 1 << 14  # atoms of an interval summed exactly before its tail bound
 
@@ -600,7 +596,7 @@ _INV_SQ_BLOCK = 1 << 14  # atoms of an interval summed exactly before its tail b
 def reciprocal_atoms(n_cap: int) -> np.ndarray:
     """The truncated point set {0} U {1/j : j <= n_cap}, ascending, in float64;
     an n_cap past the word budget is refused before anything is allocated."""
-    limits.check("word", n_cap, "atoms", limits.cap("word"), "reciprocal set")
+    limits.check("word", n_cap, "atoms", "reciprocal set")
     return np.append(0.0, 1.0 / np.arange(n_cap, 0, -1, dtype=np.float64))
 
 
@@ -619,16 +615,24 @@ def inverse_square_mass(lo: float, hi: float) -> float:
     only in the L(J) of an interval from 0, an under-count below 2^-500.  The
     full-line mass is exactly 1 by the zeta(2) identity.
     """
+    if not lo <= hi:  # also an interval with a nan end: no real in it
+        return 0.0
     zero = 0.5 if lo <= 0.0 <= hi else 0.0
-    if not hi >= _ATOM_FLOOR:
+    if hi < _ATOM_FLOOR:
         return zero
     j_min = _least_index_at_most(hi)
     j_end = None if zero else _greatest_index_at_least(max(lo, _ATOM_FLOOR)) + 1
-    if j_end is not None and j_end <= j_min:  # no atom, also when hi < lo
+    if j_end is not None and j_end <= j_min:  # no atom
         return 0.0
     j_stop = min(j_min + _INV_SQ_BLOCK, j_end or math.inf)
     tail = _inverse_square_tail(j_stop, j_end) if j_stop != j_end else 0.0
-    return min(zero + INV_SQ_WEIGHT * (_inverse_square_sum(j_min, j_stop) + tail), 1.0)
+    # With u = 2^-53, a term 1.0 / (j * j) is at most (1 + u) / (1 - u) times 1 / j^2,
+    # and the sum, the add of the tail (rounded down) and the product by a weight
+    # below 3/pi^2 round up by 1 + u each: (1 + u)^5 (1 - 8u) / (1 - u) < 1 puts the
+    # atoms times 1 - 8u, rounded, below their mass.  mass - 1/2 is exact (Sterbenz).
+    atoms = INV_SQ_WEIGHT * (_inverse_square_sum(j_min, j_stop) + tail) * (1.0 - 2.0**-50)
+    mass = zero + atoms
+    return mass if mass - zero <= atoms else math.nextafter(mass, 0.0)
 
 
 def _inverse_square_tail(j_lo: int, j_end: int | None) -> float:
@@ -782,7 +786,7 @@ def sample_reciprocal_point(n_coords: int, n_cap: int, seed: int = 0) -> list[fl
     more coordinates than the word budget are refused before any is drawn."""
     if n_cap < 1:
         raise DomainError(f"truncation n_cap = {n_cap} must be >= 1")
-    limits.check("word", n_coords, "coordinates", limits.cap("word"), "reciprocal sample")
+    limits.check("word", n_coords, "coordinates", "reciprocal sample")
     uniform, top = random.Random(seed).random, 1.0 - 1.0 / (n_cap + 1.0)
     out = []
     for _ in range(n_coords):

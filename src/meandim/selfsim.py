@@ -51,7 +51,7 @@ def _beta_as_fraction(beta: float) -> Fraction:
     return frac if float(frac) == beta else Fraction(beta)
 
 
-def min_gap(a: int, beta: float, n: int, budget: int | None = None) -> float:
+def min_gap(a: int, beta: float, n: int) -> float:
     """Exact minimum of |sum u_k beta^-k - sum v_k beta^-k| over distinct
     digit tuples of length n, rounded once: exhaustive over the a^n tuples
     via a sort, in integers on beta as a fraction p/q (`_beta_as_fraction`).
@@ -60,7 +60,7 @@ def min_gap(a: int, beta: float, n: int, budget: int | None = None) -> float:
         raise DomainError("need 2 <= a <= beta")
     if n < 1:
         raise DomainError("n must be >= 1")
-    limits.check("word", [(a, n)], "tuples", limits.cap("word", budget))
+    limits.check("word", [(a, n)], "tuples")
     # with beta = p/q, sum u_k beta^-k = (sum u_k q^k p^(n-k)) / p^n: the
     # minimum gap is an exact integer difference over the denominator p^n
     p, q = _beta_as_fraction(beta).as_integer_ratio()
@@ -83,12 +83,7 @@ class CoveringFamily:
     eps: float  # beta^-n, the certified linf separation over the first N coords
 
 
-def covering_lower_bound(
-    spec: BetaSystemSpec,
-    n_coords: int,
-    n_layers: int,
-    budget: int | None = None,
-) -> CoveringFamily:
+def covering_lower_bound(spec: BetaSystemSpec, n_coords: int, n_layers: int) -> CoveringFamily:
     """The separated family {sum_{k<=n} omega_k / beta^k + anchor tail}.
 
     One point per tuple of admissible N-words; count = |pi_N(Omega)|^n.  Any
@@ -100,14 +95,13 @@ def covering_lower_bound(
     if min(n_coords, n_layers) < 1:
         raise DomainError(f"window N = {n_coords} and digit layers n = {n_layers} must be >= 1")
     aut = spec.omega.automaton  # both budgets and the scale are checked before any word is built
-    n_words = aut.checked_count(n_coords, "word", limits.cap("word", budget))
-    count = limits.check("point", [(n_words, n_layers)], "points", limits.cap("point", budget),
-                         "covering family")
+    n_words = aut.checked_count(n_coords, "word")
+    count = limits.check("point", [(n_words, n_layers)], "points", "covering family")
     eps = spec.beta**-n_layers
     if eps == 0.0:
         raise ParameterOverflow(f"separation beta^-n = {spec.beta}^-{n_layers} underflows "
                                 f"double precision")
-    words = aut.enumerate_words(n_coords, budget)
+    words = aut.enumerate_words(n_coords)
 
     depth = n_coords + min(30 * n_layers, 80)  # a tail below 2^-30 < 1e-9 per layer
     ends = [functools.reduce(lambda s, d: aut.succ[s][d], w, aut.root) for w in words]

@@ -212,7 +212,7 @@ def criterion_grid2d():
     # two independent counts of the three-dot rule: the transfer sweep
     # against 2^(n+m-1), and the closed form count_rectangles against brute force
     formula_ok = all(
-        grid2d._transfer_graph(td, n, None).word_counts(6)
+        grid2d._transfer_graph(td, n).word_counts(6)
         == [2 ** (n + m - 1) for m in range(1, 7)]
         for n in range(2, 7)
     )

@@ -82,25 +82,26 @@ class Automaton:
             end = next((n for n, c in enumerate(itertools.islice(counts, end), 1) if c > stop), end)
         return counts[:end]
 
-    def checked_count(self, n: int, budget: str, cap: int, what: str = "words") -> int:
-        """The number of words of length n, refused past cap.  Where every
-        state has a successor the counts never fall: they stop past
-        2^PRINTED_BITS (or the cap), and the first past the cap is named from
-        below.  Counts not past it at length PRINTED_BITS + 1 grow slower
+    def checked_count(self, n: int, budget: str, what: str = "words") -> int:
+        """The number of words of length n, refused past the budget's cap.
+        Where every state has a successor the counts never fall: they stop
+        past 2^PRINTED_BITS (or the cap), and the first past the cap is named
+        from below.  Counts not past it at length PRINTED_BITS + 1 grow slower
         than 2^n, and a length past the cap (one word's symbols) is refused."""
+        cap = limits.cap(budget)
         stop = max(cap, 1 << limits.PRINTED_BITS) if all(self.succ) else None
         counts = self.word_counts(min(n, limits.PRINTED_BITS + 1), stop)
         if len(counts) < n and (stop is None or counts[-1] <= stop):
-            limits.check(budget, n, "symbols in a word", cap)
+            limits.check(budget, n, "symbols in a word")
             counts = self.word_counts(n, stop)
         if len(counts) < n:
-            limits.check_at_least(budget, next(c for c in counts if c > cap), what, cap)
-        return limits.check(budget, counts[-1] if n > 0 else int(n == 0), what, cap)  # n = 0: ()
+            limits.check_at_least(budget, next(c for c in counts if c > cap), what)
+        return limits.check(budget, counts[-1] if n > 0 else int(n == 0), what)  # n = 0: ()
 
-    def enumerate_words(self, n: int, budget: int | None = None) -> list[tuple]:
+    def enumerate_words(self, n: int) -> list[tuple]:
         """All admissible words of length n, in lexicographic order (a depth-first
         walk over sorted labels), once their `checked_count` fits the word budget."""
-        self.checked_count(n, "word", limits.cap("word", budget))
+        self.checked_count(n, "word")
         edges = [sorted(trans.items()) for trans in self.succ]
         words: list[tuple] = [()] if n == 0 else []
         path: list = []
@@ -374,7 +375,7 @@ class SubshiftSpec:
         R), or None for the other kinds, computed once per spec.  A full
         shift on more symbols than the word budget is refused."""
         if self.kind == KIND_FULL:
-            limits.check("word", self.alphabet, "symbols", limits.cap("word"), "full shift")
+            limits.check("word", self.alphabet, "symbols", "full shift")
             return tuple(range(self.alphabet))
         if self.kind == KIND_TUPLES:
             b = self.tuple_sizes[1]
@@ -491,7 +492,7 @@ def _forbidden_graph(k: int, words) -> list[dict]:
                 banned.append(False)
             s = goto[s][c]
         banned[s] = True
-    limits.check("word", len(goto) * k, "transitions", limits.cap("word"),
+    limits.check("word", len(goto) * k, "transitions",
                  f"forbidden-word automaton of {len(goto)} states x {k} symbols")
     fail = [0] * len(goto)
     succ: list[dict] = [{} for _ in goto]
@@ -539,15 +540,14 @@ def fekete_bounds(values) -> tuple:
     return tuple(itertools.accumulate((math.log(v) / n for n, v in enumerate(values, 1)), min))
 
 
-def count_words(spec: SubshiftSpec, n_max: int, budget: int | None = None) -> dict:
+def count_words(spec: SubshiftSpec, n_max: int) -> dict:
     """Exact admissible-word counts {n: count} for n = 1..n_max, refused at
     the first that the digit budget refuses."""
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
     aut = spec.automaton
-    cap = limits.cap("word", budget)
-    limits.check("word", aut.n_states, "states", cap)
-    limits.check("word", n_max, "lengths", cap)
+    limits.check("word", aut.n_states, "states")
+    limits.check("word", n_max, "lengths")
     stop = limits.printed_stop()
     counts = aut.word_counts(n_max, stop)
     if stop is not None and counts[-1] > stop:  # the counts end at the first past it
@@ -555,12 +555,12 @@ def count_words(spec: SubshiftSpec, n_max: int, budget: int | None = None) -> di
     return {n + 1: c for n, c in enumerate(counts)}
 
 
-def enumerate_words(spec: SubshiftSpec, n: int, budget: int | None = None) -> list[tuple]:
-    return spec.automaton.enumerate_words(n, budget)
+def enumerate_words(spec: SubshiftSpec, n: int) -> list[tuple]:
+    return spec.automaton.enumerate_words(n)
 
 
-def entropy(spec: SubshiftSpec, n_max: int = 12, budget: int | None = None) -> EntropyReport:
-    table = count_words(spec, n_max, budget)  # >= 1 word per length: the root is live
+def entropy(spec: SubshiftSpec, n_max: int = 12) -> EntropyReport:
+    table = count_words(spec, n_max)  # >= 1 word per length: the root is live
     lo, hi = spec.automaton.spectral_log()
     return EntropyReport(
         upper_bounds=fekete_bounds(table.values()),

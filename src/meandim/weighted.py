@@ -18,7 +18,7 @@ One system queried several times is swept once: each spec keeps its
 compiled automaton (`SubshiftSpec.automaton`) and that automaton its
 spectral bracket, and the fiber-size histograms of the last complete sweep
 stay in a one-entry memo, so `weighted_entropy` after `fiber_counts` or
-after itself, on the same system object, N and budget, sweeps nothing.
+after itself, on the same system object, N and word cap, sweeps nothing.
 Only the last sweep is kept, so at most one system is held alive.
 """
 
@@ -132,9 +132,9 @@ class FiberCountTable:
         return int(self.levels[n]._counts.sum())
 
 
-def fiber_counts(sys: PairShiftSystem, n_max: int, budget: int | None = None) -> FiberCountTable:
+def fiber_counts(sys: PairShiftSystem, n_max: int) -> FiberCountTable:
     levels, level = {}, None
-    for n, (keys, counts, _) in enumerate(_fiber_levels(sys, n_max, limits.cap("word", budget)), 1):
+    for n, (keys, counts, _) in enumerate(_fiber_levels(sys, n_max), 1):
         levels[n] = level = FiberLevel(keys, counts, level, sys.b_size)
     return FiberCountTable(levels=levels)
 
@@ -151,15 +151,15 @@ def _subset_moves(aut: Automaton, b: int, subset: tuple) -> list:
     return [(v, *zip(*sorted(edges.items()))) for v, edges in sorted(by_letter.items())]
 
 
-_last_sweep: tuple = (None, 0, 0, ())  # (system, n_max, cap, histograms)
+_last_sweep: tuple = (None, 0, 0, ())  # (system, n_max, word cap, histograms)
 
 
-def _fiber_levels(sys: PairShiftSystem, n_max: int, cap: int):
+def _fiber_levels(sys: PairShiftSystem, n_max: int):
     """Yield (keys, counts, histogram) per length: word i of a level, in
     lexicographic order, is word keys[i] // b of the level before extended
     by letter keys[i] % b, counts[i] is its fiber size, and histogram is
     np.unique(counts, return_counts=True).  A complete sweep keeps its
-    histograms in _last_sweep.
+    histograms in _last_sweep, keyed on the word cap it ran under.
 
     The frontier keeps, per image subset S (the states a word's paths reach),
     a dense |S| x words block of path counts and each word's rank.  Every
@@ -190,8 +190,7 @@ def _fiber_levels(sys: PairShiftSystem, n_max: int, cap: int):
     for n in range(1, n_max + 1):
         moves = [(np.concatenate(r), np.hstack(c), plan(s)) for s, (r, c) in frontier.items()]
         entries = sum(len(rank) * len(succ[1]) for rank, _, succ in moves)
-        limits.check("word", entries, "(word, state) entries", cap,
-                     f"fiber frontier at length {n}")
+        limits.check("word", entries, "(word, state) entries", f"fiber frontier at length {n}")
         keys, sums, pieces = [], [], []
         for rank, block, (letters, first, layers, slices, heads) in moves:
             rows = block[first]
@@ -202,7 +201,7 @@ def _fiber_levels(sys: PairShiftSystem, n_max: int, cap: int):
             pieces += [(image, rows[part]) for image, part in slices]
         keys = np.concatenate(keys)
         total += len(keys)  # and at least one word per level: n_max past the cap is refused
-        limits.check("word", max(total, n_max), "words", cap, "fiber table")
+        limits.check("word", max(total, n_max), "words", "fiber table")
         order = np.argsort(keys)
         counts = np.concatenate([(rows if heads is None else np.add.reduceat(rows, heads)).ravel()
                                  for rows, heads in sums])[order]
@@ -217,7 +216,7 @@ def _fiber_levels(sys: PairShiftSystem, n_max: int, cap: int):
             parts[0].append(rank)
             parts[1].append(block)
     global _last_sweep
-    _last_sweep = (sys, n_max, cap, histograms)
+    _last_sweep = (sys, n_max, limits.cap("word"), histograms)
 
 
 # ---------------------------------------------------------------------------
@@ -316,14 +315,14 @@ def _level_totals(levels) -> tuple[list, int]:
     return totals, 1 << -low
 
 
-def _z_sweep(sys: PairShiftSystem, w: float, n_max: int, cap: int):
+def _z_sweep(sys: PairShiftSystem, w: float, n_max: int):
     """Yield Z_N for N = 1..n_max from the fiber-size histograms of the
     generic sweep, those of the last sweep when it was of this system (the
-    same object), n_max and cap, summed in one pass.  A fiber size past the
+    same object), n_max and word cap, summed in one pass.  A fiber size past the
     double range at N = k ends it after Z_1..Z_{k-1} with OverflowError."""
     last, *key, histograms = _last_sweep
-    if last is not sys or key != [n_max, cap]:
-        histograms = (level[2] for level in _fiber_levels(sys, n_max, cap))
+    if last is not sys or key != [n_max, limits.cap("word")]:
+        histograms = (level[2] for level in _fiber_levels(sys, n_max))
     levels = []
     for sizes, mult in histograms:
         try:
@@ -339,12 +338,10 @@ def _z_sweep(sys: PairShiftSystem, w: float, n_max: int, cap: int):
         raise OverflowError(f"a fiber size at N = {len(levels) + 1} passes the double range")
 
 
-def weighted_entropy(
-    sys: PairShiftSystem, w: float, n_max: int, budget: int | None = None
-) -> WeightedEntropyReport:
+def weighted_entropy(sys: PairShiftSystem, w: float, n_max: int) -> WeightedEntropyReport:
     """Z_N for N = 1..n_max, the upper bounds v_N and, for a product system,
-    the closed form.  budget bounds only the fiber sweep of a system that is
-    not a product; a Z_N past the double range raises ParameterOverflow."""
+    the closed form.  The word budget bounds only the fiber sweep of a system
+    that is not a product; a Z_N past the double range raises ParameterOverflow."""
     if not (0.0 <= w <= 1.0):
         raise DomainError(f"weight exponent must lie in [0, 1], got {w}")
     if n_max < 1:
@@ -357,7 +354,7 @@ def weighted_entropy(
         closed = math.log(math.fsum(c**w for c in t.tolist()))
         levels = _z_powers(t**w, n_max)
     else:
-        levels = _z_sweep(sys, w, n_max, limits.cap("word", budget))
+        levels = _z_sweep(sys, w, n_max)
     z = {}
     try:
         for n, value in enumerate(levels, 1):
@@ -398,7 +395,7 @@ def _submultiplicative(z: dict) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def image_subshift(sys: PairShiftSystem, budget: int | None = None) -> SubshiftSpec:
+def image_subshift(sys: PairShiftSystem) -> SubshiftSpec:
     """Subshift of B^N whose words are exactly the projections of omega's words.
 
     Powerset determinization of the projected transition graph; the result is
@@ -408,8 +405,6 @@ def image_subshift(sys: PairShiftSystem, budget: int | None = None) -> SubshiftS
     """
     aut = sys.omega.automaton
     b = sys.b_size
-    cap = limits.cap("subset", budget)
-
     start = (aut.root,)
     subsets = {start: 0}
     succ: list[dict] = [dict()]
@@ -419,7 +414,7 @@ def image_subshift(sys: PairShiftSystem, budget: int | None = None) -> SubshiftS
         idx = subsets[current]
         for v, key, _ in _subset_moves(aut, b, current):
             if key not in subsets:
-                limits.check_at_least("subset", len(subsets) + 1, "subsets", cap)
+                limits.check_at_least("subset", len(subsets) + 1, "subsets")
                 subsets[key] = len(succ)
                 succ.append(dict())
                 queue.append(key)

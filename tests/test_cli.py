@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, report determinism."""
 
 import argparse
+import inspect
 import io
 import json
 import math
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 import meandim
 from meandim import cli, limits
 from meandim.cli import main
+from meandim.errors import ResourceLimit
 from meandim.reportio import dumps_canonical
 
 
@@ -419,7 +421,7 @@ class TestExitCodes:
         )) / math.log(b) - 0.1
         seen = []
 
-        def check(spec, n, m_range, s, seed, budget):
+        def check(spec, n, m_range, s, seed):
             seen.append(s)
             return {"all_passed": True, "identity_ok": True, "identity_max_err": 0.0, "per_m": {}}
 
@@ -1407,15 +1409,26 @@ class TestCloudCsv:
 
 
 class TestBudgetEnv:
-    def test_env_var_overrides_word_budget(self, monkeypatch):
-        from meandim.limits import cap
-
+    def test_env_var_caps_every_budget_but_the_digit_budget(self, monkeypatch):
         monkeypatch.setenv("MEANDIM_BUDGET", "123")
-        assert cap("word") == cap("point") == 123
-        assert cap("subset") > 123 and cap("state") > 123  # not overridden
+        assert [limits.cap(b) for b in BUDGETS] == [123] * 4
+        assert limits.cap("digit") == sys.get_int_max_str_digits()
+        with limits.override(77):
+            assert [limits.cap(b) for b in BUDGETS] == [77] * 4
+            with limits.override(None):
+                assert limits.cap("state") == 123
         monkeypatch.delenv("MEANDIM_BUDGET")
-        assert cap("word") > 123
-        assert cap("word", 77) == 77
+        assert [limits.cap(b) for b in BUDGETS] == [limits.DEFAULT_CAPS[b] for b in BUDGETS]
+
+    def test_env_var_reaches_the_state_and_subset_budgets(self, monkeypatch):
+        # MEANDIM_BUDGET capped the word and point budgets only
+        monkeypatch.setenv("MEANDIM_BUDGET", "4")
+        with pytest.raises(ResourceLimit, match="7 or more partial patterns exceed the cap 4$"):
+            meandim.grid2d.count_rectangles(meandim.grid2d.hard_square_rule(), 2, 3)
+        full6 = meandim.symbolic.sft_from_matrix([[1] * 6] * 6)
+        monkeypatch.setenv("MEANDIM_BUDGET", "1")
+        with pytest.raises(ResourceLimit, match="^subset budget: 2 or more subsets exceed the cap 1$"):
+            meandim.weighted.image_subshift(meandim.weighted.pair_system(2, 3, full6))
 
     @pytest.mark.parametrize("value", ["abc", "1e3"])
     def test_env_var_that_is_no_integer_is_named(self, capsys, monkeypatch, value):
@@ -1427,6 +1440,84 @@ class TestBudgetEnv:
     def test_env_var_takes_what_int_takes(self, monkeypatch, value, want):
         monkeypatch.setenv("MEANDIM_BUDGET", value)
         assert limits.cap("word") == want
+
+
+BUDGETS = ("word", "point", "state", "subset")
+
+
+class TestOneBudgetRule:
+    """--budget, and an override block, cap every budget a command checks."""
+
+    @pytest.fixture(autouse=True)
+    def default_budgets(self, monkeypatch):
+        monkeypatch.delenv("MEANDIM_BUDGET", raising=False)
+
+    def test_builders_take_no_cap(self):
+        builders = [
+            meandim.symbolic.count_words, meandim.symbolic.enumerate_words,
+            meandim.symbolic.Automaton.enumerate_words, meandim.symbolic.entropy,
+            meandim.weighted.fiber_counts, meandim.weighted.weighted_entropy,
+            meandim.weighted.image_subshift, meandim.carpet.mean_dims,
+            meandim.selfsim.min_gap, meandim.selfsim.covering_lower_bound,
+            meandim.grid2d.count_rectangles, meandim.grid2d.enumerate_patterns,
+            meandim.grid2d.entropy2d, meandim.oracle.qbox_family,
+            meandim.oracle.mass_distribution_check,
+        ]
+        caps = {f.__qualname__: set(inspect.signature(f).parameters) & {"budget", "cap"}
+                for f in builders}
+        assert {name: names for name, names in caps.items() if names} == {}
+        assert list(inspect.signature(limits.cap).parameters) == ["budget"]
+
+    def test_budget_caps_the_witness_cloud(self, capsys, monkeypatch):
+        # --budget reached the box count, and the witness cloud kept the default point cap
+        monkeypatch.setitem(limits.DEFAULT_CAPS, "point", 3)
+        argv = ["oracle", "qbox", "--a", "3", "--b", "2", "--tuples", "00,11,20",
+                "--N", "1", "--M", "2", "--format", "csv"]
+        assert main(argv) == 3
+        assert capsys.readouterr().err == (
+            "resource limit: point budget: witness family: 6 points exceed the cap 3\n")
+        assert main([*argv, "--budget", "100"]) == 0
+
+    def test_budget_caps_the_image_determinization(self, capsys, monkeypatch):
+        monkeypatch.setitem(limits.DEFAULT_CAPS, "subset", 1)
+        assert main(["carpet", "--a", "3", "--b", "2", "--tuples", "00,11,20",
+                     "--budget", "100"]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("doc, size", [
+        ({"alphabet": 6, "kind": "full"}, "full shift: 6 symbols"),
+        ({"alphabet": 2, "kind": "forbidden", "forbidden": ["00"]},
+         "forbidden-word automaton of 3 states x 2 symbols: 6 transitions"),
+    ])
+    def test_budget_caps_the_compile_checks(self, capsys, tmp_path, doc, size):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        assert main(["entropy", "--spec", str(spec), "--budget", "5"]) == 3
+        assert capsys.readouterr().err == (
+            f"resource limit: word budget: {size} exceed the cap 5\n")
+
+    def test_override_caps_a_full_shift(self):
+        # a full shift of 50,000,000 symbols under a larger override would
+        # build its 50,000,000-entry transition dict: a smaller one names its cap
+        with pytest.raises(ResourceLimit) as info, limits.override(10**7):
+            meandim.symbolic.entropy(meandim.symbolic.full_shift(50_000_000), 1)
+        assert str(info.value) == (
+            "word budget: full shift: 50000000 symbols exceed the cap 10000000")
+
+    def test_override_reaches_the_pattern_sweep_and_the_cells_check(self, monkeypatch):
+        g2 = meandim.grid2d
+        monkeypatch.setitem(limits.DEFAULT_CAPS, "state", 2)
+        monkeypatch.setitem(limits.DEFAULT_CAPS, "word", 3)
+        with limits.override(10**6):
+            assert len(g2.enumerate_patterns(g2.hard_square_rule(), 3, 3)) == 63
+            assert g2.entropy2d(g2.hard_square_rule(), 2, 2).counts[(2, 2)] == 7
+        with pytest.raises(ResourceLimit, match="^word budget: grid: 4 cells exceed the cap 3$"):
+            g2.entropy2d(g2.hard_square_rule(), 2, 2)
+
+    def test_override_is_left_at_the_end_of_its_block(self):
+        with pytest.raises(ResourceLimit), limits.override(1):
+            meandim.symbolic.count_words(meandim.symbolic.full_shift(2), 2)
+        assert limits.cap("word") == limits.DEFAULT_CAPS["word"]
 
 
 class TestSeededDeterminism:

@@ -111,6 +111,7 @@ def test_resource_limits_name_the_size_and_the_cap(case, size, cap, monkeypatch)
 
     from meandim import carpet as cp
     from meandim import grid2d as g2
+    from meandim import limits
     from meandim import oracle as orc
     from meandim import selfsim as ss
     from meandim import symbolic as sym
@@ -120,32 +121,35 @@ def test_resource_limits_name_the_size_and_the_cap(case, size, cap, monkeypatch)
 
     line = PointCloud(np.arange(13.0).reshape(13, 1) / 13, MetricDescriptor(kind=LINF_FINITE))
     calls = {
-        "count_words": lambda: sym.count_words(sym.sft_from_matrix([[1, 1], [1, 0]]), 4, budget=1),
-        "covering_family": lambda: ss.covering_lower_bound(ss.beta_system(2, 2.0), 2, 3, budget=10),
+        "count_words": lambda: sym.count_words(sym.sft_from_matrix([[1, 1], [1, 0]]), 4),
+        "covering_family": lambda: ss.covering_lower_bound(ss.beta_system(2, 2.0), 2, 3),
         "exact_min_cover": lambda: orc.exact_min_cover(line, 0.3),
-        "enumerate_words": lambda: sym.enumerate_words(sym.full_shift(2), 5, budget=3),
-        "min_gap": lambda: ss.min_gap(2, 2.5, 5, budget=3),
-        "enumerate_patterns": lambda: g2.enumerate_patterns(g2.hard_square_rule(), 2, 2, budget=3),
-        "witness_cloud": lambda: orc.qbox_family(carpet, 1, 2, budget=10**6).witness_cloud(),
-        "qbox_family": lambda: orc.qbox_family(carpet, 3, 5, budget=1000),
+        "enumerate_words": lambda: sym.enumerate_words(sym.full_shift(2), 5),
+        "min_gap": lambda: ss.min_gap(2, 2.5, 5),
+        "enumerate_patterns": lambda: g2.enumerate_patterns(g2.hard_square_rule(), 2, 2),
+        "witness_cloud": lambda: family.witness_cloud(),
+        "qbox_family": lambda: orc.qbox_family(carpet, 3, 5),
         # 2 + 4 projected words by N = 2: the budget reaches the fiber table
-        "mass_fiber_table": lambda: orc.mass_distribution_check(carpet, 2, range(4, 6), 1.0,
-                                                                budget=5),
-        "transfer_rows": lambda: g2.count_rectangles(g2.hard_square_rule(), 3, 3, budget=16),
-        "image_subsets": lambda: wt.image_subshift(wt.pair_system(2, 3, full6), budget=1),
+        "mass_fiber_table": lambda: orc.mass_distribution_check(carpet, 2, range(4, 6), 1.0),
+        "transfer_rows": lambda: g2.count_rectangles(g2.hard_square_rule(), 3, 3),
+        "image_subsets": lambda: wt.image_subshift(wt.pair_system(2, 3, full6)),
         # the full 2-shift over 1 x 2: 2, 4 and 8 entries, 14 words by length 3
-        "fiber_table": lambda: wt.fiber_counts(wt.pair_system(1, 2, full2), 3, budget=10),
+        "fiber_table": lambda: wt.fiber_counts(wt.pair_system(1, 2, full2), 3),
         "full_shift_symbols": lambda: sym.count_words(sym.full_shift(6), 1),
         # the prefixes of "00", the empty one included, x 2 symbols
         "forbidden_transitions": lambda: sym.count_words(sym.forbidden_words(2, ["00"]), 1),
         # 2 then 4 one-state blocks of one word each
-        "fiber_frontier": lambda: wt.fiber_counts(wt.pair_system(1, 2, full2), 3, budget=3),
+        "fiber_frontier": lambda: wt.fiber_counts(wt.pair_system(1, 2, full2), 3),
     }
     full2, full6 = (sym.sft_from_matrix([[1] * k] * k) for k in (2, 6))
     carpet = cp.carpet_from_tuples(3, 2, [(0, 0), (1, 1), (2, 0)])
-    if case in ("witness_cloud", "full_shift_symbols", "forbidden_transitions"):
-        monkeypatch.setenv("MEANDIM_BUDGET", str(cap))  # they take no budget argument
-    with pytest.raises(ResourceLimit) as info:
+    family = orc.qbox_family(carpet, 1, 2)  # its 6 boxes, at the default word budget
+    override = cap
+    if case == "enumerate_patterns":  # an override of 3 refuses the sweep's 4 partial patterns
+        monkeypatch.delenv("MEANDIM_BUDGET", raising=False)
+        monkeypatch.setitem(limits.DEFAULT_CAPS, "point", cap)
+        override = None
+    with pytest.raises(ResourceLimit) as info, limits.override(override):
         calls[case]()
     assert str(info.value).endswith(f": {size} exceed the cap {cap}")
 
@@ -191,7 +195,7 @@ from meandim import selfsim as ss
 from meandim import symbolic as sym
 from meandim.errors import ResourceLimit
 
-def walk(self, n, budget=None):
+def walk(self, n):
     raise AssertionError(f"{n}-words enumerated")
 
 sym.Automaton.enumerate_words = walk
@@ -222,14 +226,15 @@ def test_power_sizes_are_the_exact_product_below_printed_bits():
             product *= b**e
         if product.bit_length() > limits.PRINTED_BITS:
             return
-        try:
-            got = limits.check("word", powers, "boxes", cap, "family")
-        except ResourceLimit as exc:
-            got = str(exc)
-        try:
-            want = limits.check("word", product, "boxes", cap, "family")
-        except ResourceLimit as exc:
-            want = str(exc)
+        with limits.override(cap):
+            try:
+                got = limits.check("word", powers, "boxes", "family")
+            except ResourceLimit as exc:
+                got = str(exc)
+            try:
+                want = limits.check("word", product, "boxes", "family")
+            except ResourceLimit as exc:
+                want = str(exc)
         assert got == want
 
     agree()
@@ -245,6 +250,6 @@ def test_power_sizes_past_printed_bits_are_named_from_below(powers, named):
     from meandim import limits
     from meandim.errors import ResourceLimit
 
-    with pytest.raises(ResourceLimit) as info:
-        limits.check("word", powers, "boxes", 20_000_000, "family")
+    with pytest.raises(ResourceLimit) as info, limits.override(20_000_000):
+        limits.check("word", powers, "boxes", "family")
     assert str(info.value) == f"word budget: family: {named} exceed the cap 20000000"

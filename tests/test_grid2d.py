@@ -10,6 +10,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from meandim import grid2d as g2
+from meandim import limits
 from meandim.errors import DomainError, ResourceLimit
 from meandim.oracle import covering_bounds
 
@@ -220,7 +222,7 @@ class TestTransferGraph:
         # column (c_0, ..., c_{n-1}) has code sum c_i a^(n-1-i), its index
         # in itertools.product order, so code order is lexicographic order
         a, n_rows = spec.alphabet, 2
-        graph = g2._transfer_graph(spec, n_rows, None)
+        graph = g2._transfer_graph(spec, n_rows)
         labels = {label for trans in graph.succ for label in trans}
         assert all(type(c) is int for c in labels) and labels <= set(range(a**n_rows))
         words = graph.enumerate_words(3)
@@ -230,20 +232,27 @@ class TestTransferGraph:
             tuple(zip(*p)) for p in reference_patterns(spec, n_rows, 3)
         ]
 
-    def test_budget_caps_transfer_states_and_edges(self):
-        # the budget caps the partial patterns each row of the sweep keeps:
+    def test_budget_caps_transfer_states_and_edges(self, monkeypatch):
+        # the state budget caps the partial patterns each row of the sweep keeps:
         # 4, 7 and 17 hard-square patterns of 1, 2 and 3 rows by 2 columns
+        monkeypatch.delenv("MEANDIM_BUDGET", raising=False)
         spec = g2.hard_square_rule()
         with pytest.raises(ResourceLimit, match="3 rows, at row 2: 7 or more partial patterns exceed the cap 4"):
-            g2.count_rectangles(spec, 3, 3, budget=4)
+            with limits.override(4):
+                g2.count_rectangles(spec, 3, 3)
         with pytest.raises(ResourceLimit, match="2 rows, at row 2: 7 or more partial patterns exceed the cap 4"):
-            g2.count_rectangles(spec, 2, 3, budget=4)
-        assert g2.count_rectangles(spec, 2, 3, budget=7) == 17
-        with pytest.raises(ResourceLimit, match="the cap"):
-            g2.entropy2d(spec, 3, 3, budget=7)
+            with limits.override(4):
+                g2.count_rectangles(spec, 2, 3)
+        with limits.override(7):
+            assert g2.count_rectangles(spec, 2, 3) == 17
+        # entropy2d also checks its cells against the word budget: the state default is lowered
+        monkeypatch.setitem(limits.DEFAULT_CAPS, "state", 7)
+        with pytest.raises(ResourceLimit, match="3 rows, at row 3: 17 or more partial patterns exceed the cap 7$"):
+            g2.entropy2d(spec, 3, 3)
         # rows that hold no window need no transfer graph
-        assert g2.count_rectangles(spec, 1, 3, budget=0) == 8
-        assert g2.entropy2d(spec, 1, 3, budget=0).counts[(1, 3)] == 8
+        monkeypatch.setitem(limits.DEFAULT_CAPS, "state", 0)
+        assert g2.count_rectangles(spec, 1, 3) == 8
+        assert g2.entropy2d(spec, 1, 3).counts[(1, 3)] == 8
 
     @settings(max_examples=150, deadline=None)
     @given(spec=sweep_rules(), n_rows=st.integers(1, 4), m_cols=st.integers(1, 4))
@@ -260,18 +269,18 @@ class TestTransferGraph:
 
     def test_wide_alphabets_need_no_window_table(self):
         # 50^4 and 13^6 window codes, far more than the partial patterns kept
-        assert g2._transfer_graph(g2.linear_rule(50, 1, 1, 1), 2, None).word_counts(3)[-1] == 50**4
+        assert g2._transfer_graph(g2.linear_rule(50, 1, 1, 1), 2).word_counts(3)[-1] == 50**4
         constant = [((c,) * 3,) * 2 for c in range(13)]
         assert g2.count_rectangles(g2.patterns_rule(13, (2, 3), constant), 2, 5) == 13
 
     def test_hard_square_graph_keeps_only_live_strips(self):
         # F(15) = 610 columns without two adjacent 1s, and the root
-        assert g2._transfer_graph(g2.hard_square_rule(), 13, None).n_states == 611
+        assert g2._transfer_graph(g2.hard_square_rule(), 13).n_states == 611
 
     def test_columns_past_int64(self):
         # 2^70 strips, of which the all-0 and all-1 columns are live
         spec = g2.patterns_rule(2, (2, 2), [((0, 0), (0, 0)), ((1, 1), (1, 1))])
-        assert g2._transfer_graph(spec, 70, None).n_states == 3
+        assert g2._transfer_graph(spec, 70).n_states == 3
         assert g2.count_rectangles(spec, 70, 5) == 2
         assert g2.enumerate_patterns(spec, 64, 5) == [((0,) * 5,) * 64, ((1,) * 5,) * 64]
         cloud = g2.torus_points(spec, 64, 5)
@@ -296,8 +305,9 @@ class TestLinearClosedForm:
         a, cells = spec.alphabet, n_rows * m_cols
         small = a**cells <= 4096
         try:  # the graph's words shorter than the window are not all patterns
-            sweep = a**cells if g2._window_free(spec, n_rows, m_cols) else g2._transfer_graph(
-                spec, n_rows, 1 << 15).word_counts(m_cols)[-1]
+            with limits.override(1 << 15):
+                sweep = a**cells if g2._window_free(spec, n_rows, m_cols) else g2._transfer_graph(
+                    spec, n_rows).word_counts(m_cols)[-1]
         except ResourceLimit:  # past the sweep's cap: brute force alone, if small
             sweep = None
         assume(sweep is not None or small)
@@ -408,21 +418,26 @@ class TestEntropy2D:
            budget=st.one_of(st.none(), st.integers(0, 40)))
     def test_one_sweep_matches_count_rectangles_per_row_count(self, spec, n_max, m_max, budget):
         """entropy2d sweeps once to n_max rows; count_rectangles sweeps each
-        row count on its own.  A budget refusal comes at the same row, with
-        the same budget, size and cap, as the first row count's that fails."""
+        row count on its own.  A state budget refusal comes at the same row,
+        with the same size and cap, as the first row count's that fails.  The
+        state default is lowered, not overridden: an override also caps
+        entropy2d's cells."""
         refusal = re.compile(r"^(\w+) budget: .* at row (\d+): (\d+) or more .* the cap (\d+)$")
-        want, first = {}, None
-        for n, m in itertools.product(range(1, n_max + 1), range(1, m_max + 1)):
-            try:
-                want[(n, m)] = g2.count_rectangles(spec, n, m, budget)
-            except ResourceLimit as exc:
-                first = first or refusal.match(str(exc)).groups()
-        if first is None:
-            assert g2.entropy2d(spec, n_max, m_max, budget).counts == want
-        else:
-            with pytest.raises(ResourceLimit) as exc:
-                g2.entropy2d(spec, n_max, m_max, budget)
-            assert refusal.match(str(exc.value)).groups() == first
+        caps = {} if budget is None else {"state": budget}
+        with mock.patch.dict(os.environ), mock.patch.dict(limits.DEFAULT_CAPS, caps):
+            os.environ.pop("MEANDIM_BUDGET", None)
+            want, first = {}, None
+            for n, m in itertools.product(range(1, n_max + 1), range(1, m_max + 1)):
+                try:
+                    want[(n, m)] = g2.count_rectangles(spec, n, m)
+                except ResourceLimit as exc:
+                    first = first or refusal.match(str(exc)).groups()
+            if first is None:
+                assert g2.entropy2d(spec, n_max, m_max).counts == want
+            else:
+                with pytest.raises(ResourceLimit) as exc:
+                    g2.entropy2d(spec, n_max, m_max)
+                assert refusal.match(str(exc.value)).groups() == first
 
     def test_hard_square_matches_enumeration(self):
         rep = g2.entropy2d(g2.hard_square_rule(), 4, 4)
@@ -539,7 +554,7 @@ def walked_patterns(spec, n_rows, m_cols):
     if g2._window_free(spec, n_rows, m_cols):
         words = itertools.product(range(len(cols)), repeat=m_cols)
     else:
-        words = g2._transfer_graph(spec, n_rows, None).enumerate_words(m_cols)
+        words = g2._transfer_graph(spec, n_rows).enumerate_words(m_cols)
     return [tuple(zip(*(cols[c] for c in word))) for word in words]
 
 

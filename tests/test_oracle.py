@@ -11,6 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 from meandim import carpet as cp
 from meandim import grid2d as g2
+from meandim import limits
 from meandim import oracle as orc
 from meandim import symbolic as sym
 from meandim import weighted as wt
@@ -538,7 +540,8 @@ def witness_cases(draw):
     cells = [(u, v) for u in range(a) for v in range(b)]
     rel = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=len(cells), unique=True))
     n, m = draw(st.integers(1, 2)), draw(st.integers(1, 6))
-    fam = orc.qbox_family(cp.carpet_from_tuples(a, b, rel), n, m, budget=2**62)
+    with limits.override(2**62):
+        fam = orc.qbox_family(cp.carpet_from_tuples(a, b, rel), n, m)
     rng = random.Random(draw(st.integers(0, 2**32)))
     sizes = orc._layer_sizes(fam)
     pool = [[rng.randrange(s) for s in sizes] for _ in range(draw(st.integers(1, 30)))]
@@ -706,7 +709,8 @@ class TestQBoxFamily:
     def test_witness_points_of_long_columns(self, a, b, rel, m):
         # column codes are ranked before they pass int64, so columns that
         # differ only in their first layers stay apart
-        fam = orc.qbox_family(cp.carpet_from_tuples(a, b, rel), 1, m, budget=2**200)
+        with limits.override(2**200):
+            fam = orc.qbox_family(cp.carpet_from_tuples(a, b, rel), 1, m)
         rng = random.Random(m)
         sizes = orc._layer_sizes(fam)
         choices = np.array([[rng.randrange(s) for s in sizes] for _ in range(60)])
@@ -1422,6 +1426,7 @@ def reference_inverse_square_bracket(lo, hi, prefix):
 
 
 ULPS = 4  # rounding of the prefix's terms, its sum and the weight
+ROUND_DOWN = 1.0 - 2.0**-50  # inverse_square_mass's factor past those roundings
 
 
 def within_ulps_below(mass, bound):
@@ -1431,9 +1436,26 @@ def within_ulps_below(mass, bound):
 
 
 def within_ulps_above(mass, bound):
-    """mass >= float(bound), allowing ULPS ulps for rounding."""
-    low = float(bound)
+    """mass >= float(bound) rounded down by ROUND_DOWN, allowing ULPS ulps for rounding."""
+    low = float(bound) * ROUND_DOWN
     return mass >= low - ULPS * math.ulp(low)
+
+
+def exact_inverse_square_measure(lo, hi):
+    """The inverse-square measure of [lo, hi] at 50 digits: 1/2 for the atom
+    0 and (3/pi^2) / j^2 for each atom 1/j, j_min <= j <= j_max (indices by
+    bisection), a tail past a thousand atoms by Hurwitz zeta(2, j)."""
+    with mpmath.workdps(50):
+        total = mpmath.mpf(0.5) if lo <= 0.0 <= hi else mpmath.mpf(0)
+        if not hi > 0.0:
+            return total
+        j_min = exact_least_index(hi)
+        j_max = exact_greatest_index(lo) if lo > 0.0 else math.inf
+        if j_max - j_min < 1000:
+            atoms = mpmath.fsum(mpmath.mpf(1) / j**2 for j in range(j_min, j_max + 1))
+        else:
+            atoms = mpmath.zeta(2, j_min) - (0 if j_max == math.inf else mpmath.zeta(2, j_max + 1))
+        return total + 3 / mpmath.pi**2 * atoms
 
 
 def reference_set_dims_counts(n_cap, eps):
@@ -1488,7 +1510,7 @@ class TestReciprocalKernelsMatchReference:
     def test_mass_no_looser_than_the_enumeration(self, lo, width, enum_cap):
         """At full size the tail bound beats every enumeration with an
         integral tail, up to rounding; below one block of atoms the sum is
-        the enumeration's, bit for bit."""
+        the enumeration's, rounded down: at or below it, within a few ulps."""
         hi = lo + width
         mass = orc.inverse_square_mass(lo, hi)
         want = enumerated_inverse_square_mass(lo, hi, enum_cap)
@@ -1496,7 +1518,27 @@ class TestReciprocalKernelsMatchReference:
         if lo > 0.0:
             j_min, j_max = exact_least_index(hi), exact_greatest_index(lo)
             if j_max - j_min < orc._INV_SQ_BLOCK:
-                assert mass == enumerated_inverse_square_mass(lo, hi, orc._INV_SQ_BLOCK)
+                enumerated = enumerated_inverse_square_mass(lo, hi, orc._INV_SQ_BLOCK)
+                assert within_ulps_above(mass, enumerated) and mass <= enumerated
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.sampled_from([-0.1, 0.0]) | st.floats(1e-9, 1.0) | st.integers(1, 10**6).map(lambda j: 1 / j),
+        st.floats(1e-12, 0.5) | st.sampled_from([0.0, 1e-7, 1e-5, 1.5]),
+    )
+    @example(0.99, 0.01)  # [0.99, 1.0]: the one atom 1 weighed by the double above 3/pi^2
+    @example(0.3, 0.2)  # the atoms 1/2 and 1/3
+    def test_mass_is_at_most_the_exact_measure(self, lo, width):
+        """The judge: the exact measure at 50 digits, with mpmath."""
+        hi = lo + width
+        assert orc.inverse_square_mass(lo, hi) <= exact_inverse_square_measure(lo, hi)
+
+    @pytest.mark.parametrize("lo, hi", [
+        (math.nan, 0.5), (0.3, math.nan), (math.nan, math.nan), (math.nan, 0.0), (0.0, math.nan),
+    ])
+    def test_an_interval_with_a_nan_end_has_no_mass(self, lo, hi):
+        # a nan lo raised ValueError: cannot convert NaN to integer ratio
+        assert orc.inverse_square_mass(lo, hi) == 0.0
 
     @pytest.mark.parametrize("lo, hi", [
         (0.0, 1.0), (-1.0, 2.0), (0.0, 1e-3), (1e-6, 1.0), (1e-9, 1e-3),

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from meandim import limits
 from meandim import oracle as orc
 from meandim import selfsim as ss
 from meandim import symbolic as sym
@@ -190,10 +191,11 @@ class TestFamilyPointsMatchReference:
         # digits: its 2^3 digit columns exceed its one point, and only the
         # point budget applies
         spec = ss.beta_system(2, 2.5, sym.automaton_spec(sym.Automaton(2, 0, ({0: 1}, {1: 0})), 2))
-        got = ss.covering_lower_bound(spec, 1, 3, budget=1).points.points
+        with limits.override(1):
+            got = ss.covering_lower_bound(spec, 1, 3).points.points
         assert (got == reference_family_points(spec, 1, 3)).all()
-        with pytest.raises(ResourceLimit, match="covering family"):
-            ss.covering_lower_bound(ss.beta_system(2, 2.5), 1, 3, budget=7)
+        with pytest.raises(ResourceLimit, match="covering family"), limits.override(7):
+            ss.covering_lower_bound(ss.beta_system(2, 2.5), 1, 3)
 
     def test_a_family_without_layers_is_refused(self):
         with pytest.raises(DomainError, match="digit layers"):

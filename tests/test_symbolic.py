@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 from meandim import symbolic as sym
 from meandim.errors import DomainError, EmptySubshift, ResourceLimit
-from meandim.limits import cap as budget_cap
+from meandim import limits
 
 GOLDEN_ENTROPY = 0.4812118250596035  # log((1 + sqrt 5) / 2)
 
@@ -174,10 +174,10 @@ def reference_word_counts(aut, n_max):
     return counts
 
 
-def reference_enumerate_words(aut, n, budget=None):
+def reference_enumerate_words(aut, n):
     """The word enumerator before the iterator-stack walk: a stack of
     (state, prefix) pairs, then a sort."""
-    cap = budget_cap("word", budget)
+    cap = limits.cap("word")
     words = []
     stack = [(aut.root, ())]
     while stack:
@@ -330,13 +330,14 @@ def test_walk_and_sweep_match_the_reference(case, n, budget, column_labels):
         succ = [{(l % 2, l): t for l, t in trans.items()} for trans in succ]
     aut = sym.Automaton(alphabet_size=k, root=root, succ=tuple(succ))
     assert aut.word_counts(6) == reference_word_counts(aut, 6)
-    try:
-        want = reference_enumerate_words(aut, n, budget)
-    except ResourceLimit as exc:
-        with pytest.raises(ResourceLimit, match=str(exc)):
-            aut.enumerate_words(n, budget)
-        return
-    assert aut.enumerate_words(n, budget) == want
+    with limits.override(budget):
+        try:
+            want = reference_enumerate_words(aut, n)
+        except ResourceLimit as exc:
+            with pytest.raises(ResourceLimit, match=str(exc)):
+                aut.enumerate_words(n)
+            return
+        assert aut.enumerate_words(n) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -403,8 +404,9 @@ class TestCountWords:
             aut = sym.sft_from_matrix(matrix).automaton
         except EmptySubshift:
             return
-        for n in range(7):
-            assert aut.checked_count(n, "word", 10**6) == len(aut.enumerate_words(n))
+        with limits.override(10**6):
+            for n in range(7):
+                assert aut.checked_count(n, "word") == len(aut.enumerate_words(n))
 
     @pytest.mark.parametrize("n, cap, refusal", [
         (30, 20_000_000, "1073741824 words"),  # exact below 2^PRINTED_BITS
@@ -413,16 +415,17 @@ class TestCountWords:
         (10**12, 20_000_000, "33554432 or more words"),
     ])
     def test_checked_count_refusals(self, n, cap, refusal):
-        with pytest.raises(ResourceLimit) as info:
-            sym.full_shift(2).automaton.checked_count(n, "word", cap)
+        with pytest.raises(ResourceLimit) as info, limits.override(cap):
+            sym.full_shift(2).automaton.checked_count(n, "word")
         assert str(info.value) == f"word budget: {refusal} exceed the cap {cap}"
 
     def test_checked_count_of_a_slow_count_refuses_its_length(self):
         # one word per length: the counts never pass the cap, the word's symbols do
         aut = sym.sft_from_matrix([[1, 0], [0, 0]]).automaton
-        assert aut.checked_count(20_000, "word", 20_000_000) == 1
-        with pytest.raises(ResourceLimit, match=r"^word budget: 1000000000000 symbols in a word "):
-            aut.checked_count(10**12, "word", 20_000_000)
+        with limits.override(20_000_000):
+            assert aut.checked_count(20_000, "word") == 1
+            with pytest.raises(ResourceLimit, match=r"^word budget: 1000000000000 symbols in a word "):
+                aut.checked_count(10**12, "word")
 
     def test_counts_stop_at_the_first_one_past_the_digit_budget(self):
         spec = sym.full_shift(2)

@@ -20,7 +20,7 @@ from meandim.errors import (
     ParameterOverflow,
     ResourceLimit,
 )
-from meandim.limits import cap as budget_cap
+from meandim import limits
 from test_symbolic import reference_block_automaton
 
 R_EXAMPLE = [(0, 0), (1, 1), (2, 0)]
@@ -41,10 +41,10 @@ def naive_fibers(omega_spec, b, n):
     return fibers
 
 
-def reference_fiber_counts(sys_, n_max, budget=None):
+def reference_fiber_counts(sys_, n_max):
     """Fiber counts by a DFS over projected words, one dict of per-state path
     counts per word and letters in ascending order: {n: {v_word: count}}."""
-    cap = budget_cap("word", budget)
+    cap = limits.cap("word")
     aut = sys_.omega.automaton
     b = sys_.b_size
     levels = {}
@@ -120,10 +120,11 @@ class TestFiberSweep:
         for n, level in want.items():
             assert z[n] == math.fsum(float(c) ** w for c in level.values())
         small = sum(len(want[n]) for n in range(1, n_max + 1)) - 1
-        with pytest.raises(ResourceLimit):
-            reference_fiber_counts(sys_, n_max, small)
-        with pytest.raises(ResourceLimit):
-            wt.fiber_counts(sys_, n_max, small)
+        with limits.override(small):
+            with pytest.raises(ResourceLimit):
+                reference_fiber_counts(sys_, n_max)
+            with pytest.raises(ResourceLimit):
+                wt.fiber_counts(sys_, n_max)
 
     @pytest.mark.parametrize("seed", [1, 3, 4])
     def test_words_spread_over_many_subsets_match_reference(self, seed):
@@ -213,11 +214,12 @@ class TestFiberSweep:
                 rf"^word budget: fiber frontier at length {length}: {entries} "
                 rf"\(word, state\) entries exceed the cap {budget}$"
             )
-            with pytest.raises(ResourceLimit, match=message):
-                wt.fiber_counts(sys_, 10, budget=budget)
-            with pytest.raises(ResourceLimit, match=message):
-                wt.weighted_entropy(sys_, 0.5, 10, budget=budget)
-        assert wt.fiber_counts(sys_, 1, budget=6).level(1) == {(0,): 3, (1,): 3}
+            with pytest.raises(ResourceLimit, match=message), limits.override(budget):
+                wt.fiber_counts(sys_, 10)
+            with pytest.raises(ResourceLimit, match=message), limits.override(budget):
+                wt.weighted_entropy(sys_, 0.5, 10)
+        with limits.override(6):
+            assert wt.fiber_counts(sys_, 1).level(1) == {(0,): 3, (1,): 3}
 
     def test_many_states_with_sparse_rows_stay_within_a_small_budget(self):
         # 6^5 block states, 4 or 5 out-edges each: a words x states frontier
@@ -230,7 +232,8 @@ class TestFiberSweep:
         omega = sym.automaton_spec(sym.Automaton(alphabet_size=k, root=0, succ=succ), k)
         assert omega.automaton.n_states == blocks
         sys_ = wt.pair_system(3, 2, omega)
-        assert wt.fiber_counts(sys_, 6, budget=15_000).levels == reference_fiber_counts(sys_, 6)
+        with limits.override(15_000):
+            assert wt.fiber_counts(sys_, 6).levels == reference_fiber_counts(sys_, 6)
 
     def test_ninety_state_forbidden_system_runs_at_n12(self):
         # 531,441 projected words at N = 12, about 9 of 90 states per word;
@@ -282,19 +285,22 @@ class TestQueryMemos:
         assert z == fresh  # positive finite doubles: equal means the same bits
 
     def test_other_length_or_budget_sweeps_again(self, monkeypatch):
+        monkeypatch.delenv("MEANDIM_BUDGET", raising=False)
         sys_ = probe_system()
         wt.fiber_counts(sys_, 10)
         message = (
             r"^word budget: fiber frontier at length 8: 768 \(word, state\) entries "
             r"exceed the cap 500$"
         )
-        with pytest.raises(ResourceLimit, match=message):
-            wt.weighted_entropy(sys_, W_EXAMPLE, 10, budget=500)
+        with pytest.raises(ResourceLimit, match=message), limits.override(500):
+            wt.weighted_entropy(sys_, W_EXAMPLE, 10)
         sweeps = []
         levels = wt._fiber_levels
         monkeypatch.setattr(wt, "_fiber_levels", lambda *args: sweeps.append(args) or levels(*args))
         z = wt.weighted_entropy(sys_, 1.0, 9).z_values
-        assert [args[1:] for args in sweeps] == [(9, budget_cap("word"))]
+        with limits.override(10**7):  # the same length under another word cap
+            wt.weighted_entropy(sys_, 1.0, 9)
+        assert [args[1:] for args in sweeps] == [(9,), (9,)]
         assert z == wt.weighted_entropy(probe_system(), 1.0, 9).z_values
 
     def test_only_the_last_swept_system_is_kept(self):
@@ -599,7 +605,8 @@ class TestZValuesProduct:
         )
         w = math.log(k) / math.log(k + 1)
         s = sum(map(Fraction, (np.arange(1, k + 1, dtype=float) ** w).tolist()))
-        rep = wt.weighted_entropy(sys_, w, 3, budget=1)
+        with limits.override(1):
+            rep = wt.weighted_entropy(sys_, w, 3)
         assert rep.z_values == {n: float(s**n) for n in (1, 2, 3)}
 
     def test_overflow_names_the_length(self):
@@ -721,12 +728,12 @@ class TestWeightedEntropy:
             wt.weighted_entropy(sys_, 1.5, 4)
 
 
-def reference_image_subshift(sys_, budget=None):
+def reference_image_subshift(sys_):
     """Powerset determinization over frozensets, one by_letter dict of target
     sets per subset, with image_subshift's queue order and numbering."""
     aut = sys_.omega.automaton
     b = sys_.b_size
-    cap = budget_cap("subset", budget)
+    cap = limits.cap("subset")
     start = frozenset([aut.root])
     subsets = {start: 0}
     succ = [dict()]
@@ -757,13 +764,14 @@ class TestImageSubshift:
     @settings(max_examples=150, deadline=None)
     @given(pair_systems(), st.sampled_from([1, 2, 3, None]))
     def test_matches_reference_determinization(self, sys_, budget):
-        try:
-            want = reference_image_subshift(sys_, budget)
-        except ResourceLimit:
-            with pytest.raises(ResourceLimit):
-                wt.image_subshift(sys_, budget)
-            return
-        got = wt.image_subshift(sys_, budget)
+        with limits.override(budget):
+            try:
+                want = reference_image_subshift(sys_)
+            except ResourceLimit:
+                with pytest.raises(ResourceLimit):
+                    wt.image_subshift(sys_)
+                return
+            got = wt.image_subshift(sys_)
         # a spec compares kind and alphabet only, so compare the graphs too
         assert (got, got.automaton) == (want, want.automaton)
 
@@ -825,6 +833,7 @@ class TestDeterminizationBudget:
         # and one pair of states per projected letter (budget 1: test_errors)
         sys_ = wt.pair_system(2, 3, sym.sft_from_matrix([[1] * 6] * 6))
         message = r"^subset budget: 4 or more subsets exceed the cap 3$"
-        with pytest.raises(ResourceLimit, match=message):
-            wt.image_subshift(sys_, budget=3)
-        assert wt.image_subshift(sys_, budget=4).kind == sym.KIND_FULL
+        with pytest.raises(ResourceLimit, match=message), limits.override(3):
+            wt.image_subshift(sys_)
+        with limits.override(4):
+            assert wt.image_subshift(sys_).kind == sym.KIND_FULL
