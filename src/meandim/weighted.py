@@ -6,18 +6,19 @@ of Z_N = sum over projected N-words v of |fiber(v)|^w.  Z_N is submultiplicative
 so v_N = min_{j<=N} log Z_j / j is a certified upper-bound sequence; for
 product shifts R^N the value is exactly log sum_{v} t(v)^w.  Other systems
 sweep the projected words grouped by the set of automaton states they reach;
-a fiber table's levels keep the sweep's key and count arrays, and a level
-decodes its own word tuples alone, walking the keys down the levels before,
-on its first key access; the fiber-size histograms of all lengths give
-every Z_N exactly in one pass (`_level_totals`, `exact_total`'s sums).
+a fiber table's levels keep the sweep's key and count arrays in sweep order,
+sort on their first ordered read and decode their own word tuples alone on
+their first key access; Z_N is the exact integer total at w = 1, and below
+one exact pass over the fiber-size histograms of all lengths
+(`_level_totals`, `exact_total`'s sums).
 
 `image_subshift` determinizes the projected image exactly with the same
 subset moves, and past the subset budget raises ResourceLimit.
 
 One system queried several times is swept once: each spec keeps its
 compiled automaton (`SubshiftSpec.automaton`) and that automaton its
-spectral bracket, and the fiber-size histograms of the last complete sweep
-stay in a one-entry memo, so `weighted_entropy` after `fiber_counts` or
+spectral bracket, and the fiber-size arrays of the last complete sweep stay
+in a one-entry memo, so `weighted_entropy` after `fiber_counts` or
 after itself, on the same system object, N and word cap, sweeps nothing.
 Only the last sweep is kept, so at most one system is held alive.
 """
@@ -83,30 +84,50 @@ def tuple_fiber_sizes(sys: PairShiftSystem) -> dict[int, int]:
 
 class FiberLevel(Mapping):
     """Fiber sizes of the projected words of one length, word -> count, in
-    lexicographic order.  It holds the sweep's sorted keys (rank * b +
-    letter, rank a word's index in the level before), the sweep's counts
-    array and the level before: len and values() read the counts alone, as
-    Python ints, and the first key access decodes this level's word tuples
-    alone, one letter per level walking the keys down, and keeps them."""
+    lexicographic order.  It holds the sweep's keys (parent * b + letter,
+    parent a word's position in the level before) and counts, in sweep
+    order, and the level before: len reads the counts alone, the first
+    ordered read sorts this level, and each level below not yet sorted, and
+    keeps the order, values() reads the counts in it, as Python ints, and
+    the first key access decodes this level's word tuples alone, one letter
+    per level walking the keys down, and keeps them."""
 
     def __init__(self, keys: np.ndarray, counts: np.ndarray, prev: FiberLevel | None, b: int):
-        self._keys, self._counts, self._prev, self._b, self._words = keys, counts, prev, b, None
+        self._keys, self._counts, self._prev, self._b = keys, counts, prev, b
+        self._order = self._words = None
+
+    def _ordered(self) -> np.ndarray:
+        """The positions of the words in lexicographic order: by the parent's
+        rank in its level, then the letter; in a loop, as tables run deep."""
+        chain, level = [], self
+        while level is not None and level._order is None:
+            chain.append(level)
+            level = level._prev
+        rank = np.zeros(1, np.int64)
+        for level in reversed(chain):
+            if level._prev is not None:
+                rank = np.empty_like(level._prev._order)
+                rank[level._prev._order] = np.arange(len(rank))
+            parent, letter = np.divmod(level._keys, self._b)
+            level._order = np.argsort(rank[parent] * self._b + letter)
+        return self._order
 
     def _decoded(self) -> dict:
         if self._words is None:
-            letters, rank, level = [], slice(None), self
+            order = self._ordered()
+            letters, position, level = [], order, self
             while level is not None:
-                rank, letter = np.divmod(level._keys[rank], self._b)
+                position, letter = np.divmod(level._keys[position], self._b)
                 letters.append(letter.tolist())
                 level = level._prev
-            self._words = dict(zip(zip(*reversed(letters)), self._counts.tolist()))
+            self._words = dict(zip(zip(*reversed(letters)), self._counts[order].tolist()))
         return self._words
 
     def __len__(self):
         return len(self._counts)
 
     def values(self):
-        return self._counts.tolist()
+        return self._counts[self._ordered()].tolist()
 
     def __getitem__(self, word):
         return self._decoded()[word]
@@ -134,7 +155,7 @@ class FiberCountTable:
 
 def fiber_counts(sys: PairShiftSystem, n_max: int) -> FiberCountTable:
     levels, level = {}, None
-    for n, (keys, counts, _) in enumerate(_fiber_levels(sys, n_max), 1):
+    for n, (keys, counts) in enumerate(_fiber_levels(sys, n_max), 1):
         levels[n] = level = FiberLevel(keys, counts, level, sys.b_size)
     return FiberCountTable(levels=levels)
 
@@ -151,25 +172,24 @@ def _subset_moves(aut: Automaton, b: int, subset: tuple) -> list:
     return [(v, *zip(*sorted(edges.items()))) for v, edges in sorted(by_letter.items())]
 
 
-_last_sweep: tuple = (None, 0, 0, ())  # (system, n_max, word cap, histograms)
+_last_sweep: tuple = (None, 0, 0, ())  # (system, n_max, word cap, counts per level)
 
 
 def _fiber_levels(sys: PairShiftSystem, n_max: int):
-    """Yield (keys, counts, histogram) per length: word i of a level, in
-    lexicographic order, is word keys[i] // b of the level before extended
-    by letter keys[i] % b, counts[i] is its fiber size, and histogram is
-    np.unique(counts, return_counts=True).  A complete sweep keeps its
-    histograms in _last_sweep, keyed on the word cap it ran under.
+    """Yield (keys, counts) per length, in sweep order: word i of a level is
+    word keys[i] // b of the level before extended by letter keys[i] % b,
+    and counts[i] is its fiber size.  A complete sweep keeps its counts
+    arrays in _last_sweep, keyed on the word cap it ran under.
 
     The frontier keeps, per image subset S (the states a word's paths reach),
-    a dense |S| x words block of path counts and each word's rank.  Every
+    a dense |S| x words block of path counts and each word's position.  Every
     entry counts a path, so the blocks hold exactly the (word, state) entries
     reached, which the budget bounds before a level is built.  A subset's
     rows, one per (letter, target) over all letters, gather the block row of
     each first edge's source and add those of further edges one layer at a
-    time; a letter's fiber sizes sum its rows, and rank * b + v broadcast
-    gives the keys, which one argsort orders.  Counts, at most (max
-    out-degree)^n, are int64 below 2^63 and exact Python ints above."""
+    time; a letter's fiber sizes sum its rows, position * b + v broadcast
+    gives the keys, and its words take the next range of positions.  Counts,
+    at most (max out-degree)^n, are int64 below 2^63 and Python ints above."""
     aut = sys.omega.automaton
 
     @functools.cache
@@ -186,37 +206,34 @@ def _fiber_levels(sys: PairShiftSystem, n_max: int):
 
     dtype = np.int64 if max(map(len, aut.succ)) ** min(n_max, 63) < 2**63 else object
     frontier = {(aut.root,): ([np.zeros(1, np.int64)], [np.ones((1, 1), dtype)])}
-    total, histograms = 0, []
+    total, levels = 0, []
     for n in range(1, n_max + 1):
         moves = [(np.concatenate(r), np.hstack(c), plan(s)) for s, (r, c) in frontier.items()]
-        entries = sum(len(rank) * len(succ[1]) for rank, _, succ in moves)
+        entries = sum(len(words) * len(succ[1]) for words, _, succ in moves)
         limits.check("word", entries, "(word, state) entries", f"fiber frontier at length {n}")
         keys, sums, pieces = [], [], []
-        for rank, block, (letters, first, layers, slices, heads) in moves:
+        for words, block, (letters, first, layers, slices, heads) in moves:
             rows = block[first]
             for live, sources in layers:
                 rows[live] += block[sources]
-            keys.append((rank * sys.b_size + letters).ravel())
+            keys.append((words * sys.b_size + letters).ravel())
             sums.append((rows, heads))
             pieces += [(image, rows[part]) for image, part in slices]
         keys = np.concatenate(keys)
         total += len(keys)  # and at least one word per level: n_max past the cap is refused
         limits.check("word", max(total, n_max), "words", "fiber table")
-        order = np.argsort(keys)
         counts = np.concatenate([(rows if heads is None else np.add.reduceat(rows, heads)).ravel()
-                                 for rows, heads in sums])[order]
-        histograms.append(np.unique(counts, return_counts=True))
-        yield keys[order], counts, histograms[-1]
-        ranks = np.empty_like(order)
-        ranks[order] = np.arange(len(order))
-        frontier = {}  # image -> (rank vectors, blocks), joined when the next level reads them
+                                 for rows, heads in sums])
+        levels.append(counts)
+        yield keys, counts
+        frontier, start = {}, 0  # image -> (position ranges, blocks), joined when read
         for image, block in pieces:
-            rank, ranks = ranks[: block.shape[1]], ranks[block.shape[1] :]
             parts = frontier.setdefault(image, ([], []))
-            parts[0].append(rank)
+            parts[0].append(np.arange(start, start + block.shape[1]))
             parts[1].append(block)
+            start += block.shape[1]
     global _last_sweep
-    _last_sweep = (sys, n_max, limits.cap("word"), histograms)
+    _last_sweep = (sys, n_max, limits.cap("word"), levels)
 
 
 # ---------------------------------------------------------------------------
@@ -316,21 +333,26 @@ def _level_totals(levels) -> tuple[list, int]:
 
 
 def _z_sweep(sys: PairShiftSystem, w: float, n_max: int):
-    """Yield Z_N for N = 1..n_max from the fiber-size histograms of the
-    generic sweep, those of the last sweep when it was of this system (the
-    same object), n_max and word cap, summed in one pass.  A fiber size past the
-    double range at N = k ends it after Z_1..Z_{k-1} with OverflowError."""
-    last, *key, histograms = _last_sweep
+    """Yield Z_N for N = 1..n_max from the fiber sizes of the generic sweep,
+    those of the last sweep when it was of this system (the same object),
+    n_max and word cap: at w = 1 each exact integer total rounded once, below
+    one pow per distinct size of each level, all levels summed in one pass.  A
+    Z_k, or a fiber size at w < 1, past the double range ends it after
+    Z_1..Z_{k-1} with OverflowError."""
+    last, *key, counts = _last_sweep
     if last is not sys or key != [n_max, limits.cap("word")]:
-        histograms = (level[2] for level in _fiber_levels(sys, n_max))
+        counts = (level[1] for level in _fiber_levels(sys, n_max))
+    if w == 1.0:
+        yield from (float(int(c.sum())) for c in counts)
+        return
     levels = []
-    for sizes, mult in histograms:
+    for sizes, mult in (np.unique(c, return_counts=True) for c in counts):
         try:
             x = sizes.astype(float)
         except OverflowError:
             break
-        if w != 1.0:  # libm pow as float ** w (numpy's ** can differ in the last ulp)
-            x = np.fromiter(map(math.pow, x.tolist(), itertools.repeat(w, len(x))), float, len(x))
+        # libm pow as float ** w (numpy's ** can differ in the last ulp)
+        x = np.fromiter(map(math.pow, x.tolist(), itertools.repeat(w, len(x))), float, len(x))
         levels.append((x, mult))
     totals, den = _level_totals(levels)
     yield from (top / den for top in totals)  # int / int rounds correctly, as fsum does

@@ -116,9 +116,13 @@ class TestFiberSweep:
         assert list(got.levels) == list(want)
         for n, level in want.items():
             assert list(got.level(n).items()) == list(level.items())
+            assert list(got.level(n)) == list(level)
+            assert list(got.level(n).values()) == list(level.values())
         z = wt.weighted_entropy(sys_, w, n_max).z_values
         for n, level in want.items():
             assert z[n] == math.fsum(float(c) ** w for c in level.values())
+        z = wt.weighted_entropy(sys_, 1.0, n_max).z_values
+        assert all(z[n] == float(got.total(n)) for n in want)
         small = sum(len(want[n]) for n in range(1, n_max + 1)) - 1
         with limits.override(small):
             with pytest.raises(ResourceLimit):
@@ -149,8 +153,10 @@ class TestFiberSweep:
         assert len({tuple(sorted(vec)) for vec in frontier if vec}) >= 10
         want = reference_fiber_counts(sys_, 9)
         got = wt.fiber_counts(sys_, 9)
-        for n, level in want.items():
+        for n, level in reversed(want.items()):  # the longest first orders all levels below
+            assert list(got.level(n).values()) == list(level.values())
             assert list(got.level(n).items()) == list(level.items())
+            assert list(got.level(n)) == list(level)
 
     def test_counts_past_int64_stay_exact(self):
         # one projected letter, so the single fiber is the whole word count
@@ -166,6 +172,18 @@ class TestFiberSweep:
         assert table.level(22) == {(0,) * 22: exact[22]}
         z = wt.weighted_entropy(sys_, 1.0, 22).z_values
         assert all(z[n] == float(exact[n]) for n in range(1, 23))
+
+    def test_z_at_w1_is_the_exact_total_rounded_once(self):
+        # the first letter fixes the image word: 0^N with fiber 3^N, 1^N
+        # with fiber 5^N; past 2^53 rounding each fiber size first can land
+        # one ulp off the exact total (first at N = 25)
+        mode = [{u * 2: 1 for u in range(3)}, {u * 2 + 1: 2 for u in range(5)}]
+        succ = ({**mode[0], **mode[1]}, *mode)
+        omega = sym.automaton_spec(sym.Automaton(alphabet_size=10, root=0, succ=succ), 10)
+        sys_ = wt.pair_system(5, 2, omega)
+        z = wt.weighted_entropy(sys_, 1.0, 63).z_values
+        assert all(z[n] == float(3**n + 5**n) for n in range(1, 64))
+        assert z[25] != math.fsum([float(3**25), float(5**25)])
 
     @pytest.mark.parametrize("n_max", [10, 11])
     def test_counts_read_as_python_ints_on_either_dtype(self, n_max):
@@ -189,7 +207,8 @@ class TestFiberSweep:
     @settings(max_examples=100, deadline=None)
     @given(pair_systems(), st.integers(1, 8), st.floats(0.0, 1.0, exclude_max=True))
     def test_z_values_equal_a_list_pow_reference_bit_for_bit(self, sys_, n_max, w):
-        # w = 1 sweeps; w < 1 then reads the kept histograms
+        # w = 1 sweeps and rounds each level's integer total; w < 1 then takes
+        # the histograms of the kept counts
         levels = reference_fiber_counts(sys_, n_max).values()
         for weight in (1.0, w):
             z = wt.weighted_entropy(sys_, weight, n_max).z_values
