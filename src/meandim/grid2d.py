@@ -141,10 +141,12 @@ def _row_sweep(spec: Grid2DSpec, n_rows: int):
     extends every partial pattern by the a^w row codes, keeps a candidate
     when the window ending at that row is allowed, and carries each column's
     code sum col[i] a^(r-1-i) (int64 while a^n_rows <= 2^62, Python ints
-    above) and the code of the last h - 1 rows.  The state budget bounds
-    the partial patterns kept at each row."""
+    above) and the code of the last h - 1 rows.  The word budget bounds
+    the a^w row codes, before any table of them is built, and the state
+    budget the partial patterns kept at each row."""
     a = spec.alphabet
     h, w = _window_shape(spec)
+    limits.check("word", [(a, w)], "row codes", f"the transfer graph for {n_rows} rows")
     allowed = _window_test(spec, h, w)
     span = a**w
     cells = product_rows([a] * w)  # row code -> its w cells
@@ -262,8 +264,7 @@ def _pattern_columns(spec: Grid2DSpec, n_rows: int, m_cols: int):
     digits[c, n] is row n's digit in entry c of a sorted column table (every
     column when no window fits, else the transfer graph's labels), and
     index[p, m] the entry at column m of pattern p.  Only the table's codes
-    are decoded; they stay Python ints past 2^62.  The point budget caps
-    the patterns."""
+    are decoded, Python ints past 2^63; the point budget caps the patterns."""
     if n_rows < 1 or m_cols < 1:
         raise DomainError("pattern dimensions must be positive")
     a = spec.alphabet
@@ -273,10 +274,9 @@ def _pattern_columns(spec: Grid2DSpec, n_rows: int, m_cols: int):
         index = product_rows([a**n_rows] * m_cols)
     else:  # the graph's labels, sorted
         graph = _transfer_graph(spec, n_rows)
-        total = graph.checked_count(m_cols, "point", "patterns")
-        kind = np.int64 if a ** min(n_rows, 63) <= 2**62 else object
-        distinct = np.array(sorted({c for edges in graph.succ for c in edges}), dtype=kind)
-        codes = np.array(graph.enumerate_words(m_cols), dtype=kind).reshape(total, m_cols)
+        graph.checked_count(m_cols, "point", "patterns")
+        codes = graph.enumerate_words(m_cols)
+        distinct = np.array(sorted({c for edges in graph.succ for c in edges}), dtype=codes.dtype)
         index = np.searchsorted(distinct, codes)
     powers = np.array([a**i for i in range(n_rows - 1, -1, -1)], dtype=distinct.dtype)
     return (distinct[:, None] // powers % a).astype(np.int64), index

@@ -274,7 +274,8 @@ FULL_PAIR_CAP = 3000  # boxes at most in a family whose every pair is measured
 @dataclass(frozen=True)
 class QBoxFamily:
     """The level-(n, m) boxes: cylinders whose first floor_wm layers fix
-    full (u, v) digit words and whose layers up to m fix only the v word."""
+    full (u, v) digit words and whose layers up to m fix only the v word.
+    Table rows are a u-word then a v-word (object dtype when a b > 2^63)."""
 
     spec: CarpetSpec
     n: int
@@ -285,10 +286,8 @@ class QBoxFamily:
     diam_bound: float  # a^-t, certified < a b^-M
     diam_certified: bool  # exact integer check b^M < a^(t+1)
     separation_certified: bool  # exact digit argument for >= b^-M
-    omega_words: tuple
-    image_words: tuple
-    section: dict  # v-word -> least u-word with (u, v) admissible
-    anchor_pair: tuple  # (u-word, v-word), least element of Omega|_N
+    omega_rows: np.ndarray  # each (u, v) in Omega|_N as u then v, increasing; row 0 the anchor
+    image_rows: np.ndarray  # each v in Omega'|_N, increasing, after its least u with (u, v) in it
 
     def min_separation(self) -> float:
         return float(self.spec.b) ** (-self.m)
@@ -308,27 +307,24 @@ def _witness_points(family: QBoxFamily, choices: np.ndarray, depth: int) -> np.n
     """Coordinates (x then y, flattened) of anchored family points.
 
     Row k of `choices`, an integer array of shape (points, m), names one
-    point by its m leading digit layers: an index into omega_words for each
-    of the first floor_wm layers, into image_words (with the section's
-    u-word) for the others.  Layers m to depth - 1 repeat the anchor pair.
-    Coordinate j of x is the sum over layers i of the double term
-    u_i[j] * a^-(i+1), rounded once (`digit_points`), as math.fsum adds
-    them; the anchor's layers are its fixed part.  y likewise with v and b.
-    Term tables hold only the digits that occur, by rank (a base may be 10^12).
+    point by its m leading digit layers: a row of omega_rows for each of
+    the first floor_wm layers, of image_rows for the others.  Layers m to
+    depth - 1 repeat the anchor, omega_rows[0].  Coordinate j of x is the
+    sum over layers i of the double term u_i[j] * a^-(i+1), rounded once
+    (`digit_points`), as math.fsum adds them; the anchor's layers are its
+    fixed part.  y likewise with v and b.  Term tables hold only the digits
+    that occur, by rank (a base may be 10^12): one `np.unique` of both tables.
     """
     n, m, t = family.n, family.m, family.floor_wm
-    kinds = ([u + v for u, v in family.omega_words],
-             [family.section[v] + v for v in family.image_words])
-    anchor = family.anchor_pair[0] + family.anchor_pair[1]
+    tables = np.vstack((family.omega_rows, family.image_rows))
     blocks = []
     for base, part in ((family.spec.a, slice(0, n)), (family.spec.b, slice(n, 2 * n))):
-        occurring = sorted({d for words in kinds for word in words for d in word[part]})
-        rank = {d: r for r, d in enumerate(occurring)}
-        full, image = (np.array([[rank[d] for d in word[part]] for word in words], dtype=np.intp)
-                       for words in kinds)
+        occurring, rank = np.unique(tables[:, part], return_inverse=True)
+        full, image = np.split(rank.reshape(len(tables), n), [len(family.omega_rows)])
         powers = [float(base) ** -(i + 1) for i in range(depth)]
-        terms = [[float(d) * powers[i] for d in occurring] for i in range(m)]
-        fixed = [weighted.exact_total([float(d) * p for p in powers[m:]]) for d in anchor[part]]
+        terms = [[float(d) * powers[i] for d in occurring.tolist()] for i in range(m)]
+        fixed = [weighted.exact_total([float(d) * p for p in powers[m:]])
+                 for d in family.omega_rows[0, part].tolist()]
         blocks.append(digit_points([full] * t + [image] * (m - t), choices, terms, fixed))
     return np.hstack(blocks)
 
@@ -350,19 +346,20 @@ def qbox_family(spec: CarpetSpec, n: int, m: int) -> QBoxFamily:
         raise ParameterOverflow(f"base a of {spec.a.bit_length()} bits passes double precision")
     a, b = spec.a, spec.b
 
-    # decode admissible N-words of the product system into (u-word, v-word)
-    pairs = sorted((tuple(l // b for l in word), tuple(l % b for l in word))
-                   for word in symbolic.enumerate_words(spec.system.omega, n))
-    image_words = sorted({v for _, v in pairs})
-    section = {v: u for u, v in reversed(pairs)}  # sorted: the least u-word per v comes last
+    # decode admissible N-words of the product system into rows (u-word, v-word)
+    omega_rows = symbolic.enumerate_words(spec.system.omega, n)
+    omega_rows = np.hstack((omega_rows // b, omega_rows % b))  # np.divmod refuses object arrays
+    omega_rows = omega_rows[np.lexsort(omega_rows.T[::-1])]
+    by_v = omega_rows[np.lexsort(omega_rows[:, n:].T[::-1])]  # stable: (v, u) order
+    image_rows = by_v[np.r_[True, (by_v[1:, n:] != by_v[:-1, n:]).any(axis=1)]]
 
     bits = limits.cap("word").bit_length()
     if m > bits:  # |Omega'|_N|^M <= count: refused with no power of size M
-        limits.check_at_least("word", len(image_words) ** bits, "boxes", "box family")
+        limits.check_at_least("word", len(image_rows) ** bits, "boxes", "box family")
     if float(b) ** -m == 0.0:  # before b^M is taken
         raise ParameterOverflow(f"box separation b^-M = {b}^-{m} underflows double precision")
     t = floor_w_m(a, b, m)
-    count_formula = limits.check("word", [(len(pairs), t), (len(image_words), m - t)], "boxes",
+    count_formula = limits.check("word", [(len(omega_rows), t), (len(image_rows), m - t)], "boxes",
                                  "box family")
 
     # diameter: a^-t < a * b^-m  <=>  b^m < a^(t+1), exact integers
@@ -382,10 +379,8 @@ def qbox_family(spec: CarpetSpec, n: int, m: int) -> QBoxFamily:
         diam_bound=float(a) ** (-t),
         diam_certified=diam_certified,
         separation_certified=separation_certified,
-        omega_words=tuple(pairs),
-        image_words=tuple(image_words),
-        section=section,
-        anchor_pair=min(pairs),
+        omega_rows=omega_rows,
+        image_rows=image_rows,
     )
 
 
@@ -443,7 +438,7 @@ def _sample_pairs(sizes, samples: int, seed: int):
 
 def _layer_sizes(family: QBoxFamily) -> tuple:
     t = family.floor_wm  # Omega|_N pairs, then Omega'|_N words
-    return (len(family.omega_words),) * t + (len(family.image_words),) * (family.m - t)
+    return (len(family.omega_rows),) * t + (len(family.image_rows),) * (family.m - t)
 
 
 def covering_sandwich(spec: CarpetSpec, n: int, m: int) -> dict:

@@ -104,9 +104,9 @@ def covering_lower_bound(spec: BetaSystemSpec, n_coords: int, n_layers: int) -> 
     words = aut.enumerate_words(n_coords)
 
     depth = n_coords + min(30 * n_layers, 80)  # a tail below 2^-30 < 1e-9 per layer
-    ends = [functools.reduce(lambda s, d: aut.succ[s][d], w, aut.root) for w in words]
+    ends = [functools.reduce(lambda s, d: aut.succ[s][d], w, aut.root) for w in words.tolist()]
     tails = {s: aut.least_word(s, depth - n_coords) for s in set(ends)}  # one per end state
-    streams = np.array([w + tails[s] for w, s in zip(words, ends)], dtype=np.int64)
+    streams = np.hstack((words, np.array([tails[s] for s in ends], dtype=np.int64)))
 
     # coordinate j of a point is fsum_k(d_k beta^-(k+1)) over its digit
     # column d = (streams[w_k][j])_k (`digit_points`), plus the anchor tail

@@ -98,12 +98,14 @@ class Automaton:
             limits.check_at_least(budget, next(c for c in counts if c > cap), what)
         return limits.check(budget, counts[-1] if n > 0 else int(n == 0), what)  # n = 0: ()
 
-    def enumerate_words(self, n: int) -> list[tuple]:
-        """All admissible words of length n, in lexicographic order (a depth-first
-        walk over sorted labels), once their `checked_count` fits the word budget."""
-        self.checked_count(n, "word")
+    def enumerate_words(self, n: int) -> np.ndarray:
+        """All admissible words of length n, once their `checked_count` fits the
+        word budget: the rows of one (count, n) array (int64, or Python ints past
+        2^63), in the lexicographic order of a depth-first walk over sorted
+        labels that appends each word's letters to one flat list."""
+        count = self.checked_count(n, "word")
         edges = [sorted(trans.items()) for trans in self.succ]
-        words: list[tuple] = [()] if n == 0 else []
+        letters: list = []
         path: list = []
         stack = [iter(edges[self.root])] if n > 0 else []
         while stack:
@@ -112,13 +114,14 @@ class Automaton:
                 if len(stack) < n:
                     stack.append(iter(edges[t]))
                     break
-                words.append(tuple(path))
+                letters += path
                 path.pop()
             else:
                 stack.pop()
                 if stack:
                     path.pop()
-        return words
+        dtype = np.int64 if self.alphabet_size <= 2**63 else object
+        return np.array(letters, dtype=dtype).reshape(count, n)
 
     def least_word(self, state: int, length: int) -> tuple:
         """The lexicographically least word of the given length read from state."""
@@ -555,7 +558,8 @@ def count_words(spec: SubshiftSpec, n_max: int) -> dict:
     return {n + 1: c for n, c in enumerate(counts)}
 
 
-def enumerate_words(spec: SubshiftSpec, n: int) -> list[tuple]:
+def enumerate_words(spec: SubshiftSpec, n: int) -> np.ndarray:
+    """The spec's admissible words of length n, as `Automaton.enumerate_words`."""
     return spec.automaton.enumerate_words(n)
 
 

@@ -266,6 +266,25 @@ class TestExitCodes:
         assert proc.stderr.startswith("resource limit:")
         assert "Traceback" not in proc.stderr
 
+    def test_grid2d_row_codes_are_refused_before_their_table(self, tmp_path):
+        # 10^12 row codes of a 2 x 2 window: the word budget refuses them
+        # before the sweep builds a table of them (14.6 TiB)
+        rule = tmp_path / "rule.json"
+        rule.write_text(json.dumps({"a": 10**6, "rule": "patterns", "window": [2, 2],
+                                    "allowed": [[[0, 0], [0, 0]]]}))
+        start = time.monotonic()
+        proc = run_cli_capped(1 << 30, "grid2d", "--rule", str(rule), "--nmax", "2", "--mmax", "2")
+        assert time.monotonic() - start < 1.0
+        assert proc.returncode == 3
+        assert proc.stderr == ("resource limit: word budget: the transfer graph for 2 rows: "
+                               "1000000000000 row codes exceed the cap 20000000\n")
+        # 2100^2 row codes of a 1 x 2 window fit the budget
+        rule.write_text(json.dumps({"a": 2100, "rule": "patterns", "window": [1, 2],
+                                    "allowed": [[[0, 0]]]}))
+        proc = run_cli_capped(1 << 30, "grid2d", "--rule", str(rule), "--nmax", "2", "--mmax", "2")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["counts"]["2,1"] == str(2100**2)
+
     @pytest.mark.parametrize("command", [["weighted-entropy", "--w", "0.5"], ["carpet"]])
     def test_word_set_omega_exits_4(self, capsys, tmp_path, command):
         # the enumeration-only wordset kind is gone: an omega written in it

@@ -225,7 +225,7 @@ class TestTransferGraph:
         graph = g2._transfer_graph(spec, n_rows)
         labels = {label for trans in graph.succ for label in trans}
         assert all(type(c) is int for c in labels) and labels <= set(range(a**n_rows))
-        words = graph.enumerate_words(3)
+        words = [tuple(w) for w in graph.enumerate_words(3).tolist()]
         assert words == sorted(words)
         cols = list(itertools.product(range(a), repeat=n_rows))
         assert [tuple(cols[c] for c in w) for w in words] == [

@@ -470,12 +470,25 @@ class TestHausdorffUpper:
         assert negative == "tol = -1.0 is not a finite number above 0"
 
 
+def reference_family_words(family):
+    """The family's words as tuples, decoded from the N-words of Omega one
+    letter at a time, apart from the row tables: the sorted (u-word, v-word)
+    pairs, the sorted v-words, the section (the least u-word of each v) and
+    the anchor pair (the least pair)."""
+    b = family.spec.b
+    words = sym.enumerate_words(family.spec.system.omega, family.n).tolist()
+    pairs = sorted((tuple(l // b for l in w), tuple(l % b for l in w)) for w in words)
+    image_words = sorted({v for _, v in pairs})
+    section = {v: u for u, v in reversed(pairs)}  # the least u-word per v comes last
+    return pairs, image_words, section, pairs[0]
+
+
 def reference_witness_points(family, choices, depth):
     """`_witness_points` as it summed every point's exact integer terms,
     before equal digit columns were summed once."""
     a, b = family.spec.a, family.spec.b
     n, m, t = family.n, family.m, family.floor_wm
-    xi_u, xi_v = family.anchor_pair
+    omega_words, image_words, section, (xi_u, xi_v) = reference_family_words(family)
     terms = [
         [(float(u) * float(base) ** -(i + 1)).as_integer_ratio() for u in range(base)]
         for base in (a, b)
@@ -489,9 +502,7 @@ def reference_witness_points(family, choices, depth):
     def numerators(i, u_word, v_word):
         return [scaled[i][u] for u in u_word] + [scaled[depth + i][v] for v in v_word]
 
-    layer_words = [family.omega_words] * t + [
-        [(family.section[v], v) for v in family.image_words]
-    ] * (m - t)
+    layer_words = [omega_words] * t + [[(section[v], v) for v in image_words]] * (m - t)
     tail_layers = [numerators(i, xi_u, xi_v) for i in range(m, depth)]
     tail = [sum(layer[j] for layer in tail_layers) for j in range(2 * n)]
     tables = [
@@ -510,9 +521,10 @@ def reference_witness_points(family, choices, depth):
 def fsum_witness_point(family, choice, depth):
     """Coordinates of one witness point by math.fsum over its layer terms."""
     a, b, t = family.spec.a, family.spec.b, family.floor_wm
-    pairs = [family.omega_words[c] for c in choice[:t]]
-    pairs += [(family.section[family.image_words[c]], family.image_words[c]) for c in choice[t:]]
-    pairs += [family.anchor_pair] * (depth - family.m)
+    omega_words, image_words, section, anchor_pair = reference_family_words(family)
+    pairs = [omega_words[c] for c in choice[:t]]
+    pairs += [(section[image_words[c]], image_words[c]) for c in choice[t:]]
+    pairs += [anchor_pair] * (depth - family.m)
     return [
         math.fsum(pair[k][j] * base ** -(i + 1) for i, pair in enumerate(pairs))
         for k, base in ((0, a), (1, b))
@@ -604,11 +616,11 @@ class TestQBoxFamily:
         fam = orc.qbox_family(cp.carpet_from_tuples(a, 2, rel), n, 5 - n)
         cloud = fam.witness_cloud()
         depth = fam.m + orc.WITNESS_TAIL_LAYERS
-        xi_u, xi_v = fam.anchor_pair
+        omega_words, image_words, section, (xi_u, xi_v) = reference_family_words(fam)
         pts = []
-        for pairs in itertools.product(fam.omega_words, repeat=fam.floor_wm):
-            for vs in itertools.product(fam.image_words, repeat=fam.m - fam.floor_wm):
-                u_rows = [p[0] for p in pairs] + [fam.section[v] for v in vs]
+        for pairs in itertools.product(omega_words, repeat=fam.floor_wm):
+            for vs in itertools.product(image_words, repeat=fam.m - fam.floor_wm):
+                u_rows = [p[0] for p in pairs] + [section[v] for v in vs]
                 v_rows = [p[1] for p in pairs] + list(vs)
                 u_rows += [xi_u] * (depth - fam.m)
                 v_rows += [xi_v] * (depth - fam.m)
@@ -646,7 +658,7 @@ class TestQBoxFamily:
         # every image layer of this relation has one option; the sampler
         # drew its perturbation from an empty range and raised ValueError
         fam = orc.qbox_family(cp.carpet_from_tuples(3, 2, [(0, 0), (1, 0), (2, 0)]), 2, 7)
-        assert len(fam.image_words) == 1 and fam.count > 3000
+        assert len(fam.image_rows) == 1 and fam.count > 3000
         rep = orc.verify_family_separation(fam)
         assert (rep["mode"], rep["ok"]) == ("sampled_pairs", True)
         assert rep["observed_min"] == fsum_sampled_minimum(fam, 2000, 0)
@@ -698,6 +710,10 @@ class TestQBoxFamily:
     @given(witness_cases())
     def test_witness_points_match_reference(self, case):
         fam, choices, depth = case
+        # row tables: each pair u then v, and each v after its least u (the section)
+        pairs, image_words, section, _ = reference_family_words(fam)
+        assert fam.omega_rows.tolist() == [list(u + v) for u, v in pairs]
+        assert fam.image_rows.tolist() == [list(section[v] + v) for v in image_words]
         got = orc._witness_points(fam, choices, depth)
         want = reference_witness_points(fam, choices, depth)
         assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))

@@ -149,7 +149,7 @@ class TestCoveringLowerBound:
 def reference_family_points(spec, n_coords, n_layers, tol=1e-9):
     """The per-coordinate math.fsum loop that the column tables replaced."""
     aut = spec.omega.automaton
-    words = aut.enumerate_words(n_coords)
+    words = [tuple(w) for w in aut.enumerate_words(n_coords).tolist()]
     depth = min(n_coords + n_layers * max(1, math.ceil(math.log2(1.0 / tol))), n_coords + 80)
     anchor = aut.least_word(aut.root, depth)
     streams = []

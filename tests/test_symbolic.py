@@ -51,6 +51,11 @@ def naive_sft_words(matrix, n):
     ]
 
 
+def word_tuples(words):
+    """An `enumerate_words` array as its list of word tuples, row by row."""
+    return [tuple(w) for w in words.tolist()]
+
+
 def naive_forbidden_words(k, forbidden, n, extension=8):
     """Words avoiding every forbidden factor, with brute-force extendability."""
     forb = [tuple(f) for f in forbidden]
@@ -238,14 +243,14 @@ class TestPrune:
         p = sym.prune(sym.full_shift(3))
         assert p.kind == sym.KIND_FULL
         for n in range(1, 5):
-            assert sym.enumerate_words(p, n) == naive_sft_words([[1] * 3] * 3, n)
+            assert word_tuples(sym.enumerate_words(p, n)) == naive_sft_words([[1] * 3] * 3, n)
 
     def test_forbidden_11_gives_golden_mean_matrix(self):
         p = sym.prune(sym.forbidden_words(2, ["11"]))
         assert p.kind == sym.KIND_FORBIDDEN
         # the golden-mean vertex shift's language, and the naive oracle's
         for n in range(1, 5):
-            words = sym.enumerate_words(p, n)
+            words = word_tuples(sym.enumerate_words(p, n))
             assert words == naive_sft_words([[1, 1], [1, 0]], n)
             assert words == naive_forbidden_words(2, [(1, 1)], n)
 
@@ -258,7 +263,7 @@ class TestPrune:
         matrix = [[1, 1, 1], [1, 0, 0], [0, 0, 0]]
         p = sym.prune(sym.sft_from_matrix(matrix))
         for n in range(1, 6):
-            assert sorted(sym.enumerate_words(p, n)) == naive_sft_words(matrix, n)
+            assert sorted(word_tuples(sym.enumerate_words(p, n))) == naive_sft_words(matrix, n)
 
     def test_prune_is_idempotent(self):
         p = sym.prune(sym.forbidden_words(2, ["11"]))
@@ -322,12 +327,16 @@ class TestPrune:
     st.one_of(st.none(), st.integers(0, 40)),
     st.booleans(),
 )
+@example(([{0: 0}, {}], 1, 1), 3, None, False)  # no word: shape (0, 3)
+@example(([{0: 0}], 0, 1), 0, None, True)  # the empty word: shape (1, 0)
 def test_walk_and_sweep_match_the_reference(case, n, budget, column_labels):
     # unpruned graphs, as the 2d transfer graphs are; column_labels makes the
-    # labels tuples, as the 2d columns are
+    # labels codes past 2^63, as the columns of a tall 2d graph are, in the
+    # order of the pairs (l % 2, l)
     succ, root, k = case
     if column_labels:
-        succ = [{(l % 2, l): t for l, t in trans.items()} for trans in succ]
+        succ = [{(l % 2) << 64 | l: t for l, t in trans.items()} for trans in succ]
+        k = 1 << 65
     aut = sym.Automaton(alphabet_size=k, root=root, succ=tuple(succ))
     assert aut.word_counts(6) == reference_word_counts(aut, 6)
     with limits.override(budget):
@@ -337,7 +346,10 @@ def test_walk_and_sweep_match_the_reference(case, n, budget, column_labels):
             with pytest.raises(ResourceLimit, match=str(exc)):
                 aut.enumerate_words(n)
             return
-        assert aut.enumerate_words(n) == want
+        got = aut.enumerate_words(n)
+        assert got.shape == (len(want), n)
+        assert got.dtype == (object if column_labels else np.int64)
+        assert word_tuples(got) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -394,6 +406,13 @@ class TestCountWords:
     def test_allowed_tuples_power(self):
         spec = sym.allowed_tuples(3, 2, [(0, 0), (1, 1), (2, 0)])
         assert sym.count_words(spec, 3)[3] == 27
+        # symbols u * 2^40 + v past 2^63 are enumerated as Python ints
+        big = 2**40
+        spec = sym.allowed_tuples(big, big, [(big - 1, 5), (0, 0)])
+        words = sym.enumerate_words(spec, 2)
+        assert words.dtype == object and words.shape == (4, 2)
+        top = (big - 1) * big + 5
+        assert word_tuples(words) == [(0, 0), (0, top), (top, 0), (top, top)]
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(2, 4), st.data())
@@ -470,7 +489,7 @@ class TestCountWords:
         assert pruned == spec and pruned.automaton is not None
         for n in range(1, 8):
             expected = naive_forbidden_words(2, [(1, 1, 1), (0, 0)], n)
-            assert sorted(sym.enumerate_words(pruned, n)) == expected
+            assert sorted(word_tuples(sym.enumerate_words(pruned, n))) == expected
 
 
 forbidden_cases = st.integers(1, 4).flatmap(
@@ -501,7 +520,7 @@ def test_aho_corasick_matches_the_block_automaton(case):
     got = sym.prune(spec)
     assert got.automaton.n_states <= 1 + sum(map(len, words))
     for n in range(1, 8):
-        assert sym.enumerate_words(got, n) == sym.enumerate_words(ref, n)
+        assert word_tuples(sym.enumerate_words(got, n)) == word_tuples(sym.enumerate_words(ref, n))
     assert sym.count_words(got, 12) == sym.count_words(ref, 12)
     got_rep, ref_rep = sym.entropy(got, 12), sym.entropy(ref, 12)
     assert got_rep.upper_bounds == ref_rep.upper_bounds

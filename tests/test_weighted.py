@@ -813,7 +813,7 @@ class TestImageSubshift:
         image = wt.image_subshift(sys_)
         for n in range(1, 9):
             projected = sorted({v for _, v in naive_product_words(sys_.omega, 2, n)})
-            assert sorted(sym.enumerate_words(image, n)) == projected
+            assert sorted(tuple(w) for w in sym.enumerate_words(image, n).tolist()) == projected
 
     def test_random_pair_sfts_determinize_correctly(self):
         rng = random.Random(5)
