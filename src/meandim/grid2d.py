@@ -143,12 +143,14 @@ def _row_sweep(spec: Grid2DSpec, n_rows: int):
     code sum col[i] a^(r-1-i) (int64 while a^n_rows <= 2^62, Python ints
     above) and the code of the last h - 1 rows.  The word budget bounds
     the a^w row codes, before any table of them is built, and the state
-    budget the partial patterns kept at each row."""
-    a = spec.alphabet
+    budget the partial patterns kept at each row: at row 1, above a window's
+    last row, all a^w of them, refused before any is tested."""
+    a, where = spec.alphabet, f"the transfer graph for {n_rows} rows"
     h, w = _window_shape(spec)
-    limits.check("word", [(a, w)], "row codes", f"the transfer graph for {n_rows} rows")
+    span = limits.check("word", [(a, w)], "row codes", where)
+    if h > 1:
+        limits.check_at_least("state", span, "partial patterns", f"{where}, at row 1")
     allowed = _window_test(spec, h, w)
-    span = a**w
     cells = product_rows([a] * w)  # row code -> its w cells
     cols = np.zeros((1, w), dtype=np.int64 if a ** min(n_rows, 63) <= 2**62 else object)
     last = np.zeros(1, dtype=np.int64 if a ** min(h * w, 63) <= 2**62 else object)
@@ -160,8 +162,7 @@ def _row_sweep(spec: Grid2DSpec, n_rows: int):
             ok = np.flatnonzero(allowed(last[lo : lo + step, None], np.arange(span)) | (r < h - 1))
             keep.append(ok + lo * span)
             kept += len(ok)
-            limits.check_at_least("state", kept, "partial patterns",
-                                  f"the transfer graph for {n_rows} rows, at row {r + 1}")
+            limits.check_at_least("state", kept, "partial patterns", f"{where}, at row {r + 1}")
         parent, code = np.divmod(np.concatenate(keep), span)
         cols = cols[parent] * a + cells[code]
         last = (last[parent] * span + code) % span ** (h - 1)

@@ -40,18 +40,21 @@ def override(value: int | None):
 
 def cap(budget: str) -> int:
     """The cap of one budget: the override in force, else MEANDIM_BUDGET, else
-    the default; the digit budget's is sys.get_int_max_str_digits() (0: none)."""
+    the default; the digit budget's is sys.get_int_max_str_digits() (0: none).
+    A negative cap is refused."""
     if budget == "digit":
         return sys.get_int_max_str_digits()
-    if (value := _override.get()) is not None:
-        return value
-    env = os.environ.get("MEANDIM_BUDGET")
-    if not env:
-        return DEFAULT_CAPS[budget]
-    try:
-        return int(env)
-    except ValueError:
-        raise DomainError(f"MEANDIM_BUDGET = {env!r} is not an integer") from None
+    if (value := _override.get()) is None:
+        env = os.environ.get("MEANDIM_BUDGET")
+        if not env:
+            return DEFAULT_CAPS[budget]
+        try:
+            value = int(env)
+        except ValueError:
+            raise DomainError(f"MEANDIM_BUDGET = {env!r} is not an integer") from None
+    if value < 0:
+        raise DomainError(f"{budget} budget: the cap {value} is negative")
+    return value
 
 
 def check(budget: str, size, what: str, where: str | None = None) -> int:

@@ -275,7 +275,7 @@ FULL_PAIR_CAP = 3000  # boxes at most in a family whose every pair is measured
 class QBoxFamily:
     """The level-(n, m) boxes: cylinders whose first floor_wm layers fix
     full (u, v) digit words and whose layers up to m fix only the v word.
-    Table rows are a u-word then a v-word (object dtype when a b > 2^63)."""
+    It holds their counts: rows (`_layer_rows`) are built with points."""
 
     spec: CarpetSpec
     n: int
@@ -286,8 +286,7 @@ class QBoxFamily:
     diam_bound: float  # a^-t, certified < a b^-M
     diam_certified: bool  # exact integer check b^M < a^(t+1)
     separation_certified: bool  # exact digit argument for >= b^-M
-    omega_rows: np.ndarray  # each (u, v) in Omega|_N as u then v, increasing; row 0 the anchor
-    image_rows: np.ndarray  # each v in Omega'|_N, increasing, after its least u with (u, v) in it
+    layer_sizes: tuple  # options per layer: |Omega|_N| in the first floor_wm, then |Omega'|_N|
 
     def min_separation(self) -> float:
         return float(self.spec.b) ** (-self.m)
@@ -297,7 +296,7 @@ class QBoxFamily:
         limits.check("point", self.count, "points", "witness family")
         depth = self.m + WITNESS_TAIL_LAYERS
         return PointCloud(
-            points=_witness_points(self, product_rows(_layer_sizes(self)), depth),
+            points=_witness_points(self, product_rows(self.layer_sizes), depth),
             metric=MetricDescriptor(kind=LINF_FINITE),  # over the 2N coordinates
             truncation_error=float(self.spec.b) ** (-depth),
         )
@@ -316,21 +315,35 @@ def _witness_points(family: QBoxFamily, choices: np.ndarray, depth: int) -> np.n
     that occur, by rank (a base may be 10^12): one `np.unique` of both tables.
     """
     n, m, t = family.n, family.m, family.floor_wm
-    tables = np.vstack((family.omega_rows, family.image_rows))
+    omega_rows, image_rows = _layer_rows(family.spec, n)
+    tables = np.vstack((omega_rows, image_rows))
     blocks = []
     for base, part in ((family.spec.a, slice(0, n)), (family.spec.b, slice(n, 2 * n))):
         occurring, rank = np.unique(tables[:, part], return_inverse=True)
-        full, image = np.split(rank.reshape(len(tables), n), [len(family.omega_rows)])
+        full, image = np.split(rank.reshape(len(tables), n), [len(omega_rows)])
         powers = [float(base) ** -(i + 1) for i in range(depth)]
         terms = [[float(d) * powers[i] for d in occurring.tolist()] for i in range(m)]
         fixed = [weighted.exact_total([float(d) * p for p in powers[m:]])
-                 for d in family.omega_rows[0, part].tolist()]
+                 for d in omega_rows[0, part].tolist()]
         blocks.append(digit_points([full] * t + [image] * (m - t), choices, terms, fixed))
     return np.hstack(blocks)
 
 
+def _layer_rows(spec: CarpetSpec, n: int) -> tuple:
+    """(omega_rows, image_rows): each (u, v) in Omega|_N as u then v, increasing,
+    row 0 the anchor, and each v in Omega'|_N, increasing, after its least u
+    with (u, v) in it; object dtype when a b > 2^63."""
+    b = spec.b
+    omega_rows = symbolic.enumerate_words(spec.system.omega, n)
+    omega_rows = np.hstack((omega_rows // b, omega_rows % b))  # np.divmod refuses object arrays
+    omega_rows = omega_rows[np.lexsort(omega_rows.T[::-1])]
+    by_v = omega_rows[np.lexsort(omega_rows[:, n:].T[::-1])]  # stable: (v, u) order
+    image_rows = by_v[np.r_[True, (by_v[1:, n:] != by_v[:-1, n:]).any(axis=1)]]
+    return omega_rows, image_rows
+
+
 def qbox_family(spec: CarpetSpec, n: int, m: int) -> QBoxFamily:
-    """Enumerate the level-(n, m) box family and certify its geometry.
+    """Count the level-(n, m) box family and certify its geometry.
 
     The boxes are indexed by t = floor(M log_a b) layers of Omega|_N words
     and M - t layers of Omega'|_N words, so there are exactly
@@ -345,22 +358,16 @@ def qbox_family(spec: CarpetSpec, n: int, m: int) -> QBoxFamily:
     if spec.a > sys.float_info.max:  # before any float(a) or float(b), as b <= a
         raise ParameterOverflow(f"base a of {spec.a.bit_length()} bits passes double precision")
     a, b = spec.a, spec.b
-
-    # decode admissible N-words of the product system into rows (u-word, v-word)
-    omega_rows = symbolic.enumerate_words(spec.system.omega, n)
-    omega_rows = np.hstack((omega_rows // b, omega_rows % b))  # np.divmod refuses object arrays
-    omega_rows = omega_rows[np.lexsort(omega_rows.T[::-1])]
-    by_v = omega_rows[np.lexsort(omega_rows[:, n:].T[::-1])]  # stable: (v, u) order
-    image_rows = by_v[np.r_[True, (by_v[1:, n:] != by_v[:-1, n:]).any(axis=1)]]
+    omega = spec.system.omega.automaton.checked_count(n, "word")  # |Omega|_N|
+    image = weighted.image_subshift(spec.system).automaton.checked_count(n, "word")  # |Omega'|_N|
 
     bits = limits.cap("word").bit_length()
     if m > bits:  # |Omega'|_N|^M <= count: refused with no power of size M
-        limits.check_at_least("word", len(image_rows) ** bits, "boxes", "box family")
+        limits.check_at_least("word", image**bits, "boxes", "box family")
     if float(b) ** -m == 0.0:  # before b^M is taken
         raise ParameterOverflow(f"box separation b^-M = {b}^-{m} underflows double precision")
     t = floor_w_m(a, b, m)
-    count_formula = limits.check("word", [(len(omega_rows), t), (len(image_rows), m - t)], "boxes",
-                                 "box family")
+    count_formula = limits.check("word", [(omega, t), (image, m - t)], "boxes", "box family")
 
     # diameter: a^-t < a * b^-m  <=>  b^m < a^(t+1), exact integers
     diam_certified = b**m < a ** (t + 1) and a**t <= b**m
@@ -379,8 +386,7 @@ def qbox_family(spec: CarpetSpec, n: int, m: int) -> QBoxFamily:
         diam_bound=float(a) ** (-t),
         diam_certified=diam_certified,
         separation_certified=separation_certified,
-        omega_rows=omega_rows,
-        image_rows=image_rows,
+        layer_sizes=(omega,) * t + (image,) * (m - t),
     )
 
 
@@ -400,7 +406,7 @@ def verify_family_separation(family: QBoxFamily, samples: int = 2000, seed: int 
         observed = cloud.min_pairwise()
         mode = "all_pairs"
     else:
-        first, second, _ = _sample_pairs(_layer_sizes(family), samples, seed)
+        first, second, _ = _sample_pairs(family.layer_sizes, samples, seed)
         pts = _witness_points(family, np.vstack((first, second)), family.m + WITNESS_TAIL_LAYERS)
         dists = pairwise_to_point(*np.split(pts, 2), MetricDescriptor(kind=LINF_FINITE))
         observed = float(dists.min())  # raises when no pair was drawn: no empty pass
@@ -434,11 +440,6 @@ def _sample_pairs(sizes, samples: int, seed: int):
     second[rows, layer] = (first[rows, layer] + step) % sizes[layer]
     keep = (first != second).any(axis=1)
     return first[keep].astype(np.intp), second[keep].astype(np.intp), perturbed[keep]
-
-
-def _layer_sizes(family: QBoxFamily) -> tuple:
-    t = family.floor_wm  # Omega|_N pairs, then Omega'|_N words
-    return (len(family.omega_rows),) * t + (len(family.image_rows),) * (family.m - t)
 
 
 def covering_sandwich(spec: CarpetSpec, n: int, m: int) -> dict:

@@ -4,23 +4,21 @@ For a subshift over a product alphabet A x B and the projection onto the B
 coordinate, the weighted entropy with exponent w in [0, 1] is the growth rate
 of Z_N = sum over projected N-words v of |fiber(v)|^w.  Z_N is submultiplicative,
 so v_N = min_{j<=N} log Z_j / j is a certified upper-bound sequence; for
-product shifts R^N the value is exactly log sum_{v} t(v)^w.  Other systems
-sweep the projected words grouped by the set of automaton states they reach;
-a fiber table's levels keep the sweep's key and count arrays in sweep order,
-sort on their first ordered read and decode their own word tuples alone on
-their first key access; Z_N is the exact integer total at w = 1, and below
-one exact pass over the fiber-size histograms of all lengths
-(`_level_totals`, `exact_total`'s sums).
+product shifts R^N the value is exactly log sum_{v} t(v)^w.  At w = 1 Z_N
+is |Omega_N|, the path counter's exact count rounded once.  Below, other
+systems sweep the projected words grouped by the set of automaton states they
+reach, and Z_N is one exact pass over the fiber-size histograms of all lengths
+(`_level_totals`, `exact_total`'s sums); a fiber table's levels keep the
+sweep's key and count arrays in sweep order, sort on their first ordered
+read and decode their own word tuples alone on their first key access.
 
 `image_subshift` determinizes the projected image exactly with the same
 subset moves, and past the subset budget raises ResourceLimit.
 
-One system queried several times is swept once: each spec keeps its
-compiled automaton (`SubshiftSpec.automaton`) and that automaton its
-spectral bracket, and the fiber-size arrays of the last complete sweep stay
-in a one-entry memo, so `weighted_entropy` after `fiber_counts` or
-after itself, on the same system object, N and word cap, sweeps nothing.
-Only the last sweep is kept, so at most one system is held alive.
+One system queried several times is swept once: each spec keeps its compiled
+automaton, and that its spectral bracket and word counts; a one-entry memo
+keeps the fiber sizes of the last complete sweep (one system's), which serve
+`weighted_entropy` at w < 1 on the same system object, N and word cap.
 """
 
 from __future__ import annotations
@@ -333,18 +331,14 @@ def _level_totals(levels) -> tuple[list, int]:
 
 
 def _z_sweep(sys: PairShiftSystem, w: float, n_max: int):
-    """Yield Z_N for N = 1..n_max from the fiber sizes of the generic sweep,
-    those of the last sweep when it was of this system (the same object),
-    n_max and word cap: at w = 1 each exact integer total rounded once, below
-    one pow per distinct size of each level, all levels summed in one pass.  A
-    Z_k, or a fiber size at w < 1, past the double range ends it after
-    Z_1..Z_{k-1} with OverflowError."""
+    """Yield Z_N for N = 1..n_max at w < 1 from the fiber sizes of the generic
+    sweep, those of the last sweep when it was of this system (the same
+    object), n_max and word cap: one pow per distinct size of each level, all
+    levels summed in one pass.  A fiber size of length k past the double
+    range ends it after Z_1..Z_{k-1} with OverflowError."""
     last, *key, counts = _last_sweep
     if last is not sys or key != [n_max, limits.cap("word")]:
         counts = (level[1] for level in _fiber_levels(sys, n_max))
-    if w == 1.0:
-        yield from (float(int(c.sum())) for c in counts)
-        return
     levels = []
     for sizes, mult in (np.unique(c, return_counts=True) for c in counts):
         try:
@@ -362,8 +356,9 @@ def _z_sweep(sys: PairShiftSystem, w: float, n_max: int):
 
 def weighted_entropy(sys: PairShiftSystem, w: float, n_max: int) -> WeightedEntropyReport:
     """Z_N for N = 1..n_max, the upper bounds v_N and, for a product system,
-    the closed form.  The word budget bounds only the fiber sweep of a system
-    that is not a product; a Z_N past the double range raises ParameterOverflow."""
+    the closed form.  At w = 1 Z_N is `symbolic.count_words`' count rounded
+    once; below, the word budget bounds the fiber sweep of a system that is
+    not a product.  A Z_N past the double range raises ParameterOverflow."""
     if not (0.0 <= w <= 1.0):
         raise DomainError(f"weight exponent must lie in [0, 1], got {w}")
     if n_max < 1:
@@ -375,6 +370,8 @@ def weighted_entropy(sys: PairShiftSystem, w: float, n_max: int) -> WeightedEntr
         t = np.array(list(tuple_fiber_sizes(sys).values()), dtype=float)
         closed = math.log(math.fsum(c**w for c in t.tolist()))
         levels = _z_powers(t**w, n_max)
+    elif w == 1.0:  # Z_N = |Omega_N|
+        levels = map(float, symbolic.count_words(sys.omega, n_max).values())
     else:
         levels = _z_sweep(sys, w, n_max)
     z = {}

@@ -285,6 +285,16 @@ class TestExitCodes:
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["counts"]["2,1"] == str(2100**2)
 
+    def test_qbox_family_is_refused_from_its_counts(self):
+        # 3^30 boxes: the two word tables it counted from ran out of memory
+        start = time.monotonic()
+        proc = run_cli_capped(1 << 30, "oracle", "qbox", "--a", "3", "--b", "2",
+                              "--tuples", "00,11,20", "--N", "15", "--M", "2")
+        assert time.monotonic() - start < 1.0
+        assert proc.returncode == 3
+        assert proc.stderr == ("resource limit: word budget: box family: 470184984576 boxes "
+                               "exceed the cap 20000000\n")
+
     @pytest.mark.parametrize("command", [["weighted-entropy", "--w", "0.5"], ["carpet"]])
     def test_word_set_omega_exits_4(self, capsys, tmp_path, command):
         # the enumeration-only wordset kind is gone: an omega written in it
@@ -1454,6 +1464,22 @@ class TestBudgetEnv:
         monkeypatch.setenv("MEANDIM_BUDGET", value)
         assert main(["oracle", "appendix-k"]) == 4
         assert capsys.readouterr().err == f"spec error: MEANDIM_BUDGET = {value!r} is not an integer\n"
+
+    @pytest.mark.parametrize("flag, env", [(["--budget", "-1"], None), ([], "-3")])
+    def test_negative_cap_is_named(self, monkeypatch, tmp_path, flag, env):
+        # it was taken, and then every size exceeded it (exit 3)
+        spec = tmp_path / "full.json"
+        spec.write_text(json.dumps({"alphabet": 2, "kind": "full"}))
+        monkeypatch.delenv("MEANDIM_BUDGET", raising=False)
+        if env is not None:
+            monkeypatch.setenv("MEANDIM_BUDGET", env)
+        proc = run_cli_process("entropy", "--spec", str(spec), "--nmax", "3", *flag)
+        assert proc.returncode == 4
+        assert proc.stderr == f"spec error: word budget: the cap {env or -1} is negative\n"
+        monkeypatch.setenv("MEANDIM_BUDGET", "0")  # a cap of 0 is a cap
+        assert limits.cap("word") == 0
+        with limits.override(0):
+            assert limits.cap("point") == 0
 
     @pytest.mark.parametrize("value, want", [(" 12 ", 12), ("1_000", 1000), ("+7", 7)])
     def test_env_var_takes_what_int_takes(self, monkeypatch, value, want):

@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
@@ -253,6 +254,23 @@ class TestTransferGraph:
         monkeypatch.setitem(limits.DEFAULT_CAPS, "state", 0)
         assert g2.count_rectangles(spec, 1, 3) == 8
         assert g2.entropy2d(spec, 1, 3).counts[(1, 3)] == 8
+
+    def test_row_one_is_refused_before_it_is_built(self, monkeypatch):
+        # above the window's last row every candidate is kept, so row 1 holds
+        # all 2100^2 row codes: they were built and tested (a 202 MiB peak)
+        # before the state budget refused them
+        monkeypatch.delenv("MEANDIM_BUDGET", raising=False)
+        spec = g2.patterns_rule(2100, (2, 2), [[[0, 0], [0, 0]]])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceLimit) as err:
+                g2.count_rectangles(spec, 2, 2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(err.value) == ("state budget: the transfer graph for 2 rows, at row 1: "
+                                  "4410000 or more partial patterns exceed the cap 4194304")
+        assert peak < 16 << 20
 
     @settings(max_examples=150, deadline=None)
     @given(spec=sweep_rules(), n_rows=st.integers(1, 4), m_cols=st.integers(1, 4))

@@ -535,7 +535,7 @@ def fsum_witness_point(family, choice, depth):
 def fsum_sampled_minimum(family, samples, seed):
     """Least linf distance over the sampled pairs, points by math.fsum."""
     depth = family.m + orc.WITNESS_TAIL_LAYERS
-    first, second, _ = orc._sample_pairs(orc._layer_sizes(family), samples, seed)
+    first, second, _ = orc._sample_pairs(family.layer_sizes, samples, seed)
     return min((
         max(abs(x - y) for x, y in zip(fsum_witness_point(family, p, depth),
                                        fsum_witness_point(family, q, depth)))
@@ -545,17 +545,27 @@ def fsum_sampled_minimum(family, samples, seed):
 
 @st.composite
 def witness_cases(draw):
-    """A q-box family of a random relation, a random set of digit choices
-    (repeats included) and a depth."""
+    """A q-box family of a random relation or pair SFT, a random set of
+    digit choices (repeats included) and a depth."""
     a = draw(st.integers(2, 5))
     b = draw(st.integers(2, a))
-    cells = [(u, v) for u in range(a) for v in range(b)]
-    rel = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=len(cells), unique=True))
+    if draw(st.booleans()):
+        cells = [(u, v) for u in range(a) for v in range(b)]
+        rel = draw(st.lists(st.sampled_from(cells), min_size=1, max_size=len(cells), unique=True))
+        spec = cp.carpet_from_tuples(a, b, rel)
+    else:
+        row = st.lists(st.integers(0, 1), min_size=a * b, max_size=a * b)
+        matrix = draw(st.lists(row, min_size=a * b, max_size=a * b))
+        try:
+            spec = cp.CarpetSpec(a, b, wt.pair_system(a, b, sym.sft_from_matrix(matrix)))
+            sym.prune(spec.system.omega)
+        except EmptySubshift:
+            assume(False)
     n, m = draw(st.integers(1, 2)), draw(st.integers(1, 6))
     with limits.override(2**62):
-        fam = orc.qbox_family(cp.carpet_from_tuples(a, b, rel), n, m)
+        fam = orc.qbox_family(spec, n, m)
     rng = random.Random(draw(st.integers(0, 2**32)))
-    sizes = orc._layer_sizes(fam)
+    sizes = fam.layer_sizes
     pool = [[rng.randrange(s) for s in sizes] for _ in range(draw(st.integers(1, 30)))]
     choices = np.array([rng.choice(pool) for _ in range(draw(st.integers(0, 60)))], dtype=np.intp)
     return fam, choices.reshape(-1, m), m + draw(st.integers(0, orc.WITNESS_TAIL_LAYERS))
@@ -658,7 +668,7 @@ class TestQBoxFamily:
         # every image layer of this relation has one option; the sampler
         # drew its perturbation from an empty range and raised ValueError
         fam = orc.qbox_family(cp.carpet_from_tuples(3, 2, [(0, 0), (1, 0), (2, 0)]), 2, 7)
-        assert len(fam.image_rows) == 1 and fam.count > 3000
+        assert fam.layer_sizes[-1] == 1 and fam.count > 3000
         rep = orc.verify_family_separation(fam)
         assert (rep["mode"], rep["ok"]) == ("sampled_pairs", True)
         assert rep["observed_min"] == fsum_sampled_minimum(fam, 2000, 0)
@@ -710,10 +720,14 @@ class TestQBoxFamily:
     @given(witness_cases())
     def test_witness_points_match_reference(self, case):
         fam, choices, depth = case
-        # row tables: each pair u then v, and each v after its least u (the section)
+        # layer sizes: the pairs, then the v-words; row tables: each pair u
+        # then v, and each v after its least u (the section)
         pairs, image_words, section, _ = reference_family_words(fam)
-        assert fam.omega_rows.tolist() == [list(u + v) for u, v in pairs]
-        assert fam.image_rows.tolist() == [list(section[v] + v) for v in image_words]
+        t = fam.floor_wm
+        assert fam.layer_sizes == (len(pairs),) * t + (len(image_words),) * (fam.m - t)
+        omega_rows, image_rows = orc._layer_rows(fam.spec, fam.n)
+        assert omega_rows.tolist() == [list(u + v) for u, v in pairs]
+        assert image_rows.tolist() == [list(section[v] + v) for v in image_words]
         got = orc._witness_points(fam, choices, depth)
         want = reference_witness_points(fam, choices, depth)
         assert got.shape == want.shape and np.array_equal(got.view(np.int64), want.view(np.int64))
@@ -728,12 +742,28 @@ class TestQBoxFamily:
         with limits.override(2**200):
             fam = orc.qbox_family(cp.carpet_from_tuples(a, b, rel), 1, m)
         rng = random.Random(m)
-        sizes = orc._layer_sizes(fam)
+        sizes = fam.layer_sizes
         choices = np.array([[rng.randrange(s) for s in sizes] for _ in range(60)])
         choices[1::2, 1:] = choices[::2, 1:]  # pairs that differ at most in layer 0
         depth = m + orc.WITNESS_TAIL_LAYERS
         got = orc._witness_points(fam, choices, depth)
         assert np.array_equal(got, reference_witness_points(fam, choices, depth))
+
+    def test_family_is_counted_not_enumerated(self, monkeypatch):
+        # |Omega|_N| and |Omega'|_N| come from the path counter: the family
+        # holds no array, and only its points build rows
+        spec = cp.CarpetSpec(3, 2, wt.pair_system(3, 2, sym.sft_from_matrix(
+            [[int((i + j) % 4 != 1) for j in range(6)] for i in range(6)])))
+        want = orc.qbox_family(spec, 2, 3)
+        enumerate_words = sym.Automaton.enumerate_words
+        calls = []
+        monkeypatch.setattr(sym.Automaton, "enumerate_words",
+                            lambda *args: calls.append(args) or enumerate_words(*args))
+        fam = orc.qbox_family(spec, 2, 3)
+        assert calls == [] and fam == want
+        assert not any(isinstance(v, np.ndarray) for v in vars(fam).values())
+        fam.witness_cloud()
+        assert len(calls) == 1
 
     def test_witness_cloud_distinct_points(self):
         spec = cp.carpet_from_tuples(3, 2, R_EXAMPLE)
