@@ -395,8 +395,10 @@ def verify_family_separation(family: QBoxFamily, samples: int = 2000, seed: int 
 
     All pairs are checked up to FULL_PAIR_CAP boxes.  For larger families a
     seeded sample is measured instead, mixing random pairs with single-layer
-    perturbations (the pairs that attain the minimum).  The exact-integer
-    certificate in the family record covers every pair regardless.
+    perturbations (the pairs that attain the minimum); its 2M + 3 draws and
+    two points per sample are checked against the word and point budgets.
+    The exact-integer certificate in the family record covers every pair
+    regardless.
     """
     if samples < 1:
         raise DomainError(f"samples = {samples} must be >= 1")
@@ -406,6 +408,8 @@ def verify_family_separation(family: QBoxFamily, samples: int = 2000, seed: int 
         observed = cloud.min_pairwise()
         mode = "all_pairs"
     else:
+        limits.check("word", samples * (2 * family.m + 3), "draws", "separation sample")
+        limits.check("point", 2 * samples, "points", "separation sample")
         first, second, _ = _sample_pairs(family.layer_sizes, samples, seed)
         pts = _witness_points(family, np.vstack((first, second)), family.m + WITNESS_TAIL_LAYERS)
         dists = pairwise_to_point(*np.split(pts, 2), MetricDescriptor(kind=LINF_FINITE))
@@ -661,7 +665,7 @@ def _is_atom(v: float) -> bool:
 
 
 def _least_index_at_most(hi: float) -> int:
-    """Least j >= 1 whose atom 1 / j is at most hi, for a double hi > 0.
+    """Least j >= 1 whose atom 1 / j is at most hi, for a double hi >= 0.
 
     An atom is the double nearest 1/j: 1 / j, int by int, which for j up to
     2^53 is the 1.0 / j of reciprocal_atoms.  The reals that round to hi or
@@ -680,14 +684,9 @@ def _least_index_at_most(hi: float) -> int:
 
 def _greatest_index_at_least(lo: float) -> int:
     """Greatest j >= 1 whose atom 1 / j is at least lo (0 if none), for a
-    double lo > 0: ceil(1 / midpoint) or one less, the midpoint being that
-    of lo and the double below it, as in _least_index_at_most."""
-    if lo > 1.0:
-        return 0
-    p, q = lo.as_integer_ratio()
-    r, s = math.nextafter(lo, 0.0).as_integer_ratio()
-    j = -(-2 * q * s // (p * s + r * q))  # ceil(1 / midpoint), at least 2
-    return j if 1 / j >= lo else j - 1
+    double lo > 0: atoms fall as j grows, so one less than the least index
+    whose atom is at most the double below lo."""
+    return _least_index_at_most(math.nextafter(lo, 0.0)) - 1 if lo <= 1.0 else 0
 
 
 def reciprocal_witness_delta(m: int, eps: float) -> float:

@@ -9,15 +9,16 @@ is |Omega_N|, the path counter's exact count rounded once.  Below, other
 systems sweep the projected words grouped by the set of automaton states they
 reach, and Z_N is one exact pass over the fiber-size histograms of all lengths
 (`_level_totals`, `exact_total`'s sums); a fiber table's levels keep the
-sweep's key and count arrays in sweep order, sort on their first ordered
-read and decode their own word tuples alone on their first key access.
+sweep's key and count arrays, and each decodes and sorts its own words on
+its first word read.
 
 `image_subshift` determinizes the projected image exactly with the same
 subset moves, and past the subset budget raises ResourceLimit.
 
 One system queried several times is swept once: each spec keeps its compiled
-automaton, and that its spectral bracket and word counts; a one-entry memo
-keeps the fiber sizes of the last complete sweep (one system's), which serve
+automaton, and that its spectral bracket and word counts; each pair system
+keeps its image and the subset cap it was built under; a one-entry memo keeps
+the fiber sizes of the last complete sweep (one system's), which serve
 `weighted_entropy` at w < 1 on the same system object, N and word cap.
 """
 
@@ -83,58 +84,35 @@ def tuple_fiber_sizes(sys: PairShiftSystem) -> dict[int, int]:
 class FiberLevel(Mapping):
     """Fiber sizes of the projected words of one length, word -> count, in
     lexicographic order.  It holds the sweep's keys (parent * b + letter,
-    parent a word's position in the level before) and counts, in sweep
-    order, and the level before: len reads the counts alone, the first
-    ordered read sorts this level, and each level below not yet sorted, and
-    keeps the order, values() reads the counts in it, as Python ints, and
-    the first key access decodes this level's word tuples alone, one letter
-    per level walking the keys down, and keeps them."""
+    parent a word's position in the level before) and counts, and the level
+    before: len reads the counts alone, and the first word read walks the
+    keys down to this level's letter columns, sorts them with one lexsort
+    and keeps the words."""
 
     def __init__(self, keys: np.ndarray, counts: np.ndarray, prev: FiberLevel | None, b: int):
         self._keys, self._counts, self._prev, self._b = keys, counts, prev, b
-        self._order = self._words = None
-
-    def _ordered(self) -> np.ndarray:
-        """The positions of the words in lexicographic order: by the parent's
-        rank in its level, then the letter; in a loop, as tables run deep."""
-        chain, level = [], self
-        while level is not None and level._order is None:
-            chain.append(level)
-            level = level._prev
-        rank = np.zeros(1, np.int64)
-        for level in reversed(chain):
-            if level._prev is not None:
-                rank = np.empty_like(level._prev._order)
-                rank[level._prev._order] = np.arange(len(rank))
-            parent, letter = np.divmod(level._keys, self._b)
-            level._order = np.argsort(rank[parent] * self._b + letter)
-        return self._order
+        self._words = None
 
     def _decoded(self) -> dict:
-        if self._words is None:
-            order = self._ordered()
-            letters, position, level = [], order, self
+        if self._words is None:  # in a loop, as tables run deep
+            letters, position, level = [], np.arange(len(self._keys)), self
             while level is not None:
                 position, letter = np.divmod(level._keys[position], self._b)
-                letters.append(letter.tolist())
+                letters.append(letter.astype(np.min_scalar_type(self._b)))  # radix sorted
                 level = level._prev
-            self._words = dict(zip(zip(*reversed(letters)), self._counts[order].tolist()))
+            order = np.lexsort(letters)  # the last key, the first letter, sorts first
+            words = zip(*(letter[order].tolist() for letter in reversed(letters)))
+            self._words = dict(zip(words, self._counts[order].tolist()))
         return self._words
 
     def __len__(self):
         return len(self._counts)
-
-    def values(self):
-        return self._counts[self._ordered()].tolist()
 
     def __getitem__(self, word):
         return self._decoded()[word]
 
     def __iter__(self):
         return iter(self._decoded())
-
-    def items(self):
-        return self._decoded().items()
 
 
 @dataclass(frozen=True)
@@ -420,8 +398,13 @@ def image_subshift(sys: PairShiftSystem) -> SubshiftSpec:
     Powerset determinization of the projected transition graph; the result is
     a rooted deterministic labeled graph (sofic presentations are generally
     not vertex shifts over B).  A full image is recognized and normalized.
-    More subsets than the subset budget raise ResourceLimit.
+    More subsets than the subset budget raise ResourceLimit.  The system
+    keeps the image, read again under the same subset cap.
     """
+    cap = limits.cap("subset")
+    kept, image = sys.__dict__.get("_image", (None, None))
+    if kept == cap:
+        return image
     aut = sys.omega.automaton
     b = sys.b_size
     start = (aut.root,)
@@ -439,6 +422,7 @@ def image_subshift(sys: PairShiftSystem) -> SubshiftSpec:
                 queue.append(key)
             succ[idx][v] = subsets[key]
     image = Automaton(alphabet_size=b, root=0, succ=tuple(succ))
-    if all(len(trans) == b for trans in image.succ):  # labels lie in range(b)
-        return symbolic.full_shift(b)
-    return automaton_spec(image, b)
+    full = all(len(trans) == b for trans in image.succ)  # labels lie in range(b)
+    image = symbolic.full_shift(b) if full else automaton_spec(image, b)
+    sys.__dict__["_image"] = cap, image
+    return image

@@ -684,6 +684,18 @@ class TestQBoxFamily:
                 with pytest.raises(DomainError, match=rf"^samples = {samples} must be >= 1$"):
                     orc.verify_family_separation(fam, samples=samples)
 
+    def test_samples_past_the_budgets_are_refused(self):
+        # 3,000,000 samples asked randbytes for a block past getrandbits' C-int
+        # bit count, a raw OverflowError; both budgets are checked before a draw
+        fam = orc.qbox_family(cp.carpet_from_tuples(3, 2, R_EXAMPLE), 2, 6)
+        message = r"^word budget: separation sample: 45000000 draws exceed the cap 20000000$"
+        with pytest.raises(ResourceLimit, match=message):
+            orc.verify_family_separation(fam, samples=3_000_000)
+        fam = orc.qbox_family(cp.carpet_from_tuples(3, 2, R_EXAMPLE), 12, 1)
+        message = r"^point budget: separation sample: 3000000 points exceed the cap 2000000$"
+        with pytest.raises(ResourceLimit, match=message):
+            orc.verify_family_separation(fam, samples=1_500_000)
+
     @settings(max_examples=80, deadline=None)
     @given(
         st.lists(st.integers(1, 6), min_size=1, max_size=8),
@@ -1618,6 +1630,8 @@ class TestReciprocalKernelsMatchReference:
     @example(7.3e-25)  # about 10^9 integers that round to one double
     @example(1e-17)
     @example(3e-20)
+    @example(5e-324)  # the double below is 0.0, whose least index is 2^1075
+    @example(1.0)
     def test_indices_equal_the_exact_bisection(self, v):
         """Both index rules equal a bisection over j on the correctly
         rounded comparison, at any size of j."""

@@ -15,6 +15,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+import sympy
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -791,6 +792,42 @@ def test_bracket_holds_the_eigenvalue_radius(matrix):
     radius = math.log(perron_radius(matrix))
     assert lo - 1e-12 <= radius <= hi + 1e-12
     assert hi - lo <= sym.SPECTRAL_LOG_TOL
+
+
+@st.composite
+def counted_automata(draw):
+    """Automata of 6 to 21 states, all reachable and live: label 0 walks
+    0 -> 1 -> ... -> n - 1 -> some state, and labels 1 and 2 add edges, so
+    parallel edges give counts above 1."""
+    n, k = draw(st.integers(6, 21)), draw(st.integers(1, 3))
+    succ = []
+    for s in range(n):
+        trans = draw(st.dictionaries(st.integers(0, k - 1), st.integers(0, n - 1), max_size=k))
+        trans[0] = s + 1 if s + 1 < n else draw(st.integers(0, n - 1))
+        succ.append(trans)
+    return sym.automaton_spec(sym.Automaton(k, 0, tuple(succ)), k).automaton
+
+
+def sympy_log_radius(aut):
+    """Enclosure (lo, hi), as 50-digit mpmath numbers, of the log spectral
+    radius of the automaton's count matrix: the largest real root of its
+    exact characteristic polynomial (the Perron root), isolated by sympy's
+    Poly.intervals to a width below 1e-30.  An integer root is isolated to
+    itself."""
+    counts = sympy.zeros(len(aut.succ))
+    for s, trans in enumerate(aut.succ):
+        for t in trans.values():
+            counts[s, t] += 1
+    intervals = counts.charpoly().intervals(eps=sympy.Rational(1, 10**30))
+    (lo, hi), _ = max(intervals, key=lambda interval: interval[0][1])
+    with mpmath.workdps(50):
+        return tuple(mpmath.log(mpmath.mpf(x.p) / x.q) for x in (lo, hi))
+
+
+@settings(max_examples=40, deadline=None)
+@given(counted_automata())
+def test_bracket_holds_the_exact_perron_root(aut):
+    assert_holds(aut.spectral_log(), sympy_log_radius(aut))
 
 
 def reference_component_radius(succ, comp):
