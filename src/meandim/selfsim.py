@@ -126,9 +126,9 @@ def covering_lower_bound(spec: BetaSystemSpec, n_coords: int, n_layers: int) -> 
 
 def self_similar_dims(spec: BetaSystemSpec) -> dict:
     """Common mean Hausdorff / metric mean dimension of the system:
-    entropy(Omega) / log beta, from the spectral value of Omega's automaton.
-    Every map contracts by exactly 1/beta, so this is also the similarity
-    bound entropy(Omega) / log(1/c)."""
-    lo, hi = spec.omega.automaton.spectral_log()
+    entropy(Omega) / log beta, from Omega's spectral value
+    (`symbolic.spectral_bracket`).  Every map contracts by exactly 1/beta,
+    so this is also the similarity bound entropy(Omega) / log(1/c)."""
+    lo, hi = symbolic.spectral_bracket(spec.omega)
     h = 0.5 * (lo + hi)
     return {"mdim": h / math.log(spec.beta), "entropy": h}

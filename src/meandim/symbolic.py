@@ -1,13 +1,13 @@
 """One-sided subshifts over finite alphabets: exact word counting and entropy.
 
 A subshift is described declaratively (full shift, transition-matrix SFT,
-finite forbidden-word list, or an allowed-tuple set over a product alphabet)
-and compiled to a rooted deterministic transition graph.  Label paths from the
-root spell exactly the admissible words (the length-N prefixes of points), so
-exact big-integer word counts are path counts and entropy upper bounds follow
-from subadditivity.  The entropy is the log of the spectral radius of the
-live transition structure.  An automaton keeps its word counts and spectral
-bracket, so repeated queries of one spec extend them instead of recounting.
+finite forbidden-word list, or an allowed-tuple set over a product alphabet).
+A product kind, all words over k symbols, has k^n words and entropy log k;
+the others compile to a rooted deterministic transition graph, whose label
+paths from the root spell exactly the admissible words (the length-N prefixes
+of points): word counts are path counts, Fekete bounds follow, and the
+entropy is the log of the spectral radius of the live transitions.  An
+automaton keeps its word counts and spectral bracket for repeated queries.
 """
 
 from __future__ import annotations
@@ -306,7 +306,8 @@ class SubshiftSpec:
                    projections)
 
     Every spec compiles to one pruned `Automaton`, `automaton`, on first
-    read; building a spec compiles nothing.
+    read; building a spec compiles nothing.  A product kind's word counts and
+    entropy come from its symbol count, `product_size`, with no compile.
     """
 
     alphabet: int
@@ -372,14 +373,20 @@ class SubshiftSpec:
         return replace(graph, root=root, succ=succ)
 
     @cached_property
+    def product_size(self) -> int | None:
+        """|S| of a product kind (`product_symbols`), S not built, or None; a
+        full shift on more symbols than the word budget is refused."""
+        if self.kind == KIND_FULL:
+            return limits.check("word", self.alphabet, "symbols", "full shift")
+        return len(self.tuple_set) if self.kind == KIND_TUPLES else None
+
+    @cached_property
     def product_symbols(self) -> tuple | None:
         """The sorted symbol set S of a product kind, whose language is all
         words over S (full: every symbol; tuples: u * b + v for (u, v) in
-        R), or None for the other kinds, computed once per spec.  A full
-        shift on more symbols than the word budget is refused."""
+        R), or None for the other kinds, computed once per spec."""
         if self.kind == KIND_FULL:
-            limits.check("word", self.alphabet, "symbols", "full shift")
-            return tuple(range(self.alphabet))
+            return tuple(range(self.product_size))
         if self.kind == KIND_TUPLES:
             b = self.tuple_sizes[1]
             return tuple(sorted(u * b + v for u, v in self.tuple_set))
@@ -528,7 +535,7 @@ class EntropyReport:
     counts are the word counts {n: count} for n = 1..n_max, and
     upper_bounds their `fekete_bounds`.  spectral_bracket (lo, hi) is a
     certified bracket on the limit, no wider than SPECTRAL_LOG_TOL, from
-    the spec's automaton; spectral_value is its midpoint.
+    `spectral_bracket`; spectral_value is its midpoint.
     """
 
     upper_bounds: tuple
@@ -548,11 +555,16 @@ def count_words(spec: SubshiftSpec, n_max: int) -> dict:
     the first that the digit budget refuses."""
     if n_max < 1:
         raise DomainError("n_max must be >= 1")
-    aut = spec.automaton
-    limits.check("word", aut.n_states, "states")
+    k = spec.product_size  # its automaton: the root and one state with k loops
+    limits.check("word", spec.automaton.n_states if k is None else 2, "states")
     limits.check("word", n_max, "lengths")
     stop = limits.printed_stop()
-    counts = aut.word_counts(n_max, stop)
+    if k is None:
+        counts = spec.automaton.word_counts(n_max, stop)
+    else:  # ending as `Automaton.word_counts` ends
+        counts = [k]
+        while len(counts) < n_max and (stop is None or counts[-1] <= stop):
+            counts.append(counts[-1] * k)
     if stop is not None and counts[-1] > stop:  # the counts end at the first past it
         limits.check_digits([(counts[-1], 1)], f"count {len(counts)}")
     return {n + 1: c for n, c in enumerate(counts)}
@@ -563,9 +575,19 @@ def enumerate_words(spec: SubshiftSpec, n: int) -> np.ndarray:
     return spec.automaton.enumerate_words(n)
 
 
+def spectral_bracket(spec: SubshiftSpec) -> tuple[float, float]:
+    """The spec's `Automaton.spectral_log`; a product kind's is log k widened by
+    one ulp each way, bit for bit what its one live state with k loops gives."""
+    k = spec.product_size
+    if k is None:
+        return spec.automaton.spectral_log()
+    log_k = math.log(float(k))
+    return math.nextafter(log_k, -math.inf), math.nextafter(log_k, math.inf)
+
+
 def entropy(spec: SubshiftSpec, n_max: int = 12) -> EntropyReport:
     table = count_words(spec, n_max)  # >= 1 word per length: the root is live
-    lo, hi = spec.automaton.spectral_log()
+    lo, hi = spectral_bracket(spec)
     return EntropyReport(
         upper_bounds=fekete_bounds(table.values()),
         spectral_value=0.5 * (lo + hi),

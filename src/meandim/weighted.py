@@ -13,7 +13,8 @@ sweep's key and count arrays, and each decodes and sorts its own words on
 its first word read.
 
 `image_subshift` determinizes the projected image exactly with the same
-subset moves, and past the subset budget raises ResourceLimit.
+subset moves (a product system's is its occupied columns' product), and past
+the subset budget raises ResourceLimit.
 
 One system queried several times is swept once: each spec keeps its compiled
 automaton, and that its spectral bracket and word counts; each pair system
@@ -398,6 +399,7 @@ def image_subshift(sys: PairShiftSystem) -> SubshiftSpec:
     Powerset determinization of the projected transition graph; the result is
     a rooted deterministic labeled graph (sofic presentations are generally
     not vertex shifts over B).  A full image is recognized and normalized.
+    A product system's is V^N, V its occupied columns, counted as two subsets.
     More subsets than the subset budget raise ResourceLimit.  The system
     keeps the image, read again under the same subset cap.
     """
@@ -405,24 +407,30 @@ def image_subshift(sys: PairShiftSystem) -> SubshiftSpec:
     kept, image = sys.__dict__.get("_image", (None, None))
     if kept == cap:
         return image
-    aut = sys.omega.automaton
     b = sys.b_size
-    start = (aut.root,)
-    subsets = {start: 0}
-    succ: list[dict] = [dict()]
-    queue = [start]
-    while queue:
-        current = queue.pop()
-        idx = subsets[current]
-        for v, key, _ in _subset_moves(aut, b, current):
-            if key not in subsets:
-                limits.check_at_least("subset", len(subsets) + 1, "subsets")
-                subsets[key] = len(succ)
-                succ.append(dict())
-                queue.append(key)
-            succ[idx][v] = subsets[key]
-    image = Automaton(alphabet_size=b, root=0, succ=tuple(succ))
-    full = all(len(trans) == b for trans in image.succ)  # labels lie in range(b)
-    image = symbolic.full_shift(b) if full else automaton_spec(image, b)
+    if sys.omega.product_size is not None:
+        limits.check_at_least("subset", 2, "subsets")
+        columns = tuple_fiber_sizes(sys)
+        image = (symbolic.full_shift(b) if len(columns) == b
+                 else symbolic.allowed_tuples(1, b, [(0, v) for v in columns]))
+    else:
+        aut = sys.omega.automaton
+        start = (aut.root,)
+        subsets = {start: 0}
+        succ: list[dict] = [dict()]
+        queue = [start]
+        while queue:
+            current = queue.pop()
+            idx = subsets[current]
+            for v, key, _ in _subset_moves(aut, b, current):
+                if key not in subsets:
+                    limits.check_at_least("subset", len(subsets) + 1, "subsets")
+                    subsets[key] = len(succ)
+                    succ.append(dict())
+                    queue.append(key)
+                succ[idx][v] = subsets[key]
+        image = Automaton(alphabet_size=b, root=0, succ=tuple(succ))
+        full = all(len(trans) == b for trans in image.succ)  # labels lie in range(b)
+        image = symbolic.full_shift(b) if full else automaton_spec(image, b)
     sys.__dict__["_image"] = cap, image
     return image

@@ -5,6 +5,7 @@ The `ast` tests read the package source and import nothing from it, so they
 still run, and name the culprit, when the package itself fails to import."""
 
 import ast
+import json
 import os
 import resource
 import subprocess
@@ -186,6 +187,30 @@ except ResourceLimit as exc:
     message, seconds = proc.stdout.splitlines() or (proc.stderr, "inf")
     assert message == "word budget: 1073741824 words exceed the cap 20000000"
     assert float(seconds) < 0.1
+
+
+def test_full_shift_at_the_word_cap_is_answered_from_its_symbol_count():
+    # the compile built two dicts of 20,000,000 entries and ran out of memory
+    proc = run_capped_python(1 << 30, """
+import contextlib, io, json, os, tempfile, time
+from meandim import cli
+for k in (20_000_000, 20_000_001):
+    fd, path = tempfile.mkstemp(suffix=".json")
+    with os.fdopen(fd, "w") as fh:
+        json.dump({"alphabet": k, "kind": "full"}, fh)
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(["entropy", "--spec", path, "--nmax", "12"])
+    os.remove(path)
+    print(json.dumps([code, out.getvalue(), err.getvalue(), time.perf_counter() - start]))
+""")
+    assert proc.returncode == 0, proc.stderr
+    (code, stdout, stderr, seconds), refused = map(json.loads, proc.stdout.splitlines())
+    assert (code, stderr) == (0, ""), proc.stderr
+    assert '"1":"20000000"' in stdout and seconds < 1.0
+    assert refused[:3] == [3, "", "resource limit: word budget: full shift: 20000001 symbols "
+                                  "exceed the cap 20000000\n"]
 
 
 def test_covering_family_refuses_its_points_before_any_word():

@@ -9,6 +9,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -391,6 +392,58 @@ def test_product_symbols_are_computed_once():
     assert spec.product_symbols == (0, 3, 4)
     assert spec.product_symbols is spec.product_symbols
     assert sym.forbidden_words(2, ["11"]).product_symbols is None
+
+
+@st.composite
+def product_specs(draw):
+    """Full shifts on 1..7 symbols and tuples specs over up to 4 x 4."""
+    if draw(st.booleans()):
+        return sym.full_shift(draw(st.integers(1, 7)))
+    a, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pairs = st.tuples(st.integers(0, a - 1), st.integers(0, b - 1))
+    return sym.allowed_tuples(a, b, draw(st.lists(pairs, min_size=1, max_size=a * b)))
+
+
+def path_count_words(spec, n_max):
+    """`sym.count_words` by the compiled automaton's path counter, every check
+    in its place."""
+    aut = spec.automaton
+    limits.check("word", aut.n_states, "states")
+    limits.check("word", n_max, "lengths")
+    stop = limits.printed_stop()
+    counts = aut.word_counts(n_max, stop)
+    if stop is not None and counts[-1] > stop:
+        limits.check_digits([(counts[-1], 1)], f"count {len(counts)}")
+    return {n + 1: c for n, c in enumerate(counts)}
+
+
+def count_or_refusal(count, spec, n_max):
+    try:
+        return count(spec, n_max)
+    except ResourceLimit as exc:
+        return str(exc)
+
+
+@settings(max_examples=120, deadline=None)
+@given(product_specs(), st.integers(1, 900), st.sampled_from([None, 1, 2, 5]), st.booleans())
+@example(sym.full_shift(1), 900, 1, False)  # one symbol: 2 states exceed the cap 1
+@example(sym.full_shift(7), 800, None, True)  # 7^758 is the first count past 640 digits
+@example(sym.allowed_tuples(2, 2, [(0, 1)]), 3, None, False)  # log 1: +-5e-324
+def test_product_kinds_answer_as_their_compiled_automaton(spec, n_max, cap, low_digits):
+    # fresh copies of the spec, so that neither side reads the other's compile
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640 if low_digits else previous)
+    try:
+        with limits.override(cap):
+            got = count_or_refusal(sym.count_words, replace(spec), n_max)
+            want = count_or_refusal(path_count_words, replace(spec), n_max)
+    finally:
+        sys.set_int_max_str_digits(previous)
+    assert got == want
+    fresh = replace(spec)
+    bracket = sym.entropy(fresh, 3).spectral_bracket
+    assert "automaton" not in vars(fresh)  # answered from the symbol count
+    assert [x.hex() for x in bracket] == [x.hex() for x in spec.automaton.spectral_log()]
 
 
 class TestCountWords:

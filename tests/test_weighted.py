@@ -5,6 +5,7 @@ import itertools
 import math
 import random
 import weakref
+from dataclasses import replace
 from fractions import Fraction
 from unittest import mock
 
@@ -22,7 +23,7 @@ from meandim.errors import (
     ResourceLimit,
 )
 from meandim import limits
-from test_symbolic import reference_block_automaton
+from test_symbolic import product_specs, reference_block_automaton
 
 # the Z_n > Z_i * Z_j warnings of the non-factorial automata that
 # pair_systems() draws stay visible; raised in any other module they fail
@@ -861,6 +862,32 @@ class TestImageSubshift:
         for n in range(1, 8):
             projected = {v for _, v in naive_product_words(sys_.omega, 2, n)}
             assert sym.count_words(image, n)[n] == len(projected)
+
+
+class TestProductImage:
+    @settings(max_examples=100, deadline=None)
+    @given(product_specs(), st.data(), st.sampled_from([None, 0, 1, 2, 5]))
+    def test_matches_the_determinized_image(self, spec, data, cap):
+        k = spec.alphabet
+        b = data.draw(st.sampled_from([d for d in range(1, k + 1) if k % d == 0]))
+        sys_ = wt.pair_system(k // b, b, spec)
+        fresh = wt.pair_system(k // b, b, replace(spec))
+        with limits.override(cap):
+            try:
+                want = reference_image_subshift(sys_)
+            except ResourceLimit as exc:
+                if str(exc) == "subset budget":  # the reference names no sizes
+                    exc = f"subset budget: 2 or more subsets exceed the cap {cap}"
+                with pytest.raises(ResourceLimit) as info:
+                    wt.image_subshift(fresh)
+                assert str(info.value) == str(exc)
+                return
+            got = wt.image_subshift(fresh)
+        assert "automaton" not in vars(fresh.omega)  # nothing determinized
+        assert got.kind == (sym.KIND_FULL if want.kind == sym.KIND_FULL else sym.KIND_TUPLES)
+        assert sym.count_words(got, 6) == sym.count_words(want, 6)
+        bracket = sym.entropy(got, 1).spectral_bracket
+        assert [x.hex() for x in bracket] == [x.hex() for x in want.automaton.spectral_log()]
 
 
 class TestDeterminizationBudget:
